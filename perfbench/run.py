@@ -7,9 +7,10 @@ JSON object as the last line of stdout:
 
     python3 perfbench/run.py --workload table1-opt --seed 1 --seconds 30 --trace 0
 
---trace 0 reports the end-to-end metrics of BENCHMARK.json; --trace 1 runs
-traced rounds with every module wrapped, then untraced rounds, and reports
-the per-layer metrics. --digest runs one untimed round and prints the
+--trace 0 reports the end-to-end metrics of BENCHMARK.json, their times
+scaled to host speed by hostspeed.py; --trace 1 runs traced rounds with
+every module wrapped, then untraced rounds, and reports the per-layer
+metrics. --digest runs one untimed round and prints the
 SHA-256 of its rows.csv; --src points it at another simcf source tree.
 --self-test shows on a tiny sweep that every output check rejects rows
 corrupted against it. The exit code is 1 when any check fails.
@@ -31,7 +32,7 @@ import checks
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT_DIR = ROOT / ".perfbench_out"
-SETUP_PROBES = 7
+SETUP_PROBES = 11
 # BLAS runs one thread. With the default two, an OpenBLAS helper thread is
 # busy during fig3-closed-form, so its round time depends on whether the host
 # lets a second core run: across ten seeds the median round was either
@@ -39,9 +40,11 @@ SETUP_PROBES = 7
 # ~0.91 s (spread 0.06) with one thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# One setup probe: a fresh interpreter imports simcf and builds the spec.
+# One setup probe: a fresh interpreter imports simcf and builds the spec,
+# then times the host-speed kernel on the same core.
 PROBE = ("import sys; sys.path[:0] = sys.argv[1:3]; import workloads; "
-         "workloads.build(sys.argv[3], int(sys.argv[4])); print('ready', flush=True)")
+         "workloads.build(sys.argv[3], int(sys.argv[4])); print('ready', flush=True); "
+         "import hostspeed; print(hostspeed.kernel_seconds())")
 
 
 def import_simcf(src):
@@ -56,8 +59,11 @@ def import_simcf(src):
 
 def setup_seconds(src, workload, seed):
     """Median time from process start until simcf is imported and the
-    workload's spec is built, over SETUP_PROBES fresh interpreters."""
-    times = []
+    workload's spec is built, over SETUP_PROBES fresh interpreters, each
+    scaled by its host-speed kernel time; and the unscaled median."""
+    import hostspeed
+
+    times, scaled = [], []
     for _ in range(SETUP_PROBES):
         start = time.perf_counter()
         with subprocess.Popen(
@@ -66,10 +72,11 @@ def setup_seconds(src, workload, seed):
                 stdout=subprocess.PIPE, text=True) as child:
             line = child.stdout.readline()
             times.append(time.perf_counter() - start)
-            child.stdout.read()
+            kernel_s = child.stdout.read()
         if line.strip() != "ready" or child.returncode != 0:
             sys.exit(f"perfbench: setup probe failed (exit {child.returncode})")
-    return statistics.median(times)
+        scaled.append(times[-1] * hostspeed.NOMINAL_S / float(kernel_s))
+    return statistics.median(scaled), statistics.median(times)
 
 
 def cpu_seconds():
@@ -88,24 +95,32 @@ class Rounds:
         self.spec, self.out_dir = spec, out_dir
         self.cells = len(spec.values) * spec.n_drops
         self.sweep_s, self.cpu_s, self.digests = [], [], []
+        self.scaled_s = []
         self.attempted = self.failed = 0
         self.errors = []
         self.rows = None
 
-    def run(self, seconds, tracer=None):
+    def run(self, seconds, tracer=None, probe=None):
         """Whole rounds, at least one, while the next is expected to end
-        within seconds; returns this call's sweep_s."""
+        within seconds; returns this call's sweep_s. With a host-speed
+        probe, each round's time is also scaled into self.scaled_s."""
         from simcf import run_experiment, write_result_csv
 
         call = tracer.call if tracer else (lambda name, fn, *a: fn(*a))
         start, times = time.perf_counter(), []
         while not times or (time.perf_counter() - start
                              + statistics.fmean(times) <= seconds):
+            if probe:
+                probe.window()
             cpu0, t0 = cpu_seconds(), time.perf_counter()
             result = call("experiments", run_experiment, self.spec)
             rows_path, _ = call("experiments.csv", write_result_csv, result,
                                 self.out_dir)
             times.append(time.perf_counter() - t0)
+            if probe:
+                samples, stolen = probe.window()
+                self.scaled_s.append((times[-1] - stolen)
+                                     / probe.slowdown(samples))
             self.cpu_s.append(cpu_seconds() - cpu0)
             self.attempted += self.cells
             self.failed += result.failures
@@ -169,11 +184,17 @@ def traced_metrics(rounds, seconds):
 
 
 def end_to_end_metrics(rounds, seconds, src, workload, seed):
-    rounds.run(seconds)
-    sweep_s = statistics.median(rounds.sweep_s)
+    import hostspeed
+
+    with hostspeed.Probe() as probe:
+        rounds.run(seconds, probe=probe)
+    sweep_s = statistics.median(rounds.scaled_s)
     rss = peak_rss_mb()   # before the setup probes add children
+    setup_s, setup_raw = setup_seconds(src, workload, seed)
+    print(f"perfbench: raw sweep_s={statistics.median(rounds.sweep_s):.4f} "
+          f"setup_s={setup_raw:.4f}")
     return {
-        "setup_s": (setup_seconds(src, workload, seed), "s"),
+        "setup_s": (setup_s, "s"),
         "sweep_s": (sweep_s, "s"),
         "drops_per_s": (rounds.cells / sweep_s, "cell/s"),
         "peak_rss_mb": (rss, "MiB"),
@@ -222,6 +243,9 @@ def main(argv=None):
     print(f"perfbench: workload={args.workload} seed={args.seed} "
           f"rounds={len(rounds.sweep_s)} cells/round={rounds.cells} "
           f"sweep_s={[round(t, 3) for t in rounds.sweep_s]}")
+    if rounds.scaled_s:
+        print(f"perfbench: host-speed scaled sweep_s="
+              f"{[round(t, 3) for t in rounds.scaled_s]}")
     print(f"perfbench: rows.csv sha256={rounds.digests[0]}")
     for error in rounds.errors[:20]:
         print(f"perfbench: check failed: {error}", file=sys.stderr)
