@@ -155,22 +155,20 @@ def build_channel_state(cfg, drop: Drop, geom: SimGeometry, dset: DiffractionSet
                         steering=None) -> ChannelState:
     """Effective statistics for a phase tensor (L, M, N).
 
-    ap_indices restricts the computation to a subset of APs (the returned
-    arrays then have leading dimension len(ap_indices)); used by the phase
-    optimizer to refresh a single AP.
+    With ap_indices, phases holds one (M, N) slice per listed AP instead,
+    shape (len(ap_indices), M, N), and row i of the result belongs to AP
+    ap_indices[i]. An AP may be listed more than once: the phase optimizer
+    lists AP l once per candidate slice of a probe batch. All rows go
+    through one batched cascade.
     """
     if base_corr is None:
         base_corr = sinc_correlation(geom.output_grid, cfg.wavelength)
     if steering is None:
         steering = steering_units(geom, drop)
-    aps = list(range(cfg.L)) if ap_indices is None else list(ap_indices)
-    n_ap = len(aps)
-    h_bar = np.zeros((n_ap, cfg.K, cfg.U), dtype=complex)
-    s = np.zeros((n_ap, cfg.U, cfg.U), dtype=complex)
-    for i, l in enumerate(aps):
-        t = cascade_through_antennas(dset, phases[l])    # (N, U)
-        proj = t.conj().T @ base_corr @ t
-        s[i] = 0.5 * (proj + proj.conj().T)
-        amp = np.sqrt(drop.beta_los[l])[:, None] * steering[l]   # (K, N)
-        h_bar[i] = amp @ t.conj()
-    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos[aps, :].copy())
+    aps = np.arange(cfg.L) if ap_indices is None else np.asarray(ap_indices)
+    t = cascade_through_antennas(dset, phases)            # (n, N, U)
+    proj = t.conj().swapaxes(-1, -2) @ base_corr @ t
+    s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+    amp = np.sqrt(drop.beta_los[aps])[:, :, None] * steering[aps]   # (n, K, N)
+    h_bar = amp @ t.conj()
+    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos[aps, :])

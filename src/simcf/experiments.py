@@ -178,9 +178,16 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
 
     rows = []
     p_hat = cfg.pilot_powers()
+    terms_of, states_of = {}, {}   # per phase kind, shared by its schemes
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
-        terms = model.terms(phase_sets[phase_kind], pilots.pilot_of)
+        if phase_kind not in terms_of:
+            terms_of[phase_kind] = model.terms(phase_sets[phase_kind],
+                                               pilots.pilot_of)
+            if spec.n_mc_trials > 0:
+                states_of[phase_kind] = model.states(phase_sets[phase_kind],
+                                                     pilots.pilot_of)
+        terms = terms_of[phase_kind]
         for decoder in decoders:
             weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
                                          cfg.tau_p, cfg.sigma2)
@@ -195,8 +202,7 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
             se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
             mc_cols = [(MISSING, MISSING)] * cfg.K
             if spec.n_mc_trials > 0:
-                state, est = model.states(phase_sets[phase_kind],
-                                          pilots.pilot_of)
+                state, est = states_of[phase_kind]
                 mc = uatf_monte_carlo(
                     state, est, pilots.pilot_of, p, p_hat, cfg.tau_p,
                     cfg.sigma2, weights, spec.n_mc_trials,

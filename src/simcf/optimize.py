@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import se
+from .estimation import EstimationError
 from .pipeline import NetworkModel
 from .scenario import Drop
 from .sim_physics import wrap_phases
@@ -113,8 +114,34 @@ class TraceRow:
     accepted: bool
 
 
+@dataclass(frozen=True)
+class ProbeBatch:
+    """Candidate (M, N) phase slices of one AP, evaluated as one batch.
+
+    terms stacks the full-network terms of every candidate on a leading
+    axis and values holds their sum SE. Both are None when a typed
+    numerical failure stopped the batch; each candidate is then evaluated
+    on its own when the search asks for it.
+    """
+    ap: int
+    candidates: np.ndarray            # (B, M, N)
+    terms: se.SinrTerms = None
+    values: np.ndarray = None         # (B,)
+
+
 class SumSeObjective:
-    """Closed-form sum SE with per-AP incremental term updates."""
+    """Closed-form sum SE of the network, with batched probing of one AP.
+
+    probe(l, candidates) takes B candidate (M, N) phase slices for AP l and
+    runs them as one batch through cascade, channel state, estimation
+    state, sinr_terms (with the candidates on the AP axis), the splice into
+    the other APs' terms, decoder weights, SINR and sum SE. Every candidate
+    gets exactly the value a one-candidate evaluation gives. A typed
+    failure (EstimationError, SinrComputationError) in the batch is not
+    raised there: value_of then evaluates the asked-for candidate alone, so
+    only a candidate the search reaches can raise. commit_ap adopts a
+    candidate's terms from its batch without rebuilding them.
+    """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
         self.model = model
@@ -129,29 +156,50 @@ class SumSeObjective:
     def set_phases(self, phases):
         self.phases = np.array(phases, dtype=float)
         self.terms = self.model.terms(self.phases, self.pilot_of)
-        return self.value(self.terms)
+        return float(self.value(self.terms))
 
     def value(self, terms):
+        """Sum SE of terms, one per candidate for a candidate stack."""
         cfg = self.cfg
         weights = se.decoder_weights(terms, self.decoder, self.p, self.p_hat,
                                      cfg.tau_p, cfg.sigma2)
         gamma = se.sinr_from_weights(terms, weights, self.p, self.p_hat,
                                      cfg.tau_p, cfg.sigma2)
-        return float(se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum())
+        return se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum(axis=-1)
 
-    def ap_terms(self, l, ap_phases):
-        """Terms of the full system with AP l's (M, N) phases replaced."""
-        patched = self.phases.copy()
-        patched[l] = ap_phases
-        slice_terms = self.model.terms(patched, self.pilot_of, ap_indices=[l])
-        return self.terms.replace_ap(l, slice_terms), patched
+    def probe(self, l, candidates) -> ProbeBatch:
+        """Evaluate candidate (M, N) phase slices (B, M, N) for AP l."""
+        candidates = np.asarray(candidates, dtype=float)
+        try:
+            terms = self.terms.splice_ap(
+                l, self.model.ap_terms(l, candidates, self.pilot_of))
+            return ProbeBatch(l, candidates, terms, self.value(terms))
+        except (EstimationError, se.SinrComputationError):
+            if len(candidates) == 1:
+                raise
+            return ProbeBatch(l, candidates)
+
+    def _single(self, batch, i):
+        """(batch, index) holding candidate i's evaluated terms and value."""
+        if batch.values is None:
+            return self.probe(batch.ap, batch.candidates[i:i + 1]), 0
+        return batch, i
+
+    def value_of(self, batch, i):
+        """Sum SE with candidate i of batch in place; raises what evaluating
+        that candidate alone raises."""
+        batch, i = self._single(batch, i)
+        return float(batch.values[i])
 
     def try_ap(self, l, ap_phases):
-        terms, _ = self.ap_terms(l, ap_phases)
-        return self.value(terms)
+        """Sum SE with AP l's phases replaced by ap_phases (M, N)."""
+        return self.value_of(self.probe(l, [ap_phases]), 0)
 
-    def commit_ap(self, l, ap_phases):
-        self.terms, self.phases = self.ap_terms(l, ap_phases)
+    def commit_ap(self, batch, i):
+        """Adopt candidate i of batch, reusing its terms."""
+        batch, i = self._single(batch, i)
+        self.terms = batch.terms.candidate(i)
+        self.phases[batch.ap] = batch.candidates[i]
 
 
 def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
@@ -160,11 +208,20 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     """Blockwise phase search maximizing the closed-form sum SE.
 
     For each AP in turn, meta-atom indices are visited in a seeded random
-    permutation in blocks of block_size. Each block accumulates step_size
-    increments (up to max_probes of them, wrapping modulo 2 pi); the first
-    probe improving the objective by more than min_gain is committed and
-    the search moves to the next block. The objective trace is
-    non-decreasing; with no improving probe the input phases survive.
+    permutation in blocks of block_size. Probe i of a block (i = 1 ..
+    max_probes) adds i * step_size to the block's phases, wrapping modulo
+    2 pi; with symmetric_probe a probe that does not clear min_gain also
+    tries -i * step_size and keeps the better of the two. The first probe
+    improving the objective by more than min_gain is committed and the
+    search moves to the next block. The objective trace is non-decreasing;
+    with no improving probe the input phases survive.
+
+    All probes of a block, plus their mirrors under symmetric_probe, are
+    evaluated as one batch (SumSeObjective.probe). The search then walks
+    them in order and accepts the first improving one, so the phases and
+    the trace are those of evaluating probe after probe, and an evaluation
+    error surfaces only at a probe that order reaches (a mirror only when
+    its forward probe was not accepted).
 
     Returns (phases, trace) with trace a list of TraceRow per probe.
     """
@@ -173,6 +230,10 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     phases = wrap_phases(np.array(init_phases, dtype=float))
     best = objective.set_phases(phases)
     n_layers, n_atoms = phases.shape[1], phases.shape[2]
+    n_probes = cfg.max_probes
+    steps = np.arange(1, n_probes + 1) * cfg.step_size
+    if cfg.symmetric_probe:
+        steps = np.concatenate([steps, -steps])   # mirror of i at n_probes + i
     trace = [TraceRow(iteration=0, objective=best, accepted=False)]
     it = 0
     for _ in range(cfg.sweeps):
@@ -181,22 +242,21 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
             for start in range(0, order.size, cfg.block_size):
                 block = order[start:start + cfg.block_size]
                 rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-                candidate = phases[l].copy()
-                for probe in range(1, cfg.max_probes + 1):
-                    candidate[rows, cols] = wrap_phases(
-                        phases[l][rows, cols] + probe * cfg.step_size)
+                candidates = np.repeat(phases[l][None], steps.size, axis=0)
+                candidates[:, rows, cols] = wrap_phases(
+                    phases[l][rows, cols] + steps[:, None])
+                batch = objective.probe(l, candidates)
+                for i in range(n_probes):
                     it += 1
-                    gain = objective.try_ap(l, candidate) - best
+                    pick = i
+                    gain = objective.value_of(batch, i) - best
                     if cfg.symmetric_probe and gain <= cfg.min_gain:
-                        mirrored = phases[l].copy()
-                        mirrored[rows, cols] = wrap_phases(
-                            phases[l][rows, cols] - probe * cfg.step_size)
-                        down = objective.try_ap(l, mirrored) - best
+                        down = objective.value_of(batch, n_probes + i) - best
                         if down > gain:
-                            candidate, gain = mirrored, down
+                            pick, gain = n_probes + i, down
                     if gain > cfg.min_gain:
-                        phases[l] = candidate
-                        objective.commit_ap(l, candidate)
+                        phases[l] = candidates[pick]
+                        objective.commit_ap(batch, pick)
                         best += gain
                         trace.append(TraceRow(it, best, True))
                         break

@@ -40,6 +40,13 @@ class NetworkModel:
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
 
     def channel_state(self, phases, ap_indices=None) -> ChannelState:
+        """Statistics of every AP for a phase tensor (L, M, N), or of the
+        listed APs only (row i of the result is AP ap_indices[i])."""
+        if ap_indices is not None:
+            phases = np.asarray(phases)[ap_indices]
+        return self._channel_state(phases, ap_indices)
+
+    def _channel_state(self, phases, ap_indices):
         return build_channel_state(self.cfg, self.drop, self.geom, self.dset,
                                    phases, base_corr=self.base_corr,
                                    ap_indices=ap_indices,
@@ -49,8 +56,17 @@ class NetworkModel:
         return build_estimation_state(state, pilot_of, self.cfg.pilot_powers(),
                                       self.cfg.tau_p, self.cfg.sigma2)
 
-    def terms(self, phases, pilot_of, ap_indices=None) -> se.SinrTerms:
-        state = self.channel_state(phases, ap_indices=ap_indices)
+    def terms(self, phases, pilot_of) -> se.SinrTerms:
+        return self._terms(self.channel_state(phases), pilot_of)
+
+    def ap_terms(self, l, slices, pilot_of) -> se.SinrTerms:
+        """Terms of AP l alone under each (M, N) phase slice of slices
+        (B, M, N), built as one batch: the AP axis of the result runs over
+        the B slices."""
+        state = self._channel_state(slices, [l] * len(slices))
+        return self._terms(state, pilot_of)
+
+    def _terms(self, state, pilot_of):
         est = self.estimation_state(state, pilot_of)
         return se.sinr_terms(state, est, pilot_of, self.cfg.pilot_powers(),
                              self.cfg.tau_p)

@@ -33,7 +33,9 @@ class SinrTerms:
 
     Array layout: z[k, l], xi[k, j, l], delta[k, j, l], lam[k, l]. delta is
     only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
-    noise diagonal equals z and is not stored separately.
+    noise diagonal equals z and is not stored separately. A stack of
+    candidate networks (see splice_ap) puts a leading candidate axis in
+    front of every array but pilot_of.
     """
     z: np.ndarray        # (K, L) real >= 0
     xi: np.ndarray       # (K, K, L) real >= 0
@@ -43,28 +45,34 @@ class SinrTerms:
 
     @property
     def n_ues(self):
-        return self.z.shape[0]
+        return self.z.shape[-2]
 
     @property
     def n_aps(self):
-        return self.z.shape[1]
+        return self.z.shape[-1]
 
     def copilot_mask(self):
         """(K, K) boolean: share-a-pilot relation excluding the diagonal."""
         same = self.pilot_of[:, None] == self.pilot_of[None, :]
         return same & ~np.eye(self.n_ues, dtype=bool)
 
-    def replace_ap(self, l, other, source_index=0):
-        """New terms with AP l's slice taken from another SinrTerms object."""
-        z = self.z.copy()
-        xi = self.xi.copy()
-        delta = self.delta.copy()
-        lam = self.lam.copy()
-        z[:, l] = other.z[:, source_index]
-        xi[:, :, l] = other.xi[:, :, source_index]
-        delta[:, :, l] = other.delta[:, :, source_index]
-        lam[:, l] = other.lam[:, source_index]
-        return replace(self, z=z, xi=xi, delta=delta, lam=lam)
+    def splice_ap(self, l, other):
+        """Candidate stack: these terms with AP l's column replaced by each
+        AP column of other in turn, on a leading axis of length other.n_aps."""
+        def splice(base, cols):
+            out = np.repeat(base[None], cols.shape[-1], axis=0)
+            out[..., l] = np.moveaxis(cols, -1, 0)
+            return out
+
+        return replace(self, z=splice(self.z, other.z),
+                       xi=splice(self.xi, other.xi),
+                       delta=splice(self.delta, other.delta),
+                       lam=splice(self.lam, other.lam))
+
+    def candidate(self, i):
+        """Terms of candidate i of a stack built by splice_ap."""
+        return replace(self, z=self.z[i], xi=self.xi[i], delta=self.delta[i],
+                       lam=self.lam[i])
 
 
 def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
@@ -125,21 +133,21 @@ def _coherent_coeffs(terms: SinrTerms, p, p_hat, tau_p):
 
 
 def denominator_matrices(terms: SinrTerms, p, p_hat, tau_p, sigma2):
-    """Hermitian denominator matrices b_k of every UE, shape (K, L, L).
+    """Hermitian denominator matrices b_k of every UE, shape (..., K, L, L).
 
     b_k = sum_j p_j diag(xi[k, j]) + coherent pilot-contamination outer
     products - p_k diag(lam[k]^2) + sigma2 diag(z[k]). Positive definite for
-    sigma2 > 0.
+    sigma2 > 0. Leading candidate axes of terms carry through.
     """
     p = np.asarray(p, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
-    n_ue, n_ap = terms.z.shape
-    diag = (np.einsum("j,kjl->kl", p, terms.xi)
+    diag = (np.einsum("j,...kjl->...kl", p, terms.xi)
             - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
     coeff = _coherent_coeffs(terms, p, p_hat, tau_p)
-    b = np.einsum("kj,kjl,kjm->klm", coeff, terms.delta, terms.delta.conj())
-    idx = np.arange(n_ap)
-    b[:, idx, idx] += diag
+    b = np.einsum("kj,...kjl,...kjm->...klm", coeff, terms.delta,
+                  terms.delta.conj())
+    idx = np.arange(terms.n_aps)
+    b[..., idx, idx] += diag
     return b
 
 
@@ -149,24 +157,29 @@ def denominator_matrix(terms: SinrTerms, k, p, p_hat, tau_p, sigma2):
 
 
 def lsfd_weights(terms: SinrTerms, p, p_hat, tau_p, sigma2):
-    """SINR-maximizing statistical weights, shape (K, L) complex.
+    """SINR-maximizing statistical weights, shape (..., K, L) complex.
 
-    Solves b_k a_k = z_k per UE; falls back to a pseudo-inverse if a
-    denominator matrix is numerically singular.
+    Solves b_k a_k = z_k per UE; a candidate (leading-axis slice of terms)
+    with a numerically singular denominator matrix falls back to a
+    pseudo-inverse for all its UEs, the other candidates keep the solve.
     """
     b = denominator_matrices(terms, p, p_hat, tau_p, sigma2)
     z = terms.z.astype(complex)[..., None]
     try:
         return np.linalg.solve(b, z)[..., 0]
     except np.linalg.LinAlgError:
+        if b.ndim > 3:
+            return np.stack([lsfd_weights(terms.candidate(i), p, p_hat, tau_p,
+                                          sigma2)
+                             for i in range(b.shape[0])])
         log.warning("singular denominator matrix; using pseudo-inverse")
         return np.stack([np.linalg.pinv(b[k]) @ terms.z[k]
                          for k in range(terms.n_ues)])
 
 
 def egcd_weights(terms: SinrTerms):
-    """Equal-gain decoding weights (all ones), shape (K, L)."""
-    return np.ones((terms.n_ues, terms.n_aps), dtype=complex)
+    """Equal-gain decoding weights (all ones), shape (..., K, L)."""
+    return np.ones(terms.z.shape, dtype=complex)
 
 
 def decoder_weights(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
@@ -180,42 +193,51 @@ def decoder_weights(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
 def sinr_breakdown(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
     """Numerator and denominator components of every UE's SINR.
 
-    Returns dict of (K,) arrays: signal, noncoherent, coherent, self_term
-    (subtracted), noise. sinr = signal / (noncoherent + coherent - self_term
-    + noise).
+    Returns dict of (..., K) arrays: signal, noncoherent, coherent,
+    self_term (subtracted), noise. sinr = signal / (noncoherent + coherent
+    - self_term + noise). Leading candidate axes of terms and weights
+    carry through.
     """
     p = np.asarray(p, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     weights = np.asarray(weights, dtype=complex)
-    aa = np.abs(weights) ** 2                       # (K, L)
-    signal = p * np.abs(np.einsum("kl,kl->k", weights.conj(), terms.z)) ** 2
-    noncoherent = np.einsum("j,kjl,kl->k", p, terms.xi, aa)
+    aa = np.abs(weights) ** 2                       # (..., K, L)
+    signal = p * np.abs(np.einsum("...kl,...kl->...k", weights.conj(),
+                                  terms.z)) ** 2
+    noncoherent = np.einsum("j,...kjl,...kl->...k", p, terms.xi, aa)
     coeff = _coherent_coeffs(terms, p, p_hat, tau_p)
-    combined = np.einsum("kl,kjl->kj", weights.conj(), terms.delta)
-    coherent = np.einsum("kj,kj->k", coeff, np.abs(combined) ** 2)
+    combined = np.einsum("...kl,...kjl->...kj", weights.conj(), terms.delta)
+    coherent = np.einsum("kj,...kj->...k", coeff, np.abs(combined) ** 2)
     return {
         "signal": signal,
         "noncoherent": noncoherent,
         "coherent": coherent,
-        "self_term": p * np.einsum("kl,kl->k", aa, terms.lam ** 2),
-        "noise": sigma2 * np.einsum("kl,kl->k", aa, terms.z),
+        "self_term": p * np.einsum("...kl,...kl->...k", aa, terms.lam ** 2),
+        "noise": sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z),
     }
 
 
 def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
-    """Per-UE SINR for arbitrary weights (ratio of quadratic forms)."""
+    """Per-UE SINR for arbitrary weights (ratio of quadratic forms), shape
+    (..., K) with the leading candidate axes of terms and weights.
+
+    Raises SinrComputationError naming the first UE (and candidate) with a
+    nonpositive denominator.
+    """
     parts = sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2)
     den = (parts["noncoherent"] + parts["coherent"] - parts["self_term"]
            + parts["noise"])
-    bad = np.flatnonzero(den <= 0)
+    bad = np.argwhere(den <= 0)
     if bad.size:
-        k = int(bad[0])
+        at = tuple(int(i) for i in bad[0])
+        where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
+                                   else "")
         raise SinrComputationError(
-            f"nonpositive SINR denominator for UE {k}: "
-            f"noncoherent={parts['noncoherent'][k]:.6e} "
-            f"coherent={parts['coherent'][k]:.6e} "
-            f"self_term={parts['self_term'][k]:.6e} "
-            f"noise={parts['noise'][k]:.6e}")
+            f"nonpositive SINR denominator for {where}: "
+            f"noncoherent={parts['noncoherent'][at]:.6e} "
+            f"coherent={parts['coherent'][at]:.6e} "
+            f"self_term={parts['self_term'][at]:.6e} "
+            f"noise={parts['noise'][at]:.6e}")
     return parts["signal"] / den
 
 

@@ -146,18 +146,20 @@ def cascade(dset: DiffractionSet, phases):
 
 
 def cascade_through_antennas(dset: DiffractionSet, phases):
-    """Antenna-to-output-layer propagation G @ w_first, shape (N, U).
+    """Antenna-to-output-layer propagation G @ w_first, (..., M, N) -> (..., N, U).
 
     Cheaper than forming G when only the effective U-dimensional channel is
-    needed: right-multiplies layer by layer.
+    needed: right-multiplies layer by layer. Leading axes of phases are
+    batch axes (APs, probe candidates); each slice goes through its own
+    broadcast matmul, so it equals a call on that slice alone bit for bit.
     """
     phases = np.asarray(phases)
-    if phases.shape != (dset.n_layers, dset.w_first.shape[0]):
-        raise ValueError(f"phase array must be (M, N), got {phases.shape}")
-    shifts = np.exp(1j * phases)
-    t = shifts[0][:, None] * dset.w_first
+    if phases.shape[-2:] != (dset.n_layers, dset.w_first.shape[0]):
+        raise ValueError(f"phase array must be (..., M, N), got {phases.shape}")
+    shifts = np.exp(1j * phases)[..., None]
+    t = shifts[..., 0, :, :] * dset.w_first
     for m in range(1, dset.n_layers):
-        t = shifts[m][:, None] * (dset.w_layer[m - 1] @ t)
+        t = shifts[..., m, :, :] * (dset.w_layer[m - 1] @ t)
     return t
 
 

@@ -8,6 +8,8 @@ from simcf.channel import (SimUeChannelStats, build_channel_state,
 from simcf.pipeline import NetworkModel
 from simcf.sim_physics import random_phase_tensor, stack_for
 
+from reference import build_channel_state_loop
+
 
 def test_sinc_values():
     wl = 0.15
@@ -190,3 +192,18 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
     part = model.channel_state(phases, ap_indices=[1])
     assert np.allclose(part.h_bar[0], state.h_bar[1])
     assert np.allclose(part.s[0], state.s[1])
+
+
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_build_channel_state_equals_per_ap_loop(small_model, small_phases,
+                                                paper_scale):
+    model, phases = small_model, small_phases
+    if paper_scale:
+        model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
+        phases = model.random_phases(4)
+    for aps in (None, [2, 0, 2]):
+        state = model.channel_state(phases, ap_indices=aps)
+        ref = build_channel_state_loop(model, phases, aps)
+        assert np.array_equal(state.h_bar, ref.h_bar)
+        assert np.array_equal(state.s, ref.s)
+        assert np.array_equal(state.beta_nlos, ref.beta_nlos)

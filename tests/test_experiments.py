@@ -7,6 +7,7 @@ from simcf.experiments import (AGG_HEADER, ROWS_HEADER, ExperimentError,
                                ExperimentSpec, aggregate_rows, cdf_report,
                                fig3_spec, run_experiment, table1_spec,
                                write_result_csv)
+from simcf.pipeline import NetworkModel
 
 
 def tiny_spec(**overrides):
@@ -143,3 +144,19 @@ def test_cdf_report():
     u = cdf_report(rng.uniform(0, 1, 10_000))
     assert u.likely95 == pytest.approx(0.05, abs=0.01)
     assert u.grid.shape == (100,) and np.all(np.diff(u.cdf) >= 0)
+
+
+def test_terms_and_states_built_once_per_phase_kind(monkeypatch):
+    calls = {"terms": 0, "states": 0}
+    for name in calls:
+        def counted(self, *args, _real=getattr(NetworkModel, name),
+                    _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(NetworkModel, name, counted)
+    spec = tiny_spec(values=(2,), n_drops=1, n_mc_trials=50,
+                     schemes=("rand-full", "rand-maxmin"))
+    result = run_experiment(spec)
+    assert result.failures == 0
+    assert len(result.rows) == 2 * 2 * 3     # schemes x decoders x UEs
+    assert calls == {"terms": 1, "states": 1}

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simcf import SystemConfig, generate_drop
+from simcf.estimation import EstimationError
 from simcf.optimize import (BeamformingConfig, SumSeObjective,
                             allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference,
                             sinr_coefficients, write_trace_csv)
 from simcf.pipeline import NetworkModel
-from simcf.se import egcd_weights, lsfd_weights, sinr_from_weights
+from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
+                      sinr_from_weights)
+
+from reference import optimize_beamforming_serial, replace_ap, terms_loop
 
 
 def test_pilots_identity_when_enough():
@@ -233,3 +239,109 @@ def test_maxmin_with_egcd_weights():
     after = sinr_from_weights(terms, w, sol.p, p_hat, cfg.tau_p, cfg.sigma2)
     full = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
     assert after.min() >= full.min() - 1e-3
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"symmetric_probe": True},
+    {"sweeps": 2},
+    {"block_size": 3},
+    {"block_size": 5},          # 18 atoms: the last block holds 3
+    {"max_probes": 1},
+    {"min_gain": np.inf},
+    {"decoder": "egcd"},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+def test_batched_search_equals_serial_search(small_model, small_pilots,
+                                             small_phases, overrides):
+    cfg = BeamformingConfig(**overrides)
+    out, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
+                                      small_phases, cfg, rng=1)
+    ref_out, ref_trace = optimize_beamforming_serial(
+        small_model, small_pilots.pilot_of, small_phases, cfg, rng=1)
+    assert np.array_equal(out, ref_out)
+    assert trace == ref_trace
+
+
+def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
+                                            small_phases):
+    obj = SumSeObjective(small_model, small_pilots.pilot_of)
+    obj.set_phases(small_phases)
+    rng = np.random.default_rng(8)
+    l = 2
+    slices = np.mod(small_phases[l] + rng.uniform(0, 1, (6, 2, 9)),
+                    2 * np.pi)
+    batch = obj.probe(l, slices)
+    for i, ap_phases in enumerate(slices):
+        patched = small_phases.copy()
+        patched[l] = ap_phases
+        one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
+        expected = replace_ap(obj.terms, l, one_ap)
+        got = batch.terms.candidate(i)
+        for name in ("z", "xi", "delta", "lam"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert obj.value_of(batch, i) == obj.try_ap(l, ap_phases)
+    obj.commit_ap(batch, 4)
+    assert np.array_equal(obj.phases[l], slices[4])
+    assert np.array_equal(obj.terms.xi, batch.terms.xi[4])
+    assert obj.set_phases(obj.phases) == pytest.approx(obj.value_of(batch, 4),
+                                                       rel=1e-12)
+
+
+def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
+    """Make candidate `index` of the first probe batch, and that phase
+    slice wherever it is evaluated again, fail: "sinr" gives it a negative
+    interference term, so its EGCD SINR denominator is nonpositive;
+    "estimation" raises EstimationError while it is in the batch."""
+    real = model.ap_terms
+    target = []
+
+    def ap_terms(l, slices, pilot_of):
+        if not target:
+            target.append(slices[index].copy())
+        hit = [i for i, s in enumerate(slices)
+               if np.array_equal(s, target[0])]
+        if hit and failure == "estimation":
+            raise EstimationError("pilot covariance is singular")
+        terms = real(l, slices, pilot_of)
+        xi = terms.xi.copy()
+        xi[..., hit] = -1e6 * np.abs(xi).max()
+        return replace(terms, xi=xi)
+
+    monkeypatch.setattr(model, "ap_terms", ap_terms)
+
+
+@pytest.mark.parametrize("failure", ["sinr", "estimation"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_failing_probe_past_the_accepted_one_is_never_raised(
+        small_drop, small_pilots, small_phases, monkeypatch, symmetric,
+        failure):
+    cfg = BeamformingConfig(decoder="egcd", symmetric_probe=symmetric)
+    model = NetworkModel.from_drop(small_drop)
+    clean = optimize_beamforming(model, small_pilots.pilot_of, small_phases,
+                                 cfg, rng=3)
+    first = next(row for row in clean[1] if row.accepted)
+    assert first.iteration < cfg.max_probes   # accepted in block 1, early
+    # forward probe first.iteration + 1 (index first.iteration) is never
+    # evaluated, and neither is its mirror
+    index = first.iteration + (cfg.max_probes if symmetric else 0)
+    _corrupt_probe(model, monkeypatch, index, failure)
+    out, trace = optimize_beamforming(model, small_pilots.pilot_of,
+                                      small_phases, cfg, rng=3)
+    assert np.array_equal(out, clean[0])
+    assert trace == clean[1]
+
+
+@pytest.mark.parametrize("failure, error", [
+    ("sinr", SinrComputationError), ("estimation", EstimationError)])
+def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
+                                                    small_phases, monkeypatch,
+                                                    failure, error):
+    cfg = BeamformingConfig(decoder="egcd")
+    model = NetworkModel.from_drop(small_drop)
+    _, trace = optimize_beamforming(model, small_pilots.pilot_of,
+                                    small_phases, cfg, rng=3)
+    first = next(row for row in trace if row.accepted)
+    _corrupt_probe(model, monkeypatch, first.iteration - 1, failure)
+    with pytest.raises(error):
+        optimize_beamforming(model, small_pilots.pilot_of, small_phases, cfg,
+                             rng=3)

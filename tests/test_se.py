@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.montecarlo import cross_moment_estimates
 from simcf.pipeline import NetworkModel
-from simcf.se import (SinrComputationError, SinrTerms, denominator_matrix,
-                      egcd_weights, evaluate_decoder, lsfd_weights,
+from simcf.se import (SinrComputationError, SinrTerms, denominator_matrices,
+                      denominator_matrix, egcd_weights, evaluate_decoder,
+                      lsfd_weights,
                       predicted_cross_moments, se_from_sinr, sinr_breakdown,
                       sinr_from_weights, sinr_lsfd, sinr_terms)
 
@@ -219,3 +222,71 @@ def test_report_csv_rows(small_terms, small_cfg):
     for k, row in enumerate(rows):
         _, _, _, sinr, _, sig, non, coh, self_t, noise = row
         assert sinr == pytest.approx(sig / (non + coh - self_t + noise))
+
+
+def candidate_stack(model, pilots, phases, l=1, n=5):
+    """Terms of n random candidate phase slices for AP l, stacked."""
+    rng = np.random.default_rng(3)
+    slices = np.mod(phases[l] + rng.uniform(0, 1, (n, *phases[l].shape)),
+                    2 * np.pi)
+    base = model.terms(phases, pilots.pilot_of)
+    return base.splice_ap(l, model.ap_terms(l, slices, pilots.pilot_of))
+
+
+def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
+                                                     small_phases, small_cfg):
+    cfg = small_cfg
+    stack = candidate_stack(small_model, small_pilots, small_phases)
+    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    b = denominator_matrices(stack, *args)
+    w = lsfd_weights(stack, *args)
+    parts = sinr_breakdown(stack, w, *args)
+    gamma = sinr_from_weights(stack, w, *args)
+    ones = egcd_weights(stack)
+    gamma_egcd = sinr_from_weights(stack, ones, *args)
+    assert b.shape == (5, cfg.K, cfg.L, cfg.L) and gamma.shape == (5, cfg.K)
+    for i in range(5):
+        one = stack.candidate(i)
+        assert np.array_equal(b[i], denominator_matrices(one, *args))
+        assert np.array_equal(w[i], lsfd_weights(one, *args))
+        one_parts = sinr_breakdown(one, w[i], *args)
+        for name, value in parts.items():
+            assert np.array_equal(value[i], one_parts[name])
+        assert np.array_equal(gamma[i], sinr_from_weights(one, w[i], *args))
+        assert np.array_equal(ones[i], egcd_weights(one))
+        assert np.array_equal(gamma_egcd[i],
+                              sinr_from_weights(one, ones[i], *args))
+
+
+def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
+                                                  small_phases, small_cfg):
+    cfg = small_cfg
+    stack = candidate_stack(small_model, small_pilots, small_phases, n=3)
+    zeroed = {name: getattr(stack, name).copy()
+              for name in ("z", "xi", "delta", "lam")}
+    for arr in zeroed.values():
+        arr[1] = 0.0          # candidate 1: all-zero (singular) denominators
+    stack = replace(stack, **zeroed)
+    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(denominator_matrices(stack.candidate(1), *args),
+                        stack.z[1][..., None])
+    w = lsfd_weights(stack, *args)
+    for i in range(3):
+        assert np.array_equal(w[i], lsfd_weights(stack.candidate(i), *args))
+    assert np.array_equal(w[0], np.linalg.solve(
+        denominator_matrices(stack.candidate(0), *args),
+        stack.z[0].astype(complex)[..., None])[..., 0])
+    assert np.all(w[1] == 0)
+
+
+def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
+                                                small_phases, small_cfg):
+    cfg = small_cfg
+    stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
+    xi = stack.xi.copy()
+    xi[2] = -xi[2]
+    stack = replace(stack, xi=xi)
+    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    with pytest.raises(SinrComputationError, match=r"of candidate \(2,\)"):
+        sinr_from_weights(stack, egcd_weights(stack), *args)

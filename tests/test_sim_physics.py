@@ -171,3 +171,16 @@ def test_phase_tensor_roundtrip(tmp_path):
 def test_wrap_phases():
     assert wrap_phases(2 * np.pi + 0.25) == pytest.approx(0.25)
     assert wrap_phases(-0.25) == pytest.approx(2 * np.pi - 0.25)
+
+
+def test_cascade_batch_equals_per_slice_calls():
+    cfg = SystemConfig(L=1, K=1, U=2, M=3, N=9)
+    _, dset = stack_for(cfg)
+    phases = np.random.default_rng(2).uniform(0, 2 * np.pi, (4, 2, 3, 9))
+    batch = cascade_through_antennas(dset, phases)
+    assert batch.shape == (4, 2, 9, 2)
+    for idx in np.ndindex(4, 2):
+        assert np.array_equal(batch[idx],
+                              cascade_through_antennas(dset, phases[idx]))
+    with pytest.raises(ValueError):
+        cascade_through_antennas(dset, phases[..., :8])
