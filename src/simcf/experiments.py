@@ -176,18 +176,22 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         phase_sets["opt"] = opt_phases
 
-    rows = []
     p_hat = cfg.pilot_powers()
-    terms_of, states_of = {}, {}   # per phase kind, shared by its schemes
+    # Closed form of every (scheme, decoder) setting in row order. Terms
+    # (and, with Monte-Carlo on, the states they come from) are built once
+    # per phase kind and shared by its schemes.
+    kinds, settings = {}, []
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
-        if phase_kind not in terms_of:
-            terms_of[phase_kind] = model.terms(phase_sets[phase_kind],
-                                               pilots.pilot_of)
+        if phase_kind not in kinds:
+            phases = phase_sets[phase_kind]
             if spec.n_mc_trials > 0:
-                states_of[phase_kind] = model.states(phase_sets[phase_kind],
-                                                     pilots.pilot_of)
-        terms = terms_of[phase_kind]
+                states = model.states(phases, pilots.pilot_of)
+                terms = model.terms_from(*states, pilots.pilot_of)
+            else:
+                states, terms = None, model.terms(phases, pilots.pilot_of)
+            kinds[phase_kind] = (terms, states)
+        terms = kinds[phase_kind][0]
         for decoder in decoders:
             weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
                                          cfg.tau_p, cfg.sigma2)
@@ -199,20 +203,29 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
                 p = drop.p
             gamma = se.sinr_from_weights(terms, weights, p, p_hat,
                                          cfg.tau_p, cfg.sigma2)
-            se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
-            mc_cols = [(MISSING, MISSING)] * cfg.K
-            if spec.n_mc_trials > 0:
-                state, est = states_of[phase_kind]
-                mc = uatf_monte_carlo(
-                    state, est, pilots.pilot_of, p, p_hat, cfg.tau_p,
-                    cfg.sigma2, weights, spec.n_mc_trials,
-                    rng=np.random.default_rng([spec.seed, value_index, d, 3]))
-                mc_cols = [(float(g), float(e))
-                           for g, e in zip(mc.gamma, mc.stderr)]
-            for k in range(cfg.K):
-                rows.append((spec.sweep, value, d, k, decoder, scheme,
-                             float(gamma[k]), float(se_vals[k]),
-                             *mc_cols[k]))
+            settings.append((phase_kind, scheme, decoder, weights, p, gamma))
+
+    # One Monte-Carlo sampling pass per phase kind serves all its settings.
+    mc_cols = [[(MISSING, MISSING)] * cfg.K] * len(settings)
+    for phase_kind, (_, states) in kinds.items():
+        if states is None:
+            continue
+        mine = [i for i, s in enumerate(settings) if s[0] == phase_kind]
+        weights = np.stack([settings[i][3] for i in mine])
+        p = np.stack([settings[i][4] for i in mine])
+        mc = uatf_monte_carlo(
+            *states, pilots.pilot_of, p, p_hat, cfg.tau_p, cfg.sigma2,
+            weights, spec.n_mc_trials,
+            rng=np.random.default_rng([spec.seed, value_index, d, 3]))
+        for i, g, e in zip(mine, mc.gamma, mc.stderr):
+            mc_cols[i] = [(float(a), float(b)) for a, b in zip(g, e)]
+
+    rows = []
+    for (_, scheme, decoder, _, _, gamma), cols in zip(settings, mc_cols):
+        se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
+        for k in range(cfg.K):
+            rows.append((spec.sweep, value, d, k, decoder, scheme,
+                         float(gamma[k]), float(se_vals[k]), *cols[k]))
     return rows
 
 

@@ -16,9 +16,9 @@ from .estimation import EstimationState, despread_pilot_noise, mmse_estimate
 @dataclass(frozen=True)
 class UatfEstimate:
     """Monte-Carlo SINR estimates and their standard errors."""
-    gamma: np.ndarray     # (K,)
-    stderr: np.ndarray    # (K,) delta-method standard error of gamma
-    n_trials: int
+    gamma: np.ndarray     # (..., K), one row per setting
+    stderr: np.ndarray    # (..., K) delta-method standard error of gamma
+    n_trials: int         # sampled realizations, shared by every setting
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def _combined_products(h, h_hat):
 
 def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
                      n_trials, rng, batch=4096) -> UatfEstimate:
-    """Plug-in Monte-Carlo SINR for fixed CPU weights (K, L).
+    """Plug-in Monte-Carlo SINR for fixed powers p (..., K) and CPU weights
+    (..., K, L).
 
     Accumulates, per UE k, the per-trial scalars
       u    = sum_l conj(a_kl) x[l, k, k]            (combined useful term)
@@ -91,31 +92,55 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     and forms gamma_k = p_k |mean u|^2 / (sum_j p_j mean w_j
     - p_k |mean u|^2 + sigma2 mean nv). The standard error comes from the
     delta method on the (K + 3)-dimensional vector of sample means.
+
+    Leading axes of p and weights (broadcast together, as the candidate
+    axes in se) list settings; gamma and stderr are (..., K). All settings
+    share one sampling pass: each batch of channels and estimates, with its
+    products x and estimate norms, is drawn once and feeds every setting,
+    so the settings see common random numbers. Each setting's result equals
+    a call for that setting alone with the same rng, bit for bit.
     """
     sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
     n_ap, n_ue, _ = sampler.shape
     p = np.asarray(p, dtype=float)
     weights = np.asarray(weights, dtype=complex)
+    lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
+    p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
+    weights = np.broadcast_to(weights, (*lead, n_ue, n_ap)).reshape(-1, n_ue,
+                                                                    n_ap)
     dim = n_ue + 3
-    acc1 = np.zeros((n_ue, dim))
-    acc2 = np.zeros((n_ue, dim, dim))
+    acc1 = np.zeros((len(p), n_ue, dim))
+    acc2 = np.zeros((len(p), n_ue, dim, dim))
+    idx = np.arange(n_ue)
     done = 0
     while done < n_trials:
         b = min(batch, n_trials - done)
         h, h_hat = sampler.draw(b)
         x = _combined_products(h, h_hat)
-        y = np.einsum("kl,blkj->bkj", weights.conj(), x)
-        vnorm = np.real(np.einsum("blku,blku->blk", h_hat.conj(), h_hat))
-        nv = np.einsum("kl,blk->bk", np.abs(weights) ** 2, vnorm)
-        feats = np.zeros((b, n_ue, dim))
-        idx = np.arange(n_ue)
-        feats[:, :, 0] = y[:, idx, idx].real
-        feats[:, :, 1] = y[:, idx, idx].imag
-        feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
-        feats[:, :, -1] = nv
-        acc1 += feats.sum(axis=0)
-        acc2 += np.einsum("bki,bkj->kij", feats, feats)
+        # a copy, so no view keeps the complex einsum result alive
+        vnorm = np.einsum("blku,blku->blk", h_hat.conj(), h_hat).real.copy()
+        for s, w in enumerate(weights):
+            y = np.einsum("kl,blkj->bkj", w.conj(), x)
+            feats = np.zeros((b, n_ue, dim))
+            feats[:, :, 0] = y[:, idx, idx].real
+            feats[:, :, 1] = y[:, idx, idx].imag
+            feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
+            feats[:, :, -1] = np.einsum("kl,blk->bk", np.abs(w) ** 2, vnorm)
+            acc1[s] += feats.sum(axis=0)
+            acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
         done += b
+    gamma = np.zeros((len(p), n_ue))
+    stderr = np.zeros((len(p), n_ue))
+    for s in range(len(p)):
+        gamma[s], stderr[s] = _delta_method(acc1[s], acc2[s], p[s], sigma2,
+                                            n_trials)
+    return UatfEstimate(gamma=gamma.reshape(*lead, n_ue),
+                        stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
+
+
+def _delta_method(acc1, acc2, p, sigma2, n_trials):
+    """(gamma, stderr), each (K,), of one setting from its feature sums."""
+    n_ue, dim = acc1.shape
     mean = acc1 / n_trials
     cov = acc2 / n_trials - np.einsum("ki,kj->kij", mean, mean)
     gamma = np.zeros(n_ue)
@@ -134,7 +159,7 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
         grad[-1] = -num * sigma2 / den ** 2
         var = float(grad @ cov[k] @ grad) / n_trials
         stderr[k] = np.sqrt(max(var, 0.0))
-    return UatfEstimate(gamma=gamma, stderr=stderr, n_trials=n_trials)
+    return gamma, stderr
 
 
 def cross_moment_estimates(state, est, pilot_of, p_hat, tau_p, sigma2,

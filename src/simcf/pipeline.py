@@ -67,7 +67,12 @@ class NetworkModel:
         return self._terms(state, pilot_of)
 
     def _terms(self, state, pilot_of):
-        est = self.estimation_state(state, pilot_of)
+        return self.terms_from(state, self.estimation_state(state, pilot_of),
+                               pilot_of)
+
+    def terms_from(self, state, est, pilot_of) -> se.SinrTerms:
+        """Terms of a (channel state, estimation state) pair, such as the
+        one states returns."""
         return se.sinr_terms(state, est, pilot_of, self.cfg.pilot_powers(),
                              self.cfg.tau_p)
 

@@ -52,19 +52,17 @@ def check_closed_form_vs_mc(seed=0, n_trials=20000, z_limit=4.0):
     """Closed-form SINR must sit within z_limit MC standard errors."""
     cfg, drop, pilots, model, phases = _small_model(seed)
     p_hat = cfg.pilot_powers()
-    terms = model.terms(phases, pilots.pilot_of)
-    worst = 0.0
-    for decoder in se.DECODERS:
-        weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        gamma = se.sinr_from_weights(terms, weights, drop.p, p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        state, est = model.states(phases, pilots.pilot_of)
-        mc = uatf_monte_carlo(state, est, pilots.pilot_of, drop.p, p_hat,
-                              cfg.tau_p, cfg.sigma2, weights, n_trials,
-                              rng=np.random.default_rng([seed, 7]))
-        z = np.abs(mc.gamma - gamma) / mc.stderr
-        worst = max(worst, float(z.max()))
+    state, est = model.states(phases, pilots.pilot_of)
+    terms = model.terms_from(state, est, pilots.pilot_of)
+    weights = np.stack([se.decoder_weights(terms, decoder, drop.p, p_hat,
+                                           cfg.tau_p, cfg.sigma2)
+                        for decoder in se.DECODERS])
+    gamma = se.sinr_from_weights(terms, weights, drop.p, p_hat, cfg.tau_p,
+                                 cfg.sigma2)
+    mc = uatf_monte_carlo(state, est, pilots.pilot_of, drop.p, p_hat,
+                          cfg.tau_p, cfg.sigma2, weights, n_trials,
+                          rng=np.random.default_rng([seed, 7]))
+    worst = float((np.abs(mc.gamma - gamma) / mc.stderr).max())
     passed = worst <= z_limit
     return ("closed-form-vs-monte-carlo", passed,
             f"worst |z| {worst:.2f} over both decoders, "

@@ -1,6 +1,6 @@
-# Test-only reference implementations: the straightforward per-AP and
-# per-probe loops that the batched engine replaces. Tests compare the
-# batched code against these for exact equality.
+# Test-only reference implementations: the straightforward per-AP,
+# per-probe and per-setting loops that the batched engine replaces. Tests
+# compare the batched code against these for exact equality.
 
 from dataclasses import replace
 
@@ -8,8 +8,14 @@ import numpy as np
 
 from simcf import se
 from simcf.channel import ChannelState
-from simcf.optimize import TraceRow
-from simcf.sim_physics import cascade_through_antennas, wrap_phases
+from simcf.experiments import MISSING, _drop_seed
+from simcf.montecarlo import uatf_monte_carlo
+from simcf.optimize import (BeamformingConfig, TraceRow, allocate_pilots,
+                            maxmin_power, optimize_beamforming)
+from simcf.pipeline import NetworkModel
+from simcf.scenario import generate_drop
+from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
+                               wrap_phases)
 
 
 def build_channel_state_loop(model, phases, ap_indices=None):
@@ -120,3 +126,67 @@ def optimize_beamforming_serial(model, pilot_of, init_phases, cfg, rng=None,
                         break
                     trace.append(TraceRow(it, best, False))
     return phases, trace
+
+
+def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
+                         need_opt, bf_cfg):
+    """Rows of one drop with one Monte-Carlo run per (scheme, decoder)."""
+    drop = generate_drop(cfg, _drop_seed(spec, d, 0))
+    pilots = allocate_pilots(drop, metric=spec.pilot_metric)
+    model = NetworkModel.from_drop(drop)
+    rand_phases = random_phase_tensor(cfg.L, cfg.M, cfg.N,
+                                      _drop_seed(spec, d, 1))
+    phase_sets = {"rand": rand_phases}
+    if need_opt:
+        opt_phases, _ = optimize_beamforming(
+            model, pilots.pilot_of, rand_phases, bf_cfg,
+            rng=np.random.default_rng(_drop_seed(spec, d, 2)))
+        phase_sets["opt"] = opt_phases
+
+    rows = []
+    p_hat = cfg.pilot_powers()
+    for scheme in schemes:
+        phase_kind, power_kind = scheme.split("-")
+        terms = model.terms(phase_sets[phase_kind], pilots.pilot_of)
+        for decoder in decoders:
+            weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
+                                         cfg.tau_p, cfg.sigma2)
+            if power_kind == "maxmin":
+                sol = maxmin_power(terms, weights, cfg.p_max, p_hat,
+                                   cfg.tau_p, cfg.sigma2, eps=spec.maxmin_eps)
+                p = sol.p
+            else:
+                p = drop.p
+            gamma = se.sinr_from_weights(terms, weights, p, p_hat,
+                                         cfg.tau_p, cfg.sigma2)
+            se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
+            mc_cols = [(MISSING, MISSING)] * cfg.K
+            if spec.n_mc_trials > 0:
+                state, est = model.states(phase_sets[phase_kind],
+                                          pilots.pilot_of)
+                mc = uatf_monte_carlo(
+                    state, est, pilots.pilot_of, p, p_hat, cfg.tau_p,
+                    cfg.sigma2, weights, spec.n_mc_trials,
+                    rng=np.random.default_rng([spec.seed, value_index, d, 3]))
+                mc_cols = [(float(g), float(e))
+                           for g, e in zip(mc.gamma, mc.stderr)]
+            for k in range(cfg.K):
+                rows.append((spec.sweep, value, d, k, decoder, scheme,
+                             float(gamma[k]), float(se_vals[k]),
+                             *mc_cols[k]))
+    return rows
+
+
+def run_experiment_rows_per_setting(spec):
+    """Rows of the whole sweep, in run_experiment's order, from
+    run_drop_per_setting."""
+    rows = []
+    for value_index, value in enumerate(spec.values):
+        schemes = spec.schemes_for(value)
+        for d in range(spec.n_drops):
+            rows.extend(run_drop_per_setting(
+                spec, spec.config_for(value), value, value_index, d, schemes,
+                spec.decoders_for(value),
+                any(s.startswith("opt") for s in schemes),
+                BeamformingConfig(**spec.beamforming)))
+    return rows

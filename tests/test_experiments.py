@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from simcf.experiments import (AGG_HEADER, ROWS_HEADER, ExperimentError,
-                               ExperimentSpec, aggregate_rows, cdf_report,
-                               fig3_spec, run_experiment, table1_spec,
-                               write_result_csv)
+from reference import run_experiment_rows_per_setting
+from simcf import experiments, pipeline
+from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
+                               ExperimentError, ExperimentSpec,
+                               aggregate_rows, cdf_report, fig3_spec,
+                               run_experiment, table1_spec, write_result_csv)
+from simcf.montecarlo import uatf_monte_carlo
 from simcf.pipeline import NetworkModel
 
 
@@ -147,16 +150,48 @@ def test_cdf_report():
 
 
 def test_terms_and_states_built_once_per_phase_kind(monkeypatch):
-    calls = {"terms": 0, "states": 0}
-    for name in calls:
-        def counted(self, *args, _real=getattr(NetworkModel, name),
-                    _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(self, *args, **kwargs)
-        monkeypatch.setattr(NetworkModel, name, counted)
-    spec = tiny_spec(values=(2,), n_drops=1, n_mc_trials=50,
-                     schemes=("rand-full", "rand-maxmin"))
+    calls = {"terms": 0, "states": 0, "build_channel_state": 0,
+             "build_estimation_state": 0}
+
+    def counter(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("terms", "states"):
+        monkeypatch.setattr(NetworkModel, name,
+                            counter(name, getattr(NetworkModel, name)))
+    for name in ("build_channel_state", "build_estimation_state"):
+        monkeypatch.setattr(pipeline, name,
+                            counter(name, getattr(pipeline, name)))
+    for n_mc_trials, expected in ((50, {"terms": 0, "states": 1}),
+                                  (0, {"terms": 1, "states": 0})):
+        calls.update(dict.fromkeys(calls, 0))
+        spec = tiny_spec(values=(2,), n_drops=1, n_mc_trials=n_mc_trials,
+                         schemes=("rand-full", "rand-maxmin"))
+        result = run_experiment(spec)
+        assert result.failures == 0
+        assert len(result.rows) == 2 * 2 * 3     # schemes x decoders x UEs
+        # with Monte-Carlo on, the terms come from the states' pair
+        assert calls == {**expected, "build_channel_state": 1,
+                         "build_estimation_state": 1}
+
+
+def test_one_monte_carlo_pass_per_phase_kind(monkeypatch):
+    spec = tiny_spec(n_mc_trials=200, schemes=SCHEMES)
+    settings = []
+
+    def spy(*args, **kwargs):
+        out = uatf_monte_carlo(*args, **kwargs)
+        settings.append(out.gamma.shape)
+        return out
+
+    monkeypatch.setattr(experiments, "uatf_monte_carlo", spy)
     result = run_experiment(spec)
     assert result.failures == 0
-    assert len(result.rows) == 2 * 2 * 3     # schemes x decoders x UEs
-    assert calls == {"terms": 1, "states": 1}
+    # per (value, drop): one call per phase kind, each over its 2 schemes
+    # x 2 decoders
+    n_cells = len(spec.values) * spec.n_drops
+    assert settings == [(4, 3)] * 2 * n_cells
+    assert result.rows == run_experiment_rows_per_setting(spec)

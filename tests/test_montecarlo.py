@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from simcf import lsfd_weights, sinr_from_weights, uatf_monte_carlo
+from simcf import (lsfd_weights, maxmin_power, sinr_from_weights,
+                   uatf_monte_carlo)
 from simcf.channel import sample_channel, SimUeChannelStats
 from simcf.montecarlo import _TrialSampler
 from simcf.se import egcd_weights
@@ -28,6 +29,77 @@ def test_mc_matches_closed_form(small_model, small_pilots, small_phases,
                               40_000, rng=np.random.default_rng(1))
         z = np.abs(mc.gamma - gamma) / mc.stderr
         assert z.max() <= 4.0
+
+
+def _settings(small_model, small_terms, cfg):
+    """Powers (4, K) and weights (4, K, L): full and max-min powers, each
+    with LSFD and EGCD weights."""
+    p_hat = cfg.pilot_powers()
+    full = small_model.drop.p
+    lsfd = lsfd_weights(small_terms, full, p_hat, cfg.tau_p, cfg.sigma2)
+    maxmin = maxmin_power(small_terms, lsfd, cfg.p_max, p_hat, cfg.tau_p,
+                          cfg.sigma2).p
+    assert not np.array_equal(maxmin, full)
+    egcd = egcd_weights(small_terms)
+    return (np.stack([full, full, maxmin, maxmin]),
+            np.stack([lsfd, egcd, lsfd, egcd]))
+
+
+def _assert_stacked_equals_separate(state, est, pilot_of, p, weights, cfg,
+                                    n_trials, seed, **kwargs):
+    stacked = uatf_monte_carlo(state, est, pilot_of, p, cfg.pilot_powers(),
+                               cfg.tau_p, cfg.sigma2, weights, n_trials,
+                               rng=np.random.default_rng(seed), **kwargs)
+    lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
+    assert stacked.gamma.shape == stacked.stderr.shape == (*lead, cfg.K)
+    assert stacked.n_trials == n_trials
+    p = np.broadcast_to(p, (*lead, cfg.K))
+    weights = np.broadcast_to(weights, (*lead, *weights.shape[-2:]))
+    for i in np.ndindex(lead):
+        alone = uatf_monte_carlo(state, est, pilot_of, p[i],
+                                 cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
+                                 weights[i], n_trials,
+                                 rng=np.random.default_rng(seed), **kwargs)
+        assert alone.gamma.shape == (cfg.K,)
+        assert np.array_equal(stacked.gamma[i], alone.gamma)
+        assert np.array_equal(stacked.stderr[i], alone.stderr)
+
+
+def test_stacked_settings_equal_separate_calls(small_model, small_pilots,
+                                               small_phases, small_cfg,
+                                               small_terms):
+    cfg = small_cfg
+    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    p, weights = _settings(small_model, small_terms, cfg)
+    pilot_of = small_pilots.pilot_of
+    _assert_stacked_equals_separate(state, est, pilot_of, p, weights, cfg,
+                                    2_000, 8, batch=512)
+    # two leading axes, and one power vector broadcast over stacked weights
+    _assert_stacked_equals_separate(state, est, pilot_of,
+                                    p.reshape(2, 2, cfg.K),
+                                    weights.reshape(2, 2, cfg.K, cfg.L),
+                                    cfg, 2_000, 8, batch=512)
+    _assert_stacked_equals_separate(state, est, pilot_of, p[0], weights[:2],
+                                    cfg, 2_000, 9)
+
+
+def test_one_element_settings_axis(small_model, small_pilots, small_phases,
+                                   small_cfg, small_terms):
+    cfg = small_cfg
+    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    p, weights = _settings(small_model, small_terms, cfg)
+    _assert_stacked_equals_separate(state, est, small_pilots.pilot_of,
+                                    p[2:3], weights[2:3], cfg, 1_000, 10)
+
+
+def test_stacked_settings_with_partial_last_batch(small_model, small_pilots,
+                                                  small_phases, small_cfg,
+                                                  small_terms):
+    cfg = small_cfg
+    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    p, weights = _settings(small_model, small_terms, cfg)
+    _assert_stacked_equals_separate(state, est, small_pilots.pilot_of, p,
+                                    weights, cfg, 150, 11, batch=64)
 
 
 def test_stderr_scales_with_trials(small_model, small_pilots, small_phases,
