@@ -1,30 +1,24 @@
 # simcf: uplink simulation and optimization engine for cell-free massive
 # MIMO access points fronted by stacked programmable metasurfaces.
 
-from .channel import (ChannelState, EffectiveChannelStats, SimUeChannelStats,
-                      effective_stats, sample_channel, sinc_correlation,
-                      steering_vector)
+from .channel import ChannelState, sinc_correlation
 from .config import ConfigError, SystemConfig
-from .estimation import (EstimationState, EstimationStats,
-                         build_estimation_state, estimation_stats)
+from .estimation import EstimationState, build_estimation_state
 from .experiments import (AggregateResult, ExperimentResult, ExperimentSpec,
-                          cdf_report, fig3_spec, run_experiment, table1_spec,
+                          fig3_spec, run_experiment, table1_spec,
                           write_result_csv)
-from .montecarlo import (CrossMomentEstimate, UatfEstimate,
-                         cross_moment_estimates, uatf_monte_carlo)
+from .montecarlo import UatfEstimate, uatf_monte_carlo
 from .optimize import (BeamformingConfig, PilotAssignment, PowerSolution,
                        allocate_pilots, maxmin_power, optimize_beamforming)
 from .pipeline import NetworkModel
 from .scenario import (Drop, correlated_shadowing, generate_drop, pathloss_db,
                        rician_kappa, rician_split)
-from .se import (SEReport, SinrTerms, egcd_weights, evaluate_decoder,
-                 lsfd_weights, predicted_cross_moments, se_from_sinr,
-                 sinr_from_weights, sinr_lsfd, sinr_terms)
+from .se import (SinrTerms, egcd_weights, lsfd_weights, se_from_sinr,
+                 sinr_from_weights, sinr_terms)
 from .sim_physics import (DiffractionSet, SimGeometry, build_diffraction_set,
-                          build_geometry, cascade, cascade_through_antennas,
-                          diffraction_coefficient, load_phase_tensor,
-                          random_phase_tensor, save_phase_tensor, stack_for,
-                          transfer_matrix, wrap_phases)
+                          build_geometry, cascade_through_antennas,
+                          random_phase_tensor, stack_for, transfer_matrix,
+                          wrap_phases)
 
 __version__ = "0.1.0"
 

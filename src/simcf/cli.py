@@ -17,8 +17,6 @@ def _add_common(parser):
     parser.add_argument("--out-dir", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the spec seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers over sweep values")
 
 
 def build_parser():
@@ -51,7 +49,7 @@ def build_parser():
 def _execute(spec, args):
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    result = run_experiment(spec, threads=args.threads)
+    result = run_experiment(spec)
     rows_path, agg_path = write_result_csv(result, args.out_dir)
     print(f"wrote {rows_path} and {agg_path} "
           f"({len(result.rows)} rows, {result.failures} failed drops)")

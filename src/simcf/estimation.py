@@ -1,55 +1,18 @@
 # simcf/estimation.py
-# Phase-aware MMSE channel estimation: second-order statistics (pilot-domain
-# covariance, estimate covariance, error covariance) and realization-level
-# estimates for Monte-Carlo runs.
+# Phase-aware MMSE channel estimation: second-order statistics of every
+# (AP, UE) link at once (pilot-domain covariance, estimate covariance, error
+# covariance, estimator gain) and realization-level estimates for
+# Monte-Carlo runs.
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelState
-
-log = logging.getLogger(__name__)
 
 
 class EstimationError(RuntimeError):
     """Raised on broken estimation inputs (singular pilot covariance, ...)."""
-
-
-@dataclass(frozen=True)
-class EstimationStats:
-    """MMSE second-order quantities of one (AP, UE) link.
-
-    psi is the covariance of the despread pilot observation divided by
-    tau_p, omega the core matrix whose scaled trace gives the estimate
-    covariance, err_cov the estimation error covariance. The exact identity
-    pilot_power * tau_p * omega + err_cov = r holds by construction.
-    """
-    psi: np.ndarray       # (U, U) Hermitian positive definite
-    omega: np.ndarray     # (U, U) Hermitian PSD
-    err_cov: np.ndarray   # (U, U) Hermitian PSD
-
-
-def estimation_stats(r, copilot_r, copilot_p_hat, p_hat_k, tau_p, sigma2):
-    """Second-order MMSE statistics for one link.
-
-    r: (U, U) covariance of the target UE at this AP. copilot_r: iterable of
-    covariances of every UE sharing the pilot (the target included).
-    """
-    r = np.asarray(r)
-    u = r.shape[0]
-    psi = sigma2 * np.eye(u, dtype=complex)
-    for p_j, r_j in zip(copilot_p_hat, copilot_r, strict=True):
-        psi = psi + p_j * tau_p * np.asarray(r_j)
-    try:
-        omega = r @ scipy.linalg.solve(psi, r, assume_a="pos")
-    except np.linalg.LinAlgError as exc:  # sigma2 = 0 with rank-deficient r
-        raise EstimationError(f"pilot covariance is singular: {exc}") from exc
-    omega = 0.5 * (omega + omega.conj().T)
-    err_cov = r - p_hat_k * tau_p * omega
-    return EstimationStats(psi=psi, omega=omega, err_cov=err_cov)
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,25 @@
 # Sweep runner: seeded scenario batches over one sweep variable, optional
 # phase optimization and power control per scheme, closed-form SE for both
 # decoders, optional Monte-Carlo validation, and CSV emission (raw per-UE
-# rows plus aggregates). Output is plain data; plotting is external.
+# rows plus aggregates). Cells run serially in a fixed order. A drop that
+# hits a typed numerical failure is logged and counted; any other exception
+# aborts the run. Output is plain data; plotting is external.
 
 import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import se
 from .config import ConfigError, SystemConfig
+from .estimation import EstimationError
 from .montecarlo import uatf_monte_carlo
 from .optimize import (BeamformingConfig, allocate_pilots, maxmin_power,
                        optimize_beamforming)
 from .pipeline import NetworkModel
-from .scenario import generate_drop
+from .scenario import ScenarioError, generate_drop
 from .sim_physics import random_phase_tensor
 
 log = logging.getLogger(__name__)
@@ -51,7 +53,6 @@ class ExperimentSpec:
     schemes: tuple = ("rand-full",)
     base: dict = field(default_factory=dict)   # SystemConfig overrides
     fixed_total_atoms: int = None  # ties N to 1200/(L*M)-style budgets
-    pilot_metric: str = "beta"
     maxmin_eps: float = 1e-3
     beamforming: dict = field(default_factory=dict)
 
@@ -156,7 +157,8 @@ def _run_cell(spec, value_index, value):
         try:
             rows.extend(_run_drop(spec, cfg, value, value_index, d, schemes,
                                   decoders, need_opt, bf_cfg))
-        except Exception:
+        except (EstimationError, se.SinrComputationError, ScenarioError,
+                np.linalg.LinAlgError):
             failures += 1
             log.exception("drop %d at value %r failed; skipping", d, value)
     return rows, failures
@@ -165,7 +167,7 @@ def _run_cell(spec, value_index, value):
 def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
               bf_cfg):
     drop = generate_drop(cfg, _drop_seed(spec, d, 0))
-    pilots = allocate_pilots(drop, metric=spec.pilot_metric)
+    pilots = allocate_pilots(drop)
     model = NetworkModel.from_drop(drop)
     rand_phases = random_phase_tensor(cfg.L, cfg.M, cfg.N,
                                       _drop_seed(spec, d, 1))
@@ -229,17 +231,12 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
     return rows
 
 
-def run_experiment(spec: ExperimentSpec, threads=1) -> ExperimentResult:
-    """Execute the sweep; aggregation order is independent of scheduling."""
-    cells = list(enumerate(spec.values))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda iv: _run_cell(spec, *iv), cells))
-    else:
-        results = [_run_cell(spec, vi, v) for vi, v in cells]
+def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    """Execute the sweep, one (sweep value, drops) cell after another."""
     rows = []
     failures = 0
-    for cell_rows, cell_failures in results:
+    for value_index, value in enumerate(spec.values):
+        cell_rows, cell_failures = _run_cell(spec, value_index, value)
         rows.extend(cell_rows)
         failures += cell_failures
     aggregates = aggregate_rows(spec, rows)
@@ -267,24 +264,6 @@ def aggregate_rows(spec, rows):
                 likely95=float(np.percentile(arr, 5.0)),
             ))
     return out
-
-
-@dataclass(frozen=True)
-class CdfReport:
-    grid: np.ndarray     # 100 evenly spaced SE points
-    cdf: np.ndarray      # empirical CDF at those points
-    likely95: float      # 5th percentile (linear interpolation)
-
-
-def cdf_report(samples, n_points=100) -> CdfReport:
-    """Empirical CDF summary of pooled per-UE SE samples (needs >= 20)."""
-    arr = np.sort(np.asarray(samples, dtype=float))
-    if arr.size < 20:
-        raise ExperimentError(f"need at least 20 samples, got {arr.size}")
-    grid = np.linspace(arr[0], arr[-1], n_points)
-    cdf = np.searchsorted(arr, grid, side="right") / arr.size
-    return CdfReport(grid=grid, cdf=cdf,
-                     likely95=float(np.percentile(arr, 5.0)))
 
 
 def _fmt(x):

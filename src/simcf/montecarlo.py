@@ -2,15 +2,15 @@
 # Monte-Carlo estimation of the uplink SINR lower bound directly from its
 # defining expectations: sampled channels, pilot observations, MMSE
 # estimates, matched-filter combining and CPU-side weighting. Serves as the
-# independent oracle for the closed-form engine, including a per-term audit
-# of every interference expectation.
+# independent oracle for the closed-form engine.
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, psd_sqrt
+from .channel import ChannelState
 from .estimation import EstimationState, despread_pilot_noise, mmse_estimate
+from .scenario import psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -19,24 +19,6 @@ class UatfEstimate:
     gamma: np.ndarray     # (..., K), one row per setting
     stderr: np.ndarray    # (..., K) delta-method standard error of gamma
     n_trials: int         # sampled realizations, shared by every setting
-
-
-@dataclass(frozen=True)
-class CrossMomentEstimate:
-    """Sample moments of the combined interference terms.
-
-    moment[k, j, l, l'] estimates E{x_l conj(x_l')} with x_l the product of
-    (estimate of UE k at AP l)^H and (channel of UE j at AP l); stderr_re /
-    stderr_im are the per-entry standard errors of its real and imaginary
-    parts. mean_gain[k, l] estimates E{x_l} for j = k with stderr
-    mean_gain_stderr (complex-component-wise).
-    """
-    moment: np.ndarray        # (K, K, L, L) complex
-    stderr_re: np.ndarray     # (K, K, L, L)
-    stderr_im: np.ndarray     # (K, K, L, L)
-    mean_gain: np.ndarray     # (K, L) complex
-    mean_gain_stderr: np.ndarray  # (K, L)
-    n_trials: int
 
 
 class _TrialSampler:
@@ -160,42 +142,3 @@ def _delta_method(acc1, acc2, p, sigma2, n_trials):
         var = float(grad @ cov[k] @ grad) / n_trials
         stderr[k] = np.sqrt(max(var, 0.0))
     return gamma, stderr
-
-
-def cross_moment_estimates(state, est, pilot_of, p_hat, tau_p, sigma2,
-                           n_trials, rng, batch=4096) -> CrossMomentEstimate:
-    """Sample every pairwise interference moment for the term audit."""
-    sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
-    n_ap, n_ue, _ = sampler.shape
-    acc = np.zeros((n_ue, n_ue, n_ap, n_ap), dtype=complex)
-    acc2_re = np.zeros((n_ue, n_ue, n_ap, n_ap))
-    acc2_im = np.zeros((n_ue, n_ue, n_ap, n_ap))
-    acc_mean = np.zeros((n_ue, n_ap), dtype=complex)
-    acc2_mean = np.zeros((n_ue, n_ap))
-    done = 0
-    idx = np.arange(n_ue)
-    while done < n_trials:
-        b = min(batch, n_trials - done)
-        h, h_hat = sampler.draw(b)
-        x = _combined_products(h, h_hat)
-        prod = np.einsum("blkj,bmkj->bkjlm", x, x.conj())
-        acc += prod.sum(axis=0)
-        acc2_re += (prod.real ** 2).sum(axis=0)
-        acc2_im += (prod.imag ** 2).sum(axis=0)
-        own = np.transpose(x[:, :, idx, idx], (0, 2, 1))     # (b, K, L)
-        acc_mean += own.sum(axis=0)
-        acc2_mean += (np.abs(own) ** 2).sum(axis=0)
-        done += b
-    moment = acc / n_trials
-    var_re = np.maximum(acc2_re / n_trials - moment.real ** 2, 0.0)
-    var_im = np.maximum(acc2_im / n_trials - moment.imag ** 2, 0.0)
-    mean_gain = acc_mean / n_trials
-    var_mean = np.maximum(acc2_mean / n_trials - np.abs(mean_gain) ** 2, 0.0)
-    return CrossMomentEstimate(
-        moment=moment,
-        stderr_re=np.sqrt(var_re / n_trials),
-        stderr_im=np.sqrt(var_im / n_trials),
-        mean_gain=mean_gain,
-        mean_gain_stderr=np.sqrt(var_mean / n_trials),
-        n_trials=n_trials,
-    )

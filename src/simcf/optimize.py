@@ -5,7 +5,7 @@
 # feasibility system induced by fixed CPU weights.
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +29,21 @@ class PilotAssignment:
     def __post_init__(self):
         self.pilot_of.setflags(write=False)
 
-    def copilot_set(self, k):
-        """Indices of UEs sharing UE k's pilot, k included."""
-        return np.flatnonzero(self.pilot_of == self.pilot_of[k])
 
-    def reuse_counts(self, tau_p):
-        return np.bincount(self.pilot_of, minlength=tau_p)
-
-
-def pilot_interference(drop: Drop, k, assigned, pilot_of, metric, state=None):
+def pilot_interference(drop: Drop, k, assigned, pilot_of):
     """Contamination cost of giving each pilot to UE k, shape (tau_p,).
 
-    metric "beta": sum over co-pilot UEs j and APs of beta_lk * beta_lj
-    (cheap, phase independent). metric "trace": normalized covariance
-    overlap sum_l tr(r_lk r_lj) / sqrt(tr r_lk tr r_lj), needs a channel
-    state.
+    The cost of a pilot is the sum over the UEs j in assigned that hold it
+    and over all APs l of beta_lk * beta_lj (phase independent).
     """
-    tau_p = drop.cfg.tau_p
-    ui = np.zeros(tau_p)
-    if metric == "beta":
-        cost = drop.beta[:, k][:, None] * drop.beta[:, assigned]   # (L, |assigned|)
-        per_ue = cost.sum(axis=0)
-    elif metric == "trace":
-        if state is None:
-            raise ValueError("trace metric needs a channel state")
-        r = state.r_all()
-        overlap = np.real(np.einsum("luv,ljvu->lj", r[:, k], r[:, assigned]))
-        tr = np.real(np.einsum("lkuu->lk", r))
-        norm = np.sqrt(tr[:, k][:, None] * tr[:, assigned])
-        per_ue = (overlap / np.maximum(norm, 1e-300)).sum(axis=0)
-    else:
-        raise ValueError(f"unknown pilot metric {metric!r}")
-    for i, j in enumerate(assigned):
-        ui[pilot_of[j]] += per_ue[i]
+    ui = np.zeros(drop.cfg.tau_p)
+    cost = drop.beta[:, k][:, None] * drop.beta[:, assigned]   # (L, |assigned|)
+    for j, c in zip(assigned, cost.sum(axis=0)):
+        ui[pilot_of[j]] += c
     return ui
 
 
-def allocate_pilots(drop: Drop, metric="beta", state=None) -> PilotAssignment:
+def allocate_pilots(drop: Drop) -> PilotAssignment:
     """Greedy contamination-minimizing pilot assignment.
 
     The first tau_p UEs take pilots 0..tau_p-1; every further UE (in index
@@ -78,7 +56,7 @@ def allocate_pilots(drop: Drop, metric="beta", state=None) -> PilotAssignment:
     pilot_of[:head] = np.arange(head)
     for k in range(head, cfg.K):
         assigned = np.arange(k)
-        ui = pilot_interference(drop, k, assigned, pilot_of, metric, state)
+        ui = pilot_interference(drop, k, assigned, pilot_of)
         pilot_of[k] = int(np.argmin(ui))   # argmin takes the lowest index on ties
     return PilotAssignment(pilot_of=pilot_of)
 
@@ -191,10 +169,6 @@ class SumSeObjective:
         batch, i = self._single(batch, i)
         return float(batch.values[i])
 
-    def try_ap(self, l, ap_phases):
-        """Sum SE with AP l's phases replaced by ap_phases (M, N)."""
-        return self.value_of(self.probe(l, [ap_phases]), 0)
-
     def commit_ap(self, batch, i):
         """Adopt candidate i of batch, reusing its terms."""
         batch, i = self._single(batch, i)
@@ -264,18 +238,6 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     return phases, trace
 
 
-def write_trace_csv(path, trace):
-    """Optimizer trace as CSV rows (iteration, objective, accepted)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("iteration", "objective", "accepted"))
-        for row in trace:
-            writer.writerow((row.iteration, f"{row.objective:.10g}",
-                             int(row.accepted)))
-
-
 # ---------------------------------------------------------------------------
 # Max-min power control
 # ---------------------------------------------------------------------------
@@ -300,23 +262,23 @@ class _SinrCoefficients:
 
 
 def sinr_coefficients(terms: se.SinrTerms, weights, p_hat, tau_p, sigma2):
-    """Scalarize the SINR into affine-fraction coefficients for fixed weights."""
+    """Scalarize the SINR into affine-fraction coefficients for fixed weights.
+
+    The coefficients are the unit-power terms of se.sinr_breakdown, so
+    gamma(p) reproduces se.sinr_from_weights for every power vector.
+    """
     p_hat = np.asarray(p_hat, dtype=float)
-    k_ues = terms.n_ues
-    signal = np.zeros(k_ues)
-    d = np.zeros((k_ues, k_ues))
-    noise = np.zeros(k_ues)
-    mask = terms.copilot_mask()
-    for k in range(k_ues):
-        a = weights[k]
-        aa = np.abs(a) ** 2
-        signal[k] = np.abs(a.conj() @ terms.z[k]) ** 2
-        d[k] = terms.xi[k] @ aa
-        for j in np.flatnonzero(mask[k]):
-            coeff = p_hat[k] * p_hat[j] * tau_p ** 2
-            d[k, j] += coeff * np.abs(a.conj() @ terms.delta[k, j]) ** 2
-        d[k, k] -= float(aa @ terms.lam[k] ** 2)
-        noise[k] = sigma2 * float(aa @ terms.z[k])
+    weights = np.asarray(weights, dtype=complex)
+    ones = np.ones(terms.n_ues)
+    aa = np.abs(weights) ** 2                                   # (K, L)
+    signal = np.abs(np.einsum("kl,kl->k", weights.conj(), terms.z)) ** 2
+    combined = np.einsum("kl,kjl->kj", weights.conj(), terms.delta)
+    d = (np.einsum("kjl,kl->kj", terms.xi, aa)
+         + se._coherent_coeffs(terms, ones, p_hat, tau_p)
+         * np.abs(combined) ** 2)
+    d[np.diag_indices(terms.n_ues)] -= np.einsum("kl,kl->k", aa,
+                                                 terms.lam ** 2)
+    noise = sigma2 * np.einsum("kl,kl->k", aa, terms.z)
     return _SinrCoefficients(signal=signal, d=d, noise=noise)
 
 

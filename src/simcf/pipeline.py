@@ -1,9 +1,9 @@
 # simcf/pipeline.py
 # Convenience wiring of the full statistics chain for one drop: geometry and
 # diffraction matrices, effective channel statistics for a phase tensor,
-# estimation statistics for a pilot assignment, closed-form terms, and
-# decoder reports. Heavy fixed pieces (steering vectors, base correlation)
-# are computed once per drop and reused across phase updates.
+# estimation statistics for a pilot assignment, and closed-form terms.
+# Heavy fixed pieces (steering vectors, base correlation) are computed once
+# per drop and reused across phase updates.
 
 from dataclasses import dataclass, field
 
@@ -80,15 +80,3 @@ class NetworkModel:
         """(channel state, estimation state) for Monte-Carlo use."""
         state = self.channel_state(phases)
         return state, self.estimation_state(state, pilot_of)
-
-    def evaluate(self, phases, pilot_of, p=None, decoders=se.DECODERS):
-        """Closed-form reports per decoder at given phases/powers."""
-        cfg = self.cfg
-        p = self.drop.p if p is None else np.asarray(p, dtype=float)
-        terms = self.terms(phases, pilot_of)
-        return {
-            decoder: se.evaluate_decoder(terms, decoder, p,
-                                         cfg.pilot_powers(), cfg.tau_p,
-                                         cfg.sigma2, cfg.tau_c)
-            for decoder in decoders
-        }

@@ -3,7 +3,7 @@
 # correlated shadow fading, Rician factors and the LoS/NLoS power split.
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +56,38 @@ def rician_split(beta, kappa):
     return beta_los, beta - beta_los
 
 
+PSD_CLIP_TOL = 1e-10
+
+
+def psd_sqrt(mat, clip_tol=PSD_CLIP_TOL):
+    """Hermitian square root with eigenvalue clipping at zero.
+
+    Eigenvalues below -clip_tol (relative to the largest) indicate a broken
+    input and raise LinAlgError; small negative values from roundoff are
+    clipped and logged. Eigendecomposition is used instead of Cholesky
+    because sinc correlation matrices are rank deficient at half-wavelength
+    pitch.
+    """
+    w, v = np.linalg.eigh(mat)
+    scale = max(float(w[-1]), 1.0e-300)
+    if w[0] < -clip_tol * scale:
+        raise np.linalg.LinAlgError(
+            f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs scale {scale:.3e}")
+    if w[0] < 0:
+        log.debug("clipped %d negative eigenvalues (most negative %.3e)",
+                  int((w < 0).sum()), float(w[0]))
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
 def _corr_sqrt(positions, side, delta_sf, d_dc):
     """Square root of the exponential shadowing covariance among positions."""
     dist = torus_distance(positions, positions, side)
-    cov = delta_sf ** 2 * np.exp2(-dist / d_dc)
-    w, v = np.linalg.eigh(cov)
-    floor = -1e-10 * max(w[-1], 1.0)
-    if w[0] < floor:
-        raise ScenarioError(
-            f"shadowing covariance not PSD: min eigenvalue {w[0]:.3e} "
-            f"(floor {floor:.3e}) for {len(positions)} positions")
-    if w[0] < 0:
-        log.debug("clipping %d tiny negative shadowing eigenvalues (min %.3e)",
-                  int((w < 0).sum()), w[0])
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    try:
+        return psd_sqrt(delta_sf ** 2 * np.exp2(-dist / d_dc))
+    except np.linalg.LinAlgError as exc:
+        raise ScenarioError(f"shadowing covariance of {len(positions)} "
+                            f"positions: {exc}") from exc
 
 
 def correlated_shadowing(cfg: SystemConfig, ap_pos, ue_pos, rng, n_draws=None):
@@ -110,24 +128,6 @@ class Drop:
         for name in ("ap_pos", "ue_pos", "dist", "beta", "kappa",
                      "beta_los", "beta_nlos", "shadowing", "pilot_of", "p"):
             getattr(self, name).setflags(write=False)
-
-    def with_pilots(self, pilot_of):
-        """Copy of the drop with pilots assigned."""
-        pilot_of = np.asarray(pilot_of, dtype=int)
-        if pilot_of.shape != (self.cfg.K,):
-            raise ValueError("pilot assignment must have one entry per UE")
-        if np.any((pilot_of < 0) | (pilot_of >= self.cfg.tau_p)):
-            raise ValueError("pilot indices out of range")
-        return replace(self, pilot_of=pilot_of)
-
-    def with_powers(self, p):
-        """Copy of the drop with data powers replaced."""
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.cfg.K,):
-            raise ValueError("power vector must have one entry per UE")
-        if np.any(p < 0) or np.any(p > self.cfg.p_max * (1 + 1e-12)):
-            raise ValueError("powers must lie in [0, p_max]")
-        return replace(self, p=p)
 
     def link_directions(self):
         """Unit 3-D direction vectors AP -> UE, shape (L, K, 3).

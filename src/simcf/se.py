@@ -151,11 +151,6 @@ def denominator_matrices(terms: SinrTerms, p, p_hat, tau_p, sigma2):
     return b
 
 
-def denominator_matrix(terms: SinrTerms, k, p, p_hat, tau_p, sigma2):
-    """Denominator matrix of one UE, shape (L, L)."""
-    return denominator_matrices(terms, p, p_hat, tau_p, sigma2)[k]
-
-
 def lsfd_weights(terms: SinrTerms, p, p_hat, tau_p, sigma2):
     """SINR-maximizing statistical weights, shape (..., K, L) complex.
 
@@ -241,81 +236,6 @@ def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
     return parts["signal"] / den
 
 
-def sinr_lsfd(terms: SinrTerms, p, p_hat, tau_p, sigma2):
-    """(sinr, weights) under optimal weighting; sinr_k = p_k z^H b^-1 z."""
-    weights = lsfd_weights(terms, p, p_hat, tau_p, sigma2)
-    p = np.asarray(p, dtype=float)
-    gamma = np.array([
-        p[k] * float(np.real(terms.z[k] @ weights[k]))
-        for k in range(terms.n_ues)
-    ])
-    if np.any(gamma < -1e-12):
-        raise SinrComputationError(f"negative quadratic-form SINR: {gamma}")
-    return np.clip(gamma, 0.0, None), weights
-
-
 def se_from_sinr(gamma, tau_c, tau_p):
     """Spectral efficiency with the pilot-overhead prelog, bit/s/Hz."""
     return (tau_c - tau_p) / tau_c * np.log2(1.0 + np.asarray(gamma))
-
-
-@dataclass(frozen=True)
-class SEReport:
-    """Per-UE SINR/SE for one decoder plus the term decomposition."""
-    decoder: str
-    sinr: np.ndarray        # (K,)
-    se: np.ndarray          # (K,)
-    breakdown: dict         # name -> (K,) array
-
-    CSV_HEADER = ("scenario_id", "decoder", "ue", "sinr", "se",
-                  "signal", "noncoherent", "coherent", "self_term", "noise")
-
-    def csv_rows(self, scenario_id):
-        rows = []
-        for k in range(self.sinr.shape[0]):
-            rows.append((scenario_id, self.decoder, k,
-                         self.sinr[k], self.se[k],
-                         self.breakdown["signal"][k],
-                         self.breakdown["noncoherent"][k],
-                         self.breakdown["coherent"][k],
-                         self.breakdown["self_term"][k],
-                         self.breakdown["noise"][k]))
-        return rows
-
-
-def evaluate_decoder(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2,
-                     tau_c) -> SEReport:
-    """SINR/SE report for one decoder from closed-form terms."""
-    weights = decoder_weights(terms, decoder, p, p_hat, tau_p, sigma2)
-    gamma = sinr_from_weights(terms, weights, p, p_hat, tau_p, sigma2)
-    parts = sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2)
-    return SEReport(decoder=decoder, sinr=gamma,
-                    se=se_from_sinr(gamma, tau_c, tau_p), breakdown=parts)
-
-
-def predicted_cross_moments(terms: SinrTerms, p_hat, tau_p):
-    """Closed-form second moments of the combined interference terms.
-
-    Entry [k, j, l, l'] predicts E{x_l conj(x_l')} with
-    x_l = (estimate of UE k at AP l)^H (channel of UE j at AP l). Used to
-    audit every term family against Monte-Carlo estimates case by case.
-    """
-    p_hat = np.asarray(p_hat, dtype=float)
-    n_ue, n_ap = terms.z.shape
-    out = np.zeros((n_ue, n_ue, n_ap, n_ap), dtype=complex)
-    for k in range(n_ue):
-        for j in range(n_ue):
-            if j == k:
-                m = np.outer(terms.z[k], terms.z[k]).astype(complex)
-                np.fill_diagonal(m, terms.xi[k, k] + terms.z[k] ** 2
-                                 - terms.lam[k] ** 2)
-            elif terms.pilot_of[j] == terms.pilot_of[k]:
-                coeff = p_hat[k] * p_hat[j] * tau_p ** 2
-                d = terms.delta[k, j]
-                m = coeff * np.outer(d, d.conj())
-                m[np.diag_indices(n_ap)] = terms.xi[k, j] \
-                    + coeff * np.abs(d) ** 2
-            else:
-                m = np.diag(terms.xi[k, j].astype(complex))
-            out[k, j] = m
-    return out

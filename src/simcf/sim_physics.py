@@ -83,11 +83,6 @@ def transfer_matrix(src_pos, dst_pos, wavelength, atom_area):
     return amp * np.exp(1j * TWO_PI * d / wavelength)
 
 
-def diffraction_coefficient(src_pos, dst_pos, wavelength, atom_area):
-    """Single source/destination coupling coefficient (scalar)."""
-    return complex(transfer_matrix(src_pos, dst_pos, wavelength, atom_area)[0, 0])
-
-
 @dataclass(frozen=True)
 class DiffractionSet:
     """Fixed propagation matrices of one stack (identical for every AP)."""
@@ -129,22 +124,6 @@ def stack_for(cfg: SystemConfig):
     return _cached_stack(cfg.M, cfg.N, cfg.U, cfg.wavelength, cfg.d_meta, cfg.t_sim)
 
 
-def cascade(dset: DiffractionSet, phases):
-    """Wave-domain beamforming matrix of one stack for given phases (M, N).
-
-    Product Phi_M W_M ... Phi_2 W_2 Phi_1; the antenna coupling w_first is
-    applied separately. For a single layer this is just diag(exp(j phi_1)).
-    """
-    phases = np.asarray(phases)
-    if phases.shape != (dset.n_layers, dset.w_first.shape[0]):
-        raise ValueError(f"phase array must be (M, N), got {phases.shape}")
-    shifts = np.exp(1j * phases)
-    g = np.diag(shifts[0])
-    for m in range(1, dset.n_layers):
-        g = shifts[m][:, None] * (dset.w_layer[m - 1] @ g)
-    return g
-
-
 def cascade_through_antennas(dset: DiffractionSet, phases):
     """Antenna-to-output-layer propagation G @ w_first, (..., M, N) -> (..., N, U).
 
@@ -172,16 +151,3 @@ def random_phase_tensor(n_aps, n_layers, n_atoms, rng):
     """Independent uniform phases in [0, 2 pi), shape (L, M, N)."""
     rng = np.random.default_rng(rng)
     return rng.uniform(0.0, TWO_PI, size=(n_aps, n_layers, n_atoms))
-
-
-def save_phase_tensor(path, phases):
-    """Write a phase tensor as a flat text file (AP-major, then layer, atom)."""
-    np.savetxt(path, np.asarray(phases).reshape(-1), fmt="%.17g")
-
-
-def load_phase_tensor(path, n_aps, n_layers, n_atoms):
-    flat = np.loadtxt(path)
-    expected = n_aps * n_layers * n_atoms
-    if flat.size != expected:
-        raise ValueError(f"phase file holds {flat.size} values, expected {expected}")
-    return flat.reshape(n_aps, n_layers, n_atoms)

@@ -7,33 +7,43 @@
 import numpy as np
 
 from . import se
+from .channel import ChannelState
 from .config import SystemConfig
-from .estimation import estimation_stats
+from .estimation import build_estimation_state
 from .montecarlo import uatf_monte_carlo
 from .optimize import allocate_pilots
 from .pipeline import NetworkModel
 from .scenario import generate_drop
 
 
-def _random_psd(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a @ a.conj().T / n
+def _random_psd(rng, n_mats, n):
+    a = rng.normal(size=(n_mats, n, n)) + 1j * rng.normal(size=(n_mats, n, n))
+    return a @ a.conj().swapaxes(-1, -2) / n
 
 
 def check_estimation_identity(seed=0, n_instances=100, u=3):
-    """pilot_power * tau_p * omega + err_cov must reproduce r exactly."""
+    """pilot_power * tau_p * omega + err_cov must reproduce r exactly.
+
+    Each instance is a random factored network (PSD s per AP, NLoS gains,
+    pilot reuse) run through the batched build_estimation_state.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
-        n_copilot = int(rng.integers(1, 4))
-        mats = [_random_psd(rng, u) for _ in range(n_copilot)]
-        powers = rng.uniform(0.05, 0.3, n_copilot)
-        tau_p = int(rng.integers(1, 8))
+        n_ap, n_ue = (int(x) for x in rng.integers(1, 5, size=2))
+        tau_p = int(rng.integers(1, n_ue + 1))
+        pilot_of = rng.integers(0, tau_p, n_ue)
+        state = ChannelState(h_bar=np.zeros((n_ap, n_ue, u), dtype=complex),
+                             s=_random_psd(rng, n_ap, u),
+                             beta_nlos=rng.uniform(0.1, 1.0, (n_ap, n_ue)))
+        p_hat = rng.uniform(0.05, 0.3, n_ue)
         sigma2 = float(rng.uniform(1e-3, 1e-1))
-        stats = estimation_stats(mats[0], mats, powers, powers[0], tau_p, sigma2)
-        lhs = powers[0] * tau_p * stats.omega + stats.err_cov
-        rel = np.abs(lhs - mats[0]).max() / np.abs(mats[0]).max()
-        worst = max(worst, float(rel))
+        est = build_estimation_state(state, pilot_of, p_hat, tau_p, sigma2)
+        r = state.r_all()
+        lhs = (p_hat * tau_p)[None, :, None, None] * est.omega + est.err_cov
+        rel = (np.abs(lhs - r).max(axis=(-2, -1))
+               / np.abs(r).max(axis=(-2, -1)))
+        worst = max(worst, float(rel.max()))
     passed = worst <= 1e-10
     return ("estimation-identity", passed,
             f"max relative deviation {worst:.2e} over {n_instances} instances")
@@ -77,9 +87,11 @@ def check_decoder_dominance(seed=0, n_drops=25):
         cfg, drop, pilots, model, phases = _small_model(int(rng.integers(1 << 31)))
         p_hat = cfg.pilot_powers()
         terms = model.terms(phases, pilots.pilot_of)
-        g_lsfd, _ = se.sinr_lsfd(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-        g_egcd = se.sinr_from_weights(terms, se.egcd_weights(terms), drop.p,
-                                      p_hat, cfg.tau_p, cfg.sigma2)
+        weights = np.stack([se.decoder_weights(terms, decoder, drop.p, p_hat,
+                                               cfg.tau_p, cfg.sigma2)
+                            for decoder in ("lsfd", "egcd")])
+        g_lsfd, g_egcd = se.sinr_from_weights(terms, weights, drop.p, p_hat,
+                                              cfg.tau_p, cfg.sigma2)
         worst = min(worst, float((g_lsfd - g_egcd).min()))
     passed = worst >= -1e-9
     return ("decoder-dominance", passed,

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, generate_drop
-from simcf.channel import (SimUeChannelStats, build_channel_state,
-                           effective_stats, psd_sqrt, sample_channel,
-                           sim_ue_stats, sinc_correlation, steering_vector)
+from simcf.channel import sinc_correlation
 from simcf.pipeline import NetworkModel
+from simcf.scenario import psd_sqrt
 from simcf.sim_physics import random_phase_tensor, stack_for
 
-from reference import build_channel_state_loop
+from reference import (SimUeChannelStats, build_channel_state_loop, cascade,
+                       effective_stats, sample_channel, sim_ue_stats,
+                       steering_vector)
 
 
 def test_sinc_values():
@@ -85,8 +86,6 @@ def test_effective_stats_identity_sandwich():
 def test_effective_stats_scaling_equivariance():
     cfg = SystemConfig(L=1, K=1, U=2, M=2, N=9)
     geom, dset = stack_for(cfg)
-    from simcf.sim_physics import cascade
-
     rng = np.random.default_rng(2)
     g = cascade(dset, rng.uniform(0, 2 * np.pi, (2, 9)))
     r = sinc_correlation(geom.output_grid, cfg.wavelength)
@@ -101,8 +100,6 @@ def test_effective_stats_scaling_equivariance():
 def test_effective_cov_psd_over_random_phases():
     cfg = SystemConfig(L=1, K=1, U=2, M=2, N=16)
     geom, dset = stack_for(cfg)
-    from simcf.sim_physics import cascade
-
     r = sinc_correlation(geom.output_grid, cfg.wavelength)
     h = steering_vector(geom.output_grid, [0.1, 0.1, -0.99], cfg.wavelength)
     stats = SimUeChannelStats(h_bar_sim=h, r_sim=r)
@@ -118,8 +115,6 @@ def test_common_phase_invariance():
     # covariance and mean magnitudes unchanged
     cfg = SystemConfig(L=1, K=1, U=2, M=2, N=9)
     geom, dset = stack_for(cfg)
-    from simcf.sim_physics import cascade
-
     rng = np.random.default_rng(4)
     g = cascade(dset, rng.uniform(0, 2 * np.pi, (2, 9)))
     r = sinc_correlation(geom.output_grid, cfg.wavelength)
@@ -174,8 +169,6 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
     model = NetworkModel.from_drop(small_drop)
     phases = random_phase_tensor(small_cfg.L, small_cfg.M, small_cfg.N, rng=9)
     state = model.channel_state(phases)
-    from simcf.sim_physics import cascade
-
     directions = small_drop.link_directions()
     r_base = sinc_correlation(model.geom.output_grid, small_cfg.wavelength)
     for l in (0, small_cfg.L - 1):
@@ -187,7 +180,7 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
                                  small_cfg.wavelength)
             eff = effective_stats(model.dset.w_first, g, stats)
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
-            assert np.allclose(state.r(l, k), eff.r_eff)
+            assert np.allclose(state.r_all()[l, k], eff.r_eff)
     # AP-subset build agrees with the full build
     part = model.channel_state(phases, ap_indices=[1])
     assert np.allclose(part.h_bar[0], state.h_bar[1])

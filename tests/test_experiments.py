@@ -1,14 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reference import run_experiment_rows_per_setting
 from simcf import experiments, pipeline
+from simcf.estimation import EstimationError
 from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                ExperimentError, ExperimentSpec,
-                               aggregate_rows, cdf_report, fig3_spec,
-                               run_experiment, table1_spec, write_result_csv)
+                               aggregate_rows, fig3_spec, run_experiment,
+                               table1_spec, write_result_csv)
 from simcf.montecarlo import uatf_monte_carlo
 from simcf.pipeline import NetworkModel
 
@@ -34,6 +36,13 @@ def test_spec_validation():
         ExperimentSpec.from_dict({"sweep": "L", "values": [2], "bogus": 1})
 
 
+def test_spec_rejects_pilot_metric():
+    # pilots are always allocated by the large-scale "beta" metric
+    with pytest.raises(ExperimentError, match="pilot_metric"):
+        ExperimentSpec.from_dict({"sweep": "L", "values": [2],
+                                  "pilot_metric": "trace"})
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = tiny_spec()
     path = tmp_path / "spec.json"
@@ -53,23 +62,33 @@ def test_run_experiment_shapes_and_determinism(tmp_path):
     assert r1.failures == 0
     # 2 values x 2 drops x K=3 UEs x 2 decoders x 1 scheme
     assert len(r1.rows) == 2 * 2 * 3 * 2
-    p1 = write_result_csv(r1, tmp_path / "a")
-    p2 = write_result_csv(r2, tmp_path / "b")
-    assert open(p1[0], "rb").read() == open(p2[0], "rb").read()
-    assert open(p1[1], "rb").read() == open(p2[1], "rb").read()
-    header = open(p1[0]).readline().strip().split(",")
+    p1 = [Path(p) for p in write_result_csv(r1, tmp_path / "a")]
+    p2 = [Path(p) for p in write_result_csv(r2, tmp_path / "b")]
+    assert p1[0].read_bytes() == p2[0].read_bytes()
+    assert p1[1].read_bytes() == p2[1].read_bytes()
+    header = p1[0].read_text().splitlines()[0].split(",")
     assert tuple(header) == ROWS_HEADER
-    header = open(p1[1]).readline().strip().split(",")
+    header = p1[1].read_text().splitlines()[0].split(",")
     assert tuple(header) == AGG_HEADER
 
 
-def test_threaded_run_matches_serial():
+def test_numerical_failures_are_counted_and_bugs_propagate(monkeypatch):
     spec = tiny_spec()
-    serial = run_experiment(spec, threads=1)
-    threaded = run_experiment(spec, threads=2)
-    assert serial.rows == threaded.rows
-    assert serial.failures == threaded.failures == 0
-    assert len(serial.rows) == 2 * 2 * 3 * 2
+
+    def raising(error):
+        def generate_drop(cfg, seed):
+            raise error
+        return generate_drop
+
+    monkeypatch.setattr(experiments, "generate_drop",
+                        raising(EstimationError("singular pilot covariance")))
+    result = run_experiment(spec)
+    assert result.rows == []
+    assert result.failures == len(spec.values) * spec.n_drops
+    monkeypatch.setattr(experiments, "generate_drop",
+                        raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(spec)
 
 
 def test_mc_columns_do_not_disturb_closed_form():
@@ -135,18 +154,6 @@ def test_canned_specs():
     f3 = fig3_spec(n_drops=2)
     assert f3.sweep == "L"
     assert f3.config_for(30).N == 8
-
-
-def test_cdf_report():
-    with pytest.raises(ExperimentError):
-        cdf_report(np.ones(5))
-    const = cdf_report(np.full(25, 2.5))
-    assert const.likely95 == pytest.approx(2.5)
-    assert const.cdf[-1] == 1.0
-    rng = np.random.default_rng(1)
-    u = cdf_report(rng.uniform(0, 1, 10_000))
-    assert u.likely95 == pytest.approx(0.05, abs=0.01)
-    assert u.grid.shape == (100,) and np.all(np.diff(u.cdf) >= 0)
 
 
 def test_terms_and_states_built_once_per_phase_kind(monkeypatch):

@@ -3,9 +3,10 @@ import pytest
 
 from simcf import (lsfd_weights, maxmin_power, sinr_from_weights,
                    uatf_monte_carlo)
-from simcf.channel import sample_channel, SimUeChannelStats
 from simcf.montecarlo import _TrialSampler
 from simcf.se import egcd_weights
+
+from reference import SimUeChannelStats, sample_channel
 
 
 def _setup(model, pilots, phases, cfg):
@@ -155,6 +156,7 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
     from simcf.channel import sinc_correlation, steering_units
 
     l, k = 1, 2
+    r = state.r_all()[l, k]
     t = cascade_through_antennas(small_model.dset, small_phases[l])
     base = sinc_correlation(small_model.geom.output_grid, cfg.wavelength)
     steer = steering_units(small_model.geom, small_model.drop)[l, k]
@@ -165,13 +167,12 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
                          np.random.default_rng(5), size=draws)
     projected = sim @ t.conj()
     # the random common phase zeroes the mean ...
-    scale = np.sqrt(np.abs(np.diag(state.r(l, k))).max()
+    scale = np.sqrt(np.abs(np.diag(r)).max()
                     + np.abs(state.h_bar[l, k]).max() ** 2)
     assert np.all(np.abs(projected.mean(axis=0)) <= 5 * scale / np.sqrt(draws))
     # ... and the second moment hits r + h_bar h_bar^H of the effective stats
     second = projected.T @ projected.conj() / draws
-    target = state.r(l, k) + np.outer(state.h_bar[l, k],
-                                      state.h_bar[l, k].conj())
+    target = r + np.outer(state.h_bar[l, k], state.h_bar[l, k].conj())
     assert np.all(np.abs(second - target)
                   <= 15 * scale ** 2 / np.sqrt(draws))
 

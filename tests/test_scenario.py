@@ -3,8 +3,9 @@ import pytest
 
 from simcf import SystemConfig, correlated_shadowing, generate_drop
 from simcf.config import ConfigError, most_square_factors
-from simcf.scenario import (PILOT_UNASSIGNED, pathloss_db, rician_kappa,
-                            rician_split, torus_displacement, torus_distance)
+from simcf.scenario import (PILOT_UNASSIGNED, ScenarioError, _corr_sqrt,
+                            pathloss_db, rician_kappa, rician_split,
+                            torus_displacement, torus_distance)
 
 
 def test_pathloss_reference_point():
@@ -120,6 +121,13 @@ def test_shadowing_colocated_aps_fully_correlated():
                                  n_draws=2000)
     # with delta_f = 1 the UE factor drops out; co-located APs are identical
     assert np.allclose(draws[:, 0, :], draws[:, 1, :], atol=1e-9)
+
+
+def test_broken_shadowing_covariance_raises_scenario_error():
+    # a kernel growing with distance is not a covariance
+    pos = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
+    with pytest.raises(ScenarioError, match="not PSD"):
+        _corr_sqrt(pos, 100.0, 8.0, -5.0)
 
 
 def test_config_validation():

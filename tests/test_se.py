@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop
-from simcf.montecarlo import cross_moment_estimates
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, SinrTerms, denominator_matrices,
-                      denominator_matrix, egcd_weights, evaluate_decoder,
-                      lsfd_weights,
-                      predicted_cross_moments, se_from_sinr, sinr_breakdown,
-                      sinr_from_weights, sinr_lsfd, sinr_terms)
+                      egcd_weights, lsfd_weights, se_from_sinr,
+                      sinr_breakdown, sinr_from_weights, sinr_terms)
+
+from reference import (cross_moment_estimates, predicted_cross_moments,
+                       sinr_lsfd)
 
 
 def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
@@ -63,7 +63,7 @@ def test_single_link_scalar_value():
     est = model.estimation_state(state, pilots.pilot_of)
     p_hat = cfg.pilot_powers()
     t = sinr_terms(state, est, pilots.pilot_of, p_hat, cfg.tau_p)
-    r = state.r(0, 0)
+    r = state.r_all()[0, 0]
     w, v = np.linalg.eigh(r)
     expected = sum(p_hat[0] * cfg.tau_p * lam ** 2
                    / (p_hat[0] * cfg.tau_p * lam + cfg.sigma2) for lam in w)
@@ -187,9 +187,10 @@ def test_no_pilot_sharing_kills_coherent_term():
 
 def test_denominator_matrix_hermitian_pd(small_terms, small_cfg):
     p = np.full(small_cfg.K, small_cfg.p_max)
-    for k in range(small_cfg.K):
-        b = denominator_matrix(small_terms, k, p, small_cfg.pilot_powers(),
-                               small_cfg.tau_p, small_cfg.sigma2)
+    bs = denominator_matrices(small_terms, p, small_cfg.pilot_powers(),
+                              small_cfg.tau_p, small_cfg.sigma2)
+    assert bs.shape == (small_cfg.K, small_cfg.L, small_cfg.L)
+    for b in bs:
         assert np.allclose(b, b.conj().T)
         assert np.linalg.eigvalsh(b).min() > 0
 
@@ -213,15 +214,17 @@ def test_negative_denominator_raises(small_terms, small_cfg):
 
 def test_report_csv_rows(small_terms, small_cfg):
     p = np.full(small_cfg.K, small_cfg.p_max)
-    rep = evaluate_decoder(small_terms, "lsfd", p, small_cfg.pilot_powers(),
-                           small_cfg.tau_p, small_cfg.sigma2, small_cfg.tau_c)
-    rows = rep.csv_rows("scn-1")
-    assert len(rows) == small_cfg.K
-    assert rows[0][0] == "scn-1" and rows[0][1] == "lsfd"
+    args = (p, small_cfg.pilot_powers(), small_cfg.tau_p, small_cfg.sigma2)
+    w = lsfd_weights(small_terms, *args)
+    sinr = sinr_from_weights(small_terms, w, *args)
+    parts = sinr_breakdown(small_terms, w, *args)
+    assert sinr.shape == (small_cfg.K,)
     # the breakdown reassembles the SINR
-    for k, row in enumerate(rows):
-        _, _, _, sinr, _, sig, non, coh, self_t, noise = row
-        assert sinr == pytest.approx(sig / (non + coh - self_t + noise))
+    for k in range(small_cfg.K):
+        assert sinr[k] == pytest.approx(
+            parts["signal"][k] / (parts["noncoherent"][k]
+                                  + parts["coherent"][k]
+                                  - parts["self_term"][k] + parts["noise"][k]))
 
 
 def candidate_stack(model, pilots, phases, l=1, n=5):
