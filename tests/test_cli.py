@@ -38,7 +38,7 @@ def test_run_writes_rows(tmp_path, capsys):
     assert "0 failed drops" in capsys.readouterr().out
 
 
-def test_threads_option_rejected(tmp_path, capsys):
+def test_threads_option_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["run", "--spec", str(tmp_path / "spec.json"),
                   "--threads", "2"])
