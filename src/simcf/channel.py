@@ -49,22 +49,20 @@ def steering_units(geom: SimGeometry, drop: Drop):
     return np.exp(1j * 2.0 * np.pi * advance / drop.cfg.wavelength)
 
 
-def build_channel_state(cfg, drop: Drop, geom: SimGeometry, dset: DiffractionSet,
-                        phases, base_corr=None, ap_indices=None,
-                        steering=None) -> ChannelState:
+def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
+                        steering, ap_indices=None) -> ChannelState:
     """Effective statistics for a phase tensor (L, M, N).
 
-    With ap_indices, phases holds one (M, N) slice per listed AP instead,
-    shape (len(ap_indices), M, N), and row i of the result belongs to AP
+    base_corr is the output-grid correlation (sinc_correlation) and
+    steering the unit steering vectors (steering_units) of the drop. With
+    ap_indices, phases holds one (M, N) slice per listed AP instead, shape
+    (len(ap_indices), M, N), and row i of the result belongs to AP
     ap_indices[i]. An AP may be listed more than once: the phase optimizer
     lists AP l once per candidate slice of a probe batch. All rows go
     through one batched cascade.
     """
-    if base_corr is None:
-        base_corr = sinc_correlation(geom.output_grid, cfg.wavelength)
-    if steering is None:
-        steering = steering_units(geom, drop)
-    aps = np.arange(cfg.L) if ap_indices is None else np.asarray(ap_indices)
+    aps = (np.arange(drop.cfg.L) if ap_indices is None
+           else np.asarray(ap_indices))
     t = cascade_through_antennas(dset, phases)            # (n, N, U)
     proj = t.conj().swapaxes(-1, -2) @ base_corr @ t
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))

@@ -1,11 +1,13 @@
 # simcf/cli.py
 # Command line front end: `run` executes a sweep spec, `validate` runs the
 # built-in oracle checks, `table1` and `fig3` run the canned experiment
-# grids. Failures exit nonzero with a JSON error record on stderr.
+# grids. Failures exit nonzero with their traceback and then a JSON error
+# record as the last line on stderr.
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 
 from .experiments import (ExperimentSpec, fig3_spec, run_experiment,
@@ -75,6 +77,7 @@ def main(argv=None):
             return 1 if failed else 0
         raise ValueError(f"unhandled command {args.command!r}")
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
+        traceback.print_exc()
         json.dump({"error": str(exc), "type": type(exc).__name__},
                   sys.stderr)
         sys.stderr.write("\n")

@@ -250,38 +250,6 @@ class PowerSolution:
     bracket: tuple         # final (t_min, t_max)
 
 
-@dataclass(frozen=True)
-class _SinrCoefficients:
-    """gamma_k(p) = signal_k p_k / (d[k] @ p + noise_k) for fixed weights."""
-    signal: np.ndarray     # (K,)
-    d: np.ndarray          # (K, K) interference coefficients, d[k, k] >= 0
-    noise: np.ndarray      # (K,)
-
-    def gamma(self, p):
-        return self.signal * p / (self.d @ p + self.noise)
-
-
-def sinr_coefficients(terms: se.SinrTerms, weights, p_hat, tau_p, sigma2):
-    """Scalarize the SINR into affine-fraction coefficients for fixed weights.
-
-    The coefficients are the unit-power terms of se.sinr_breakdown, so
-    gamma(p) reproduces se.sinr_from_weights for every power vector.
-    """
-    p_hat = np.asarray(p_hat, dtype=float)
-    weights = np.asarray(weights, dtype=complex)
-    ones = np.ones(terms.n_ues)
-    aa = np.abs(weights) ** 2                                   # (K, L)
-    signal = np.abs(np.einsum("kl,kl->k", weights.conj(), terms.z)) ** 2
-    combined = np.einsum("kl,kjl->kj", weights.conj(), terms.delta)
-    d = (np.einsum("kjl,kl->kj", terms.xi, aa)
-         + se._coherent_coeffs(terms, ones, p_hat, tau_p)
-         * np.abs(combined) ** 2)
-    d[np.diag_indices(terms.n_ues)] -= np.einsum("kl,kl->k", aa,
-                                                 terms.lam ** 2)
-    noise = sigma2 * np.einsum("kl,kl->k", aa, terms.z)
-    return _SinrCoefficients(signal=signal, d=d, noise=noise)
-
-
 def _feasible_powers(coeffs, t, p_max, tol=1e-9):
     """Least power vector meeting gamma_k >= t, or None if infeasible.
 
@@ -314,10 +282,12 @@ def maxmin_power(terms: se.SinrTerms, weights, p_max, p_hat, tau_p, sigma2,
 
     Brackets the best common SINR in [0, t_max] (default twice the full
     power maximum) and bisects on the feasibility of the linear system
-    p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max. Terminates
-    when the bracket is narrower than eps.
+    p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, over the
+    coefficients of se.sinr_coefficients. Terminates when the bracket is
+    narrower than eps. p is the least power vector of the last feasible
+    midpoint t_star (full power when no midpoint was feasible).
     """
-    coeffs = sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
+    coeffs = se.sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))
@@ -335,10 +305,6 @@ def maxmin_power(terms: se.SinrTerms, weights, p_max, p_hat, tau_p, sigma2,
             t_hi = t
         else:
             t_lo = t
-            best_p = p
-    if t_lo > 0:
-        p = _feasible_powers(coeffs, t_lo, p_max)
-        if p is not None:
             best_p = p
     return PowerSolution(p=best_p, t_star=t_lo, iterations=iterations,
                          bracket=(t_lo, t_hi))

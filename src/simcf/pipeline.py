@@ -40,17 +40,11 @@ class NetworkModel:
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
 
     def channel_state(self, phases, ap_indices=None) -> ChannelState:
-        """Statistics of every AP for a phase tensor (L, M, N), or of the
-        listed APs only (row i of the result is AP ap_indices[i])."""
-        if ap_indices is not None:
-            phases = np.asarray(phases)[ap_indices]
-        return self._channel_state(phases, ap_indices)
-
-    def _channel_state(self, phases, ap_indices):
-        return build_channel_state(self.cfg, self.drop, self.geom, self.dset,
-                                   phases, base_corr=self.base_corr,
-                                   ap_indices=ap_indices,
-                                   steering=self.steering)
+        """Statistics of every AP for a phase tensor (L, M, N); with
+        ap_indices, of one (M, N) slice per listed AP (row i of phases and
+        of the result is AP ap_indices[i])."""
+        return build_channel_state(self.drop, self.dset, phases,
+                                   self.base_corr, self.steering, ap_indices)
 
     def estimation_state(self, state: ChannelState, pilot_of) -> EstimationState:
         return build_estimation_state(state, pilot_of, self.cfg.pilot_powers(),
@@ -63,7 +57,7 @@ class NetworkModel:
         """Terms of AP l alone under each (M, N) phase slice of slices
         (B, M, N), built as one batch: the AP axis of the result runs over
         the B slices."""
-        state = self._channel_state(slices, [l] * len(slices))
+        state = self.channel_state(slices, [l] * len(slices))
         return self._terms(state, pilot_of)
 
     def _terms(self, state, pilot_of):

@@ -7,8 +7,11 @@
 #   delta  cross-AP coherent pilot-contamination couplings,
 #   lam    per-AP LoS gains (self-term correction),
 #   gamma  noise diagonal, equal to diag(z).
-# Optimal statistical weights solve a generalized Rayleigh quotient; equal
-# gain decoding is the all-ones special case.
+# For fixed weights the SINR is an affine fraction in the transmit powers
+# (SinrCoefficients); sinr_from_weights and max-min power control both
+# evaluate it in that one form. Optimal statistical weights solve a
+# generalized Rayleigh quotient; equal gain decoding is the all-ones
+# special case.
 
 import logging
 from dataclasses import dataclass, replace
@@ -185,55 +188,65 @@ def decoder_weights(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
     raise ValueError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
 
 
-def sinr_breakdown(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
-    """Numerator and denominator components of every UE's SINR.
+@dataclass(frozen=True)
+class SinrCoefficients:
+    """gamma_k(p) = signal_k p_k / (d[k] @ p + noise_k) for fixed weights.
 
-    Returns dict of (..., K) arrays: signal, noncoherent, coherent,
-    self_term (subtracted), noise. sinr = signal / (noncoherent + coherent
-    - self_term + noise). Leading candidate axes of terms and weights
-    carry through.
+    d[k, j] is the noncoherent plus coherent interference of UE j on UE k
+    per unit power of j, less the self-term correction on the diagonal;
+    noise is the weighted noise power. Leading candidate axes of the terms
+    and weights they come from carry through: signal and noise (..., K),
+    d (..., K, K).
     """
-    p = np.asarray(p, dtype=float)
+    signal: np.ndarray
+    d: np.ndarray
+    noise: np.ndarray
+
+    def gamma(self, p):
+        """Per-UE SINR for the power vector p (K,)."""
+        return self.signal * p / (self.d @ p + self.noise)
+
+
+def sinr_coefficients(terms: SinrTerms, weights, p_hat, tau_p, sigma2):
+    """Scalarize the SINR of every UE into affine-fraction coefficients in
+    the powers, for fixed weights (..., K, L). Leading candidate axes of
+    terms and weights carry through."""
     p_hat = np.asarray(p_hat, dtype=float)
-    weights = np.asarray(weights, dtype=complex)
-    aa = np.abs(weights) ** 2                       # (..., K, L)
-    signal = p * np.abs(np.einsum("...kl,...kl->...k", weights.conj(),
-                                  terms.z)) ** 2
-    noncoherent = np.einsum("j,...kjl,...kl->...k", p, terms.xi, aa)
-    coeff = _coherent_coeffs(terms, p, p_hat, tau_p)
-    combined = np.einsum("...kl,...kjl->...kj", weights.conj(), terms.delta)
-    coherent = np.einsum("kj,...kj->...k", coeff, np.abs(combined) ** 2)
-    return {
-        "signal": signal,
-        "noncoherent": noncoherent,
-        "coherent": coherent,
-        "self_term": p * np.einsum("...kl,...kl->...k", aa, terms.lam ** 2),
-        "noise": sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z),
-    }
+    weights_h = np.asarray(weights, dtype=complex).conj()
+    aa = np.abs(weights_h) ** 2                     # (..., K, L)
+    signal = np.abs(np.einsum("...kl,...kl->...k", weights_h, terms.z)) ** 2
+    combined = np.einsum("...kl,...kjl->...kj", weights_h, terms.delta)
+    coeff = _coherent_coeffs(terms, np.ones(terms.n_ues), p_hat, tau_p)
+    d = np.einsum("...kjl,...kl->...kj", terms.xi, aa)
+    d += coeff * np.abs(combined) ** 2
+    diagonal = np.einsum("...kk->...k", d)          # writable view
+    diagonal -= np.einsum("...kl,...kl->...k", aa, terms.lam ** 2)
+    noise = sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z)
+    return SinrCoefficients(signal=signal, d=d, noise=noise)
 
 
 def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
     """Per-UE SINR for arbitrary weights (ratio of quadratic forms), shape
-    (..., K) with the leading candidate axes of terms and weights.
+    (..., K) with the leading candidate axes of terms and weights: the
+    sinr_coefficients of the weights evaluated at the powers p (K,).
 
     Raises SinrComputationError naming the first UE (and candidate) with a
     nonpositive denominator.
     """
-    parts = sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2)
-    den = (parts["noncoherent"] + parts["coherent"] - parts["self_term"]
-           + parts["noise"])
-    bad = np.argwhere(den <= 0)
-    if bad.size:
-        at = tuple(int(i) for i in bad[0])
+    p = np.asarray(p, dtype=float)
+    coeffs = sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
+    interference = coeffs.d @ p
+    den = interference + coeffs.noise
+    bad = den <= 0
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
         where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
                                    else "")
         raise SinrComputationError(
             f"nonpositive SINR denominator for {where}: "
-            f"noncoherent={parts['noncoherent'][at]:.6e} "
-            f"coherent={parts['coherent'][at]:.6e} "
-            f"self_term={parts['self_term'][at]:.6e} "
-            f"noise={parts['noise'][at]:.6e}")
-    return parts["signal"] / den
+            f"{den[at]:.6e} (interference={interference[at]:.6e} "
+            f"noise={coeffs.noise[at]:.6e})")
+    return coeffs.signal * p / den
 
 
 def se_from_sinr(gamma, tau_c, tau_p):

@@ -6,6 +6,7 @@
 # - cascade: the full wave-domain matrix of one stack
 # - per-link MMSE statistics: EstimationStats, estimation_stats
 # - sinr_lsfd: the optimal SINR as the quadratic form p z^H b^-1 z
+# - sinr_breakdown: the five parts of every UE's SINR at given powers
 # - sinr_coefficients_loop: the per-UE power-control coefficients
 # - the term audit: predicted_cross_moments against cross_moment_estimates
 # - the per-AP, per-probe and per-setting loops that the batched channel
@@ -24,9 +25,8 @@ from simcf.estimation import EstimationError
 from simcf.experiments import MISSING, _drop_seed
 from simcf.montecarlo import (_combined_products, _TrialSampler,
                               uatf_monte_carlo)
-from simcf.optimize import (BeamformingConfig, TraceRow, _SinrCoefficients,
-                            allocate_pilots, maxmin_power,
-                            optimize_beamforming)
+from simcf.optimize import (BeamformingConfig, TraceRow, allocate_pilots,
+                            maxmin_power, optimize_beamforming)
 from simcf.pipeline import NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
 from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
@@ -164,6 +164,41 @@ def sinr_lsfd(terms, p, p_hat, tau_p, sigma2):
     return np.clip(gamma, 0.0, None), weights
 
 
+def sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2):
+    """Numerator and denominator parts of every UE's SINR.
+
+    Returns a dict of (..., K) arrays: signal, noncoherent, coherent,
+    self_term (subtracted), noise. sinr = signal / (noncoherent + coherent
+    - self_term + noise). Leading candidate axes of terms and weights
+    carry through.
+    """
+    p = np.asarray(p, dtype=float)
+    p_hat = np.asarray(p_hat, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    aa = np.abs(weights) ** 2                       # (..., K, L)
+    signal = p * np.abs(np.einsum("...kl,...kl->...k", weights.conj(),
+                                  terms.z)) ** 2
+    noncoherent = np.einsum("j,...kjl,...kl->...k", p, terms.xi, aa)
+    coeff = np.where(terms.copilot_mask(),
+                     p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
+                     0.0)
+    combined = np.einsum("...kl,...kjl->...kj", weights.conj(), terms.delta)
+    coherent = np.einsum("kj,...kj->...k", coeff, np.abs(combined) ** 2)
+    return {
+        "signal": signal,
+        "noncoherent": noncoherent,
+        "coherent": coherent,
+        "self_term": p * np.einsum("...kl,...kl->...k", aa, terms.lam ** 2),
+        "noise": sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z),
+    }
+
+
+def sinr_of_breakdown(parts):
+    """The SINR the parts of sinr_breakdown assemble to."""
+    return parts["signal"] / (parts["noncoherent"] + parts["coherent"]
+                              - parts["self_term"] + parts["noise"])
+
+
 def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
     """Power-control coefficients built one UE and one co-pilot at a time."""
     p_hat = np.asarray(p_hat, dtype=float)
@@ -182,7 +217,7 @@ def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
             d[k, j] += coeff * np.abs(a.conj() @ terms.delta[k, j]) ** 2
         d[k, k] -= float(aa @ terms.lam[k] ** 2)
         noise[k] = sigma2 * float(aa @ terms.z[k])
-    return _SinrCoefficients(signal=signal, d=d, noise=noise)
+    return se.SinrCoefficients(signal=signal, d=d, noise=noise)
 
 
 def predicted_cross_moments(terms, p_hat, tau_p):

@@ -182,7 +182,7 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
             assert np.allclose(state.r_all()[l, k], eff.r_eff)
     # AP-subset build agrees with the full build
-    part = model.channel_state(phases, ap_indices=[1])
+    part = model.channel_state(phases[[1]], ap_indices=[1])
     assert np.allclose(part.h_bar[0], state.h_bar[1])
     assert np.allclose(part.s[0], state.s[1])
 
@@ -195,7 +195,8 @@ def test_build_channel_state_equals_per_ap_loop(small_model, small_phases,
         model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
         phases = model.random_phases(4)
     for aps in (None, [2, 0, 2]):
-        state = model.channel_state(phases, ap_indices=aps)
+        rows = phases if aps is None else phases[aps]
+        state = model.channel_state(rows, ap_indices=aps)
         ref = build_channel_state_loop(model, phases, aps)
         assert np.array_equal(state.h_bar, ref.h_bar)
         assert np.array_equal(state.s, ref.s)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from simcf import cli
+from simcf import cli, experiments
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,6 +36,23 @@ def test_run_writes_rows(tmp_path, capsys):
     rows = (out / "rows.csv").read_text().splitlines()
     assert len(rows) == 1 + 3 * 2          # header + K UEs x 2 decoders
     assert "0 failed drops" in capsys.readouterr().out
+
+
+def test_run_prints_traceback_of_a_bug(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(experiments, "generate_drop", broken)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sweep": "L", "values": [2], "n_drops": 1,
+                                "base": {"K": 3, "U": 2, "M": 2, "N": 9,
+                                         "tau_p": 2}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--spec", str(spec), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: a bug" in err
+    assert json.loads(err.splitlines()[-1]) == {"error": "a bug",
+                                                "type": "TypeError"}
 
 
 def test_threads_option_rejected(tmp_path):

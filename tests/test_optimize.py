@@ -3,15 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, generate_drop
+from simcf import SystemConfig, generate_drop, optimize
 from simcf.estimation import EstimationError
 from simcf.optimize import (BeamformingConfig, SumSeObjective,
                             allocate_pilots, maxmin_power,
-                            optimize_beamforming, pilot_interference,
-                            sinr_coefficients)
+                            optimize_beamforming, pilot_interference)
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
-                      sinr_from_weights)
+                      sinr_coefficients, sinr_from_weights)
 
 from reference import (optimize_beamforming_serial, replace_ap,
                        sinr_coefficients_loop, terms_loop)
@@ -202,6 +201,23 @@ def test_maxmin_iteration_bound():
     sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
                        eps=eps)
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
+
+
+def test_maxmin_solves_once_per_bisection_step(monkeypatch):
+    cfg, drop, terms, p_hat, w = _maxmin_setup(55)
+    real = optimize._feasible_powers
+    calls = []
+
+    def spy(coeffs, t, p_max):
+        calls.append(t)
+        return real(coeffs, t, p_max)
+
+    monkeypatch.setattr(optimize, "_feasible_powers", spy)
+    sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2)
+    assert sol.t_star > 0 and len(calls) == sol.iterations
+    # the stored powers are the least solution at the final t_star
+    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
+    assert np.array_equal(sol.p, real(coeffs, sol.t_star, cfg.p_max))
 
 
 def test_maxmin_coefficients_match_direct_evaluation():

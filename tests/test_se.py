@@ -7,10 +7,10 @@ from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, SinrTerms, denominator_matrices,
                       egcd_weights, lsfd_weights, se_from_sinr,
-                      sinr_breakdown, sinr_from_weights, sinr_terms)
+                      sinr_coefficients, sinr_from_weights, sinr_terms)
 
 from reference import (cross_moment_estimates, predicted_cross_moments,
-                       sinr_lsfd)
+                       sinr_breakdown, sinr_lsfd, sinr_of_breakdown)
 
 
 def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
@@ -183,6 +183,11 @@ def test_no_pilot_sharing_kills_coherent_term():
     w = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
     parts = sinr_breakdown(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
     assert np.all(parts["coherent"] == 0)
+    # the coefficients do not see delta at all without a co-pilot
+    args = (p_hat, cfg.tau_p, cfg.sigma2)
+    blind = replace(terms, delta=np.zeros_like(terms.delta))
+    assert np.array_equal(sinr_coefficients(terms, w, *args).d,
+                          sinr_coefficients(blind, w, *args).d)
 
 
 def test_denominator_matrix_hermitian_pd(small_terms, small_cfg):
@@ -220,11 +225,27 @@ def test_report_csv_rows(small_terms, small_cfg):
     parts = sinr_breakdown(small_terms, w, *args)
     assert sinr.shape == (small_cfg.K,)
     # the breakdown reassembles the SINR
-    for k in range(small_cfg.K):
-        assert sinr[k] == pytest.approx(
-            parts["signal"][k] / (parts["noncoherent"][k]
-                                  + parts["coherent"][k]
-                                  - parts["self_term"][k] + parts["noise"][k]))
+    assert sinr == pytest.approx(sinr_of_breakdown(parts))
+
+
+@pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
+def test_sinr_from_weights_matches_breakdown_oracle(decoder):
+    rng = np.random.default_rng(17)
+    for seed in range(300, 324):
+        cfg, drop, pilots, terms = terms_at(seed)
+        p_hat = cfg.pilot_powers()
+        one_zero = rng.uniform(0, cfg.p_max, cfg.K)
+        one_zero[rng.integers(cfg.K)] = 0.0
+        for p in (np.full(cfg.K, cfg.p_max),
+                  rng.uniform(0, cfg.p_max, cfg.K), one_zero):
+            args = (p_hat, cfg.tau_p, cfg.sigma2)
+            w = (lsfd_weights(terms, p, *args) if decoder == "lsfd"
+                 else egcd_weights(terms))
+            gamma = sinr_from_weights(terms, w, p, *args)
+            ref = sinr_of_breakdown(sinr_breakdown(terms, w, p, *args))
+            np.testing.assert_allclose(gamma, ref, rtol=1e-12, atol=0)
+            assert np.array_equal(
+                sinr_coefficients(terms, w, *args).gamma(p), gamma)
 
 
 def candidate_stack(model, pilots, phases, l=1, n=5):
@@ -243,7 +264,7 @@ def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
     args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     b = denominator_matrices(stack, *args)
     w = lsfd_weights(stack, *args)
-    parts = sinr_breakdown(stack, w, *args)
+    coeffs = sinr_coefficients(stack, w, *args[1:])
     gamma = sinr_from_weights(stack, w, *args)
     ones = egcd_weights(stack)
     gamma_egcd = sinr_from_weights(stack, ones, *args)
@@ -252,9 +273,10 @@ def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
         one = stack.candidate(i)
         assert np.array_equal(b[i], denominator_matrices(one, *args))
         assert np.array_equal(w[i], lsfd_weights(one, *args))
-        one_parts = sinr_breakdown(one, w[i], *args)
-        for name, value in parts.items():
-            assert np.array_equal(value[i], one_parts[name])
+        one_coeffs = sinr_coefficients(one, w[i], *args[1:])
+        for name in ("signal", "d", "noise"):
+            assert np.array_equal(getattr(coeffs, name)[i],
+                                  getattr(one_coeffs, name))
         assert np.array_equal(gamma[i], sinr_from_weights(one, w[i], *args))
         assert np.array_equal(ones[i], egcd_weights(one))
         assert np.array_equal(gamma_egcd[i],
