@@ -2,14 +2,16 @@
 # Statistical channel objects seen through the stack: isotropic-scattering
 # spatial correlation on the output layer, planar-wavefront steering toward
 # every UE, and the effective antenna-domain statistics of every (AP, UE)
-# link for a given phase tensor.
+# link for a given phase tensor, or of one AP under every probe of a block
+# of its atoms.
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import Drop
-from .sim_physics import DiffractionSet, SimGeometry, cascade_through_antennas
+from .sim_physics import (DiffractionSet, SimGeometry, block_cascade_coeffs,
+                          cascade_through_antennas)
 
 
 def sinc_correlation(points, wavelength):
@@ -50,22 +52,48 @@ def steering_units(geom: SimGeometry, drop: Drop):
 
 
 def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
-                        steering, ap_indices=None) -> ChannelState:
+                        steering) -> ChannelState:
     """Effective statistics for a phase tensor (L, M, N).
 
     base_corr is the output-grid correlation (sinc_correlation) and
-    steering the unit steering vectors (steering_units) of the drop. With
-    ap_indices, phases holds one (M, N) slice per listed AP instead, shape
-    (len(ap_indices), M, N), and row i of the result belongs to AP
-    ap_indices[i]. An AP may be listed more than once: the phase optimizer
-    lists AP l once per candidate slice of a probe batch. All rows go
-    through one batched cascade.
+    steering the unit steering vectors (steering_units) of the drop. All
+    APs go through one batched cascade.
     """
-    aps = (np.arange(drop.cfg.L) if ap_indices is None
-           else np.asarray(ap_indices))
-    t = cascade_through_antennas(dset, phases)            # (n, N, U)
+    t = cascade_through_antennas(dset, phases)            # (L, N, U)
     proj = t.conj().swapaxes(-1, -2) @ base_corr @ t
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-    amp = np.sqrt(drop.beta_los[aps])[:, :, None] * steering[aps]   # (n, K, N)
+    amp = np.sqrt(drop.beta_los)[:, :, None] * steering   # (L, K, N)
     h_bar = amp @ t.conj()
-    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos[aps, :])
+    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos)
+
+
+def block_channel_state(drop: Drop, dset: DiffractionSet, l, base, rows, cols,
+                        steps, base_corr, steering) -> ChannelState:
+    """Statistics of AP l under each probe of one block, shape (B, ...).
+
+    Probe b turns the atoms (rows, cols) of AP l's phases base (M, N) by
+    steps[b]; row b of the result belongs to it, with every other AP left
+    out. With the cascade t(z) = sum_d c_d z^d (block_cascade_coeffs) at
+    z = e^{j step}, s(z) = t^H base_corr t is the Laurent polynomial
+    sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
+    sum_d conj(z^d) amp conj(c_d): the coefficient products are formed once
+    per block and each probe costs only their weighted sums. Each probe's
+    sums run on their own, so a row equals a one-probe call bit for bit.
+    """
+    c = block_cascade_coeffs(dset, base, rows, cols)      # (D+1, N, U)
+    n_coef, n_atoms, u = c.shape
+    n_ue = steering.shape[1]
+    flat = c.transpose(1, 0, 2).reshape(n_atoms, n_coef * u)
+    gram = (flat.conj().T @ (base_corr @ flat)).reshape(n_coef, u, n_coef, u)
+    gram = gram.transpose(0, 2, 1, 3).reshape(n_coef * n_coef, u * u)
+    amp = np.sqrt(drop.beta_los[l])[:, None] * steering[l]        # (K, N)
+    mean = (amp @ flat.conj()).reshape(n_ue, n_coef, u)
+    mean = mean.transpose(1, 0, 2).reshape(n_coef, n_ue * u)
+    steps = np.asarray(steps, dtype=float)
+    z = np.exp(1j * np.multiply.outer(steps, np.arange(n_coef)))  # (B, D+1)
+    pairs = (z.conj()[:, :, None] * z[:, None, :]).reshape(-1, 1, n_coef ** 2)
+    proj = (pairs @ gram).reshape(-1, u, u)
+    s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+    h_bar = (z.conj()[:, None, :] @ mean).reshape(-1, n_ue, u)
+    beta_nlos = np.repeat(drop.beta_nlos[l][None], steps.size, axis=0)
+    return ChannelState(h_bar=h_bar, s=s, beta_nlos=beta_nlos)

@@ -5,7 +5,7 @@
 # feasibility system induced by fixed CPU weights.
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,31 +94,44 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class ProbeBatch:
-    """Candidate (M, N) phase slices of one AP, evaluated as one batch.
+    """The probes of one block of AP l, evaluated as one batch.
 
-    terms stacks the full-network terms of every candidate on a leading
-    axis and values holds their sum SE. Both are None when a typed
-    numerical failure stopped the batch; each candidate is then evaluated
-    on its own when the search asks for it.
+    Probe i turns the atoms (rows, cols) of the AP's phases base (M, N) by
+    steps[i]. terms stacks the full-network terms of every probe on a
+    leading axis and values holds their sum SE. Both are None when a typed
+    numerical failure stopped the batch; each probe is then evaluated on
+    its own when the search asks for it.
     """
     ap: int
-    candidates: np.ndarray            # (B, M, N)
+    base: np.ndarray                  # (M, N)
+    rows: np.ndarray
+    cols: np.ndarray
+    steps: np.ndarray                 # (B,)
     terms: se.SinrTerms = None
     values: np.ndarray = None         # (B,)
+
+    def candidate(self, i):
+        """The AP's (M, N) phases under probe i, wrapped into [0, 2 pi)."""
+        phases = self.base.copy()
+        phases[self.rows, self.cols] = wrap_phases(
+            self.base[self.rows, self.cols] + self.steps[i])
+        return phases
 
 
 class SumSeObjective:
     """Closed-form sum SE of the network, with batched probing of one AP.
 
-    probe(l, candidates) takes B candidate (M, N) phase slices for AP l and
-    runs them as one batch through cascade, channel state, estimation
-    state, sinr_terms (with the candidates on the AP axis), the splice into
-    the other APs' terms, decoder weights, SINR and sum SE. Every candidate
-    gets exactly the value a one-candidate evaluation gives. A typed
-    failure (EstimationError, SinrComputationError) in the batch is not
-    raised there: value_of then evaluates the asked-for candidate alone, so
-    only a candidate the search reaches can raise. commit_ap adopts a
-    candidate's terms from its batch without rebuilding them.
+    probe(l, rows, cols, steps) turns a block of AP l's atoms by each of
+    the B steps and runs the probes as one batch: the block's channel state
+    from the polynomial coefficients of its cascade
+    (channel.block_channel_state), then estimation state, sinr_terms (with
+    the probes on the AP axis), the splice into the other APs' terms,
+    decoder weights, SINR and sum SE. Every probe gets exactly the value a
+    one-probe evaluation gives. A typed failure (EstimationError,
+    SinrComputationError) in the batch is not raised there: value_of then
+    evaluates the asked-for probe alone, so only a probe the search reaches
+    can raise. commit_ap adopts a probe's terms from its batch without
+    rebuilding them.
     """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
@@ -145,35 +158,41 @@ class SumSeObjective:
                                      cfg.tau_p, cfg.sigma2)
         return se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum(axis=-1)
 
-    def probe(self, l, candidates) -> ProbeBatch:
-        """Evaluate candidate (M, N) phase slices (B, M, N) for AP l."""
-        candidates = np.asarray(candidates, dtype=float)
+    def probe(self, l, rows, cols, steps) -> ProbeBatch:
+        """Evaluate turning the atoms (rows, cols) of AP l by each of steps."""
+        return self._evaluate(ProbeBatch(l, self.phases[l].copy(), rows, cols,
+                                         np.asarray(steps, dtype=float)))
+
+    def _evaluate(self, batch):
+        """batch with its terms and values, or as it is when a typed
+        failure stopped it; a one-probe batch raises that failure."""
         try:
-            terms = self.terms.splice_ap(
-                l, self.model.ap_terms(l, candidates, self.pilot_of))
-            return ProbeBatch(l, candidates, terms, self.value(terms))
+            terms = self.terms.splice_ap(batch.ap, self.model.block_terms(
+                batch.ap, batch.base, batch.rows, batch.cols, batch.steps,
+                self.pilot_of))
+            return replace(batch, terms=terms, values=self.value(terms))
         except (EstimationError, se.SinrComputationError):
-            if len(candidates) == 1:
+            if batch.steps.size == 1:
                 raise
-            return ProbeBatch(l, candidates)
+            return batch
 
     def _single(self, batch, i):
-        """(batch, index) holding candidate i's evaluated terms and value."""
+        """(batch, index) holding probe i's evaluated terms and value."""
         if batch.values is None:
-            return self.probe(batch.ap, batch.candidates[i:i + 1]), 0
+            return self._evaluate(replace(batch, steps=batch.steps[i:i + 1])), 0
         return batch, i
 
     def value_of(self, batch, i):
-        """Sum SE with candidate i of batch in place; raises what evaluating
-        that candidate alone raises."""
+        """Sum SE with probe i of batch in place; raises what evaluating
+        that probe alone raises."""
         batch, i = self._single(batch, i)
         return float(batch.values[i])
 
     def commit_ap(self, batch, i):
-        """Adopt candidate i of batch, reusing its terms."""
+        """Adopt probe i of batch, reusing its terms."""
         batch, i = self._single(batch, i)
         self.terms = batch.terms.candidate(i)
-        self.phases[batch.ap] = batch.candidates[i]
+        self.phases[batch.ap] = batch.candidate(i)
 
 
 def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
@@ -191,19 +210,20 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     with no improving probe the input phases survive.
 
     All probes of a block, plus their mirrors under symmetric_probe, are
-    evaluated as one batch (SumSeObjective.probe). The search then walks
-    them in order and accepts the first improving one, so the phases and
-    the trace are those of evaluating probe after probe, and an evaluation
-    error surfaces only at a probe that order reaches (a mirror only when
-    its forward probe was not accepted).
+    evaluated as one batch (SumSeObjective.probe), from the polynomial in
+    e^{j step} that the block's cascade is. The search then walks them in
+    order and accepts the first improving one, so the phases and the trace
+    are those of evaluating probe after probe, and an evaluation error
+    surfaces only at a probe that order reaches (a mirror only when its
+    forward probe was not accepted).
 
     Returns (phases, trace) with trace a list of TraceRow per probe.
     """
     rng = np.random.default_rng(rng)
     objective = SumSeObjective(model, pilot_of, p=p, decoder=cfg.decoder)
-    phases = wrap_phases(np.array(init_phases, dtype=float))
-    best = objective.set_phases(phases)
-    n_layers, n_atoms = phases.shape[1], phases.shape[2]
+    best = objective.set_phases(wrap_phases(np.asarray(init_phases,
+                                                      dtype=float)))
+    n_aps, n_layers, n_atoms = objective.phases.shape
     n_probes = cfg.max_probes
     steps = np.arange(1, n_probes + 1) * cfg.step_size
     if cfg.symmetric_probe:
@@ -211,15 +231,12 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     trace = [TraceRow(iteration=0, objective=best, accepted=False)]
     it = 0
     for _ in range(cfg.sweeps):
-        for l in range(phases.shape[0]):
+        for l in range(n_aps):
             order = rng.permutation(n_layers * n_atoms)
             for start in range(0, order.size, cfg.block_size):
                 block = order[start:start + cfg.block_size]
                 rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-                candidates = np.repeat(phases[l][None], steps.size, axis=0)
-                candidates[:, rows, cols] = wrap_phases(
-                    phases[l][rows, cols] + steps[:, None])
-                batch = objective.probe(l, candidates)
+                batch = objective.probe(l, rows, cols, steps)
                 for i in range(n_probes):
                     it += 1
                     pick = i
@@ -229,13 +246,12 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
                         if down > gain:
                             pick, gain = n_probes + i, down
                     if gain > cfg.min_gain:
-                        phases[l] = candidates[pick]
                         objective.commit_ap(batch, pick)
                         best += gain
                         trace.append(TraceRow(it, best, True))
                         break
                     trace.append(TraceRow(it, best, False))
-    return phases, trace
+    return objective.phases, trace
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import se
-from .channel import ChannelState, steering_units, build_channel_state, sinc_correlation
+from .channel import (ChannelState, block_channel_state, build_channel_state,
+                      sinc_correlation, steering_units)
 from .config import SystemConfig
 from .estimation import EstimationState, build_estimation_state
 from .scenario import Drop
@@ -39,12 +40,10 @@ class NetworkModel:
     def random_phases(self, rng):
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
 
-    def channel_state(self, phases, ap_indices=None) -> ChannelState:
-        """Statistics of every AP for a phase tensor (L, M, N); with
-        ap_indices, of one (M, N) slice per listed AP (row i of phases and
-        of the result is AP ap_indices[i])."""
+    def channel_state(self, phases) -> ChannelState:
+        """Statistics of every AP for a phase tensor (L, M, N)."""
         return build_channel_state(self.drop, self.dset, phases,
-                                   self.base_corr, self.steering, ap_indices)
+                                   self.base_corr, self.steering)
 
     def estimation_state(self, state: ChannelState, pilot_of) -> EstimationState:
         return build_estimation_state(state, pilot_of, self.cfg.pilot_powers(),
@@ -53,11 +52,12 @@ class NetworkModel:
     def terms(self, phases, pilot_of) -> se.SinrTerms:
         return self._terms(self.channel_state(phases), pilot_of)
 
-    def ap_terms(self, l, slices, pilot_of) -> se.SinrTerms:
-        """Terms of AP l alone under each (M, N) phase slice of slices
-        (B, M, N), built as one batch: the AP axis of the result runs over
-        the B slices."""
-        state = self.channel_state(slices, [l] * len(slices))
+    def block_terms(self, l, base, rows, cols, steps, pilot_of) -> se.SinrTerms:
+        """Terms of AP l alone under each probe of one block: its phases
+        base (M, N) with the atoms (rows, cols) turned by each of steps
+        (B,). The AP axis of the result runs over the B probes."""
+        state = block_channel_state(self.drop, self.dset, l, base, rows, cols,
+                                    steps, self.base_corr, self.steering)
         return self._terms(state, pilot_of)
 
     def _terms(self, state, pilot_of):

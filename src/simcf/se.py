@@ -36,15 +36,18 @@ class SinrTerms:
 
     Array layout: z[k, l], xi[k, j, l], delta[k, j, l], lam[k, l]. delta is
     only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
-    noise diagonal equals z and is not stored separately. A stack of
-    candidate networks (see splice_ap) puts a leading candidate axis in
-    front of every array but pilot_of.
+    noise diagonal equals z and is not stored separately. copilot is the
+    share-a-pilot relation of pilot_of without the diagonal, built once by
+    sinr_terms. A stack of candidate networks (see splice_ap) puts a
+    leading candidate axis in front of every array but pilot_of and
+    copilot.
     """
     z: np.ndarray        # (K, L) real >= 0
     xi: np.ndarray       # (K, K, L) real >= 0
     delta: np.ndarray    # (K, K, L) complex
     lam: np.ndarray      # (K, L) real >= 0
     pilot_of: np.ndarray  # (K,) int
+    copilot: np.ndarray   # (K, K) bool
 
     @property
     def n_ues(self):
@@ -53,11 +56,6 @@ class SinrTerms:
     @property
     def n_aps(self):
         return self.z.shape[-1]
-
-    def copilot_mask(self):
-        """(K, K) boolean: share-a-pilot relation excluding the diagonal."""
-        same = self.pilot_of[:, None] == self.pilot_of[None, :]
-        return same & ~np.eye(self.n_ues, dtype=bool)
 
     def splice_ap(self, l, other):
         """Candidate stack: these terms with AP l's column replaced by each
@@ -115,7 +113,8 @@ def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
     delta = np.where(same[:, :, None], delta, 0.0)
     _monitor_conditioning(est.psi)
     return SinrTerms(z=z, xi=xi, delta=delta, lam=lam,
-                     pilot_of=pilot_of.copy())
+                     pilot_of=pilot_of.copy(),
+                     copilot=same & ~np.eye(n_ue, dtype=bool))
 
 
 def _monitor_conditioning(psi):
@@ -132,7 +131,7 @@ def _monitor_conditioning(psi):
 def _coherent_coeffs(terms: SinrTerms, p, p_hat, tau_p):
     """(K, K) coefficients of the coherent contamination outer products."""
     coeff = (p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2)
-    return np.where(terms.copilot_mask(), coeff, 0.0)
+    return np.where(terms.copilot, coeff, 0.0)
 
 
 def denominator_matrices(terms: SinrTerms, p, p_hat, tau_p, sigma2):

@@ -129,7 +129,7 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
 
     Cheaper than forming G when only the effective U-dimensional channel is
     needed: right-multiplies layer by layer. Leading axes of phases are
-    batch axes (APs, probe candidates); each slice goes through its own
+    batch axes (the APs of a phase tensor); each slice goes through its own
     broadcast matmul, so it equals a call on that slice alone bit for bit.
     """
     phases = np.asarray(phases)
@@ -140,6 +140,37 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
     for m in range(1, dset.n_layers):
         t = shifts[..., m, :, :] * (dset.w_layer[m - 1] @ t)
     return t
+
+
+def block_cascade_coeffs(dset: DiffractionSet, phases_l, rows, cols):
+    """Cascade of one stack with a block of atoms turned, as a polynomial.
+
+    Turning the atoms (rows, cols) of the phases (M, N) by theta gives the
+    cascade sum_d c[d] e^{j d theta}, d = 0..D, with D the number of distinct
+    layers in rows: each touched layer's phase diagonal splits into
+    keep + e^{j theta} move. Returns c, shape (D+1, N, U); every layer
+    propagates all coefficients with one matmul.
+    """
+    shifts = np.exp(1j * np.asarray(phases_l))
+    if shifts.shape != (dset.n_layers, dset.w_first.shape[0]):
+        raise ValueError(f"phase array must be (M, N), got {shifts.shape}")
+    move = np.zeros_like(shifts)
+    move[rows, cols] = shifts[rows, cols]
+    keep = shifts - move
+    touched = set(np.asarray(rows).tolist())
+    n_atoms, u = dset.w_first.shape
+    c = dset.w_first          # (N, (d+1) U): column d*U + i is c[d][:, i]
+    for m in range(dset.n_layers):
+        if m:
+            c = dset.w_layer[m - 1] @ c
+        if m in touched:
+            out = np.zeros((n_atoms, c.shape[1] + u), dtype=complex)
+            out[:, :-u] = keep[m][:, None] * c
+            out[:, u:] += move[m][:, None] * c
+            c = out
+        else:
+            c = shifts[m][:, None] * c
+    return c.reshape(n_atoms, -1, u).transpose(1, 0, 2)
 
 
 def wrap_phases(phases):

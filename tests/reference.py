@@ -11,6 +11,9 @@
 # - the term audit: predicted_cross_moments against cross_moment_estimates
 # - the per-AP, per-probe and per-setting loops that the batched channel
 #   build, phase search and Monte-Carlo pass replace
+# - turned_slices and build_channel_state_slices: every probe of a block as
+#   its own phase slice through the full cascade, which the block
+#   polynomial of channel.block_channel_state replaces
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
@@ -179,7 +182,7 @@ def sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2):
     signal = p * np.abs(np.einsum("...kl,...kl->...k", weights.conj(),
                                   terms.z)) ** 2
     noncoherent = np.einsum("j,...kjl,...kl->...k", p, terms.xi, aa)
-    coeff = np.where(terms.copilot_mask(),
+    coeff = np.where(terms.copilot,
                      p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
                      0.0)
     combined = np.einsum("...kl,...kjl->...kj", weights.conj(), terms.delta)
@@ -206,7 +209,7 @@ def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
     signal = np.zeros(k_ues)
     d = np.zeros((k_ues, k_ues))
     noise = np.zeros(k_ues)
-    mask = terms.copilot_mask()
+    mask = terms.copilot
     for k in range(k_ues):
         a = weights[k]
         aa = np.abs(a) ** 2
@@ -319,6 +322,27 @@ def build_channel_state_loop(model, phases, ap_indices=None):
         h_bar[i] = amp @ t.conj()
     return ChannelState(h_bar=h_bar, s=s,
                         beta_nlos=drop.beta_nlos[aps, :].copy())
+
+
+def turned_slices(base, rows, cols, steps):
+    """The (M, N) phases base with the atoms (rows, cols) turned by each of
+    steps and wrapped, one slice per step: (B, M, N)."""
+    slices = np.repeat(np.asarray(base)[None], len(steps), axis=0)
+    slices[:, rows, cols] = wrap_phases(
+        np.asarray(base)[rows, cols] + np.asarray(steps)[:, None])
+    return slices
+
+
+def build_channel_state_slices(model, slices, ap_indices):
+    """Statistics of one (M, N) phase slice per listed AP, (len(ap_indices),
+    ...), with every slice through its own full cascade in one batch."""
+    aps = np.asarray(ap_indices)
+    t = cascade_through_antennas(model.dset, slices)       # (n, N, U)
+    proj = t.conj().swapaxes(-1, -2) @ model.base_corr @ t
+    s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
+    amp = np.sqrt(model.drop.beta_los[aps])[:, :, None] * model.steering[aps]
+    return ChannelState(h_bar=amp @ t.conj(), s=s,
+                        beta_nlos=model.drop.beta_nlos[aps, :])
 
 
 def terms_loop(model, phases, pilot_of, ap_indices=None):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, generate_drop
-from simcf.channel import sinc_correlation
+from simcf.channel import block_channel_state, sinc_correlation
 from simcf.pipeline import NetworkModel
 from simcf.scenario import psd_sqrt
 from simcf.sim_physics import random_phase_tensor, stack_for
 
-from reference import (SimUeChannelStats, build_channel_state_loop, cascade,
-                       effective_stats, sample_channel, sim_ue_stats,
-                       steering_vector)
+from reference import (SimUeChannelStats, build_channel_state_loop,
+                       build_channel_state_slices, cascade, effective_stats,
+                       sample_channel, sim_ue_stats, steering_vector,
+                       turned_slices)
 
 
 def test_sinc_values():
@@ -181,8 +182,10 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
             eff = effective_stats(model.dset.w_first, g, stats)
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
             assert np.allclose(state.r_all()[l, k], eff.r_eff)
-    # AP-subset build agrees with the full build
-    part = model.channel_state(phases[[1]], ap_indices=[1])
+    # a block state at a zero turn agrees with the full build's AP
+    part = block_channel_state(small_drop, model.dset, 1, phases[1],
+                               np.array([0]), np.array([4]), [0.0],
+                               model.base_corr, model.steering)
     assert np.allclose(part.h_bar[0], state.h_bar[1])
     assert np.allclose(part.s[0], state.s[1])
 
@@ -194,10 +197,50 @@ def test_build_channel_state_equals_per_ap_loop(small_model, small_phases,
     if paper_scale:
         model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
         phases = model.random_phases(4)
-    for aps in (None, [2, 0, 2]):
-        rows = phases if aps is None else phases[aps]
-        state = model.channel_state(rows, ap_indices=aps)
-        ref = build_channel_state_loop(model, phases, aps)
-        assert np.array_equal(state.h_bar, ref.h_bar)
-        assert np.array_equal(state.s, ref.s)
+    state = model.channel_state(phases)
+    ref = build_channel_state_loop(model, phases)
+    assert np.array_equal(state.h_bar, ref.h_bar)
+    assert np.array_equal(state.s, ref.s)
+    assert np.array_equal(state.beta_nlos, ref.beta_nlos)
+    # the per-slice oracle, with an AP listed twice, against the loop
+    aps = [2, 0, 2]
+    sliced = build_channel_state_slices(model, phases[aps], aps)
+    ref = build_channel_state_loop(model, phases, aps)
+    for name in ("h_bar", "s", "beta_nlos"):
+        assert np.array_equal(getattr(sliced, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("paper_scale", [False, True])
+def test_block_channel_state_matches_turned_slices(small_model, small_phases,
+                                                   paper_scale):
+    model, phases = small_model, small_phases
+    if paper_scale:
+        model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
+        phases = model.random_phases(4)
+    _, n_layers, n_atoms = phases.shape
+    rng = np.random.default_rng(6)
+    steps = np.concatenate([np.arange(1, 17), -np.arange(1, 17)]) * np.pi / 8
+    l = 1
+    for block_size in (1, 3, 4, 5):
+        block = rng.permutation(n_layers * n_atoms)[:block_size]
+        rows, cols = np.unravel_index(block, (n_layers, n_atoms))
+        state = block_channel_state(model.drop, model.dset, l, phases[l],
+                                    rows, cols, steps, model.base_corr,
+                                    model.steering)
+        ref = build_channel_state_slices(
+            model, turned_slices(phases[l], rows, cols, steps),
+            [l] * steps.size)
+        for name in ("h_bar", "s"):
+            want = getattr(ref, name)
+            np.testing.assert_allclose(getattr(state, name), want,
+                                       rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
         assert np.array_equal(state.beta_nlos, ref.beta_nlos)
+        assert np.array_equal(state.s, state.s.conj().swapaxes(-1, -2))
+        # each probe's row is what a one-probe call gives
+        for i in (0, 7, steps.size - 1):
+            one = block_channel_state(model.drop, model.dset, l, phases[l],
+                                      rows, cols, steps[i:i + 1],
+                                      model.base_corr, model.steering)
+            assert np.array_equal(one.h_bar[0], state.h_bar[i])
+            assert np.array_equal(one.s[0], state.s[i])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, generate_drop, optimize
+from simcf import SystemConfig, channel, generate_drop, optimize
 from simcf.estimation import EstimationError
 from simcf.optimize import (BeamformingConfig, SumSeObjective,
                             allocate_pilots, maxmin_power,
@@ -13,7 +13,7 @@ from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       sinr_coefficients, sinr_from_weights)
 
 from reference import (optimize_beamforming_serial, replace_ap,
-                       sinr_coefficients_loop, terms_loop)
+                       sinr_coefficients_loop, terms_loop, turned_slices)
 
 
 def test_pilots_identity_when_enough():
@@ -115,14 +115,15 @@ def test_incremental_objective_matches_full_rebuild(small_model,
                                                     small_phases):
     obj = SumSeObjective(small_model, small_pilots.pilot_of)
     obj.set_phases(small_phases)
-    rng = np.random.default_rng(4)
-    candidate = np.mod(small_phases[1] + rng.uniform(0, 1, small_phases[1].shape),
-                       2 * np.pi)
-    fast = obj.value_of(obj.probe(1, [candidate]), 0)
-    full = small_phases.copy()
-    full[1] = candidate
-    slow = obj.set_phases(full)
-    assert fast == pytest.approx(slow, rel=1e-12)
+    rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
+    for step in (0.7, -2.5):
+        batch = obj.probe(1, rows, cols, [step])
+        fast = obj.value_of(batch, 0)
+        full = small_phases.copy()
+        full[1] = batch.candidate(0)
+        slow = obj.set_phases(full)
+        assert fast == pytest.approx(slow, rel=1e-12)
+        obj.set_phases(small_phases)
 
 
 def test_final_phases_reproduce_reported_objective(small_model, small_pilots,
@@ -220,16 +221,6 @@ def test_maxmin_solves_once_per_bisection_step(monkeypatch):
     assert np.array_equal(sol.p, real(coeffs, sol.t_star, cfg.p_max))
 
 
-def test_maxmin_coefficients_match_direct_evaluation():
-    cfg, drop, terms, p_hat, w = _maxmin_setup(60)
-    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        p = rng.uniform(0, cfg.p_max, cfg.K)
-        direct = sinr_from_weights(terms, w, p, p_hat, cfg.tau_p, cfg.sigma2)
-        assert np.allclose(coeffs.gamma(p), direct, rtol=1e-10)
-
-
 @pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
 def test_sinr_coefficients_match_per_ue_loop(decoder):
     for seed in range(10):
@@ -272,56 +263,93 @@ def test_batched_search_equals_serial_search(small_model, small_pilots,
     ref_out, ref_trace = optimize_beamforming_serial(
         small_model, small_pilots.pilot_of, small_phases, cfg, rng=1)
     assert np.array_equal(out, ref_out)
-    assert trace == ref_trace
+    assert [(r.iteration, r.accepted) for r in trace] == \
+        [(r.iteration, r.accepted) for r in ref_trace]
+    for row, ref_row in zip(trace, ref_trace):
+        assert row.objective == pytest.approx(ref_row.objective, rel=1e-12)
 
 
 def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
                                             small_phases):
     obj = SumSeObjective(small_model, small_pilots.pilot_of)
     obj.set_phases(small_phases)
-    rng = np.random.default_rng(8)
     l = 2
-    slices = np.mod(small_phases[l] + rng.uniform(0, 1, (6, 2, 9)),
-                    2 * np.pi)
-    batch = obj.probe(l, slices)
-    for i, ap_phases in enumerate(slices):
+    rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
+    steps = np.array([1, 2, 5, 16, -3, -8]) * np.pi / 8
+    batch = obj.probe(l, rows, cols, steps)
+    for i in range(steps.size):
         patched = small_phases.copy()
-        patched[l] = ap_phases
+        patched[l] = batch.candidate(i)
+        assert np.array_equal(patched[l],
+                              turned_slices(small_phases[l], rows, cols,
+                                            steps)[i])
         one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
         expected = replace_ap(obj.terms, l, one_ap)
         got = batch.terms.candidate(i)
         for name in ("z", "xi", "delta", "lam"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
+            want = getattr(expected, name)
+            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
         assert obj.value_of(batch, i) == obj.value_of(
-            obj.probe(l, [ap_phases]), 0)
+            obj.probe(l, rows, cols, steps[i:i + 1]), 0)
     obj.commit_ap(batch, 4)
-    assert np.array_equal(obj.phases[l], slices[4])
+    assert np.array_equal(obj.phases[l], batch.candidate(4))
     assert np.array_equal(obj.terms.xi, batch.terms.xi[4])
     assert obj.set_phases(obj.phases) == pytest.approx(obj.value_of(batch, 4),
                                                        rel=1e-12)
 
 
+def test_probes_never_run_the_full_cascade(small_model, small_pilots,
+                                           small_phases, monkeypatch):
+    # only a full build (set_phases) may run cascade_through_antennas, once
+    # per build; a probe batch works from the block's polynomial
+    calls, builds, open_builds = [], [], []
+    real_cascade = channel.cascade_through_antennas
+    real_set = SumSeObjective.set_phases
+
+    def cascade_spy(dset, phases):
+        calls.append((bool(open_builds), np.shape(phases)))
+        return real_cascade(dset, phases)
+
+    def set_spy(self, phases):
+        builds.append(phases)
+        open_builds.append(phases)
+        try:
+            return real_set(self, phases)
+        finally:
+            open_builds.pop()
+
+    monkeypatch.setattr(channel, "cascade_through_antennas", cascade_spy)
+    monkeypatch.setattr(SumSeObjective, "set_phases", set_spy)
+    cfg = BeamformingConfig(symmetric_probe=True, sweeps=2)
+    _, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
+                                    small_phases, cfg, rng=2)
+    assert len(trace) > 1 and len(builds) == 1
+    assert calls == [(True, small_phases.shape)]
+
+
 def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
-    """Make candidate `index` of the first probe batch, and that phase
-    slice wherever it is evaluated again, fail: "sinr" gives it a negative
+    """Make probe `index` of the first probe batch, and that phase slice
+    wherever it is evaluated again, fail: "sinr" gives it a negative
     interference term, so its EGCD SINR denominator is nonpositive;
     "estimation" raises EstimationError while it is in the batch."""
-    real = model.ap_terms
+    real = model.block_terms
     target = []
 
-    def ap_terms(l, slices, pilot_of):
+    def block_terms(l, base, rows, cols, steps, pilot_of):
+        slices = turned_slices(base, rows, cols, steps)
         if not target:
             target.append(slices[index].copy())
         hit = [i for i, s in enumerate(slices)
                if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
-        terms = real(l, slices, pilot_of)
+        terms = real(l, base, rows, cols, steps, pilot_of)
         xi = terms.xi.copy()
         xi[..., hit] = -1e6 * np.abs(xi).max()
         return replace(terms, xi=xi)
 
-    monkeypatch.setattr(model, "ap_terms", ap_terms)
+    monkeypatch.setattr(model, "block_terms", block_terms)
 
 
 @pytest.mark.parametrize("failure", ["sinr", "estimation"])

@@ -5,7 +5,7 @@ import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.pipeline import NetworkModel
-from simcf.se import (SinrComputationError, SinrTerms, denominator_matrices,
+from simcf.se import (SinrComputationError, denominator_matrices,
                       egcd_weights, lsfd_weights, se_from_sinr,
                       sinr_coefficients, sinr_from_weights, sinr_terms)
 
@@ -136,8 +136,7 @@ def test_weight_scaling_invariance():
     # scaling the gain vector scales the weights linearly and leaves the
     # SINR alone; exact once the z-coupled noise diagonal is switched off
     w0 = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, 0.0)
-    scaled = SinrTerms(z=3.0 * terms.z, xi=terms.xi, delta=terms.delta,
-                       lam=terms.lam, pilot_of=terms.pilot_of)
+    scaled = replace(terms, z=3.0 * terms.z)
     w_scaled = lsfd_weights(scaled, drop.p, p_hat, cfg.tau_p, 0.0)
     assert np.allclose(w_scaled, 3.0 * w0, rtol=1e-9)
     g3 = sinr_from_weights(terms, w_scaled, drop.p, p_hat, cfg.tau_p, 0.0)
@@ -207,10 +206,9 @@ def test_se_prelog_values():
 
 
 def test_negative_denominator_raises(small_terms, small_cfg):
-    broken = SinrTerms(z=small_terms.z, xi=np.zeros_like(small_terms.xi),
-                       delta=np.zeros_like(small_terms.delta),
-                       lam=np.sqrt(np.ones_like(small_terms.lam)),
-                       pilot_of=small_terms.pilot_of)
+    broken = replace(small_terms, xi=np.zeros_like(small_terms.xi),
+                     delta=np.zeros_like(small_terms.delta),
+                     lam=np.sqrt(np.ones_like(small_terms.lam)))
     p = np.full(small_cfg.K, small_cfg.p_max)
     with pytest.raises(SinrComputationError):
         sinr_from_weights(broken, egcd_weights(broken), p,
@@ -228,33 +226,47 @@ def test_report_csv_rows(small_terms, small_cfg):
     assert sinr == pytest.approx(sinr_of_breakdown(parts))
 
 
-@pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
-def test_sinr_from_weights_matches_breakdown_oracle(decoder):
+def _oracle_cases():
+    """(cfg, terms, powers the weights are built at, powers evaluated at)."""
     rng = np.random.default_rng(17)
     for seed in range(300, 324):
         cfg, drop, pilots, terms = terms_at(seed)
-        p_hat = cfg.pilot_powers()
         one_zero = rng.uniform(0, cfg.p_max, cfg.K)
         one_zero[rng.integers(cfg.K)] = 0.0
         for p in (np.full(cfg.K, cfg.p_max),
                   rng.uniform(0, cfg.p_max, cfg.K), one_zero):
-            args = (p_hat, cfg.tau_p, cfg.sigma2)
-            w = (lsfd_weights(terms, p, *args) if decoder == "lsfd"
-                 else egcd_weights(terms))
-            gamma = sinr_from_weights(terms, w, p, *args)
-            ref = sinr_of_breakdown(sinr_breakdown(terms, w, p, *args))
-            np.testing.assert_allclose(gamma, ref, rtol=1e-12, atol=0)
-            assert np.array_equal(
-                sinr_coefficients(terms, w, *args).gamma(p), gamma)
+            yield cfg, terms, p, p
+    # max-min power control's use: weights fixed at full power, evaluated
+    # at other powers
+    cfg, drop, pilots, model, _ = model_at(60, l=4, k=4)
+    terms = model.terms(model.random_phases([60, 5]), pilots.pilot_of)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        yield cfg, terms, drop.p, rng.uniform(0, cfg.p_max, cfg.K)
+
+
+@pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
+def test_sinr_from_weights_matches_breakdown_oracle(decoder):
+    for cfg, terms, p_weights, p in _oracle_cases():
+        args = (cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+        w = (lsfd_weights(terms, p_weights, *args) if decoder == "lsfd"
+             else egcd_weights(terms))
+        gamma = sinr_from_weights(terms, w, p, *args)
+        ref = sinr_of_breakdown(sinr_breakdown(terms, w, p, *args))
+        np.testing.assert_allclose(gamma, ref, rtol=1e-12, atol=0)
+        assert np.array_equal(
+            sinr_coefficients(terms, w, *args).gamma(p), gamma)
 
 
 def candidate_stack(model, pilots, phases, l=1, n=5):
-    """Terms of n random candidate phase slices for AP l, stacked."""
+    """Terms of n probes of one random block of AP l, stacked."""
     rng = np.random.default_rng(3)
-    slices = np.mod(phases[l] + rng.uniform(0, 1, (n, *phases[l].shape)),
-                    2 * np.pi)
+    block = rng.permutation(phases[l].size)[:4]
+    rows, cols = np.unravel_index(block, phases[l].shape)
+    steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases, pilots.pilot_of)
-    return base.splice_ap(l, model.ap_terms(l, slices, pilots.pilot_of))
+    return base.splice_ap(l, model.block_terms(l, phases[l], rows, cols, steps,
+                                               pilots.pilot_of))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig
-from simcf.sim_physics import (DiffractionSet, build_diffraction_set,
-                               build_geometry, cascade_through_antennas,
+from simcf.sim_physics import (DiffractionSet, block_cascade_coeffs,
+                               build_diffraction_set, build_geometry,
+                               cascade_through_antennas,
                                planar_grid, random_phase_tensor, stack_for,
                                transfer_matrix, wrap_phases)
 
-from reference import cascade
+from reference import cascade, turned_slices
 
 
 def scalar_coefficient(src, dst, wavelength, area):
@@ -178,3 +179,48 @@ def test_cascade_batch_equals_per_slice_calls():
                               cascade_through_antennas(dset, phases[idx]))
     with pytest.raises(ValueError):
         cascade_through_antennas(dset, phases[..., :8])
+
+
+STEPS = np.arange(-16, 17) * np.pi / 8     # mirrors, theta = 0 and 2 pi
+
+
+def _check_block_polynomial(dset, phases, rows, cols):
+    coeffs = block_cascade_coeffs(dset, phases, rows, cols)
+    assert coeffs.shape == (len(set(rows.tolist())) + 1,
+                            *dset.w_first.shape)
+    powers = np.exp(1j * np.multiply.outer(STEPS, np.arange(len(coeffs))))
+    got = np.einsum("bd,dnu->bnu", powers, coeffs)
+    want = cascade_through_antennas(dset,
+                                    turned_slices(phases, rows, cols, STEPS))
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+    np.testing.assert_allclose(coeffs.sum(axis=0),
+                               cascade_through_antennas(dset, phases),
+                               rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("block_size", [1, 3, 5])
+def test_block_cascade_polynomial_matches_turned_cascade(m, block_size):
+    # every block of a permutation of all atoms, the last one short when
+    # block_size does not divide M N, at steps of both signs
+    cfg = SystemConfig(L=1, K=1, U=2, M=m, N=16)
+    _, dset = stack_for(cfg)
+    rng = np.random.default_rng([m, block_size])
+    phases = rng.uniform(0, 2 * np.pi, (m, 16))
+    order = rng.permutation(m * 16)
+    for start in range(0, order.size, block_size):
+        rows, cols = np.unravel_index(order[start:start + block_size],
+                                      (m, 16))
+        _check_block_polynomial(dset, phases, rows, cols)
+
+
+def test_block_cascade_polynomial_degree_counts_layers():
+    cfg = SystemConfig(L=1, K=1, U=2, M=5, N=16)
+    _, dset = stack_for(cfg)
+    phases = np.random.default_rng(4).uniform(0, 2 * np.pi, (5, 16))
+    one_layer = (np.full(4, 3), np.array([0, 5, 9, 15]))
+    every_layer = (np.array([4, 0, 2, 1, 3]), np.array([7, 7, 1, 12, 0]))
+    for (rows, cols), degree in ((one_layer, 1), (every_layer, 5)):
+        assert len(block_cascade_coeffs(dset, phases, rows, cols)) == degree + 1
+        _check_block_polynomial(dset, phases, rows, cols)
