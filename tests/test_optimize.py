@@ -13,7 +13,8 @@ from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       sinr_coefficients, sinr_from_weights)
 
 from reference import (optimize_beamforming_serial, replace_ap,
-                       sinr_coefficients_loop, terms_loop, turned_slices)
+                       sinr_breakdown, sinr_coefficients_loop,
+                       sinr_of_breakdown, terms_loop, turned_slices)
 
 
 def test_pilots_identity_when_enough():
@@ -219,6 +220,19 @@ def test_maxmin_solves_once_per_bisection_step(monkeypatch):
     # the stored powers are the least solution at the final t_star
     coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
     assert np.array_equal(sol.p, real(coeffs, sol.t_star, cfg.p_max))
+
+
+def test_maxmin_coefficients_match_direct_evaluation():
+    # the coefficients max-min bisects over give, at any power vector, the
+    # SINR the term-by-term breakdown oracle assembles
+    cfg, drop, terms, p_hat, w = _maxmin_setup(60)
+    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        p = rng.uniform(0, cfg.p_max, cfg.K)
+        direct = sinr_of_breakdown(
+            sinr_breakdown(terms, w, p, p_hat, cfg.tau_p, cfg.sigma2))
+        np.testing.assert_allclose(coeffs.gamma(p), direct, rtol=1e-10)
 
 
 @pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
