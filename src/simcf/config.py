@@ -91,10 +91,6 @@ class SystemConfig:
         """Axial spacing between adjacent layers (and antennas to layer 1)."""
         return self.t_sim / self.M
 
-    @property
-    def tau_u(self):
-        return self.tau_c - self.tau_p
-
     def pilot_powers(self):
         """Per-UE pilot power vector of length K."""
         p = np.asarray(self.p_hat, dtype=float)

@@ -1,7 +1,7 @@
 # simcf/estimation.py
 # Phase-aware MMSE channel estimation: second-order statistics of every
 # (AP, UE) link at once (pilot-domain covariance, estimate covariance, error
-# covariance, estimator gain) and realization-level estimates for
+# covariance, estimator core) and realization-level estimates for
 # Monte-Carlo runs.
 
 from dataclasses import dataclass
@@ -17,12 +17,21 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationState:
-    """Batched estimation statistics for every (AP, UE) link."""
+    """Batched estimation statistics for every (AP, UE) link. mmse_estimate
+    forms the estimator matrix sqrt(p_hat_k) core^H from core."""
     psi: np.ndarray       # (L, K, U, U)
     core: np.ndarray      # (L, K, U, U) psi^-1 r
     omega: np.ndarray     # (L, K, U, U)
     err_cov: np.ndarray   # (L, K, U, U)
-    gain: np.ndarray      # (L, K, U, U) estimator matrix sqrt(p_hat_k) r psi^-1
+
+
+def _pilot_onehot(pilot_of):
+    """(K, T) map of UEs to pilots, T = pilot_of.max() + 1."""
+    if np.any(pilot_of < 0):
+        raise EstimationError("pilot assignment incomplete (unassigned UEs)")
+    onehot = np.zeros((pilot_of.size, int(pilot_of.max()) + 1))
+    onehot[np.arange(pilot_of.size), pilot_of] = 1.0
+    return onehot
 
 
 def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
@@ -33,14 +42,10 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     pilot covariance at AP l depends on the pilot index only.
     """
     pilot_of = np.asarray(pilot_of)
-    if np.any(pilot_of < 0):
-        raise EstimationError("pilot assignment incomplete (unassigned UEs)")
-    n_ap, n_ue, u = state.h_bar.shape
+    onehot = _pilot_onehot(pilot_of)
+    u = state.h_bar.shape[-1]
     p_hat = np.asarray(p_hat, dtype=float)
     # pilot-domain load per (AP, pilot): tau_p * sum of co-pilot NLoS gains
-    n_pilots = int(pilot_of.max()) + 1
-    onehot = np.zeros((n_ue, n_pilots))
-    onehot[np.arange(n_ue), pilot_of] = 1.0
     load = tau_p * (state.beta_nlos * p_hat[None, :]) @ onehot   # (L, T)
     psi_t = (load[:, :, None, None] * state.s[:, None]
              + sigma2 * np.eye(u)[None, None])                  # (L, T, U, U)
@@ -53,9 +58,7 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     omega = r @ core
     omega = 0.5 * (omega + omega.conj().swapaxes(-1, -2))
     err_cov = r - (p_hat * tau_p)[None, :, None, None] * omega
-    gain = np.sqrt(p_hat)[None, :, None, None] * core.conj().swapaxes(-1, -2)
-    return EstimationState(psi=psi, core=core, omega=omega, err_cov=err_cov,
-                           gain=gain)
+    return EstimationState(psi=psi, core=core, omega=omega, err_cov=err_cov)
 
 
 def despread_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
@@ -75,16 +78,19 @@ def mmse_estimate(est: EstimationState, h_bar, phase, nlos, pilot_of, p_hat,
 
     h_bar: (L, K, U) mean channels; phase: (..., L, K) sampled LoS phases;
     nlos: (..., L, K, U) sampled zero-mean channel parts; pilot_noise:
-    (..., L, n_pilots, U). Returns estimates of shape (..., L, K, U); the
-    error is (true channel) - (estimate) with true = h_bar e^{j phase} + nlos.
+    (..., L, T, U) with T = pilot_of.max() + 1. Returns estimates of shape
+    (..., L, K, U); the error is (true channel) - (estimate) with
+    true = h_bar e^{j phase} + nlos. Each pilot's observation (tau_p times
+    its UEs' weighted NLoS sum, plus its noise) is formed once and read by
+    every UE on it through sqrt(p_hat_k) core^H.
     """
     pilot_of = np.asarray(pilot_of)
-    n_ue = h_bar.shape[1]
-    weighted = np.sqrt(np.asarray(p_hat, dtype=float))[:, None] * nlos
-    observed = np.zeros_like(nlos)
-    for k in range(n_ue):
-        copilots = np.flatnonzero(pilot_of == pilot_of[k])
-        observed[..., k, :] = tau_p * weighted[..., copilots, :].sum(axis=-2) \
-            + pilot_noise[..., pilot_of[k], :]
+    onehot = _pilot_onehot(pilot_of)
+    p_root = np.sqrt(np.asarray(p_hat, dtype=float))
+    # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T)
+    summed = np.tensordot(p_root[:, None] * nlos, onehot, axes=(-2, 0))
+    observed = (tau_p * summed.swapaxes(-1, -2)
+                + pilot_noise)[..., pilot_of, :]
+    gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
     los = h_bar * np.exp(1j * phase)[..., None]
-    return los + np.einsum("lkuv,...lkv->...lku", est.gain, observed)
+    return los + np.einsum("lkuv,...lkv->...lku", gain, observed)

@@ -65,6 +65,9 @@ class ExperimentSpec:
             raise ExperimentError("value list must be non-empty")
         if self.n_drops < 1:
             raise ExperimentError("n_drops must be >= 1")
+        if self.n_mc_trials < 0 or not 0 < self.maxmin_eps < np.inf:
+            raise ExperimentError("need n_mc_trials >= 0 and finite "
+                                  "maxmin_eps > 0")
         bad = set(self.schemes) - set(SCHEMES)
         if self.sweep != "scheme" and bad:
             raise ExperimentError(f"unknown schemes: {sorted(bad)}")

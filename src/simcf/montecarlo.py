@@ -33,14 +33,9 @@ class _TrialSampler:
         self.tau_p = tau_p
         self.sigma2 = sigma2
         self.rng = np.random.default_rng(rng)
-        r = state.r_all()
-        n_ap, n_ue, u, _ = r.shape
-        self.nlos_factor = np.zeros_like(r)
-        for l in range(n_ap):
-            for k in range(n_ue):
-                self.nlos_factor[l, k] = psd_sqrt(r[l, k])
+        self.nlos_factor = psd_sqrt(state.r_all())      # (L, K, U, U)
         self.n_pilots = int(self.pilot_of.max()) + 1
-        self.shape = (n_ap, n_ue, u)
+        self.shape = state.h_bar.shape
 
     def draw(self, batch):
         """(channels, estimates), each (batch, L, K, U)."""
@@ -82,6 +77,9 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     so the settings see common random numbers. Each setting's result equals
     a call for that setting alone with the same rng, bit for bit.
     """
+    if n_trials < 1 or batch < 1:
+        raise ValueError(f"need n_trials >= 1 and batch >= 1, got "
+                         f"n_trials={n_trials}, batch={batch}")
     sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
     n_ap, n_ue, _ = sampler.shape
     p = np.asarray(p, dtype=float)
@@ -111,34 +109,26 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
             acc1[s] += feats.sum(axis=0)
             acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
         done += b
-    gamma = np.zeros((len(p), n_ue))
-    stderr = np.zeros((len(p), n_ue))
-    for s in range(len(p)):
-        gamma[s], stderr[s] = _delta_method(acc1[s], acc2[s], p[s], sigma2,
-                                            n_trials)
+    gamma, stderr = _delta_method(acc1, acc2, p, sigma2, n_trials)
     return UatfEstimate(gamma=gamma.reshape(*lead, n_ue),
                         stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
 
 
 def _delta_method(acc1, acc2, p, sigma2, n_trials):
-    """(gamma, stderr), each (K,), of one setting from its feature sums."""
-    n_ue, dim = acc1.shape
+    """(gamma, stderr), each (S, K), of S settings in one pass, from the
+    feature sums acc1 (S, K, dim) and acc2 (S, K, dim, dim) and powers p
+    (S, K); features are (Re u, Im u, w_1 .. w_K, nv) per UE."""
     mean = acc1 / n_trials
-    cov = acc2 / n_trials - np.einsum("ki,kj->kij", mean, mean)
-    gamma = np.zeros(n_ue)
-    stderr = np.zeros(n_ue)
-    for k in range(n_ue):
-        ur, ui = mean[k, 0], mean[k, 1]
-        w = mean[k, 2:2 + n_ue]
-        nv = mean[k, -1]
-        num = p[k] * (ur ** 2 + ui ** 2)
-        den = float(p @ w) - num + sigma2 * nv
-        gamma[k] = num / den
-        grad = np.zeros(dim)
-        grad[0] = 2.0 * p[k] * ur * (den + num) / den ** 2
-        grad[1] = 2.0 * p[k] * ui * (den + num) / den ** 2
-        grad[2:2 + n_ue] = -num * p / den ** 2
-        grad[-1] = -num * sigma2 / den ** 2
-        var = float(grad @ cov[k] @ grad) / n_trials
-        stderr[k] = np.sqrt(max(var, 0.0))
-    return gamma, stderr
+    cov = acc2 / n_trials - mean[..., :, None] * mean[..., None, :]
+    u = mean[..., :2]                                  # (S, K, 2)
+    num = p * (u ** 2).sum(axis=-1)
+    den = np.einsum("skj,sj->sk", mean[..., 2:-1], p) - num \
+        + sigma2 * mean[..., -1]
+    gamma = num / den
+    grad = np.concatenate([
+        (2.0 * p * (den + num) / den ** 2)[..., None] * u,
+        -(num / den ** 2)[..., None] * p[:, None, :],
+        (-num * sigma2 / den ** 2)[..., None],
+    ], axis=-1)
+    var = np.einsum("ski,skij,skj->sk", grad, cov, grad) / n_trials
+    return gamma, np.sqrt(np.maximum(var, 0.0))

@@ -293,22 +293,25 @@ def _feasible_powers(coeffs, t, p_max, tol=1e-9):
 
 
 def maxmin_power(terms: se.SinrTerms, weights, p_max, p_hat, tau_p, sigma2,
-                 eps=1e-3, t_max=None) -> PowerSolution:
+                 eps=1e-3) -> PowerSolution:
     """Bisection max-min SINR power control for fixed CPU weights.
 
-    Brackets the best common SINR in [0, t_max] (default twice the full
-    power maximum) and bisects on the feasibility of the linear system
+    Brackets the best common SINR in [0, twice the full power maximum] and
+    bisects on the feasibility of the linear system
     p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, over the
     coefficients of se.sinr_coefficients. Terminates when the bracket is
-    narrower than eps. p is the least power vector of the last feasible
-    midpoint t_star (full power when no midpoint was feasible).
+    narrower than eps, which must be > 0. p is the least power vector of
+    the last feasible midpoint t_star (full power when no midpoint was
+    feasible).
     """
+    if not eps > 0:
+        raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
     coeffs = se.sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))
     gamma_full = coeffs.gamma(full)
-    t_lo, t_hi = 0.0, float(2.0 * gamma_full.max()) if t_max is None else float(t_max)
+    t_lo, t_hi = 0.0, float(2.0 * gamma_full.max())
     if t_hi <= 0:
         return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
     best_p = full

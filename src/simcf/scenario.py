@@ -11,8 +11,6 @@ from .config import SystemConfig
 
 log = logging.getLogger(__name__)
 
-PILOT_UNASSIGNED = -1
-
 # Urban-microcell pathloss: -30.18 dB at 1 m, 26 dB per distance decade.
 PATHLOSS_REF_DB = -30.18
 PATHLOSS_SLOPE_DB = 26.0
@@ -59,25 +57,30 @@ def rician_split(beta, kappa):
 PSD_CLIP_TOL = 1e-10
 
 
-def psd_sqrt(mat, clip_tol=PSD_CLIP_TOL):
-    """Hermitian square root with eigenvalue clipping at zero.
+def psd_sqrt(mat):
+    """Hermitian square root with eigenvalue clipping at zero, of one
+    matrix (n, n) or of every matrix of a stack (..., n, n).
 
-    Eigenvalues below -clip_tol (relative to the largest) indicate a broken
-    input and raise LinAlgError; small negative values from roundoff are
-    clipped and logged. Eigendecomposition is used instead of Cholesky
-    because sinc correlation matrices are rank deficient at half-wavelength
-    pitch.
+    Eigenvalues below -PSD_CLIP_TOL relative to the largest of their own
+    matrix indicate a broken input and raise LinAlgError; small negative
+    values from roundoff are clipped and logged. Eigendecomposition is used
+    instead of Cholesky because sinc correlation matrices are rank
+    deficient at half-wavelength pitch.
     """
     w, v = np.linalg.eigh(mat)
-    scale = max(float(w[-1]), 1.0e-300)
-    if w[0] < -clip_tol * scale:
+    low = w[..., 0]
+    scale = np.maximum(w[..., -1], 1.0e-300)
+    broken = np.flatnonzero(low < -PSD_CLIP_TOL * scale)
+    if broken.size:
+        i = broken[0]
         raise np.linalg.LinAlgError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs scale {scale:.3e}")
-    if w[0] < 0:
+            f"matrix is not PSD: min eigenvalue {low.flat[i]:.3e} vs scale "
+            f"{scale.flat[i]:.3e}")
+    if np.any(low < 0):
         log.debug("clipped %d negative eigenvalues (most negative %.3e)",
-                  int((w < 0).sum()), float(w[0]))
+                  int((w < 0).sum()), float(low.min()))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _corr_sqrt(positions, side, delta_sf, d_dc):
@@ -121,12 +124,11 @@ class Drop:
     beta_los: np.ndarray    # (L, K)
     beta_nlos: np.ndarray   # (L, K)
     shadowing: np.ndarray   # (L, K) dB
-    pilot_of: np.ndarray    # (K,) pilot index or PILOT_UNASSIGNED
     p: np.ndarray           # (K,) data powers, W
 
     def __post_init__(self):
         for name in ("ap_pos", "ue_pos", "dist", "beta", "kappa",
-                     "beta_los", "beta_nlos", "shadowing", "pilot_of", "p"):
+                     "beta_los", "beta_nlos", "shadowing", "p"):
             getattr(self, name).setflags(write=False)
 
     def link_directions(self):
@@ -144,7 +146,7 @@ class Drop:
 def generate_drop(cfg: SystemConfig, seed) -> Drop:
     """Generate one drop: uniform placement, shadowed pathloss, Rician split.
 
-    Deterministic in (cfg, seed). Pilots start unassigned and powers at p_max.
+    Deterministic in (cfg, seed). Powers start at p_max.
     """
     ss = np.random.SeedSequence(seed)
     rng_pos, rng_shadow = [np.random.default_rng(s) for s in ss.spawn(2)]
@@ -159,7 +161,5 @@ def generate_drop(cfg: SystemConfig, seed) -> Drop:
     return Drop(
         cfg=cfg, ap_pos=ap_pos, ue_pos=ue_pos, dist=dist,
         beta=beta, kappa=kappa, beta_los=beta_los, beta_nlos=beta_nlos,
-        shadowing=shadowing,
-        pilot_of=np.full(cfg.K, PILOT_UNASSIGNED, dtype=int),
-        p=np.full(cfg.K, cfg.p_max, dtype=float),
+        shadowing=shadowing, p=np.full(cfg.K, cfg.p_max, dtype=float),
     )

@@ -37,17 +37,15 @@ class SinrTerms:
     Array layout: z[k, l], xi[k, j, l], delta[k, j, l], lam[k, l]. delta is
     only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
     noise diagonal equals z and is not stored separately. copilot is the
-    share-a-pilot relation of pilot_of without the diagonal, built once by
-    sinr_terms. A stack of candidate networks (see splice_ap) puts a
-    leading candidate axis in front of every array but pilot_of and
-    copilot.
+    share-a-pilot relation of the pilot assignment without the diagonal,
+    built once by sinr_terms. A stack of candidate networks (see splice_ap)
+    puts a leading candidate axis in front of every array but copilot.
     """
     z: np.ndarray        # (K, L) real >= 0
     xi: np.ndarray       # (K, K, L) real >= 0
     delta: np.ndarray    # (K, K, L) complex
     lam: np.ndarray      # (K, L) real >= 0
-    pilot_of: np.ndarray  # (K,) int
-    copilot: np.ndarray   # (K, K) bool
+    copilot: np.ndarray  # (K, K) bool
 
     @property
     def n_ues(self):
@@ -113,7 +111,6 @@ def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
     delta = np.where(same[:, :, None], delta, 0.0)
     _monitor_conditioning(est.psi)
     return SinrTerms(z=z, xi=xi, delta=delta, lam=lam,
-                     pilot_of=pilot_of.copy(),
                      copilot=same & ~np.eye(n_ue, dtype=bool))
 
 

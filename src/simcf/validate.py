@@ -98,10 +98,6 @@ def check_decoder_dominance(seed=0, n_drops=25):
             f"min SINR margin {worst:.3e} over {n_drops} drops")
 
 
-ALL_CHECKS = (check_estimation_identity, check_closed_form_vs_mc,
-              check_decoder_dominance)
-
-
 def run_checks(seed=0, n_trials=20000):
     """Run every check; yields (name, passed, detail)."""
     yield check_estimation_identity(seed)

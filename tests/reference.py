@@ -11,6 +11,11 @@
 # - the term audit: predicted_cross_moments against cross_moment_estimates
 # - the per-AP, per-probe and per-setting loops that the batched channel
 #   build, phase search and Monte-Carlo pass replace
+# - mmse_estimate_loop: realization-level estimates built one UE and its
+#   co-pilots at a time, which the per-pilot sum of mmse_estimate replaces
+# - delta_method_loop: the Monte-Carlo SINR and standard error one setting
+#   and one UE at a time, which the stacked montecarlo._delta_method
+#   replaces
 # - turned_slices and build_channel_state_slices: every probe of a block as
 #   its own phase slice through the full cascade, which the block
 #   polynomial of channel.block_channel_state replaces
@@ -154,6 +159,50 @@ def estimation_stats(r, copilot_r, copilot_p_hat, p_hat_k, tau_p, sigma2):
     return EstimationStats(psi=psi, omega=omega, err_cov=err_cov)
 
 
+def mmse_estimate_loop(est, h_bar, phase, nlos, pilot_of, p_hat, tau_p,
+                       pilot_noise):
+    """estimation.mmse_estimate with the pilot observation of every UE
+    summed over its own co-pilots."""
+    pilot_of = np.asarray(pilot_of)
+    n_ue = h_bar.shape[1]
+    p_hat = np.asarray(p_hat, dtype=float)
+    weighted = np.sqrt(p_hat)[:, None] * nlos
+    observed = np.zeros_like(nlos)
+    for k in range(n_ue):
+        copilots = np.flatnonzero(pilot_of == pilot_of[k])
+        observed[..., k, :] = tau_p * weighted[..., copilots, :].sum(axis=-2) \
+            + pilot_noise[..., pilot_of[k], :]
+    gain = np.sqrt(p_hat)[None, :, None, None] \
+        * est.core.conj().swapaxes(-1, -2)
+    los = h_bar * np.exp(1j * phase)[..., None]
+    return los + np.einsum("lkuv,...lkv->...lku", gain, observed)
+
+
+def delta_method_loop(acc1, acc2, p, sigma2, n_trials):
+    """montecarlo._delta_method one setting and one UE at a time."""
+    n_set, n_ue, dim = acc1.shape
+    gamma = np.zeros((n_set, n_ue))
+    stderr = np.zeros((n_set, n_ue))
+    for s in range(n_set):
+        mean = acc1[s] / n_trials
+        cov = acc2[s] / n_trials - np.einsum("ki,kj->kij", mean, mean)
+        for k in range(n_ue):
+            ur, ui = mean[k, 0], mean[k, 1]
+            w = mean[k, 2:2 + n_ue]
+            nv = mean[k, -1]
+            num = p[s, k] * (ur ** 2 + ui ** 2)
+            den = float(p[s] @ w) - num + sigma2 * nv
+            gamma[s, k] = num / den
+            grad = np.zeros(dim)
+            grad[0] = 2.0 * p[s, k] * ur * (den + num) / den ** 2
+            grad[1] = 2.0 * p[s, k] * ui * (den + num) / den ** 2
+            grad[2:2 + n_ue] = -num * p[s] / den ** 2
+            grad[-1] = -num * sigma2 / den ** 2
+            var = float(grad @ cov[k] @ grad) / n_trials
+            stderr[s, k] = np.sqrt(max(var, 0.0))
+    return gamma, stderr
+
+
 def sinr_lsfd(terms, p, p_hat, tau_p, sigma2):
     """(sinr, weights) under optimal weighting; sinr_k = p_k z^H b^-1 z."""
     weights = se.lsfd_weights(terms, p, p_hat, tau_p, sigma2)
@@ -239,7 +288,7 @@ def predicted_cross_moments(terms, p_hat, tau_p):
                 m = np.outer(terms.z[k], terms.z[k]).astype(complex)
                 np.fill_diagonal(m, terms.xi[k, k] + terms.z[k] ** 2
                                  - terms.lam[k] ** 2)
-            elif terms.pilot_of[j] == terms.pilot_of[k]:
+            elif terms.copilot[k, j]:
                 coeff = p_hat[k] * p_hat[j] * tau_p ** 2
                 d = terms.delta[k, j]
                 m = coeff * np.outer(d, d.conj())

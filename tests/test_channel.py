@@ -164,6 +164,28 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(bad)
     ok = psd_sqrt(np.diag([4.0, 0.0]))
     assert np.allclose(ok, np.diag([2.0, 0.0]))
+    # in a stack each matrix is judged against its own largest eigenvalue:
+    # a tiny indefinite matrix next to a large PSD one is still broken
+    good, tiny = np.diag([1e6, 1.0]), np.diag([1e-6, -1e-9])
+    psd_sqrt(np.stack([good, good]))
+    for stack in (np.stack([good, tiny]), np.stack([tiny, good]),
+                  np.stack([[good, good], [good, tiny]])):
+        with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+            psd_sqrt(stack)
+
+
+def test_psd_sqrt_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 9):
+        a = rng.normal(size=(4, 3, n, n)) + 1j * rng.normal(size=(4, 3, n, n))
+        mats = a @ a.conj().swapaxes(-1, -2)
+        mats[1, 2] = 0.0                    # a zero slice is PSD too
+        mats[2, 0, :, 0] = mats[2, 0, 0, :] = 0.0   # rank deficient
+        stacked = psd_sqrt(mats)
+        assert stacked.shape == mats.shape
+        for i in np.ndindex(mats.shape[:2]):
+            assert np.array_equal(stacked[i], psd_sqrt(mats[i]))
+        assert np.allclose(stacked @ stacked, mats, atol=1e-12 * n)
 
 
 def test_build_channel_state_matches_single_link(small_cfg, small_drop):

@@ -26,6 +26,12 @@ def test_validate_passes(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_validate_rejects_zero_trials(capsys):
+    assert cli.main(["validate", "--trials", "0"]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.splitlines()[-1])["type"] == "ValueError"
+
+
 def test_run_writes_rows(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop
-from simcf.estimation import EstimationError, despread_pilot_noise
+from simcf.estimation import (EstimationError, build_estimation_state,
+                              despread_pilot_noise, mmse_estimate)
 from simcf.montecarlo import _TrialSampler
 from simcf.pipeline import NetworkModel
 
-from reference import estimation_stats
+from reference import estimation_stats, mmse_estimate_loop
 
 
 def random_psd(rng, n, scale=1.0):
@@ -78,10 +79,49 @@ def test_batched_matches_single_link(small_model, small_pilots, small_phases,
             assert np.allclose(est.err_cov[l, k], single.err_cov)
 
 
-def test_unassigned_pilots_rejected(small_model, small_phases):
+def test_unassigned_pilots_rejected(small_model, small_pilots, small_phases,
+                                    small_cfg):
+    cfg = small_cfg
     state = small_model.channel_state(small_phases)
     with pytest.raises(EstimationError):
         small_model.estimation_state(state, np.array([-1, 0, 1]))
+    est = small_model.estimation_state(state, small_pilots.pilot_of)
+    lead = (2, cfg.L)
+    with pytest.raises(EstimationError, match="incomplete"):
+        mmse_estimate(est, state.h_bar, np.zeros((*lead, cfg.K)),
+                      np.zeros((*lead, cfg.K, cfg.U)), np.array([0, -1, 1]),
+                      cfg.pilot_powers(), cfg.tau_p,
+                      np.zeros((*lead, 2, cfg.U)))
+
+
+@pytest.mark.parametrize("tau_p, pilot_of", [
+    (1, [0, 0, 0]),           # a single pilot
+    (3, [0, 0, 0]),           # full reuse, two pilots idle
+    (2, [0, 1, 0]),
+    (2, [1, 1, 0]),
+    (2, [1, 0, 1]),
+    (2, [1, 1, 1]),           # pilot 0 idle
+    (3, [0, 1, 2]),           # orthogonal pilots
+    (3, [2, 0, 1]),
+])
+def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
+                                            tau_p, pilot_of):
+    # the per-pilot sum multiplies by exact 0/1 weights and adds each
+    # pilot's UEs in index order, as the loop does: equal bit for bit
+    cfg = small_model.cfg
+    pilot_of = np.array(pilot_of)
+    state = small_model.channel_state(small_phases)
+    p_hat = np.array([0.1, 0.2, 0.15])
+    est = build_estimation_state(state, pilot_of, p_hat, tau_p, cfg.sigma2)
+    rng = np.random.default_rng(int(tau_p * 100 + pilot_of @ [9, 3, 1]))
+    lead = (5, cfg.L)
+    phase = rng.uniform(-np.pi, np.pi, (*lead, cfg.K))
+    nlos = (rng.normal(size=(*lead, cfg.K, cfg.U))
+            + 1j * rng.normal(size=(*lead, cfg.K, cfg.U)))
+    noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead, cfg.U, tau_p,
+                                 cfg.sigma2)
+    args = (est, state.h_bar, phase, nlos, pilot_of, p_hat, tau_p, noise)
+    assert np.array_equal(mmse_estimate(*args), mmse_estimate_loop(*args))
 
 
 def _sampler_for(model, pilot_of, phases, seed):

@@ -34,6 +34,13 @@ def test_spec_validation():
         ExperimentSpec(sweep="L", values=(2,), schemes=("warp-drive",))
     with pytest.raises(ExperimentError):
         ExperimentSpec.from_dict({"sweep": "L", "values": [2], "bogus": 1})
+    # a zero or negative eps would hang max-min power control, a NaN one
+    # would skip it, and negative trials would silently turn Monte-Carlo off
+    for bad in (dict(maxmin_eps=0.0), dict(maxmin_eps=-1.0),
+                dict(maxmin_eps=float("nan")), dict(maxmin_eps=float("inf")),
+                dict(n_mc_trials=-1)):
+        with pytest.raises(ExperimentError, match=next(iter(bad))):
+            tiny_spec(**bad)
 
 
 def test_spec_rejects_pilot_metric():

@@ -3,10 +3,11 @@ import pytest
 
 from simcf import (lsfd_weights, maxmin_power, sinr_from_weights,
                    uatf_monte_carlo)
-from simcf.montecarlo import _TrialSampler
+from simcf.estimation import despread_pilot_noise, mmse_estimate
+from simcf.montecarlo import _delta_method
 from simcf.se import egcd_weights
 
-from reference import SimUeChannelStats, sample_channel
+from reference import SimUeChannelStats, delta_method_loop, sample_channel
 
 
 def _setup(model, pilots, phases, cfg):
@@ -177,27 +178,65 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
                   <= 15 * scale ** 2 / np.sqrt(draws))
 
 
-def test_sampler_pilot_noise_shared_within_pilot(small_model, small_pilots,
-                                                 small_phases, small_cfg):
-    # UEs on the same pilot see identical despread noise: with all channel
-    # randomness suppressed the pilot observations of co-pilot UEs coincide
+def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,
+                                                 small_cfg):
+    # UEs on the same pilot see identical despread noise. With no LoS and no
+    # NLoS the estimate of UE k is its estimator matrix sqrt(p_hat_k) core^H
+    # applied to the noise of its pilot; undoing that matrix (invertible at
+    # U <= N) must give back that pilot's noise row.
     cfg = small_cfg
+    p_hat = cfg.pilot_powers()
     state = small_model.channel_state(small_phases)
-    state = type(state)(h_bar=np.zeros_like(state.h_bar),
-                        s=np.zeros_like(state.s),
-                        beta_nlos=np.zeros_like(state.beta_nlos))
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
-    sampler = _TrialSampler(state, est, small_pilots.pilot_of,
-                            cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
-                            np.random.default_rng(6))
-    _, h_hat = sampler.draw(16)
-    pk = small_pilots.pilot_of
-    same = np.flatnonzero(pk == pk[0])
-    if same.size >= 2:
-        a, b = same[:2]
-        # estimator gains differ but are invertible at U <= N; undo them
-        ga = np.linalg.pinv(est.gain[0, a])
-        gb = np.linalg.pinv(est.gain[0, b])
-        qa = np.einsum("uv,bv->bu", ga, h_hat[:, 0, a, :])
-        qb = np.einsum("uv,bv->bu", gb, h_hat[:, 0, b, :])
-        assert np.allclose(qa, qb, atol=1e-12 * max(np.abs(qa).max(), 1e-30))
+    rng = np.random.default_rng(6)
+    lead = (16, cfg.L, cfg.K)
+    for pilot_of in ([0, 1, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0]):
+        pilot_of = np.array(pilot_of)
+        est = small_model.estimation_state(state, pilot_of)
+        noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead[:2],
+                                     cfg.U, cfg.tau_p, cfg.sigma2)
+        h_hat = mmse_estimate(est, np.zeros_like(state.h_bar),
+                              np.zeros(lead), np.zeros((*lead, cfg.U)),
+                              pilot_of, p_hat, cfg.tau_p, noise)
+        gain = (np.sqrt(p_hat)[:, None, None]
+                * est.core.conj().swapaxes(-1, -2))
+        rows = np.linalg.solve(gain, h_hat[..., None])[..., 0]
+        assert np.abs(h_hat).min() > 0
+        # row k is the noise of pilot_of[k], so co-pilot rows are equal
+        assert np.allclose(rows, noise[:, :, pilot_of], rtol=1e-9, atol=0)
+
+
+def test_delta_method_matches_per_setting_loop():
+    # feature sums of S settings of a K-UE network, with per-trial
+    # interference w_k >= |u_k|^2 so every denominator is positive
+    rng = np.random.default_rng(13)
+    n_trials, n_set, n_ue = 500, 4, 3
+    u = rng.normal(1.0, 0.4, (n_trials, n_set, n_ue, 2))
+    w = rng.exponential(0.5, (n_trials, n_set, n_ue, n_ue))
+    w[..., np.arange(n_ue), np.arange(n_ue)] += (u ** 2).sum(axis=-1)
+    nv = rng.uniform(0.5, 2.0, (n_trials, n_set, n_ue, 1))
+    feats = np.concatenate([u, w, nv], axis=-1)
+    acc1 = feats.sum(axis=0)
+    acc2 = np.einsum("bski,bskj->skij", feats, feats)
+    p = rng.uniform(0.0, 1.0, (n_set, n_ue))
+    p[1, 2] = 0.0                            # a silent UE has SINR 0
+    gamma, stderr = _delta_method(acc1, acc2, p, 0.3, n_trials)
+    ref_gamma, ref_stderr = delta_method_loop(acc1, acc2, p, 0.3, n_trials)
+    assert gamma.shape == stderr.shape == (n_set, n_ue)
+    assert np.count_nonzero(ref_stderr) == n_set * n_ue - 1
+    assert gamma[1, 2] == stderr[1, 2] == 0.0
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(n_trials=-5),
+                                    dict(n_trials=100, batch=0)])
+def test_degenerate_trial_counts_rejected(small_model, small_pilots,
+                                          small_phases, small_cfg,
+                                          small_terms, kwargs):
+    cfg = small_cfg
+    state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
+    with pytest.raises(ValueError, match="n_trials >= 1 and batch >= 1"):
+        uatf_monte_carlo(state, est, small_pilots.pilot_of,
+                         small_model.drop.p, p_hat, cfg.tau_p, cfg.sigma2,
+                         egcd_weights(small_terms),
+                         rng=np.random.default_rng(0), **kwargs)

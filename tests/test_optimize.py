@@ -205,6 +205,14 @@ def test_maxmin_iteration_bound():
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
 
 
+def test_maxmin_rejects_nan_tolerance():
+    # a NaN bracket width would skip the bisection and return full power
+    cfg, drop, terms, p_hat, w = _maxmin_setup(50)
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
+                     eps=float("nan"))
+
+
 def test_maxmin_solves_once_per_bisection_step(monkeypatch):
     cfg, drop, terms, p_hat, w = _maxmin_setup(55)
     real = optimize._feasible_powers

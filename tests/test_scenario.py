@@ -3,9 +3,9 @@ import pytest
 
 from simcf import SystemConfig, correlated_shadowing, generate_drop
 from simcf.config import ConfigError, most_square_factors
-from simcf.scenario import (PILOT_UNASSIGNED, ScenarioError, _corr_sqrt,
-                            pathloss_db, rician_kappa, rician_split,
-                            torus_displacement, torus_distance)
+from simcf.scenario import (ScenarioError, _corr_sqrt, pathloss_db,
+                            rician_kappa, rician_split, torus_displacement,
+                            torus_distance)
 
 
 def test_pathloss_reference_point():
@@ -70,7 +70,6 @@ def test_generate_drop_deterministic(small_cfg):
 
 def test_generate_drop_contents(small_cfg):
     drop = generate_drop(small_cfg, 5)
-    assert np.all(drop.pilot_of == PILOT_UNASSIGNED)
     assert np.allclose(drop.p, small_cfg.p_max)
     assert np.all(drop.beta > 0)
     assert np.allclose(drop.beta_los + drop.beta_nlos, drop.beta)

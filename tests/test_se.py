@@ -27,14 +27,15 @@ def terms_at(seed, **kw):
     return cfg, drop, pilots, model.terms(phases, pilots.pilot_of)
 
 
-def test_term_shapes_and_signs(small_terms, small_cfg):
+def test_term_shapes_and_signs(small_terms, small_pilots, small_cfg):
     t = small_terms
     assert t.z.shape == (small_cfg.K, small_cfg.L)
     assert np.all(t.z >= 0)
     assert np.all(t.xi >= 0)
     assert np.all(t.lam >= 0)
     # coherent couplings only appear inside pilot-sharing pairs
-    mask = t.pilot_of[:, None] == t.pilot_of[None, :]
+    pilot_of = small_pilots.pilot_of
+    mask = pilot_of[:, None] == pilot_of[None, :]
     assert np.all(t.delta[~mask] == 0)
     # the non-coherent self coefficient dominates the LoS-square correction
     for k in range(small_cfg.K):
