@@ -65,9 +65,16 @@ class ExperimentSpec:
             raise ExperimentError("value list must be non-empty")
         if self.n_drops < 1:
             raise ExperimentError("n_drops must be >= 1")
-        if self.n_mc_trials < 0 or not 0 < self.maxmin_eps < np.inf:
-            raise ExperimentError("need n_mc_trials >= 0 and finite "
-                                  "maxmin_eps > 0")
+        if (not isinstance(self.n_mc_trials, (int, np.integer))
+                or self.n_mc_trials < 0 or self.n_mc_trials == 1):
+            raise ExperimentError("n_mc_trials must be 0 (off) or an "
+                                  "integer >= 2")
+        if not 0 < self.maxmin_eps < np.inf:
+            raise ExperimentError("need finite maxmin_eps > 0")
+        try:
+            BeamformingConfig(**self.beamforming)
+        except (TypeError, ValueError) as exc:
+            raise ExperimentError(f"bad beamforming settings: {exc}") from exc
         bad = set(self.schemes) - set(SCHEMES)
         if self.sweep != "scheme" and bad:
             raise ExperimentError(f"unknown schemes: {sorted(bad)}")
@@ -182,20 +189,16 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
         phase_sets["opt"] = opt_phases
 
     p_hat = cfg.pilot_powers()
-    # Closed form of every (scheme, decoder) setting in row order. Terms
-    # (and, with Monte-Carlo on, the states they come from) are built once
-    # per phase kind and shared by its schemes.
+    # Closed form of every (scheme, decoder) setting in row order. The
+    # states and the terms built from them are made once per phase kind and
+    # shared by its schemes and by its Monte-Carlo pass.
     kinds, settings = {}, []
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
         if phase_kind not in kinds:
-            phases = phase_sets[phase_kind]
-            if spec.n_mc_trials > 0:
-                states = model.states(phases, pilots.pilot_of)
-                terms = model.terms_from(*states, pilots.pilot_of)
-            else:
-                states, terms = None, model.terms(phases, pilots.pilot_of)
-            kinds[phase_kind] = (terms, states)
+            states = model.states(phase_sets[phase_kind], pilots.pilot_of)
+            kinds[phase_kind] = (model.terms_from(*states, pilots.pilot_of),
+                                 states)
         terms = kinds[phase_kind][0]
         for decoder in decoders:
             weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
@@ -213,8 +216,8 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
     # One Monte-Carlo sampling pass per phase kind serves all its settings.
     mc_cols = [[(MISSING, MISSING)] * cfg.K] * len(settings)
     for phase_kind, (_, states) in kinds.items():
-        if states is None:
-            continue
+        if spec.n_mc_trials == 0:
+            break
         mine = [i for i, s in enumerate(settings) if s[0] == phase_kind]
         weights = np.stack([settings[i][3] for i in mine])
         p = np.stack([settings[i][4] for i in mine])

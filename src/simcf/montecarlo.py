@@ -77,8 +77,9 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     so the settings see common random numbers. Each setting's result equals
     a call for that setting alone with the same rng, bit for bit.
     """
-    if n_trials < 1 or batch < 1:
-        raise ValueError(f"need n_trials >= 1 and batch >= 1, got "
+    if n_trials < 2 or batch < 1:
+        # one trial has a zero sample covariance, so no standard error
+        raise ValueError(f"need n_trials >= 2 and batch >= 1, got "
                          f"n_trials={n_trials}, batch={batch}")
     sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
     n_ap, n_ue, _ = sampler.shape

@@ -5,7 +5,7 @@
 # feasibility system induced by fixed CPU weights.
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +69,10 @@ def allocate_pilots(drop: Drop) -> PilotAssignment:
 class BeamformingConfig:
     """Knobs of the blockwise phase-probing search."""
     step_size: float = np.pi / 8     # phase increment per probe, rad
-    max_probes: int = 16             # probes per block (full circle at pi/8)
+    max_probes: int = 15             # probes per block (a 16th at pi/8 is 2 pi)
     min_gain: float = 1e-3           # required sum-SE improvement, bit/s/Hz
     block_size: int = 4              # meta-atoms updated jointly
     sweeps: int = 1                  # outer passes over all APs
-    symmetric_probe: bool = False    # also try negative increments
     decoder: str = "lsfd"
 
     def __post_init__(self):
@@ -83,6 +82,8 @@ class BeamformingConfig:
             raise ValueError("max_probes, block_size and sweeps must be >= 1")
         if self.min_gain < 0:
             raise ValueError("min_gain must be nonnegative")
+        if self.decoder not in se.DECODERS:
+            raise ValueError(f"decoder must be one of {se.DECODERS}")
 
 
 @dataclass
@@ -90,32 +91,6 @@ class TraceRow:
     iteration: int
     objective: float
     accepted: bool
-
-
-@dataclass(frozen=True)
-class ProbeBatch:
-    """The probes of one block of AP l, evaluated as one batch.
-
-    Probe i turns the atoms (rows, cols) of the AP's phases base (M, N) by
-    steps[i]. terms stacks the full-network terms of every probe on a
-    leading axis and values holds their sum SE. Both are None when a typed
-    numerical failure stopped the batch; each probe is then evaluated on
-    its own when the search asks for it.
-    """
-    ap: int
-    base: np.ndarray                  # (M, N)
-    rows: np.ndarray
-    cols: np.ndarray
-    steps: np.ndarray                 # (B,)
-    terms: se.SinrTerms = None
-    values: np.ndarray = None         # (B,)
-
-    def candidate(self, i):
-        """The AP's (M, N) phases under probe i, wrapped into [0, 2 pi)."""
-        phases = self.base.copy()
-        phases[self.rows, self.cols] = wrap_phases(
-            self.base[self.rows, self.cols] + self.steps[i])
-        return phases
 
 
 class SumSeObjective:
@@ -127,11 +102,8 @@ class SumSeObjective:
     (channel.block_channel_state), then estimation state, sinr_terms (with
     the probes on the AP axis), the splice into the other APs' terms,
     decoder weights, SINR and sum SE. Every probe gets exactly the value a
-    one-probe evaluation gives. A typed failure (EstimationError,
-    SinrComputationError) in the batch is not raised there: value_of then
-    evaluates the asked-for probe alone, so only a probe the search reaches
-    can raise. commit_ap adopts a probe's terms from its batch without
-    rebuilding them.
+    one-probe evaluation gives. improve commits the first probe of a block
+    that beats the current value, reusing its terms from the batch.
     """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
@@ -158,41 +130,41 @@ class SumSeObjective:
                                      cfg.tau_p, cfg.sigma2)
         return se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum(axis=-1)
 
-    def probe(self, l, rows, cols, steps) -> ProbeBatch:
-        """Evaluate turning the atoms (rows, cols) of AP l by each of steps."""
-        return self._evaluate(ProbeBatch(l, self.phases[l].copy(), rows, cols,
-                                         np.asarray(steps, dtype=float)))
+    def probe(self, l, rows, cols, steps):
+        """(values (B,), terms stack) with the atoms (rows, cols) of AP l
+        turned by each of steps (B,)."""
+        terms = self.terms.splice_ap(l, self.model.block_terms(
+            l, self.phases[l], rows, cols, steps, self.pilot_of))
+        return self.value(terms), terms
 
-    def _evaluate(self, batch):
-        """batch with its terms and values, or as it is when a typed
-        failure stopped it; a one-probe batch raises that failure."""
+    def improve(self, l, rows, cols, steps, best, min_gain):
+        """Commit the first probe whose value exceeds best by more than
+        min_gain and return (its index, its value); None when no probe does.
+
+        A typed failure (EstimationError, SinrComputationError) of a batch
+        of several probes is not raised: the probes are then tried one at a
+        time in order, so only a probe the search reaches can raise.
+        """
+        steps = np.asarray(steps, dtype=float)
         try:
-            terms = self.terms.splice_ap(batch.ap, self.model.block_terms(
-                batch.ap, batch.base, batch.rows, batch.cols, batch.steps,
-                self.pilot_of))
-            return replace(batch, terms=terms, values=self.value(terms))
+            values, terms = self.probe(l, rows, cols, steps)
         except (EstimationError, se.SinrComputationError):
-            if batch.steps.size == 1:
+            if steps.size == 1:
                 raise
-            return batch
-
-    def _single(self, batch, i):
-        """(batch, index) holding probe i's evaluated terms and value."""
-        if batch.values is None:
-            return self._evaluate(replace(batch, steps=batch.steps[i:i + 1])), 0
-        return batch, i
-
-    def value_of(self, batch, i):
-        """Sum SE with probe i of batch in place; raises what evaluating
-        that probe alone raises."""
-        batch, i = self._single(batch, i)
-        return float(batch.values[i])
-
-    def commit_ap(self, batch, i):
-        """Adopt probe i of batch, reusing its terms."""
-        batch, i = self._single(batch, i)
-        self.terms = batch.terms.candidate(i)
-        self.phases[batch.ap] = batch.candidate(i)
+            for i in range(steps.size):
+                hit = self.improve(l, rows, cols, steps[i:i + 1], best,
+                                   min_gain)
+                if hit is not None:
+                    return i, hit[1]
+            return None
+        better = np.flatnonzero(values - best > min_gain)
+        if better.size == 0:
+            return None
+        i = int(better[0])
+        self.terms = terms.candidate(i)
+        self.phases[l, rows, cols] = wrap_phases(self.phases[l, rows, cols]
+                                                 + steps[i])
+        return i, float(values[i])
 
 
 def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
@@ -203,19 +175,14 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     For each AP in turn, meta-atom indices are visited in a seeded random
     permutation in blocks of block_size. Probe i of a block (i = 1 ..
     max_probes) adds i * step_size to the block's phases, wrapping modulo
-    2 pi; with symmetric_probe a probe that does not clear min_gain also
-    tries -i * step_size and keeps the better of the two. The first probe
-    improving the objective by more than min_gain is committed and the
-    search moves to the next block. The objective trace is non-decreasing;
-    with no improving probe the input phases survive.
+    2 pi. The first probe improving the objective by more than min_gain is
+    committed and the search moves to the next block. The objective trace
+    is non-decreasing; with no improving probe the input phases survive.
 
-    All probes of a block, plus their mirrors under symmetric_probe, are
-    evaluated as one batch (SumSeObjective.probe), from the polynomial in
-    e^{j step} that the block's cascade is. The search then walks them in
-    order and accepts the first improving one, so the phases and the trace
-    are those of evaluating probe after probe, and an evaluation error
-    surfaces only at a probe that order reaches (a mirror only when its
-    forward probe was not accepted).
+    All probes of a block are evaluated as one batch
+    (SumSeObjective.improve), from the polynomial in e^{j step} that the
+    block's cascade is, and the first improving one is accepted. So the
+    phases and the trace are those of evaluating probe after probe.
 
     Returns (phases, trace) with trace a list of TraceRow per probe.
     """
@@ -224,33 +191,25 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     best = objective.set_phases(wrap_phases(np.asarray(init_phases,
                                                       dtype=float)))
     n_aps, n_layers, n_atoms = objective.phases.shape
-    n_probes = cfg.max_probes
-    steps = np.arange(1, n_probes + 1) * cfg.step_size
-    if cfg.symmetric_probe:
-        steps = np.concatenate([steps, -steps])   # mirror of i at n_probes + i
+    steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
     trace = [TraceRow(iteration=0, objective=best, accepted=False)]
-    it = 0
     for _ in range(cfg.sweeps):
         for l in range(n_aps):
             order = rng.permutation(n_layers * n_atoms)
             for start in range(0, order.size, cfg.block_size):
                 block = order[start:start + cfg.block_size]
                 rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-                batch = objective.probe(l, rows, cols, steps)
-                for i in range(n_probes):
-                    it += 1
-                    pick = i
-                    gain = objective.value_of(batch, i) - best
-                    if cfg.symmetric_probe and gain <= cfg.min_gain:
-                        down = objective.value_of(batch, n_probes + i) - best
-                        if down > gain:
-                            pick, gain = n_probes + i, down
-                    if gain > cfg.min_gain:
-                        objective.commit_ap(batch, pick)
-                        best += gain
-                        trace.append(TraceRow(it, best, True))
-                        break
-                    trace.append(TraceRow(it, best, False))
+                hit = objective.improve(l, rows, cols, steps, best,
+                                        cfg.min_gain)
+                it = len(trace)
+                n_rejected = steps.size if hit is None else hit[0]
+                trace.extend(TraceRow(it + i, best, False)
+                             for i in range(n_rejected))
+                if hit is not None:
+                    # best + gain, as a probe-by-probe search forms it; it
+                    # can differ from the probe's value in the last bit
+                    best += hit[1] - best
+                    trace.append(TraceRow(len(trace), best, True))
     return objective.phases, trace
 
 

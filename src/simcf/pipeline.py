@@ -71,6 +71,7 @@ class NetworkModel:
                              self.cfg.tau_p)
 
     def states(self, phases, pilot_of):
-        """(channel state, estimation state) for Monte-Carlo use."""
+        """(channel state, estimation state) of a phase tensor, for
+        terms_from and the Monte-Carlo oracle."""
         state = self.channel_state(phases)
         return state, self.estimation_state(state, pilot_of)

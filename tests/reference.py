@@ -471,13 +471,6 @@ def optimize_beamforming_serial(model, pilot_of, init_phases, cfg, rng=None,
                         phases[l][rows, cols] + probe * cfg.step_size)
                     it += 1
                     gain = objective.try_ap(l, candidate) - best
-                    if cfg.symmetric_probe and gain <= cfg.min_gain:
-                        mirrored = phases[l].copy()
-                        mirrored[rows, cols] = wrap_phases(
-                            phases[l][rows, cols] - probe * cfg.step_size)
-                        down = objective.try_ap(l, mirrored) - best
-                        if down > gain:
-                            candidate, gain = mirrored, down
                     if gain > cfg.min_gain:
                         phases[l] = candidate
                         objective.commit_ap(l, candidate)

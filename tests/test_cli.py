@@ -27,9 +27,11 @@ def test_validate_passes(capsys):
 
 
 def test_validate_rejects_zero_trials(capsys):
-    assert cli.main(["validate", "--trials", "0"]) == 1
-    err = capsys.readouterr().err
-    assert json.loads(err.splitlines()[-1])["type"] == "ValueError"
+    # one trial has no standard error either: no |z| can be formed
+    for trials in ("0", "1"):
+        assert cli.main(["validate", "--trials", trials]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[-1])["type"] == "ValueError"
 
 
 def test_run_writes_rows(tmp_path, capsys):

@@ -41,6 +41,20 @@ def test_spec_validation():
                 dict(n_mc_trials=-1)):
         with pytest.raises(ExperimentError, match=next(iter(bad))):
             tiny_spec(**bad)
+    # one trial has no standard error, and a fractional count would only
+    # fail in the sampler, mid-sweep
+    for trials in (1, 2.5, 2000.0):
+        with pytest.raises(ExperimentError, match="n_mc_trials"):
+            tiny_spec(n_mc_trials=trials)
+    tiny_spec(n_mc_trials=np.int64(2))
+    # beamforming settings are checked at spec time, not by the first drop
+    for bad in (dict(symmetric_probe=True), dict(max_probe=8),
+                dict(step_size=0.0), dict(decoder="lsdf")):
+        with pytest.raises(ExperimentError, match="beamforming"):
+            tiny_spec(beamforming=bad)
+    with pytest.raises(ExperimentError, match="beamforming"):
+        ExperimentSpec.from_dict({"sweep": "L", "values": [2],
+                                  "beamforming": {"symmetric_probe": True}})
 
 
 def test_spec_rejects_pilot_metric():
@@ -179,16 +193,15 @@ def test_terms_and_states_built_once_per_phase_kind(monkeypatch):
     for name in ("build_channel_state", "build_estimation_state"):
         monkeypatch.setattr(pipeline, name,
                             counter(name, getattr(pipeline, name)))
-    for n_mc_trials, expected in ((50, {"terms": 0, "states": 1}),
-                                  (0, {"terms": 1, "states": 0})):
+    for n_mc_trials in (50, 0):
         calls.update(dict.fromkeys(calls, 0))
         spec = tiny_spec(values=(2,), n_drops=1, n_mc_trials=n_mc_trials,
                          schemes=("rand-full", "rand-maxmin"))
         result = run_experiment(spec)
         assert result.failures == 0
         assert len(result.rows) == 2 * 2 * 3     # schemes x decoders x UEs
-        # with Monte-Carlo on, the terms come from the states' pair
-        assert calls == {**expected, "build_channel_state": 1,
+        # with or without Monte-Carlo, the terms come from the states' pair
+        assert calls == {"terms": 0, "states": 1, "build_channel_state": 1,
                          "build_estimation_state": 1}
 
 

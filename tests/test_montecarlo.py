@@ -229,13 +229,14 @@ def test_delta_method_matches_per_setting_loop():
 
 
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(n_trials=-5),
-                                    dict(n_trials=100, batch=0)])
+                                    dict(n_trials=100, batch=0),
+                                    dict(n_trials=1)])
 def test_degenerate_trial_counts_rejected(small_model, small_pilots,
                                           small_phases, small_cfg,
                                           small_terms, kwargs):
     cfg = small_cfg
     state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
-    with pytest.raises(ValueError, match="n_trials >= 1 and batch >= 1"):
+    with pytest.raises(ValueError, match="n_trials >= 2 and batch >= 1"):
         uatf_monte_carlo(state, est, small_pilots.pilot_of,
                          small_model.drop.p, p_hat, cfg.tau_p, cfg.sigma2,
                          egcd_weights(small_terms),

@@ -118,10 +118,10 @@ def test_incremental_objective_matches_full_rebuild(small_model,
     obj.set_phases(small_phases)
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     for step in (0.7, -2.5):
-        batch = obj.probe(1, rows, cols, [step])
-        fast = obj.value_of(batch, 0)
+        values, _ = obj.probe(1, rows, cols, [step])
+        fast = float(values[0])
         full = small_phases.copy()
-        full[1] = batch.candidate(0)
+        full[1] = turned_slices(small_phases[1], rows, cols, [step])[0]
         slow = obj.set_phases(full)
         assert fast == pytest.approx(slow, rel=1e-12)
         obj.set_phases(small_phases)
@@ -144,6 +144,17 @@ def test_beamforming_config_validation():
         BeamformingConfig(max_probes=0)
     with pytest.raises(ValueError):
         BeamformingConfig(min_gain=-1.0)
+    with pytest.raises(ValueError, match="decoder"):
+        BeamformingConfig(decoder="lsdf")
+
+
+def test_default_probes_skip_the_identity_turn():
+    # a probe that turns the block by a whole turn only re-evaluates the
+    # current phases, so it can never clear min_gain
+    cfg = BeamformingConfig()
+    steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
+    turns = steps / (2 * np.pi)
+    assert np.all(np.abs(turns - np.round(turns)) > 1e-9)
 
 
 def test_maxmin_single_ue():
@@ -269,7 +280,6 @@ def test_maxmin_with_egcd_weights():
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"symmetric_probe": True},
     {"sweeps": 2},
     {"block_size": 3},
     {"block_size": 5},          # 18 atoms: the last block holds 3
@@ -298,26 +308,30 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
     l = 2
     rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
     steps = np.array([1, 2, 5, 16, -3, -8]) * np.pi / 8
-    batch = obj.probe(l, rows, cols, steps)
+    values, terms = obj.probe(l, rows, cols, steps)
+    slices = turned_slices(small_phases[l], rows, cols, steps)
     for i in range(steps.size):
         patched = small_phases.copy()
-        patched[l] = batch.candidate(i)
-        assert np.array_equal(patched[l],
-                              turned_slices(small_phases[l], rows, cols,
-                                            steps)[i])
+        patched[l] = slices[i]
         one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
         expected = replace_ap(obj.terms, l, one_ap)
-        got = batch.terms.candidate(i)
+        got = terms.candidate(i)
         for name in ("z", "xi", "delta", "lam"):
             want = getattr(expected, name)
             np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
-        assert obj.value_of(batch, i) == obj.value_of(
-            obj.probe(l, rows, cols, steps[i:i + 1]), 0)
-    obj.commit_ap(batch, 4)
-    assert np.array_equal(obj.phases[l], batch.candidate(4))
-    assert np.array_equal(obj.terms.xi, batch.terms.xi[4])
-    assert obj.set_phases(obj.phases) == pytest.approx(obj.value_of(batch, 4),
+        assert values[i] == obj.probe(l, rows, cols, steps[i:i + 1])[0][0]
+    # no probe beats the best value: nothing is committed
+    assert obj.improve(l, rows, cols, steps, values.max(), 0.0) is None
+    assert np.array_equal(obj.phases, small_phases)
+    # above the worst value, the first better probe is committed, with its
+    # terms taken from the batch
+    first = int(np.flatnonzero(values > values.min())[0])
+    assert obj.improve(l, rows, cols, steps, values.min(), 0.0) == \
+        (first, values[first])
+    assert np.array_equal(obj.phases[l], slices[first])
+    assert np.array_equal(obj.terms.xi, terms.xi[first])
+    assert obj.set_phases(obj.phases) == pytest.approx(values[first],
                                                        rel=1e-12)
 
 
@@ -343,7 +357,7 @@ def test_probes_never_run_the_full_cascade(small_model, small_pilots,
 
     monkeypatch.setattr(channel, "cascade_through_antennas", cascade_spy)
     monkeypatch.setattr(SumSeObjective, "set_phases", set_spy)
-    cfg = BeamformingConfig(symmetric_probe=True, sweeps=2)
+    cfg = BeamformingConfig(sweeps=2)
     _, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
                                     small_phases, cfg, rng=2)
     assert len(trace) > 1 and len(builds) == 1
@@ -375,20 +389,16 @@ def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
 
 
 @pytest.mark.parametrize("failure", ["sinr", "estimation"])
-@pytest.mark.parametrize("symmetric", [False, True])
 def test_failing_probe_past_the_accepted_one_is_never_raised(
-        small_drop, small_pilots, small_phases, monkeypatch, symmetric,
-        failure):
-    cfg = BeamformingConfig(decoder="egcd", symmetric_probe=symmetric)
+        small_drop, small_pilots, small_phases, monkeypatch, failure):
+    cfg = BeamformingConfig(decoder="egcd")
     model = NetworkModel.from_drop(small_drop)
     clean = optimize_beamforming(model, small_pilots.pilot_of, small_phases,
                                  cfg, rng=3)
     first = next(row for row in clean[1] if row.accepted)
     assert first.iteration < cfg.max_probes   # accepted in block 1, early
-    # forward probe first.iteration + 1 (index first.iteration) is never
-    # evaluated, and neither is its mirror
-    index = first.iteration + (cfg.max_probes if symmetric else 0)
-    _corrupt_probe(model, monkeypatch, index, failure)
+    # probe first.iteration + 1 (index first.iteration) is never evaluated
+    _corrupt_probe(model, monkeypatch, first.iteration, failure)
     out, trace = optimize_beamforming(model, small_pilots.pilot_of,
                                       small_phases, cfg, rng=3)
     assert np.array_equal(out, clean[0])
