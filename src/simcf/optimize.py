@@ -5,7 +5,7 @@
 # feasibility system induced by fixed CPU weights.
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,8 @@ from .scenario import Drop
 from .sim_physics import wrap_phases
 
 log = logging.getLogger(__name__)
+
+TERM_ARRAYS = ("z", "xi", "delta", "lam")   # the per-AP arrays of se.SinrTerms
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +98,16 @@ class TraceRow:
 class SumSeObjective:
     """Closed-form sum SE of the network, with batched probing of one AP.
 
-    probe(l, rows, cols, steps) turns a block of AP l's atoms by each of
-    the B steps and runs the probes as one batch: the block's channel state
-    from the polynomial coefficients of its cascade
-    (channel.block_channel_state), then estimation state, sinr_terms (with
-    the probes on the AP axis), the splice into the other APs' terms,
-    decoder weights, SINR and sum SE. Every probe gets exactly the value a
-    one-probe evaluation gives. improve commits the first probe of a block
-    that beats the current value, reusing its terms from the batch.
+    The network's terms and their per-AP SINR parts (se.sinr_parts) are
+    kept. probe(l, rows, cols, steps) turns a block of AP l's atoms by each
+    of the B steps and evaluates the probes as one batch: AP l's terms under
+    every probe (NetworkModel.block_terms, from the polynomial in e^{j step}
+    that the block's cascade is), their parts, and for each probe its part
+    added to the sums of the parts over the other APs, formed once per
+    block. The SINR follows from those sums (se.sinr_from_parts): under LSFD
+    the Woodbury Rayleigh quotient, under EGCD the all-ones weighting.
+    improve commits the first probe that beats the current value by writing
+    its column of AP l into the terms and parts.
     """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
@@ -113,29 +117,35 @@ class SumSeObjective:
         self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
         self.decoder = decoder
         self.p_hat = model.cfg.pilot_powers()
-        self.phases = None
-        self.terms = None
+        self.phases = self.terms = self.parts = None
 
     def set_phases(self, phases):
         self.phases = np.array(phases, dtype=float)
         self.terms = self.model.terms(self.phases, self.pilot_of)
-        return float(self.value(self.terms))
+        self.parts = self._parts(self.terms)
+        return float(self._sum_se([part.sum(axis=-1) for part in self.parts]))
 
-    def value(self, terms):
-        """Sum SE of terms, one per candidate for a candidate stack."""
-        cfg = self.cfg
-        weights = se.decoder_weights(terms, self.decoder, self.p, self.p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        gamma = se.sinr_from_weights(terms, weights, self.p, self.p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        return se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum(axis=-1)
+    def _parts(self, terms):
+        return se.sinr_parts(terms, self.decoder, self.p, self.p_hat,
+                             self.cfg.tau_p, self.cfg.sigma2)
+
+    def _sum_se(self, sums):
+        gamma = se.sinr_from_parts(sums, self.decoder, self.p)
+        return se.se_from_sinr(gamma, self.cfg.tau_c,
+                               self.cfg.tau_p).sum(axis=-1)
 
     def probe(self, l, rows, cols, steps):
-        """(values (B,), terms stack) with the atoms (rows, cols) of AP l
-        turned by each of steps (B,)."""
-        terms = self.terms.splice_ap(l, self.model.block_terms(
-            l, self.phases[l], rows, cols, steps, self.pilot_of))
-        return self.value(terms), terms
+        """(values (B,), block, parts) with the atoms (rows, cols) of AP l
+        turned by each of steps (B,): block is AP l's terms with the probes
+        on the AP axis, parts their SINR parts with the probes on a leading
+        axis (each a one-AP network)."""
+        block = self.model.block_terms(l, self.phases[l], rows, cols, steps,
+                                       self.pilot_of)
+        parts = self._parts(replace(block, **{
+            name: _probes_first(getattr(block, name)) for name in TERM_ARRAYS}))
+        others = np.arange(self.terms.n_aps) != l
+        return self._sum_se([part @ others + new[..., 0] for part, new
+                             in zip(self.parts, parts)]), block, parts
 
     def improve(self, l, rows, cols, steps, best, min_gain):
         """Commit the first probe whose value exceeds best by more than
@@ -147,7 +157,7 @@ class SumSeObjective:
         """
         steps = np.asarray(steps, dtype=float)
         try:
-            values, terms = self.probe(l, rows, cols, steps)
+            values, block, parts = self.probe(l, rows, cols, steps)
         except (EstimationError, se.SinrComputationError):
             if steps.size == 1:
                 raise
@@ -161,10 +171,18 @@ class SumSeObjective:
         if better.size == 0:
             return None
         i = int(better[0])
-        self.terms = terms.candidate(i)
+        for name in TERM_ARRAYS:
+            getattr(self.terms, name)[..., l] = getattr(block, name)[..., i]
+        for part, new in zip(self.parts, parts):
+            part[..., l] = new[i, ..., 0]
         self.phases[l, rows, cols] = wrap_phases(self.phases[l, rows, cols]
                                                  + steps[i])
         return i, float(values[i])
+
+
+def _probes_first(a):
+    """Block-terms array a (..., B) as B one-AP networks, (B, ..., 1)."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., None]
 
 
 def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
@@ -180,9 +198,12 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     is non-decreasing; with no improving probe the input phases survive.
 
     All probes of a block are evaluated as one batch
-    (SumSeObjective.improve), from the polynomial in e^{j step} that the
-    block's cascade is, and the first improving one is accepted. So the
-    phases and the trace are those of evaluating probe after probe.
+    (SumSeObjective.improve): AP l's terms from the polynomial in e^{j step}
+    that the block's cascade is, and each probe's SINRs from its per-AP
+    parts plus those of the other APs, summed once per block (under LSFD a
+    Woodbury Rayleigh quotient; no L x L matrix is formed). The first
+    improving probe is accepted, so the phases and the trace are those of
+    evaluating probe after probe.
 
     Returns (phases, trace) with trace a list of TraceRow per probe.
     """

@@ -9,12 +9,15 @@
 #   gamma  noise diagonal, equal to diag(z).
 # For fixed weights the SINR is an affine fraction in the transmit powers
 # (SinrCoefficients); sinr_from_weights and max-min power control both
-# evaluate it in that one form. Optimal statistical weights solve a
-# generalized Rayleigh quotient; equal gain decoding is the all-ones
-# special case.
+# evaluate it in that one form. UE k's denominator matrix b_k is a diagonal
+# plus one outer product per co-pilot of k, so the optimal (LSFD) weights
+# b_k^-1 z_k and their SINR p_k z_k^H b_k^-1 z_k, a generalized Rayleigh
+# quotient, follow from the Woodbury identity without any L x L matrix.
+# Both decoders' SINRs are functions of AP sums of per-AP parts
+# (sinr_parts), so a phase search can re-sum one AP at a time.
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +41,9 @@ class SinrTerms:
     only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
     noise diagonal equals z and is not stored separately. copilot is the
     share-a-pilot relation of the pilot assignment without the diagonal,
-    built once by sinr_terms. A stack of candidate networks (see splice_ap)
-    puts a leading candidate axis in front of every array but copilot.
+    built once by sinr_terms. Arrays may carry leading candidate axes (one
+    network per candidate, copilot shared); every function of this module
+    carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0
     xi: np.ndarray       # (K, K, L) real >= 0
@@ -54,24 +58,6 @@ class SinrTerms:
     @property
     def n_aps(self):
         return self.z.shape[-1]
-
-    def splice_ap(self, l, other):
-        """Candidate stack: these terms with AP l's column replaced by each
-        AP column of other in turn, on a leading axis of length other.n_aps."""
-        def splice(base, cols):
-            out = np.repeat(base[None], cols.shape[-1], axis=0)
-            out[..., l] = np.moveaxis(cols, -1, 0)
-            return out
-
-        return replace(self, z=splice(self.z, other.z),
-                       xi=splice(self.xi, other.xi),
-                       delta=splice(self.delta, other.delta),
-                       lam=splice(self.lam, other.lam))
-
-    def candidate(self, i):
-        """Terms of candidate i of a stack built by splice_ap."""
-        return replace(self, z=self.z[i], xi=self.xi[i], delta=self.delta[i],
-                       lam=self.lam[i])
 
 
 def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
@@ -131,44 +117,62 @@ def _coherent_coeffs(terms: SinrTerms, p, p_hat, tau_p):
     return np.where(terms.copilot, coeff, 0.0)
 
 
-def denominator_matrices(terms: SinrTerms, p, p_hat, tau_p, sigma2):
-    """Hermitian denominator matrices b_k of every UE, shape (..., K, L, L).
+def _require_positive(value, what):
+    """Raise SinrComputationError naming the first UE (and candidate) whose
+    entry of value (..., K) is not positive."""
+    bad = ~(value > 0)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
+                                   else "")
+        raise SinrComputationError(f"nonpositive {what} for {where}: "
+                                   f"{value[at]:.6e}")
 
-    b_k = sum_j p_j diag(xi[k, j]) + coherent pilot-contamination outer
-    products - p_k diag(lam[k]^2) + sigma2 diag(z[k]). Positive definite for
-    sigma2 > 0. Leading candidate axes of terms carry through.
+
+def _factors(terms: SinrTerms, p, p_hat, tau_p, sigma2):
+    """(dg, Delta') with b_k = diag(dg_k) + Delta'_k Delta'_k^H for every UE.
+
+    dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, summed over j in
+    index order whatever the memory layout of xi. Column j of Delta'_k
+    (..., K, J, L) is sqrt(c_kj) delta_kj for the j-th co-pilot of k,
+    c_kj = p_j p_hat_k p_hat_j tau_p^2, and 0 past k's co-pilot count.
     """
     p = np.asarray(p, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
-    diag = (np.einsum("j,...kjl->...kl", p, terms.xi)
-            - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
-    coeff = _coherent_coeffs(terms, p, p_hat, tau_p)
-    b = np.einsum("kj,...kjl,...kjm->...klm", coeff, terms.delta,
-                  terms.delta.conj())
-    idx = np.arange(terms.n_aps)
-    b[..., idx, idx] += diag
-    return b
+    dg = (sum(p[j] * terms.xi[..., j, :] for j in range(terms.n_ues))
+          - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
+    n_co = int(terms.copilot.sum(axis=1).max(initial=0))
+    order = np.argsort(~terms.copilot, axis=1, kind="stable")[:, :n_co]
+    rows = np.arange(terms.n_ues)[:, None]
+    scale = np.sqrt(_coherent_coeffs(terms, p, np.asarray(p_hat, dtype=float),
+                                     tau_p)[rows, order])
+    return dg, scale[..., None] * terms.delta[..., rows, order, :]
+
+
+def _lsfd_factors(terms: SinrTerms, p, p_hat, tau_p, sigma2):
+    """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
+    (an AP that sees nothing of the UE); any other nonpositive dg raises."""
+    dg, dp = _factors(terms, p, p_hat, tau_p, sigma2)
+    dropped = (dg == 0) & (terms.z == 0)
+    _require_positive(np.where(dropped, np.inf, dg).min(axis=-1),
+                      "LSFD denominator diagonal")
+    dinv = np.divide(1.0, dg, out=np.zeros_like(dg), where=~dropped)
+    return dinv * terms.z, dinv[..., None, :] * dp, dp
+
+
+def _inner_solve(g, v):
+    """(I + g)^-1 v for Woodbury inner matrices g (..., J, J), v (..., J)."""
+    return np.linalg.solve(g + np.eye(g.shape[-1]), v[..., None])[..., 0]
 
 
 def lsfd_weights(terms: SinrTerms, p, p_hat, tau_p, sigma2):
-    """SINR-maximizing statistical weights, shape (..., K, L) complex.
-
-    Solves b_k a_k = z_k per UE; a candidate (leading-axis slice of terms)
-    with a numerically singular denominator matrix falls back to a
-    pseudo-inverse for all its UEs, the other candidates keep the solve.
+    """SINR-maximizing statistical weights b_k^-1 z_k, shape (..., K, L)
+    complex, by the Woodbury identity
+    a_k = D^-1 z - D^-1 Delta' (I + Delta'^H D^-1 Delta')^-1 Delta'^H D^-1 z.
     """
-    b = denominator_matrices(terms, p, p_hat, tau_p, sigma2)
-    z = terms.z.astype(complex)[..., None]
-    try:
-        return np.linalg.solve(b, z)[..., 0]
-    except np.linalg.LinAlgError:
-        if b.ndim > 3:
-            return np.stack([lsfd_weights(terms.candidate(i), p, p_hat, tau_p,
-                                          sigma2)
-                             for i in range(b.shape[0])])
-        log.warning("singular denominator matrix; using pseudo-inverse")
-        return np.stack([np.linalg.pinv(b[k]) @ terms.z[k]
-                         for k in range(terms.n_ues)])
+    dz, dd, dp = _lsfd_factors(terms, p, p_hat, tau_p, sigma2)
+    g = np.einsum("...kjl,...kil->...kji", dp.conj(), dd)
+    v = np.einsum("...kjl,...kl->...kj", dp.conj(), dz)
+    return dz - np.einsum("...kjl,...kj->...kl", dd, _inner_solve(g, v))
 
 
 def egcd_weights(terms: SinrTerms):
@@ -231,18 +235,49 @@ def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
     """
     p = np.asarray(p, dtype=float)
     coeffs = sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
-    interference = coeffs.d @ p
-    den = interference + coeffs.noise
-    bad = den <= 0
-    if bad.any():
-        at = tuple(int(i) for i in np.argwhere(bad)[0])
-        where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
-                                   else "")
-        raise SinrComputationError(
-            f"nonpositive SINR denominator for {where}: "
-            f"{den[at]:.6e} (interference={interference[at]:.6e} "
-            f"noise={coeffs.noise[at]:.6e})")
+    den = coeffs.d @ p + coeffs.noise
+    _require_positive(den, "SINR denominator")
     return coeffs.signal * p / den
+
+
+def sinr_parts(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
+    """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
+    sinr_from_parts to sum over all APs or over any subset of them.
+
+    lsfd: z D^-1 z, Delta'^H D^-1 z and Delta'^H D^-1 Delta' per AP, shapes
+    (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
+    """
+    if decoder == "egcd":
+        return (terms.z, *_factors(terms, p, p_hat, tau_p, sigma2))
+    if decoder != "lsfd":
+        raise ValueError(f"unknown decoder {decoder!r}; expected one of "
+                         f"{DECODERS}")
+    dz, dd, dp = _lsfd_factors(terms, p, p_hat, tau_p, sigma2)
+    dp_h = dp.conj()
+    return (terms.z * dz, dp_h * dz[..., None, :],
+            dp_h[..., None, :] * dd[..., None, :, :])
+
+
+def sinr_from_parts(sums, decoder, p):
+    """Per-UE SINR (..., K) at the powers p (K,) from the AP sums of the
+    sinr_parts of decoder.
+
+    lsfd: the Rayleigh quotient p_k z^H b^-1 z = p_k (z^H D^-1 z
+    - v^H (I + G)^-1 v), v = Delta'^H D^-1 z, G = Delta'^H D^-1 Delta'.
+    egcd: p_k (sum z)^2 / (sum dg + ||sum Delta'||^2), the all-ones weights.
+    Raises SinrComputationError naming the first UE (and candidate) with a
+    nonpositive quotient or denominator.
+    """
+    p = np.asarray(p, dtype=float)
+    if decoder == "egcd":
+        z, dg, dp = sums
+        den = dg + (np.abs(dp) ** 2).sum(axis=-1)
+        _require_positive(den, "SINR denominator")
+        return z ** 2 * p / den
+    base, v, g = sums
+    quotient = base - np.real(v.conj() * _inner_solve(g, v)).sum(axis=-1)
+    _require_positive(quotient, "LSFD Rayleigh quotient")
+    return p * quotient
 
 
 def se_from_sinr(gamma, tau_c, tau_p):

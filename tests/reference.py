@@ -5,6 +5,12 @@
 #   sampler sample_channel
 # - cascade: the full wave-domain matrix of one stack
 # - per-link MMSE statistics: EstimationStats, estimation_stats
+# - denominator_matrices: every UE's dense L x L denominator matrix b_k,
+#   whose diagonal-plus-co-pilot structure the Woodbury se.lsfd_weights and
+#   the per-AP se.sinr_parts use without forming it
+# - splice_ap and candidate: a stack of candidate networks with AP l's
+#   column replaced by each probe's, and one network of such a stack, which
+#   the phase search's per-AP sums replace
 # - sinr_lsfd: the optimal SINR as the quadratic form p z^H b^-1 z
 # - sinr_breakdown: the five parts of every UE's SINR at given powers
 # - sinr_coefficients_loop: the per-UE power-control coefficients
@@ -201,6 +207,47 @@ def delta_method_loop(acc1, acc2, p, sigma2, n_trials):
             var = float(grad @ cov[k] @ grad) / n_trials
             stderr[s, k] = np.sqrt(max(var, 0.0))
     return gamma, stderr
+
+
+def denominator_matrices(terms, p, p_hat, tau_p, sigma2):
+    """Hermitian denominator matrices b_k of every UE, shape (..., K, L, L).
+
+    b_k = sum_j p_j diag(xi[k, j]) + coherent pilot-contamination outer
+    products - p_k diag(lam[k]^2) + sigma2 diag(z[k]). Positive definite for
+    sigma2 > 0. Leading candidate axes of terms carry through.
+    """
+    p = np.asarray(p, dtype=float)
+    p_hat = np.asarray(p_hat, dtype=float)
+    diag = (np.einsum("j,...kjl->...kl", p, terms.xi)
+            - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
+    coeff = np.where(terms.copilot,
+                     p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
+                     0.0)
+    b = np.einsum("kj,...kjl,...kjm->...klm", coeff, terms.delta,
+                  terms.delta.conj())
+    idx = np.arange(terms.n_aps)
+    b[..., idx, idx] += diag
+    return b
+
+
+def splice_ap(terms, l, other):
+    """Candidate stack: terms with AP l's column replaced by each AP column
+    of other in turn, on a leading axis of length other.n_aps."""
+    def splice(base, cols):
+        out = np.repeat(base[None], cols.shape[-1], axis=0)
+        out[..., l] = np.moveaxis(cols, -1, 0)
+        return out
+
+    return replace(terms, z=splice(terms.z, other.z),
+                   xi=splice(terms.xi, other.xi),
+                   delta=splice(terms.delta, other.delta),
+                   lam=splice(terms.lam, other.lam))
+
+
+def candidate(stack, i):
+    """Terms of candidate i of a stack built by splice_ap."""
+    return replace(stack, z=stack.z[i], xi=stack.xi[i], delta=stack.delta[i],
+                   lam=stack.lam[i])
 
 
 def sinr_lsfd(terms, p, p_hat, tau_p, sigma2):

@@ -3,18 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, channel, generate_drop, optimize
+from simcf import (SystemConfig, channel, fig3_spec, generate_drop, optimize,
+                   random_phase_tensor, table1_spec)
 from simcf.estimation import EstimationError
 from simcf.optimize import (BeamformingConfig, SumSeObjective,
                             allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
-                      sinr_coefficients, sinr_from_weights)
+                      se_from_sinr, sinr_coefficients, sinr_from_parts,
+                      sinr_from_weights)
 
-from reference import (optimize_beamforming_serial, replace_ap,
+from reference import (candidate, denominator_matrices,
+                       optimize_beamforming_serial, replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
-                       sinr_of_breakdown, terms_loop, turned_slices)
+                       sinr_of_breakdown, splice_ap, terms_loop,
+                       turned_slices)
 
 
 def test_pilots_identity_when_enough():
@@ -118,13 +122,67 @@ def test_incremental_objective_matches_full_rebuild(small_model,
     obj.set_phases(small_phases)
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     for step in (0.7, -2.5):
-        values, _ = obj.probe(1, rows, cols, [step])
-        fast = float(values[0])
+        fast = float(obj.probe(1, rows, cols, [step])[0][0])
         full = small_phases.copy()
         full[1] = turned_slices(small_phases[1], rows, cols, [step])[0]
         slow = obj.set_phases(full)
         assert fast == pytest.approx(slow, rel=1e-12)
         obj.set_phases(small_phases)
+
+
+def _paper_scale_cases():
+    """(model, pilots, phases): 5 drops at every Table I pitch and at the
+    Fig. 3 cell L = 40 (N = 6). Their denominator matrices reach condition
+    numbers of 2.6e5 (pitch lambda/8) to 3.3e8 (L = 40)."""
+    cfgs = [table1_spec().config_for(v) for v in table1_spec().values]
+    for cfg in cfgs + [fig3_spec().config_for(40)]:
+        for d in range(5):
+            drop = generate_drop(cfg, [17, d, 0])
+            yield (NetworkModel.from_drop(drop), allocate_pilots(drop),
+                   random_phase_tensor(cfg.L, cfg.M, cfg.N, [17, d, 1]))
+
+
+def _dense_lsfd(terms, args):
+    """(weights, SINR) of LSFD from a dense solve of every b_k."""
+    w = np.linalg.solve(denominator_matrices(terms, *args),
+                        terms.z.astype(complex)[..., None])[..., 0]
+    return w, args[0] * np.real(np.einsum("...kl,...kl->...k", terms.z, w))
+
+
+def test_woodbury_lsfd_and_probes_match_dense_solves():
+    rng = np.random.default_rng(23)
+    for model, pilots, phases in _paper_scale_cases():
+        cfg = model.cfg
+        args = (model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+        obj = SumSeObjective(model, pilots.pilot_of)
+        value = obj.set_phases(phases)
+        w_ref, gamma_ref = _dense_lsfd(obj.terms, args)
+        w = lsfd_weights(obj.terms, *args)
+        assert np.all(np.linalg.norm(w - w_ref, axis=-1)
+                      <= 1e-9 * np.linalg.norm(w_ref, axis=-1))
+        gamma = sinr_from_parts([part.sum(axis=-1) for part in obj.parts],
+                                "lsfd", model.drop.p)
+        np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-12, atol=0)
+        assert value == pytest.approx(
+            se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(), rel=1e-12)
+        # the other-AP sums of the first and the last AP
+        for l in (0, cfg.L - 1):
+            block = rng.permutation(cfg.M * cfg.N)[:4]
+            rows, cols = np.unravel_index(block, (cfg.M, cfg.N))
+            steps = np.array([1, 6, 11]) * np.pi / 8
+            values, block_terms, _ = obj.probe(l, rows, cols, steps)
+            stack = splice_ap(obj.terms, l, block_terms)
+            _, gamma_ref = _dense_lsfd(stack, args)
+            np.testing.assert_allclose(
+                values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
+                rtol=1e-12, atol=0)
+            for i, turned in enumerate(turned_slices(phases[l], rows, cols,
+                                                     steps)):
+                rebuilt = SumSeObjective(model, pilots.pilot_of)
+                patched = phases.copy()
+                patched[l] = turned
+                assert values[i] == pytest.approx(rebuilt.set_phases(patched),
+                                                  rel=1e-12)
 
 
 def test_final_phases_reproduce_reported_objective(small_model, small_pilots,
@@ -308,14 +366,15 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
     l = 2
     rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
     steps = np.array([1, 2, 5, 16, -3, -8]) * np.pi / 8
-    values, terms = obj.probe(l, rows, cols, steps)
+    values, block, _ = obj.probe(l, rows, cols, steps)
+    terms = splice_ap(obj.terms, l, block)
     slices = turned_slices(small_phases[l], rows, cols, steps)
     for i in range(steps.size):
         patched = small_phases.copy()
         patched[l] = slices[i]
         one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
         expected = replace_ap(obj.terms, l, one_ap)
-        got = terms.candidate(i)
+        got = candidate(terms, i)
         for name in ("z", "xi", "delta", "lam"):
             want = getattr(expected, name)
             np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12,
@@ -330,7 +389,9 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
     assert obj.improve(l, rows, cols, steps, values.min(), 0.0) == \
         (first, values[first])
     assert np.array_equal(obj.phases[l], slices[first])
-    assert np.array_equal(obj.terms.xi, terms.xi[first])
+    for name in ("z", "xi", "delta", "lam"):
+        assert np.array_equal(getattr(obj.terms, name),
+                              getattr(terms, name)[first])
     assert obj.set_phases(obj.phases) == pytest.approx(values[first],
                                                        rel=1e-12)
 
@@ -367,8 +428,9 @@ def test_probes_never_run_the_full_cascade(small_model, small_pilots,
 def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
     """Make probe `index` of the first probe batch, and that phase slice
     wherever it is evaluated again, fail: "sinr" gives it a negative
-    interference term, so its EGCD SINR denominator is nonpositive;
-    "estimation" raises EstimationError while it is in the batch."""
+    interference term, so its EGCD SINR denominator and its LSFD diagonal
+    are nonpositive; "estimation" raises EstimationError while it is in the
+    batch."""
     real = model.block_terms
     target = []
 
@@ -388,10 +450,15 @@ def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
     monkeypatch.setattr(model, "block_terms", block_terms)
 
 
-@pytest.mark.parametrize("failure", ["sinr", "estimation"])
+# each failure under both decoders; the EGCD cases keep their original ids
+@pytest.mark.parametrize("failure, decoder", [
+    pytest.param(failure, decoder,
+                 id=failure + ("" if decoder == "egcd" else f"-{decoder}"))
+    for decoder in ("egcd", "lsfd") for failure in ("sinr", "estimation")])
 def test_failing_probe_past_the_accepted_one_is_never_raised(
-        small_drop, small_pilots, small_phases, monkeypatch, failure):
-    cfg = BeamformingConfig(decoder="egcd")
+        small_drop, small_pilots, small_phases, monkeypatch, failure,
+        decoder):
+    cfg = BeamformingConfig(decoder=decoder)
     model = NetworkModel.from_drop(small_drop)
     clean = optimize_beamforming(model, small_pilots.pilot_of, small_phases,
                                  cfg, rng=3)
@@ -405,12 +472,17 @@ def test_failing_probe_past_the_accepted_one_is_never_raised(
     assert trace == clean[1]
 
 
-@pytest.mark.parametrize("failure, error", [
-    ("sinr", SinrComputationError), ("estimation", EstimationError)])
+@pytest.mark.parametrize("failure, error, decoder", [
+    pytest.param(failure, error, decoder,
+                 id=f"{failure}-{error.__name__}"
+                 + ("" if decoder == "egcd" else f"-{decoder}"))
+    for decoder in ("egcd", "lsfd")
+    for failure, error in (("sinr", SinrComputationError),
+                           ("estimation", EstimationError))])
 def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
                                                     small_phases, monkeypatch,
-                                                    failure, error):
-    cfg = BeamformingConfig(decoder="egcd")
+                                                    failure, error, decoder):
+    cfg = BeamformingConfig(decoder=decoder)
     model = NetworkModel.from_drop(small_drop)
     _, trace = optimize_beamforming(model, small_pilots.pilot_of,
                                     small_phases, cfg, rng=3)

@@ -5,12 +5,14 @@ import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.pipeline import NetworkModel
-from simcf.se import (SinrComputationError, denominator_matrices,
-                      egcd_weights, lsfd_weights, se_from_sinr,
-                      sinr_coefficients, sinr_from_weights, sinr_terms)
+from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
+                      se_from_sinr, sinr_coefficients, sinr_from_weights,
+                      sinr_terms)
 
-from reference import (cross_moment_estimates, predicted_cross_moments,
-                       sinr_breakdown, sinr_lsfd, sinr_of_breakdown)
+from reference import (candidate, cross_moment_estimates,
+                       denominator_matrices, predicted_cross_moments,
+                       sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
+                       splice_ap)
 
 
 def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
@@ -266,8 +268,8 @@ def candidate_stack(model, pilots, phases, l=1, n=5):
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases, pilots.pilot_of)
-    return base.splice_ap(l, model.block_terms(l, phases[l], rows, cols, steps,
-                                               pilots.pilot_of))
+    return splice_ap(base, l, model.block_terms(l, phases[l], rows, cols,
+                                                steps, pilots.pilot_of))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
@@ -283,7 +285,7 @@ def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
     gamma_egcd = sinr_from_weights(stack, ones, *args)
     assert b.shape == (5, cfg.K, cfg.L, cfg.L) and gamma.shape == (5, cfg.K)
     for i in range(5):
-        one = stack.candidate(i)
+        one = candidate(stack, i)
         assert np.array_equal(b[i], denominator_matrices(one, *args))
         assert np.array_equal(w[i], lsfd_weights(one, *args))
         one_coeffs = sinr_coefficients(one, w[i], *args[1:])
@@ -307,15 +309,32 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
     stack = replace(stack, **zeroed)
     args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(denominator_matrices(stack.candidate(1), *args),
+        np.linalg.solve(denominator_matrices(candidate(stack, 1), *args),
                         stack.z[1][..., None])
     w = lsfd_weights(stack, *args)
     for i in range(3):
-        assert np.array_equal(w[i], lsfd_weights(stack.candidate(i), *args))
-    assert np.array_equal(w[0], np.linalg.solve(
-        denominator_matrices(stack.candidate(0), *args),
-        stack.z[0].astype(complex)[..., None])[..., 0])
+        assert np.array_equal(w[i], lsfd_weights(candidate(stack, i), *args))
+    np.testing.assert_allclose(w[0], np.linalg.solve(
+        denominator_matrices(candidate(stack, 0), *args),
+        stack.z[0].astype(complex)[..., None])[..., 0], rtol=1e-10)
     assert np.all(w[1] == 0)
+
+
+def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
+                                                       small_pilots,
+                                                       small_phases,
+                                                       small_cfg):
+    # a negative interference term makes dg < 0 at an AP where z > 0
+    cfg = small_cfg
+    stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
+    xi = stack.xi.copy()
+    xi[2, 1, :, 0] = -1e6 * np.abs(xi).max()
+    stack = replace(stack, xi=xi)
+    assert stack.z[2, 1, 0] > 0
+    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    with pytest.raises(SinrComputationError,
+                       match=r"UE 1 of candidate \(2,\)"):
+        lsfd_weights(stack, *args)
 
 
 def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
