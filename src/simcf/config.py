@@ -75,7 +75,11 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 <= self.delta_f <= 1.0:
             raise ConfigError("delta_f must lie in [0, 1]")
-        if np.any(np.asarray(self.p_hat) < 0):
+        p_hat = np.asarray(self.p_hat)
+        if p_hat.ndim and p_hat.shape != (self.K,):
+            raise ConfigError(f"p_hat has shape {p_hat.shape}, expected a "
+                              f"scalar or K={self.K} values")
+        if np.any(p_hat < 0):
             raise ConfigError("pilot powers must be nonnegative")
         nx, ny = most_square_factors(self.N)
         if nx * ny != self.N:
@@ -93,12 +97,7 @@ class SystemConfig:
 
     def pilot_powers(self):
         """Per-UE pilot power vector of length K."""
-        p = np.asarray(self.p_hat, dtype=float)
-        if p.ndim == 0:
-            return np.full(self.K, float(p))
-        if p.shape != (self.K,):
-            raise ConfigError(f"p_hat has length {p.size}, expected K={self.K}")
-        return p.copy()
+        return np.full(self.K, self.p_hat, dtype=float)
 
     def replace(self, **kwargs):
         return replace(self, **kwargs)

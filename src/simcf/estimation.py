@@ -1,14 +1,17 @@
 # simcf/estimation.py
 # Phase-aware MMSE channel estimation: second-order statistics of every
-# (AP, UE) link at once (pilot-domain covariance, estimate covariance, error
-# covariance, estimator core) and realization-level estimates for
-# Monte-Carlo runs.
+# (AP, UE) link at once (estimate covariance, error covariance, estimator
+# core, all from the pilot-domain covariance of each (AP, pilot)) and
+# realization-level estimates for Monte-Carlo runs.
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
+
+log = logging.getLogger(__name__)
 
 
 class EstimationError(RuntimeError):
@@ -17,9 +20,10 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationState:
-    """Batched estimation statistics for every (AP, UE) link. mmse_estimate
-    forms the estimator matrix sqrt(p_hat_k) core^H from core."""
-    psi: np.ndarray       # (L, K, U, U)
+    """Batched estimation statistics for every (AP, UE) link.
+    build_estimation_state forms the pilot covariance psi per (AP, pilot)
+    and keeps only what it solves from psi. mmse_estimate forms the
+    estimator matrix sqrt(p_hat_k) core^H from core."""
     core: np.ndarray      # (L, K, U, U) psi^-1 r
     omega: np.ndarray     # (L, K, U, U)
     err_cov: np.ndarray   # (L, K, U, U)
@@ -39,7 +43,8 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     """Estimation statistics for all links given a pilot assignment.
 
     Exploits the factored covariance r[l, k] = beta_nlos[l, k] * s[l]: the
-    pilot covariance at AP l depends on the pilot index only.
+    pilot covariance at AP l depends on the pilot index only. Its condition
+    is checked once per (AP, pilot) when DEBUG logging is on.
     """
     pilot_of = np.asarray(pilot_of)
     onehot = _pilot_onehot(pilot_of)
@@ -49,16 +54,27 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     load = tau_p * (state.beta_nlos * p_hat[None, :]) @ onehot   # (L, T)
     psi_t = (load[:, :, None, None] * state.s[:, None]
              + sigma2 * np.eye(u)[None, None])                  # (L, T, U, U)
-    psi = psi_t[:, pilot_of]                                     # (L, K, U, U)
+    _monitor_conditioning(psi_t)
     r = state.r_all()
     try:
-        core = np.linalg.solve(psi, r)                           # psi^-1 r
+        core = np.linalg.solve(psi_t[:, pilot_of], r)            # psi^-1 r
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"pilot covariance is singular: {exc}") from exc
     omega = r @ core
     omega = 0.5 * (omega + omega.conj().swapaxes(-1, -2))
     err_cov = r - (p_hat * tau_p)[None, :, None, None] * omega
-    return EstimationState(psi=psi, core=core, omega=omega, err_cov=err_cov)
+    return EstimationState(core=core, omega=omega, err_cov=err_cov)
+
+
+def _monitor_conditioning(psi):
+    """Log badly conditioned pilot covariances (debug runs only; the check
+    costs a batched eigendecomposition per evaluation)."""
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    w = np.linalg.eigvalsh(psi)
+    worst = float(np.max(w[..., -1] / np.maximum(w[..., 0], 1e-300)))
+    if worst > 1e12:
+        log.warning("pilot covariance badly conditioned (cond %.3e)", worst)
 
 
 def despread_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):

@@ -2,11 +2,14 @@
 # Sweep runner: seeded scenario batches over one sweep variable, optional
 # phase optimization and power control per scheme, closed-form SE for both
 # decoders, optional Monte-Carlo validation, and CSV emission (raw per-UE
-# rows plus aggregates). Cells run serially in a fixed order. A drop that
-# hits a typed numerical failure is logged and counted; any other exception
-# aborts the run. Output is plain data; plotting is external.
+# rows plus aggregates). The unit of work is one (sweep value, drop) cell,
+# which derives all it needs from the spec; cells run serially in a fixed
+# order. A cell that hits a typed numerical failure is logged and counted;
+# any other exception aborts the run. Every sweep value is checked when the
+# spec is built. Output is plain data; plotting is external.
 
 import csv
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field, fields
@@ -78,6 +81,15 @@ class ExperimentSpec:
         bad = set(self.schemes) - set(SCHEMES)
         if self.sweep != "scheme" and bad:
             raise ExperimentError(f"unknown schemes: {sorted(bad)}")
+        for value in self.values:
+            self.config_for(value)
+            self.schemes_for(value)
+            self.decoders_for(value)
+        # equal values pool in one aggregate, and values printed alike
+        # (2 and "2") write rows the CSVs cannot tell apart
+        n = len(self.values)
+        if len(set(self.values)) < n or len(set(map(str, self.values))) < n:
+            raise ExperimentError(f"duplicate sweep values in {self.values!r}")
 
     @classmethod
     def from_dict(cls, data):
@@ -95,10 +107,14 @@ class ExperimentSpec:
     def config_for(self, value):
         """SystemConfig for one sweep value."""
         params = dict(self.base)
-        if self.sweep in ("L", "K", "U", "M", "N"):
-            params[self.sweep] = int(value)
-        elif self.sweep == "d_meta":
-            params["d_meta"] = float(value)
+        try:
+            if self.sweep in ("L", "K", "U", "M", "N"):
+                params[self.sweep] = int(value)
+            elif self.sweep == "d_meta":
+                params["d_meta"] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ExperimentError(f"bad {self.sweep} value {value!r}: "
+                                  f"{exc}") from exc
         if self.fixed_total_atoms is not None:
             probe = SystemConfig.from_dict({k: v for k, v in params.items()
                                             if k != "N"})
@@ -154,37 +170,21 @@ def _drop_seed(spec, drop_index, purpose):
     return [spec.seed, drop_index, purpose]
 
 
-def _run_cell(spec, value_index, value):
-    """All rows for one (sweep value, all drops) cell of the grid."""
+def _run_drop(spec, value_index, value, d):
+    """All rows of one (sweep value, drop) cell of the grid."""
     cfg = spec.config_for(value)
     schemes = spec.schemes_for(value)
     decoders = spec.decoders_for(value)
-    need_opt = any(s.startswith("opt") for s in schemes)
-    bf_cfg = BeamformingConfig(**spec.beamforming)
-    rows = []
-    failures = 0
-    for d in range(spec.n_drops):
-        try:
-            rows.extend(_run_drop(spec, cfg, value, value_index, d, schemes,
-                                  decoders, need_opt, bf_cfg))
-        except (EstimationError, se.SinrComputationError, ScenarioError,
-                np.linalg.LinAlgError):
-            failures += 1
-            log.exception("drop %d at value %r failed; skipping", d, value)
-    return rows, failures
-
-
-def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
-              bf_cfg):
     drop = generate_drop(cfg, _drop_seed(spec, d, 0))
     pilots = allocate_pilots(drop)
     model = NetworkModel.from_drop(drop)
     rand_phases = random_phase_tensor(cfg.L, cfg.M, cfg.N,
                                       _drop_seed(spec, d, 1))
     phase_sets = {"rand": rand_phases}
-    if need_opt:
+    if any(s.startswith("opt") for s in schemes):
         opt_phases, _ = optimize_beamforming(
-            model, pilots.pilot_of, rand_phases, bf_cfg,
+            model, pilots.pilot_of, rand_phases,
+            BeamformingConfig(**spec.beamforming),
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         phase_sets["opt"] = opt_phases
 
@@ -238,13 +238,17 @@ def _run_drop(spec, cfg, value, value_index, d, schemes, decoders, need_opt,
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute the sweep, one (sweep value, drops) cell after another."""
+    """Execute the sweep, one (sweep value, drop) cell after another."""
     rows = []
     failures = 0
-    for value_index, value in enumerate(spec.values):
-        cell_rows, cell_failures = _run_cell(spec, value_index, value)
-        rows.extend(cell_rows)
-        failures += cell_failures
+    for (value_index, value), d in itertools.product(enumerate(spec.values),
+                                                     range(spec.n_drops)):
+        try:
+            rows.extend(_run_drop(spec, value_index, value, d))
+        except (EstimationError, se.SinrComputationError, ScenarioError,
+                np.linalg.LinAlgError):
+            failures += 1
+            log.exception("drop %d at value %r failed; skipping", d, value)
     aggregates = aggregate_rows(spec, rows)
     return ExperimentResult(spec=spec, rows=rows, aggregates=aggregates,
                             failures=failures)
@@ -257,18 +261,16 @@ def aggregate_rows(spec, rows):
         key = (row[1], row[4], row[5])
         groups.setdefault(key, []).append(row[7])
     out = []
-    for value in spec.values:
-        for (v, decoder, scheme), samples in sorted(
-                groups.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2])):
-            if v != value:
-                continue
-            arr = np.asarray(samples)
-            out.append(AggregateResult(
-                value=v, decoder=decoder, scheme=scheme, se_samples=arr,
-                mean_se=float(arr.mean()),
-                stderr=float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0,
-                likely95=float(np.percentile(arr, 5.0)),
-            ))
+    for (v, decoder, scheme), samples in sorted(
+            groups.items(),
+            key=lambda kv: (spec.values.index(kv[0][0]), kv[0][1], kv[0][2])):
+        arr = np.asarray(samples)
+        out.append(AggregateResult(
+            value=v, decoder=decoder, scheme=scheme, se_samples=arr,
+            mean_se=float(arr.mean()),
+            stderr=float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0,
+            likely95=float(np.percentile(arr, 5.0)),
+        ))
     return out
 
 

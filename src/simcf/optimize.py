@@ -5,7 +5,7 @@
 # feasibility system induced by fixed CPU weights.
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from .scenario import Drop
 from .sim_physics import wrap_phases
 
 log = logging.getLogger(__name__)
-
-TERM_ARRAYS = ("z", "xi", "delta", "lam")   # the per-AP arrays of se.SinrTerms
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +34,12 @@ def pilot_interference(drop: Drop, k, assigned, pilot_of):
     """Contamination cost of giving each pilot to UE k, shape (tau_p,).
 
     The cost of a pilot is the sum over the UEs j in assigned that hold it
-    and over all APs l of beta_lk * beta_lj (phase independent).
+    and over all APs l of beta_lk * beta_lj (phase independent). A UE of
+    assigned without a pilot (-1 in pilot_of) raises ValueError.
     """
-    ui = np.zeros(drop.cfg.tau_p)
     cost = drop.beta[:, k][:, None] * drop.beta[:, assigned]   # (L, |assigned|)
-    for j, c in zip(assigned, cost.sum(axis=0)):
-        ui[pilot_of[j]] += c
-    return ui
+    return np.bincount(pilot_of[assigned], weights=cost.sum(axis=0),
+                       minlength=drop.cfg.tau_p)
 
 
 def allocate_pilots(drop: Drop) -> PilotAssignment:
@@ -98,16 +95,16 @@ class TraceRow:
 class SumSeObjective:
     """Closed-form sum SE of the network, with batched probing of one AP.
 
-    The network's terms and their per-AP SINR parts (se.sinr_parts) are
-    kept. probe(l, rows, cols, steps) turns a block of AP l's atoms by each
-    of the B steps and evaluates the probes as one batch: AP l's terms under
-    every probe (NetworkModel.block_terms, from the polynomial in e^{j step}
-    that the block's cascade is), their parts, and for each probe its part
-    added to the sums of the parts over the other APs, formed once per
-    block. The SINR follows from those sums (se.sinr_from_parts): under LSFD
-    the Woodbury Rayleigh quotient, under EGCD the all-ones weighting.
-    improve commits the first probe that beats the current value by writing
-    its column of AP l into the terms and parts.
+    Only the per-AP SINR parts of the network (se.sinr_parts) are kept,
+    not its terms. probe(l, rows, cols, steps) turns a block of AP l's atoms
+    by each of the B steps and evaluates the probes as one batch: AP l's
+    terms under every probe (NetworkModel.block_terms, from the polynomial
+    in e^{j step} that the block's cascade is, the probes on the AP axis),
+    their parts, and for each probe its part added to the sums of the parts
+    over the other APs, formed once per block. The SINR follows from those
+    sums (se.sinr_from_parts): under LSFD the Woodbury Rayleigh quotient,
+    under EGCD the all-ones weighting. improve commits the first probe that
+    beats the current value by writing its column into AP l's parts.
     """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
@@ -117,12 +114,11 @@ class SumSeObjective:
         self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
         self.decoder = decoder
         self.p_hat = model.cfg.pilot_powers()
-        self.phases = self.terms = self.parts = None
+        self.phases = self.parts = None
 
     def set_phases(self, phases):
         self.phases = np.array(phases, dtype=float)
-        self.terms = self.model.terms(self.phases, self.pilot_of)
-        self.parts = self._parts(self.terms)
+        self.parts = self._parts(self.model.terms(self.phases, self.pilot_of))
         return float(self._sum_se([part.sum(axis=-1) for part in self.parts]))
 
     def _parts(self, terms):
@@ -135,17 +131,18 @@ class SumSeObjective:
                                self.cfg.tau_p).sum(axis=-1)
 
     def probe(self, l, rows, cols, steps):
-        """(values (B,), block, parts) with the atoms (rows, cols) of AP l
-        turned by each of steps (B,): block is AP l's terms with the probes
-        on the AP axis, parts their SINR parts with the probes on a leading
-        axis (each a one-AP network)."""
-        block = self.model.block_terms(l, self.phases[l], rows, cols, steps,
-                                       self.pilot_of)
-        parts = self._parts(replace(block, **{
-            name: _probes_first(getattr(block, name)) for name in TERM_ARRAYS}))
-        others = np.arange(self.terms.n_aps) != l
-        return self._sum_se([part @ others + new[..., 0] for part, new
-                             in zip(self.parts, parts)]), block, parts
+        """(values (B,), parts) with the atoms (rows, cols) of AP l turned
+        by each of steps (B,): parts are the SINR parts of AP l under the
+        probes, the probes on the AP axis."""
+        parts = self._parts(self.model.block_terms(
+            l, self.phases[l], rows, cols, steps, self.pilot_of))
+        others = np.arange(self.cfg.L) != l
+        sums = [(part @ others)[..., None] + new
+                for part, new in zip(self.parts, parts)]
+        # the probes first, as candidates of sinr_from_parts (transpose,
+        # since np.moveaxis would double the cost of this step)
+        return self._sum_se([s.transpose(-1, *range(s.ndim - 1))
+                             for s in sums]), parts
 
     def improve(self, l, rows, cols, steps, best, min_gain):
         """Commit the first probe whose value exceeds best by more than
@@ -157,7 +154,7 @@ class SumSeObjective:
         """
         steps = np.asarray(steps, dtype=float)
         try:
-            values, block, parts = self.probe(l, rows, cols, steps)
+            values, parts = self.probe(l, rows, cols, steps)
         except (EstimationError, se.SinrComputationError):
             if steps.size == 1:
                 raise
@@ -171,18 +168,11 @@ class SumSeObjective:
         if better.size == 0:
             return None
         i = int(better[0])
-        for name in TERM_ARRAYS:
-            getattr(self.terms, name)[..., l] = getattr(block, name)[..., i]
         for part, new in zip(self.parts, parts):
-            part[..., l] = new[i, ..., 0]
+            part[..., l] = new[..., i]
         self.phases[l, rows, cols] = wrap_phases(self.phases[l, rows, cols]
                                                  + steps[i])
         return i, float(values[i])
-
-
-def _probes_first(a):
-    """Block-terms array a (..., B) as B one-AP networks, (B, ..., 1)."""
-    return a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., None]
 
 
 def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
@@ -201,9 +191,10 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
     (SumSeObjective.improve): AP l's terms from the polynomial in e^{j step}
     that the block's cascade is, and each probe's SINRs from its per-AP
     parts plus those of the other APs, summed once per block (under LSFD a
-    Woodbury Rayleigh quotient; no L x L matrix is formed). The first
-    improving probe is accepted, so the phases and the trace are those of
-    evaluating probe after probe.
+    Woodbury Rayleigh quotient; no L x L matrix is formed). Between blocks
+    only the network's per-AP parts are kept; an accept overwrites AP l's.
+    The first improving probe is accepted, so the phases and the trace are
+    those of evaluating probe after probe.
 
     Returns (phases, trace) with trace a list of TraceRow per probe.
     """

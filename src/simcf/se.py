@@ -14,17 +14,16 @@
 # b_k^-1 z_k and their SINR p_k z_k^H b_k^-1 z_k, a generalized Rayleigh
 # quotient, follow from the Woodbury identity without any L x L matrix.
 # Both decoders' SINRs are functions of AP sums of per-AP parts
-# (sinr_parts), so a phase search can re-sum one AP at a time.
+# (sinr_parts), so a phase search can re-sum one AP at a time. The terms
+# read the estimation state's omega and core only; the pilot covariance is
+# checked where it is built (estimation.build_estimation_state).
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
 from .estimation import EstimationState
-
-log = logging.getLogger(__name__)
 
 DECODERS = ("lsfd", "egcd")
 
@@ -95,20 +94,8 @@ def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
     same = pilot_of[:, None] == pilot_of[None, :]
     delta = np.einsum("ljuv,lkvu->kjl", r, est.core)   # tr(r_lj psi_lk^-1 r_lk)
     delta = np.where(same[:, :, None], delta, 0.0)
-    _monitor_conditioning(est.psi)
     return SinrTerms(z=z, xi=xi, delta=delta, lam=lam,
                      copilot=same & ~np.eye(n_ue, dtype=bool))
-
-
-def _monitor_conditioning(psi):
-    """Log badly conditioned pilot covariances (debug runs only; the check
-    costs a batched eigendecomposition per evaluation)."""
-    if not log.isEnabledFor(logging.DEBUG):
-        return
-    w = np.linalg.eigvalsh(psi)
-    worst = float(np.max(w[..., -1] / np.maximum(w[..., 0], 1e-300)))
-    if worst > 1e12:
-        log.warning("pilot covariance badly conditioned (cond %.3e)", worst)
 
 
 def _coherent_coeffs(terms: SinrTerms, p, p_hat, tau_p):

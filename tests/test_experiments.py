@@ -55,6 +55,23 @@ def test_spec_validation():
     with pytest.raises(ExperimentError, match="beamforming"):
         ExperimentSpec.from_dict({"sweep": "L", "values": [2],
                                   "beamforming": {"symmetric_probe": True}})
+    # every sweep value is checked at spec time, not by its first drop
+    for values in ((2, 2), (2, 2.0), (2, "2")):
+        with pytest.raises(ExperimentError, match="duplicate"):
+            tiny_spec(values=values)
+    with pytest.raises(ExperimentError, match="'x'"):
+        tiny_spec(values=(2, "x"))
+    with pytest.raises(ExperimentError, match="'x'"):
+        tiny_spec(sweep="d_meta", values=(0.1, "x"))
+    with pytest.raises(ExperimentError, match="'warp-drive'"):
+        tiny_spec(sweep="scheme", values=("rand-full", "warp-drive"))
+    with pytest.raises(ExperimentError, match="'lsdf'"):
+        tiny_spec(sweep="decoder", values=("lsfd", "lsdf"))
+    # a per-UE pilot power vector fits only some values of a K sweep
+    with pytest.raises(ExperimentError, match="value 4"):
+        tiny_spec(sweep="K", values=(3, 4),
+                  base=dict(L=2, U=2, M=2, N=9, tau_p=2,
+                            p_hat=(0.1, 0.2, 0.15)))
 
 
 def test_spec_rejects_pilot_metric():

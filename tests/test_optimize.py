@@ -45,6 +45,24 @@ def test_colocated_twin_avoided():
     assert pa.pilot_of[2] == np.argmin(ui)
 
 
+def test_pilot_interference_sums_cost_per_pilot():
+    # equal bit for bit to adding each assigned UE's cost in index order
+    for tau_p in (1, 2, 3):
+        cfg = SystemConfig(L=3, K=6, U=1, M=1, N=4, tau_p=tau_p)
+        drop = generate_drop(cfg, tau_p)
+        pilot_of = np.arange(cfg.K) % tau_p
+        assigned = np.arange(5)
+        expected = np.zeros(tau_p)
+        for j in assigned:
+            expected[pilot_of[j]] += (drop.beta[:, 5] * drop.beta[:, j]).sum()
+        got = pilot_interference(drop, 5, assigned, pilot_of)
+        assert np.array_equal(got, expected)
+    # an unassigned UE (-1) among the assigned ones is an error, not a
+    # charge on the last pilot
+    with pytest.raises(ValueError):
+        pilot_interference(drop, 5, assigned, np.array([0, 1, -1, 0, 1, 2]))
+
+
 def test_greedy_beats_random_median():
     cfg = SystemConfig(L=4, K=8, U=1, M=1, N=4, tau_p=3)
     drop = generate_drop(cfg, 2)
@@ -156,8 +174,9 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
         args = (model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
         obj = SumSeObjective(model, pilots.pilot_of)
         value = obj.set_phases(phases)
-        w_ref, gamma_ref = _dense_lsfd(obj.terms, args)
-        w = lsfd_weights(obj.terms, *args)
+        terms = model.terms(phases, pilots.pilot_of)
+        w_ref, gamma_ref = _dense_lsfd(terms, args)
+        w = lsfd_weights(terms, *args)
         assert np.all(np.linalg.norm(w - w_ref, axis=-1)
                       <= 1e-9 * np.linalg.norm(w_ref, axis=-1))
         gamma = sinr_from_parts([part.sum(axis=-1) for part in obj.parts],
@@ -170,8 +189,9 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             block = rng.permutation(cfg.M * cfg.N)[:4]
             rows, cols = np.unravel_index(block, (cfg.M, cfg.N))
             steps = np.array([1, 6, 11]) * np.pi / 8
-            values, block_terms, _ = obj.probe(l, rows, cols, steps)
-            stack = splice_ap(obj.terms, l, block_terms)
+            values, _ = obj.probe(l, rows, cols, steps)
+            stack = splice_ap(terms, l, model.block_terms(
+                l, phases[l], rows, cols, steps, pilots.pilot_of))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
@@ -366,14 +386,16 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
     l = 2
     rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
     steps = np.array([1, 2, 5, 16, -3, -8]) * np.pi / 8
-    values, block, _ = obj.probe(l, rows, cols, steps)
-    terms = splice_ap(obj.terms, l, block)
+    values, parts = obj.probe(l, rows, cols, steps)
+    base = small_model.terms(small_phases, small_pilots.pilot_of)
+    terms = splice_ap(base, l, small_model.block_terms(
+        l, small_phases[l], rows, cols, steps, small_pilots.pilot_of))
     slices = turned_slices(small_phases[l], rows, cols, steps)
     for i in range(steps.size):
         patched = small_phases.copy()
         patched[l] = slices[i]
         one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
-        expected = replace_ap(obj.terms, l, one_ap)
+        expected = replace_ap(base, l, one_ap)
         got = candidate(terms, i)
         for name in ("z", "xi", "delta", "lam"):
             want = getattr(expected, name)
@@ -384,16 +406,18 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
     assert obj.improve(l, rows, cols, steps, values.max(), 0.0) is None
     assert np.array_equal(obj.phases, small_phases)
     # above the worst value, the first better probe is committed, with its
-    # terms taken from the batch
+    # parts taken from the batch
     first = int(np.flatnonzero(values > values.min())[0])
     assert obj.improve(l, rows, cols, steps, values.min(), 0.0) == \
         (first, values[first])
     assert np.array_equal(obj.phases[l], slices[first])
-    for name in ("z", "xi", "delta", "lam"):
-        assert np.array_equal(getattr(obj.terms, name),
-                              getattr(terms, name)[first])
+    for part, new in zip(obj.parts, parts):
+        assert np.array_equal(part[..., l], new[..., first])
+    committed = [part.copy() for part in obj.parts]
     assert obj.set_phases(obj.phases) == pytest.approx(values[first],
                                                        rel=1e-12)
+    for part, rebuilt in zip(committed, obj.parts):
+        np.testing.assert_allclose(part, rebuilt, rtol=1e-12, atol=0)
 
 
 def test_probes_never_run_the_full_cascade(small_model, small_pilots,

@@ -138,6 +138,9 @@ def test_config_validation():
         SystemConfig(wavelength=-1.0)
     with pytest.raises(ConfigError):
         SystemConfig(p_hat=(0.1, -0.2, 0.1, 0.1, 0.1))
+    # a per-UE pilot power vector must have one entry per UE
+    with pytest.raises(ConfigError, match="p_hat"):
+        SystemConfig(K=5, p_hat=(0.1, 0.2))
 
 
 def test_config_defaults_follow_wavelength():
