@@ -2,10 +2,12 @@
 # Command line front end: `run` executes a sweep spec, `validate` runs the
 # built-in oracle checks, `table1` and `fig3` run the canned experiment
 # grids. Failures exit nonzero with their traceback and then a JSON error
-# record as the last line on stderr.
+# record as the last line on stderr. --log-level sets the level of the
+# simcf loggers, whose records go to stderr.
 
 import argparse
 import json
+import logging
 import sys
 import traceback
 from dataclasses import replace
@@ -45,6 +47,12 @@ def build_parser():
     p_f3 = sub.add_parser("fig3", help="AP sweep at a fixed atom budget")
     p_f3.add_argument("--drops", type=int, default=20)
     _add_common(p_f3)
+    for sub_parser in sub.choices.values():
+        sub_parser.add_argument(
+            "--log-level", default="WARNING",
+            choices=("WARNING", "INFO", "DEBUG"),
+            help="simcf logging level; DEBUG also turns on the pilot "
+                 "covariance conditioning check")
     return parser
 
 
@@ -60,6 +68,8 @@ def _execute(spec, args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("simcf").setLevel(args.log_level)
     try:
         if args.command == "run":
             return _execute(ExperimentSpec.from_json(args.spec), args)

@@ -3,6 +3,7 @@
 # All powers are linear Watts, all lengths are meters, shadowing is in dB.
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -67,6 +68,12 @@ class SystemConfig:
         if self.tau_p < 1 or self.tau_c < 1 or self.tau_p > self.tau_c:
             raise ConfigError(
                 f"need 1 <= tau_p <= tau_c, got tau_p={self.tau_p} tau_c={self.tau_c}")
+        # wavelength first: d_meta and t_sim default to multiples of it
+        for name in ("wavelength", "sigma2", "p_max", "area_side", "d_meta",
+                     "t_sim", "delta_sf", "d_dc", "delta_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)!r}")
         if self.wavelength <= 0:
             raise ConfigError("wavelength must be positive")
         for name in ("sigma2", "p_max", "area_side", "d_meta", "t_sim",
@@ -79,8 +86,8 @@ class SystemConfig:
         if p_hat.ndim and p_hat.shape != (self.K,):
             raise ConfigError(f"p_hat has shape {p_hat.shape}, expected a "
                               f"scalar or K={self.K} values")
-        if np.any(p_hat < 0):
-            raise ConfigError("pilot powers must be nonnegative")
+        if not all(0 <= v < math.inf for v in p_hat.flat):
+            raise ConfigError("pilot powers must be finite and nonnegative")
         nx, ny = most_square_factors(self.N)
         if nx * ny != self.N:
             raise ConfigError(f"N={self.N} admits no grid factorization")

@@ -88,25 +88,36 @@ def despread_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def mmse_estimate(est: EstimationState, h_bar, phase, nlos, pilot_of, p_hat,
-                  tau_p, pilot_noise):
+def link_matvec(f, v):
+    """Per-link matrix-vector products f[l, k] @ v[..., l, k, :] for
+    matrices f (L, K, U, U) and vectors v (..., L, K, U), as explicit sums
+    over the U axis (one broadcast product per column of f)."""
+    out = f[..., 0] * v[..., 0, None]
+    for j in range(1, f.shape[-1]):
+        out += f[..., j] * v[..., j, None]
+    return out
+
+
+def mmse_estimate(est: EstimationState, los, nlos, pilot_of, p_hat, tau_p,
+                  pilot_noise):
     """Realization-level estimates from sampled channels.
 
-    h_bar: (L, K, U) mean channels; phase: (..., L, K) sampled LoS phases;
-    nlos: (..., L, K, U) sampled zero-mean channel parts; pilot_noise:
+    los: (..., L, K, U) sampled LoS parts h_bar e^{j phase}; nlos:
+    (..., L, K, U) sampled zero-mean channel parts; pilot_noise:
     (..., L, T, U) with T = pilot_of.max() + 1. Returns estimates of shape
     (..., L, K, U); the error is (true channel) - (estimate) with
-    true = h_bar e^{j phase} + nlos. Each pilot's observation (tau_p times
-    its UEs' weighted NLoS sum, plus its noise) is formed once and read by
-    every UE on it through sqrt(p_hat_k) core^H.
+    true = los + nlos. Each pilot's observation (tau_p times its UEs'
+    weighted NLoS sum, plus its noise) is formed once and read by every UE
+    on it through sqrt(p_hat_k) core^H.
     """
     pilot_of = np.asarray(pilot_of)
     onehot = _pilot_onehot(pilot_of)
     p_root = np.sqrt(np.asarray(p_hat, dtype=float))
     # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T)
-    summed = np.tensordot(p_root[:, None] * nlos, onehot, axes=(-2, 0))
-    observed = (tau_p * summed.swapaxes(-1, -2)
+    observed = (tau_p * np.tensordot(p_root[:, None] * nlos, onehot,
+                                     axes=(-2, 0)).swapaxes(-1, -2)
                 + pilot_noise)[..., pilot_of, :]
     gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
-    los = h_bar * np.exp(1j * phase)[..., None]
-    return los + np.einsum("lkuv,...lkv->...lku", gain, observed)
+    estimate = link_matvec(gain, observed)
+    estimate += los
+    return estimate

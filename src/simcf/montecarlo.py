@@ -2,14 +2,18 @@
 # Monte-Carlo estimation of the uplink SINR lower bound directly from its
 # defining expectations: sampled channels, pilot observations, MMSE
 # estimates, matched-filter combining and CPU-side weighting. Serves as the
-# independent oracle for the closed-form engine.
+# independent oracle for the closed-form engine. The per-link U x U
+# applies run as explicit sums over the U axis, and each setting's combined
+# products come from one batched matmul over the (AP, antenna) axis, so no
+# (batch, L, K, K) product tensor is formed.
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
-from .estimation import EstimationState, despread_pilot_noise, mmse_estimate
+from .estimation import (EstimationState, despread_pilot_noise, link_matvec,
+                         mmse_estimate)
 from .scenario import psd_sqrt
 
 
@@ -43,18 +47,16 @@ class _TrialSampler:
         phase = self.rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
         white = (self.rng.standard_normal((batch, n_ap, n_ue, u))
                  + 1j * self.rng.standard_normal((batch, n_ap, n_ue, u))) / np.sqrt(2.0)
-        nlos = np.einsum("lkuv,blkv->blku", self.nlos_factor, white)
-        h = self.state.h_bar[None] * np.exp(1j * phase)[..., None] + nlos
+        nlos = link_matvec(self.nlos_factor, white)
+        del white
+        los = self.state.h_bar * np.exp(1j * phase)[..., None]
+        del phase
         noise = despread_pilot_noise(self.rng, self.n_pilots, (batch, n_ap),
                                      u, self.tau_p, self.sigma2)
-        h_hat = mmse_estimate(self.est, self.state.h_bar, phase, nlos,
-                              self.pilot_of, self.p_hat, self.tau_p, noise)
-        return h, h_hat
-
-
-def _combined_products(h, h_hat):
-    """x[b, l, k, j] = (estimate of k at AP l)^H (channel of j at AP l)."""
-    return np.einsum("blku,blju->blkj", h_hat.conj(), h)
+        h_hat = mmse_estimate(self.est, los, nlos, self.pilot_of, self.p_hat,
+                              self.tau_p, noise)
+        los += nlos                                     # the channel
+        return los, h_hat
 
 
 def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
@@ -62,7 +64,8 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     """Plug-in Monte-Carlo SINR for fixed powers p (..., K) and CPU weights
     (..., K, L).
 
-    Accumulates, per UE k, the per-trial scalars
+    With x[l, k, j] = (estimate of k at AP l)^H (channel of j at AP l),
+    accumulates, per UE k, the per-trial scalars
       u    = sum_l conj(a_kl) x[l, k, k]            (combined useful term)
       w_j  = |sum_l conj(a_kl) x[l, k, j]|^2        (combined interference)
       nv   = sum_l |a_kl|^2 ||estimate_lk||^2        (noise scale)
@@ -70,25 +73,34 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     - p_k |mean u|^2 + sigma2 mean nv). The standard error comes from the
     delta method on the (K + 3)-dimensional vector of sample means.
 
+    x is never formed: the combined products y[k, j] = sum_l conj(a_kl)
+    x[l, k, j] of a setting are one matmul per trial of the weighted
+    estimates (K, L*U) with the channels (L*U, K), batched over trials, so
+    no (batch, L, K, K) tensor exists. The feature outer products are summed
+    over trials by one matmul per UE.
+
     Leading axes of p and weights (broadcast together, as the candidate
     axes in se) list settings; gamma and stderr are (..., K). All settings
     share one sampling pass: each batch of channels and estimates, with its
-    products x and estimate norms, is drawn once and feeds every setting,
-    so the settings see common random numbers. Each setting's result equals
-    a call for that setting alone with the same rng, bit for bit.
+    estimate norms, is drawn once and feeds every setting, so the settings
+    see common random numbers. Each setting's result equals a call for that
+    setting alone with the same rng, bit for bit.
     """
     if n_trials < 2 or batch < 1:
         # one trial has a zero sample covariance, so no standard error
         raise ValueError(f"need n_trials >= 2 and batch >= 1, got "
                          f"n_trials={n_trials}, batch={batch}")
     sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
-    n_ap, n_ue, _ = sampler.shape
+    n_ap, n_ue, u = sampler.shape
     p = np.asarray(p, dtype=float)
     weights = np.asarray(weights, dtype=complex)
     lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
     p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
     weights = np.broadcast_to(weights, (*lead, n_ue, n_ap)).reshape(-1, n_ue,
                                                                     n_ap)
+    # per-setting weights on the estimate rows (K, L, 1) and their squares
+    w_rows = weights.conj()[..., None]
+    w_sq = np.abs(weights) ** 2
     dim = n_ue + 3
     acc1 = np.zeros((len(p), n_ue, dim))
     acc2 = np.zeros((len(p), n_ue, dim, dim))
@@ -97,18 +109,24 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
     while done < n_trials:
         b = min(batch, n_trials - done)
         h, h_hat = sampler.draw(b)
-        x = _combined_products(h, h_hat)
-        # a copy, so no view keeps the complex einsum result alive
-        vnorm = np.einsum("blku,blku->blk", h_hat.conj(), h_hat).real.copy()
-        for s, w in enumerate(weights):
-            y = np.einsum("kl,blkj->bkj", w.conj(), x)
+        # channels as (b, L*U, K) columns, conjugate estimates as (b, K, L, U)
+        cols = h.transpose(0, 1, 3, 2).reshape(b, n_ap * u, n_ue)
+        del h
+        rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
+        del h_hat
+        # squared estimate norms summed over U, as (K, L, b)
+        sq = rows.real ** 2 + rows.imag ** 2
+        vnorm = sum((sq[..., j] for j in range(1, u)), sq[..., 0])
+        vnorm = np.ascontiguousarray(vnorm.transpose(1, 2, 0))
+        for s in range(len(p)):
+            y = (w_rows[s] * rows).reshape(b, n_ue, n_ap * u) @ cols
             feats = np.zeros((b, n_ue, dim))
             feats[:, :, 0] = y[:, idx, idx].real
             feats[:, :, 1] = y[:, idx, idx].imag
             feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
-            feats[:, :, -1] = np.einsum("kl,blk->bk", np.abs(w) ** 2, vnorm)
+            feats[:, :, -1] = (w_sq[s, :, None] @ vnorm)[:, 0].T
             acc1[s] += feats.sum(axis=0)
-            acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
+            acc2[s] += feats.transpose(1, 2, 0) @ feats.transpose(1, 0, 2)
         done += b
     gamma, stderr = _delta_method(acc1, acc2, p, sigma2, n_trials)
     return UatfEstimate(gamma=gamma.reshape(*lead, n_ue),

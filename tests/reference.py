@@ -19,6 +19,10 @@
 #   build, phase search and Monte-Carlo pass replace
 # - mmse_estimate_loop: realization-level estimates built one UE and its
 #   co-pilots at a time, which the per-pilot sum of mmse_estimate replaces
+# - uatf_monte_carlo_einsum, with draw_einsum and combined_products: the
+#   Monte-Carlo pass through einsum contractions and the (b, L, K, K)
+#   product tensor, which the explicit U sums and batched matmuls of
+#   montecarlo replace
 # - delta_method_loop: the Monte-Carlo SINR and standard error one setting
 #   and one UE at a time, which the stacked montecarlo._delta_method
 #   replaces
@@ -35,10 +39,10 @@ import scipy.linalg
 
 from simcf import se
 from simcf.channel import ChannelState
-from simcf.estimation import EstimationError
+from simcf.estimation import (EstimationError, despread_pilot_noise,
+                              link_matvec)
 from simcf.experiments import MISSING, _drop_seed
-from simcf.montecarlo import (_combined_products, _TrialSampler,
-                              uatf_monte_carlo)
+from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
 from simcf.optimize import (BeamformingConfig, TraceRow, allocate_pilots,
                             maxmin_power, optimize_beamforming)
 from simcf.pipeline import NetworkModel
@@ -165,23 +169,95 @@ def estimation_stats(r, copilot_r, copilot_p_hat, p_hat_k, tau_p, sigma2):
     return EstimationStats(psi=psi, omega=omega, err_cov=err_cov)
 
 
-def mmse_estimate_loop(est, h_bar, phase, nlos, pilot_of, p_hat, tau_p,
-                       pilot_noise):
-    """estimation.mmse_estimate with the pilot observation of every UE
-    summed over its own co-pilots."""
+def copilot_observations_loop(nlos, pilot_of, p_hat, tau_p, pilot_noise):
+    """The despread pilot observation of every UE, (..., L, K, U), summed
+    over its own co-pilots one UE at a time."""
     pilot_of = np.asarray(pilot_of)
-    n_ue = h_bar.shape[1]
-    p_hat = np.asarray(p_hat, dtype=float)
     weighted = np.sqrt(p_hat)[:, None] * nlos
     observed = np.zeros_like(nlos)
-    for k in range(n_ue):
+    for k in range(pilot_of.size):
         copilots = np.flatnonzero(pilot_of == pilot_of[k])
         observed[..., k, :] = tau_p * weighted[..., copilots, :].sum(axis=-2) \
             + pilot_noise[..., pilot_of[k], :]
-    gain = np.sqrt(p_hat)[None, :, None, None] \
+    return observed
+
+
+def _estimator_gain(est, p_hat):
+    """sqrt(p_hat_k) core^H of every link, (L, K, U, U)."""
+    return np.sqrt(p_hat)[None, :, None, None] \
         * est.core.conj().swapaxes(-1, -2)
-    los = h_bar * np.exp(1j * phase)[..., None]
-    return los + np.einsum("lkuv,...lkv->...lku", gain, observed)
+
+
+def mmse_estimate_loop(est, los, nlos, pilot_of, p_hat, tau_p, pilot_noise):
+    """estimation.mmse_estimate with the pilot observation of every UE
+    summed over its own co-pilots."""
+    p_hat = np.asarray(p_hat, dtype=float)
+    observed = copilot_observations_loop(nlos, pilot_of, p_hat, tau_p,
+                                         pilot_noise)
+    return los + link_matvec(_estimator_gain(est, p_hat), observed)
+
+
+def draw_einsum(sampler, batch):
+    """_TrialSampler.draw with the U x U applies as einsum contractions and
+    the LoS part formed for the channel and the estimate separately."""
+    n_ap, n_ue, u = sampler.shape
+    rng = sampler.rng
+    phase = rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
+    white = (rng.standard_normal((batch, n_ap, n_ue, u))
+             + 1j * rng.standard_normal((batch, n_ap, n_ue, u))) / np.sqrt(2.0)
+    nlos = np.einsum("lkuv,blkv->blku", sampler.nlos_factor, white)
+    h_bar = sampler.state.h_bar
+    h = h_bar[None] * np.exp(1j * phase)[..., None] + nlos
+    noise = despread_pilot_noise(rng, sampler.n_pilots, (batch, n_ap), u,
+                                 sampler.tau_p, sampler.sigma2)
+    observed = copilot_observations_loop(nlos, sampler.pilot_of,
+                                         sampler.p_hat, sampler.tau_p, noise)
+    h_hat = h_bar * np.exp(1j * phase)[..., None] + np.einsum(
+        "lkuv,...lkv->...lku", _estimator_gain(sampler.est, sampler.p_hat),
+        observed)
+    return h, h_hat
+
+
+def combined_products(h, h_hat):
+    """x[b, l, k, j] = (estimate of k at AP l)^H (channel of j at AP l)."""
+    return np.einsum("blku,blju->blkj", h_hat.conj(), h)
+
+
+def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
+                            weights, n_trials, rng, batch=4096):
+    """montecarlo.uatf_monte_carlo through the (b, L, K, K) product tensor x
+    of combined_products, with einsum contractions over U, L and the
+    trials; returns (gamma, stderr), each (S, K) over the flattened
+    settings."""
+    sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
+    n_ap, n_ue, _ = sampler.shape
+    p = np.asarray(p, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
+    p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
+    weights = np.broadcast_to(weights, (*lead, n_ue, n_ap)).reshape(-1, n_ue,
+                                                                    n_ap)
+    dim = n_ue + 3
+    acc1 = np.zeros((len(p), n_ue, dim))
+    acc2 = np.zeros((len(p), n_ue, dim, dim))
+    idx = np.arange(n_ue)
+    done = 0
+    while done < n_trials:
+        b = min(batch, n_trials - done)
+        h, h_hat = draw_einsum(sampler, b)
+        x = combined_products(h, h_hat)
+        vnorm = np.einsum("blku,blku->blk", h_hat.conj(), h_hat).real
+        for s, w in enumerate(weights):
+            y = np.einsum("kl,blkj->bkj", w.conj(), x)
+            feats = np.zeros((b, n_ue, dim))
+            feats[:, :, 0] = y[:, idx, idx].real
+            feats[:, :, 1] = y[:, idx, idx].imag
+            feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
+            feats[:, :, -1] = np.einsum("kl,blk->bk", np.abs(w) ** 2, vnorm)
+            acc1[s] += feats.sum(axis=0)
+            acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
+        done += b
+    return _delta_method(acc1, acc2, p, sigma2, n_trials)
 
 
 def delta_method_loop(acc1, acc2, p, sigma2, n_trials):
@@ -380,7 +456,7 @@ def cross_moment_estimates(state, est, pilot_of, p_hat, tau_p, sigma2,
     while done < n_trials:
         b = min(batch, n_trials - done)
         h, h_hat = sampler.draw(b)
-        x = _combined_products(h, h_hat)
+        x = combined_products(h, h_hat)
         prod = np.einsum("blkj,bmkj->bkjlm", x, x.conj())
         acc += prod.sum(axis=0)
         acc2_re += (prod.real ** 2).sum(axis=0)

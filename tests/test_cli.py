@@ -1,11 +1,12 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from simcf import cli, experiments
+from simcf import cli, estimation, experiments
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -24,6 +25,33 @@ def test_validate_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_log_level_option(capsys, monkeypatch):
+    # the pilot covariance conditioning check runs only at DEBUG
+    enabled = []
+    check = estimation._monitor_conditioning
+
+    def spy(psi):
+        enabled.append(estimation.log.isEnabledFor(logging.DEBUG))
+        return check(psi)
+
+    monkeypatch.setattr(estimation, "_monitor_conditioning", spy)
+    package_log = logging.getLogger("simcf")
+    level = package_log.level
+    try:
+        assert cli.main(["validate", "--trials", "2000"]) == 0
+        assert enabled and not any(enabled)
+        enabled.clear()
+        assert cli.main(["validate", "--trials", "2000",
+                         "--log-level", "DEBUG"]) == 0
+        assert enabled and all(enabled)
+    finally:
+        package_log.setLevel(level)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--log-level", "TRACE"])
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_validate_rejects_zero_trials(capsys):

@@ -90,8 +90,8 @@ def test_unassigned_pilots_rejected(small_model, small_pilots, small_phases,
     est = small_model.estimation_state(state, small_pilots.pilot_of)
     lead = (2, cfg.L)
     with pytest.raises(EstimationError, match="incomplete"):
-        mmse_estimate(est, state.h_bar, np.zeros((*lead, cfg.K)),
-                      np.zeros((*lead, cfg.K, cfg.U)), np.array([0, -1, 1]),
+        mmse_estimate(est, state.h_bar, np.zeros((*lead, cfg.K, cfg.U)),
+                      np.array([0, -1, 1]),
                       cfg.pilot_powers(), cfg.tau_p,
                       np.zeros((*lead, 2, cfg.U)))
 
@@ -139,7 +139,8 @@ def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
             + 1j * rng.normal(size=(*lead, cfg.K, cfg.U)))
     noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead, cfg.U, tau_p,
                                  cfg.sigma2)
-    args = (est, state.h_bar, phase, nlos, pilot_of, p_hat, tau_p, noise)
+    los = state.h_bar * np.exp(1j * phase)[..., None]
+    args = (est, los, nlos, pilot_of, p_hat, tau_p, noise)
     assert np.array_equal(mmse_estimate(*args), mmse_estimate_loop(*args))
 
 

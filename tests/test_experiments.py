@@ -63,6 +63,11 @@ def test_spec_validation():
         tiny_spec(values=(2, "x"))
     with pytest.raises(ExperimentError, match="'x'"):
         tiny_spec(sweep="d_meta", values=(0.1, "x"))
+    # a non-finite pitch is a config error at spec time, not a numerical
+    # failure of every drop
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ExperimentError, match="d_meta must be finite"):
+            tiny_spec(sweep="d_meta", values=(0.1, bad))
     with pytest.raises(ExperimentError, match="'warp-drive'"):
         tiny_spec(sweep="scheme", values=("rand-full", "warp-drive"))
     with pytest.raises(ExperimentError, match="'lsdf'"):

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from simcf import (lsfd_weights, maxmin_power, sinr_from_weights,
-                   uatf_monte_carlo)
+from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
+                   maxmin_power, sinr_from_weights, uatf_monte_carlo)
 from simcf.estimation import despread_pilot_noise, mmse_estimate
-from simcf.montecarlo import _delta_method
+from simcf.montecarlo import _delta_method, _TrialSampler
+from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights
 
-from reference import SimUeChannelStats, delta_method_loop, sample_channel
+from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
+                       sample_channel, uatf_monte_carlo_einsum)
 
 
 def _setup(model, pilots, phases, cfg):
@@ -194,8 +198,8 @@ def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,
         est = small_model.estimation_state(state, pilot_of)
         noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead[:2],
                                      cfg.U, cfg.tau_p, cfg.sigma2)
-        h_hat = mmse_estimate(est, np.zeros_like(state.h_bar),
-                              np.zeros(lead), np.zeros((*lead, cfg.U)),
+        h_hat = mmse_estimate(est, np.zeros((*lead, cfg.U)),
+                              np.zeros((*lead, cfg.U)),
                               pilot_of, p_hat, cfg.tau_p, noise)
         gain = (np.sqrt(p_hat)[:, None, None]
                 * est.core.conj().swapaxes(-1, -2))
@@ -241,3 +245,65 @@ def test_degenerate_trial_counts_rejected(small_model, small_pilots,
                          small_model.drop.p, p_hat, cfg.tau_p, cfg.sigma2,
                          egcd_weights(small_terms),
                          rng=np.random.default_rng(0), **kwargs)
+
+
+def _network(cfg, seed):
+    """(model, pilot_of, state, est, terms) of one drop of cfg."""
+    drop = generate_drop(cfg, seed)
+    model = NetworkModel.from_drop(drop)
+    pilot_of = allocate_pilots(drop).pilot_of
+    phases = model.random_phases(np.random.default_rng(seed))
+    state, est = model.states(phases, pilot_of)
+    return model, pilot_of, state, est, model.terms(phases, pilot_of)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_sampler_matches_einsum_oracle(u):
+    # the explicit U sums and batched matmuls round differently from the
+    # einsum contractions through the (b, L, K, K) tensor, by far less
+    # than rtol; 150 trials in batches of 64 end on a partial batch
+    cfg = SystemConfig(L=3, K=3, U=u, M=2, N=9, tau_p=2)
+    model, pilot_of, state, est, terms = _network(cfg, 20 + u)
+    p_hat = cfg.pilot_powers()
+    args = (state, est, pilot_of, p_hat, cfg.tau_p, cfg.sigma2)
+    sampler = _TrialSampler(*args, np.random.default_rng(u))
+    oracle = _TrialSampler(*args, np.random.default_rng(u))
+    for b in (64, 22):
+        for got, want in zip(sampler.draw(b), draw_einsum(oracle, b)):
+            assert got.shape == (b, cfg.L, cfg.K, u)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # LSFD and EGCD weights are real; complex ones exercise the conjugate
+    p = np.stack([model.drop.p, 0.5 * model.drop.p])
+    turn = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi,
+                                                        (cfg.K, cfg.L)))
+    weights = np.stack([lsfd_weights(terms, model.drop.p, p_hat, cfg.tau_p,
+                                     cfg.sigma2), turn * egcd_weights(terms)])
+    mc = uatf_monte_carlo(*args[:3], p, *args[3:], weights, 150,
+                          rng=np.random.default_rng(u), batch=64)
+    gamma, stderr = uatf_monte_carlo_einsum(*args[:3], p, *args[3:], weights,
+                                            150, rng=np.random.default_rng(u),
+                                            batch=64)
+    np.testing.assert_allclose(mc.gamma, gamma, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12, atol=0)
+
+
+def test_sampler_batch_memory_bounded():
+    # One batch of a paper-default drop, traced: the peak allocation is a
+    # fixed multiple of one (b, L, K, U) complex array. The sampler without
+    # the (b, L, K, K) product tensor peaks at 5.8 of them, the einsum
+    # sampler that formed it at 7.85, and one that formed it by a matmul
+    # with a contiguous transpose at 8.85.
+    cfg = SystemConfig()
+    model, pilot_of, state, est, terms = _network(cfg, 1)
+    b = 4096
+    unit = b * cfg.L * cfg.K * cfg.U * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        uatf_monte_carlo(state, est, pilot_of, model.drop.p,
+                         cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
+                         egcd_weights(terms), b,
+                         rng=np.random.default_rng(3), batch=b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * unit

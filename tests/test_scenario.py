@@ -138,6 +138,15 @@ def test_config_validation():
         SystemConfig(wavelength=-1.0)
     with pytest.raises(ConfigError):
         SystemConfig(p_hat=(0.1, -0.2, 0.1, 0.1, 0.1))
+    # comparisons with NaN are false, so each float is checked for finiteness
+    for name in ("sigma2", "p_max", "area_side", "d_meta", "t_sim",
+                 "delta_sf", "d_dc", "wavelength", "delta_f"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                SystemConfig(**{name: bad})
+    for bad in (float("nan"), (0.1, 0.1, float("inf"), 0.1, 0.1)):
+        with pytest.raises(ConfigError, match="pilot powers"):
+            SystemConfig(p_hat=bad)
     # a per-UE pilot power vector must have one entry per UE
     with pytest.raises(ConfigError, match="p_hat"):
         SystemConfig(K=5, p_hat=(0.1, 0.2))
