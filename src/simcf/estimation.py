@@ -1,8 +1,9 @@
 # simcf/estimation.py
 # Phase-aware MMSE channel estimation: second-order statistics of every
-# (AP, UE) link at once (estimate covariance, error covariance, estimator
-# core, all from the pilot-domain covariance of each (AP, pilot)) and
-# realization-level estimates for Monte-Carlo runs.
+# (AP, UE) link at once (estimate covariance and estimator core, both from
+# the pilot-domain covariance of each (AP, pilot)) and realization-level
+# estimates for Monte-Carlo runs. The pilot map, pilot powers, tau_p and
+# sigma2 enter here once and travel with the EstimationState.
 
 import logging
 from dataclasses import dataclass
@@ -20,13 +21,18 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationState:
-    """Batched estimation statistics for every (AP, UE) link.
+    """Batched estimation statistics for every (AP, UE) link, with the
+    pilot map, pilot powers, tau_p and sigma2 they were built for.
     build_estimation_state forms the pilot covariance psi per (AP, pilot)
     and keeps only what it solves from psi. mmse_estimate forms the
-    estimator matrix sqrt(p_hat_k) core^H from core."""
+    estimator matrix sqrt(p_hat_k) core^H from core. The error covariance
+    is r - p_hat_k tau_p omega."""
     core: np.ndarray      # (L, K, U, U) psi^-1 r
     omega: np.ndarray     # (L, K, U, U)
-    err_cov: np.ndarray   # (L, K, U, U)
+    pilot_of: np.ndarray  # (K,) pilot index per UE
+    p_hat: np.ndarray     # (K,) pilot powers
+    tau_p: int
+    sigma2: float
 
 
 def _pilot_onehot(pilot_of):
@@ -62,8 +68,8 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
         raise EstimationError(f"pilot covariance is singular: {exc}") from exc
     omega = r @ core
     omega = 0.5 * (omega + omega.conj().swapaxes(-1, -2))
-    err_cov = r - (p_hat * tau_p)[None, :, None, None] * omega
-    return EstimationState(core=core, omega=omega, err_cov=err_cov)
+    return EstimationState(core=core, omega=omega, pilot_of=pilot_of,
+                           p_hat=p_hat, tau_p=tau_p, sigma2=sigma2)
 
 
 def _monitor_conditioning(psi):
@@ -98,25 +104,23 @@ def link_matvec(f, v):
     return out
 
 
-def mmse_estimate(est: EstimationState, los, nlos, pilot_of, p_hat, tau_p,
-                  pilot_noise):
+def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
     """Realization-level estimates from sampled channels.
 
     los: (..., L, K, U) sampled LoS parts h_bar e^{j phase}; nlos:
     (..., L, K, U) sampled zero-mean channel parts; pilot_noise:
-    (..., L, T, U) with T = pilot_of.max() + 1. Returns estimates of shape
-    (..., L, K, U); the error is (true channel) - (estimate) with
+    (..., L, T, U) with T = est.pilot_of.max() + 1. Returns estimates of
+    shape (..., L, K, U); the error is (true channel) - (estimate) with
     true = los + nlos. Each pilot's observation (tau_p times its UEs'
     weighted NLoS sum, plus its noise) is formed once and read by every UE
     on it through sqrt(p_hat_k) core^H.
     """
-    pilot_of = np.asarray(pilot_of)
-    onehot = _pilot_onehot(pilot_of)
-    p_root = np.sqrt(np.asarray(p_hat, dtype=float))
+    onehot = _pilot_onehot(est.pilot_of)
+    p_root = np.sqrt(est.p_hat)
     # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T)
-    observed = (tau_p * np.tensordot(p_root[:, None] * nlos, onehot,
-                                     axes=(-2, 0)).swapaxes(-1, -2)
-                + pilot_noise)[..., pilot_of, :]
+    observed = (est.tau_p * np.tensordot(p_root[:, None] * nlos, onehot,
+                                         axes=(-2, 0)).swapaxes(-1, -2)
+                + pilot_noise)[..., est.pilot_of, :]
     gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
     estimate = link_matvec(gain, observed)
     estimate += los

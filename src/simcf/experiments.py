@@ -188,7 +188,6 @@ def _run_drop(spec, value_index, value, d):
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         phase_sets["opt"] = opt_phases
 
-    p_hat = cfg.pilot_powers()
     # Closed form of every (scheme, decoder) setting in row order. The
     # states and the terms built from them are made once per phase kind and
     # shared by its schemes and by its Monte-Carlo pass.
@@ -197,20 +196,16 @@ def _run_drop(spec, value_index, value, d):
         phase_kind, power_kind = scheme.split("-")
         if phase_kind not in kinds:
             states = model.states(phase_sets[phase_kind], pilots.pilot_of)
-            kinds[phase_kind] = (model.terms_from(*states, pilots.pilot_of),
-                                 states)
+            kinds[phase_kind] = (se.sinr_terms(*states), states)
         terms = kinds[phase_kind][0]
         for decoder in decoders:
-            weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
-                                         cfg.tau_p, cfg.sigma2)
+            weights = se.decoder_weights(terms, decoder, drop.p)
             if power_kind == "maxmin":
-                sol = maxmin_power(terms, weights, cfg.p_max, p_hat,
-                                   cfg.tau_p, cfg.sigma2, eps=spec.maxmin_eps)
-                p = sol.p
+                p = maxmin_power(terms, weights, cfg.p_max,
+                                 eps=spec.maxmin_eps).p
             else:
                 p = drop.p
-            gamma = se.sinr_from_weights(terms, weights, p, p_hat,
-                                         cfg.tau_p, cfg.sigma2)
+            gamma = se.sinr_from_weights(terms, weights, p)
             settings.append((phase_kind, scheme, decoder, weights, p, gamma))
 
     # One Monte-Carlo sampling pass per phase kind serves all its settings.
@@ -222,8 +217,7 @@ def _run_drop(spec, value_index, value, d):
         weights = np.stack([settings[i][3] for i in mine])
         p = np.stack([settings[i][4] for i in mine])
         mc = uatf_monte_carlo(
-            *states, pilots.pilot_of, p, p_hat, cfg.tau_p, cfg.sigma2,
-            weights, spec.n_mc_trials,
+            *states, p, weights, spec.n_mc_trials,
             rng=np.random.default_rng([spec.seed, value_index, d, 3]))
         for i, g, e in zip(mine, mc.gamma, mc.stderr):
             mc_cols[i] = [(float(a), float(b)) for a, b in zip(g, e)]

@@ -5,7 +5,8 @@
 # independent oracle for the closed-form engine. The per-link U x U
 # applies run as explicit sums over the U axis, and each setting's combined
 # products come from one batched matmul over the (AP, antenna) axis, so no
-# (batch, L, K, K) product tensor is formed.
+# (batch, L, K, K) product tensor is formed. The pilot map, pilot powers,
+# tau_p and sigma2 are read from the estimation state.
 
 from dataclasses import dataclass
 
@@ -28,17 +29,12 @@ class UatfEstimate:
 class _TrialSampler:
     """Draws batches of (channel, estimate) realizations for all links."""
 
-    def __init__(self, state: ChannelState, est: EstimationState, pilot_of,
-                 p_hat, tau_p, sigma2, rng):
+    def __init__(self, state: ChannelState, est: EstimationState, rng):
         self.state = state
         self.est = est
-        self.pilot_of = np.asarray(pilot_of)
-        self.p_hat = np.asarray(p_hat, dtype=float)
-        self.tau_p = tau_p
-        self.sigma2 = sigma2
         self.rng = np.random.default_rng(rng)
         self.nlos_factor = psd_sqrt(state.r_all())      # (L, K, U, U)
-        self.n_pilots = int(self.pilot_of.max()) + 1
+        self.n_pilots = int(est.pilot_of.max()) + 1
         self.shape = state.h_bar.shape
 
     def draw(self, batch):
@@ -52,17 +48,16 @@ class _TrialSampler:
         los = self.state.h_bar * np.exp(1j * phase)[..., None]
         del phase
         noise = despread_pilot_noise(self.rng, self.n_pilots, (batch, n_ap),
-                                     u, self.tau_p, self.sigma2)
-        h_hat = mmse_estimate(self.est, los, nlos, self.pilot_of, self.p_hat,
-                              self.tau_p, noise)
+                                     u, self.est.tau_p, self.est.sigma2)
+        h_hat = mmse_estimate(self.est, los, nlos, noise)
         los += nlos                                     # the channel
         return los, h_hat
 
 
-def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
-                     n_trials, rng, batch=4096) -> UatfEstimate:
+def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
+                     batch=4096) -> UatfEstimate:
     """Plug-in Monte-Carlo SINR for fixed powers p (..., K) and CPU weights
-    (..., K, L).
+    (..., K, L), with the pilots and noise of the estimation state est.
 
     With x[l, k, j] = (estimate of k at AP l)^H (channel of j at AP l),
     accumulates, per UE k, the per-trial scalars
@@ -90,7 +85,7 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
         # one trial has a zero sample covariance, so no standard error
         raise ValueError(f"need n_trials >= 2 and batch >= 1, got "
                          f"n_trials={n_trials}, batch={batch}")
-    sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
+    sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, u = sampler.shape
     p = np.asarray(p, dtype=float)
     weights = np.asarray(weights, dtype=complex)
@@ -128,7 +123,7 @@ def uatf_monte_carlo(state, est, pilot_of, p, p_hat, tau_p, sigma2, weights,
             acc1[s] += feats.sum(axis=0)
             acc2[s] += feats.transpose(1, 2, 0) @ feats.transpose(1, 0, 2)
         done += b
-    gamma, stderr = _delta_method(acc1, acc2, p, sigma2, n_trials)
+    gamma, stderr = _delta_method(acc1, acc2, p, est.sigma2, n_trials)
     return UatfEstimate(gamma=gamma.reshape(*lead, n_ue),
                         stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
 

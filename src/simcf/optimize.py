@@ -113,7 +113,6 @@ class SumSeObjective:
         self.pilot_of = np.asarray(pilot_of)
         self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
         self.decoder = decoder
-        self.p_hat = model.cfg.pilot_powers()
         self.phases = self.parts = None
 
     def set_phases(self, phases):
@@ -122,8 +121,7 @@ class SumSeObjective:
         return float(self._sum_se([part.sum(axis=-1) for part in self.parts]))
 
     def _parts(self, terms):
-        return se.sinr_parts(terms, self.decoder, self.p, self.p_hat,
-                             self.cfg.tau_p, self.cfg.sigma2)
+        return se.sinr_parts(terms, self.decoder, self.p)
 
     def _sum_se(self, sums):
         gamma = se.sinr_from_parts(sums, self.decoder, self.p)
@@ -263,7 +261,7 @@ def _feasible_powers(coeffs, t, p_max, tol=1e-9):
     return np.clip(p, 0.0, p_max)
 
 
-def maxmin_power(terms: se.SinrTerms, weights, p_max, p_hat, tau_p, sigma2,
+def maxmin_power(terms: se.SinrTerms, weights, p_max,
                  eps=1e-3) -> PowerSolution:
     """Bisection max-min SINR power control for fixed CPU weights.
 
@@ -277,7 +275,7 @@ def maxmin_power(terms: se.SinrTerms, weights, p_max, p_hat, tau_p, sigma2,
     """
     if not eps > 0:
         raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
-    coeffs = se.sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
+    coeffs = se.sinr_coefficients(terms, weights)
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))

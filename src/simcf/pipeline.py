@@ -61,17 +61,10 @@ class NetworkModel:
         return self._terms(state, pilot_of)
 
     def _terms(self, state, pilot_of):
-        return self.terms_from(state, self.estimation_state(state, pilot_of),
-                               pilot_of)
-
-    def terms_from(self, state, est, pilot_of) -> se.SinrTerms:
-        """Terms of a (channel state, estimation state) pair, such as the
-        one states returns."""
-        return se.sinr_terms(state, est, pilot_of, self.cfg.pilot_powers(),
-                             self.cfg.tau_p)
+        return se.sinr_terms(state, self.estimation_state(state, pilot_of))
 
     def states(self, phases, pilot_of):
         """(channel state, estimation state) of a phase tensor, for
-        terms_from and the Monte-Carlo oracle."""
+        se.sinr_terms and the Monte-Carlo oracle."""
         state = self.channel_state(phases)
         return state, self.estimation_state(state, pilot_of)

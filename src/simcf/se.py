@@ -15,8 +15,10 @@
 # quotient, follow from the Woodbury identity without any L x L matrix.
 # Both decoders' SINRs are functions of AP sums of per-AP parts
 # (sinr_parts), so a phase search can re-sum one AP at a time. The terms
-# read the estimation state's omega and core only; the pilot covariance is
-# checked where it is built (estimation.build_estimation_state).
+# read the estimation state's omega, core and pilot map, and carry its pilot
+# powers, tau_p and sigma2 to every later function, which takes them from
+# the terms alone; the pilot covariance and the pilot map are checked where
+# they enter (estimation.build_estimation_state).
 
 from dataclasses import dataclass
 
@@ -40,15 +42,19 @@ class SinrTerms:
     only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
     noise diagonal equals z and is not stored separately. copilot is the
     share-a-pilot relation of the pilot assignment without the diagonal,
-    built once by sinr_terms. Arrays may carry leading candidate axes (one
-    network per candidate, copilot shared); every function of this module
-    carries them through.
+    built once by sinr_terms; p_hat, tau_p and sigma2 are those of the
+    estimation state the terms come from. Arrays may carry leading
+    candidate axes (one network per candidate, copilot, p_hat, tau_p and
+    sigma2 shared); every function of this module carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0
     xi: np.ndarray       # (K, K, L) real >= 0
     delta: np.ndarray    # (K, K, L) complex
     lam: np.ndarray      # (K, L) real >= 0
     copilot: np.ndarray  # (K, K) bool
+    p_hat: np.ndarray    # (K,) pilot powers
+    tau_p: int
+    sigma2: float
 
     @property
     def n_ues(self):
@@ -59,8 +65,7 @@ class SinrTerms:
         return self.z.shape[-1]
 
 
-def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
-               tau_p) -> SinrTerms:
+def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
     """Evaluate all closed-form term families from link statistics.
 
     For each AP l and UE pair (k, j):
@@ -70,11 +75,8 @@ def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
       delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)   (pilot-sharing UEs only)
       lam[k, l]    = ||h_bar_lk||^2
     """
-    pilot_of = np.asarray(pilot_of)
-    if np.any(pilot_of < 0):
-        raise SinrComputationError("pilot assignment incomplete")
-    n_ap, n_ue, _ = state.h_bar.shape
-    p_hat = np.asarray(p_hat, dtype=float)
+    n_ue = state.h_bar.shape[1]
+    p_hat, tau_p = est.p_hat, est.tau_p
     h = state.h_bar                                  # (L, K, U)
     r = state.r_all()                                # (L, K, U, U)
     omega = est.omega                                # (L, K, U, U)
@@ -91,16 +93,18 @@ def sinr_terms(state: ChannelState, est: EstimationState, pilot_of, p_hat,
     xi = (p_hat[:, None, None] * tau_p * (tr_r_omega + quad_omega)
           + quad_r + np.abs(cross) ** 2)
 
-    same = pilot_of[:, None] == pilot_of[None, :]
+    same = est.pilot_of[:, None] == est.pilot_of[None, :]
     delta = np.einsum("ljuv,lkvu->kjl", r, est.core)   # tr(r_lj psi_lk^-1 r_lk)
     delta = np.where(same[:, :, None], delta, 0.0)
     return SinrTerms(z=z, xi=xi, delta=delta, lam=lam,
-                     copilot=same & ~np.eye(n_ue, dtype=bool))
+                     copilot=same & ~np.eye(n_ue, dtype=bool), p_hat=p_hat,
+                     tau_p=tau_p, sigma2=est.sigma2)
 
 
-def _coherent_coeffs(terms: SinrTerms, p, p_hat, tau_p):
+def _coherent_coeffs(terms: SinrTerms, p):
     """(K, K) coefficients of the coherent contamination outer products."""
-    coeff = (p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2)
+    coeff = (p[None, :] * terms.p_hat[:, None] * terms.p_hat[None, :]
+             * terms.tau_p ** 2)
     return np.where(terms.copilot, coeff, 0.0)
 
 
@@ -116,7 +120,7 @@ def _require_positive(value, what):
                                    f"{value[at]:.6e}")
 
 
-def _factors(terms: SinrTerms, p, p_hat, tau_p, sigma2):
+def _factors(terms: SinrTerms, p):
     """(dg, Delta') with b_k = diag(dg_k) + Delta'_k Delta'_k^H for every UE.
 
     dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, summed over j in
@@ -126,19 +130,18 @@ def _factors(terms: SinrTerms, p, p_hat, tau_p, sigma2):
     """
     p = np.asarray(p, dtype=float)
     dg = (sum(p[j] * terms.xi[..., j, :] for j in range(terms.n_ues))
-          - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
+          - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
     n_co = int(terms.copilot.sum(axis=1).max(initial=0))
     order = np.argsort(~terms.copilot, axis=1, kind="stable")[:, :n_co]
     rows = np.arange(terms.n_ues)[:, None]
-    scale = np.sqrt(_coherent_coeffs(terms, p, np.asarray(p_hat, dtype=float),
-                                     tau_p)[rows, order])
+    scale = np.sqrt(_coherent_coeffs(terms, p)[rows, order])
     return dg, scale[..., None] * terms.delta[..., rows, order, :]
 
 
-def _lsfd_factors(terms: SinrTerms, p, p_hat, tau_p, sigma2):
+def _lsfd_factors(terms: SinrTerms, p):
     """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
     (an AP that sees nothing of the UE); any other nonpositive dg raises."""
-    dg, dp = _factors(terms, p, p_hat, tau_p, sigma2)
+    dg, dp = _factors(terms, p)
     dropped = (dg == 0) & (terms.z == 0)
     _require_positive(np.where(dropped, np.inf, dg).min(axis=-1),
                       "LSFD denominator diagonal")
@@ -151,12 +154,12 @@ def _inner_solve(g, v):
     return np.linalg.solve(g + np.eye(g.shape[-1]), v[..., None])[..., 0]
 
 
-def lsfd_weights(terms: SinrTerms, p, p_hat, tau_p, sigma2):
+def lsfd_weights(terms: SinrTerms, p):
     """SINR-maximizing statistical weights b_k^-1 z_k, shape (..., K, L)
     complex, by the Woodbury identity
     a_k = D^-1 z - D^-1 Delta' (I + Delta'^H D^-1 Delta')^-1 Delta'^H D^-1 z.
     """
-    dz, dd, dp = _lsfd_factors(terms, p, p_hat, tau_p, sigma2)
+    dz, dd, dp = _lsfd_factors(terms, p)
     g = np.einsum("...kjl,...kil->...kji", dp.conj(), dd)
     v = np.einsum("...kjl,...kl->...kj", dp.conj(), dz)
     return dz - np.einsum("...kjl,...kj->...kl", dd, _inner_solve(g, v))
@@ -167,9 +170,9 @@ def egcd_weights(terms: SinrTerms):
     return np.ones(terms.z.shape, dtype=complex)
 
 
-def decoder_weights(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
+def decoder_weights(terms: SinrTerms, decoder, p):
     if decoder == "lsfd":
-        return lsfd_weights(terms, p, p_hat, tau_p, sigma2)
+        return lsfd_weights(terms, p)
     if decoder == "egcd":
         return egcd_weights(terms)
     raise ValueError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
@@ -194,25 +197,24 @@ class SinrCoefficients:
         return self.signal * p / (self.d @ p + self.noise)
 
 
-def sinr_coefficients(terms: SinrTerms, weights, p_hat, tau_p, sigma2):
+def sinr_coefficients(terms: SinrTerms, weights):
     """Scalarize the SINR of every UE into affine-fraction coefficients in
     the powers, for fixed weights (..., K, L). Leading candidate axes of
     terms and weights carry through."""
-    p_hat = np.asarray(p_hat, dtype=float)
     weights_h = np.asarray(weights, dtype=complex).conj()
     aa = np.abs(weights_h) ** 2                     # (..., K, L)
     signal = np.abs(np.einsum("...kl,...kl->...k", weights_h, terms.z)) ** 2
     combined = np.einsum("...kl,...kjl->...kj", weights_h, terms.delta)
-    coeff = _coherent_coeffs(terms, np.ones(terms.n_ues), p_hat, tau_p)
+    coeff = _coherent_coeffs(terms, np.ones(terms.n_ues))
     d = np.einsum("...kjl,...kl->...kj", terms.xi, aa)
     d += coeff * np.abs(combined) ** 2
     diagonal = np.einsum("...kk->...k", d)          # writable view
     diagonal -= np.einsum("...kl,...kl->...k", aa, terms.lam ** 2)
-    noise = sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z)
+    noise = terms.sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z)
     return SinrCoefficients(signal=signal, d=d, noise=noise)
 
 
-def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
+def sinr_from_weights(terms: SinrTerms, weights, p):
     """Per-UE SINR for arbitrary weights (ratio of quadratic forms), shape
     (..., K) with the leading candidate axes of terms and weights: the
     sinr_coefficients of the weights evaluated at the powers p (K,).
@@ -221,13 +223,13 @@ def sinr_from_weights(terms: SinrTerms, weights, p, p_hat, tau_p, sigma2):
     nonpositive denominator.
     """
     p = np.asarray(p, dtype=float)
-    coeffs = sinr_coefficients(terms, weights, p_hat, tau_p, sigma2)
+    coeffs = sinr_coefficients(terms, weights)
     den = coeffs.d @ p + coeffs.noise
     _require_positive(den, "SINR denominator")
     return coeffs.signal * p / den
 
 
-def sinr_parts(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
+def sinr_parts(terms: SinrTerms, decoder, p):
     """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
     sinr_from_parts to sum over all APs or over any subset of them.
 
@@ -235,11 +237,11 @@ def sinr_parts(terms: SinrTerms, decoder, p, p_hat, tau_p, sigma2):
     (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
     """
     if decoder == "egcd":
-        return (terms.z, *_factors(terms, p, p_hat, tau_p, sigma2))
+        return (terms.z, *_factors(terms, p))
     if decoder != "lsfd":
         raise ValueError(f"unknown decoder {decoder!r}; expected one of "
                          f"{DECODERS}")
-    dz, dd, dp = _lsfd_factors(terms, p, p_hat, tau_p, sigma2)
+    dz, dd, dp = _lsfd_factors(terms, p)
     dp_h = dp.conj()
     return (terms.z * dz, dp_h * dz[..., None, :],
             dp_h[..., None, :] * dd[..., None, :, :])

@@ -1,8 +1,8 @@
 # simcf/validate.py
-# Self-contained oracle checks runnable from the CLI: estimation identities,
-# closed-form-versus-Monte-Carlo agreement on a small instance, and decoder
-# dominance. Each check returns (name, passed, detail) so callers can print
-# one line per check.
+# Self-contained oracle checks runnable from the CLI: the MMSE core against
+# each link's own pilot system, closed-form-versus-Monte-Carlo agreement on a
+# small instance, and decoder dominance. Each check returns (name, passed,
+# detail) so callers can print one line per check.
 
 import numpy as np
 
@@ -21,8 +21,11 @@ def _random_psd(rng, n_mats, n):
     return a @ a.conj().swapaxes(-1, -2) / n
 
 
-def check_estimation_identity(seed=0, n_instances=100, u=3):
-    """pilot_power * tau_p * omega + err_cov must reproduce r exactly.
+def check_pilot_systems(seed=0, n_instances=100, u=3):
+    """The MMSE core of every link must solve that link's pilot system
+    psi_lk core_lk = r_lk, with psi_lk = sigma2 I + tau_p sum_j p_hat_j r_lj
+    summed one co-pilot j of k at a time; the largest residual is relative
+    to the largest entry of r_lk.
 
     Each instance is a random factored network (PSD s per AP, NLoS gains,
     pilot reuse) run through the batched build_estimation_state.
@@ -40,13 +43,16 @@ def check_estimation_identity(seed=0, n_instances=100, u=3):
         sigma2 = float(rng.uniform(1e-3, 1e-1))
         est = build_estimation_state(state, pilot_of, p_hat, tau_p, sigma2)
         r = state.r_all()
-        lhs = (p_hat * tau_p)[None, :, None, None] * est.omega + est.err_cov
-        rel = (np.abs(lhs - r).max(axis=(-2, -1))
-               / np.abs(r).max(axis=(-2, -1)))
-        worst = max(worst, float(rel.max()))
+        for k in range(n_ue):
+            psi = sigma2 * np.eye(u)
+            for j in np.flatnonzero(pilot_of == pilot_of[k]):
+                psi = psi + tau_p * p_hat[j] * r[:, j]
+            rel = (np.abs(psi @ est.core[:, k] - r[:, k]).max(axis=(-2, -1))
+                   / np.abs(r[:, k]).max(axis=(-2, -1)))
+            worst = max(worst, float(rel.max()))
     passed = worst <= 1e-10
-    return ("estimation-identity", passed,
-            f"max relative deviation {worst:.2e} over {n_instances} instances")
+    return ("pilot-system-residual", passed,
+            f"max relative residual {worst:.2e} over {n_instances} instances")
 
 
 def _small_model(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2):
@@ -55,22 +61,18 @@ def _small_model(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2):
     pilots = allocate_pilots(drop)
     model = NetworkModel.from_drop(drop)
     phases = model.random_phases(np.random.default_rng([seed, 11]))
-    return cfg, drop, pilots, model, phases
+    return drop, pilots, model, phases
 
 
 def check_closed_form_vs_mc(seed=0, n_trials=20000, z_limit=4.0):
     """Closed-form SINR must sit within z_limit MC standard errors."""
-    cfg, drop, pilots, model, phases = _small_model(seed)
-    p_hat = cfg.pilot_powers()
+    drop, pilots, model, phases = _small_model(seed)
     state, est = model.states(phases, pilots.pilot_of)
-    terms = model.terms_from(state, est, pilots.pilot_of)
-    weights = np.stack([se.decoder_weights(terms, decoder, drop.p, p_hat,
-                                           cfg.tau_p, cfg.sigma2)
+    terms = se.sinr_terms(state, est)
+    weights = np.stack([se.decoder_weights(terms, decoder, drop.p)
                         for decoder in se.DECODERS])
-    gamma = se.sinr_from_weights(terms, weights, drop.p, p_hat, cfg.tau_p,
-                                 cfg.sigma2)
-    mc = uatf_monte_carlo(state, est, pilots.pilot_of, drop.p, p_hat,
-                          cfg.tau_p, cfg.sigma2, weights, n_trials,
+    gamma = se.sinr_from_weights(terms, weights, drop.p)
+    mc = uatf_monte_carlo(state, est, drop.p, weights, n_trials,
                           rng=np.random.default_rng([seed, 7]))
     worst = float((np.abs(mc.gamma - gamma) / mc.stderr).max())
     passed = worst <= z_limit
@@ -84,14 +86,11 @@ def check_decoder_dominance(seed=0, n_drops=25):
     rng = np.random.default_rng(seed)
     worst = np.inf
     for i in range(n_drops):
-        cfg, drop, pilots, model, phases = _small_model(int(rng.integers(1 << 31)))
-        p_hat = cfg.pilot_powers()
+        drop, pilots, model, phases = _small_model(int(rng.integers(1 << 31)))
         terms = model.terms(phases, pilots.pilot_of)
-        weights = np.stack([se.decoder_weights(terms, decoder, drop.p, p_hat,
-                                               cfg.tau_p, cfg.sigma2)
+        weights = np.stack([se.decoder_weights(terms, decoder, drop.p)
                             for decoder in ("lsfd", "egcd")])
-        g_lsfd, g_egcd = se.sinr_from_weights(terms, weights, drop.p, p_hat,
-                                              cfg.tau_p, cfg.sigma2)
+        g_lsfd, g_egcd = se.sinr_from_weights(terms, weights, drop.p)
         worst = min(worst, float((g_lsfd - g_egcd).min()))
     passed = worst >= -1e-9
     return ("decoder-dominance", passed,
@@ -100,6 +99,6 @@ def check_decoder_dominance(seed=0, n_drops=25):
 
 def run_checks(seed=0, n_trials=20000):
     """Run every check; yields (name, passed, detail)."""
-    yield check_estimation_identity(seed)
+    yield check_pilot_systems(seed)
     yield check_closed_form_vs_mc(seed, n_trials=n_trials)
     yield check_decoder_dominance(seed)

@@ -197,9 +197,10 @@ def mmse_estimate_loop(est, los, nlos, pilot_of, p_hat, tau_p, pilot_noise):
     return los + link_matvec(_estimator_gain(est, p_hat), observed)
 
 
-def draw_einsum(sampler, batch):
-    """_TrialSampler.draw with the U x U applies as einsum contractions and
-    the LoS part formed for the channel and the estimate separately."""
+def draw_einsum(sampler, batch, pilot_of, p_hat, tau_p, sigma2):
+    """_TrialSampler.draw with the U x U applies as einsum contractions, the
+    LoS part formed for the channel and the estimate separately, and the
+    pilots and noise given explicitly."""
     n_ap, n_ue, u = sampler.shape
     rng = sampler.rng
     phase = rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
@@ -208,13 +209,11 @@ def draw_einsum(sampler, batch):
     nlos = np.einsum("lkuv,blkv->blku", sampler.nlos_factor, white)
     h_bar = sampler.state.h_bar
     h = h_bar[None] * np.exp(1j * phase)[..., None] + nlos
-    noise = despread_pilot_noise(rng, sampler.n_pilots, (batch, n_ap), u,
-                                 sampler.tau_p, sampler.sigma2)
-    observed = copilot_observations_loop(nlos, sampler.pilot_of,
-                                         sampler.p_hat, sampler.tau_p, noise)
+    noise = despread_pilot_noise(rng, int(np.max(pilot_of)) + 1,
+                                 (batch, n_ap), u, tau_p, sigma2)
+    observed = copilot_observations_loop(nlos, pilot_of, p_hat, tau_p, noise)
     h_hat = h_bar * np.exp(1j * phase)[..., None] + np.einsum(
-        "lkuv,...lkv->...lku", _estimator_gain(sampler.est, sampler.p_hat),
-        observed)
+        "lkuv,...lkv->...lku", _estimator_gain(sampler.est, p_hat), observed)
     return h, h_hat
 
 
@@ -229,7 +228,7 @@ def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
     of combined_products, with einsum contractions over U, L and the
     trials; returns (gamma, stderr), each (S, K) over the flattened
     settings."""
-    sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
+    sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, _ = sampler.shape
     p = np.asarray(p, dtype=float)
     weights = np.asarray(weights, dtype=complex)
@@ -244,7 +243,7 @@ def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
     done = 0
     while done < n_trials:
         b = min(batch, n_trials - done)
-        h, h_hat = draw_einsum(sampler, b)
+        h, h_hat = draw_einsum(sampler, b, pilot_of, p_hat, tau_p, sigma2)
         x = combined_products(h, h_hat)
         vnorm = np.einsum("blku,blku->blk", h_hat.conj(), h_hat).real
         for s, w in enumerate(weights):
@@ -326,9 +325,9 @@ def candidate(stack, i):
                    lam=stack.lam[i])
 
 
-def sinr_lsfd(terms, p, p_hat, tau_p, sigma2):
+def sinr_lsfd(terms, p):
     """(sinr, weights) under optimal weighting; sinr_k = p_k z^H b^-1 z."""
-    weights = se.lsfd_weights(terms, p, p_hat, tau_p, sigma2)
+    weights = se.lsfd_weights(terms, p)
     p = np.asarray(p, dtype=float)
     gamma = np.array([
         p[k] * float(np.real(terms.z[k] @ weights[k]))
@@ -441,10 +440,10 @@ class CrossMomentEstimate:
     n_trials: int
 
 
-def cross_moment_estimates(state, est, pilot_of, p_hat, tau_p, sigma2,
-                           n_trials, rng, batch=4096) -> CrossMomentEstimate:
+def cross_moment_estimates(state, est, n_trials, rng,
+                           batch=4096) -> CrossMomentEstimate:
     """Sample every pairwise interference moment for the term audit."""
-    sampler = _TrialSampler(state, est, pilot_of, p_hat, tau_p, sigma2, rng)
+    sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, _ = sampler.shape
     acc = np.zeros((n_ue, n_ue, n_ap, n_ap), dtype=complex)
     acc2_re = np.zeros((n_ue, n_ue, n_ap, n_ap))
@@ -519,9 +518,7 @@ def build_channel_state_slices(model, slices, ap_indices):
 
 def terms_loop(model, phases, pilot_of, ap_indices=None):
     state = build_channel_state_loop(model, phases, ap_indices)
-    est = model.estimation_state(state, pilot_of)
-    return se.sinr_terms(state, est, pilot_of, model.cfg.pilot_powers(),
-                         model.cfg.tau_p)
+    return se.sinr_terms(state, model.estimation_state(state, pilot_of))
 
 
 def replace_ap(terms, l, other):
@@ -544,7 +541,6 @@ class SerialObjective:
         self.pilot_of = np.asarray(pilot_of)
         self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
         self.decoder = decoder
-        self.p_hat = model.cfg.pilot_powers()
 
     def set_phases(self, phases):
         self.phases = np.array(phases, dtype=float)
@@ -552,12 +548,10 @@ class SerialObjective:
         return self.value(self.terms)
 
     def value(self, terms):
-        cfg = self.cfg
-        weights = se.decoder_weights(terms, self.decoder, self.p, self.p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        gamma = se.sinr_from_weights(terms, weights, self.p, self.p_hat,
-                                     cfg.tau_p, cfg.sigma2)
-        return float(se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p).sum())
+        weights = se.decoder_weights(terms, self.decoder, self.p)
+        gamma = se.sinr_from_weights(terms, weights, self.p)
+        return float(se.se_from_sinr(gamma, self.cfg.tau_c,
+                                     self.cfg.tau_p).sum())
 
     def ap_terms(self, l, ap_phases):
         patched = self.phases.copy()
@@ -620,29 +614,25 @@ def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
         phase_sets["opt"] = opt_phases
 
     rows = []
-    p_hat = cfg.pilot_powers()
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
         terms = model.terms(phase_sets[phase_kind], pilots.pilot_of)
         for decoder in decoders:
-            weights = se.decoder_weights(terms, decoder, drop.p, p_hat,
-                                         cfg.tau_p, cfg.sigma2)
+            weights = se.decoder_weights(terms, decoder, drop.p)
             if power_kind == "maxmin":
-                sol = maxmin_power(terms, weights, cfg.p_max, p_hat,
-                                   cfg.tau_p, cfg.sigma2, eps=spec.maxmin_eps)
+                sol = maxmin_power(terms, weights, cfg.p_max,
+                                   eps=spec.maxmin_eps)
                 p = sol.p
             else:
                 p = drop.p
-            gamma = se.sinr_from_weights(terms, weights, p, p_hat,
-                                         cfg.tau_p, cfg.sigma2)
+            gamma = se.sinr_from_weights(terms, weights, p)
             se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
             mc_cols = [(MISSING, MISSING)] * cfg.K
             if spec.n_mc_trials > 0:
                 state, est = model.states(phase_sets[phase_kind],
                                           pilots.pilot_of)
                 mc = uatf_monte_carlo(
-                    state, est, pilots.pilot_of, p, p_hat, cfg.tau_p,
-                    cfg.sigma2, weights, spec.n_mc_trials,
+                    state, est, p, weights, spec.n_mc_trials,
                     rng=np.random.default_rng([spec.seed, value_index, d, 3]))
                 mc_cols = [(float(g), float(e))
                            for g, e in zip(mc.gamma, mc.stderr)]

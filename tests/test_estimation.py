@@ -78,22 +78,15 @@ def test_batched_matches_single_link(small_model, small_pilots, small_phases,
                                       p_hat[cop], p_hat[k],
                                       small_cfg.tau_p, small_cfg.sigma2)
             assert np.allclose(est.omega[l, k], single.omega)
-            assert np.allclose(est.err_cov[l, k], single.err_cov)
+            assert np.allclose(
+                r[l, k] - p_hat[k] * small_cfg.tau_p * est.omega[l, k],
+                single.err_cov)
 
 
-def test_unassigned_pilots_rejected(small_model, small_pilots, small_phases,
-                                    small_cfg):
-    cfg = small_cfg
+def test_unassigned_pilots_rejected(small_model, small_phases):
     state = small_model.channel_state(small_phases)
     with pytest.raises(EstimationError):
         small_model.estimation_state(state, np.array([-1, 0, 1]))
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
-    lead = (2, cfg.L)
-    with pytest.raises(EstimationError, match="incomplete"):
-        mmse_estimate(est, state.h_bar, np.zeros((*lead, cfg.K, cfg.U)),
-                      np.array([0, -1, 1]),
-                      cfg.pilot_powers(), cfg.tau_p,
-                      np.zeros((*lead, 2, cfg.U)))
 
 
 def test_badly_conditioned_pilot_covariance_logged_at_debug(caplog):
@@ -140,22 +133,28 @@ def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
     noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead, cfg.U, tau_p,
                                  cfg.sigma2)
     los = state.h_bar * np.exp(1j * phase)[..., None]
-    args = (est, los, nlos, pilot_of, p_hat, tau_p, noise)
-    assert np.array_equal(mmse_estimate(*args), mmse_estimate_loop(*args))
+    assert np.array_equal(
+        mmse_estimate(est, los, nlos, noise),
+        mmse_estimate_loop(est, los, nlos, pilot_of, p_hat, tau_p, noise))
+
+
+def _error_cov(state, est, cfg):
+    """r - p_hat_k tau_p omega of every link, with the pilot powers and
+    tau_p of cfg."""
+    return (state.r_all() - (cfg.pilot_powers() * cfg.tau_p)[:, None, None]
+            * est.omega)
 
 
 def _sampler_for(model, pilot_of, phases, seed):
-    cfg = model.cfg
-    state = model.channel_state(phases)
-    est = model.estimation_state(state, pilot_of)
-    sampler = _TrialSampler(state, est, pilot_of, cfg.pilot_powers(),
-                            cfg.tau_p, cfg.sigma2, np.random.default_rng(seed))
-    return est, sampler
+    state, est = model.states(phases, pilot_of)
+    sampler = _TrialSampler(state, est, np.random.default_rng(seed))
+    return state, est, sampler
 
 
 def test_error_moments(small_model, small_pilots, small_phases, small_cfg):
-    est, sampler = _sampler_for(small_model, small_pilots.pilot_of,
-                                small_phases, seed=3)
+    state, est, sampler = _sampler_for(small_model, small_pilots.pilot_of,
+                                       small_phases, seed=3)
+    err_cov = _error_cov(state, est, small_cfg)
     n = 100_000
     h, h_hat = sampler.draw(n)
     err = h - h_hat
@@ -166,7 +165,7 @@ def test_error_moments(small_model, small_pilots, small_phases, small_cfg):
     for l in range(small_cfg.L):
         for k in range(small_cfg.K):
             cov = err[:, l, k, :].T @ err[:, l, k, :].conj() / n
-            ref = est.err_cov[l, k]
+            ref = err_cov[l, k]
             diag = np.diag(ref).real
             bound = 3 * np.sqrt(np.outer(diag, diag) / n) + 1e-15
             assert np.all(np.abs(cov - ref) <= bound)
@@ -184,9 +183,8 @@ def test_estimate_conditional_covariance_and_orthogonality(small_model,
     state = type(state)(h_bar=np.zeros_like(state.h_bar), s=state.s,
                         beta_nlos=state.beta_nlos)
     est = small_model.estimation_state(state, small_pilots.pilot_of)
-    sampler = _TrialSampler(state, est, small_pilots.pilot_of,
-                            cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
-                            np.random.default_rng(12))
+    err_cov = _error_cov(state, est, cfg)
+    sampler = _TrialSampler(state, est, np.random.default_rng(12))
     n = 100_000
     h, h_hat = sampler.draw(n)
     p_hat = cfg.pilot_powers()
@@ -199,7 +197,7 @@ def test_estimate_conditional_covariance_and_orthogonality(small_model,
             assert np.all(np.abs(cov - target) <= bound)
             err = h[:, l, k, :] - h_hat[:, l, k, :]
             cross = h_hat[:, l, k, :].T @ err.conj() / n
-            diag_err = np.diag(est.err_cov[l, k]).real
+            diag_err = np.diag(err_cov[l, k]).real
             cbound = 3 * np.sqrt(np.outer(diag, diag_err) / n) + 1e-15
             assert np.all(np.abs(cross) <= cbound)
 
@@ -213,7 +211,7 @@ def test_noiseless_estimate_recovers_channel():
     pilots = allocate_pilots(drop)
     assert len(set(pilots.pilot_of.tolist())) == cfg.K   # no sharing
     phases = model.random_phases(np.random.default_rng(13))
-    _, sampler = _sampler_for(model, pilots.pilot_of, phases, seed=14)
+    _, _, sampler = _sampler_for(model, pilots.pilot_of, phases, seed=14)
     h, h_hat = sampler.draw(200)
     assert np.abs(h - h_hat).max() <= 1e-3 * np.abs(h).max()
 

@@ -14,25 +14,15 @@ from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
                        sample_channel, uatf_monte_carlo_einsum)
 
 
-def _setup(model, pilots, phases, cfg):
-    state, est = model.states(phases, pilots.pilot_of)
-    p_hat = cfg.pilot_powers()
-    return state, est, p_hat
-
-
 def test_mc_matches_closed_form(small_model, small_pilots, small_phases,
-                                small_cfg, small_terms):
-    cfg = small_cfg
-    state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
+                                small_terms):
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     drop = small_model.drop
-    for weights in (lsfd_weights(small_terms, drop.p, p_hat, cfg.tau_p,
-                                 cfg.sigma2),
+    for weights in (lsfd_weights(small_terms, drop.p),
                     egcd_weights(small_terms)):
-        gamma = sinr_from_weights(small_terms, weights, drop.p, p_hat,
-                                  cfg.tau_p, cfg.sigma2)
-        mc = uatf_monte_carlo(state, est, small_pilots.pilot_of, drop.p,
-                              p_hat, cfg.tau_p, cfg.sigma2, weights,
-                              40_000, rng=np.random.default_rng(1))
+        gamma = sinr_from_weights(small_terms, weights, drop.p)
+        mc = uatf_monte_carlo(state, est, drop.p, weights, 40_000,
+                              rng=np.random.default_rng(1))
         z = np.abs(mc.gamma - gamma) / mc.stderr
         assert z.max() <= 4.0
 
@@ -40,21 +30,18 @@ def test_mc_matches_closed_form(small_model, small_pilots, small_phases,
 def _settings(small_model, small_terms, cfg):
     """Powers (4, K) and weights (4, K, L): full and max-min powers, each
     with LSFD and EGCD weights."""
-    p_hat = cfg.pilot_powers()
     full = small_model.drop.p
-    lsfd = lsfd_weights(small_terms, full, p_hat, cfg.tau_p, cfg.sigma2)
-    maxmin = maxmin_power(small_terms, lsfd, cfg.p_max, p_hat, cfg.tau_p,
-                          cfg.sigma2).p
+    lsfd = lsfd_weights(small_terms, full)
+    maxmin = maxmin_power(small_terms, lsfd, cfg.p_max).p
     assert not np.array_equal(maxmin, full)
     egcd = egcd_weights(small_terms)
     return (np.stack([full, full, maxmin, maxmin]),
             np.stack([lsfd, egcd, lsfd, egcd]))
 
 
-def _assert_stacked_equals_separate(state, est, pilot_of, p, weights, cfg,
-                                    n_trials, seed, **kwargs):
-    stacked = uatf_monte_carlo(state, est, pilot_of, p, cfg.pilot_powers(),
-                               cfg.tau_p, cfg.sigma2, weights, n_trials,
+def _assert_stacked_equals_separate(state, est, p, weights, cfg, n_trials,
+                                    seed, **kwargs):
+    stacked = uatf_monte_carlo(state, est, p, weights, n_trials,
                                rng=np.random.default_rng(seed), **kwargs)
     lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
     assert stacked.gamma.shape == stacked.stderr.shape == (*lead, cfg.K)
@@ -62,9 +49,7 @@ def _assert_stacked_equals_separate(state, est, pilot_of, p, weights, cfg,
     p = np.broadcast_to(p, (*lead, cfg.K))
     weights = np.broadcast_to(weights, (*lead, *weights.shape[-2:]))
     for i in np.ndindex(lead):
-        alone = uatf_monte_carlo(state, est, pilot_of, p[i],
-                                 cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
-                                 weights[i], n_trials,
+        alone = uatf_monte_carlo(state, est, p[i], weights[i], n_trials,
                                  rng=np.random.default_rng(seed), **kwargs)
         assert alone.gamma.shape == (cfg.K,)
         assert np.array_equal(stacked.gamma[i], alone.gamma)
@@ -75,53 +60,48 @@ def test_stacked_settings_equal_separate_calls(small_model, small_pilots,
                                                small_phases, small_cfg,
                                                small_terms):
     cfg = small_cfg
-    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     p, weights = _settings(small_model, small_terms, cfg)
-    pilot_of = small_pilots.pilot_of
-    _assert_stacked_equals_separate(state, est, pilot_of, p, weights, cfg,
-                                    2_000, 8, batch=512)
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8,
+                                    batch=512)
     # two leading axes, and one power vector broadcast over stacked weights
-    _assert_stacked_equals_separate(state, est, pilot_of,
-                                    p.reshape(2, 2, cfg.K),
+    _assert_stacked_equals_separate(state, est, p.reshape(2, 2, cfg.K),
                                     weights.reshape(2, 2, cfg.K, cfg.L),
                                     cfg, 2_000, 8, batch=512)
-    _assert_stacked_equals_separate(state, est, pilot_of, p[0], weights[:2],
-                                    cfg, 2_000, 9)
+    _assert_stacked_equals_separate(state, est, p[0], weights[:2], cfg,
+                                    2_000, 9)
 
 
 def test_one_element_settings_axis(small_model, small_pilots, small_phases,
                                    small_cfg, small_terms):
     cfg = small_cfg
-    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     p, weights = _settings(small_model, small_terms, cfg)
-    _assert_stacked_equals_separate(state, est, small_pilots.pilot_of,
-                                    p[2:3], weights[2:3], cfg, 1_000, 10)
+    _assert_stacked_equals_separate(state, est, p[2:3], weights[2:3], cfg,
+                                    1_000, 10)
 
 
 def test_stacked_settings_with_partial_last_batch(small_model, small_pilots,
                                                   small_phases, small_cfg,
                                                   small_terms):
     cfg = small_cfg
-    state, est, _ = _setup(small_model, small_pilots, small_phases, cfg)
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     p, weights = _settings(small_model, small_terms, cfg)
-    _assert_stacked_equals_separate(state, est, small_pilots.pilot_of, p,
-                                    weights, cfg, 150, 11, batch=64)
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 150, 11,
+                                    batch=64)
 
 
 def test_stderr_scales_with_trials(small_model, small_pilots, small_phases,
-                                   small_cfg, small_terms):
-    cfg = small_cfg
-    state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
+                                   small_terms):
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     drop = small_model.drop
     w = egcd_weights(small_terms)
     reps = 6
     ratios = []
     for r in range(reps):
-        a = uatf_monte_carlo(state, est, small_pilots.pilot_of, drop.p,
-                             p_hat, cfg.tau_p, cfg.sigma2, w, 8_000,
+        a = uatf_monte_carlo(state, est, drop.p, w, 8_000,
                              rng=np.random.default_rng([2, r]))
-        b = uatf_monte_carlo(state, est, small_pilots.pilot_of, drop.p,
-                             p_hat, cfg.tau_p, cfg.sigma2, w, 16_000,
+        b = uatf_monte_carlo(state, est, drop.p, w, 16_000,
                              rng=np.random.default_rng([3, r]))
         ratios.append(b.stderr / a.stderr)
     mean_ratio = float(np.mean(ratios))
@@ -136,13 +116,12 @@ def test_zero_interferer_power_leaves_noise_denominator(small_model,
     # only UE 0 transmits: its MC SINR equals signal over (self-excess +
     # noise) and still matches the closed form
     cfg = small_cfg
-    state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     p = np.zeros(cfg.K)
     p[0] = cfg.p_max
-    w = lsfd_weights(small_terms, p, p_hat, cfg.tau_p, cfg.sigma2)
-    gamma = sinr_from_weights(small_terms, w, p, p_hat, cfg.tau_p, cfg.sigma2)
-    mc = uatf_monte_carlo(state, est, small_pilots.pilot_of, p, p_hat,
-                          cfg.tau_p, cfg.sigma2, w, 40_000,
+    w = lsfd_weights(small_terms, p)
+    gamma = sinr_from_weights(small_terms, w, p)
+    mc = uatf_monte_carlo(state, est, p, w, 40_000,
                           rng=np.random.default_rng(4))
     z = abs(mc.gamma[0] - gamma[0]) / mc.stderr[0]
     assert z <= 4.0
@@ -199,8 +178,7 @@ def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,
         noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead[:2],
                                      cfg.U, cfg.tau_p, cfg.sigma2)
         h_hat = mmse_estimate(est, np.zeros((*lead, cfg.U)),
-                              np.zeros((*lead, cfg.U)),
-                              pilot_of, p_hat, cfg.tau_p, noise)
+                              np.zeros((*lead, cfg.U)), noise)
         gain = (np.sqrt(p_hat)[:, None, None]
                 * est.core.conj().swapaxes(-1, -2))
         rows = np.linalg.solve(gain, h_hat[..., None])[..., 0]
@@ -236,13 +214,10 @@ def test_delta_method_matches_per_setting_loop():
                                     dict(n_trials=100, batch=0),
                                     dict(n_trials=1)])
 def test_degenerate_trial_counts_rejected(small_model, small_pilots,
-                                          small_phases, small_cfg,
-                                          small_terms, kwargs):
-    cfg = small_cfg
-    state, est, p_hat = _setup(small_model, small_pilots, small_phases, cfg)
+                                          small_phases, small_terms, kwargs):
+    state, est = small_model.states(small_phases, small_pilots.pilot_of)
     with pytest.raises(ValueError, match="n_trials >= 2 and batch >= 1"):
-        uatf_monte_carlo(state, est, small_pilots.pilot_of,
-                         small_model.drop.p, p_hat, cfg.tau_p, cfg.sigma2,
+        uatf_monte_carlo(state, est, small_model.drop.p,
                          egcd_weights(small_terms),
                          rng=np.random.default_rng(0), **kwargs)
 
@@ -264,24 +239,25 @@ def test_sampler_matches_einsum_oracle(u):
     # than rtol; 150 trials in batches of 64 end on a partial batch
     cfg = SystemConfig(L=3, K=3, U=u, M=2, N=9, tau_p=2)
     model, pilot_of, state, est, terms = _network(cfg, 20 + u)
-    p_hat = cfg.pilot_powers()
-    args = (state, est, pilot_of, p_hat, cfg.tau_p, cfg.sigma2)
-    sampler = _TrialSampler(*args, np.random.default_rng(u))
-    oracle = _TrialSampler(*args, np.random.default_rng(u))
+    pilots = (pilot_of, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    sampler = _TrialSampler(state, est, np.random.default_rng(u))
+    oracle = _TrialSampler(state, est, np.random.default_rng(u))
     for b in (64, 22):
-        for got, want in zip(sampler.draw(b), draw_einsum(oracle, b)):
+        for got, want in zip(sampler.draw(b),
+                             draw_einsum(oracle, b, *pilots)):
             assert got.shape == (b, cfg.L, cfg.K, u)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     # LSFD and EGCD weights are real; complex ones exercise the conjugate
     p = np.stack([model.drop.p, 0.5 * model.drop.p])
     turn = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi,
                                                         (cfg.K, cfg.L)))
-    weights = np.stack([lsfd_weights(terms, model.drop.p, p_hat, cfg.tau_p,
-                                     cfg.sigma2), turn * egcd_weights(terms)])
-    mc = uatf_monte_carlo(*args[:3], p, *args[3:], weights, 150,
+    weights = np.stack([lsfd_weights(terms, model.drop.p),
+                        turn * egcd_weights(terms)])
+    mc = uatf_monte_carlo(state, est, p, weights, 150,
                           rng=np.random.default_rng(u), batch=64)
-    gamma, stderr = uatf_monte_carlo_einsum(*args[:3], p, *args[3:], weights,
-                                            150, rng=np.random.default_rng(u),
+    gamma, stderr = uatf_monte_carlo_einsum(state, est, pilots[0], p,
+                                            *pilots[1:], weights, 150,
+                                            rng=np.random.default_rng(u),
                                             batch=64)
     np.testing.assert_allclose(mc.gamma, gamma, rtol=1e-12, atol=0)
     np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12, atol=0)
@@ -299,9 +275,7 @@ def test_sampler_batch_memory_bounded():
     unit = b * cfg.L * cfg.K * cfg.U * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        uatf_monte_carlo(state, est, pilot_of, model.drop.p,
-                         cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
-                         egcd_weights(terms), b,
+        uatf_monte_carlo(state, est, model.drop.p, egcd_weights(terms), b,
                          rng=np.random.default_rng(3), batch=b)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -176,7 +176,7 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
         value = obj.set_phases(phases)
         terms = model.terms(phases, pilots.pilot_of)
         w_ref, gamma_ref = _dense_lsfd(terms, args)
-        w = lsfd_weights(terms, *args)
+        w = lsfd_weights(terms, model.drop.p)
         assert np.all(np.linalg.norm(w - w_ref, axis=-1)
                       <= 1e-9 * np.linalg.norm(w_ref, axis=-1))
         gamma = sinr_from_parts([part.sum(axis=-1) for part in obj.parts],
@@ -242,12 +242,10 @@ def test_maxmin_single_ue():
     pilots = allocate_pilots(drop)
     phases = model.random_phases(8)
     terms = model.terms(phases, pilots.pilot_of)
-    p_hat = cfg.pilot_powers()
-    w = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    full = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
+    w = lsfd_weights(terms, drop.p)
+    full = sinr_from_weights(terms, w, drop.p)
     eps = 1e-4
-    sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
-                       eps=eps)
+    sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
     # single-UE SINR is monotone in power: the optimum is full power
     assert sol.p[0] == pytest.approx(cfg.p_max, rel=1e-3)
     assert abs(sol.t_star - full[0]) <= eps
@@ -261,21 +259,17 @@ def _maxmin_setup(seed):
     pilots = allocate_pilots(drop)
     phases = model.random_phases([seed, 5])
     terms = model.terms(phases, pilots.pilot_of)
-    p_hat = cfg.pilot_powers()
-    w = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    return cfg, drop, terms, p_hat, w
+    w = lsfd_weights(terms, drop.p)
+    return cfg, drop, terms, cfg.pilot_powers(), w
 
 
 def test_maxmin_improves_minimum():
     for seed in range(8):
-        cfg, drop, terms, p_hat, w = _maxmin_setup(30 + seed)
-        full = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p,
-                                 cfg.sigma2)
+        cfg, drop, terms, _, w = _maxmin_setup(30 + seed)
+        full = sinr_from_weights(terms, w, drop.p)
         eps = 1e-4
-        sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
-                           eps=eps)
-        after = sinr_from_weights(terms, w, sol.p, p_hat, cfg.tau_p,
-                                  cfg.sigma2)
+        sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
+        after = sinr_from_weights(terms, w, sol.p)
         assert after.min() >= full.min() - eps
         assert np.all(sol.p >= 0) and np.all(sol.p <= cfg.p_max * (1 + 1e-9))
         # achieved minimum matches the certified bisection value
@@ -285,25 +279,23 @@ def test_maxmin_improves_minimum():
 
 
 def test_maxmin_iteration_bound():
-    cfg, drop, terms, p_hat, w = _maxmin_setup(50)
-    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
+    cfg, drop, terms, _, w = _maxmin_setup(50)
+    coeffs = sinr_coefficients(terms, w)
     full_max = coeffs.gamma(drop.p).max()
     eps = 1e-3
-    sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
-                       eps=eps)
+    sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
 
 
 def test_maxmin_rejects_nan_tolerance():
     # a NaN bracket width would skip the bisection and return full power
-    cfg, drop, terms, p_hat, w = _maxmin_setup(50)
+    cfg, drop, terms, _, w = _maxmin_setup(50)
     with pytest.raises(ValueError, match="eps must be > 0"):
-        maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2,
-                     eps=float("nan"))
+        maxmin_power(terms, w, cfg.p_max, eps=float("nan"))
 
 
 def test_maxmin_solves_once_per_bisection_step(monkeypatch):
-    cfg, drop, terms, p_hat, w = _maxmin_setup(55)
+    cfg, drop, terms, _, w = _maxmin_setup(55)
     real = optimize._feasible_powers
     calls = []
 
@@ -312,10 +304,10 @@ def test_maxmin_solves_once_per_bisection_step(monkeypatch):
         return real(coeffs, t, p_max)
 
     monkeypatch.setattr(optimize, "_feasible_powers", spy)
-    sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2)
+    sol = maxmin_power(terms, w, cfg.p_max)
     assert sol.t_star > 0 and len(calls) == sol.iterations
     # the stored powers are the least solution at the final t_star
-    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
+    coeffs = sinr_coefficients(terms, w)
     assert np.array_equal(sol.p, real(coeffs, sol.t_star, cfg.p_max))
 
 
@@ -323,7 +315,7 @@ def test_maxmin_coefficients_match_direct_evaluation():
     # the coefficients max-min bisects over give, at any power vector, the
     # SINR the term-by-term breakdown oracle assembles
     cfg, drop, terms, p_hat, w = _maxmin_setup(60)
-    coeffs = sinr_coefficients(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
+    coeffs = sinr_coefficients(terms, w)
     rng = np.random.default_rng(9)
     for _ in range(5):
         p = rng.uniform(0, cfg.p_max, cfg.K)
@@ -338,9 +330,8 @@ def test_sinr_coefficients_match_per_ue_loop(decoder):
         cfg, drop, terms, p_hat, w = _maxmin_setup(80 + seed)
         if decoder == "egcd":
             w = egcd_weights(terms)
-        args = (p_hat, cfg.tau_p, cfg.sigma2)
-        fast = sinr_coefficients(terms, w, *args)
-        ref = sinr_coefficients_loop(terms, w, *args)
+        fast = sinr_coefficients(terms, w)
+        ref = sinr_coefficients_loop(terms, w, p_hat, cfg.tau_p, cfg.sigma2)
         for name in ("signal", "d", "noise"):
             want = getattr(ref, name)
             assert np.allclose(getattr(fast, name), want, rtol=1e-12,
@@ -348,11 +339,11 @@ def test_sinr_coefficients_match_per_ue_loop(decoder):
 
 
 def test_maxmin_with_egcd_weights():
-    cfg, drop, terms, p_hat, _ = _maxmin_setup(70)
+    cfg, drop, terms, _, _ = _maxmin_setup(70)
     w = egcd_weights(terms)
-    sol = maxmin_power(terms, w, cfg.p_max, p_hat, cfg.tau_p, cfg.sigma2)
-    after = sinr_from_weights(terms, w, sol.p, p_hat, cfg.tau_p, cfg.sigma2)
-    full = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
+    sol = maxmin_power(terms, w, cfg.p_max)
+    after = sinr_from_weights(terms, w, sol.p)
+    full = sinr_from_weights(terms, w, drop.p)
     assert after.min() >= full.min() - 1e-3
 
 

@@ -51,7 +51,7 @@ def test_zero_los_collapses_terms(small_model, small_pilots, small_phases,
                         beta_nlos=state.beta_nlos)
     est = small_model.estimation_state(state, small_pilots.pilot_of)
     p_hat = small_cfg.pilot_powers()
-    t = sinr_terms(state, est, small_pilots.pilot_of, p_hat, small_cfg.tau_p)
+    t = sinr_terms(state, est)
     assert np.all(t.lam == 0)
     tr_omega = np.real(np.einsum("lkuu->kl", est.omega))
     assert np.allclose(t.z, p_hat[:, None] * small_cfg.tau_p * tr_omega)
@@ -65,7 +65,7 @@ def test_single_link_scalar_value():
                         beta_nlos=state.beta_nlos)
     est = model.estimation_state(state, pilots.pilot_of)
     p_hat = cfg.pilot_powers()
-    t = sinr_terms(state, est, pilots.pilot_of, p_hat, cfg.tau_p)
+    t = sinr_terms(state, est)
     r = state.r_all()[0, 0]
     w, v = np.linalg.eigh(r)
     expected = sum(p_hat[0] * cfg.tau_p * lam ** 2
@@ -81,9 +81,8 @@ def test_six_case_audit_small():
     terms = model.terms(phases, pilots.pilot_of)
     pred = predicted_cross_moments(terms, cfg.pilot_powers(), cfg.tau_p)
     state, est = model.states(phases, pilots.pilot_of)
-    mc = cross_moment_estimates(state, est, pilots.pilot_of,
-                                cfg.pilot_powers(), cfg.tau_p, cfg.sigma2,
-                                150_000, rng=np.random.default_rng(8))
+    mc = cross_moment_estimates(state, est, 150_000,
+                                rng=np.random.default_rng(8))
     z_re = np.abs(mc.moment.real - pred.real) / np.maximum(mc.stderr_re, 1e-300)
     z_im = np.abs(mc.moment.imag - pred.imag) / np.maximum(mc.stderr_im, 1e-300)
     # 3-sigma per entry with a small allowance for the number of comparisons
@@ -121,59 +120,50 @@ def test_denominator_assembly_consistent_with_case_moments(small_terms,
 
 def test_lsfd_single_ap_equals_egcd():
     cfg, drop, pilots, terms = terms_at(11, l=1)
-    p_hat = cfg.pilot_powers()
-    g_lsfd, _ = sinr_lsfd(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    g_egcd = sinr_from_weights(terms, egcd_weights(terms), drop.p, p_hat,
-                               cfg.tau_p, cfg.sigma2)
+    g_lsfd, _ = sinr_lsfd(terms, drop.p)
+    g_egcd = sinr_from_weights(terms, egcd_weights(terms), drop.p)
     assert np.allclose(g_lsfd, g_egcd, rtol=1e-9)
 
 
 def test_weight_scaling_invariance():
     cfg, drop, pilots, terms = terms_at(12)
-    p_hat = cfg.pilot_powers()
-    w = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    g1 = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    g2 = sinr_from_weights(terms, 7.5 * w, drop.p, p_hat, cfg.tau_p,
-                           cfg.sigma2)
+    w = lsfd_weights(terms, drop.p)
+    g1 = sinr_from_weights(terms, w, drop.p)
+    g2 = sinr_from_weights(terms, 7.5 * w, drop.p)
     assert np.allclose(g1, g2, rtol=1e-10)
     # scaling the gain vector scales the weights linearly and leaves the
     # SINR alone; exact once the z-coupled noise diagonal is switched off
-    w0 = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, 0.0)
-    scaled = replace(terms, z=3.0 * terms.z)
-    w_scaled = lsfd_weights(scaled, drop.p, p_hat, cfg.tau_p, 0.0)
+    noiseless = replace(terms, sigma2=0.0)
+    w0 = lsfd_weights(noiseless, drop.p)
+    scaled = replace(noiseless, z=3.0 * terms.z)
+    w_scaled = lsfd_weights(scaled, drop.p)
     assert np.allclose(w_scaled, 3.0 * w0, rtol=1e-9)
-    g3 = sinr_from_weights(terms, w_scaled, drop.p, p_hat, cfg.tau_p, 0.0)
-    g4 = sinr_from_weights(terms, w0, drop.p, p_hat, cfg.tau_p, 0.0)
+    g3 = sinr_from_weights(noiseless, w_scaled, drop.p)
+    g4 = sinr_from_weights(noiseless, w0, drop.p)
     assert np.allclose(g3, g4, rtol=1e-9)
 
 
 def test_quadratic_and_bilinear_forms_agree():
     for seed in range(30):
         cfg, drop, pilots, terms = terms_at(100 + seed)
-        p_hat = cfg.pilot_powers()
-        g_quad, w = sinr_lsfd(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-        g_bil = sinr_from_weights(terms, w, drop.p, p_hat, cfg.tau_p,
-                                  cfg.sigma2)
+        g_quad, w = sinr_lsfd(terms, drop.p)
+        g_bil = sinr_from_weights(terms, w, drop.p)
         assert np.allclose(g_quad, g_bil, rtol=1e-9)
 
 
 def test_lsfd_dominates_egcd():
     for seed in range(40):
         cfg, drop, pilots, terms = terms_at(200 + seed)
-        p_hat = cfg.pilot_powers()
-        g_lsfd, _ = sinr_lsfd(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-        g_egcd = sinr_from_weights(terms, egcd_weights(terms), drop.p,
-                                   p_hat, cfg.tau_p, cfg.sigma2)
+        g_lsfd, _ = sinr_lsfd(terms, drop.p)
+        g_egcd = sinr_from_weights(terms, egcd_weights(terms), drop.p)
         assert np.all(g_lsfd >= g_egcd - 1e-12 * np.maximum(g_egcd, 1))
 
 
 def test_zero_power_zero_sinr(small_terms, small_cfg):
     p = np.full(small_cfg.K, small_cfg.p_max)
     p[1] = 0.0
-    p_hat = small_cfg.pilot_powers()
-    w = lsfd_weights(small_terms, p, p_hat, small_cfg.tau_p, small_cfg.sigma2)
-    gamma = sinr_from_weights(small_terms, w, p, p_hat, small_cfg.tau_p,
-                              small_cfg.sigma2)
+    w = lsfd_weights(small_terms, p)
+    gamma = sinr_from_weights(small_terms, w, p)
     assert gamma[1] == 0.0
     assert np.all(gamma[[0, 2]] > 0)
 
@@ -181,15 +171,14 @@ def test_zero_power_zero_sinr(small_terms, small_cfg):
 def test_no_pilot_sharing_kills_coherent_term():
     cfg, drop, pilots, terms = terms_at(13, k=2, tau_p=2)
     assert len(set(pilots.pilot_of.tolist())) == 2
-    p_hat = cfg.pilot_powers()
-    w = lsfd_weights(terms, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
-    parts = sinr_breakdown(terms, w, drop.p, p_hat, cfg.tau_p, cfg.sigma2)
+    w = lsfd_weights(terms, drop.p)
+    parts = sinr_breakdown(terms, w, drop.p, cfg.pilot_powers(), cfg.tau_p,
+                           cfg.sigma2)
     assert np.all(parts["coherent"] == 0)
     # the coefficients do not see delta at all without a co-pilot
-    args = (p_hat, cfg.tau_p, cfg.sigma2)
     blind = replace(terms, delta=np.zeros_like(terms.delta))
-    assert np.array_equal(sinr_coefficients(terms, w, *args).d,
-                          sinr_coefficients(blind, w, *args).d)
+    assert np.array_equal(sinr_coefficients(terms, w).d,
+                          sinr_coefficients(blind, w).d)
 
 
 def test_denominator_matrix_hermitian_pd(small_terms, small_cfg):
@@ -211,19 +200,18 @@ def test_se_prelog_values():
 def test_negative_denominator_raises(small_terms, small_cfg):
     broken = replace(small_terms, xi=np.zeros_like(small_terms.xi),
                      delta=np.zeros_like(small_terms.delta),
-                     lam=np.sqrt(np.ones_like(small_terms.lam)))
+                     lam=np.sqrt(np.ones_like(small_terms.lam)), sigma2=0.0)
     p = np.full(small_cfg.K, small_cfg.p_max)
     with pytest.raises(SinrComputationError):
-        sinr_from_weights(broken, egcd_weights(broken), p,
-                          small_cfg.pilot_powers(), small_cfg.tau_p, 0.0)
+        sinr_from_weights(broken, egcd_weights(broken), p)
 
 
 def test_report_csv_rows(small_terms, small_cfg):
     p = np.full(small_cfg.K, small_cfg.p_max)
-    args = (p, small_cfg.pilot_powers(), small_cfg.tau_p, small_cfg.sigma2)
-    w = lsfd_weights(small_terms, *args)
-    sinr = sinr_from_weights(small_terms, w, *args)
-    parts = sinr_breakdown(small_terms, w, *args)
+    w = lsfd_weights(small_terms, p)
+    sinr = sinr_from_weights(small_terms, w, p)
+    parts = sinr_breakdown(small_terms, w, p, small_cfg.pilot_powers(),
+                           small_cfg.tau_p, small_cfg.sigma2)
     assert sinr.shape == (small_cfg.K,)
     # the breakdown reassembles the SINR
     assert sinr == pytest.approx(sinr_of_breakdown(parts))
@@ -239,6 +227,15 @@ def _oracle_cases():
         for p in (np.full(cfg.K, cfg.p_max),
                   rng.uniform(0, cfg.p_max, cfg.K), one_zero):
             yield cfg, terms, p, p
+    # pilot settings the cases above share: distinct per-UE pilot powers,
+    # three pilots for four UEs, and another noise power
+    for extra in (dict(p_hat=(0.05, 0.2, 0.11)), dict(k=4, tau_p=3),
+                  dict(sigma2=10.0 ** -11.0)):
+        for seed in range(330, 334):
+            cfg, drop, pilots, terms = terms_at(seed, **extra)
+            for p in (np.full(cfg.K, cfg.p_max),
+                      rng.uniform(0, cfg.p_max, cfg.K)):
+                yield cfg, terms, p, p
     # max-min power control's use: weights fixed at full power, evaluated
     # at other powers
     cfg, drop, pilots, model, _ = model_at(60, l=4, k=4)
@@ -251,14 +248,13 @@ def _oracle_cases():
 @pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
 def test_sinr_from_weights_matches_breakdown_oracle(decoder):
     for cfg, terms, p_weights, p in _oracle_cases():
-        args = (cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
-        w = (lsfd_weights(terms, p_weights, *args) if decoder == "lsfd"
+        w = (lsfd_weights(terms, p_weights) if decoder == "lsfd"
              else egcd_weights(terms))
-        gamma = sinr_from_weights(terms, w, p, *args)
-        ref = sinr_of_breakdown(sinr_breakdown(terms, w, p, *args))
+        gamma = sinr_from_weights(terms, w, p)
+        ref = sinr_of_breakdown(sinr_breakdown(
+            terms, w, p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2))
         np.testing.assert_allclose(gamma, ref, rtol=1e-12, atol=0)
-        assert np.array_equal(
-            sinr_coefficients(terms, w, *args).gamma(p), gamma)
+        assert np.array_equal(sinr_coefficients(terms, w).gamma(p), gamma)
 
 
 def candidate_stack(model, pilots, phases, l=1, n=5):
@@ -276,26 +272,27 @@ def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
                                                      small_phases, small_cfg):
     cfg = small_cfg
     stack = candidate_stack(small_model, small_pilots, small_phases)
-    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    p = small_model.drop.p
+    args = (p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     b = denominator_matrices(stack, *args)
-    w = lsfd_weights(stack, *args)
-    coeffs = sinr_coefficients(stack, w, *args[1:])
-    gamma = sinr_from_weights(stack, w, *args)
+    w = lsfd_weights(stack, p)
+    coeffs = sinr_coefficients(stack, w)
+    gamma = sinr_from_weights(stack, w, p)
     ones = egcd_weights(stack)
-    gamma_egcd = sinr_from_weights(stack, ones, *args)
+    gamma_egcd = sinr_from_weights(stack, ones, p)
     assert b.shape == (5, cfg.K, cfg.L, cfg.L) and gamma.shape == (5, cfg.K)
     for i in range(5):
         one = candidate(stack, i)
         assert np.array_equal(b[i], denominator_matrices(one, *args))
-        assert np.array_equal(w[i], lsfd_weights(one, *args))
-        one_coeffs = sinr_coefficients(one, w[i], *args[1:])
+        assert np.array_equal(w[i], lsfd_weights(one, p))
+        one_coeffs = sinr_coefficients(one, w[i])
         for name in ("signal", "d", "noise"):
             assert np.array_equal(getattr(coeffs, name)[i],
                                   getattr(one_coeffs, name))
-        assert np.array_equal(gamma[i], sinr_from_weights(one, w[i], *args))
+        assert np.array_equal(gamma[i], sinr_from_weights(one, w[i], p))
         assert np.array_equal(ones[i], egcd_weights(one))
         assert np.array_equal(gamma_egcd[i],
-                              sinr_from_weights(one, ones[i], *args))
+                              sinr_from_weights(one, ones[i], p))
 
 
 def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
@@ -307,13 +304,14 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
     for arr in zeroed.values():
         arr[1] = 0.0          # candidate 1: all-zero (singular) denominators
     stack = replace(stack, **zeroed)
-    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
+    p = small_model.drop.p
+    args = (p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(denominator_matrices(candidate(stack, 1), *args),
                         stack.z[1][..., None])
-    w = lsfd_weights(stack, *args)
+    w = lsfd_weights(stack, p)
     for i in range(3):
-        assert np.array_equal(w[i], lsfd_weights(candidate(stack, i), *args))
+        assert np.array_equal(w[i], lsfd_weights(candidate(stack, i), p))
     np.testing.assert_allclose(w[0], np.linalg.solve(
         denominator_matrices(candidate(stack, 0), *args),
         stack.z[0].astype(complex)[..., None])[..., 0], rtol=1e-10)
@@ -322,28 +320,23 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
 
 def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
                                                        small_pilots,
-                                                       small_phases,
-                                                       small_cfg):
+                                                       small_phases):
     # a negative interference term makes dg < 0 at an AP where z > 0
-    cfg = small_cfg
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
     xi = stack.xi.copy()
     xi[2, 1, :, 0] = -1e6 * np.abs(xi).max()
     stack = replace(stack, xi=xi)
     assert stack.z[2, 1, 0] > 0
-    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     with pytest.raises(SinrComputationError,
                        match=r"UE 1 of candidate \(2,\)"):
-        lsfd_weights(stack, *args)
+        lsfd_weights(stack, small_model.drop.p)
 
 
 def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
-                                                small_phases, small_cfg):
-    cfg = small_cfg
+                                                small_phases):
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
     xi = stack.xi.copy()
     xi[2] = -xi[2]
     stack = replace(stack, xi=xi)
-    args = (small_model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     with pytest.raises(SinrComputationError, match=r"of candidate \(2,\)"):
-        sinr_from_weights(stack, egcd_weights(stack), *args)
+        sinr_from_weights(stack, egcd_weights(stack), small_model.drop.p)
