@@ -3,10 +3,11 @@
 # phase optimization and power control per scheme, closed-form SE for both
 # decoders, optional Monte-Carlo validation, and CSV emission (raw per-UE
 # rows plus aggregates). The unit of work is one (sweep value, drop) cell,
-# which derives all it needs from the spec; cells run serially in a fixed
-# order. A cell that hits a typed numerical failure is logged and counted;
-# any other exception aborts the run. Every sweep value is checked when the
-# spec is built. Output is plain data; plotting is external.
+# which takes its value's SystemConfig (built once per value) and derives
+# the rest from the spec; cells run serially in a fixed order. A cell that
+# hits a typed numerical failure is logged and counted; any other exception
+# aborts the run. Every sweep value is checked when the spec is built.
+# Output is plain data; plotting is external.
 
 import csv
 import itertools
@@ -170,9 +171,9 @@ def _drop_seed(spec, drop_index, purpose):
     return [spec.seed, drop_index, purpose]
 
 
-def _run_drop(spec, value_index, value, d):
-    """All rows of one (sweep value, drop) cell of the grid."""
-    cfg = spec.config_for(value)
+def _run_drop(spec, cfg, value_index, value, d):
+    """All rows of one (sweep value, drop) cell of the grid; cfg is
+    spec.config_for(value)."""
     schemes = spec.schemes_for(value)
     decoders = spec.decoders_for(value)
     drop = generate_drop(cfg, _drop_seed(spec, d, 0))
@@ -189,28 +190,34 @@ def _run_drop(spec, value_index, value, d):
         phase_sets["opt"] = opt_phases
 
     # Closed form of every (scheme, decoder) setting in row order. The
-    # states and the terms built from them are made once per phase kind and
-    # shared by its schemes and by its Monte-Carlo pass.
+    # states, their terms and each decoder's weights and SINR coefficients
+    # are made once per phase kind and shared by its schemes (every power
+    # vector's SINR comes from the coefficients) and by its Monte-Carlo
+    # pass.
     kinds, settings = {}, []
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
         if phase_kind not in kinds:
             states = model.states(phase_sets[phase_kind], pilots.pilot_of)
-            kinds[phase_kind] = (se.sinr_terms(*states), states)
-        terms = kinds[phase_kind][0]
+            terms = se.sinr_terms(*states)
+            decoded = {}
+            for decoder in decoders:
+                weights = se.decoder_weights(terms, decoder, drop.p)
+                decoded[decoder] = (weights,
+                                    se.sinr_coefficients(terms, weights))
+            kinds[phase_kind] = (states, decoded)
         for decoder in decoders:
-            weights = se.decoder_weights(terms, decoder, drop.p)
+            weights, coeffs = kinds[phase_kind][1][decoder]
             if power_kind == "maxmin":
-                p = maxmin_power(terms, weights, cfg.p_max,
-                                 eps=spec.maxmin_eps).p
+                p = maxmin_power(coeffs, cfg.p_max, eps=spec.maxmin_eps).p
             else:
                 p = drop.p
-            gamma = se.sinr_from_weights(terms, weights, p)
-            settings.append((phase_kind, scheme, decoder, weights, p, gamma))
+            settings.append((phase_kind, scheme, decoder, weights, p,
+                             coeffs.sinr(p)))
 
     # One Monte-Carlo sampling pass per phase kind serves all its settings.
     mc_cols = [[(MISSING, MISSING)] * cfg.K] * len(settings)
-    for phase_kind, (_, states) in kinds.items():
+    for phase_kind, (states, _) in kinds.items():
         if spec.n_mc_trials == 0:
             break
         mine = [i for i, s in enumerate(settings) if s[0] == phase_kind]
@@ -235,10 +242,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the sweep, one (sweep value, drop) cell after another."""
     rows = []
     failures = 0
+    configs = [spec.config_for(value) for value in spec.values]
     for (value_index, value), d in itertools.product(enumerate(spec.values),
                                                      range(spec.n_drops)):
         try:
-            rows.extend(_run_drop(spec, value_index, value, d))
+            rows.extend(_run_drop(spec, configs[value_index], value_index,
+                                  value, d))
         except (EstimationError, se.SinrComputationError, ScenarioError,
                 np.linalg.LinAlgError):
             failures += 1

@@ -1,8 +1,11 @@
 # simcf/optimize.py
 # The three system-design routines: greedy interference-aware pilot
 # allocation, blockwise phase-probing wave-domain beamforming driven by the
-# closed-form sum SE, and bisection max-min power control over the linear
-# feasibility system induced by fixed CPU weights.
+# closed-form sum SE, and max-min power control for fixed CPU weights. The
+# power control is a bisection over the linear feasibility system of the
+# SINR coefficients whose midpoints are decided by the closed-form
+# Perron-Frobenius optimum, a linear solve deciding only those within a
+# guard band of it, so it returns what solving every midpoint returns.
 
 import logging
 from dataclasses import dataclass
@@ -229,10 +232,22 @@ def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
 
 @dataclass(frozen=True)
 class PowerSolution:
+    """Outcome of max-min power control: t_star is the last bisection
+    midpoint found feasible (0.0 if none), p the least powers meeting
+    SINR >= t_star under the cap (full power if none), iterations the
+    midpoints tested. Each field is that of a bisection solving the
+    feasibility system at every midpoint (maxmin_power says when not)."""
     p: np.ndarray          # (K,) transmit powers, W
     t_star: float          # certified min-SINR lower bound
     iterations: int
     bracket: tuple         # final (t_min, t_max)
+
+
+# Bisection midpoints t with |t rho - 1| up to this, rho = 1 / t* the
+# closed-form optimum's inverse, are decided by the linear solve: there the
+# solve's tolerance (1e-9 of p_max) and the rounding of eigvals and solve
+# can disagree with t rho < 1.
+_GUARD_BAND = 1e-6
 
 
 def _feasible_powers(coeffs, t, p_max, tol=1e-9):
@@ -261,38 +276,79 @@ def _feasible_powers(coeffs, t, p_max, tol=1e-9):
     return np.clip(p, 0.0, p_max)
 
 
-def maxmin_power(terms: se.SinrTerms, weights, p_max,
-                 eps=1e-3) -> PowerSolution:
-    """Bisection max-min SINR power control for fixed CPU weights.
+def _perron_root(coeffs, p_max):
+    """max_k rho(D~ + n~ e_k^T / p_max), the inverse of the largest common
+    SINR the per-UE cap p_max allows, with D~ and n~ as in _feasible_powers.
 
-    Brackets the best common SINR in [0, twice the full power maximum] and
-    bisects on the feasibility of the linear system
-    p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, over the
-    coefficients of se.sinr_coefficients. Terminates when the bracket is
-    narrower than eps, which must be > 0. p is the least power vector of
-    the last feasible midpoint t_star (full power when no midpoint was
-    feasible).
+    Each rho is the largest real part of the matrix's eigenvalues: the
+    Perron root of a nonnegative matrix, which d's diagonal (the self-term
+    correction, rounded) can leave slightly below 0. All K matrices go
+    through one stacked eigvals.
+    """
+    n_ue = coeffs.signal.shape[0]
+    ues = np.arange(n_ue)
+    a = np.repeat((coeffs.d / coeffs.signal[:, None])[None], n_ue, axis=0)
+    a[ues, :, ues] += coeffs.noise / coeffs.signal / p_max   # column k of a_k
+    return float(np.linalg.eigvals(a).real.max())
+
+
+def maxmin_power(coeffs: se.SinrCoefficients, p_max,
+                 eps=1e-3) -> PowerSolution:
+    """Max-min SINR power control for fixed CPU weights, as a bisection
+    over the feasibility of the linear system
+    p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, on the
+    coefficients of se.sinr_coefficients.
+
+    The bisection brackets the best common SINR in [0, twice the full-power
+    maximum] and halves the bracket until it is narrower than eps, which
+    must be > 0. Its outcome is fixed by which midpoints are feasible, and
+    for fixed weights the feasible targets have a closed form
+    (Perron-Frobenius; Tan, Chiang and Srikant, IEEE TSP 2011; Zheng et al.,
+    IEEE TIT 2016). With D~ >= 0 and n~ > 0 as in _feasible_powers, the
+    least solution t (I - t D~)^-1 n~ is nonnegative and grows with t
+    below 1 / rho(D~), and its largest entry reaches p_max exactly at
+    t* = 1 / rho, rho = max_k rho(D~ + n~ e_k^T / p_max); so t is feasible
+    iff t rho < 1. rho is computed once (_perron_root), and each midpoint
+    outside the guard band |t rho - 1| <= _GUARD_BAND is decided by that
+    test, with no solve. A midpoint inside the band, where the solve's
+    1e-9 tolerance and its rounding can decide otherwise, is decided by the
+    solve (_feasible_powers), as a bisection that solves every midpoint
+    decides it. The midpoints, the bracket, t_star and the iteration count
+    are then that bisection's, and one solve at the last feasible midpoint
+    gives the powers it keeps. (When the noise is below ~1e-9 of the
+    interference at p_max, the solve's -1e-9 p_max slack also accepts
+    targets above 1 / rho(D~), whose least solutions clip to zero power;
+    the closed form rejects them, so t_star stays below t* (1 + band).)
+
+    Raises ValueError for eps not > 0, and SinrComputationError for a
+    nonpositive signal coefficient or when the solve rejects the last
+    midpoint the closed form accepted.
     """
     if not eps > 0:
         raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
-    coeffs = se.sinr_coefficients(terms, weights)
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))
-    gamma_full = coeffs.gamma(full)
-    t_lo, t_hi = 0.0, float(2.0 * gamma_full.max())
+    t_lo, t_hi = 0.0, float(2.0 * coeffs.gamma(full).max())
     if t_hi <= 0:
         return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
-    best_p = full
+    rho = _perron_root(coeffs, p_max)
     iterations = 0
     while t_hi - t_lo >= eps:
         t = 0.5 * (t_lo + t_hi)
-        p = _feasible_powers(coeffs, t, p_max)
         iterations += 1
-        if p is None:
-            t_hi = t
+        if abs(t * rho - 1.0) <= _GUARD_BAND:
+            feasible = _feasible_powers(coeffs, t, p_max) is not None
         else:
+            feasible = t * rho < 1.0
+        if feasible:
             t_lo = t
-            best_p = p
-    return PowerSolution(p=best_p, t_star=t_lo, iterations=iterations,
+        else:
+            t_hi = t
+    p = full if t_lo == 0.0 else _feasible_powers(coeffs, t_lo, p_max)
+    if p is None:
+        raise se.SinrComputationError(
+            f"power control: no feasible powers at t = {t_lo!r}, which the "
+            f"closed form accepts (t rho < 1, rho = {rho!r})")
+    return PowerSolution(p=p, t_star=t_lo, iterations=iterations,
                          bracket=(t_lo, t_hi))

@@ -8,9 +8,10 @@
 #   lam    per-AP LoS gains (self-term correction),
 #   gamma  noise diagonal, equal to diag(z).
 # For fixed weights the SINR is an affine fraction in the transmit powers
-# (SinrCoefficients); sinr_from_weights and max-min power control both
-# evaluate it in that one form. UE k's denominator matrix b_k is a diagonal
-# plus one outer product per co-pilot of k, so the optimal (LSFD) weights
+# (SinrCoefficients), built once per set of weights; the SINR at any powers
+# and max-min power control both evaluate it in that one form. UE k's
+# denominator matrix b_k is a diagonal plus one outer product per co-pilot
+# of k, so the optimal (LSFD) weights
 # b_k^-1 z_k and their SINR p_k z_k^H b_k^-1 z_k, a generalized Rayleigh
 # quotient, follow from the Woodbury identity without any L x L matrix.
 # Both decoders' SINRs are functions of AP sums of per-AP parts
@@ -193,8 +194,19 @@ class SinrCoefficients:
     noise: np.ndarray
 
     def gamma(self, p):
-        """Per-UE SINR for the power vector p (K,)."""
+        """Per-UE SINR for the power vector p (K,), unchecked."""
         return self.signal * p / (self.d @ p + self.noise)
+
+    def sinr(self, p):
+        """Per-UE SINR (..., K) for the power vector p (K,).
+
+        Raises SinrComputationError naming the first UE (and candidate)
+        with a nonpositive denominator.
+        """
+        p = np.asarray(p, dtype=float)
+        den = self.d @ p + self.noise
+        _require_positive(den, "SINR denominator")
+        return self.signal * p / den
 
 
 def sinr_coefficients(terms: SinrTerms, weights):
@@ -217,16 +229,10 @@ def sinr_coefficients(terms: SinrTerms, weights):
 def sinr_from_weights(terms: SinrTerms, weights, p):
     """Per-UE SINR for arbitrary weights (ratio of quadratic forms), shape
     (..., K) with the leading candidate axes of terms and weights: the
-    sinr_coefficients of the weights evaluated at the powers p (K,).
-
-    Raises SinrComputationError naming the first UE (and candidate) with a
-    nonpositive denominator.
+    sinr_coefficients of the weights evaluated at the powers p (K,)
+    (SinrCoefficients.sinr, which checks the denominators).
     """
-    p = np.asarray(p, dtype=float)
-    coeffs = sinr_coefficients(terms, weights)
-    den = coeffs.d @ p + coeffs.noise
-    _require_positive(den, "SINR denominator")
-    return coeffs.signal * p / den
+    return sinr_coefficients(terms, weights).sinr(p)
 
 
 def sinr_parts(terms: SinrTerms, decoder, p):

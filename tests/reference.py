@@ -14,6 +14,9 @@
 # - sinr_lsfd: the optimal SINR as the quadratic form p z^H b^-1 z
 # - sinr_breakdown: the five parts of every UE's SINR at given powers
 # - sinr_coefficients_loop: the per-UE power-control coefficients
+# - maxmin_power_bisection: max-min power control solving the feasibility
+#   system at every bisection midpoint, which the closed-form replay of
+#   optimize.maxmin_power replaces
 # - the term audit: predicted_cross_moments against cross_moment_estimates
 # - the per-AP, per-probe and per-setting loops that the batched channel
 #   build, phase search and Monte-Carlo pass replace
@@ -43,8 +46,9 @@ from simcf.estimation import (EstimationError, despread_pilot_noise,
                               link_matvec)
 from simcf.experiments import MISSING, _drop_seed
 from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
-from simcf.optimize import (BeamformingConfig, TraceRow, allocate_pilots,
-                            maxmin_power, optimize_beamforming)
+from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
+                            _feasible_powers, allocate_pilots,
+                            optimize_beamforming)
 from simcf.pipeline import NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
 from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
@@ -394,6 +398,41 @@ def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
     return se.SinrCoefficients(signal=signal, d=d, noise=noise)
 
 
+def maxmin_power_bisection(coeffs, p_max, eps=1e-3):
+    """Bisection max-min SINR power control for fixed CPU weights.
+
+    Brackets the best common SINR in [0, twice the full power maximum] and
+    bisects on the feasibility of the linear system
+    p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, over the
+    SinrCoefficients coeffs, with one _feasible_powers solve per midpoint.
+    Terminates when the bracket is narrower than eps, which must be > 0. p
+    is the least power vector of the last feasible midpoint t_star (full
+    power when no midpoint was feasible).
+    """
+    if not eps > 0:
+        raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
+    if np.any(coeffs.signal <= 0):
+        raise se.SinrComputationError("zero signal coefficient in power control")
+    full = np.full(coeffs.signal.shape[0], float(p_max))
+    gamma_full = coeffs.gamma(full)
+    t_lo, t_hi = 0.0, float(2.0 * gamma_full.max())
+    if t_hi <= 0:
+        return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
+    best_p = full
+    iterations = 0
+    while t_hi - t_lo >= eps:
+        t = 0.5 * (t_lo + t_hi)
+        p = _feasible_powers(coeffs, t, p_max)
+        iterations += 1
+        if p is None:
+            t_hi = t
+        else:
+            t_lo = t
+            best_p = p
+    return PowerSolution(p=best_p, t_star=t_lo, iterations=iterations,
+                         bracket=(t_lo, t_hi))
+
+
 def predicted_cross_moments(terms, p_hat, tau_p):
     """Closed-form second moments of the combined interference terms.
 
@@ -620,9 +659,8 @@ def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
         for decoder in decoders:
             weights = se.decoder_weights(terms, decoder, drop.p)
             if power_kind == "maxmin":
-                sol = maxmin_power(terms, weights, cfg.p_max,
-                                   eps=spec.maxmin_eps)
-                p = sol.p
+                p = maxmin_power_bisection(se.sinr_coefficients(terms, weights),
+                                           cfg.p_max, eps=spec.maxmin_eps).p
             else:
                 p = drop.p
             gamma = se.sinr_from_weights(terms, weights, p)

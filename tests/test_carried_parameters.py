@@ -42,4 +42,4 @@ def test_holders_of_the_state_take_no_pilot_values():
             "simcf.se._coherent_coeffs", "simcf.estimation.mmse_estimate",
             "simcf.montecarlo.uatf_monte_carlo",
             "simcf.montecarlo._TrialSampler.__init__",
-            "simcf.optimize.maxmin_power"} <= checked
+            "simcf.se.sinr_coefficients"} <= checked

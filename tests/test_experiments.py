@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference import run_experiment_rows_per_setting
-from simcf import experiments, pipeline
+from simcf import experiments, pipeline, se
 from simcf.estimation import EstimationError
 from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                ExperimentError, ExperimentSpec,
@@ -225,6 +225,46 @@ def test_terms_and_states_built_once_per_phase_kind(monkeypatch):
         # with or without Monte-Carlo, the terms come from the states' pair
         assert calls == {"terms": 0, "states": 1, "build_channel_state": 1,
                          "build_estimation_state": 1}
+
+
+def test_weights_and_coefficients_built_once_per_kind_and_decoder(
+        monkeypatch):
+    calls = {"decoder_weights": [], "sinr_coefficients": 0}
+    real_weights, real_coeffs = se.decoder_weights, se.sinr_coefficients
+
+    def weights_spy(terms, decoder, p):
+        calls["decoder_weights"].append(decoder)
+        return real_weights(terms, decoder, p)
+
+    def coeffs_spy(*args):
+        calls["sinr_coefficients"] += 1
+        return real_coeffs(*args)
+
+    monkeypatch.setattr(se, "decoder_weights", weights_spy)
+    monkeypatch.setattr(se, "sinr_coefficients", coeffs_spy)
+    spec = tiny_spec(values=(2,), n_drops=1, schemes=SCHEMES)
+    result = run_experiment(spec)
+    assert result.failures == 0
+    assert len(result.rows) == 4 * 2 * 3     # schemes x decoders x UEs
+    # one cell: 2 phase kinds x 2 decoders, shared by full and max-min power
+    assert sorted(calls["decoder_weights"]) == ["egcd", "egcd", "lsfd", "lsfd"]
+    assert calls["sinr_coefficients"] == 2 * 2
+
+
+def test_config_built_once_per_value(monkeypatch):
+    spec = tiny_spec(values=(2, 3, 4), n_drops=2)
+    real = ExperimentSpec.config_for
+    values = []
+
+    def spy(self, value):
+        values.append(value)
+        return real(self, value)
+
+    monkeypatch.setattr(ExperimentSpec, "config_for", spy)
+    result = run_experiment(spec)
+    assert result.failures == 0
+    assert len({row[2] for row in result.rows}) == spec.n_drops
+    assert values == list(spec.values)
 
 
 def test_one_monte_carlo_pass_per_phase_kind(monkeypatch):

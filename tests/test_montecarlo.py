@@ -8,7 +8,7 @@ from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
 from simcf.estimation import despread_pilot_noise, mmse_estimate
 from simcf.montecarlo import _delta_method, _TrialSampler
 from simcf.pipeline import NetworkModel
-from simcf.se import egcd_weights
+from simcf.se import egcd_weights, sinr_coefficients
 
 from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
                        sample_channel, uatf_monte_carlo_einsum)
@@ -32,7 +32,7 @@ def _settings(small_model, small_terms, cfg):
     with LSFD and EGCD weights."""
     full = small_model.drop.p
     lsfd = lsfd_weights(small_terms, full)
-    maxmin = maxmin_power(small_terms, lsfd, cfg.p_max).p
+    maxmin = maxmin_power(sinr_coefficients(small_terms, lsfd), cfg.p_max).p
     assert not np.array_equal(maxmin, full)
     egcd = egcd_weights(small_terms)
     return (np.stack([full, full, maxmin, maxmin]),

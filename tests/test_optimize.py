@@ -10,12 +10,13 @@ from simcf.optimize import (BeamformingConfig, SumSeObjective,
                             allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
 from simcf.pipeline import NetworkModel
-from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
-                      se_from_sinr, sinr_coefficients, sinr_from_parts,
-                      sinr_from_weights)
+from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
+                      lsfd_weights, se_from_sinr, sinr_coefficients,
+                      sinr_from_parts, sinr_from_weights)
 
 from reference import (candidate, denominator_matrices,
-                       optimize_beamforming_serial, replace_ap,
+                       maxmin_power_bisection, optimize_beamforming_serial,
+                       replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
                        sinr_of_breakdown, splice_ap, terms_loop,
                        turned_slices)
@@ -245,7 +246,7 @@ def test_maxmin_single_ue():
     w = lsfd_weights(terms, drop.p)
     full = sinr_from_weights(terms, w, drop.p)
     eps = 1e-4
-    sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
+    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)
     # single-UE SINR is monotone in power: the optimum is full power
     assert sol.p[0] == pytest.approx(cfg.p_max, rel=1e-3)
     assert abs(sol.t_star - full[0]) <= eps
@@ -268,7 +269,7 @@ def test_maxmin_improves_minimum():
         cfg, drop, terms, _, w = _maxmin_setup(30 + seed)
         full = sinr_from_weights(terms, w, drop.p)
         eps = 1e-4
-        sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
+        sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)
         after = sinr_from_weights(terms, w, sol.p)
         assert after.min() >= full.min() - eps
         assert np.all(sol.p >= 0) and np.all(sol.p <= cfg.p_max * (1 + 1e-9))
@@ -283,7 +284,7 @@ def test_maxmin_iteration_bound():
     coeffs = sinr_coefficients(terms, w)
     full_max = coeffs.gamma(drop.p).max()
     eps = 1e-3
-    sol = maxmin_power(terms, w, cfg.p_max, eps=eps)
+    sol = maxmin_power(coeffs, cfg.p_max, eps=eps)
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
 
 
@@ -291,11 +292,11 @@ def test_maxmin_rejects_nan_tolerance():
     # a NaN bracket width would skip the bisection and return full power
     cfg, drop, terms, _, w = _maxmin_setup(50)
     with pytest.raises(ValueError, match="eps must be > 0"):
-        maxmin_power(terms, w, cfg.p_max, eps=float("nan"))
+        maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=float("nan"))
 
 
-def test_maxmin_solves_once_per_bisection_step(monkeypatch):
-    cfg, drop, terms, _, w = _maxmin_setup(55)
+def _spy_solves(monkeypatch):
+    """The targets t of every optimize._feasible_powers call from now on."""
     real = optimize._feasible_powers
     calls = []
 
@@ -304,11 +305,118 @@ def test_maxmin_solves_once_per_bisection_step(monkeypatch):
         return real(coeffs, t, p_max)
 
     monkeypatch.setattr(optimize, "_feasible_powers", spy)
-    sol = maxmin_power(terms, w, cfg.p_max)
-    assert sol.t_star > 0 and len(calls) == sol.iterations
-    # the stored powers are the least solution at the final t_star
+    return calls
+
+
+def _in_guard_band(coeffs, p_max, t):
+    rho = optimize._perron_root(coeffs, p_max)
+    return abs(t * rho - 1.0) <= optimize._GUARD_BAND
+
+
+def test_maxmin_solves_only_the_guard_band_and_the_result(monkeypatch):
+    cfg, drop, terms, _, w = _maxmin_setup(55)
     coeffs = sinr_coefficients(terms, w)
+    real = optimize._feasible_powers
+    calls = _spy_solves(monkeypatch)
+    sol = maxmin_power(coeffs, cfg.p_max)
+    assert sol.t_star > 0 and sol.iterations > 1
+    # at most 1 + (guard-band midpoints) solves: every solve but the last,
+    # the one for the powers, is of a midpoint near the optimum
+    band = [t for t in calls[:-1] if _in_guard_band(coeffs, cfg.p_max, t)]
+    assert band == calls[:-1] and calls[-1] == sol.t_star
+    # the stored powers are the least solution at the final t_star
     assert np.array_equal(sol.p, real(coeffs, sol.t_star, cfg.p_max))
+
+
+def _assert_same_solution(coeffs, p_max, eps=1e-3):
+    new = maxmin_power(coeffs, p_max, eps=eps)
+    old = maxmin_power_bisection(coeffs, p_max, eps=eps)
+    assert np.array_equal(new.p, old.p)
+    assert new.t_star == old.t_star
+    assert new.iterations == old.iterations
+    assert new.bracket == old.bracket
+    return new
+
+
+@pytest.mark.parametrize("k_ues,n_ant", [(1, 1), (1, 2), (4, 1), (4, 2),
+                                         (5, 1), (5, 2)])
+def test_maxmin_equals_bisection_oracle(k_ues, n_ant):
+    # 34 drops per (K, U), 204 in all, each under both decoders
+    for seed in range(34):
+        cfg = SystemConfig(L=3, K=k_ues, U=n_ant, M=2, N=4,
+                           tau_p=min(k_ues, 2))
+        drop = generate_drop(cfg, [seed, k_ues, n_ant])
+        model = NetworkModel.from_drop(drop)
+        terms = model.terms(model.random_phases([seed, 1]),
+                            allocate_pilots(drop).pilot_of)
+        for w in (lsfd_weights(terms, drop.p), egcd_weights(terms)):
+            _assert_same_solution(sinr_coefficients(terms, w), cfg.p_max)
+
+
+def _coeffs(signal, d, noise):
+    return SinrCoefficients(signal=np.asarray(signal, dtype=float),
+                            d=np.asarray(d, dtype=float),
+                            noise=np.asarray(noise, dtype=float))
+
+
+def test_maxmin_nonpositive_full_power_bracket():
+    # every full-power denominator negative: t_hi <= 0, no bisection
+    coeffs = _coeffs([1.0, 1.0], [[-2.0, 0.0], [0.0, -2.0]], [0.1, 0.1])
+    sol = _assert_same_solution(coeffs, 1.0)
+    assert sol.iterations == 0 and sol.bracket == (0.0, 0.0)
+    assert np.array_equal(sol.p, [1.0, 1.0])
+
+
+def test_maxmin_no_feasible_midpoint_keeps_full_power(monkeypatch):
+    # no interference: the optimum is the weaker UE's full-power SINR, 1e-5,
+    # below every midpoint of the bracket [0, 2000]
+    coeffs = _coeffs([1.0, 1e-5], np.zeros((2, 2)), [1e-3, 1.0])
+    calls = _spy_solves(monkeypatch)
+    sol = _assert_same_solution(coeffs, 1.0)
+    assert sol.t_star == 0.0 and sol.iterations > 1
+    assert np.array_equal(sol.p, [1.0, 1.0])
+    # every midpoint was decided without a solve, and full power needs none
+    assert calls == []
+
+
+def test_maxmin_guard_band_midpoint_is_solved(monkeypatch):
+    # one UE: the optimum is its full-power SINR, 2.5, and the bracket
+    # [0, 5] puts the first midpoint on it
+    coeffs = _coeffs([2.0], [[0.3]], [0.5])
+    t_opt = float(coeffs.gamma(np.ones(1))[0])
+    assert _in_guard_band(coeffs, 1.0, t_opt)
+    calls = _spy_solves(monkeypatch)
+    sol = _assert_same_solution(coeffs, 1.0)
+    # the fallback solve at the midpoint, then the one for the powers
+    assert calls == [t_opt, sol.t_star]
+
+
+def test_maxmin_rejected_final_solve_raises(monkeypatch):
+    cfg, drop, terms, _, w = _maxmin_setup(55)
+    monkeypatch.setattr(optimize, "_feasible_powers", lambda *args: None)
+    with pytest.raises(SinrComputationError, match="no feasible powers"):
+        maxmin_power(sinr_coefficients(terms, w), cfg.p_max)
+
+
+def test_maxmin_certified_at_low_noise():
+    # nonnegative D~ with rho(D~) = 1 and noise 1e-12 of rho p_max: past
+    # 1/rho(D~) the least solution is tiny and negative, inside the
+    # bisection solve's -1e-9 p_max slack
+    rng = np.random.default_rng(4)
+    d = rng.uniform(0.1, 1.0, (4, 4))
+    d /= np.max(np.abs(np.linalg.eigvals(d)))
+    p_max = 0.2
+    coeffs = _coeffs(np.ones(4), d, np.full(4, 1e-12 * p_max))
+    t_opt = 1.0 / optimize._perron_root(coeffs, p_max)
+    eps = 1e-3
+    sol = maxmin_power(coeffs, p_max, eps=eps)
+    assert sol.t_star <= t_opt * (1.0 + optimize._GUARD_BAND)
+    assert coeffs.sinr(sol.p).min() >= sol.t_star - eps
+    assert np.all(sol.p > 0) and np.all(sol.p <= p_max)
+    # the bisection that solves every midpoint accepts targets far above,
+    # with the slightly negative powers clipped to 0
+    old = maxmin_power_bisection(coeffs, p_max, eps=eps)
+    assert old.t_star > 2.0 * t_opt and np.all(old.p == 0)
 
 
 def test_maxmin_coefficients_match_direct_evaluation():
@@ -341,7 +449,7 @@ def test_sinr_coefficients_match_per_ue_loop(decoder):
 def test_maxmin_with_egcd_weights():
     cfg, drop, terms, _, _ = _maxmin_setup(70)
     w = egcd_weights(terms)
-    sol = maxmin_power(terms, w, cfg.p_max)
+    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max)
     after = sinr_from_weights(terms, w, sol.p)
     full = sinr_from_weights(terms, w, drop.p)
     assert after.min() >= full.min() - 1e-3
