@@ -1,12 +1,20 @@
 # simcf/estimation.py
-# Phase-aware MMSE channel estimation: second-order statistics of every
-# (AP, UE) link at once (estimate covariance and estimator core, both from
-# the pilot-domain covariance of each (AP, pilot)) and realization-level
-# estimates for Monte-Carlo runs. The pilot map, pilot powers, tau_p and
-# sigma2 enter here once and travel with the EstimationState.
+# Phase-aware MMSE channel estimation in spectral form. Every link's NLoS
+# covariance is r_lk = beta_lk s_l, so the pilot-domain covariance of each
+# (AP, pilot), psi_lt = load_lt s_l + sigma2 I, shares the eigenvectors of
+# s_l: one eigendecomposition s_l = V diag(eig) V^H per AP diagonalises
+# every link's pilot system at once. psi_lt has the eigenvalues
+# den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
+# beta_lk V diag(eig / den) V^H and the estimate covariance
+# omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
+# keeps the spectra; the matrices are formed on demand for the Monte-Carlo
+# estimates, which apply the core. The pilot map, pilot powers, tau_p and
+# sigma2 enter here once and travel with the EstimationState, and what
+# follows from the pilot map alone (PilotMap) is built once per map.
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,65 +28,143 @@ class EstimationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EstimationState:
-    """Batched estimation statistics for every (AP, UE) link, with the
-    pilot map, pilot powers, tau_p and sigma2 they were built for.
-    build_estimation_state forms the pilot covariance psi per (AP, pilot)
-    and keeps only what it solves from psi. mmse_estimate forms the
-    estimator matrix sqrt(p_hat_k) core^H from core. The error covariance
-    is r - p_hat_k tau_p omega."""
-    core: np.ndarray      # (L, K, U, U) psi^-1 r
-    omega: np.ndarray     # (L, K, U, U)
-    pilot_of: np.ndarray  # (K,) pilot index per UE
-    p_hat: np.ndarray     # (K,) pilot powers
+class PilotMap:
+    """A pilot assignment at its pilot powers and tau_p, with what follows
+    from those alone: the one-hot map of UEs to pilots, that map over the P
+    pilots in use (members) and each UE's pilot among them (slot), the
+    share-a-pilot relation with the diagonal (sharing, 1.0 or 0.0) and
+    without it (copilot), the co-pilots of each UE in index order (padded
+    with other UEs up to the largest co-pilot count) and the coherent
+    scales p_hat_k p_hat_j tau_p^2 of co-pilot pairs (0 elsewhere).
+    pilot_map builds one per distinct assignment; its arrays are
+    read-only."""
+    pilot_of: np.ndarray   # (K,) pilot index per UE
+    p_hat: np.ndarray      # (K,) pilot powers
     tau_p: int
-    sigma2: float
+    onehot: np.ndarray     # (K, T), T = pilot_of.max() + 1
+    members: np.ndarray    # (K, P)
+    slot: np.ndarray       # (K,) index into the P pilots in use
+    sharing: np.ndarray    # (K, K)
+    copilot: np.ndarray    # (K, K) bool
+    order: np.ndarray      # (K, J) UE indices
+    coherent: np.ndarray   # (K, K)
 
 
-def _pilot_onehot(pilot_of):
-    """(K, T) map of UEs to pilots, T = pilot_of.max() + 1."""
+def pilot_map(pilot_of, p_hat, tau_p) -> PilotMap:
+    """The PilotMap of an assignment (K,), pilot powers (K,) and tau_p.
+    Raises EstimationError for an unassigned UE (a negative pilot)."""
+    return _pilot_map(tuple(np.asarray(pilot_of).tolist()),
+                      tuple(np.asarray(p_hat, dtype=float).tolist()), tau_p)
+
+
+@lru_cache(maxsize=64)
+def _pilot_map(pilot_of, p_hat, tau_p):
+    pilot_of = np.array(pilot_of)
     if np.any(pilot_of < 0):
         raise EstimationError("pilot assignment incomplete (unassigned UEs)")
-    onehot = np.zeros((pilot_of.size, int(pilot_of.max()) + 1))
-    onehot[np.arange(pilot_of.size), pilot_of] = 1.0
-    return onehot
+    p_hat = np.array(p_hat)
+    n_ue = pilot_of.size
+    onehot = np.zeros((n_ue, int(pilot_of.max()) + 1))
+    onehot[np.arange(n_ue), pilot_of] = 1.0
+    in_use, slot = np.unique(pilot_of, return_inverse=True)
+    same = pilot_of[:, None] == pilot_of[None, :]
+    copilot = same & ~np.eye(n_ue, dtype=bool)
+    n_co = int(copilot.sum(axis=1).max(initial=0))
+    order = np.argsort(~copilot, axis=1, kind="stable")[:, :n_co]
+    coherent = np.where(copilot, p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
+                        0.0)
+    arrays = dict(pilot_of=pilot_of, p_hat=p_hat, onehot=onehot,
+                  members=onehot[:, in_use], slot=slot,
+                  sharing=same.astype(float), copilot=copilot, order=order,
+                  coherent=coherent)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return PilotMap(tau_p=tau_p, **arrays)
+
+
+@dataclass(frozen=True)
+class EstimationState:
+    """Batched estimation statistics for every (AP, UE) link in spectral
+    form, with the pilot map, pilot powers, tau_p and sigma2 they were
+    built for (build_estimation_state).
+
+    eig and basis diagonalise each AP's antenna correlation,
+    s = basis diag(eig) basis^H, and den holds the eigenvalues
+    load eig + sigma2 of the pilot covariance psi of each (AP, pilot in
+    use) on that basis. UE k of AP l sees the pilot in use
+    pilots.slot[k]: its core psi^-1 r is beta_lk gain_lk and its omega
+    beta_lk^2 eig gain_lk on the basis, gain = eig / den. The error
+    covariance is r - p_hat_k tau_p omega. A leading axis of a block build
+    runs over probes, not APs.
+    """
+    eig: np.ndarray       # (L, U) eigenvalues of s, ascending
+    basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column
+    beta: np.ndarray      # (L, K) NLoS gains, r = beta s
+    den: np.ndarray       # (L, P, U) eigenvalues of psi, all > 0
+    pilots: PilotMap
+    sigma2: float
+
+    @cached_property
+    def gain(self):
+        """(L, K, U) eig / den of each link's pilot."""
+        return self.eig[:, None, :] / self.den[:, self.pilots.slot]
+
+    @cached_property
+    def core(self):
+        """(L, K, U, U) psi^-1 r of every link."""
+        return self._on_basis(self.beta[..., None] * self.gain)
+
+    @cached_property
+    def omega(self):
+        """(L, K, U, U) r psi^-1 r of every link, Hermitian."""
+        omega = self._on_basis(self.beta[..., None] ** 2 * self.eig[:, None]
+                               * self.gain)
+        return 0.5 * (omega + omega.conj().swapaxes(-1, -2))
+
+    def _on_basis(self, spectrum):
+        """basis diag(spectrum) basis^H for spectra (L, K, U)."""
+        v = self.basis[:, None]
+        return (v * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    @property
+    def condition(self):
+        """Largest condition number of the pilot covariance of any (AP,
+        pilot in use)."""
+        return float((self.den.max(axis=-1) / self.den.min(axis=-1)).max())
 
 
 def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
                            sigma2) -> EstimationState:
     """Estimation statistics for all links given a pilot assignment.
 
-    Exploits the factored covariance r[l, k] = beta_nlos[l, k] * s[l]: the
-    pilot covariance at AP l depends on the pilot index only. Its condition
-    is checked once per (AP, pilot) when DEBUG logging is on.
+    One stacked eigendecomposition of the per-AP correlations s gives the
+    pilot covariance of every (AP, pilot) on the eigenbasis of its AP: the
+    pilot-domain load tau_p sum_j p_hat_j beta_lj over the pilot's UEs times
+    eig, plus sigma2. Raises EstimationError when an eigenvalue of a pilot
+    covariance in use is not > 0 (psi singular or indefinite). Its
+    condition is logged once per build when DEBUG logging is on.
     """
-    pilot_of = np.asarray(pilot_of)
-    onehot = _pilot_onehot(pilot_of)
-    u = state.h_bar.shape[-1]
-    p_hat = np.asarray(p_hat, dtype=float)
-    # pilot-domain load per (AP, pilot): tau_p * sum of co-pilot NLoS gains
-    load = tau_p * (state.beta_nlos * p_hat[None, :]) @ onehot   # (L, T)
-    psi_t = (load[:, :, None, None] * state.s[:, None]
-             + sigma2 * np.eye(u)[None, None])                  # (L, T, U, U)
-    _monitor_conditioning(psi_t)
-    r = state.r_all()
-    try:
-        core = np.linalg.solve(psi_t[:, pilot_of], r)            # psi^-1 r
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"pilot covariance is singular: {exc}") from exc
-    omega = r @ core
-    omega = 0.5 * (omega + omega.conj().swapaxes(-1, -2))
-    return EstimationState(core=core, omega=omega, pilot_of=pilot_of,
-                           p_hat=p_hat, tau_p=tau_p, sigma2=sigma2)
+    pilots = pilot_map(pilot_of, p_hat, tau_p)
+    eig, basis = np.linalg.eigh(state.s)
+    load = tau_p * (state.beta_nlos * pilots.p_hat) @ pilots.members  # (L, P)
+    den = load[..., None] * eig[:, None, :] + sigma2                 # (L, P, U)
+    if not den.min() > 0:
+        l, t = np.argwhere(~(den.min(axis=-1) > 0))[0]
+        raise EstimationError(
+            f"pilot covariance is singular or indefinite for pilot "
+            f"{np.unique(pilots.pilot_of)[t]} at AP (or probe) {l}: "
+            f"eigenvalue {den[l, t].min():.6e}")
+    est = EstimationState(eig=eig, basis=basis, beta=state.beta_nlos, den=den,
+                          pilots=pilots, sigma2=sigma2)
+    _monitor_conditioning(est)
+    return est
 
 
-def _monitor_conditioning(psi):
-    """Log badly conditioned pilot covariances (debug runs only; the check
-    costs a batched eigendecomposition per evaluation)."""
+def _monitor_conditioning(est):
+    """Log badly conditioned pilot covariances (debug runs only)."""
     if not log.isEnabledFor(logging.DEBUG):
         return
-    w = np.linalg.eigvalsh(psi)
-    worst = float(np.max(w[..., -1] / np.maximum(w[..., 0], 1e-300)))
+    worst = est.condition
     if worst > 1e12:
         log.warning("pilot covariance badly conditioned (cond %.3e)", worst)
 
@@ -109,18 +195,19 @@ def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
 
     los: (..., L, K, U) sampled LoS parts h_bar e^{j phase}; nlos:
     (..., L, K, U) sampled zero-mean channel parts; pilot_noise:
-    (..., L, T, U) with T = est.pilot_of.max() + 1. Returns estimates of
+    (..., L, T, U) with T = est.pilots.onehot.shape[1]. Returns estimates of
     shape (..., L, K, U); the error is (true channel) - (estimate) with
     true = los + nlos. Each pilot's observation (tau_p times its UEs'
     weighted NLoS sum, plus its noise) is formed once and read by every UE
     on it through sqrt(p_hat_k) core^H.
     """
-    onehot = _pilot_onehot(est.pilot_of)
-    p_root = np.sqrt(est.p_hat)
+    pilots = est.pilots
+    p_root = np.sqrt(pilots.p_hat)
     # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T)
-    observed = (est.tau_p * np.tensordot(p_root[:, None] * nlos, onehot,
-                                         axes=(-2, 0)).swapaxes(-1, -2)
-                + pilot_noise)[..., est.pilot_of, :]
+    observed = (pilots.tau_p * np.tensordot(p_root[:, None] * nlos,
+                                            pilots.onehot,
+                                            axes=(-2, 0)).swapaxes(-1, -2)
+                + pilot_noise)[..., pilots.pilot_of, :]
     gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
     estimate = link_matvec(gain, observed)
     estimate += los

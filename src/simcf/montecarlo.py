@@ -34,7 +34,7 @@ class _TrialSampler:
         self.est = est
         self.rng = np.random.default_rng(rng)
         self.nlos_factor = psd_sqrt(state.r_all())      # (L, K, U, U)
-        self.n_pilots = int(est.pilot_of.max()) + 1
+        self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
 
     def draw(self, batch):
@@ -47,8 +47,8 @@ class _TrialSampler:
         del white
         los = self.state.h_bar * np.exp(1j * phase)[..., None]
         del phase
-        noise = despread_pilot_noise(self.rng, self.n_pilots, (batch, n_ap),
-                                     u, self.est.tau_p, self.est.sigma2)
+        noise = despread_pilot_noise(self.rng, self.n_pilots, (batch, n_ap), u,
+                                     self.est.pilots.tau_p, self.est.sigma2)
         h_hat = mmse_estimate(self.est, los, nlos, noise)
         los += nlos                                     # the channel
         return los, h_hat

@@ -101,13 +101,17 @@ class SumSeObjective:
     Only the per-AP SINR parts of the network (se.sinr_parts) are kept,
     not its terms. probe(l, rows, cols, steps) turns a block of AP l's atoms
     by each of the B steps and evaluates the probes as one batch: AP l's
-    terms under every probe (NetworkModel.block_terms, from the polynomial
-    in e^{j step} that the block's cascade is, the probes on the AP axis),
-    their parts, and for each probe its part added to the sums of the parts
-    over the other APs, formed once per block. The SINR follows from those
-    sums (se.sinr_from_parts): under LSFD the Woodbury Rayleigh quotient,
-    under EGCD the all-ones weighting. improve commits the first probe that
-    beats the current value by writing its column into AP l's parts.
+    channel statistics under every probe (from the polynomial in e^{j step}
+    that the block's cascade is, the probes on the AP axis), one stacked
+    eigendecomposition of their antenna correlations for the estimation
+    state, the spectral terms (NetworkModel.block_terms), and their parts,
+    whose denominator diagonals are summed from the spectral terms without
+    forming the (K, K) interference couplings xi. For each probe its part
+    is added to the sums of the parts over the other APs, formed once per
+    block. The SINR follows from those sums (se.sinr_from_parts): under
+    LSFD the Woodbury Rayleigh quotient, under EGCD the all-ones weighting.
+    improve commits the first probe that beats the current value by writing
+    its column into AP l's parts.
     """
 
     def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):

@@ -4,9 +4,20 @@
 # forms in the L-dimensional weight vector, built from five term families:
 #   z      per-AP mean combining gain (signal and noise scale),
 #   xi     per-AP non-coherent interference coefficients,
-#   delta  cross-AP coherent pilot-contamination couplings,
+#   delta  cross-AP coherent pilot-contamination couplings (real),
 #   lam    per-AP LoS gains (self-term correction),
 #   gamma  noise diagonal, equal to diag(z).
+# Every family comes from the spectral estimation state: on the eigenbasis
+# V of an AP's antenna correlation s = V diag(eig) V^H the estimate
+# covariance of UE k is diagonal, with eigenvalues spec_k (those of
+# p_hat_k tau_p omega_k), and the LoS mean of UE j is g_j = V^H h_bar_j. So
+# xi_kj = beta_j nu_k + sum_i spec_ki |g_ji|^2 + |g_k^H g_j|^2 with
+# nu_k = sum_i eig_i (spec_ki + |g_ki|^2), and delta_kj =
+# beta_j beta_k tr(eig^2 / den_k) for UEs sharing a pilot. The terms keep
+# these parts; xi is formed only where the per-(k, j, l) couplings are
+# needed (sinr_coefficients), and every denominator diagonal
+# dg = sum_j p_j xi_kj - p_k lam_k^2 + sigma2 z_k is summed from
+# sum_j p_j beta_j, sum_j p_j |g_j|^2 and |g_k^H g_j|^2 (_factors).
 # For fixed weights the SINR is an affine fraction in the transmit powers
 # (SinrCoefficients), built once per set of weights; the SINR at any powers
 # and max-min power control both evaluate it in that one form. UE k's
@@ -16,17 +27,18 @@
 # quotient, follow from the Woodbury identity without any L x L matrix.
 # Both decoders' SINRs are functions of AP sums of per-AP parts
 # (sinr_parts), so a phase search can re-sum one AP at a time. The terms
-# read the estimation state's omega, core and pilot map, and carry its pilot
-# powers, tau_p and sigma2 to every later function, which takes them from
-# the terms alone; the pilot covariance and the pilot map are checked where
-# they enter (estimation.build_estimation_state).
+# carry the estimation state's pilot map, pilot powers, tau_p and sigma2 to
+# every later function, which takes them from the terms alone; the pilot
+# covariance and the pilot map are checked where they enter
+# (estimation.build_estimation_state).
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelState
-from .estimation import EstimationState
+from .estimation import EstimationState, PilotMap
 
 DECODERS = ("lsfd", "egcd")
 
@@ -37,24 +49,31 @@ class SinrComputationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SinrTerms:
-    """Closed-form term families for every UE.
+    """Closed-form term families for every UE, in spectral parts.
 
-    Array layout: z[k, l], xi[k, j, l], delta[k, j, l], lam[k, l]. delta is
-    only meaningful for UEs j sharing the pilot of k (zero elsewhere). The
-    noise diagonal equals z and is not stored separately. copilot is the
-    share-a-pilot relation of the pilot assignment without the diagonal,
-    built once by sinr_terms; p_hat, tau_p and sigma2 are those of the
-    estimation state the terms come from. Arrays may carry leading
-    candidate axes (one network per candidate, copilot, p_hat, tau_p and
-    sigma2 shared); every function of this module carries them through.
+    Array layout, each C-contiguous with the AP axis last: z[k, l],
+    lam[k, l], delta[k, j, l], beta[k, l], nu[k, l], spec[k, i, l],
+    power[k, i, l] and cross[k, j, l], with i the eigenvector of AP l's
+    antenna correlation s_l = V diag(eig) V^H. beta is the NLoS gain,
+    spec the eigenvalues of p_hat_k tau_p omega_lk and power |V^H h_bar_lk|^2
+    on that basis, nu = sum_i eig_i (spec + power) = p_hat_k tau_p
+    tr(s omega) + h_bar^H s h_bar, and cross |h_bar_lk^H h_bar_lj|^2.
+    delta is real and nonzero only for UEs j sharing the pilot of k. The
+    noise diagonal equals z and is not stored separately. pilots is the
+    estimation state's PilotMap (copilot reads from it) and sigma2 its
+    noise power. Arrays may carry leading candidate axes (one network per
+    candidate, pilots and sigma2 shared); every function of this module
+    carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0
-    xi: np.ndarray       # (K, K, L) real >= 0
-    delta: np.ndarray    # (K, K, L) complex
     lam: np.ndarray      # (K, L) real >= 0
-    copilot: np.ndarray  # (K, K) bool
-    p_hat: np.ndarray    # (K,) pilot powers
-    tau_p: int
+    delta: np.ndarray    # (K, K, L) real
+    beta: np.ndarray     # (K, L) real >= 0
+    nu: np.ndarray       # (K, L) real >= 0
+    spec: np.ndarray     # (K, U, L) real >= 0
+    power: np.ndarray    # (K, U, L) real >= 0
+    cross: np.ndarray    # (K, K, L) real >= 0
+    pilots: PilotMap
     sigma2: float
 
     @property
@@ -65,48 +84,68 @@ class SinrTerms:
     def n_aps(self):
         return self.z.shape[-1]
 
+    @property
+    def copilot(self):
+        """(K, K) share-a-pilot relation without the diagonal."""
+        return self.pilots.copilot
+
+    @cached_property
+    def xi(self):
+        """(..., K, K, L) real >= 0: xi[k, j, l] = p_hat_k tau_p
+        tr(r_lj omega_lk) + h_lk^H r_lj h_lk + p_hat_k tau_p h_lj^H omega_lk
+        h_lj + |h_lk^H h_lj|^2 = beta_jl nu_kl + sum_i spec_kil power_jil
+        + cross_kjl."""
+        spec, power = self.spec, self.power
+        mixed = sum(spec[..., :, None, i, :] * power[..., None, :, i, :]
+                    for i in range(spec.shape[-2]))
+        return (self.beta[..., None, :, :] * self.nu[..., :, None, :] + mixed
+                + self.cross)
+
+
+def _ap_last(x):
+    """x (L, ...) as a C-contiguous (..., L) array."""
+    return np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
+
 
 def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
     """Evaluate all closed-form term families from link statistics.
 
-    For each AP l and UE pair (k, j):
+    For each AP l, on the eigenbasis V of s_l (est.basis) with eigenvalues
+    eig_li, UE pair (k, j), g_lk = V^H h_bar_lk and den_lki the eigenvalues
+    of the pilot covariance of UE k (est.den):
+      power[k,i,l] = |g_lki|^2
+      spec[k,i,l]  = p_hat_k tau_p beta_lk^2 eig_li^2 / den_lki
       z[k, l]      = p_hat_k tau_p tr(omega_lk) + ||h_bar_lk||^2
-      xi[k, j, l]  = p_hat_k tau_p tr(r_lj omega_lk) + h_lk^H r_lj h_lk
-                     + p_hat_k tau_p h_lj^H omega_lk h_lj + |h_lk^H h_lj|^2
-      delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)   (pilot-sharing UEs only)
-      lam[k, l]    = ||h_bar_lk||^2
+                   = sum_i spec + sum_i power
+      lam[k, l]    = ||h_bar_lk||^2 = sum_i power
+      nu[k, l]     = sum_i eig_li (spec + power)
+      cross[k,j,l] = |g_lk^H g_lj|^2
+      delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)
+                   = beta_lj beta_lk sum_i eig_li^2 / den_lki
+                     (pilot-sharing UEs only)
     """
-    n_ue = state.h_bar.shape[1]
-    p_hat, tau_p = est.p_hat, est.tau_p
-    h = state.h_bar                                  # (L, K, U)
-    r = state.r_all()                                # (L, K, U, U)
-    omega = est.omega                                # (L, K, U, U)
-
-    lam = np.real(np.einsum("lku,lku->kl", h.conj(), h))
-    tr_omega = np.real(np.einsum("lkuu->kl", omega))
-    z = p_hat[:, None] * tau_p * tr_omega + lam
-
-    # pairwise pieces; indices: l AP, k target UE, j interferer
-    tr_r_omega = np.real(np.einsum("ljuv,lkvu->kjl", r, omega))
-    quad_r = np.real(np.einsum("lku,ljuv,lkv->kjl", h.conj(), r, h))
-    quad_omega = np.real(np.einsum("lju,lkuv,ljv->kjl", h.conj(), omega, h))
-    cross = np.einsum("lku,lju->kjl", h.conj(), h)
-    xi = (p_hat[:, None, None] * tau_p * (tr_r_omega + quad_omega)
-          + quad_r + np.abs(cross) ** 2)
-
-    same = est.pilot_of[:, None] == est.pilot_of[None, :]
-    delta = np.einsum("ljuv,lkvu->kjl", r, est.core)   # tr(r_lj psi_lk^-1 r_lk)
-    delta = np.where(same[:, :, None], delta, 0.0)
-    return SinrTerms(z=z, xi=xi, delta=delta, lam=lam,
-                     copilot=same & ~np.eye(n_ue, dtype=bool), p_hat=p_hat,
-                     tau_p=tau_p, sigma2=est.sigma2)
+    pilots = est.pilots
+    g = state.h_bar @ est.basis.conj()               # (L, K, U)
+    gram = g.conj() @ g.swapaxes(-1, -2)             # (L, K, K)
+    g = _ap_last(g)                                  # from here (..., L)
+    eig = _ap_last(est.eig)
+    spread = _ap_last(est.eig[:, None] * est.gain)   # eig^2 / den
+    beta = _ap_last(est.beta)
+    power = g.real ** 2 + g.imag ** 2
+    spec = (pilots.p_hat[:, None] * pilots.tau_p * beta ** 2)[:, None] * spread
+    lam = power.sum(axis=-2)
+    delta = ((beta * spread.sum(axis=-2))[:, None] * beta
+             * pilots.sharing[..., None])
+    return SinrTerms(z=spec.sum(axis=-2) + lam, lam=lam, delta=delta,
+                     beta=beta, nu=((spec + power) * eig).sum(axis=-2),
+                     spec=spec, power=power,
+                     cross=_ap_last(gram.real ** 2 + gram.imag ** 2),
+                     pilots=pilots, sigma2=est.sigma2)
 
 
 def _coherent_coeffs(terms: SinrTerms, p):
     """(K, K) coefficients of the coherent contamination outer products."""
-    coeff = (p[None, :] * terms.p_hat[:, None] * terms.p_hat[None, :]
-             * terms.tau_p ** 2)
-    return np.where(terms.copilot, coeff, 0.0)
+    return terms.pilots.coherent * p
 
 
 def _require_positive(value, what):
@@ -124,16 +163,19 @@ def _require_positive(value, what):
 def _factors(terms: SinrTerms, p):
     """(dg, Delta') with b_k = diag(dg_k) + Delta'_k Delta'_k^H for every UE.
 
-    dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, summed over j in
-    index order whatever the memory layout of xi. Column j of Delta'_k
+    dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, with the sum over
+    j taken in parts: (sum_j p_j beta_jl) nu_kl + sum_i spec_kil
+    (sum_j p_j power_jil) + sum_j p_j cross_kjl. Column j of Delta'_k
     (..., K, J, L) is sqrt(c_kj) delta_kj for the j-th co-pilot of k,
     c_kj = p_j p_hat_k p_hat_j tau_p^2, and 0 past k's co-pilot count.
     """
     p = np.asarray(p, dtype=float)
-    dg = (sum(p[j] * terms.xi[..., j, :] for j in range(terms.n_ues))
+    weighted = p[:, None, None] * terms.power
+    dg = ((p[:, None] * terms.beta).sum(axis=-2)[..., None, :] * terms.nu
+          + (terms.spec * weighted.sum(axis=-3)[..., None, :, :]).sum(axis=-2)
+          + (p[:, None] * terms.cross).sum(axis=-2)
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
-    n_co = int(terms.copilot.sum(axis=1).max(initial=0))
-    order = np.argsort(~terms.copilot, axis=1, kind="stable")[:, :n_co]
+    order = terms.pilots.order
     rows = np.arange(terms.n_ues)[:, None]
     scale = np.sqrt(_coherent_coeffs(terms, p)[rows, order])
     return dg, scale[..., None] * terms.delta[..., rows, order, :]
@@ -157,12 +199,12 @@ def _inner_solve(g, v):
 
 def lsfd_weights(terms: SinrTerms, p):
     """SINR-maximizing statistical weights b_k^-1 z_k, shape (..., K, L)
-    complex, by the Woodbury identity
+    real (z, dg and Delta' are), by the Woodbury identity
     a_k = D^-1 z - D^-1 Delta' (I + Delta'^H D^-1 Delta')^-1 Delta'^H D^-1 z.
     """
     dz, dd, dp = _lsfd_factors(terms, p)
-    g = np.einsum("...kjl,...kil->...kji", dp.conj(), dd)
-    v = np.einsum("...kjl,...kl->...kj", dp.conj(), dz)
+    g = np.einsum("...kjl,...kil->...kji", dp, dd)
+    v = np.einsum("...kjl,...kl->...kj", dp, dz)
     return dz - np.einsum("...kjl,...kj->...kl", dd, _inner_solve(g, v))
 
 
@@ -241,6 +283,7 @@ def sinr_parts(terms: SinrTerms, decoder, p):
 
     lsfd: z D^-1 z, Delta'^H D^-1 z and Delta'^H D^-1 Delta' per AP, shapes
     (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
+    Every part is real.
     """
     if decoder == "egcd":
         return (terms.z, *_factors(terms, p))
@@ -248,9 +291,8 @@ def sinr_parts(terms: SinrTerms, decoder, p):
         raise ValueError(f"unknown decoder {decoder!r}; expected one of "
                          f"{DECODERS}")
     dz, dd, dp = _lsfd_factors(terms, p)
-    dp_h = dp.conj()
-    return (terms.z * dz, dp_h * dz[..., None, :],
-            dp_h[..., None, :] * dd[..., None, :, :])
+    return (terms.z * dz, dp * dz[..., None, :],
+            dp[..., None, :] * dd[..., None, :, :])
 
 
 def sinr_from_parts(sums, decoder, p):
@@ -266,11 +308,11 @@ def sinr_from_parts(sums, decoder, p):
     p = np.asarray(p, dtype=float)
     if decoder == "egcd":
         z, dg, dp = sums
-        den = dg + (np.abs(dp) ** 2).sum(axis=-1)
+        den = dg + (dp ** 2).sum(axis=-1)
         _require_positive(den, "SINR denominator")
         return z ** 2 * p / den
     base, v, g = sums
-    quotient = base - np.real(v.conj() * _inner_solve(g, v)).sum(axis=-1)
+    quotient = base - (v * _inner_solve(g, v)).sum(axis=-1)
     _require_positive(quotient, "LSFD Rayleigh quotient")
     return p * quotient
 

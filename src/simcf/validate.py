@@ -28,7 +28,8 @@ def check_pilot_systems(seed=0, n_instances=100, u=3):
     to the largest entry of r_lk.
 
     Each instance is a random factored network (PSD s per AP, NLoS gains,
-    pilot reuse) run through the batched build_estimation_state.
+    pilot reuse) run through build_estimation_state, whose core is formed
+    from one eigendecomposition of s per AP.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -5,6 +5,13 @@
 #   sampler sample_channel
 # - cascade: the full wave-domain matrix of one stack
 # - per-link MMSE statistics: EstimationStats, estimation_stats
+# - build_estimation_state_solve and sinr_terms_einsum: the estimation state
+#   from one linear solve per link and the closed-form terms from einsum
+#   contractions, with xi and (complex) delta materialised, which the
+#   spectral estimation.build_estimation_state and se.sinr_terms replace;
+#   factors_loop, sinr_parts_loop and lsfd_weights_loop: the denominator
+#   diagonals, Woodbury factors, per-AP SINR parts and LSFD weights from
+#   those materialised terms, one UE and one co-pilot at a time
 # - denominator_matrices: every UE's dense L x L denominator matrix b_k,
 #   whose diagonal-plus-co-pilot structure the Woodbury se.lsfd_weights and
 #   the per-AP se.sinr_parts use without forming it
@@ -35,7 +42,7 @@
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -171,6 +178,163 @@ def estimation_stats(r, copilot_r, copilot_p_hat, p_hat_k, tau_p, sigma2):
     omega = 0.5 * (omega + omega.conj().T)
     err_cov = r - p_hat_k * tau_p * omega
     return EstimationStats(psi=psi, omega=omega, err_cov=err_cov)
+
+
+@dataclass(frozen=True)
+class SolveEstimationState:
+    """Estimation state of build_estimation_state_solve: the estimator core
+    and omega of every link as matrices."""
+    core: np.ndarray      # (L, K, U, U) psi^-1 r
+    omega: np.ndarray     # (L, K, U, U)
+    pilot_of: np.ndarray  # (K,) pilot index per UE
+    p_hat: np.ndarray     # (K,) pilot powers
+    tau_p: int
+    sigma2: float
+
+
+def _pilot_onehot(pilot_of):
+    """(K, T) map of UEs to pilots, T = pilot_of.max() + 1."""
+    if np.any(pilot_of < 0):
+        raise EstimationError("pilot assignment incomplete (unassigned UEs)")
+    onehot = np.zeros((pilot_of.size, int(pilot_of.max()) + 1))
+    onehot[np.arange(pilot_of.size), pilot_of] = 1.0
+    return onehot
+
+
+def build_estimation_state_solve(state, pilot_of, p_hat, tau_p, sigma2):
+    """Estimation statistics for all links given a pilot assignment, from
+    the pilot covariance psi of each (AP, pilot) and one batched solve
+    psi^-1 r per link (without the DEBUG conditioning log)."""
+    pilot_of = np.asarray(pilot_of)
+    onehot = _pilot_onehot(pilot_of)
+    u = state.h_bar.shape[-1]
+    p_hat = np.asarray(p_hat, dtype=float)
+    # pilot-domain load per (AP, pilot): tau_p * sum of co-pilot NLoS gains
+    load = tau_p * (state.beta_nlos * p_hat[None, :]) @ onehot   # (L, T)
+    psi_t = (load[:, :, None, None] * state.s[:, None]
+             + sigma2 * np.eye(u)[None, None])                  # (L, T, U, U)
+    r = state.r_all()
+    try:
+        core = np.linalg.solve(psi_t[:, pilot_of], r)            # psi^-1 r
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(f"pilot covariance is singular: {exc}") from exc
+    omega = r @ core
+    omega = 0.5 * (omega + omega.conj().swapaxes(-1, -2))
+    return SolveEstimationState(core=core, omega=omega, pilot_of=pilot_of,
+                                p_hat=p_hat, tau_p=tau_p, sigma2=sigma2)
+
+
+@dataclass(frozen=True)
+class EinsumSinrTerms:
+    """Closed-form terms of sinr_terms_einsum, layout as se.SinrTerms:
+    z[k, l], xi[k, j, l], delta[k, j, l] (complex), lam[k, l]."""
+    z: np.ndarray
+    xi: np.ndarray
+    delta: np.ndarray
+    lam: np.ndarray
+    copilot: np.ndarray  # (K, K) bool
+    p_hat: np.ndarray
+    tau_p: int
+    sigma2: float
+
+    @property
+    def n_ues(self):
+        return self.z.shape[-2]
+
+    @property
+    def n_aps(self):
+        return self.z.shape[-1]
+
+
+def sinr_terms_einsum(state, est):
+    """Evaluate all closed-form term families from link statistics, with
+    est a SolveEstimationState.
+
+    For each AP l and UE pair (k, j):
+      z[k, l]      = p_hat_k tau_p tr(omega_lk) + ||h_bar_lk||^2
+      xi[k, j, l]  = p_hat_k tau_p tr(r_lj omega_lk) + h_lk^H r_lj h_lk
+                     + p_hat_k tau_p h_lj^H omega_lk h_lj + |h_lk^H h_lj|^2
+      delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)   (pilot-sharing UEs only)
+      lam[k, l]    = ||h_bar_lk||^2
+    """
+    n_ue = state.h_bar.shape[1]
+    p_hat, tau_p = est.p_hat, est.tau_p
+    h = state.h_bar                                  # (L, K, U)
+    r = state.r_all()                                # (L, K, U, U)
+    omega = est.omega                                # (L, K, U, U)
+
+    lam = np.real(np.einsum("lku,lku->kl", h.conj(), h))
+    tr_omega = np.real(np.einsum("lkuu->kl", omega))
+    z = p_hat[:, None] * tau_p * tr_omega + lam
+
+    # pairwise pieces; indices: l AP, k target UE, j interferer
+    tr_r_omega = np.real(np.einsum("ljuv,lkvu->kjl", r, omega))
+    quad_r = np.real(np.einsum("lku,ljuv,lkv->kjl", h.conj(), r, h))
+    quad_omega = np.real(np.einsum("lju,lkuv,ljv->kjl", h.conj(), omega, h))
+    cross = np.einsum("lku,lju->kjl", h.conj(), h)
+    xi = (p_hat[:, None, None] * tau_p * (tr_r_omega + quad_omega)
+          + quad_r + np.abs(cross) ** 2)
+
+    same = est.pilot_of[:, None] == est.pilot_of[None, :]
+    delta = np.einsum("ljuv,lkvu->kjl", r, est.core)   # tr(r_lj psi_lk^-1 r_lk)
+    delta = np.where(same[:, :, None], delta, 0.0)
+    return EinsumSinrTerms(z=z, xi=xi, delta=delta, lam=lam,
+                           copilot=same & ~np.eye(n_ue, dtype=bool),
+                           p_hat=p_hat, tau_p=tau_p, sigma2=est.sigma2)
+
+
+def factors_loop(terms, p, p_hat, tau_p, sigma2):
+    """(dg, Delta') of se._factors from the materialised xi and delta of
+    terms, one UE and one co-pilot at a time: dg_k = sum_j p_j xi_kj
+    - p_k lam_k^2 + sigma2 z_k, and row i of Delta'_k is
+    sqrt(p_j p_hat_k p_hat_j tau_p^2) delta_kj for the i-th co-pilot j of
+    k (0 past k's co-pilot count)."""
+    p = np.asarray(p, dtype=float)
+    p_hat = np.asarray(p_hat, dtype=float)
+    n_ue, n_ap = terms.z.shape
+    copilots = [np.flatnonzero(terms.copilot[k]) for k in range(n_ue)]
+    dg = np.zeros((n_ue, n_ap))
+    dp = np.zeros((n_ue, max(c.size for c in copilots), n_ap),
+                  dtype=terms.delta.dtype)
+    for k in range(n_ue):
+        dg[k] = (sum(p[j] * terms.xi[k, j] for j in range(n_ue))
+                 - p[k] * terms.lam[k] ** 2 + sigma2 * terms.z[k])
+        for i, j in enumerate(copilots[k]):
+            dp[k, i] = np.sqrt(p[j] * p_hat[k] * p_hat[j] * tau_p ** 2) \
+                * terms.delta[k, j]
+    return dg, dp
+
+
+def _lsfd_factors_loop(terms, p, p_hat, tau_p, sigma2):
+    """(D^-1 z, D^-1 Delta', Delta') of factors_loop, D^-1 = 0 where dg and
+    z are both 0."""
+    dg, dp = factors_loop(terms, p, p_hat, tau_p, sigma2)
+    dropped = (dg == 0) & (terms.z == 0)
+    dinv = np.where(dropped, 0.0, 1.0 / np.where(dropped, 1.0, dg))
+    return dinv * terms.z, dinv[:, None] * dp, dp
+
+
+def sinr_parts_loop(terms, decoder, p, p_hat, tau_p, sigma2):
+    """se.sinr_parts of decoder from factors_loop: egcd (z, dg, Delta'),
+    lsfd (z D^-1 z, Delta'^H D^-1 z, Delta'^H D^-1 Delta') per AP."""
+    if decoder == "egcd":
+        return (terms.z, *factors_loop(terms, p, p_hat, tau_p, sigma2))
+    dz, dd, dp = _lsfd_factors_loop(terms, p, p_hat, tau_p, sigma2)
+    return (terms.z * dz, dp.conj() * dz[:, None],
+            dp.conj()[:, :, None] * dd[:, None])
+
+
+def lsfd_weights_loop(terms, p, p_hat, tau_p, sigma2):
+    """LSFD weights b_k^-1 z_k from factors_loop, by the Woodbury identity
+    one UE at a time."""
+    dz, dd, dp = _lsfd_factors_loop(terms, p, p_hat, tau_p, sigma2)
+    weights = np.zeros(terms.z.shape, dtype=complex)
+    for k in range(terms.n_ues):
+        g = dp[k].conj() @ dd[k].T
+        v = dp[k].conj() @ dz[k]
+        weights[k] = dz[k] - dd[k].T @ np.linalg.solve(
+            np.eye(v.size) + g, v)
+    return weights
 
 
 def copilot_observations_loop(nlos, pilot_of, p_hat, tau_p, pilot_noise):
@@ -309,6 +473,12 @@ def denominator_matrices(terms, p, p_hat, tau_p, sigma2):
     return b
 
 
+def _ap_arrays(terms):
+    """Names of the per-AP arrays of terms (the AP axis last)."""
+    return [f.name for f in fields(terms)
+            if isinstance(getattr(terms, f.name), np.ndarray)]
+
+
 def splice_ap(terms, l, other):
     """Candidate stack: terms with AP l's column replaced by each AP column
     of other in turn, on a leading axis of length other.n_aps."""
@@ -317,16 +487,15 @@ def splice_ap(terms, l, other):
         out[..., l] = np.moveaxis(cols, -1, 0)
         return out
 
-    return replace(terms, z=splice(terms.z, other.z),
-                   xi=splice(terms.xi, other.xi),
-                   delta=splice(terms.delta, other.delta),
-                   lam=splice(terms.lam, other.lam))
+    return replace(terms, **{name: splice(getattr(terms, name),
+                                          getattr(other, name))
+                             for name in _ap_arrays(terms)})
 
 
 def candidate(stack, i):
     """Terms of candidate i of a stack built by splice_ap."""
-    return replace(stack, z=stack.z[i], xi=stack.xi[i], delta=stack.delta[i],
-                   lam=stack.lam[i])
+    return replace(stack, **{name: getattr(stack, name)[i]
+                             for name in _ap_arrays(stack)})
 
 
 def sinr_lsfd(terms, p):
@@ -562,13 +731,11 @@ def terms_loop(model, phases, pilot_of, ap_indices=None):
 
 def replace_ap(terms, l, other):
     """terms with AP l's column taken from the single-AP terms other."""
-    z, xi, delta, lam = (a.copy() for a in
-                         (terms.z, terms.xi, terms.delta, terms.lam))
-    z[:, l] = other.z[:, 0]
-    xi[:, :, l] = other.xi[:, :, 0]
-    delta[:, :, l] = other.delta[:, :, 0]
-    lam[:, l] = other.lam[:, 0]
-    return replace(terms, z=z, xi=xi, delta=delta, lam=lam)
+    arrays = {}
+    for name in _ap_arrays(terms):
+        arrays[name] = getattr(terms, name).copy()
+        arrays[name][..., l] = getattr(other, name)[..., 0]
+    return replace(terms, **arrays)
 
 
 class SerialObjective:

@@ -551,9 +551,9 @@ def test_probes_never_run_the_full_cascade(small_model, small_pilots,
 def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
     """Make probe `index` of the first probe batch, and that phase slice
     wherever it is evaluated again, fail: "sinr" gives it a negative
-    interference term, so its EGCD SINR denominator and its LSFD diagonal
-    are nonpositive; "estimation" raises EstimationError while it is in the
-    batch."""
+    interference term (its LoS cross terms |h_k^H h_j|^2, which dg sums),
+    so its EGCD SINR denominator and its LSFD diagonal are nonpositive;
+    "estimation" raises EstimationError while it is in the batch."""
     real = model.block_terms
     target = []
 
@@ -566,9 +566,9 @@ def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
         terms = real(l, base, rows, cols, steps, pilot_of)
-        xi = terms.xi.copy()
-        xi[..., hit] = -1e6 * np.abs(xi).max()
-        return replace(terms, xi=xi)
+        cross = terms.cross.copy()
+        cross[..., hit] = -1e6 * np.abs(terms.xi).max()
+        return replace(terms, cross=cross)
 
     monkeypatch.setattr(model, "block_terms", block_terms)
 

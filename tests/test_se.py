@@ -198,9 +198,13 @@ def test_se_prelog_values():
 
 
 def test_negative_denominator_raises(small_terms, small_cfg):
-    broken = replace(small_terms, xi=np.zeros_like(small_terms.xi),
+    # xi = 0 through its parts nu, spec and cross
+    broken = replace(small_terms, nu=np.zeros_like(small_terms.nu),
+                     spec=np.zeros_like(small_terms.spec),
+                     cross=np.zeros_like(small_terms.cross),
                      delta=np.zeros_like(small_terms.delta),
                      lam=np.sqrt(np.ones_like(small_terms.lam)), sigma2=0.0)
+    assert np.all(broken.xi == 0)
     p = np.full(small_cfg.K, small_cfg.p_max)
     with pytest.raises(SinrComputationError):
         sinr_from_weights(broken, egcd_weights(broken), p)
@@ -300,7 +304,8 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
     cfg = small_cfg
     stack = candidate_stack(small_model, small_pilots, small_phases, n=3)
     zeroed = {name: getattr(stack, name).copy()
-              for name in ("z", "xi", "delta", "lam")}
+              for name in ("z", "lam", "delta", "beta", "nu", "spec", "power",
+                           "cross")}
     for arr in zeroed.values():
         arr[1] = 0.0          # candidate 1: all-zero (singular) denominators
     stack = replace(stack, **zeroed)
@@ -321,12 +326,13 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
 def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
                                                        small_pilots,
                                                        small_phases):
-    # a negative interference term makes dg < 0 at an AP where z > 0
+    # a negative interference term makes dg < 0 at an AP where z > 0: the
+    # LoS cross term |h_k^H h_j|^2 that dg sums, so xi carries it as well
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
-    xi = stack.xi.copy()
-    xi[2, 1, :, 0] = -1e6 * np.abs(xi).max()
-    stack = replace(stack, xi=xi)
-    assert stack.z[2, 1, 0] > 0
+    cross = stack.cross.copy()
+    cross[2, 1, :, 0] = -1e6 * np.abs(stack.xi).max()
+    stack = replace(stack, cross=cross)
+    assert stack.z[2, 1, 0] > 0 and np.all(stack.xi[2, 1, :, 0] < 0)
     with pytest.raises(SinrComputationError,
                        match=r"UE 1 of candidate \(2,\)"):
         lsfd_weights(stack, small_model.drop.p)
@@ -335,8 +341,14 @@ def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
 def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
                                                 small_phases):
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
-    xi = stack.xi.copy()
-    xi[2] = -xi[2]
-    stack = replace(stack, xi=xi)
+    xi = stack.xi
+    # xi is linear in its parts nu, spec and cross: negating them negates it
+    negated = {name: getattr(stack, name).copy()
+               for name in ("nu", "spec", "cross")}
+    for arr in negated.values():
+        arr[2] = -arr[2]
+    stack = replace(stack, **negated)
+    assert np.array_equal(stack.xi[2], -xi[2])
+    assert np.array_equal(stack.xi[[0, 1, 3]], xi[[0, 1, 3]])
     with pytest.raises(SinrComputationError, match=r"of candidate \(2,\)"):
         sinr_from_weights(stack, egcd_weights(stack), small_model.drop.p)
