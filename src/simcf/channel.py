@@ -31,15 +31,12 @@ class ChannelState:
 
     The NLoS covariance factors as r[l, k] = beta_nlos[l, k] * s[l] because
     the scattering correlation on the output layer is common to all UEs; s
-    is the per-AP antenna-domain projection of that common correlation.
+    is the per-AP antenna-domain projection of that common correlation. The
+    state keeps the factors only; no per-link covariance is formed.
     """
     h_bar: np.ndarray       # (L, K, U) complex
     s: np.ndarray           # (L, U, U) complex Hermitian PSD
     beta_nlos: np.ndarray   # (L, K)
-
-    def r_all(self):
-        """Materialized covariances, shape (L, K, U, U)."""
-        return self.beta_nlos[:, :, None, None] * self.s[:, None, :, :]
 
 
 def steering_units(geom: SimGeometry, drop: Drop):

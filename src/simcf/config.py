@@ -61,23 +61,24 @@ class SystemConfig:
         self.validate()
 
     def validate(self):
-        for name in ("L", "K", "U", "M", "N"):
+        for name in ("L", "K", "U", "M", "N", "tau_p", "tau_c"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.tau_p < 1 or self.tau_c < 1 or self.tau_p > self.tau_c:
+        if self.tau_p > self.tau_c:
             raise ConfigError(
-                f"need 1 <= tau_p <= tau_c, got tau_p={self.tau_p} tau_c={self.tau_c}")
+                f"need tau_p <= tau_c, got tau_p={self.tau_p} tau_c={self.tau_c}")
         # wavelength first: d_meta and t_sim default to multiples of it
         for name in ("wavelength", "sigma2", "p_max", "area_side", "d_meta",
                      "t_sim", "delta_sf", "d_dc", "delta_f"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got "
                                   f"{getattr(self, name)!r}")
-        if self.wavelength <= 0:
-            raise ConfigError("wavelength must be positive")
-        for name in ("sigma2", "p_max", "area_side", "d_meta", "t_sim",
-                     "delta_sf", "d_dc"):
+        # a zero pitch or stack thickness leaves no stack to diffract through
+        for name in ("wavelength", "d_meta", "t_sim"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("sigma2", "p_max", "area_side", "delta_sf", "d_dc"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not 0.0 <= self.delta_f <= 1.0:

@@ -7,10 +7,10 @@
 # den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
 # beta_lk V diag(eig / den) V^H and the estimate covariance
 # omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
-# keeps the spectra; the matrices are formed on demand for the Monte-Carlo
-# estimates, which apply the core. The pilot map, pilot powers, tau_p and
-# sigma2 enter here once and travel with the EstimationState, and what
-# follows from the pilot map alone (PilotMap) is built once per map.
+# keeps the spectra and forms only the core from them, on demand, for the
+# Monte-Carlo estimates. The pilot map, pilot powers, tau_p and sigma2
+# enter here once and travel with the EstimationState, and what follows
+# from the pilot map alone (PilotMap) is built once per map.
 
 import logging
 from dataclasses import dataclass
@@ -32,10 +32,10 @@ class PilotMap:
     """A pilot assignment at its pilot powers and tau_p, with what follows
     from those alone: the one-hot map of UEs to pilots, that map over the P
     pilots in use (members) and each UE's pilot among them (slot), the
-    share-a-pilot relation with the diagonal (sharing, 1.0 or 0.0) and
-    without it (copilot), the co-pilots of each UE in index order (padded
-    with other UEs up to the largest co-pilot count) and the coherent
-    scales p_hat_k p_hat_j tau_p^2 of co-pilot pairs (0 elsewhere).
+    share-a-pilot relation with the diagonal (sharing, 1.0 or 0.0), the
+    co-pilots of each UE in index order (padded with other UEs up to the
+    largest co-pilot count) and the coherent scales p_hat_k p_hat_j
+    tau_p^2 of co-pilot pairs (0 elsewhere).
     pilot_map builds one per distinct assignment; its arrays are
     read-only."""
     pilot_of: np.ndarray   # (K,) pilot index per UE
@@ -45,7 +45,6 @@ class PilotMap:
     members: np.ndarray    # (K, P)
     slot: np.ndarray       # (K,) index into the P pilots in use
     sharing: np.ndarray    # (K, K)
-    copilot: np.ndarray    # (K, K) bool
     order: np.ndarray      # (K, J) UE indices
     coherent: np.ndarray   # (K, K)
 
@@ -75,8 +74,7 @@ def _pilot_map(pilot_of, p_hat, tau_p):
                         0.0)
     arrays = dict(pilot_of=pilot_of, p_hat=p_hat, onehot=onehot,
                   members=onehot[:, in_use], slot=slot,
-                  sharing=same.astype(float), copilot=copilot, order=order,
-                  coherent=coherent)
+                  sharing=same.astype(float), order=order, coherent=coherent)
     for arr in arrays.values():
         arr.setflags(write=False)
     return PilotMap(tau_p=tau_p, **arrays)
@@ -92,10 +90,10 @@ class EstimationState:
     s = basis diag(eig) basis^H, and den holds the eigenvalues
     load eig + sigma2 of the pilot covariance psi of each (AP, pilot in
     use) on that basis. UE k of AP l sees the pilot in use
-    pilots.slot[k]: its core psi^-1 r is beta_lk gain_lk and its omega
-    beta_lk^2 eig gain_lk on the basis, gain = eig / den. The error
-    covariance is r - p_hat_k tau_p omega. A leading axis of a block build
-    runs over probes, not APs.
+    pilots.slot[k]: its core psi^-1 r is beta_lk gain_lk and its estimate
+    covariance omega beta_lk^2 eig gain_lk on the basis, gain = eig / den.
+    The error covariance is r - p_hat_k tau_p omega. A leading axis of a
+    block build runs over probes, not APs.
     """
     eig: np.ndarray       # (L, U) eigenvalues of s, ascending
     basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column
@@ -111,19 +109,10 @@ class EstimationState:
 
     @cached_property
     def core(self):
-        """(L, K, U, U) psi^-1 r of every link."""
-        return self._on_basis(self.beta[..., None] * self.gain)
-
-    @cached_property
-    def omega(self):
-        """(L, K, U, U) r psi^-1 r of every link, Hermitian."""
-        omega = self._on_basis(self.beta[..., None] ** 2 * self.eig[:, None]
-                               * self.gain)
-        return 0.5 * (omega + omega.conj().swapaxes(-1, -2))
-
-    def _on_basis(self, spectrum):
-        """basis diag(spectrum) basis^H for spectra (L, K, U)."""
+        """(L, K, U, U) psi^-1 r of every link, basis diag(beta gain)
+        basis^H."""
         v = self.basis[:, None]
+        spectrum = self.beta[..., None] * self.gain
         return (v * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     @property

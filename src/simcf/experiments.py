@@ -67,8 +67,11 @@ class ExperimentSpec:
             raise ExperimentError(f"sweep must be one of {SWEEPABLE}")
         if not self.values:
             raise ExperimentError("value list must be non-empty")
-        if self.n_drops < 1:
-            raise ExperimentError("n_drops must be >= 1")
+        if not isinstance(self.n_drops, (int, np.integer)) or self.n_drops < 1:
+            raise ExperimentError("n_drops must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ExperimentError(f"seed must be an integer >= 0, got "
+                                  f"{self.seed!r}")
         if (not isinstance(self.n_mc_trials, (int, np.integer))
                 or self.n_mc_trials < 0 or self.n_mc_trials == 1):
             raise ExperimentError("n_mc_trials must be 0 (off) or an "
@@ -110,10 +113,14 @@ class ExperimentSpec:
         params = dict(self.base)
         try:
             if self.sweep in ("L", "K", "U", "M", "N"):
-                params[self.sweep] = int(value)
+                params[self.sweep] = count = int(value)
+                # int() truncates 10.5 and takes True as 1; the rows would
+                # print the value, not the count that ran
+                if isinstance(value, bool) or count != float(value):
+                    raise ValueError("not an integer")
             elif self.sweep == "d_meta":
                 params["d_meta"] = float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ExperimentError(f"bad {self.sweep} value {value!r}: "
                                   f"{exc}") from exc
         if self.fixed_total_atoms is not None:

@@ -27,13 +27,15 @@ class UatfEstimate:
 
 
 class _TrialSampler:
-    """Draws batches of (channel, estimate) realizations for all links."""
+    """Draws batches of (channel, estimate) realizations for all links. The
+    NLoS factor of link (l, k) is sqrt(beta_nlos_lk) psd_sqrt(s_l)."""
 
     def __init__(self, state: ChannelState, est: EstimationState, rng):
         self.state = state
         self.est = est
         self.rng = np.random.default_rng(rng)
-        self.nlos_factor = psd_sqrt(state.r_all())      # (L, K, U, U)
+        self.nlos_factor = (np.sqrt(state.beta_nlos)[..., None, None]
+                            * psd_sqrt(state.s)[:, None])   # (L, K, U, U)
         self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
 

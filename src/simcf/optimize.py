@@ -325,15 +325,15 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max,
     the closed form rejects them, so t_star stays below t* (1 + band).)
 
     Raises ValueError for eps not > 0, and SinrComputationError for a
-    nonpositive signal coefficient or when the solve rejects the last
-    midpoint the closed form accepted.
+    nonpositive signal coefficient or full-power SINR denominator, or when
+    the solve rejects the last midpoint the closed form accepted.
     """
     if not eps > 0:
         raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))
-    t_lo, t_hi = 0.0, float(2.0 * coeffs.gamma(full).max())
+    t_lo, t_hi = 0.0, float(2.0 * coeffs.sinr(full).max())
     if t_hi <= 0:
         return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
     rho = _perron_root(coeffs, p_max)

@@ -14,10 +14,10 @@
 # xi_kj = beta_j nu_k + sum_i spec_ki |g_ji|^2 + |g_k^H g_j|^2 with
 # nu_k = sum_i eig_i (spec_ki + |g_ki|^2), and delta_kj =
 # beta_j beta_k tr(eig^2 / den_k) for UEs sharing a pilot. The terms keep
-# these parts; xi is formed only where the per-(k, j, l) couplings are
-# needed (sinr_coefficients), and every denominator diagonal
-# dg = sum_j p_j xi_kj - p_k lam_k^2 + sigma2 z_k is summed from
-# sum_j p_j beta_j, sum_j p_j |g_j|^2 and |g_k^H g_j|^2 (_factors).
+# these parts and never form xi: its sums over the UEs j (the denominator
+# diagonals dg = sum_j p_j xi_kj - p_k lam_k^2 + sigma2 z_k, _factors) and
+# over the APs l (the couplings d_kj = sum_l |a_kl|^2 xi_kjl,
+# sinr_coefficients) are taken part by part.
 # For fixed weights the SINR is an affine fraction in the transmit powers
 # (SinrCoefficients), built once per set of weights; the SINR at any powers
 # and max-min power control both evaluate it in that one form. UE k's
@@ -33,7 +33,6 @@
 # (estimation.build_estimation_state).
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +58,12 @@ class SinrTerms:
     on that basis, nu = sum_i eig_i (spec + power) = p_hat_k tau_p
     tr(s omega) + h_bar^H s h_bar, and cross |h_bar_lk^H h_bar_lj|^2.
     delta is real and nonzero only for UEs j sharing the pilot of k. The
-    noise diagonal equals z and is not stored separately. pilots is the
-    estimation state's PilotMap (copilot reads from it) and sigma2 its
-    noise power. Arrays may carry leading candidate axes (one network per
-    candidate, pilots and sigma2 shared); every function of this module
-    carries them through.
+    non-coherent coefficients xi[k, j, l] = beta_jl nu_kl + sum_i spec_kil
+    power_jil + cross_kjl are kept in these parts. The noise diagonal equals
+    z and is not stored separately. pilots is the estimation state's
+    PilotMap and sigma2 its noise power. Arrays may carry leading candidate
+    axes (one network per candidate, pilots and sigma2 shared); every
+    function of this module carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0
     lam: np.ndarray      # (K, L) real >= 0
@@ -79,27 +79,6 @@ class SinrTerms:
     @property
     def n_ues(self):
         return self.z.shape[-2]
-
-    @property
-    def n_aps(self):
-        return self.z.shape[-1]
-
-    @property
-    def copilot(self):
-        """(K, K) share-a-pilot relation without the diagonal."""
-        return self.pilots.copilot
-
-    @cached_property
-    def xi(self):
-        """(..., K, K, L) real >= 0: xi[k, j, l] = p_hat_k tau_p
-        tr(r_lj omega_lk) + h_lk^H r_lj h_lk + p_hat_k tau_p h_lj^H omega_lk
-        h_lj + |h_lk^H h_lj|^2 = beta_jl nu_kl + sum_i spec_kil power_jil
-        + cross_kjl."""
-        spec, power = self.spec, self.power
-        mixed = sum(spec[..., :, None, i, :] * power[..., None, :, i, :]
-                    for i in range(spec.shape[-2]))
-        return (self.beta[..., None, :, :] * self.nu[..., :, None, :] + mixed
-                + self.cross)
 
 
 def _ap_last(x):
@@ -143,11 +122,6 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
                      pilots=pilots, sigma2=est.sigma2)
 
 
-def _coherent_coeffs(terms: SinrTerms, p):
-    """(K, K) coefficients of the coherent contamination outer products."""
-    return terms.pilots.coherent * p
-
-
 def _require_positive(value, what):
     """Raise SinrComputationError naming the first UE (and candidate) whose
     entry of value (..., K) is not positive."""
@@ -177,7 +151,7 @@ def _factors(terms: SinrTerms, p):
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
     order = terms.pilots.order
     rows = np.arange(terms.n_ues)[:, None]
-    scale = np.sqrt(_coherent_coeffs(terms, p)[rows, order])
+    scale = np.sqrt((terms.pilots.coherent * p)[rows, order])
     return dg, scale[..., None] * terms.delta[..., rows, order, :]
 
 
@@ -235,10 +209,6 @@ class SinrCoefficients:
     d: np.ndarray
     noise: np.ndarray
 
-    def gamma(self, p):
-        """Per-UE SINR for the power vector p (K,), unchecked."""
-        return self.signal * p / (self.d @ p + self.noise)
-
     def sinr(self, p):
         """Per-UE SINR (..., K) for the power vector p (K,).
 
@@ -259,9 +229,13 @@ def sinr_coefficients(terms: SinrTerms, weights):
     aa = np.abs(weights_h) ** 2                     # (..., K, L)
     signal = np.abs(np.einsum("...kl,...kl->...k", weights_h, terms.z)) ** 2
     combined = np.einsum("...kl,...kjl->...kj", weights_h, terms.delta)
-    coeff = _coherent_coeffs(terms, np.ones(terms.n_ues))
-    d = np.einsum("...kjl,...kl->...kj", terms.xi, aa)
-    d += coeff * np.abs(combined) ** 2
+    # d_kj = sum_l aa_kl xi_kjl, summed over the parts of xi
+    d = (aa * terms.nu) @ terms.beta.swapaxes(-1, -2)
+    for i in range(terms.spec.shape[-2]):
+        d += ((aa * terms.spec[..., i, :])
+              @ terms.power[..., i, :].swapaxes(-1, -2))
+    d += (terms.cross @ aa[..., None])[..., 0]
+    d += terms.pilots.coherent * np.abs(combined) ** 2
     diagonal = np.einsum("...kk->...k", d)          # writable view
     diagonal -= np.einsum("...kl,...kl->...k", aa, terms.lam ** 2)
     noise = terms.sigma2 * np.einsum("...kl,...kl->...k", aa, terms.z)

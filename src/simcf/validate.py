@@ -43,7 +43,7 @@ def check_pilot_systems(seed=0, n_instances=100, u=3):
         p_hat = rng.uniform(0.05, 0.3, n_ue)
         sigma2 = float(rng.uniform(1e-3, 1e-1))
         est = build_estimation_state(state, pilot_of, p_hat, tau_p, sigma2)
-        r = state.r_all()
+        r = state.beta_nlos[:, :, None, None] * state.s[:, None]
         for k in range(n_ue):
             psi = sigma2 * np.eye(u)
             for j in np.flatnonzero(pilot_of == pilot_of[k]):

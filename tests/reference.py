@@ -5,6 +5,11 @@
 #   sampler sample_channel
 # - cascade: the full wave-domain matrix of one stack
 # - per-link MMSE statistics: EstimationStats, estimation_stats
+# - r_all, omega_of, xi_of (term reads a family through it) and
+#   copilot_of: the per-link covariances, the estimate covariances, the
+#   non-coherent coefficients xi and the co-pilot relation as materialised
+#   arrays, which simcf keeps only in factored form (beta_nlos and s, the
+#   spectra, the parts of xi, the pilot map)
 # - build_estimation_state_solve and sinr_terms_einsum: the estimation state
 #   from one linear solve per link and the closed-form terms from einsum
 #   contractions, with xi and (complex) delta materialised, which the
@@ -180,6 +185,22 @@ def estimation_stats(r, copilot_r, copilot_p_hat, p_hat_k, tau_p, sigma2):
     return EstimationStats(psi=psi, omega=omega, err_cov=err_cov)
 
 
+def r_all(state):
+    """Materialised NLoS covariances r = beta_nlos s of every link of a
+    ChannelState, shape (L, K, U, U)."""
+    return state.beta_nlos[:, :, None, None] * state.s[:, None, :, :]
+
+
+def omega_of(est):
+    """(L, K, U, U) estimate covariances r psi^-1 r of every link of a
+    spectral EstimationState, basis diag(beta^2 eig gain) basis^H made
+    Hermitian."""
+    v = est.basis[:, None]
+    spectrum = est.beta[..., None] ** 2 * est.eig[:, None] * est.gain
+    omega = (v * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (omega + omega.conj().swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class SolveEstimationState:
     """Estimation state of build_estimation_state_solve: the estimator core
@@ -213,7 +234,7 @@ def build_estimation_state_solve(state, pilot_of, p_hat, tau_p, sigma2):
     load = tau_p * (state.beta_nlos * p_hat[None, :]) @ onehot   # (L, T)
     psi_t = (load[:, :, None, None] * state.s[:, None]
              + sigma2 * np.eye(u)[None, None])                  # (L, T, U, U)
-    r = state.r_all()
+    r = r_all(state)
     try:
         core = np.linalg.solve(psi_t[:, pilot_of], r)            # psi^-1 r
     except np.linalg.LinAlgError as exc:
@@ -241,10 +262,6 @@ class EinsumSinrTerms:
     def n_ues(self):
         return self.z.shape[-2]
 
-    @property
-    def n_aps(self):
-        return self.z.shape[-1]
-
 
 def sinr_terms_einsum(state, est):
     """Evaluate all closed-form term families from link statistics, with
@@ -260,7 +277,7 @@ def sinr_terms_einsum(state, est):
     n_ue = state.h_bar.shape[1]
     p_hat, tau_p = est.p_hat, est.tau_p
     h = state.h_bar                                  # (L, K, U)
-    r = state.r_all()                                # (L, K, U, U)
+    r = r_all(state)                                 # (L, K, U, U)
     omega = est.omega                                # (L, K, U, U)
 
     lam = np.real(np.einsum("lku,lku->kl", h.conj(), h))
@@ -283,6 +300,34 @@ def sinr_terms_einsum(state, est):
                            p_hat=p_hat, tau_p=tau_p, sigma2=est.sigma2)
 
 
+def xi_of(terms):
+    """(..., K, K, L) non-coherent coefficients xi of terms: the field of an
+    EinsumSinrTerms, or formed from the spectral parts of se.SinrTerms as
+    xi[k, j, l] = beta_jl nu_kl + sum_i spec_kil power_jil + cross_kjl."""
+    if isinstance(terms, EinsumSinrTerms):
+        return terms.xi
+    spec, power = terms.spec, terms.power
+    mixed = sum(spec[..., :, None, i, :] * power[..., None, :, i, :]
+                for i in range(spec.shape[-2]))
+    return (terms.beta[..., None, :, :] * terms.nu[..., :, None, :] + mixed
+            + terms.cross)
+
+
+def term(terms, name):
+    """The term family name of terms, xi from xi_of."""
+    return xi_of(terms) if name == "xi" else getattr(terms, name)
+
+
+def copilot_of(terms):
+    """(K, K) share-a-pilot relation without the diagonal, of an
+    EinsumSinrTerms or of the pilot map of se.SinrTerms."""
+    if isinstance(terms, EinsumSinrTerms):
+        return terms.copilot
+    pilot_of = terms.pilots.pilot_of
+    return ((pilot_of[:, None] == pilot_of[None, :])
+            & ~np.eye(pilot_of.size, dtype=bool))
+
+
 def factors_loop(terms, p, p_hat, tau_p, sigma2):
     """(dg, Delta') of se._factors from the materialised xi and delta of
     terms, one UE and one co-pilot at a time: dg_k = sum_j p_j xi_kj
@@ -292,12 +337,13 @@ def factors_loop(terms, p, p_hat, tau_p, sigma2):
     p = np.asarray(p, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
     n_ue, n_ap = terms.z.shape
-    copilots = [np.flatnonzero(terms.copilot[k]) for k in range(n_ue)]
+    copilots = [np.flatnonzero(copilot_of(terms)[k]) for k in range(n_ue)]
+    xi = xi_of(terms)
     dg = np.zeros((n_ue, n_ap))
     dp = np.zeros((n_ue, max(c.size for c in copilots), n_ap),
                   dtype=terms.delta.dtype)
     for k in range(n_ue):
-        dg[k] = (sum(p[j] * terms.xi[k, j] for j in range(n_ue))
+        dg[k] = (sum(p[j] * xi[k, j] for j in range(n_ue))
                  - p[k] * terms.lam[k] ** 2 + sigma2 * terms.z[k])
         for i, j in enumerate(copilots[k]):
             dp[k, i] = np.sqrt(p[j] * p_hat[k] * p_hat[j] * tau_p ** 2) \
@@ -461,14 +507,14 @@ def denominator_matrices(terms, p, p_hat, tau_p, sigma2):
     """
     p = np.asarray(p, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
-    diag = (np.einsum("j,...kjl->...kl", p, terms.xi)
+    diag = (np.einsum("j,...kjl->...kl", p, xi_of(terms))
             - p[:, None] * terms.lam ** 2 + sigma2 * terms.z)
-    coeff = np.where(terms.copilot,
+    coeff = np.where(copilot_of(terms),
                      p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
                      0.0)
     b = np.einsum("kj,...kjl,...kjm->...klm", coeff, terms.delta,
                   terms.delta.conj())
-    idx = np.arange(terms.n_aps)
+    idx = np.arange(terms.z.shape[-1])
     b[..., idx, idx] += diag
     return b
 
@@ -481,7 +527,7 @@ def _ap_arrays(terms):
 
 def splice_ap(terms, l, other):
     """Candidate stack: terms with AP l's column replaced by each AP column
-    of other in turn, on a leading axis of length other.n_aps."""
+    of other in turn, on a leading axis of other's AP count."""
     def splice(base, cols):
         out = np.repeat(base[None], cols.shape[-1], axis=0)
         out[..., l] = np.moveaxis(cols, -1, 0)
@@ -525,8 +571,8 @@ def sinr_breakdown(terms, weights, p, p_hat, tau_p, sigma2):
     aa = np.abs(weights) ** 2                       # (..., K, L)
     signal = p * np.abs(np.einsum("...kl,...kl->...k", weights.conj(),
                                   terms.z)) ** 2
-    noncoherent = np.einsum("j,...kjl,...kl->...k", p, terms.xi, aa)
-    coeff = np.where(terms.copilot,
+    noncoherent = np.einsum("j,...kjl,...kl->...k", p, xi_of(terms), aa)
+    coeff = np.where(copilot_of(terms),
                      p[None, :] * p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
                      0.0)
     combined = np.einsum("...kl,...kjl->...kj", weights.conj(), terms.delta)
@@ -553,12 +599,12 @@ def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
     signal = np.zeros(k_ues)
     d = np.zeros((k_ues, k_ues))
     noise = np.zeros(k_ues)
-    mask = terms.copilot
+    mask, xi = copilot_of(terms), xi_of(terms)
     for k in range(k_ues):
         a = weights[k]
         aa = np.abs(a) ** 2
         signal[k] = np.abs(a.conj() @ terms.z[k]) ** 2
-        d[k] = terms.xi[k] @ aa
+        d[k] = xi[k] @ aa
         for j in np.flatnonzero(mask[k]):
             coeff = p_hat[k] * p_hat[j] * tau_p ** 2
             d[k, j] += coeff * np.abs(a.conj() @ terms.delta[k, j]) ** 2
@@ -583,7 +629,7 @@ def maxmin_power_bisection(coeffs, p_max, eps=1e-3):
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     full = np.full(coeffs.signal.shape[0], float(p_max))
-    gamma_full = coeffs.gamma(full)
+    gamma_full = coeffs.sinr(full)
     t_lo, t_hi = 0.0, float(2.0 * gamma_full.max())
     if t_hi <= 0:
         return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
@@ -611,21 +657,22 @@ def predicted_cross_moments(terms, p_hat, tau_p):
     """
     p_hat = np.asarray(p_hat, dtype=float)
     n_ue, n_ap = terms.z.shape
+    xi, copilot = xi_of(terms), copilot_of(terms)
     out = np.zeros((n_ue, n_ue, n_ap, n_ap), dtype=complex)
     for k in range(n_ue):
         for j in range(n_ue):
             if j == k:
                 m = np.outer(terms.z[k], terms.z[k]).astype(complex)
-                np.fill_diagonal(m, terms.xi[k, k] + terms.z[k] ** 2
+                np.fill_diagonal(m, xi[k, k] + terms.z[k] ** 2
                                  - terms.lam[k] ** 2)
-            elif terms.copilot[k, j]:
+            elif copilot[k, j]:
                 coeff = p_hat[k] * p_hat[j] * tau_p ** 2
                 d = terms.delta[k, j]
                 m = coeff * np.outer(d, d.conj())
-                m[np.diag_indices(n_ap)] = terms.xi[k, j] \
+                m[np.diag_indices(n_ap)] = xi[k, j] \
                     + coeff * np.abs(d) ** 2
             else:
-                m = np.diag(terms.xi[k, j].astype(complex))
+                m = np.diag(xi[k, j].astype(complex))
             out[k, j] = m
     return out
 

@@ -39,7 +39,7 @@ def test_holders_of_the_state_take_no_pilot_values():
     assert found == []
     # the scan reaches the functions it guards
     assert {"simcf.se.sinr_terms", "simcf.se.sinr_from_weights",
-            "simcf.se._coherent_coeffs", "simcf.estimation.mmse_estimate",
+            "simcf.se._factors", "simcf.estimation.mmse_estimate",
             "simcf.montecarlo.uatf_monte_carlo",
             "simcf.montecarlo._TrialSampler.__init__",
             "simcf.se.sinr_coefficients"} <= checked

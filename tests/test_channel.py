@@ -9,7 +9,7 @@ from simcf.sim_physics import random_phase_tensor, stack_for
 
 from reference import (SimUeChannelStats, build_channel_state_loop,
                        build_channel_state_slices, cascade, effective_stats,
-                       sample_channel, sim_ue_stats, steering_vector,
+                       r_all, sample_channel, sim_ue_stats, steering_vector,
                        turned_slices)
 
 
@@ -203,7 +203,7 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
                                  small_cfg.wavelength)
             eff = effective_stats(model.dset.w_first, g, stats)
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
-            assert np.allclose(state.r_all()[l, k], eff.r_eff)
+            assert np.allclose(r_all(state)[l, k], eff.r_eff)
     # a block state at a zero turn agrees with the full build's AP
     part = block_channel_state(small_drop, model.dset, 1, phases[1],
                                np.array([0]), np.array([4]), [0.0],

@@ -62,6 +62,13 @@ def test_validate_rejects_zero_trials(capsys):
         assert json.loads(err.splitlines()[-1])["type"] == "ValueError"
 
 
+def test_negative_seed_is_a_spec_error(tmp_path, capsys):
+    assert cli.main(["table1", "--drops", "1", "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["type"] == "ExperimentError" and "seed" in record["error"]
+
+
 def test_run_writes_rows(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -10,7 +10,7 @@ from simcf.estimation import (EstimationError, build_estimation_state,
 from simcf.montecarlo import _TrialSampler
 from simcf.pipeline import NetworkModel
 
-from reference import estimation_stats, mmse_estimate_loop
+from reference import estimation_stats, mmse_estimate_loop, omega_of, r_all
 
 
 def random_psd(rng, n, scale=1.0):
@@ -69,7 +69,7 @@ def test_batched_matches_single_link(small_model, small_pilots, small_phases,
     state = small_model.channel_state(small_phases)
     est = small_model.estimation_state(state, small_pilots.pilot_of)
     p_hat = small_cfg.pilot_powers()
-    r = state.r_all()
+    r, omega = r_all(state), omega_of(est)
     for l in range(small_cfg.L):
         for k in range(small_cfg.K):
             cop = np.flatnonzero(small_pilots.pilot_of
@@ -77,9 +77,9 @@ def test_batched_matches_single_link(small_model, small_pilots, small_phases,
             single = estimation_stats(r[l, k], [r[l, j] for j in cop],
                                       p_hat[cop], p_hat[k],
                                       small_cfg.tau_p, small_cfg.sigma2)
-            assert np.allclose(est.omega[l, k], single.omega)
+            assert np.allclose(omega[l, k], single.omega)
             assert np.allclose(
-                r[l, k] - p_hat[k] * small_cfg.tau_p * est.omega[l, k],
+                r[l, k] - p_hat[k] * small_cfg.tau_p * omega[l, k],
                 single.err_cov)
 
 
@@ -141,8 +141,8 @@ def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
 def _error_cov(state, est, cfg):
     """r - p_hat_k tau_p omega of every link, with the pilot powers and
     tau_p of cfg."""
-    return (state.r_all() - (cfg.pilot_powers() * cfg.tau_p)[:, None, None]
-            * est.omega)
+    return (r_all(state) - (cfg.pilot_powers() * cfg.tau_p)[:, None, None]
+            * omega_of(est))
 
 
 def _sampler_for(model, pilot_of, phases, seed):
@@ -187,10 +187,10 @@ def test_estimate_conditional_covariance_and_orthogonality(small_model,
     sampler = _TrialSampler(state, est, np.random.default_rng(12))
     n = 100_000
     h, h_hat = sampler.draw(n)
-    p_hat = cfg.pilot_powers()
+    p_hat, omega = cfg.pilot_powers(), omega_of(est)
     for l in range(cfg.L):
         for k in range(cfg.K):
-            target = p_hat[k] * cfg.tau_p * est.omega[l, k]
+            target = p_hat[k] * cfg.tau_p * omega[l, k]
             cov = h_hat[:, l, k, :].T @ h_hat[:, l, k, :].conj() / n
             diag = np.diag(target).real
             bound = 3 * np.sqrt(np.outer(diag, diag) / n) + 1e-15

@@ -79,6 +79,33 @@ def test_spec_validation():
                             p_hat=(0.1, 0.2, 0.15)))
 
 
+def test_spec_rejects_fractional_and_bool_counts():
+    # config_for ran int(value): 10.5 ran as 10 and True as 1, while the
+    # rows printed the value given
+    for sweep in ("L", "K", "U", "M", "N"):
+        for bad in (10.5, True, "10.5"):
+            with pytest.raises(ExperimentError,
+                               match=f"bad {sweep} value {bad!r}"):
+                tiny_spec(sweep=sweep, values=(bad,))
+    spec = tiny_spec(sweep="L", values=("2", 3.0, np.int64(4)))
+    assert [spec.config_for(v).L for v in spec.values] == [2, 3, 4]
+
+
+def test_spec_rejects_fractional_drop_count():
+    # n_drops = 1.5 used to pass the spec and raise TypeError in the run
+    with pytest.raises(ExperimentError, match="n_drops"):
+        tiny_spec(n_drops=1.5)
+    assert tiny_spec(n_drops=np.int64(1)).n_drops == 1
+
+
+def test_spec_rejects_negative_seed():
+    # seed = -1 used to pass the spec and raise ValueError from SeedSequence
+    for bad in (-1, 1.5):
+        with pytest.raises(ExperimentError, match="seed must be an integer"):
+            tiny_spec(seed=bad)
+    assert tiny_spec(seed=np.int64(0)).seed == 0
+
+
 def test_spec_rejects_pilot_metric():
     # pilots are always allocated by the large-scale "beta" metric
     with pytest.raises(ExperimentError, match="pilot_metric"):

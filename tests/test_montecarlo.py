@@ -5,13 +5,15 @@ import pytest
 
 from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
                    maxmin_power, sinr_from_weights, uatf_monte_carlo)
-from simcf.estimation import despread_pilot_noise, mmse_estimate
+from simcf.channel import ChannelState
+from simcf.estimation import (build_estimation_state, despread_pilot_noise,
+                              mmse_estimate)
 from simcf.montecarlo import _delta_method, _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights, sinr_coefficients
 
 from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
-                       sample_channel, uatf_monte_carlo_einsum)
+                       r_all, sample_channel, uatf_monte_carlo_einsum)
 
 
 def test_mc_matches_closed_form(small_model, small_pilots, small_phases,
@@ -140,7 +142,7 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
     from simcf.channel import sinc_correlation, steering_units
 
     l, k = 1, 2
-    r = state.r_all()[l, k]
+    r = r_all(state)[l, k]
     t = cascade_through_antennas(small_model.dset, small_phases[l])
     base = sinc_correlation(small_model.geom.output_grid, cfg.wavelength)
     steer = steering_units(small_model.geom, small_model.drop)[l, k]
@@ -159,6 +161,36 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
     target = r + np.outer(state.h_bar[l, k], state.h_bar[l, k].conj())
     assert np.all(np.abs(second - target)
                   <= 15 * scale ** 2 / np.sqrt(draws))
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_nlos_factor_squares_to_each_link_covariance(u):
+    # sqrt(beta_nlos) times one square root of s per AP: F F^H = beta_nlos s
+    cfg = SystemConfig(L=3, K=4, U=u, M=2, N=9, tau_p=2)
+    drop = generate_drop(cfg, 31)
+    model = NetworkModel.from_drop(drop)
+    state, est = model.states(model.random_phases([31, 1]),
+                              allocate_pilots(drop).pilot_of)
+    f = _TrialSampler(state, est, 0).nlos_factor
+    r = r_all(state)
+    assert f.shape == r.shape == (cfg.L, cfg.K, u, u)
+    rel = (np.abs(f @ f.conj().swapaxes(-1, -2) - r).max(axis=(-2, -1))
+           / np.abs(r).max(axis=(-2, -1)))
+    assert rel.max() <= 1e-12
+
+
+def test_non_psd_correlation_raises_linalg_error():
+    # s = diag(1, -1e-6) is indefinite beyond roundoff, yet its pilot
+    # covariances stay positive definite over the noise floor, so the
+    # estimation state builds and the sampler's square root must refuse s
+    state = ChannelState(h_bar=np.zeros((1, 2, 2), dtype=complex),
+                         s=np.diag([1.0, -1e-6]).astype(complex)[None],
+                         beta_nlos=np.full((1, 2), 1e-9))
+    est = build_estimation_state(state, np.array([0, 1]), np.full(2, 0.2), 2,
+                                 1e-12)
+    with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
+        uatf_monte_carlo(state, est, np.full(2, 0.2), np.ones((2, 1)), 2,
+                         rng=0)
 
 
 def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,

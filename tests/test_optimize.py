@@ -18,8 +18,8 @@ from reference import (candidate, denominator_matrices,
                        maxmin_power_bisection, optimize_beamforming_serial,
                        replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
-                       sinr_of_breakdown, splice_ap, terms_loop,
-                       turned_slices)
+                       sinr_of_breakdown, splice_ap, term, terms_loop,
+                       turned_slices, xi_of)
 
 
 def test_pilots_identity_when_enough():
@@ -282,7 +282,7 @@ def test_maxmin_improves_minimum():
 def test_maxmin_iteration_bound():
     cfg, drop, terms, _, w = _maxmin_setup(50)
     coeffs = sinr_coefficients(terms, w)
-    full_max = coeffs.gamma(drop.p).max()
+    full_max = coeffs.sinr(drop.p).max()
     eps = 1e-3
     sol = maxmin_power(coeffs, cfg.p_max, eps=eps)
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
@@ -360,11 +360,25 @@ def _coeffs(signal, d, noise):
 
 
 def test_maxmin_nonpositive_full_power_bracket():
-    # every full-power denominator negative: t_hi <= 0, no bisection
-    coeffs = _coeffs([1.0, 1.0], [[-2.0, 0.0], [0.0, -2.0]], [0.1, 0.1])
-    sol = _assert_same_solution(coeffs, 1.0)
+    # a zero power cap: every full-power SINR is 0, t_hi <= 0, no bisection
+    coeffs = _coeffs([1.0, 1.0], [[0.5, 0.1], [0.1, 0.5]], [0.1, 0.1])
+    sol = _assert_same_solution(coeffs, 0.0)
     assert sol.iterations == 0 and sol.bracket == (0.0, 0.0)
-    assert np.array_equal(sol.p, [1.0, 1.0])
+    assert np.array_equal(sol.p, [0.0, 0.0])
+    # every full-power denominator negative is a broken input, not an
+    # empty bracket
+    coeffs = _coeffs([1.0, 1.0], [[-2.0, 0.0], [0.0, -2.0]], [0.1, 0.1])
+    with pytest.raises(SinrComputationError, match="SINR denominator"):
+        maxmin_power(coeffs, 1.0)
+
+
+def test_maxmin_infinite_bracket_top_raises():
+    # a zero full-power denominator would put the bracket top at inf, which
+    # the bisection never narrows
+    coeffs = _coeffs([1.0, 1.0], np.zeros((2, 2)), [0.0, 1.0])
+    with pytest.raises(SinrComputationError,
+                       match="nonpositive SINR denominator for UE 0"):
+        maxmin_power(coeffs, 1.0)
 
 
 def test_maxmin_no_feasible_midpoint_keeps_full_power(monkeypatch):
@@ -383,7 +397,7 @@ def test_maxmin_guard_band_midpoint_is_solved(monkeypatch):
     # one UE: the optimum is its full-power SINR, 2.5, and the bracket
     # [0, 5] puts the first midpoint on it
     coeffs = _coeffs([2.0], [[0.3]], [0.5])
-    t_opt = float(coeffs.gamma(np.ones(1))[0])
+    t_opt = float(coeffs.sinr(np.ones(1))[0])
     assert _in_guard_band(coeffs, 1.0, t_opt)
     calls = _spy_solves(monkeypatch)
     sol = _assert_same_solution(coeffs, 1.0)
@@ -429,7 +443,7 @@ def test_maxmin_coefficients_match_direct_evaluation():
         p = rng.uniform(0, cfg.p_max, cfg.K)
         direct = sinr_of_breakdown(
             sinr_breakdown(terms, w, p, p_hat, cfg.tau_p, cfg.sigma2))
-        np.testing.assert_allclose(coeffs.gamma(p), direct, rtol=1e-10)
+        np.testing.assert_allclose(coeffs.sinr(p), direct, rtol=1e-10)
 
 
 @pytest.mark.parametrize("decoder", ["lsfd", "egcd"])
@@ -497,8 +511,8 @@ def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
         expected = replace_ap(base, l, one_ap)
         got = candidate(terms, i)
         for name in ("z", "xi", "delta", "lam"):
-            want = getattr(expected, name)
-            np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12,
+            want = term(expected, name)
+            np.testing.assert_allclose(term(got, name), want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
         assert values[i] == obj.probe(l, rows, cols, steps[i:i + 1])[0][0]
     # no probe beats the best value: nothing is committed
@@ -567,7 +581,7 @@ def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
             raise EstimationError("pilot covariance is singular")
         terms = real(l, base, rows, cols, steps, pilot_of)
         cross = terms.cross.copy()
-        cross[..., hit] = -1e6 * np.abs(terms.xi).max()
+        cross[..., hit] = -1e6 * np.abs(xi_of(terms)).max()
         return replace(terms, cross=cross)
 
     monkeypatch.setattr(model, "block_terms", block_terms)

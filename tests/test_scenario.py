@@ -152,6 +152,25 @@ def test_config_validation():
         SystemConfig(K=5, p_hat=(0.1, 0.2))
 
 
+def test_config_rejects_fractional_pilot_and_block_lengths():
+    # tau_p = 2.5 used to pass and then fail allocate_pilots with a TypeError
+    for name, bad in (("tau_p", 2.5), ("tau_c", 200.5), ("tau_p", 0),
+                      ("tau_c", "200")):
+        with pytest.raises(ConfigError, match=f"{name} must be a positive "
+                                              f"integer"):
+            SystemConfig(**{name: bad})
+    assert SystemConfig(tau_p=np.int64(3), tau_c=np.int64(100)).tau_p == 3
+
+
+def test_config_rejects_zero_stack_thickness_and_atom_pitch():
+    # t_sim = 0 used to abort the run with coincident source/destination
+    # points, and d_meta = 0 to fail every drop as a nonpositive SINR
+    # denominator
+    for name in ("t_sim", "d_meta"):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            SystemConfig(**{name: 0.0})
+
+
 def test_config_defaults_follow_wavelength():
     cfg = SystemConfig(wavelength=0.3)
     assert cfg.d_meta == pytest.approx(0.15)

@@ -10,9 +10,9 @@ from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       sinr_terms)
 
 from reference import (candidate, cross_moment_estimates,
-                       denominator_matrices, predicted_cross_moments,
-                       sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
-                       splice_ap)
+                       denominator_matrices, omega_of, predicted_cross_moments,
+                       r_all, sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
+                       splice_ap, xi_of)
 
 
 def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
@@ -31,9 +31,10 @@ def terms_at(seed, **kw):
 
 def test_term_shapes_and_signs(small_terms, small_pilots, small_cfg):
     t = small_terms
+    xi = xi_of(t)
     assert t.z.shape == (small_cfg.K, small_cfg.L)
     assert np.all(t.z >= 0)
-    assert np.all(t.xi >= 0)
+    assert np.all(xi >= 0)
     assert np.all(t.lam >= 0)
     # coherent couplings only appear inside pilot-sharing pairs
     pilot_of = small_pilots.pilot_of
@@ -41,7 +42,7 @@ def test_term_shapes_and_signs(small_terms, small_pilots, small_cfg):
     assert np.all(t.delta[~mask] == 0)
     # the non-coherent self coefficient dominates the LoS-square correction
     for k in range(small_cfg.K):
-        assert np.all(t.xi[k, k] >= t.lam[k] ** 2 - 1e-18)
+        assert np.all(xi[k, k] >= t.lam[k] ** 2 - 1e-18)
 
 
 def test_zero_los_collapses_terms(small_model, small_pilots, small_phases,
@@ -53,7 +54,7 @@ def test_zero_los_collapses_terms(small_model, small_pilots, small_phases,
     p_hat = small_cfg.pilot_powers()
     t = sinr_terms(state, est)
     assert np.all(t.lam == 0)
-    tr_omega = np.real(np.einsum("lkuu->kl", est.omega))
+    tr_omega = np.real(np.einsum("lkuu->kl", omega_of(est)))
     assert np.allclose(t.z, p_hat[:, None] * small_cfg.tau_p * tr_omega)
 
 
@@ -66,7 +67,7 @@ def test_single_link_scalar_value():
     est = model.estimation_state(state, pilots.pilot_of)
     p_hat = cfg.pilot_powers()
     t = sinr_terms(state, est)
-    r = state.r_all()[0, 0]
+    r = r_all(state)[0, 0]
     w, v = np.linalg.eigh(r)
     expected = sum(p_hat[0] * cfg.tau_p * lam ** 2
                    / (p_hat[0] * cfg.tau_p * lam + cfg.sigma2) for lam in w)
@@ -204,7 +205,7 @@ def test_negative_denominator_raises(small_terms, small_cfg):
                      cross=np.zeros_like(small_terms.cross),
                      delta=np.zeros_like(small_terms.delta),
                      lam=np.sqrt(np.ones_like(small_terms.lam)), sigma2=0.0)
-    assert np.all(broken.xi == 0)
+    assert np.all(xi_of(broken) == 0)
     p = np.full(small_cfg.K, small_cfg.p_max)
     with pytest.raises(SinrComputationError):
         sinr_from_weights(broken, egcd_weights(broken), p)
@@ -258,7 +259,9 @@ def test_sinr_from_weights_matches_breakdown_oracle(decoder):
         ref = sinr_of_breakdown(sinr_breakdown(
             terms, w, p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2))
         np.testing.assert_allclose(gamma, ref, rtol=1e-12, atol=0)
-        assert np.array_equal(sinr_coefficients(terms, w).gamma(p), gamma)
+        # the checked SINR is the affine fraction of the coefficients
+        c = sinr_coefficients(terms, w)
+        assert np.array_equal(c.signal * p / (c.d @ p + c.noise), gamma)
 
 
 def candidate_stack(model, pilots, phases, l=1, n=5):
@@ -330,9 +333,9 @@ def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
     # LoS cross term |h_k^H h_j|^2 that dg sums, so xi carries it as well
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
     cross = stack.cross.copy()
-    cross[2, 1, :, 0] = -1e6 * np.abs(stack.xi).max()
+    cross[2, 1, :, 0] = -1e6 * np.abs(xi_of(stack)).max()
     stack = replace(stack, cross=cross)
-    assert stack.z[2, 1, 0] > 0 and np.all(stack.xi[2, 1, :, 0] < 0)
+    assert stack.z[2, 1, 0] > 0 and np.all(xi_of(stack)[2, 1, :, 0] < 0)
     with pytest.raises(SinrComputationError,
                        match=r"UE 1 of candidate \(2,\)"):
         lsfd_weights(stack, small_model.drop.p)
@@ -341,14 +344,14 @@ def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
 def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
                                                 small_phases):
     stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
-    xi = stack.xi
+    xi = xi_of(stack)
     # xi is linear in its parts nu, spec and cross: negating them negates it
     negated = {name: getattr(stack, name).copy()
                for name in ("nu", "spec", "cross")}
     for arr in negated.values():
         arr[2] = -arr[2]
     stack = replace(stack, **negated)
-    assert np.array_equal(stack.xi[2], -xi[2])
-    assert np.array_equal(stack.xi[[0, 1, 3]], xi[[0, 1, 3]])
+    assert np.array_equal(xi_of(stack)[2], -xi[2])
+    assert np.array_equal(xi_of(stack)[[0, 1, 3]], xi[[0, 1, 3]])
     with pytest.raises(SinrComputationError, match=r"of candidate \(2,\)"):
         sinr_from_weights(stack, egcd_weights(stack), small_model.drop.p)
