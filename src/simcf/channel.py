@@ -3,7 +3,7 @@
 # spatial correlation on the output layer, planar-wavefront steering toward
 # every UE, and the effective antenna-domain statistics of every (AP, UE)
 # link for a given phase tensor, or of one AP under every probe of a block
-# of its atoms.
+# of its atoms, in one network or in every network of a pitch sweep.
 
 from dataclasses import dataclass
 
@@ -66,31 +66,38 @@ def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
 
 def block_channel_state(drop: Drop, dset: DiffractionSet, l, base, rows, cols,
                         steps, base_corr, steering) -> ChannelState:
-    """Statistics of AP l under each probe of one block, shape (B, ...).
+    """Statistics of AP l under each probe of one block, in every network
+    of a group.
 
-    Probe b turns the atoms (rows, cols) of AP l's phases base (M, N) by
-    steps[b]; row b of the result belongs to it, with every other AP left
-    out. With the cascade t(z) = sum_d c_d z^d (block_cascade_coeffs) at
-    z = e^{j step}, s(z) = t^H base_corr t is the Laurent polynomial
+    Probe b turns the atoms (rows, cols) of AP l's phases base (..., M, N)
+    by steps[b]. Leading axes of base, of the matrices of dset, of
+    base_corr (..., N, N) and of steering (..., L, K, N) are network axes:
+    the networks of one drop whose stacks differ (a pitch sweep), sharing
+    the drop, the block and the steps. Row s B + b of the result belongs to
+    probe b of network s, with every other AP left out. With the cascade
+    t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
+    s(z) = t^H base_corr t is the Laurent polynomial
     sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
     sum_d conj(z^d) amp conj(c_d): the coefficient products are formed once
-    per block and each probe costs only their weighted sums. Each probe's
-    sums run on their own, so a row equals a one-probe call bit for bit.
+    per block and network and each probe costs only their weighted sums.
+    Each (network, probe) pair's sums run on their own, so a row equals a
+    one-network, one-probe call bit for bit.
     """
-    c = block_cascade_coeffs(dset, base, rows, cols)      # (D+1, N, U)
-    n_coef, n_atoms, u = c.shape
-    n_ue = steering.shape[1]
-    flat = c.transpose(1, 0, 2).reshape(n_atoms, n_coef * u)
-    gram = (flat.conj().T @ (base_corr @ flat)).reshape(n_coef, u, n_coef, u)
-    gram = gram.transpose(0, 2, 1, 3).reshape(n_coef * n_coef, u * u)
-    amp = np.sqrt(drop.beta_los[l])[:, None] * steering[l]        # (K, N)
-    mean = (amp @ flat.conj()).reshape(n_ue, n_coef, u)
-    mean = mean.transpose(1, 0, 2).reshape(n_coef, n_ue * u)
+    c = block_cascade_coeffs(dset, base, rows, cols)      # (..., D+1, N, U)
+    *lead, n_coef, n_atoms, u = c.shape
+    n_ue = steering.shape[-2]
+    flat = c.swapaxes(-3, -2).reshape(*lead, n_atoms, n_coef * u)
+    gram = flat.conj().swapaxes(-1, -2) @ (base_corr @ flat)
+    gram = gram.reshape(*lead, n_coef, u, n_coef, u).swapaxes(-3, -2)
+    gram = gram.reshape(*lead, 1, n_coef * n_coef, u * u)
+    amp = np.sqrt(drop.beta_los[l])[:, None] * steering[..., l, :, :]
+    mean = (amp @ flat.conj()).reshape(*lead, n_ue, n_coef, u)
+    mean = mean.swapaxes(-3, -2).reshape(*lead, 1, n_coef, n_ue * u)
     steps = np.asarray(steps, dtype=float)
     z = np.exp(1j * np.multiply.outer(steps, np.arange(n_coef)))  # (B, D+1)
     pairs = (z.conj()[:, :, None] * z[:, None, :]).reshape(-1, 1, n_coef ** 2)
     proj = (pairs @ gram).reshape(-1, u, u)
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
     h_bar = (z.conj()[:, None, :] @ mean).reshape(-1, n_ue, u)
-    beta_nlos = np.repeat(drop.beta_nlos[l][None], steps.size, axis=0)
+    beta_nlos = np.repeat(drop.beta_nlos[l][None], len(s), axis=0)
     return ChannelState(h_bar=h_bar, s=s, beta_nlos=beta_nlos)

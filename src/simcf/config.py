@@ -63,7 +63,9 @@ class SystemConfig:
     def validate(self):
         for name in ("L", "K", "U", "M", "N", "tau_p", "tau_c"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            # bool is an int, but True is no count
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or v < 1):
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.tau_p > self.tau_c:
             raise ConfigError(

@@ -2,13 +2,20 @@
 # Sweep runner: seeded scenario batches over one sweep variable, optional
 # phase optimization and power control per scheme, closed-form SE for both
 # decoders, optional Monte-Carlo validation, and CSV emission (raw per-UE
-# rows plus aggregates). The unit of work is one (sweep value, drop) cell,
-# which takes its value's SystemConfig (built once per value) and derives
-# the rest from the spec; cells run serially in a fixed order. A cell that
-# hits a typed numerical failure is logged and counted; any other exception
-# aborts the run. Every sweep value is checked when the spec is built.
-# Output is plain data; plotting is external.
+# rows plus aggregates). A (sweep value, drop) cell takes its value's
+# SystemConfig (built once per value) and derives the rest from the spec.
+# The unit of work is a group of cells that share one phase search: the
+# cells of one drop whose configs differ only in d_meta (the pitches of a
+# pitch sweep, whose searches visit the same blocks in the same order), or
+# a single cell in any other sweep. Each cell of a group builds its drop,
+# model and pilots and evaluates its own rows; groups run serially in a
+# fixed order and the rows stay in (value, drop) order. A cell that hits a
+# typed numerical failure is logged and counted (a failing group first
+# runs each of its cells alone); any other exception aborts the run. Every
+# sweep value is checked when the spec is built. Output is plain data;
+# plotting is external.
 
+import collections
 import csv
 import itertools
 import json
@@ -46,6 +53,11 @@ class ExperimentError(RuntimeError):
     pass
 
 
+def _is_count(x):
+    """x is an integer and not a bool (which is an int)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: variable, values, drops, schemes and seeding."""
@@ -67,13 +79,13 @@ class ExperimentSpec:
             raise ExperimentError(f"sweep must be one of {SWEEPABLE}")
         if not self.values:
             raise ExperimentError("value list must be non-empty")
-        if not isinstance(self.n_drops, (int, np.integer)) or self.n_drops < 1:
+        if not _is_count(self.n_drops) or self.n_drops < 1:
             raise ExperimentError("n_drops must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_count(self.seed) or self.seed < 0:
             raise ExperimentError(f"seed must be an integer >= 0, got "
                                   f"{self.seed!r}")
-        if (not isinstance(self.n_mc_trials, (int, np.integer))
-                or self.n_mc_trials < 0 or self.n_mc_trials == 1):
+        if (not _is_count(self.n_mc_trials) or self.n_mc_trials < 0
+                or self.n_mc_trials == 1):
             raise ExperimentError("n_mc_trials must be 0 (off) or an "
                                   "integer >= 2")
         if not 0 < self.maxmin_eps < np.inf:
@@ -112,11 +124,15 @@ class ExperimentSpec:
         """SystemConfig for one sweep value."""
         params = dict(self.base)
         try:
+            # int() and float() take True as 1; the rows would print the
+            # value, not the count or pitch that ran
+            if (self.sweep in ("L", "K", "U", "M", "N", "d_meta")
+                    and isinstance(value, (bool, np.bool_))):
+                raise ValueError("a bool is not a number")
             if self.sweep in ("L", "K", "U", "M", "N"):
                 params[self.sweep] = count = int(value)
-                # int() truncates 10.5 and takes True as 1; the rows would
-                # print the value, not the count that ran
-                if isinstance(value, bool) or count != float(value):
+                # int() truncates 10.5
+                if count != float(value):
                     raise ValueError("not an integer")
             elif self.sweep == "d_meta":
                 params["d_meta"] = float(value)
@@ -172,29 +188,57 @@ class ExperimentResult:
     failures: int
 
 
+# Numerical failures that make a cell fail; any other exception aborts the
+# run.
+_TYPED_FAILURES = (EstimationError, se.SinrComputationError, ScenarioError,
+                   np.linalg.LinAlgError)
+
+
 def _drop_seed(spec, drop_index, purpose):
     # Purposes: 0 drop geometry, 1 initial phases, 2 optimizer permutation.
     # Value-independent so sweeps share random numbers where shapes allow.
     return [spec.seed, drop_index, purpose]
 
 
-def _run_drop(spec, cfg, value_index, value, d):
-    """All rows of one (sweep value, drop) cell of the grid; cfg is
-    spec.config_for(value)."""
-    schemes = spec.schemes_for(value)
-    decoders = spec.decoders_for(value)
+def _setup(spec, cfg, d):
+    """(drop, pilots, model, random phases) of drop d under cfg."""
     drop = generate_drop(cfg, _drop_seed(spec, d, 0))
-    pilots = allocate_pilots(drop)
-    model = NetworkModel.from_drop(drop)
-    rand_phases = random_phase_tensor(cfg.L, cfg.M, cfg.N,
-                                      _drop_seed(spec, d, 1))
-    phase_sets = {"rand": rand_phases}
-    if any(s.startswith("opt") for s in schemes):
-        opt_phases, _ = optimize_beamforming(
-            model, pilots.pilot_of, rand_phases,
+    return (drop, allocate_pilots(drop), NetworkModel.from_drop(drop),
+            random_phase_tensor(cfg.L, cfg.M, cfg.N, _drop_seed(spec, d, 1)))
+
+
+def _run_cells(spec, configs, cells):
+    """{cell: rows} of cells (value index, drop) of one drop that share one
+    phase search (_groups): each builds its drop, model and pilots, the
+    cells with an opt scheme are searched as one group, and each evaluates
+    its own rows."""
+    setups = [_setup(spec, configs[v], d) for v, d in cells]
+    searched = [i for i, (v, _) in enumerate(cells)
+                if any(s.startswith("opt")
+                       for s in spec.schemes_for(spec.values[v]))]
+    opt_phases = {}
+    if searched:
+        d = cells[0][1]
+        found = optimize_beamforming(
+            [setups[i][2] for i in searched], setups[searched[0]][1].pilot_of,
+            np.stack([setups[i][3] for i in searched]),
             BeamformingConfig(**spec.beamforming),
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
-        phase_sets["opt"] = opt_phases
+        opt_phases = {i: phases for i, (phases, _) in zip(searched, found)}
+    return {cell: _cell_rows(spec, configs[cell[0]], *cell, *setup,
+                             opt_phases.get(i))
+            for i, (cell, setup) in enumerate(zip(cells, setups))}
+
+
+def _cell_rows(spec, cfg, value_index, d, drop, pilots, model, rand_phases,
+               opt_phases):
+    """All rows of one (sweep value, drop) cell of the grid; cfg is
+    spec.config_for(value), opt_phases the searched phases (None when no
+    scheme of the value needs them)."""
+    value = spec.values[value_index]
+    schemes = spec.schemes_for(value)
+    decoders = spec.decoders_for(value)
+    phase_sets = {"rand": rand_phases, "opt": opt_phases}
 
     # Closed form of every (scheme, decoder) setting in row order. The
     # states, their terms and each decoder's weights and SINR coefficients
@@ -245,22 +289,52 @@ def _run_drop(spec, cfg, value_index, value, d):
     return rows
 
 
+def _groups(spec, configs):
+    """The cells (value index, drop) of the sweep as groups that share one
+    phase search, in the order of their first cells in (value, drop) order:
+    per drop, the cells whose configs agree in every field but d_meta, and
+    differ in d_meta (a pitch sweep). Equal configs (the values of a scheme
+    or decoder sweep) are kept apart, so every other sweep gives groups of
+    one."""
+    copies = collections.Counter()
+    keys = []
+    for cfg in configs:
+        keys.append((tuple(getattr(cfg, f.name) for f in fields(cfg)
+                           if f.name != "d_meta"), copies[cfg]))
+        copies[cfg] += 1
+    groups = {}
+    for v, d in itertools.product(range(len(configs)), range(spec.n_drops)):
+        groups.setdefault((d, keys[v]), []).append((v, d))
+    return list(groups.values())
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute the sweep, one (sweep value, drop) cell after another."""
-    rows = []
-    failures = 0
+    """Execute the sweep, one group of cells (_groups) after another. When a
+    typed failure escapes a group of several cells, each of its cells runs
+    again alone, so a cell fails or succeeds as it does on its own."""
     configs = [spec.config_for(value) for value in spec.values]
-    for (value_index, value), d in itertools.product(enumerate(spec.values),
-                                                     range(spec.n_drops)):
+    done = {}
+    failures = 0
+    pending = _groups(spec, configs)
+    while pending:
+        cells = pending.pop(0)
         try:
-            rows.extend(_run_drop(spec, configs[value_index], value_index,
-                                  value, d))
-        except (EstimationError, se.SinrComputationError, ScenarioError,
-                np.linalg.LinAlgError):
+            done.update(_run_cells(spec, configs, cells))
+        except _TYPED_FAILURES:
+            if len(cells) > 1:
+                log.info("group search of drop %d failed; running its %d "
+                         "cells alone", cells[0][1], len(cells))
+                pending[:0] = [[cell] for cell in cells]
+                continue
             failures += 1
-            log.exception("drop %d at value %r failed; skipping", d, value)
-    aggregates = aggregate_rows(spec, rows)
-    return ExperimentResult(spec=spec, rows=rows, aggregates=aggregates,
+            (v, d), = cells
+            log.exception("drop %d at value %r failed; skipping", d,
+                          spec.values[v])
+    rows = [row for cell in itertools.product(range(len(spec.values)),
+                                              range(spec.n_drops))
+            for row in done.get(cell, ())]
+    return ExperimentResult(spec=spec, rows=rows,
+                            aggregates=aggregate_rows(spec, rows),
                             failures=failures)
 
 

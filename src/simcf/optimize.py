@@ -7,14 +7,16 @@
 # Perron-Frobenius optimum, a linear solve deciding only those within a
 # guard band of it, so it returns what solving every midpoint returns.
 
+import bisect
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import se
 from .estimation import EstimationError
-from .pipeline import NetworkModel
+from .pipeline import NetworkGroup
 from .scenario import Drop
 from .sim_physics import wrap_phases
 
@@ -95,37 +97,83 @@ class TraceRow:
     accepted: bool
 
 
-class SumSeObjective:
-    """Closed-form sum SE of the network, with batched probing of one AP.
+class Trace(Sequence):
+    """Objective trace of one phase search: row 0 holds the start value and
+    row i the objective after probe i and whether probe i was accepted.
+    Only the accepted probes are stored; each row is made on access."""
 
-    Only the per-AP SINR parts of the network (se.sinr_parts) are kept,
-    not its terms. probe(l, rows, cols, steps) turns a block of AP l's atoms
-    by each of the B steps and evaluates the probes as one batch: AP l's
-    channel statistics under every probe (from the polynomial in e^{j step}
-    that the block's cascade is, the probes on the AP axis), one stacked
-    eigendecomposition of their antenna correlations for the estimation
-    state, the spectral terms (NetworkModel.block_terms), and their parts,
-    whose denominator diagonals are summed from the spectral terms without
-    forming the (K, K) interference couplings xi. For each probe its part
-    is added to the sums of the parts over the other APs, formed once per
-    block. The SINR follows from those sums (se.sinr_from_parts): under
-    LSFD the Woodbury Rayleigh quotient, under EGCD the all-ones weighting.
-    improve commits the first probe that beats the current value by writing
-    its column into AP l's parts.
+    def __init__(self, start):
+        self._accepts, self._values, self._len = [0], [start], 1
+
+    def record(self, n_rejected, accepted=None):
+        """Append n_rejected rejected probes, then an accepted one with the
+        objective accepted unless that is None."""
+        self._len += n_rejected
+        if accepted is not None:
+            self._accepts.append(self._len)
+            self._values.append(accepted)
+            self._len += 1
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        i = range(self._len)[i]
+        j = bisect.bisect_right(self._accepts, i) - 1
+        return TraceRow(i, self._values[j], j > 0 and self._accepts[j] == i)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class SumSeObjective:
+    """Closed-form sum SE of each network of a group (pipeline.NetworkGroup:
+    the networks of one drop whose stacks differ), with batched probing of
+    one AP in all of them.
+
+    Only the per-AP SINR parts of the networks (se.sinr_parts) are kept,
+    stacked as (S, ..., L), with the phases (S, L, M, N) and each network's
+    best value so far, best (S,). probe(l, rows, cols, steps) turns a block
+    of AP l's atoms by each of the B steps in every network and evaluates
+    the S B probes as one batch: AP l's channel statistics under every
+    probe (from the polynomial in e^{j step} that the block's cascade is,
+    the probes on the AP axis), one stacked eigendecomposition of their
+    antenna correlations for the estimation state, the spectral terms
+    (NetworkGroup.block_terms), and their parts, whose denominator
+    diagonals are summed from the spectral terms without forming the
+    (K, K) interference couplings xi. For each probe its part is added to
+    its network's sums of the parts over the other APs, which are formed
+    once per AP pass: an accept rewrites only AP l's column. The SINR
+    follows from those sums (se.sinr_from_parts): under LSFD the Woodbury
+    Rayleigh quotient, under EGCD the all-ones weighting. improve commits
+    in each network the first probe that beats its best by writing its
+    column into AP l's parts. Every network's values are those of a search
+    on that network alone, bit for bit.
     """
 
-    def __init__(self, model: NetworkModel, pilot_of, p=None, decoder="lsfd"):
-        self.model = model
-        self.cfg = model.cfg
+    def __init__(self, models, pilot_of, p=None, decoder="lsfd"):
+        self.group = NetworkGroup.of(models)
+        self.models = self.group.models
+        self.cfg = self.models[0].cfg
         self.pilot_of = np.asarray(pilot_of)
-        self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
+        self.p = (self.models[0].drop.p if p is None
+                  else np.asarray(p, dtype=float))
         self.decoder = decoder
-        self.phases = self.parts = None
+        self.phases = self.parts = self.best = self._others = None
 
     def set_phases(self, phases):
+        """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
-        self.parts = self._parts(self.model.terms(self.phases, self.pilot_of))
-        return float(self._sum_se([part.sum(axis=-1) for part in self.parts]))
+        parts = [self._parts(model.terms(phases_s, self.pilot_of))
+                 for model, phases_s in zip(self.models, self.phases)]
+        self.parts = [np.stack(part) for part in zip(*parts)]
+        self._others = None
+        self.best = self._sum_se([part.sum(axis=-1) for part in self.parts])
+        return self.best.copy()
 
     def _parts(self, terms):
         return se.sinr_parts(terms, self.decoder, self.p)
@@ -135,99 +183,134 @@ class SumSeObjective:
         return se.se_from_sinr(gamma, self.cfg.tau_c,
                                self.cfg.tau_p).sum(axis=-1)
 
-    def probe(self, l, rows, cols, steps):
-        """(values (B,), parts) with the atoms (rows, cols) of AP l turned
-        by each of steps (B,): parts are the SINR parts of AP l under the
-        probes, the probes on the AP axis."""
-        parts = self._parts(self.model.block_terms(
-            l, self.phases[l], rows, cols, steps, self.pilot_of))
-        others = np.arange(self.cfg.L) != l
-        sums = [(part @ others)[..., None] + new
-                for part, new in zip(self.parts, parts)]
-        # the probes first, as candidates of sinr_from_parts (transpose,
-        # since np.moveaxis would double the cost of this step)
-        return self._sum_se([s.transpose(-1, *range(s.ndim - 1))
+    def _other_sums(self, l):
+        """Sums of each part over the APs other than l, (..., S): the
+        network axis last, where probe puts the probes."""
+        if self._others is None or self._others[0] != l:
+            others = np.arange(self.cfg.L) != l
+            self._others = (l, [np.ascontiguousarray(np.moveaxis(
+                part @ others, 0, -1)) for part in self.parts])
+        return self._others[1]
+
+    def probe(self, l, rows, cols, steps, net=None):
+        """(values (S, B), parts) with the atoms (rows, cols) of AP l turned
+        by each of steps (B,) in every network, or in network net alone
+        (S = 1): parts are the SINR parts of AP l under the probes, the S B
+        probes on the AP axis."""
+        nets = slice(None) if net is None else [net]
+        group = (self.group if net is None or len(self.models) == 1
+                 else NetworkGroup.of([self.models[net]]))
+        parts = self._parts(group.block_terms(
+            l, self.phases[nets, l], rows, cols, steps, self.pilot_of))
+        n_nets = len(group.models)
+        sums = [other[..., nets, None]
+                + new.reshape(*new.shape[:-1], n_nets, np.size(steps))
+                for other, new in zip(self._other_sums(l), parts)]
+        # the networks and probes first, as candidates of sinr_from_parts
+        # (transpose, since np.moveaxis would double the cost of this step)
+        return self._sum_se([s.transpose(-2, -1, *range(s.ndim - 2))
                              for s in sums]), parts
 
-    def improve(self, l, rows, cols, steps, best, min_gain):
-        """Commit the first probe whose value exceeds best by more than
-        min_gain and return (its index, its value); None when no probe does.
+    def improve(self, l, rows, cols, steps, min_gain):
+        """Commit in each network the first probe whose value exceeds its
+        best by more than min_gain, its best becoming best + (value - best)
+        as a probe-by-probe search forms it; returns the index of that probe
+        per network, -1 where no probe does.
 
         A typed failure (EstimationError, SinrComputationError) of a batch
-        of several probes is not raised: the probes are then tried one at a
-        time in order, so only a probe the search reaches can raise.
+        of several probes is not raised: each network then tries the probes
+        alone, one at a time in order, so only a probe the search of some
+        network reaches can raise, as in a search of that network alone.
         """
         steps = np.asarray(steps, dtype=float)
         try:
             values, parts = self.probe(l, rows, cols, steps)
         except (EstimationError, se.SinrComputationError):
-            if steps.size == 1:
+            if steps.size == 1 and len(self.models) == 1:
                 raise
-            for i in range(steps.size):
-                hit = self.improve(l, rows, cols, steps[i:i + 1], best,
-                                   min_gain)
-                if hit is not None:
-                    return i, hit[1]
-            return None
-        better = np.flatnonzero(values - best > min_gain)
-        if better.size == 0:
-            return None
-        i = int(better[0])
-        for part, new in zip(self.parts, parts):
-            part[..., l] = new[..., i]
-        self.phases[l, rows, cols] = wrap_phases(self.phases[l, rows, cols]
-                                                 + steps[i])
-        return i, float(values[i])
+            hits = np.full(len(self.models), -1)
+            for net in range(len(self.models)):
+                for i in range(steps.size):
+                    one = steps[i:i + 1]
+                    won = self._commit([net], l, rows, cols, one, min_gain,
+                                       *self.probe(l, rows, cols, one, net))
+                    if won[0] >= 0:
+                        hits[net] = i
+                        break
+            return hits
+        return self._commit(range(len(self.models)), l, rows, cols, steps,
+                            min_gain, values, parts)
+
+    def _commit(self, nets, l, rows, cols, steps, min_gain, values, parts):
+        """Commit the first probe of each of the networks nets whose value
+        (values[j] for nets[j]) clears its best; returns their indices."""
+        better = values - self.best[list(nets), None] > min_gain
+        hits = np.where(better.any(axis=1), better.argmax(axis=1), -1)
+        for j in np.flatnonzero(hits >= 0):
+            s, i = nets[j], hits[j]
+            for part, new in zip(self.parts, parts):
+                part[s, ..., l] = new[..., j * steps.size + i]
+            self.phases[s, l, rows, cols] = wrap_phases(
+                self.phases[s, l, rows, cols] + steps[i])
+            self.best[s] += values[j, i] - self.best[s]
+        return hits
 
 
-def optimize_beamforming(model: NetworkModel, pilot_of, init_phases,
+def optimize_beamforming(models, pilot_of, init_phases,
                          cfg: BeamformingConfig = BeamformingConfig(),
                          rng=None, p=None):
-    """Blockwise phase search maximizing the closed-form sum SE.
+    """Blockwise phase search maximizing the closed-form sum SE, run for
+    every network of a group at once.
+
+    models are the networks of one drop whose stacks differ (a pitch
+    sweep); a single network is a group of one. They must share the drop's
+    gains and powers, the pilot map and the dimensions (else ValueError),
+    and init_phases, (L, M, N) or one per network (S, L, M, N).
 
     For each AP in turn, meta-atom indices are visited in a seeded random
-    permutation in blocks of block_size. Probe i of a block (i = 1 ..
-    max_probes) adds i * step_size to the block's phases, wrapping modulo
-    2 pi. The first probe improving the objective by more than min_gain is
-    committed and the search moves to the next block. The objective trace
-    is non-decreasing; with no improving probe the input phases survive.
+    permutation in blocks of block_size; the networks share the
+    permutation. Probe i of a block (i = 1 .. max_probes) adds
+    i * step_size to the block's phases, wrapping modulo 2 pi. In each
+    network the first probe improving its objective by more than min_gain
+    is committed and the search moves to the next block. Each objective
+    trace is non-decreasing; with no improving probe a network's input
+    phases survive.
 
-    All probes of a block are evaluated as one batch
-    (SumSeObjective.improve): AP l's terms from the polynomial in e^{j step}
-    that the block's cascade is, and each probe's SINRs from its per-AP
-    parts plus those of the other APs, summed once per block (under LSFD a
-    Woodbury Rayleigh quotient; no L x L matrix is formed). Between blocks
-    only the network's per-AP parts are kept; an accept overwrites AP l's.
-    The first improving probe is accepted, so the phases and the trace are
-    those of evaluating probe after probe.
+    All probes of a block, in all networks, are evaluated as one batch
+    (SumSeObjective.improve): AP l's terms from the polynomial in
+    e^{j step} that the block's cascade is, and each probe's SINRs from its
+    per-AP parts plus those of the other APs of its network, summed once
+    per AP pass (under LSFD a Woodbury Rayleigh quotient; no L x L matrix
+    is formed). Between blocks only the networks' per-AP parts are kept;
+    an accept overwrites AP l's. The first improving probe is accepted, so
+    each network's phases and trace are those of evaluating probe after
+    probe on that network alone.
 
-    Returns (phases, trace) with trace a list of TraceRow per probe.
+    Returns one (phases, trace) per model, trace a Trace: one TraceRow
+    per probe.
     """
     rng = np.random.default_rng(rng)
-    objective = SumSeObjective(model, pilot_of, p=p, decoder=cfg.decoder)
-    best = objective.set_phases(wrap_phases(np.asarray(init_phases,
-                                                      dtype=float)))
-    n_aps, n_layers, n_atoms = objective.phases.shape
+    objective = SumSeObjective(models, pilot_of, p=p, decoder=cfg.decoder)
+    n_aps, n_layers, n_atoms = (objective.cfg.L, objective.cfg.M,
+                                objective.cfg.N)
+    objective.set_phases(wrap_phases(np.broadcast_to(
+        np.asarray(init_phases, dtype=float),
+        (len(objective.models), n_aps, n_layers, n_atoms))))
     steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
-    trace = [TraceRow(iteration=0, objective=best, accepted=False)]
+    traces = [Trace(float(best)) for best in objective.best]
     for _ in range(cfg.sweeps):
         for l in range(n_aps):
             order = rng.permutation(n_layers * n_atoms)
             for start in range(0, order.size, cfg.block_size):
                 block = order[start:start + cfg.block_size]
                 rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-                hit = objective.improve(l, rows, cols, steps, best,
-                                        cfg.min_gain)
-                it = len(trace)
-                n_rejected = steps.size if hit is None else hit[0]
-                trace.extend(TraceRow(it + i, best, False)
-                             for i in range(n_rejected))
-                if hit is not None:
-                    # best + gain, as a probe-by-probe search forms it; it
-                    # can differ from the probe's value in the last bit
-                    best += hit[1] - best
-                    trace.append(TraceRow(len(trace), best, True))
-    return objective.phases, trace
+                hits = objective.improve(l, rows, cols, steps, cfg.min_gain)
+                for trace, hit, best in zip(traces, hits, objective.best):
+                    if hit < 0:
+                        trace.record(steps.size)
+                    else:
+                        trace.record(hit, float(best))
+    return list(zip(objective.phases, traces))
 
 
 # ---------------------------------------------------------------------------

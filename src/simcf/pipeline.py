@@ -3,7 +3,9 @@
 # diffraction matrices, effective channel statistics for a phase tensor,
 # estimation statistics for a pilot assignment, and closed-form terms.
 # Heavy fixed pieces (steering vectors, base correlation) are computed once
-# per drop and reused across phase updates.
+# per drop and reused across phase updates. The networks of one drop whose
+# stacks differ (the pitches of a sweep) form a NetworkGroup, whose stack
+# matrices carry a leading network axis so one block build serves them all.
 
 from dataclasses import dataclass, field
 
@@ -52,14 +54,6 @@ class NetworkModel:
     def terms(self, phases, pilot_of) -> se.SinrTerms:
         return self._terms(self.channel_state(phases), pilot_of)
 
-    def block_terms(self, l, base, rows, cols, steps, pilot_of) -> se.SinrTerms:
-        """Terms of AP l alone under each probe of one block: its phases
-        base (M, N) with the atoms (rows, cols) turned by each of steps
-        (B,). The AP axis of the result runs over the B probes."""
-        state = block_channel_state(self.drop, self.dset, l, base, rows, cols,
-                                    steps, self.base_corr, self.steering)
-        return self._terms(state, pilot_of)
-
     def _terms(self, state, pilot_of):
         return se.sinr_terms(state, self.estimation_state(state, pilot_of))
 
@@ -68,3 +62,53 @@ class NetworkModel:
         se.sinr_terms and the Monte-Carlo oracle."""
         state = self.channel_state(phases)
         return state, self.estimation_state(state, pilot_of)
+
+
+_SHARED = ("L", "K", "U", "M", "N", "tau_c", "tau_p", "sigma2")
+
+
+@dataclass
+class NetworkGroup:
+    """Networks of one drop that differ only in their stacks (the pitches
+    of a sweep): the models, and their stack matrices on a leading network
+    axis, w_first (S, N, U), w_layer (S, M-1, N, N), base_corr (S, N, N)
+    and steering (S, L, K, N)."""
+    models: tuple
+    dset: DiffractionSet = field(repr=False)
+    base_corr: np.ndarray = field(repr=False)
+    steering: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, models) -> "NetworkGroup":
+        """The group of models. Raises ValueError unless they share the
+        drop's gains and powers, the pilot powers and every dimension,
+        tau_c, tau_p and sigma2."""
+        models = tuple(models)
+        first = models[0]
+        for model in models[1:]:
+            a, b = first.drop, model.drop
+            if not (all(getattr(first.cfg, name) == getattr(model.cfg, name)
+                        for name in _SHARED)
+                    and all(np.array_equal(getattr(a, name), getattr(b, name))
+                            for name in ("beta_los", "beta_nlos", "p"))
+                    and np.array_equal(first.cfg.pilot_powers(),
+                                       model.cfg.pilot_powers())):
+                raise ValueError("a network group needs models of one drop "
+                                 "that differ only in their stacks")
+        dset = DiffractionSet(
+            w_first=np.stack([model.dset.w_first for model in models]),
+            w_layer=np.stack([model.dset.w_layer for model in models]))
+        return cls(models=models, dset=dset,
+                   base_corr=np.stack([model.base_corr for model in models]),
+                   steering=np.stack([model.steering for model in models]))
+
+    def block_terms(self, l, bases, rows, cols, steps,
+                    pilot_of) -> se.SinrTerms:
+        """Terms of AP l alone under each probe of one block in every
+        network: network s has the phases bases[s] (M, N) with the atoms
+        (rows, cols) turned by each of steps (B,). The AP axis of the
+        result runs over the S B (network, probe) pairs, network-major."""
+        model = self.models[0]
+        state = block_channel_state(model.drop, self.dset, l, bases, rows,
+                                    cols, steps, self.base_corr, self.steering)
+        return model._terms(state, pilot_of)

@@ -167,7 +167,11 @@ def _lsfd_factors(terms: SinrTerms, p):
 
 
 def _inner_solve(g, v):
-    """(I + g)^-1 v for Woodbury inner matrices g (..., J, J), v (..., J)."""
+    """(I + g)^-1 v for Woodbury inner matrices g (..., J, J), v (..., J).
+    For J = 1, the usual case (one co-pilot), a division, which gives the
+    solve's floats at a tenth of its cost."""
+    if g.shape[-1] == 1:
+        return v / (g[..., 0] + 1.0)
     return np.linalg.solve(g + np.eye(g.shape[-1]), v[..., None])[..., 0]
 
 

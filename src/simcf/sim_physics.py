@@ -85,9 +85,10 @@ def transfer_matrix(src_pos, dst_pos, wavelength, atom_area):
 
 @dataclass(frozen=True)
 class DiffractionSet:
-    """Fixed propagation matrices of one stack (identical for every AP)."""
-    w_first: np.ndarray    # (N, U): antennas -> layer 1
-    w_layer: np.ndarray    # (M-1, N, N): layer m-1 -> layer m, m = 2..M
+    """Fixed propagation matrices of one stack (identical for every AP), or
+    of several stacks on a leading network axis (block_cascade_coeffs)."""
+    w_first: np.ndarray    # (..., N, U): antennas -> layer 1
+    w_layer: np.ndarray    # (..., M-1, N, N): layer m-1 -> layer m, m = 2..M
 
     def __post_init__(self):
         self.w_first.setflags(write=False)
@@ -95,7 +96,7 @@ class DiffractionSet:
 
     @property
     def n_layers(self):
-        return self.w_layer.shape[0] + 1
+        return self.w_layer.shape[-3] + 1
 
 
 def build_diffraction_set(geom: SimGeometry, wavelength, atom_area) -> DiffractionSet:
@@ -142,35 +143,40 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
     return t
 
 
-def block_cascade_coeffs(dset: DiffractionSet, phases_l, rows, cols):
-    """Cascade of one stack with a block of atoms turned, as a polynomial.
+def block_cascade_coeffs(dset: DiffractionSet, phases, rows, cols):
+    """Cascade of a stack with a block of atoms turned, as a polynomial.
 
-    Turning the atoms (rows, cols) of the phases (M, N) by theta gives the
-    cascade sum_d c[d] e^{j d theta}, d = 0..D, with D the number of distinct
-    layers in rows: each touched layer's phase diagonal splits into
-    keep + e^{j theta} move. Returns c, shape (D+1, N, U); every layer
-    propagates all coefficients with one matmul.
+    Turning the atoms (rows, cols) of the phases (..., M, N) by theta gives
+    the cascade sum_d c[d] e^{j d theta}, d = 0..D, with D the number of
+    distinct layers in rows: each touched layer's phase diagonal splits into
+    keep + e^{j theta} move. Leading axes of phases and of the matrices of
+    dset are network axes (the stacks of a pitch sweep): the block, and so
+    D, is shared, and each network's layers propagate all its coefficients
+    with one matmul of the same shape as a call on that network alone, so
+    its slice equals that call bit for bit. Returns c, shape
+    (..., D+1, N, U).
     """
-    shifts = np.exp(1j * np.asarray(phases_l))
-    if shifts.shape != (dset.n_layers, dset.w_first.shape[0]):
-        raise ValueError(f"phase array must be (M, N), got {shifts.shape}")
+    shifts = np.exp(1j * np.asarray(phases))
+    if shifts.shape[-2:] != (dset.n_layers, dset.w_first.shape[-2]):
+        raise ValueError(f"phase array must be (..., M, N), got "
+                         f"{shifts.shape}")
     move = np.zeros_like(shifts)
-    move[rows, cols] = shifts[rows, cols]
+    move[..., rows, cols] = shifts[..., rows, cols]
     keep = shifts - move
     touched = set(np.asarray(rows).tolist())
-    n_atoms, u = dset.w_first.shape
-    c = dset.w_first          # (N, (d+1) U): column d*U + i is c[d][:, i]
+    u = dset.w_first.shape[-1]
+    c = dset.w_first          # (..., N, (d+1) U): column d*U + i is c[d][:, i]
     for m in range(dset.n_layers):
         if m:
-            c = dset.w_layer[m - 1] @ c
+            c = dset.w_layer[..., m - 1, :, :] @ c
         if m in touched:
-            out = np.zeros((n_atoms, c.shape[1] + u), dtype=complex)
-            out[:, :-u] = keep[m][:, None] * c
-            out[:, u:] += move[m][:, None] * c
+            out = np.zeros((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
+            out[..., :-u] = keep[..., m, :, None] * c
+            out[..., u:] += move[..., m, :, None] * c
             c = out
         else:
-            c = shifts[m][:, None] * c
-    return c.reshape(n_atoms, -1, u).transpose(1, 0, 2)
+            c = shifts[..., m, :, None] * c
+    return c.reshape(*c.shape[:-1], -1, u).swapaxes(-3, -2)
 
 
 def wrap_phases(phases):

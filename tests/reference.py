@@ -44,6 +44,7 @@
 # - turned_slices and build_channel_state_slices: every probe of a block as
 #   its own phase slice through the full cascade, which the block
 #   polynomial of channel.block_channel_state replaces
+# - block_terms: one network's block terms, as a group of one
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
@@ -61,7 +62,7 @@ from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
 from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
                             _feasible_powers, allocate_pilots,
                             optimize_beamforming)
-from simcf.pipeline import NetworkModel
+from simcf.pipeline import NetworkGroup, NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
 from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
                                wrap_phases)
@@ -819,6 +820,13 @@ class SerialObjective:
         self.terms, self.phases = self.ap_terms(l, ap_phases)
 
 
+def block_terms(model, l, base, rows, cols, steps, pilot_of):
+    """Terms of AP l of one network under each probe of one block (base
+    (M, N)), from the group of that network alone."""
+    return NetworkGroup.of([model]).block_terms(l, base[None], rows, cols,
+                                                steps, pilot_of)
+
+
 def optimize_beamforming_serial(model, pilot_of, init_phases, cfg, rng=None,
                                 p=None):
     """Blockwise phase search evaluating one probe at a time."""
@@ -861,8 +869,8 @@ def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
                                       _drop_seed(spec, d, 1))
     phase_sets = {"rand": rand_phases}
     if need_opt:
-        opt_phases, _ = optimize_beamforming(
-            model, pilots.pilot_of, rand_phases, bf_cfg,
+        [(opt_phases, _)] = optimize_beamforming(
+            [model], pilots.pilot_of, rand_phases, bf_cfg,
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         phase_sets["opt"] = opt_phases
 

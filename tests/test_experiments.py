@@ -12,7 +12,8 @@ from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                aggregate_rows, fig3_spec, run_experiment,
                                table1_spec, write_result_csv)
 from simcf.montecarlo import uatf_monte_carlo
-from simcf.pipeline import NetworkModel
+from simcf.optimize import optimize_beamforming
+from simcf.pipeline import NetworkGroup, NetworkModel
 
 
 def tiny_spec(**overrides):
@@ -104,6 +105,26 @@ def test_spec_rejects_negative_seed():
         with pytest.raises(ExperimentError, match="seed must be an integer"):
             tiny_spec(seed=bad)
     assert tiny_spec(seed=np.int64(0)).seed == 0
+
+
+def test_spec_rejects_bool_seed():
+    # seed = True passed as the seed 1
+    with pytest.raises(ExperimentError, match="seed must be an integer"):
+        tiny_spec(seed=True)
+
+
+def test_spec_rejects_bool_drop_count():
+    # n_drops = True passed as one drop
+    with pytest.raises(ExperimentError, match="n_drops"):
+        tiny_spec(n_drops=True)
+
+
+def test_spec_rejects_bool_pitch():
+    # a d_meta value of True ran at 1.0 and printed "True" in the rows
+    with pytest.raises(ExperimentError, match="bad d_meta value True"):
+        tiny_spec(sweep="d_meta", values=(0.1, True))
+    with pytest.raises(ExperimentError, match="bad d_meta value np.True_"):
+        tiny_spec(sweep="d_meta", values=(np.True_,))
 
 
 def test_spec_rejects_pilot_metric():
@@ -311,3 +332,78 @@ def test_one_monte_carlo_pass_per_phase_kind(monkeypatch):
     n_cells = len(spec.values) * spec.n_drops
     assert settings == [(4, 3)] * 2 * n_cells
     assert result.rows == run_experiment_rows_per_setting(spec)
+
+
+def pitch_spec(values=(0.075, 0.0375, 0.01875), **overrides):
+    params = dict(sweep="d_meta", values=values, n_drops=2, seed=7,
+                  schemes=("rand-full", "opt-full"),
+                  base=dict(L=3, K=3, U=2, M=2, N=9, tau_p=2),
+                  beamforming=dict(max_probes=6))
+    params.update(overrides)
+    return ExperimentSpec(**params)
+
+
+def _rows_one_value_at_a_time(spec):
+    rows, failures = [], 0
+    for value in spec.values:
+        alone = run_experiment(pitch_spec(values=(value,), seed=spec.seed,
+                                          n_drops=spec.n_drops))
+        rows += alone.rows
+        failures += alone.failures
+    return rows, failures
+
+
+def test_pitch_sweep_rows_equal_one_value_runs():
+    spec = pitch_spec()
+    result = run_experiment(spec)
+    rows, failures = _rows_one_value_at_a_time(spec)
+    assert result.failures == failures == 0
+    # values x drops x schemes x decoders x UEs
+    assert len(rows) == 3 * 2 * 2 * 2 * 3
+    assert result.rows == rows
+
+
+def test_pitch_sweep_searches_each_drop_once(monkeypatch):
+    # a pitch sweep searches the cells of a drop as one group; any other
+    # sweep, including one whose values share a config, has groups of one
+    groups = []
+
+    def spy(models, *args, **kwargs):
+        groups.append([model.cfg.d_meta for model in models])
+        return optimize_beamforming(models, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "optimize_beamforming", spy)
+    spec = pitch_spec()
+    run_experiment(spec)
+    assert groups == [list(spec.values)] * spec.n_drops
+    for other in (tiny_spec(schemes=("opt-full",)),
+                  tiny_spec(sweep="scheme", values=("opt-full", "opt-maxmin",
+                                                    "rand-full")),
+                  tiny_spec(sweep="decoder", values=("lsfd", "egcd"),
+                            schemes=("opt-full",))):
+        groups.clear()
+        assert run_experiment(other).failures == 0
+        searched = sum(any(s.startswith("opt") for s in other.schemes_for(v))
+                       for v in other.values)
+        assert len(groups) == searched * other.n_drops
+        assert all(len(group) == 1 for group in groups)
+
+
+def test_failing_network_fails_only_its_cells(monkeypatch):
+    # a probe that the search of one pitch reaches (every probe at AP 0)
+    # fails that cell alone; the other cells run as they do on their own
+    spec = pitch_spec()
+    bad = spec.values[1]
+    real = NetworkGroup.block_terms
+
+    def block_terms(self, l, *args):
+        if l == 0 and bad in [model.cfg.d_meta for model in self.models]:
+            raise EstimationError("pilot covariance is singular")
+        return real(self, l, *args)
+
+    monkeypatch.setattr(NetworkGroup, "block_terms", block_terms)
+    result = run_experiment(spec)
+    rows, failures = _rows_one_value_at_a_time(spec)
+    assert result.failures == failures == spec.n_drops
+    assert {row[1] for row in result.rows} == set(spec.values) - {bad}
+    assert result.rows == rows

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from simcf import (SystemConfig, channel, fig3_spec, generate_drop, optimize,
-                   random_phase_tensor, table1_spec)
+                   random_phase_tensor, se, table1_spec)
 from simcf.estimation import EstimationError
-from simcf.optimize import (BeamformingConfig, SumSeObjective,
-                            allocate_pilots, maxmin_power,
+from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
+                            TraceRow, allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
-from simcf.pipeline import NetworkModel
+from simcf.pipeline import NetworkGroup, NetworkModel
 from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
                       lsfd_weights, se_from_sinr, sinr_coefficients,
                       sinr_from_parts, sinr_from_weights)
 
-from reference import (candidate, denominator_matrices,
+from reference import (block_terms, candidate, denominator_matrices,
                        maxmin_power_bisection, optimize_beamforming_serial,
                        replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
@@ -99,8 +99,9 @@ def test_beamforming_infinite_threshold_is_identity(small_model,
                                                     small_pilots,
                                                     small_phases):
     cfg = BeamformingConfig(min_gain=np.inf, max_probes=2)
-    out, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                      small_phases, cfg, rng=0)
+    [(out, trace)] = optimize_beamforming([small_model],
+                                          small_pilots.pilot_of, small_phases,
+                                          cfg, rng=0)
     assert np.array_equal(out, np.mod(small_phases, 2 * np.pi))
     assert all(not row.accepted for row in trace)
     assert trace[0].objective == trace[-1].objective
@@ -109,8 +110,9 @@ def test_beamforming_infinite_threshold_is_identity(small_model,
 def test_beamforming_monotone_and_improving(small_model, small_pilots,
                                             small_phases):
     cfg = BeamformingConfig(block_size=3, max_probes=8)
-    out, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                      small_phases, cfg, rng=1)
+    [(out, trace)] = optimize_beamforming([small_model],
+                                          small_pilots.pilot_of, small_phases,
+                                          cfg, rng=1)
     objs = [row.objective for row in trace]
     assert all(b - a >= 0 for a, b in zip(objs, objs[1:]))
     accepted = [row for row in trace if row.accepted]
@@ -125,28 +127,46 @@ def test_beamforming_monotone_and_improving(small_model, small_pilots,
     assert len(accepted) > 0
 
 
+def test_trace_rows_from_its_accepts():
+    trace = Trace(1.0)
+    trace.record(2)
+    trace.record(1, 1.5)
+    trace.record(3, 2.0)
+    trace.record(0, 2.5)
+    rows = [TraceRow(0, 1.0, False), TraceRow(1, 1.0, False),
+            TraceRow(2, 1.0, False), TraceRow(3, 1.0, False),
+            TraceRow(4, 1.5, True), TraceRow(5, 1.5, False),
+            TraceRow(6, 1.5, False), TraceRow(7, 1.5, False),
+            TraceRow(8, 2.0, True), TraceRow(9, 2.5, True)]
+    assert len(trace) == 10 and list(trace) == rows and trace == rows
+    assert trace[-1] == rows[-1] and trace[3:6] == rows[3:6]
+    assert trace != rows[:-1] and trace != None   # noqa: E711
+    with pytest.raises(IndexError):
+        trace[10]
+
+
 def test_beamforming_deterministic(small_model, small_pilots, small_phases):
     cfg = BeamformingConfig(max_probes=4)
-    out1, _ = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                   small_phases, cfg, rng=11)
-    out2, _ = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                   small_phases, cfg, rng=11)
+    [(out1, _)] = optimize_beamforming([small_model], small_pilots.pilot_of,
+                                       small_phases, cfg, rng=11)
+    [(out2, _)] = optimize_beamforming([small_model], small_pilots.pilot_of,
+                                       small_phases, cfg, rng=11)
     assert np.array_equal(out1, out2)
 
 
 def test_incremental_objective_matches_full_rebuild(small_model,
                                                     small_pilots,
                                                     small_phases):
-    obj = SumSeObjective(small_model, small_pilots.pilot_of)
-    obj.set_phases(small_phases)
+    obj = SumSeObjective([small_model], small_pilots.pilot_of)
+    obj.set_phases(small_phases[None])
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     for step in (0.7, -2.5):
-        fast = float(obj.probe(1, rows, cols, [step])[0][0])
+        fast = float(obj.probe(1, rows, cols, [step])[0][0, 0])
         full = small_phases.copy()
         full[1] = turned_slices(small_phases[1], rows, cols, [step])[0]
-        slow = obj.set_phases(full)
+        slow = obj.set_phases(full[None])[0]
         assert fast == pytest.approx(slow, rel=1e-12)
-        obj.set_phases(small_phases)
+        obj.set_phases(small_phases[None])
 
 
 def _paper_scale_cases():
@@ -173,14 +193,14 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
     for model, pilots, phases in _paper_scale_cases():
         cfg = model.cfg
         args = (model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
-        obj = SumSeObjective(model, pilots.pilot_of)
-        value = obj.set_phases(phases)
+        obj = SumSeObjective([model], pilots.pilot_of)
+        [value] = obj.set_phases(phases[None])
         terms = model.terms(phases, pilots.pilot_of)
         w_ref, gamma_ref = _dense_lsfd(terms, args)
         w = lsfd_weights(terms, model.drop.p)
         assert np.all(np.linalg.norm(w - w_ref, axis=-1)
                       <= 1e-9 * np.linalg.norm(w_ref, axis=-1))
-        gamma = sinr_from_parts([part.sum(axis=-1) for part in obj.parts],
+        gamma = sinr_from_parts([part[0].sum(axis=-1) for part in obj.parts],
                                 "lsfd", model.drop.p)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-12, atol=0)
         assert value == pytest.approx(
@@ -190,30 +210,31 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             block = rng.permutation(cfg.M * cfg.N)[:4]
             rows, cols = np.unravel_index(block, (cfg.M, cfg.N))
             steps = np.array([1, 6, 11]) * np.pi / 8
-            values, _ = obj.probe(l, rows, cols, steps)
-            stack = splice_ap(terms, l, model.block_terms(
-                l, phases[l], rows, cols, steps, pilots.pilot_of))
+            [values], _ = obj.probe(l, rows, cols, steps)
+            stack = splice_ap(terms, l, block_terms(
+                model, l, phases[l], rows, cols, steps, pilots.pilot_of))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
                 rtol=1e-12, atol=0)
             for i, turned in enumerate(turned_slices(phases[l], rows, cols,
                                                      steps)):
-                rebuilt = SumSeObjective(model, pilots.pilot_of)
+                rebuilt = SumSeObjective([model], pilots.pilot_of)
                 patched = phases.copy()
                 patched[l] = turned
-                assert values[i] == pytest.approx(rebuilt.set_phases(patched),
-                                                  rel=1e-12)
+                assert values[i] == pytest.approx(
+                    rebuilt.set_phases(patched[None])[0], rel=1e-12)
 
 
 def test_final_phases_reproduce_reported_objective(small_model, small_pilots,
                                                    small_phases):
     cfg = BeamformingConfig(max_probes=6)
-    out, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                      small_phases, cfg, rng=5)
-    obj = SumSeObjective(small_model, small_pilots.pilot_of)
-    assert obj.set_phases(out) == pytest.approx(trace[-1].objective,
-                                                rel=1e-12)
+    [(out, trace)] = optimize_beamforming([small_model],
+                                          small_pilots.pilot_of, small_phases,
+                                          cfg, rng=5)
+    obj = SumSeObjective([small_model], small_pilots.pilot_of)
+    assert obj.set_phases(out[None])[0] == pytest.approx(trace[-1].objective,
+                                                         rel=1e-12)
 
 
 def test_beamforming_config_validation():
@@ -481,8 +502,9 @@ def test_maxmin_with_egcd_weights():
 def test_batched_search_equals_serial_search(small_model, small_pilots,
                                              small_phases, overrides):
     cfg = BeamformingConfig(**overrides)
-    out, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                      small_phases, cfg, rng=1)
+    [(out, trace)] = optimize_beamforming([small_model],
+                                          small_pilots.pilot_of, small_phases,
+                                          cfg, rng=1)
     ref_out, ref_trace = optimize_beamforming_serial(
         small_model, small_pilots.pilot_of, small_phases, cfg, rng=1)
     assert np.array_equal(out, ref_out)
@@ -492,45 +514,104 @@ def test_batched_search_equals_serial_search(small_model, small_pilots,
         assert row.objective == pytest.approx(ref_row.objective, rel=1e-12)
 
 
-def test_probe_batch_equals_one_ap_rebuilds(small_model, small_pilots,
+def _pitch_group(drop):
+    """Models of the drop at its pitch and at half of it (a pitch sweep)."""
+    half = replace(drop, cfg=drop.cfg.replace(d_meta=drop.cfg.d_meta / 2))
+    return [NetworkModel.from_drop(drop), NetworkModel.from_drop(half)]
+
+
+def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_pilots,
                                             small_phases):
-    obj = SumSeObjective(small_model, small_pilots.pilot_of)
-    obj.set_phases(small_phases)
+    models = _pitch_group(small_drop)
+    start = np.stack([small_phases] * 2)
+    obj = SumSeObjective(models, small_pilots.pilot_of)
+    obj.set_phases(start)
     l = 2
     rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
     steps = np.array([1, 2, 5, 16, -3, -8]) * np.pi / 8
     values, parts = obj.probe(l, rows, cols, steps)
-    base = small_model.terms(small_phases, small_pilots.pilot_of)
-    terms = splice_ap(base, l, small_model.block_terms(
-        l, small_phases[l], rows, cols, steps, small_pilots.pilot_of))
+    assert values.shape == (2, steps.size)
     slices = turned_slices(small_phases[l], rows, cols, steps)
-    for i in range(steps.size):
-        patched = small_phases.copy()
-        patched[l] = slices[i]
-        one_ap = terms_loop(small_model, patched, small_pilots.pilot_of, [l])
-        expected = replace_ap(base, l, one_ap)
-        got = candidate(terms, i)
-        for name in ("z", "xi", "delta", "lam"):
-            want = term(expected, name)
-            np.testing.assert_allclose(term(got, name), want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max())
-        assert values[i] == obj.probe(l, rows, cols, steps[i:i + 1])[0][0]
+    for s, model in enumerate(models):
+        base = model.terms(small_phases, small_pilots.pilot_of)
+        terms = splice_ap(base, l, block_terms(
+            model, l, small_phases[l], rows, cols, steps,
+            small_pilots.pilot_of))
+        for i in range(steps.size):
+            patched = small_phases.copy()
+            patched[l] = slices[i]
+            one_ap = terms_loop(model, patched, small_pilots.pilot_of, [l])
+            expected = replace_ap(base, l, one_ap)
+            got = candidate(terms, i)
+            for name in ("z", "xi", "delta", "lam"):
+                want = term(expected, name)
+                np.testing.assert_allclose(term(got, name), want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+            one = steps[i:i + 1]
+            assert values[s, i] == obj.probe(l, rows, cols, one)[0][s, 0]
+            assert values[s, i] == obj.probe(l, rows, cols, one, s)[0][0, 0]
+        # the network searched alone sees the same values, bit for bit
+        alone = SumSeObjective([model], small_pilots.pilot_of)
+        alone.set_phases(small_phases[None])
+        assert np.array_equal(alone.probe(l, rows, cols, steps)[0][0],
+                              values[s])
     # no probe beats the best value: nothing is committed
-    assert obj.improve(l, rows, cols, steps, values.max(), 0.0) is None
-    assert np.array_equal(obj.phases, small_phases)
-    # above the worst value, the first better probe is committed, with its
-    # parts taken from the batch
-    first = int(np.flatnonzero(values > values.min())[0])
-    assert obj.improve(l, rows, cols, steps, values.min(), 0.0) == \
-        (first, values[first])
-    assert np.array_equal(obj.phases[l], slices[first])
-    for part, new in zip(obj.parts, parts):
-        assert np.array_equal(part[..., l], new[..., first])
+    obj.best[:] = values.max(axis=1)
+    assert np.array_equal(obj.improve(l, rows, cols, steps, 0.0), [-1, -1])
+    assert np.array_equal(obj.phases, start)
+    # above the worst value, the first better probe of each network is
+    # committed, with its parts taken from the batch
+    worst = values.min(axis=1)
+    obj.best[:] = worst
+    first = [int(np.flatnonzero(v > v.min())[0]) for v in values]
+    assert np.array_equal(obj.improve(l, rows, cols, steps, 0.0), first)
+    for s, i in enumerate(first):
+        assert obj.best[s] == worst[s] + (values[s, i] - worst[s])
+        assert np.array_equal(obj.phases[s, l], slices[i])
+        for part, new in zip(obj.parts, parts):
+            assert np.array_equal(part[s, ..., l],
+                                  new[..., s * steps.size + i])
     committed = [part.copy() for part in obj.parts]
-    assert obj.set_phases(obj.phases) == pytest.approx(values[first],
-                                                       rel=1e-12)
+    np.testing.assert_allclose(obj.set_phases(obj.phases),
+                               values[[0, 1], first], rtol=1e-12, atol=0)
     for part, rebuilt in zip(committed, obj.parts):
         np.testing.assert_allclose(part, rebuilt, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("tau_p", [2, 3], ids=["co-pilots", "own-pilots"])
+def test_group_search_equals_searches_alone(small_cfg, small_phases, tau_p):
+    # a pitch group of three (its own pitch, half and a quarter of it):
+    # each network's phases and trace are those of its search alone, with
+    # and without UEs that share a pilot
+    drop = generate_drop(small_cfg.replace(tau_p=tau_p), 42)
+    pilot_of = allocate_pilots(drop).pilot_of
+    quarter = replace(drop, cfg=drop.cfg.replace(d_meta=drop.cfg.d_meta / 4))
+    models = _pitch_group(drop) + [NetworkModel.from_drop(quarter)]
+    for decoder in se.DECODERS:
+        cfg = BeamformingConfig(decoder=decoder, sweeps=2)
+        found = optimize_beamforming(models, pilot_of, small_phases, cfg,
+                                     rng=4)
+        assert len(found) == 3
+        for model, (out, trace) in zip(models, found):
+            [(ref_out, ref_trace)] = optimize_beamforming(
+                [model], pilot_of, small_phases, cfg, rng=4)
+            assert np.array_equal(out, ref_out)
+            assert trace == ref_trace
+        assert sum(row.accepted for _, trace in found for row in trace) > 0
+
+
+def test_group_of_different_drops_is_rejected(small_cfg, small_drop,
+                                              small_pilots, small_phases):
+    other = NetworkModel.from_drop(generate_drop(small_cfg, 43))
+    with pytest.raises(ValueError, match="one drop"):
+        optimize_beamforming([NetworkModel.from_drop(small_drop), other],
+                             small_pilots.pilot_of, small_phases)
+    # the same drop with another noise power is another network
+    noisy = replace(small_drop, cfg=small_cfg.replace(sigma2=1e-9))
+    with pytest.raises(ValueError, match="one drop"):
+        SumSeObjective(_pitch_group(small_drop)
+                       + [NetworkModel.from_drop(noisy)],
+                       small_pilots.pilot_of)
 
 
 def test_probes_never_run_the_full_cascade(small_model, small_pilots,
@@ -556,35 +637,41 @@ def test_probes_never_run_the_full_cascade(small_model, small_pilots,
     monkeypatch.setattr(channel, "cascade_through_antennas", cascade_spy)
     monkeypatch.setattr(SumSeObjective, "set_phases", set_spy)
     cfg = BeamformingConfig(sweeps=2)
-    _, trace = optimize_beamforming(small_model, small_pilots.pilot_of,
-                                    small_phases, cfg, rng=2)
+    [(_, trace)] = optimize_beamforming([small_model], small_pilots.pilot_of,
+                                        small_phases, cfg, rng=2)
     assert len(trace) > 1 and len(builds) == 1
     assert calls == [(True, small_phases.shape)]
 
 
-def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
-    """Make probe `index` of the first probe batch, and that phase slice
-    wherever it is evaluated again, fail: "sinr" gives it a negative
+def _corrupt_probe(monkeypatch, index, failure="sinr", d_meta=None):
+    """Make probe `index` of the first probe batch of the network at pitch
+    d_meta (the first network when None), and that phase slice wherever it
+    is evaluated again in that network, fail: "sinr" gives it a negative
     interference term (its LoS cross terms |h_k^H h_j|^2, which dg sums),
     so its EGCD SINR denominator and its LSFD diagonal are nonpositive;
     "estimation" raises EstimationError while it is in the batch."""
-    real = model.block_terms
+    real = NetworkGroup.block_terms
     target = []
 
-    def block_terms(l, base, rows, cols, steps, pilot_of):
-        slices = turned_slices(base, rows, cols, steps)
-        if not target:
-            target.append(slices[index].copy())
-        hit = [i for i, s in enumerate(slices)
-               if np.array_equal(s, target[0])]
+    def block_terms(self, l, bases, rows, cols, steps, pilot_of):
+        pitches = [model.cfg.d_meta for model in self.models]
+        pitch = pitches[0] if d_meta is None else d_meta
+        hit = []
+        if pitch in pitches:
+            net = pitches.index(pitch)
+            slices = turned_slices(bases[net], rows, cols, steps)
+            if not target:
+                target.append(slices[index].copy())
+            hit = [net * len(slices) + i for i, s in enumerate(slices)
+                   if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
-        terms = real(l, base, rows, cols, steps, pilot_of)
+        terms = real(self, l, bases, rows, cols, steps, pilot_of)
         cross = terms.cross.copy()
         cross[..., hit] = -1e6 * np.abs(xi_of(terms)).max()
         return replace(terms, cross=cross)
 
-    monkeypatch.setattr(model, "block_terms", block_terms)
+    monkeypatch.setattr(NetworkGroup, "block_terms", block_terms)
 
 
 # each failure under both decoders; the EGCD cases keep their original ids
@@ -595,18 +682,23 @@ def _corrupt_probe(model, monkeypatch, index, failure="sinr"):
 def test_failing_probe_past_the_accepted_one_is_never_raised(
         small_drop, small_pilots, small_phases, monkeypatch, failure,
         decoder):
+    # in a network alone and in the first network of a pitch group
     cfg = BeamformingConfig(decoder=decoder)
-    model = NetworkModel.from_drop(small_drop)
-    clean = optimize_beamforming(model, small_pilots.pilot_of, small_phases,
-                                 cfg, rng=3)
-    first = next(row for row in clean[1] if row.accepted)
-    assert first.iteration < cfg.max_probes   # accepted in block 1, early
-    # probe first.iteration + 1 (index first.iteration) is never evaluated
-    _corrupt_probe(model, monkeypatch, first.iteration, failure)
-    out, trace = optimize_beamforming(model, small_pilots.pilot_of,
-                                      small_phases, cfg, rng=3)
-    assert np.array_equal(out, clean[0])
-    assert trace == clean[1]
+    for models in ([NetworkModel.from_drop(small_drop)],
+                   _pitch_group(small_drop)):
+        clean = optimize_beamforming(models, small_pilots.pilot_of,
+                                     small_phases, cfg, rng=3)
+        first = next(row for row in clean[0][1] if row.accepted)
+        assert first.iteration < cfg.max_probes   # accepted in block 1, early
+        # probe first.iteration + 1 (index first.iteration) is never
+        # evaluated
+        with monkeypatch.context() as patch:
+            _corrupt_probe(patch, first.iteration, failure)
+            found = optimize_beamforming(models, small_pilots.pilot_of,
+                                         small_phases, cfg, rng=3)
+        for (out, trace), (clean_out, clean_trace) in zip(found, clean):
+            assert np.array_equal(out, clean_out)
+            assert trace == clean_trace
 
 
 @pytest.mark.parametrize("failure, error, decoder", [
@@ -619,12 +711,16 @@ def test_failing_probe_past_the_accepted_one_is_never_raised(
 def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
                                                     small_phases, monkeypatch,
                                                     failure, error, decoder):
+    # in a network alone and in the second network of a pitch group
     cfg = BeamformingConfig(decoder=decoder)
-    model = NetworkModel.from_drop(small_drop)
-    _, trace = optimize_beamforming(model, small_pilots.pilot_of,
-                                    small_phases, cfg, rng=3)
-    first = next(row for row in trace if row.accepted)
-    _corrupt_probe(model, monkeypatch, first.iteration - 1, failure)
-    with pytest.raises(error):
-        optimize_beamforming(model, small_pilots.pilot_of, small_phases, cfg,
-                             rng=3)
+    for models in ([NetworkModel.from_drop(small_drop)],
+                   _pitch_group(small_drop)):
+        found = optimize_beamforming(models, small_pilots.pilot_of,
+                                     small_phases, cfg, rng=3)
+        first = next(row for row in found[-1][1] if row.accepted)
+        with monkeypatch.context() as patch:
+            _corrupt_probe(patch, first.iteration - 1, failure,
+                           models[-1].cfg.d_meta)
+            with pytest.raises(error):
+                optimize_beamforming(models, small_pilots.pilot_of,
+                                     small_phases, cfg, rng=3)

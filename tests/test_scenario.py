@@ -162,6 +162,14 @@ def test_config_rejects_fractional_pilot_and_block_lengths():
     assert SystemConfig(tau_p=np.int64(3), tau_c=np.int64(100)).tau_p == 3
 
 
+def test_config_rejects_bool_counts():
+    # bool is an int: SystemConfig(L=True) kept L = True
+    for name in ("L", "K", "U", "M", "N", "tau_p", "tau_c"):
+        with pytest.raises(ConfigError, match=f"{name} must be a positive "
+                                              f"integer, got True"):
+            SystemConfig(**{name: True})
+
+
 def test_config_rejects_zero_stack_thickness_and_atom_pitch():
     # t_sim = 0 used to abort the run with coincident source/destination
     # points, and d_meta = 0 to fail every drop as a nonpositive SINR

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, allocate_pilots, generate_drop
+from simcf import SystemConfig, allocate_pilots, generate_drop, se
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       se_from_sinr, sinr_coefficients, sinr_from_weights,
                       sinr_terms)
 
-from reference import (candidate, cross_moment_estimates,
+from reference import (block_terms, candidate, cross_moment_estimates,
                        denominator_matrices, omega_of, predicted_cross_moments,
                        r_all, sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
                        splice_ap, xi_of)
@@ -271,7 +271,7 @@ def candidate_stack(model, pilots, phases, l=1, n=5):
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases, pilots.pilot_of)
-    return splice_ap(base, l, model.block_terms(l, phases[l], rows, cols,
+    return splice_ap(base, l, block_terms(model, l, phases[l], rows, cols,
                                                 steps, pilots.pilot_of))
 
 
@@ -355,3 +355,25 @@ def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
     assert np.array_equal(xi_of(stack)[[0, 1, 3]], xi[[0, 1, 3]])
     with pytest.raises(SinrComputationError, match=r"of candidate \(2,\)"):
         sinr_from_weights(stack, egcd_weights(stack), small_model.drop.p)
+
+
+def test_inner_solve_division_equals_the_solve():
+    # J = 1 (one co-pilot) divides; 200 seeded batches of B = 15 probes,
+    # K = 5, with magnitudes 1e-8 .. 1e8, give the solve's floats
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.0, 1.0, (15, 5, 1, 1)) * 10.0 ** rng.uniform(
+            -8, 8, (15, 5, 1, 1))
+        v = rng.standard_normal((15, 5, 1)) * 10.0 ** rng.uniform(
+            -8, 8, (15, 5, 1))
+        want = np.linalg.solve(g + np.eye(1), v[..., None])[..., 0]
+        assert np.array_equal(se._inner_solve(g, v), want)
+    # J = 2 still solves
+    a = rng.uniform(0.0, 1.0, (15, 5, 2, 2))
+    g = a @ a.swapaxes(-1, -2)
+    v = rng.standard_normal((15, 5, 2))
+    got = se._inner_solve(g, v)
+    assert np.array_equal(got, np.linalg.solve(g + np.eye(2),
+                                                v[..., None])[..., 0])
+    np.testing.assert_allclose(((g + np.eye(2)) @ got[..., None])[..., 0], v,
+                               rtol=1e-12, atol=1e-12)

@@ -16,7 +16,7 @@ from simcf.estimation import EstimationError, build_estimation_state
 from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
 
-from reference import (build_estimation_state_solve, copilot_of,
+from reference import (block_terms, build_estimation_state_solve, copilot_of,
                        factors_loop, lsfd_weights_loop, omega_of,
                        sinr_coefficients_loop, sinr_parts_loop,
                        sinr_terms_einsum, term)
@@ -169,14 +169,14 @@ def _indefinite_probe_model(decoder):
     drop = generate_drop(cfg, 3)
     model = replace(NetworkModel.from_drop(drop),
                     base_corr=np.diag([1.0, -1.0, 0.0, 0.0]))
-    objective = SumSeObjective(model, allocate_pilots(drop).pilot_of,
+    objective = SumSeObjective([model], allocate_pilots(drop).pilot_of,
                                decoder=decoder)
     steps = np.arange(1, 16) * np.pi / 8
     rng = np.random.default_rng(4)
     for _ in range(200):
         phases = model.random_phases(rng)
         try:
-            objective.set_phases(phases)
+            objective.set_phases(phases[None])
         except EstimationError:
             continue
         l = int(rng.integers(cfg.L))
@@ -185,8 +185,8 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                model.block_terms(l, phases[l], rows, cols, [step],
-                                  objective.pilot_of)
+                block_terms(model, l, phases[l], rows, cols, [step],
+                            objective.pilot_of)
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -204,11 +204,13 @@ def test_indefinite_probe_raises_only_when_reached(decoder):
     with pytest.raises(EstimationError, match="indefinite"):
         objective.probe(l, rows, cols, steps)
     # ... but the search takes probe 0 and never evaluates it alone
-    assert objective.improve(l, rows, cols, steps, -np.inf, 0.0)[0] == 0
+    objective.best[:] = -1.0     # below every sum SE
+    assert objective.improve(l, rows, cols, steps, 0.0)[0] == 0
     objective.set_phases(start)
     # when no probe before it is accepted, the search reaches it and raises
+    objective.best[:] = np.inf
     with pytest.raises(EstimationError, match="indefinite"):
-        objective.improve(l, rows, cols, steps, np.inf, 0.0)
+        objective.improve(l, rows, cols, steps, 0.0)
     assert np.array_equal(objective.phases, start)
 
 
@@ -264,7 +266,7 @@ def test_terms_are_c_contiguous_and_layout_free(small_model, small_pilots,
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     builds = {
         "full": small_model.terms(small_phases, small_pilots.pilot_of),
-        "block": small_model.block_terms(1, small_phases[1], rows, cols,
+        "block": block_terms(small_model, 1, small_phases[1], rows, cols,
                                          np.arange(1, 6) * np.pi / 8,
                                          small_pilots.pilot_of),
     }
