@@ -1,7 +1,7 @@
 # simcf: uplink simulation and optimization engine for cell-free massive
 # MIMO access points fronted by stacked programmable metasurfaces.
 
-from .channel import ChannelState, sinc_correlation
+from .channel import ChannelState
 from .config import ConfigError, SystemConfig
 from .estimation import EstimationState, build_estimation_state
 from .experiments import (AggregateResult, ExperimentResult, ExperimentSpec,
@@ -17,8 +17,8 @@ from .se import (SinrTerms, egcd_weights, lsfd_weights, se_from_sinr,
                  sinr_from_weights, sinr_terms)
 from .sim_physics import (DiffractionSet, SimGeometry, build_diffraction_set,
                           build_geometry, cascade_through_antennas,
-                          random_phase_tensor, stack_for, transfer_matrix,
-                          wrap_phases)
+                          random_phase_tensor, sinc_correlation, stack_for,
+                          transfer_matrix, wrap_phases)
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,9 @@
 # simcf/channel.py
-# Statistical channel objects seen through the stack: isotropic-scattering
-# spatial correlation on the output layer, planar-wavefront steering toward
-# every UE, and the effective antenna-domain statistics of every (AP, UE)
-# link for a given phase tensor, or of one AP under every probe of a block
-# of its atoms, in one network or in every network of a pitch sweep.
+# Statistical channel objects seen through the stack: planar-wavefront
+# steering toward every UE, and the effective antenna-domain statistics of
+# every (AP, UE) link for a given phase tensor (of one drop or of a batch of
+# drops), or of one AP under every probe of a block of its atoms, in one
+# network or in every network of a pitch sweep.
 
 from dataclasses import dataclass
 
@@ -14,17 +14,6 @@ from .sim_physics import (DiffractionSet, SimGeometry, block_cascade_coeffs,
                           cascade_through_antennas)
 
 
-def sinc_correlation(points, wavelength):
-    """Isotropic-scattering spatial correlation over a set of points.
-
-    Entry (n, n') is sinc(2 d / lambda) with d the Euclidean distance, so
-    points half a wavelength apart are exactly uncorrelated. Unit diagonal.
-    """
-    pts = np.asarray(points)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    return np.sinc(2.0 * d / wavelength)
-
-
 @dataclass(frozen=True)
 class ChannelState:
     """Effective statistics of every (AP, UE) link for one phase tensor.
@@ -32,34 +21,43 @@ class ChannelState:
     The NLoS covariance factors as r[l, k] = beta_nlos[l, k] * s[l] because
     the scattering correlation on the output layer is common to all UEs; s
     is the per-AP antenna-domain projection of that common correlation. The
-    state keeps the factors only; no per-link covariance is formed.
+    state keeps the factors only; no per-link covariance is formed. The
+    state of a batch of drops has a leading drop axis on every field.
     """
     h_bar: np.ndarray       # (L, K, U) complex
     s: np.ndarray           # (L, U, U) complex Hermitian PSD
     beta_nlos: np.ndarray   # (L, K)
 
+    def at(self, i):
+        """Drop i of the state of a batch of drops."""
+        return ChannelState(h_bar=self.h_bar[i], s=self.s[i],
+                            beta_nlos=self.beta_nlos[i])
+
 
 def steering_units(geom: SimGeometry, drop: Drop):
-    """Unit steering vectors of the output grid toward every UE, (L, K, N)."""
+    """Unit steering vectors of the output grid toward every UE,
+    (..., L, K, N) with the drop axis of a batch of drops."""
     directions = drop.link_directions()
     grid = geom.output_grid
     centered = grid - grid.mean(axis=0)
-    advance = np.einsum("ni,lki->lkn", centered, directions)
+    advance = np.einsum("ni,...lki->...lkn", centered, directions)
     return np.exp(1j * 2.0 * np.pi * advance / drop.cfg.wavelength)
 
 
 def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
                         steering) -> ChannelState:
-    """Effective statistics for a phase tensor (L, M, N).
+    """Effective statistics for a phase tensor (L, M, N), or for phases
+    (D, L, M, N) of a batch of D drops (every field of the state then has
+    the leading drop axis).
 
     base_corr is the output-grid correlation (sinc_correlation) and
     steering the unit steering vectors (steering_units) of the drop. All
-    APs go through one batched cascade.
+    APs (of all drops) go through one batched cascade.
     """
     t = cascade_through_antennas(dset, phases)            # (L, N, U)
     proj = t.conj().swapaxes(-1, -2) @ base_corr @ t
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-    amp = np.sqrt(drop.beta_los)[:, :, None] * steering   # (L, K, N)
+    amp = np.sqrt(drop.beta_los)[..., None] * steering     # (L, K, N)
     h_bar = amp @ t.conj()
     return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos)
 

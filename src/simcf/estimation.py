@@ -13,7 +13,7 @@
 # from the pilot map alone (PilotMap) is built once per map.
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -36,6 +36,10 @@ class PilotMap:
     co-pilots of each UE in index order (padded with other UEs up to the
     largest co-pilot count) and the coherent scales p_hat_k p_hat_j
     tau_p^2 of co-pilot pairs (0 elsewhere).
+    The map of a batch of assignments (D, K) keeps every array but p_hat
+    per drop, on a leading drop axis: T and the padding of order run to the
+    largest of the batch (the padded co-pilots have zero coherent scales),
+    and every drop has the same number P of pilots in use.
     pilot_map builds one per distinct assignment; its arrays are
     read-only."""
     pilot_of: np.ndarray   # (K,) pilot index per UE
@@ -48,32 +52,45 @@ class PilotMap:
     order: np.ndarray      # (K, J) UE indices
     coherent: np.ndarray   # (K, K)
 
+    def at(self, i):
+        """The map of drop i of a batch."""
+        return pilot_map(self.pilot_of[i], self.p_hat, self.tau_p)
+
 
 def pilot_map(pilot_of, p_hat, tau_p) -> PilotMap:
-    """The PilotMap of an assignment (K,), pilot powers (K,) and tau_p.
-    Raises EstimationError for an unassigned UE (a negative pilot)."""
-    return _pilot_map(tuple(np.asarray(pilot_of).tolist()),
+    """The PilotMap of an assignment (K,), or of a batch of them (D, K),
+    pilot powers (K,) and tau_p. Raises EstimationError for an unassigned
+    UE (a negative pilot), and ValueError for a batch whose drops use
+    different numbers of pilots."""
+    pilot_of = np.asarray(pilot_of)
+    return _pilot_map(pilot_of.shape, tuple(pilot_of.ravel().tolist()),
                       tuple(np.asarray(p_hat, dtype=float).tolist()), tau_p)
 
 
 @lru_cache(maxsize=64)
-def _pilot_map(pilot_of, p_hat, tau_p):
-    pilot_of = np.array(pilot_of)
+def _pilot_map(shape, pilot_of, p_hat, tau_p):
+    pilot_of = np.array(pilot_of, dtype=int).reshape(shape)
     if np.any(pilot_of < 0):
         raise EstimationError("pilot assignment incomplete (unassigned UEs)")
     p_hat = np.array(p_hat)
-    n_ue = pilot_of.size
-    onehot = np.zeros((n_ue, int(pilot_of.max()) + 1))
-    onehot[np.arange(n_ue), pilot_of] = 1.0
-    in_use, slot = np.unique(pilot_of, return_inverse=True)
-    same = pilot_of[:, None] == pilot_of[None, :]
+    n_ue = shape[-1]
+    onehot = (pilot_of[..., None]
+              == np.arange(int(pilot_of.max()) + 1)).astype(float)
+    used = onehot.any(axis=-2)                              # (..., T)
+    n_used = np.unique(used.sum(axis=-1))
+    if n_used.size > 1:
+        raise ValueError(f"the drops of a batch use {n_used.tolist()} "
+                         f"pilots; a batch needs one count")
+    in_use = np.argsort(~used, axis=-1, kind="stable")[..., :n_used[0]]
+    members = np.take_along_axis(onehot, in_use[..., None, :], axis=-1)
+    same = pilot_of[..., :, None] == pilot_of[..., None, :]
     copilot = same & ~np.eye(n_ue, dtype=bool)
-    n_co = int(copilot.sum(axis=1).max(initial=0))
-    order = np.argsort(~copilot, axis=1, kind="stable")[:, :n_co]
+    n_co = int(copilot.sum(axis=-1).max(initial=0))
+    order = np.argsort(~copilot, axis=-1, kind="stable")[..., :n_co]
     coherent = np.where(copilot, p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
                         0.0)
     arrays = dict(pilot_of=pilot_of, p_hat=p_hat, onehot=onehot,
-                  members=onehot[:, in_use], slot=slot,
+                  members=members, slot=members.argmax(axis=-1),
                   sharing=same.astype(float), order=order, coherent=coherent)
     for arr in arrays.values():
         arr.setflags(write=False)
@@ -92,8 +109,10 @@ class EstimationState:
     use) on that basis. UE k of AP l sees the pilot in use
     pilots.slot[k]: its core psi^-1 r is beta_lk gain_lk and its estimate
     covariance omega beta_lk^2 eig gain_lk on the basis, gain = eig / den.
-    The error covariance is r - p_hat_k tau_p omega. A leading axis of a
-    block build runs over probes, not APs.
+    The error covariance is r - p_hat_k tau_p omega. The state of a batch
+    of drops has a leading drop axis on every array, and its pilots are the
+    batch's PilotMap; the first axis of a block build runs over probes, not
+    APs, under one shared map.
     """
     eig: np.ndarray       # (L, U) eigenvalues of s, ascending
     basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column
@@ -105,13 +124,16 @@ class EstimationState:
     @cached_property
     def gain(self):
         """(L, K, U) eig / den of each link's pilot."""
-        return self.eig[:, None, :] / self.den[:, self.pilots.slot]
+        slot = self.pilots.slot
+        den = (np.take(self.den, slot, axis=-2) if slot.ndim == 1
+               else np.take_along_axis(self.den, slot[..., None, :, None], -2))
+        return self.eig[..., None, :] / den
 
     @cached_property
     def core(self):
         """(L, K, U, U) psi^-1 r of every link, basis diag(beta gain)
         basis^H."""
-        v = self.basis[:, None]
+        v = self.basis[..., None, :, :]
         spectrum = self.beta[..., None] * self.gain
         return (v * spectrum[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -121,10 +143,18 @@ class EstimationState:
         pilot in use)."""
         return float((self.den.max(axis=-1) / self.den.min(axis=-1)).max())
 
+    def at(self, i):
+        """The state of drop i of a batch, with that drop's own PilotMap."""
+        return replace(self, eig=self.eig[i], basis=self.basis[i],
+                       beta=self.beta[i], den=self.den[i],
+                       pilots=self.pilots.at(i))
+
 
 def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
                            sigma2) -> EstimationState:
-    """Estimation statistics for all links given a pilot assignment.
+    """Estimation statistics for all links given a pilot assignment, or for
+    a batch of drops: a state with a leading drop axis and assignments
+    (D, K).
 
     One stacked eigendecomposition of the per-AP correlations s gives the
     pilot covariance of every (AP, pilot) on the eigenbasis of its AP: the
@@ -136,13 +166,15 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     pilots = pilot_map(pilot_of, p_hat, tau_p)
     eig, basis = np.linalg.eigh(state.s)
     load = tau_p * (state.beta_nlos * pilots.p_hat) @ pilots.members  # (L, P)
-    den = load[..., None] * eig[:, None, :] + sigma2                 # (L, P, U)
+    den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
     if not den.min() > 0:
-        l, t = np.argwhere(~(den.min(axis=-1) > 0))[0]
+        *at, t = np.argwhere(~(den.min(axis=-1) > 0))[0]
+        drop = tuple(at[:-1])
         raise EstimationError(
             f"pilot covariance is singular or indefinite for pilot "
-            f"{np.unique(pilots.pilot_of)[t]} at AP (or probe) {l}: "
-            f"eigenvalue {den[l, t].min():.6e}")
+            f"{np.unique(pilots.pilot_of[drop])[t]} at AP (or probe) "
+            f"{at[-1]}{f' of drop {drop[0]}' if drop else ''}: "
+            f"eigenvalue {den[(*at, t)].min():.6e}")
     est = EstimationState(eig=eig, basis=basis, beta=state.beta_nlos, den=den,
                           pilots=pilots, sigma2=sigma2)
     _monitor_conditioning(est)

@@ -4,16 +4,20 @@
 # decoders, optional Monte-Carlo validation, and CSV emission (raw per-UE
 # rows plus aggregates). A (sweep value, drop) cell takes its value's
 # SystemConfig (built once per value) and derives the rest from the spec.
-# The unit of work is a group of cells that share one phase search: the
-# cells of one drop whose configs differ only in d_meta (the pitches of a
-# pitch sweep, whose searches visit the same blocks in the same order), or
-# a single cell in any other sweep. Each cell of a group builds its drop,
-# model and pilots and evaluates its own rows; groups run serially in a
-# fixed order and the rows stay in (value, drop) order. A cell that hits a
-# typed numerical failure is logged and counted (a failing group first
-# runs each of its cells alone); any other exception aborts the run. Every
-# sweep value is checked when the spec is built. Output is plain data;
-# plotting is external.
+# The unit of work is a sweep value with all its drops, except in a pitch
+# sweep, whose values share one phase search per drop (their searches visit
+# the same blocks in the same order): there a unit is one drop's cells of
+# every pitch. Inside a unit, the cells of one config form one batch: the
+# whole closed-form chain (drops, pilots, model, states, terms, weights,
+# SINR coefficients, max-min power) runs once with the drops on a leading
+# axis, a single cell being a batch of one. Phase searches run per drop
+# (the pitches of a drop as one group) and Monte-Carlo per cell, on the
+# drop's slice of the batch's states. Units run serially in a fixed order
+# and the rows stay in (value, drop) order. A cell that hits a typed
+# numerical failure is logged and counted (a failing unit of several cells
+# first runs each of its cells alone); any other exception aborts the run.
+# Every sweep value is checked when the spec is built. Output is plain
+# data; plotting is external.
 
 import collections
 import csv
@@ -200,51 +204,71 @@ def _drop_seed(spec, drop_index, purpose):
     return [spec.seed, drop_index, purpose]
 
 
-def _setup(spec, cfg, d):
-    """(drop, pilots, model, random phases) of drop d under cfg."""
-    drop = generate_drop(cfg, _drop_seed(spec, d, 0))
+def _setup(spec, cfg, drops):
+    """(drop, pilots, model, random phases) of the drops (indices) under
+    cfg, as one batch on a leading drop axis."""
+    drop = generate_drop(cfg, [_drop_seed(spec, d, 0) for d in drops])
+    rand_phases = np.stack([random_phase_tensor(cfg.L, cfg.M, cfg.N,
+                                                _drop_seed(spec, d, 1))
+                            for d in drops])
     return (drop, allocate_pilots(drop), NetworkModel.from_drop(drop),
-            random_phase_tensor(cfg.L, cfg.M, cfg.N, _drop_seed(spec, d, 1)))
+            rand_phases)
 
 
 def _run_cells(spec, configs, cells):
-    """{cell: rows} of cells (value index, drop) of one drop that share one
-    phase search (_groups): each builds its drop, model and pilots, the
-    cells with an opt scheme are searched as one group, and each evaluates
-    its own rows."""
-    setups = [_setup(spec, configs[v], d) for v, d in cells]
-    searched = [i for i, (v, _) in enumerate(cells)
-                if any(s.startswith("opt")
-                       for s in spec.schemes_for(spec.values[v]))]
+    """{cell: rows} of the cells (value index, drop) of one unit of work
+    (_groups): the cells of each config form one batch on a leading drop
+    axis, the cells of each drop with an opt scheme are searched as one
+    group, and each batch evaluates the rows of its cells."""
+    batches = {}
+    for v, d in cells:
+        batches.setdefault(v, []).append(d)
+    setups = {v: _setup(spec, configs[v], drops)
+              for v, drops in batches.items()}
+    searches = {}
+    for v, drops in batches.items():
+        if any(s.startswith("opt") for s in spec.schemes_for(spec.values[v])):
+            for i, d in enumerate(drops):
+                searches.setdefault(d, []).append((v, i))
     opt_phases = {}
-    if searched:
-        d = cells[0][1]
+    for d, members in searches.items():
+        first, i = members[0]
         found = optimize_beamforming(
-            [setups[i][2] for i in searched], setups[searched[0]][1].pilot_of,
-            np.stack([setups[i][3] for i in searched]),
+            [setups[v][2].at(i) for v, i in members],
+            setups[first][1].pilot_of[i],
+            np.stack([setups[v][3][i] for v, i in members]),
             BeamformingConfig(**spec.beamforming),
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
-        opt_phases = {i: phases for i, (phases, _) in zip(searched, found)}
-    return {cell: _cell_rows(spec, configs[cell[0]], *cell, *setup,
-                             opt_phases.get(i))
-            for i, (cell, setup) in enumerate(zip(cells, setups))}
+        for (v, i), (phases, _) in zip(members, found):
+            opt_phases.setdefault(v, {})[i] = phases
+    rows = {}
+    for v, drops in batches.items():
+        searched = opt_phases.get(v)
+        rows.update(_batch_rows(
+            spec, configs[v], v, drops, *setups[v],
+            None if searched is None else np.stack(
+                [searched[i] for i in range(len(drops))])))
+    return rows
 
 
-def _cell_rows(spec, cfg, value_index, d, drop, pilots, model, rand_phases,
-               opt_phases):
-    """All rows of one (sweep value, drop) cell of the grid; cfg is
-    spec.config_for(value), opt_phases the searched phases (None when no
-    scheme of the value needs them)."""
+def _batch_rows(spec, cfg, value_index, drops, drop, pilots, model,
+                rand_phases, opt_phases):
+    """{(value index, d): rows} of the cells of one sweep value whose
+    drops d (drops) form a batch; cfg is spec.config_for(value), and the
+    drop, pilots, model and phases (D, L, M, N) carry the batch's leading
+    drop axis (opt_phases is None when no scheme of the value needs
+    them)."""
     value = spec.values[value_index]
     schemes = spec.schemes_for(value)
     decoders = spec.decoders_for(value)
     phase_sets = {"rand": rand_phases, "opt": opt_phases}
+    full = np.broadcast_to(drop.p, (len(drops), cfg.K))
 
-    # Closed form of every (scheme, decoder) setting in row order. The
-    # states, their terms and each decoder's weights and SINR coefficients
-    # are made once per phase kind and shared by its schemes (every power
-    # vector's SINR comes from the coefficients) and by its Monte-Carlo
-    # pass.
+    # Closed form of every (scheme, decoder) setting in row order, each
+    # array with the drop axis first. The states, their terms and each
+    # decoder's weights and SINR coefficients are made once per phase kind
+    # and shared by its schemes (every power vector's SINR comes from the
+    # coefficients) and by its Monte-Carlo passes.
     kinds, settings = {}, []
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
@@ -260,57 +284,69 @@ def _cell_rows(spec, cfg, value_index, d, drop, pilots, model, rand_phases,
         for decoder in decoders:
             weights, coeffs = kinds[phase_kind][1][decoder]
             if power_kind == "maxmin":
-                p = maxmin_power(coeffs, cfg.p_max, eps=spec.maxmin_eps).p
+                p = np.stack([solution.p for solution in maxmin_power(
+                    coeffs, cfg.p_max, eps=spec.maxmin_eps)])
             else:
-                p = drop.p
+                p = full
             settings.append((phase_kind, scheme, decoder, weights, p,
                              coeffs.sinr(p)))
 
-    # One Monte-Carlo sampling pass per phase kind serves all its settings.
-    mc_cols = [[(MISSING, MISSING)] * cfg.K] * len(settings)
+    # One Monte-Carlo sampling pass per drop and phase kind serves all its
+    # settings, on the drop's slice of the states.
+    mc_cols = {}
     for phase_kind, (states, _) in kinds.items():
         if spec.n_mc_trials == 0:
             break
-        mine = [i for i, s in enumerate(settings) if s[0] == phase_kind]
-        weights = np.stack([settings[i][3] for i in mine])
-        p = np.stack([settings[i][4] for i in mine])
-        mc = uatf_monte_carlo(
-            *states, p, weights, spec.n_mc_trials,
-            rng=np.random.default_rng([spec.seed, value_index, d, 3]))
-        for i, g, e in zip(mine, mc.gamma, mc.stderr):
-            mc_cols[i] = [(float(a), float(b)) for a, b in zip(g, e)]
+        mine = [j for j, s in enumerate(settings) if s[0] == phase_kind]
+        for i, d in enumerate(drops):
+            mc = uatf_monte_carlo(
+                *(state.at(i) for state in states),
+                np.stack([settings[j][4][i] for j in mine]),
+                np.stack([settings[j][3][i] for j in mine]), spec.n_mc_trials,
+                rng=np.random.default_rng([spec.seed, value_index, d, 3]))
+            for j, g, e in zip(mine, mc.gamma, mc.stderr):
+                mc_cols[j, i] = list(zip(g.tolist(), e.tolist()))
 
-    rows = []
-    for (_, scheme, decoder, _, _, gamma), cols in zip(settings, mc_cols):
-        se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
-        for k in range(cfg.K):
-            rows.append((spec.sweep, value, d, k, decoder, scheme,
-                         float(gamma[k]), float(se_vals[k]), *cols[k]))
-    return rows
+    missing = [(MISSING, MISSING)] * cfg.K
+    se_vals = [se.se_from_sinr(s[5], cfg.tau_c, cfg.tau_p) for s in settings]
+    out = {}
+    for i, d in enumerate(drops):
+        rows = out[value_index, d] = []
+        for j, (_, scheme, decoder, _, _, gamma) in enumerate(settings):
+            cols = mc_cols.get((j, i), missing)
+            for k, (g, e) in enumerate(zip(gamma[i].tolist(),
+                                           se_vals[j][i].tolist())):
+                rows.append((spec.sweep, value, d, k, decoder, scheme, g, e,
+                             *cols[k]))
+    return out
 
 
 def _groups(spec, configs):
-    """The cells (value index, drop) of the sweep as groups that share one
-    phase search, in the order of their first cells in (value, drop) order:
-    per drop, the cells whose configs agree in every field but d_meta, and
-    differ in d_meta (a pitch sweep). Equal configs (the values of a scheme
-    or decoder sweep) are kept apart, so every other sweep gives groups of
-    one."""
+    """The cells (value index, drop) of the sweep as units of work. The
+    values whose configs agree in every field but d_meta, and differ in
+    d_meta (a pitch sweep), share one phase search per drop: each drop is
+    one unit of their cells. Every other value is one unit of all its
+    drops; equal configs (the values of a scheme or decoder sweep) are kept
+    apart."""
     copies = collections.Counter()
-    keys = []
-    for cfg in configs:
-        keys.append((tuple(getattr(cfg, f.name) for f in fields(cfg)
-                           if f.name != "d_meta"), copies[cfg]))
+    keys = {}
+    for v, cfg in enumerate(configs):
+        key = (tuple(getattr(cfg, f.name) for f in fields(cfg)
+                     if f.name != "d_meta"), copies[cfg])
         copies[cfg] += 1
-    groups = {}
-    for v, d in itertools.product(range(len(configs)), range(spec.n_drops)):
-        groups.setdefault((d, keys[v]), []).append((v, d))
-    return list(groups.values())
+        keys.setdefault(key, []).append(v)
+    units = []
+    for values in keys.values():
+        if len(values) > 1:
+            units += [[(v, d) for v in values] for d in range(spec.n_drops)]
+        else:
+            units.append([(values[0], d) for d in range(spec.n_drops)])
+    return units
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute the sweep, one group of cells (_groups) after another. When a
-    typed failure escapes a group of several cells, each of its cells runs
+    """Execute the sweep, one unit of work (_groups) after another. When a
+    typed failure escapes a unit of several cells, each of its cells runs
     again alone, so a cell fails or succeeds as it does on its own."""
     configs = [spec.config_for(value) for value in spec.values]
     done = {}
@@ -322,8 +358,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             done.update(_run_cells(spec, configs, cells))
         except _TYPED_FAILURES:
             if len(cells) > 1:
-                log.info("group search of drop %d failed; running its %d "
-                         "cells alone", cells[0][1], len(cells))
+                log.info("a unit of %d cells failed; running each alone",
+                         len(cells))
                 pending[:0] = [[cell] for cell in cells]
                 continue
             failures += 1
@@ -360,7 +396,7 @@ def aggregate_rows(spec, rows):
 
 def _fmt(x):
     if isinstance(x, float):
-        return "nan" if np.isnan(x) else f"{x:.10g}"
+        return "nan" if x != x else f"{x:.10g}"   # only NaN differs from itself
     return str(x)
 
 

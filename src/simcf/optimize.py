@@ -5,9 +5,12 @@
 # power control is a bisection over the linear feasibility system of the
 # SINR coefficients whose midpoints are decided by the closed-form
 # Perron-Frobenius optimum, a linear solve deciding only those within a
-# guard band of it, so it returns what solving every midpoint returns.
+# guard band of it, so it returns what solving every midpoint returns. Pilot
+# allocation and power control run on the leading drop (or setting) axis of
+# a batch in one pass.
 
 import bisect
+import contextlib
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,39 +32,47 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    pilot_of: np.ndarray   # (K,) pilot index per UE
+    pilot_of: np.ndarray   # (K,) pilot index per UE, (D, K) for a batch
 
     def __post_init__(self):
         self.pilot_of.setflags(write=False)
 
 
 def pilot_interference(drop: Drop, k, assigned, pilot_of):
-    """Contamination cost of giving each pilot to UE k, shape (tau_p,).
+    """Contamination cost of giving each pilot to UE k, shape (tau_p,), or
+    (D, tau_p) for a batch of drops with assignments pilot_of (D, K).
 
     The cost of a pilot is the sum over the UEs j in assigned that hold it
-    and over all APs l of beta_lk * beta_lj (phase independent). A UE of
-    assigned without a pilot (-1 in pilot_of) raises ValueError.
+    and over all APs l of beta_lk * beta_lj (phase independent), added UE
+    by UE in index order. A UE of assigned without a pilot (-1 in pilot_of)
+    raises ValueError.
     """
-    cost = drop.beta[:, k][:, None] * drop.beta[:, assigned]   # (L, |assigned|)
-    return np.bincount(pilot_of[assigned], weights=cost.sum(axis=0),
-                       minlength=drop.cfg.tau_p)
+    cost = (drop.beta[..., :, k, None] * drop.beta[..., :, assigned]).sum(axis=-2)
+    held = np.asarray(pilot_of)[..., assigned]
+    if np.any(held < 0):
+        raise ValueError("a UE of assigned holds no pilot")
+    pilots = np.arange(drop.cfg.tau_p)
+    out = np.zeros((*cost.shape[:-1], drop.cfg.tau_p))
+    for j in range(cost.shape[-1]):
+        out += cost[..., j, None] * (held[..., j, None] == pilots)
+    return out
 
 
 def allocate_pilots(drop: Drop) -> PilotAssignment:
-    """Greedy contamination-minimizing pilot assignment.
+    """Greedy contamination-minimizing pilot assignment, (K,) for one drop
+    and (D, K) for a batch of drops, each drop's greedy step run at once.
 
     The first tau_p UEs take pilots 0..tau_p-1; every further UE (in index
     order) takes the pilot with the least accumulated interference toward
     the UEs already holding it, ties broken by the lowest pilot index.
     """
     cfg = drop.cfg
-    pilot_of = np.full(cfg.K, -1, dtype=int)
+    pilot_of = np.full(drop.beta.shape[:-2] + (cfg.K,), -1, dtype=int)
     head = min(cfg.tau_p, cfg.K)
-    pilot_of[:head] = np.arange(head)
+    pilot_of[..., :head] = np.arange(head)
     for k in range(head, cfg.K):
-        assigned = np.arange(k)
-        ui = pilot_interference(drop, k, assigned, pilot_of)
-        pilot_of[k] = int(np.argmin(ui))   # argmin takes the lowest index on ties
+        ui = pilot_interference(drop, k, np.arange(k), pilot_of)
+        pilot_of[..., k] = np.argmin(ui, axis=-1)   # the lowest index on ties
     return PilotAssignment(pilot_of=pilot_of)
 
 
@@ -319,11 +330,12 @@ def optimize_beamforming(models, pilot_of, init_phases,
 
 @dataclass(frozen=True)
 class PowerSolution:
-    """Outcome of max-min power control: t_star is the last bisection
-    midpoint found feasible (0.0 if none), p the least powers meeting
-    SINR >= t_star under the cap (full power if none), iterations the
-    midpoints tested. Each field is that of a bisection solving the
-    feasibility system at every midpoint (maxmin_power says when not)."""
+    """Outcome of max-min power control for one setting: t_star is the last
+    bisection midpoint found feasible (0.0 if none), p the least powers
+    meeting SINR >= t_star under the cap (full power if none), iterations
+    the midpoints tested. Each field is that of a bisection solving the
+    feasibility system at every midpoint (maxmin_power says when not).
+    maxmin_power returns one per setting of a batch."""
     p: np.ndarray          # (K,) transmit powers, W
     t_star: float          # certified min-SINR lower bound
     iterations: int
@@ -337,8 +349,14 @@ class PowerSolution:
 _GUARD_BAND = 1e-6
 
 
+def _settings(coeffs, i):
+    """The coefficients of the settings i of the leading axis of coeffs."""
+    return se.SinrCoefficients(signal=coeffs.signal[i], d=coeffs.d[i],
+                               noise=coeffs.noise[i])
+
+
 def _feasible_powers(coeffs, t, p_max, tol=1e-9):
-    """Least power vector meeting gamma_k >= t, or None if infeasible.
+    """Least power vector meeting gamma_k >= t, all NaN if infeasible.
 
     For fixed weights the constraints p_k signal_k >= t (d[k] @ p + noise_k)
     are linear; their least solution solves (I - t D~) p = t n~ with
@@ -348,39 +366,46 @@ def _feasible_powers(coeffs, t, p_max, tol=1e-9):
     and a component above p_max certifies infeasibility under the cap.
     (A fixed-point sweep finds the same point but its contraction ratio
     degenerates to 1 at the feasibility boundary; the direct solve is exact.)
+    Leading axes of the coefficients and of t (...) are settings, solved in
+    one stacked solve; the result is (..., K), one row per setting.
     """
-    n_ue = coeffs.signal.shape[0]
-    if t <= 0:
-        return np.zeros(n_ue)
-    a = np.eye(n_ue) - t * coeffs.d / coeffs.signal[:, None]
-    b = t * coeffs.noise / coeffs.signal
+    t = np.asarray(t, dtype=float)
+    n_ue = coeffs.signal.shape[-1]
+    a = (np.eye(n_ue)
+         - t[..., None, None] * coeffs.d / coeffs.signal[..., :, None])
+    b = t[..., None] * coeffs.noise / coeffs.signal
     try:
-        p = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-    if np.any(p < -tol * p_max) or np.any(p > p_max * (1.0 + tol)):
-        return None
-    return np.clip(p, 0.0, p_max)
+        p = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:   # a singular system: solve each alone
+        p = np.full(b.shape, np.nan)
+        for i in np.ndindex(b.shape[:-1]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                p[i] = np.linalg.solve(a[i], b[i])
+    bad = ((p < -tol * p_max) | (p > p_max * (1.0 + tol))).any(axis=-1)
+    p = np.clip(p, 0.0, p_max)
+    p[bad] = np.nan
+    return p
 
 
 def _perron_root(coeffs, p_max):
     """max_k rho(D~ + n~ e_k^T / p_max), the inverse of the largest common
-    SINR the per-UE cap p_max allows, with D~ and n~ as in _feasible_powers.
+    SINR the per-UE cap p_max allows, with D~ and n~ as in _feasible_powers,
+    per setting of the leading axes (...).
 
     Each rho is the largest real part of the matrix's eigenvalues: the
     Perron root of a nonnegative matrix, which d's diagonal (the self-term
-    correction, rounded) can leave slightly below 0. All K matrices go
-    through one stacked eigvals.
+    correction, rounded) can leave slightly below 0. All K matrices of all
+    settings go through one stacked eigvals.
     """
-    n_ue = coeffs.signal.shape[0]
+    n_ue = coeffs.signal.shape[-1]
     ues = np.arange(n_ue)
-    a = np.repeat((coeffs.d / coeffs.signal[:, None])[None], n_ue, axis=0)
-    a[ues, :, ues] += coeffs.noise / coeffs.signal / p_max   # column k of a_k
-    return float(np.linalg.eigvals(a).real.max())
+    a = np.repeat((coeffs.d / coeffs.signal[..., :, None])[..., None, :, :],
+                  n_ue, axis=-3)
+    a[..., ues, :, ues] += coeffs.noise / coeffs.signal / p_max  # column k of a_k
+    return np.linalg.eigvals(a).real.max(axis=(-2, -1))
 
 
-def maxmin_power(coeffs: se.SinrCoefficients, p_max,
-                 eps=1e-3) -> PowerSolution:
+def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
     """Max-min SINR power control for fixed CPU weights, as a bisection
     over the feasibility of the linear system
     p_k signal_k >= t (d[k] @ p + noise_k), 0 <= p <= p_max, on the
@@ -407,6 +432,16 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max,
     targets above 1 / rho(D~), whose least solutions clip to zero power;
     the closed form rejects them, so t_star stays below t* (1 + band).)
 
+    Leading axes of the coefficients (...) are settings, bisected together:
+    one stacked eigvals gives every rho, each setting halves its own
+    bracket until it is narrower than eps, guard-band midpoints are solved
+    setting by setting, and one stacked solve gives the powers of every
+    setting with a feasible midpoint (full power for the others, as for a
+    setting whose bracket is empty). Returns a PowerSolution for the
+    coefficients of one setting, signal (K,), and a list of them, one per
+    setting in C order of the leading axes, otherwise; each equals the
+    solution of that setting alone.
+
     Raises ValueError for eps not > 0, and SinrComputationError for a
     nonpositive signal coefficient or full-power SINR denominator, or when
     the solve rejects the last midpoint the closed form accepted.
@@ -415,27 +450,42 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max,
         raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
-    full = np.full(coeffs.signal.shape[0], float(p_max))
-    t_lo, t_hi = 0.0, float(2.0 * coeffs.sinr(full).max())
-    if t_hi <= 0:
-        return PowerSolution(p=full, t_star=0.0, iterations=0, bracket=(0.0, 0.0))
-    rho = _perron_root(coeffs, p_max)
-    iterations = 0
-    while t_hi - t_lo >= eps:
+    n_ue = coeffs.signal.shape[-1]
+    full = np.full(n_ue, float(p_max))
+    t_hi = (2.0 * coeffs.sinr(full).max(axis=-1)).reshape(-1)
+    flat = se.SinrCoefficients(signal=coeffs.signal.reshape(-1, n_ue),
+                               d=coeffs.d.reshape(-1, n_ue, n_ue),
+                               noise=coeffs.noise.reshape(-1, n_ue))
+    t_lo = np.zeros_like(t_hi)
+    empty = t_hi <= 0
+    t_hi[empty] = 0.0
+    rho = np.zeros_like(t_hi)
+    rho[~empty] = _perron_root(_settings(flat, ~empty), p_max)
+    iterations = np.zeros(t_hi.shape, dtype=int)
+    going = ~empty & (t_hi - t_lo >= eps)
+    while going.any():
         t = 0.5 * (t_lo + t_hi)
-        iterations += 1
-        if abs(t * rho - 1.0) <= _GUARD_BAND:
-            feasible = _feasible_powers(coeffs, t, p_max) is not None
-        else:
-            feasible = t * rho < 1.0
-        if feasible:
-            t_lo = t
-        else:
-            t_hi = t
-    p = full if t_lo == 0.0 else _feasible_powers(coeffs, t_lo, p_max)
-    if p is None:
+        iterations += going
+        feasible = t * rho < 1.0
+        for s in np.flatnonzero(going & (abs(t * rho - 1.0) <= _GUARD_BAND)):
+            feasible[s] = not np.isnan(
+                _feasible_powers(_settings(flat, s), t[s], p_max)).any()
+        t_lo = np.where(going & feasible, t, t_lo)
+        t_hi = np.where(going & ~feasible, t, t_hi)
+        going &= t_hi - t_lo >= eps
+    p = np.tile(full, (t_hi.size, 1))
+    found = t_lo > 0
+    if found.any():
+        p[found] = _feasible_powers(_settings(flat, found), t_lo[found], p_max)
+    rejected = np.flatnonzero(np.isnan(p).any(axis=-1))
+    if rejected.size:
+        s = rejected[0]
         raise se.SinrComputationError(
-            f"power control: no feasible powers at t = {t_lo!r}, which the "
-            f"closed form accepts (t rho < 1, rho = {rho!r})")
-    return PowerSolution(p=p, t_star=t_lo, iterations=iterations,
-                         bracket=(t_lo, t_hi))
+            f"power control: no feasible powers at t = {float(t_lo[s])!r}, "
+            f"which the closed form accepts (t rho < 1, rho = "
+            f"{float(rho[s])!r})")
+    solutions = [PowerSolution(p=p[s], t_star=float(t_lo[s]),
+                               iterations=int(iterations[s]),
+                               bracket=(float(t_lo[s]), float(t_hi[s])))
+                 for s in range(t_hi.size)]
+    return solutions if coeffs.signal.ndim > 1 else solutions[0]

@@ -2,27 +2,32 @@
 # Convenience wiring of the full statistics chain for one drop: geometry and
 # diffraction matrices, effective channel statistics for a phase tensor,
 # estimation statistics for a pilot assignment, and closed-form terms.
-# Heavy fixed pieces (steering vectors, base correlation) are computed once
-# per drop and reused across phase updates. The networks of one drop whose
+# Heavy fixed pieces are computed once and reused across phase updates: the
+# base correlation once per stack, the steering vectors once per drop (or
+# per batch of drops, on a leading drop axis). The networks of one drop whose
 # stacks differ (the pitches of a sweep) form a NetworkGroup, whose stack
 # matrices carry a leading network axis so one block build serves them all.
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import se
 from .channel import (ChannelState, block_channel_state, build_channel_state,
-                      sinc_correlation, steering_units)
+                      steering_units)
 from .config import SystemConfig
 from .estimation import EstimationState, build_estimation_state
 from .scenario import Drop
-from .sim_physics import DiffractionSet, SimGeometry, random_phase_tensor, stack_for
+from .sim_physics import (DiffractionSet, SimGeometry, base_correlation,
+                          random_phase_tensor, stack_for)
 
 
 @dataclass
 class NetworkModel:
-    """All fixed, phase-independent state of one network drop."""
+    """All fixed, phase-independent state of one network drop, or of a
+    batch of drops (a Drop with a leading drop axis): steering then has the
+    drop axis, (D, L, K, N), and phases, pilot assignments and every state
+    built from them carry it too. base_corr (N, N) is the stack's."""
     cfg: SystemConfig
     drop: Drop
     geom: SimGeometry
@@ -34,16 +39,20 @@ class NetworkModel:
     def from_drop(cls, drop: Drop) -> "NetworkModel":
         cfg = drop.cfg
         geom, dset = stack_for(cfg)
-        base_corr = sinc_correlation(geom.output_grid, cfg.wavelength)
-        steering = steering_units(geom, drop)
         return cls(cfg=cfg, drop=drop, geom=geom, dset=dset,
-                   base_corr=base_corr, steering=steering)
+                   base_corr=base_correlation(cfg),
+                   steering=steering_units(geom, drop))
+
+    def at(self, i):
+        """The model of drop i of a batch."""
+        return replace(self, drop=self.drop.at(i), steering=self.steering[i])
 
     def random_phases(self, rng):
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
 
     def channel_state(self, phases) -> ChannelState:
-        """Statistics of every AP for a phase tensor (L, M, N)."""
+        """Statistics of every AP for a phase tensor (L, M, N), or (D, L, M,
+        N) for a batch of drops."""
         return build_channel_state(self.drop, self.dset, phases,
                                    self.base_corr, self.steering)
 

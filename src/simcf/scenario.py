@@ -3,7 +3,7 @@
 # correlated shadow fading, Rician factors and the LoS/NLoS power split.
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,16 +23,17 @@ class ScenarioError(RuntimeError):
 def torus_displacement(from_xy, to_xy, side):
     """Minimum-image planar displacement vectors on a square torus.
 
-    from_xy: (A, 2), to_xy: (B, 2) -> (A, B, 2) with components in
-    [-side/2, side/2). The 9-copy wrap-around reduces to coordinatewise
-    minimum-image shifts on a square period.
+    from_xy: (..., A, 2), to_xy: (..., B, 2) -> (..., A, B, 2) with
+    components in [-side/2, side/2); leading axes are batch axes. The 9-copy
+    wrap-around reduces to coordinatewise minimum-image shifts on a square
+    period.
     """
-    d = to_xy[None, :, :] - from_xy[:, None, :]
+    d = to_xy[..., None, :, :] - from_xy[..., :, None, :]
     return d - side * np.round(d / side)
 
 
 def torus_distance(from_xy, to_xy, side):
-    """Pairwise minimum-image planar distances, shape (A, B)."""
+    """Pairwise minimum-image planar distances, shape (..., A, B)."""
     return np.linalg.norm(torus_displacement(from_xy, to_xy, side), axis=-1)
 
 
@@ -84,13 +85,25 @@ def psd_sqrt(mat):
 
 
 def _corr_sqrt(positions, side, delta_sf, d_dc):
-    """Square root of the exponential shadowing covariance among positions."""
+    """Square root of the exponential shadowing covariance among positions
+    (..., n, 2), one stacked psd_sqrt over the leading axes."""
     dist = torus_distance(positions, positions, side)
     try:
         return psd_sqrt(delta_sf ** 2 * np.exp2(-dist / d_dc))
     except np.linalg.LinAlgError as exc:
-        raise ScenarioError(f"shadowing covariance of {len(positions)} "
+        raise ScenarioError(f"shadowing covariance of {positions.shape[-2]} "
                             f"positions: {exc}") from exc
+
+
+def _shadowing(cfg, ap_pos, ue_pos, a, b):
+    """Shadow fading (..., n, L, K) in dB from white normals a (..., n, L)
+    and b (..., n, K), with positions (..., L, 2) and (..., K, 2)."""
+    a = a @ _corr_sqrt(ap_pos, cfg.area_side, cfg.delta_sf,
+                       cfg.d_dc).swapaxes(-1, -2)
+    b = b @ _corr_sqrt(ue_pos, cfg.area_side, cfg.delta_sf,
+                       cfg.d_dc).swapaxes(-1, -2)
+    return (np.sqrt(cfg.delta_f) * a[..., :, None]
+            + np.sqrt(1.0 - cfg.delta_f) * b[..., None, :])
 
 
 def correlated_shadowing(cfg: SystemConfig, ap_pos, ue_pos, rng, n_draws=None):
@@ -103,18 +116,22 @@ def correlated_shadowing(cfg: SystemConfig, ap_pos, ue_pos, rng, n_draws=None):
     """
     rng = np.random.default_rng(rng)
     n = 1 if n_draws is None else int(n_draws)
-    a = rng.standard_normal((n, len(ap_pos))) \
-        @ _corr_sqrt(ap_pos, cfg.area_side, cfg.delta_sf, cfg.d_dc).T
-    b = rng.standard_normal((n, len(ue_pos))) \
-        @ _corr_sqrt(ue_pos, cfg.area_side, cfg.delta_sf, cfg.d_dc).T
-    f = (np.sqrt(cfg.delta_f) * a[:, :, None]
-         + np.sqrt(1.0 - cfg.delta_f) * b[:, None, :])
+    a = rng.standard_normal((n, len(ap_pos)))
+    b = rng.standard_normal((n, len(ue_pos)))
+    f = _shadowing(cfg, ap_pos, ue_pos, a, b)
     return f[0] if n_draws is None else f
+
+
+_PER_DROP = ("ap_pos", "ue_pos", "dist", "beta", "kappa", "beta_los",
+             "beta_nlos", "shadowing")
 
 
 @dataclass(frozen=True)
 class Drop:
-    """Immutable large-scale snapshot of one network realization."""
+    """Immutable large-scale snapshot of one network realization, or of a
+    batch of them (generate_drop with one seed per drop): every array but
+    p then has a leading drop axis, ap_pos (D, L, 2) ... shadowing
+    (D, L, K), and p (K,) is shared."""
     cfg: SystemConfig
     ap_pos: np.ndarray      # (L, 2)
     ue_pos: np.ndarray      # (K, 2)
@@ -127,18 +144,22 @@ class Drop:
     p: np.ndarray           # (K,) data powers, W
 
     def __post_init__(self):
-        for name in ("ap_pos", "ue_pos", "dist", "beta", "kappa",
-                     "beta_los", "beta_nlos", "shadowing", "p"):
+        for name in (*_PER_DROP, "p"):
             getattr(self, name).setflags(write=False)
 
+    def at(self, i):
+        """Drop i of a batch, with the shapes of a single drop."""
+        return replace(self, **{name: getattr(self, name)[i]
+                                for name in _PER_DROP})
+
     def link_directions(self):
-        """Unit 3-D direction vectors AP -> UE, shape (L, K, 3).
+        """Unit 3-D direction vectors AP -> UE, shape (..., L, K, 3).
 
         Uses the same minimum-image planar displacement as the distances, so
         steering directions stay consistent with pathloss on the torus.
         """
         disp = torus_displacement(self.ap_pos, self.ue_pos, self.cfg.area_side)
-        dz = np.full(disp.shape[:2], self.cfg.h_ue - self.cfg.h_ap)
+        dz = np.full(disp.shape[:-1], self.cfg.h_ue - self.cfg.h_ap)
         vec = np.concatenate([disp, dz[..., None]], axis=-1)
         return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
@@ -146,20 +167,33 @@ class Drop:
 def generate_drop(cfg: SystemConfig, seed) -> Drop:
     """Generate one drop: uniform placement, shadowed pathloss, Rician split.
 
-    Deterministic in (cfg, seed). Powers start at p_max.
+    seed is one seed (what np.random.SeedSequence takes) or a 2-D
+    array-like of them, one row per drop, for a batch of drops on a leading
+    axis (Drop). Each drop draws from its own seed's generators, in the
+    order AP and UE positions, then the AP and the UE shadowing normals;
+    the rest runs on the whole batch, so drop i of a batch equals the drop
+    of its seed alone. Deterministic in (cfg, seed). Powers start at p_max.
     """
-    ss = np.random.SeedSequence(seed)
-    rng_pos, rng_shadow = [np.random.default_rng(s) for s in ss.spawn(2)]
-    ap_pos = rng_pos.uniform(0.0, cfg.area_side, size=(cfg.L, 2))
-    ue_pos = rng_pos.uniform(0.0, cfg.area_side, size=(cfg.K, 2))
+    batch = np.ndim(seed) == 2
+    ap_pos, ue_pos, ap_white, ue_white = [], [], [], []
+    for one in (seed if batch else [seed]):
+        children = np.random.SeedSequence(one).spawn(2)
+        rng_pos, rng_shadow = [np.random.default_rng(s) for s in children]
+        ap_pos.append(rng_pos.uniform(0.0, cfg.area_side, size=(cfg.L, 2)))
+        ue_pos.append(rng_pos.uniform(0.0, cfg.area_side, size=(cfg.K, 2)))
+        ap_white.append(rng_shadow.standard_normal((1, cfg.L)))
+        ue_white.append(rng_shadow.standard_normal((1, cfg.K)))
+    ap_pos, ue_pos = np.stack(ap_pos), np.stack(ue_pos)
     planar = torus_distance(ap_pos, ue_pos, cfg.area_side)
     dist = np.hypot(planar, cfg.h_ap - cfg.h_ue)
-    shadowing = correlated_shadowing(cfg, ap_pos, ue_pos, rng_shadow)
+    shadowing = _shadowing(cfg, ap_pos, ue_pos, np.stack(ap_white),
+                           np.stack(ue_white))[:, 0]
     beta = 10.0 ** ((pathloss_db(dist) + shadowing) / 10.0)
     kappa = rician_kappa(dist)
     beta_los, beta_nlos = rician_split(beta, kappa)
-    return Drop(
+    drop = Drop(
         cfg=cfg, ap_pos=ap_pos, ue_pos=ue_pos, dist=dist,
         beta=beta, kappa=kappa, beta_los=beta_los, beta_nlos=beta_nlos,
         shadowing=shadowing, p=np.full(cfg.K, cfg.p_max, dtype=float),
     )
+    return drop if batch else drop.at(0)

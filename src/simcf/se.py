@@ -62,7 +62,8 @@ class SinrTerms:
     power_jil + cross_kjl are kept in these parts. The noise diagonal equals
     z and is not stored separately. pilots is the estimation state's
     PilotMap and sigma2 its noise power. Arrays may carry leading candidate
-    axes (one network per candidate, pilots and sigma2 shared); every
+    axes (one network per candidate, pilots and sigma2 shared), or the
+    leading drop axis of a batch of drops, with the batch's PilotMap; every
     function of this module carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0
@@ -81,9 +82,12 @@ class SinrTerms:
         return self.z.shape[-2]
 
 
-def _ap_last(x):
-    """x (L, ...) as a C-contiguous (..., L) array."""
-    return np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
+def _ap_last(x, axis):
+    """x with its AP axis (axis, counted from the end) moved last, as a
+    C-contiguous array."""
+    axes = list(range(x.ndim))
+    axes.append(axes.pop(axis))
+    return np.ascontiguousarray(x.transpose(axes))
 
 
 def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
@@ -102,23 +106,25 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
       delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)
                    = beta_lj beta_lk sum_i eig_li^2 / den_lki
                      (pilot-sharing UEs only)
+    The states of a batch of drops give terms with a leading drop axis.
     """
     pilots = est.pilots
     g = state.h_bar @ est.basis.conj()               # (L, K, U)
     gram = g.conj() @ g.swapaxes(-1, -2)             # (L, K, K)
-    g = _ap_last(g)                                  # from here (..., L)
-    eig = _ap_last(est.eig)
-    spread = _ap_last(est.eig[:, None] * est.gain)   # eig^2 / den
-    beta = _ap_last(est.beta)
+    g = _ap_last(g, -3)                              # from here (..., L)
+    eig = _ap_last(est.eig[..., None, :], -3)        # (1, U, L)
+    spread = _ap_last(est.eig[..., None, :] * est.gain, -3)   # eig^2 / den
+    beta = _ap_last(est.beta, -2)
     power = g.real ** 2 + g.imag ** 2
-    spec = (pilots.p_hat[:, None] * pilots.tau_p * beta ** 2)[:, None] * spread
+    spec = ((pilots.p_hat[:, None] * pilots.tau_p * beta ** 2)[..., None, :]
+            * spread)
     lam = power.sum(axis=-2)
-    delta = ((beta * spread.sum(axis=-2))[:, None] * beta
+    delta = ((beta * spread.sum(axis=-2))[..., None, :] * beta[..., None, :, :]
              * pilots.sharing[..., None])
     return SinrTerms(z=spec.sum(axis=-2) + lam, lam=lam, delta=delta,
                      beta=beta, nu=((spec + power) * eig).sum(axis=-2),
                      spec=spec, power=power,
-                     cross=_ap_last(gram.real ** 2 + gram.imag ** 2),
+                     cross=_ap_last(gram.real ** 2 + gram.imag ** 2, -3),
                      pilots=pilots, sigma2=est.sigma2)
 
 
@@ -150,9 +156,15 @@ def _factors(terms: SinrTerms, p):
           + (p[:, None] * terms.cross).sum(axis=-2)
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
     order = terms.pilots.order
-    rows = np.arange(terms.n_ues)[:, None]
-    scale = np.sqrt((terms.pilots.coherent * p)[rows, order])
-    return dg, scale[..., None] * terms.delta[..., rows, order, :]
+    if order.ndim == 2:   # one map for all candidates (or a block's probes)
+        rows = np.arange(terms.n_ues)[:, None]
+        scale = np.sqrt((terms.pilots.coherent * p)[rows, order])
+        copilots = terms.delta[..., rows, order, :]
+    else:                 # a map per drop of a batch
+        scale = np.sqrt(np.take_along_axis(terms.pilots.coherent * p, order,
+                                           -1))
+        copilots = np.take_along_axis(terms.delta, order[..., None], -2)
+    return dg, scale[..., None] * copilots
 
 
 def _lsfd_factors(terms: SinrTerms, p):
@@ -214,13 +226,14 @@ class SinrCoefficients:
     noise: np.ndarray
 
     def sinr(self, p):
-        """Per-UE SINR (..., K) for the power vector p (K,).
+        """Per-UE SINR (..., K) for the power vector p (K,), or for power
+        vectors (..., K) on the leading axes.
 
         Raises SinrComputationError naming the first UE (and candidate)
         with a nonpositive denominator.
         """
         p = np.asarray(p, dtype=float)
-        den = self.d @ p + self.noise
+        den = (self.d @ p[..., None])[..., 0] + self.noise
         _require_positive(den, "SINR denominator")
         return self.signal * p / den
 

@@ -112,17 +112,41 @@ def build_diffraction_set(geom: SimGeometry, wavelength, atom_area) -> Diffracti
     return DiffractionSet(w_first=w_first, w_layer=w_layer)
 
 
+def sinc_correlation(points, wavelength):
+    """Isotropic-scattering spatial correlation over a set of points.
+
+    Entry (n, n') is sinc(2 d / lambda) with d the Euclidean distance, so
+    points half a wavelength apart are exactly uncorrelated. Unit diagonal.
+    """
+    pts = np.asarray(points)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    return np.sinc(2.0 * d / wavelength)
+
+
 @lru_cache(maxsize=32)
 def _cached_stack(m, n, u, wavelength, d_meta, t_sim):
     cfg = SystemConfig(L=1, K=1, U=u, M=m, N=n, wavelength=wavelength,
                        d_meta=d_meta, t_sim=t_sim)
     geom = build_geometry(cfg)
-    return geom, build_diffraction_set(geom, wavelength, d_meta * d_meta)
+    base_corr = sinc_correlation(geom.output_grid, wavelength)
+    base_corr.setflags(write=False)
+    return (geom, build_diffraction_set(geom, wavelength, d_meta * d_meta),
+            base_corr)
+
+
+def _stack_key(cfg):
+    return cfg.M, cfg.N, cfg.U, cfg.wavelength, cfg.d_meta, cfg.t_sim
 
 
 def stack_for(cfg: SystemConfig):
     """(geometry, diffraction set) for cfg, cached on the geometry parameters."""
-    return _cached_stack(cfg.M, cfg.N, cfg.U, cfg.wavelength, cfg.d_meta, cfg.t_sim)
+    return _cached_stack(*_stack_key(cfg))[:2]
+
+
+def base_correlation(cfg: SystemConfig):
+    """Read-only output-grid correlation (sinc_correlation) of cfg's stack,
+    from the same cache entry as stack_for."""
+    return _cached_stack(*_stack_key(cfg))[2]
 
 
 def cascade_through_antennas(dset: DiffractionSet, phases):

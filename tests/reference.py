@@ -640,7 +640,7 @@ def maxmin_power_bisection(coeffs, p_max, eps=1e-3):
         t = 0.5 * (t_lo + t_hi)
         p = _feasible_powers(coeffs, t, p_max)
         iterations += 1
-        if p is None:
+        if np.isnan(p).any():
             t_hi = t
         else:
             t_lo = t

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, generate_drop
-from simcf.channel import block_channel_state, sinc_correlation
+from simcf.channel import block_channel_state
 from simcf.pipeline import NetworkModel
 from simcf.scenario import psd_sqrt
-from simcf.sim_physics import random_phase_tensor, stack_for
+from simcf.sim_physics import random_phase_tensor, sinc_correlation, stack_for
 
 from reference import (SimUeChannelStats, build_channel_state_loop,
                        build_channel_state_slices, cascade, effective_stats,

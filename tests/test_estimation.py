@@ -6,9 +6,11 @@ import pytest
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import ChannelState
 from simcf.estimation import (EstimationError, build_estimation_state,
-                              despread_pilot_noise, mmse_estimate)
+                              despread_pilot_noise, mmse_estimate, pilot_map)
 from simcf.montecarlo import _TrialSampler
 from simcf.pipeline import NetworkModel
+from simcf.se import decoder_weights, sinr_coefficients, sinr_terms
+from simcf.sim_physics import random_phase_tensor
 
 from reference import estimation_stats, mmse_estimate_loop, omega_of, r_all
 
@@ -222,3 +224,68 @@ def test_despread_noise_variance():
     noise = despread_pilot_noise(rng, 2, (50_000,), 3, tau_p, sigma2)
     var = np.mean(np.abs(noise) ** 2)
     assert var == pytest.approx(tau_p * sigma2, rel=0.02)
+
+
+def test_drop_batch_states_equal_each_drop_alone():
+    # the chain on a leading drop axis: every array of drop i equals that
+    # of drop i alone, with co-pilot counts that differ across the batch
+    cfg = SystemConfig(L=3, K=10, U=2, M=2, N=9, tau_p=4)
+    seeds = [[3, d, 0] for d in range(3)]
+    model = NetworkModel.from_drop(generate_drop(cfg, seeds))
+    pilots = allocate_pilots(model.drop)
+    phases = np.stack([random_phase_tensor(cfg.L, cfg.M, cfg.N, [3, d, 1])
+                       for d in range(3)])
+    state, est = model.states(phases, pilots.pilot_of)
+    terms = sinr_terms(state, est)
+    assert len({pilot_map(pilots.pilot_of[d], cfg.pilot_powers(),
+                          cfg.tau_p).order.shape[-1] for d in range(3)}) == 3
+    for d, seed in enumerate(seeds):
+        alone = NetworkModel.from_drop(generate_drop(cfg, seed))
+        pilot_of = allocate_pilots(alone.drop).pilot_of
+        assert np.array_equal(pilots.pilot_of[d], pilot_of)
+        state_d, est_d = alone.states(phases[d], pilot_of)
+        for name in ("h_bar", "s", "beta_nlos"):
+            assert np.array_equal(getattr(state.at(d), name),
+                                  getattr(state_d, name))
+        for name in ("eig", "basis", "beta", "den", "gain", "core"):
+            assert np.array_equal(getattr(est.at(d), name),
+                                  getattr(est_d, name))
+            assert np.array_equal(getattr(est, name)[d], getattr(est_d, name))
+        assert est.at(d).pilots is est_d.pilots
+        terms_d = sinr_terms(state_d, est_d)
+        for name in ("z", "lam", "delta", "beta", "nu", "spec", "power",
+                     "cross"):
+            assert np.array_equal(getattr(terms, name)[d],
+                                  getattr(terms_d, name))
+        for decoder in ("lsfd", "egcd"):
+            w = decoder_weights(terms, decoder, alone.drop.p)
+            w_d = decoder_weights(terms_d, decoder, alone.drop.p)
+            assert np.array_equal(w[d], w_d)
+            coeffs = sinr_coefficients(terms, w)
+            coeffs_d = sinr_coefficients(terms_d, w_d)
+            for name in ("signal", "d", "noise"):
+                assert np.array_equal(getattr(coeffs, name)[d],
+                                      getattr(coeffs_d, name))
+
+
+def test_batch_pilot_map_needs_one_pilot_count():
+    p_hat = np.ones(5)
+    with pytest.raises(ValueError, match="one count"):
+        pilot_map([[0, 0, 0, 1, 2], [0, 0, 1, 1, 1]], p_hat, 3)
+    assignments = [[0, 0, 0, 1, 2], [2, 1, 2, 0, 1]]
+    batch = pilot_map(assignments, p_hat, 3)
+    for d, pilot_of in enumerate(assignments):
+        alone = pilot_map(pilot_of, p_hat, 3)
+        for name in ("onehot", "members", "slot", "sharing", "coherent"):
+            assert np.array_equal(getattr(batch, name)[d],
+                                  getattr(alone, name))
+        assert batch.at(d) is alone
+    # drop 1 has one co-pilot per UE at most, drop 0 two: its lists are
+    # padded with a UE of zero coherent scale
+    assert batch.order.shape == (2, 5, 2)
+    assert np.array_equal(batch.order[0], pilot_map(assignments[0], p_hat,
+                                                    3).order)
+    assert np.array_equal(batch.order[1, :, 0],
+                          pilot_map(assignments[1], p_hat, 3).order[:, 0])
+    padded = np.take_along_axis(batch.coherent[1], batch.order[1], -1)
+    assert not padded[:, 1].any() and padded[:, 0].any()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from reference import run_experiment_rows_per_setting
-from simcf import experiments, pipeline, se
-from simcf.estimation import EstimationError
+from simcf import allocate_pilots, experiments, generate_drop, pipeline, se
+from simcf.estimation import EstimationError, pilot_map
 from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                ExperimentError, ExperimentSpec,
                                aggregate_rows, fig3_spec, run_experiment,
@@ -407,3 +407,67 @@ def test_failing_network_fails_only_its_cells(monkeypatch):
     assert result.failures == failures == spec.n_drops
     assert {row[1] for row in result.rows} == set(spec.values) - {bad}
     assert result.rows == rows
+
+
+def _cells_alone(monkeypatch):
+    """Make run_experiment run every cell as a unit of its own."""
+    real = experiments._groups
+    monkeypatch.setattr(experiments, "_groups", lambda spec, configs: [
+        [cell] for unit in real(spec, configs) for cell in unit])
+
+
+def _run_alone(spec):
+    with pytest.MonkeyPatch.context() as mp:
+        _cells_alone(mp)
+        return run_experiment(spec)
+
+
+@pytest.mark.parametrize("n_mc_trials", [0, 200])
+def test_value_batches_equal_single_cells(n_mc_trials):
+    # each value's drops run as one batch; a single cell is a batch of one
+    spec = tiny_spec(n_drops=3, schemes=SCHEMES, n_mc_trials=n_mc_trials)
+    configs = [spec.config_for(v) for v in spec.values]
+    assert experiments._groups(spec, configs) == [
+        [(v, d) for d in range(3)] for v in range(len(spec.values))]
+    batched = run_experiment(spec)
+    alone = _run_alone(spec)
+    assert batched.failures == alone.failures == 0
+    assert len(batched.rows) == 2 * 3 * 4 * 2 * 3
+    assert batched.rows == alone.rows
+
+
+def test_batch_with_different_copilot_counts_equals_single_cells():
+    # K = 10 on 4 pilots: at seed 3 the drops of L = 2 have 2, 3 and 4
+    # co-pilots per UE at most, and those of L = 3 have 3, 2 and 4, so the
+    # batch pads the co-pilot lists of the others
+    spec = tiny_spec(n_drops=3, seed=3, schemes=("rand-full", "rand-maxmin"),
+                     base=dict(K=10, U=2, M=2, N=9, tau_p=4))
+    for v in spec.values:
+        cfg = spec.config_for(v)
+        counts = [pilot_map(allocate_pilots(generate_drop(cfg, [3, d, 0]))
+                            .pilot_of, cfg.pilot_powers(), 4).order.shape[-1]
+                  for d in range(3)]
+        assert len(set(counts)) == 3
+    batched = run_experiment(spec)
+    alone = _run_alone(spec)
+    assert batched.failures == alone.failures == 0
+    assert batched.rows == alone.rows
+
+
+def test_failing_drop_of_a_batch_fails_only_its_cell(monkeypatch):
+    # a typed failure in drop 1 of the L = 3 batch fails the batch, whose
+    # cells then run alone: only that cell fails
+    spec = tiny_spec(n_drops=3, schemes=SCHEMES)
+    reference = _run_alone(spec)
+    real = experiments.generate_drop
+
+    def generate_drop(cfg, seeds):
+        if cfg.L == 3 and [spec.seed, 1, 0] in seeds:
+            raise EstimationError("pilot covariance is singular")
+        return real(cfg, seeds)
+
+    monkeypatch.setattr(experiments, "generate_drop", generate_drop)
+    result = run_experiment(spec)
+    assert result.failures == 1
+    assert result.rows == [row for row in reference.rows
+                           if (row[1], row[2]) != (3, 1)]

@@ -139,7 +139,8 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
     cfg = small_cfg
     state = small_model.channel_state(small_phases)
     from simcf.sim_physics import cascade_through_antennas
-    from simcf.channel import sinc_correlation, steering_units
+    from simcf.channel import steering_units
+    from simcf.sim_physics import sinc_correlation
 
     l, k = 1, 2
     r = r_all(state)[l, k]

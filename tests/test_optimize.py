@@ -64,6 +64,18 @@ def test_pilot_interference_sums_cost_per_pilot():
         pilot_interference(drop, 5, assigned, np.array([0, 1, -1, 0, 1, 2]))
 
 
+def test_batch_allocation_equals_each_drop_alone():
+    # the greedy step runs for every drop of a batch at once
+    for L, K, tau_p in ((3, 10, 4), (12, 9, 3), (2, 3, 4)):
+        cfg = SystemConfig(L=L, K=K, U=1, M=1, N=4, tau_p=tau_p)
+        seeds = [[5, d, 0] for d in range(6)]
+        batch = allocate_pilots(generate_drop(cfg, seeds)).pilot_of
+        assert batch.shape == (6, K)
+        for d, seed in enumerate(seeds):
+            alone = allocate_pilots(generate_drop(cfg, seed)).pilot_of
+            assert np.array_equal(batch[d], alone)
+
+
 def test_greedy_beats_random_median():
     cfg = SystemConfig(L=4, K=8, U=1, M=1, N=4, tau_p=3)
     drop = generate_drop(cfg, 2)
@@ -428,7 +440,9 @@ def test_maxmin_guard_band_midpoint_is_solved(monkeypatch):
 
 def test_maxmin_rejected_final_solve_raises(monkeypatch):
     cfg, drop, terms, _, w = _maxmin_setup(55)
-    monkeypatch.setattr(optimize, "_feasible_powers", lambda *args: None)
+    monkeypatch.setattr(optimize, "_feasible_powers",
+                        lambda coeffs, t, p_max: np.full(coeffs.signal.shape,
+                                                         np.nan))
     with pytest.raises(SinrComputationError, match="no feasible powers"):
         maxmin_power(sinr_coefficients(terms, w), cfg.p_max)
 
@@ -452,6 +466,64 @@ def test_maxmin_certified_at_low_noise():
     # with the slightly negative powers clipped to 0
     old = maxmin_power_bisection(coeffs, p_max, eps=eps)
     assert old.t_star > 2.0 * t_opt and np.all(old.p == 0)
+
+
+def _stack_coeffs(settings):
+    return SinrCoefficients(*(np.stack([getattr(c, name) for c in settings])
+                              for name in ("signal", "d", "noise")))
+
+
+def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
+    # one batch of settings of every kind, at one power cap: an empty
+    # bracket (the full-power SINRs underflow to 0), no feasible midpoint
+    # (full power), a midpoint on the optimum (solved in the guard band)
+    # and the LSFD and EGCD coefficients of a drop
+    p_max = 0.2
+    cfg = SystemConfig(L=3, K=2, U=2, M=2, N=4, tau_p=1)
+    drop = generate_drop(cfg, 3)
+    model = NetworkModel.from_drop(drop)
+    terms = model.terms(model.random_phases(4), allocate_pilots(drop).pilot_of)
+    band = _coeffs([2.0, 2.0], np.diag([0.3, 0.3]), [0.1, 0.1])
+    settings = [_coeffs([1e-200, 1e-200], np.zeros((2, 2)), [1e200, 1e200]),
+                _coeffs([1.0, 1e-5], np.zeros((2, 2)), [1e-3, 1.0]),
+                band,
+                sinr_coefficients(terms, lsfd_weights(terms, drop.p)),
+                sinr_coefficients(terms, egcd_weights(terms))]
+    assert _in_guard_band(band, p_max, 2.5)
+    calls = _spy_solves(monkeypatch)
+    batch = maxmin_power(_stack_coeffs(settings), p_max)
+    # the guard-band midpoint of one setting, then one stacked final solve
+    # of the three settings with a feasible midpoint
+    assert calls[:-1] == [2.5] and calls[-1].shape == (3,)
+    assert len(batch) == len(settings)
+    for got, coeffs in zip(batch, settings):
+        for want in (maxmin_power(coeffs, p_max),
+                     maxmin_power_bisection(coeffs, p_max)):
+            assert np.array_equal(got.p, want.p)
+            assert got.t_star == want.t_star
+            assert got.iterations == want.iterations
+            assert got.bracket == want.bracket
+    empty, full = batch[:2]
+    assert empty.iterations == 0 and empty.bracket == (0.0, 0.0)
+    assert full.t_star == 0.0 and full.iterations > 1
+    assert np.array_equal(empty.p, [p_max, p_max])
+    assert np.array_equal(full.p, [p_max, p_max])
+    assert all(sol.t_star > 0 for sol in batch[2:])
+    # two leading axes give the same solutions, in C order
+    grid = maxmin_power(_stack_coeffs([_stack_coeffs(settings[1:3]),
+                                       _stack_coeffs(settings[3:])]), p_max)
+    assert [sol.t_star for sol in grid] == [sol.t_star for sol in batch[1:]]
+
+
+def test_feasible_powers_stack_with_a_singular_system():
+    # t d / signal = 1 makes the first system singular: infeasible (NaN),
+    # and the other system is solved as it is alone
+    coeffs = _coeffs([[1.0], [1.0]], [[[0.5]], [[0.1]]], [[0.1], [0.1]])
+    p = optimize._feasible_powers(coeffs, np.array([2.0, 2.0]), 1.0)
+    alone = optimize._feasible_powers(
+        _coeffs([1.0], [[0.1]], [0.1]), 2.0, 1.0)
+    assert np.isnan(p[0]).all() and np.array_equal(p[1], alone)
+    assert alone.shape == (1,) and alone[0] > 0
 
 
 def test_maxmin_coefficients_match_direct_evaluation():

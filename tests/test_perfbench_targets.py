@@ -1,10 +1,14 @@
 # The traced benchmark run wraps simcf functions by name (TARGETS in
 # perfbench/tracing.py) and only prints "trace target missing" for a name
 # that is gone. Read that table without importing perfbench and check that
-# every entry still resolves, so a rename fails here instead.
+# every entry still resolves, so a rename fails here instead; and run one
+# short traced round end to end.
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,3 +34,15 @@ def test_every_trace_target_resolves():
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_traced_run_prints_its_metrics():
+    # the traced run reads the objects the wrapped functions return and
+    # prints its metrics as JSON; a result it cannot count must not make
+    # that line fail
+    run = subprocess.run(
+        [sys.executable, str(TRACING.parent / "run.py"), "--workload",
+         "fig3-closed-form", "--seed", "1", "--trace", "1", "--seconds",
+         "0.5"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -208,3 +208,22 @@ def test_pilot_powers_vector():
     cfg = SystemConfig(K=3, p_hat=(0.1, 0.2, 0.15), L=2, N=4, M=1, U=1, tau_p=2)
     assert np.allclose(cfg.pilot_powers(), [0.1, 0.2, 0.15])
     assert np.allclose(SystemConfig(K=3, L=2, N=4, M=1, U=1, tau_p=2).pilot_powers(), 0.2)
+
+
+def test_batch_of_seeds_equals_each_seed_alone():
+    # one seed per drop on a leading axis; drop i of the batch is the drop
+    # of seed i alone, bit for bit, and p is shared
+    for L, K in ((1, 1), (5, 5), (12, 3)):
+        cfg = SystemConfig(L=L, K=K)
+        seeds = [[9, d, 0] for d in range(4)]
+        batch = generate_drop(cfg, seeds)
+        assert batch.beta.shape == (4, L, K) and batch.p.shape == (K,)
+        assert batch.link_directions().shape == (4, L, K, 3)
+        for d, seed in enumerate(seeds):
+            alone = generate_drop(cfg, seed)
+            for name in ("ap_pos", "ue_pos", "dist", "beta", "kappa",
+                         "beta_los", "beta_nlos", "shadowing", "p"):
+                assert np.array_equal(getattr(batch.at(d), name),
+                                      getattr(alone, name))
+            assert np.array_equal(batch.link_directions()[d],
+                                  alone.link_directions())

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from simcf import SystemConfig
-from simcf.sim_physics import (DiffractionSet, block_cascade_coeffs,
-                               build_diffraction_set, build_geometry,
-                               cascade_through_antennas,
-                               planar_grid, random_phase_tensor, stack_for,
-                               transfer_matrix, wrap_phases)
+from simcf import SystemConfig, generate_drop
+from simcf.pipeline import NetworkModel
+from simcf.sim_physics import (DiffractionSet, base_correlation,
+                               block_cascade_coeffs, build_diffraction_set,
+                               build_geometry, cascade_through_antennas,
+                               planar_grid, random_phase_tensor,
+                               sinc_correlation, stack_for, transfer_matrix,
+                               wrap_phases)
 
 from reference import cascade, turned_slices
 
@@ -50,6 +52,19 @@ def test_transfer_matrix_matches_scalar_loop():
                                      geom.layer_grids[1][n],
                                      cfg.wavelength, area)
             assert w[n, m] == pytest.approx(ref, rel=1e-12)
+
+
+def test_base_correlation_is_cached_with_the_stack():
+    # built once per stack, read-only, and the one every model of it uses
+    cfg = SystemConfig(L=2, K=2, U=2, M=2, N=9, tau_p=1)
+    corr = base_correlation(cfg)
+    assert corr is base_correlation(cfg.replace(L=3, K=1))
+    assert not corr.flags.writeable
+    geom, _ = stack_for(cfg)
+    assert np.array_equal(corr, sinc_correlation(geom.output_grid,
+                                                 cfg.wavelength))
+    drop = generate_drop(cfg, 1)
+    assert NetworkModel.from_drop(drop).base_corr is corr
 
 
 def test_congruent_layers_give_symmetric_matrix():
