@@ -31,13 +31,15 @@ class EstimationError(RuntimeError):
 class PilotMap:
     """A pilot assignment at its pilot powers and tau_p, with what follows
     from those alone: the one-hot map of UEs to pilots, that map over the P
-    pilots in use (members) and each UE's pilot among them (slot), the
-    share-a-pilot relation with the diagonal (sharing, 1.0 or 0.0), the
-    co-pilots of each UE in index order (padded with other UEs up to the
-    largest co-pilot count) and the coherent scales p_hat_k p_hat_j
-    tau_p^2 of co-pilot pairs (0 elsewhere).
+    pilots in use (members), the share-a-pilot relation with the diagonal
+    (sharing, 1.0 or 0.0), one-hot rows picking the co-pilots of each UE in
+    index order (pick, padded with other UEs up to the largest co-pilot
+    count) and the coherent scales p_hat_k p_hat_j tau_p^2 of co-pilot
+    pairs (0 elsewhere). members and pick gather by matmul, so one product
+    serves a single map, a map shared by leading candidate axes and a map
+    per drop alike.
     The map of a batch of assignments (D, K) keeps every array but p_hat
-    per drop, on a leading drop axis: T and the padding of order run to the
+    per drop, on a leading drop axis: T and the padding of pick run to the
     largest of the batch (the padded co-pilots have zero coherent scales),
     and every drop has the same number P of pilots in use.
     pilot_map builds one per distinct assignment; its arrays are
@@ -46,10 +48,9 @@ class PilotMap:
     p_hat: np.ndarray      # (K,) pilot powers
     tau_p: int
     onehot: np.ndarray     # (K, T), T = pilot_of.max() + 1
-    members: np.ndarray    # (K, P)
-    slot: np.ndarray       # (K,) index into the P pilots in use
+    members: np.ndarray    # (K, P) one-hot
     sharing: np.ndarray    # (K, K)
-    order: np.ndarray      # (K, J) UE indices
+    pick: np.ndarray       # (K, J, K) one-hot
     coherent: np.ndarray   # (K, K)
 
     def at(self, i):
@@ -87,11 +88,12 @@ def _pilot_map(shape, pilot_of, p_hat, tau_p):
     copilot = same & ~np.eye(n_ue, dtype=bool)
     n_co = int(copilot.sum(axis=-1).max(initial=0))
     order = np.argsort(~copilot, axis=-1, kind="stable")[..., :n_co]
+    pick = (order[..., None] == np.arange(n_ue)).astype(float)
     coherent = np.where(copilot, p_hat[:, None] * p_hat[None, :] * tau_p ** 2,
                         0.0)
     arrays = dict(pilot_of=pilot_of, p_hat=p_hat, onehot=onehot,
-                  members=members, slot=members.argmax(axis=-1),
-                  sharing=same.astype(float), order=order, coherent=coherent)
+                  members=members, sharing=same.astype(float), pick=pick,
+                  coherent=coherent)
     for arr in arrays.values():
         arr.setflags(write=False)
     return PilotMap(tau_p=tau_p, **arrays)
@@ -106,9 +108,10 @@ class EstimationState:
     eig and basis diagonalise each AP's antenna correlation,
     s = basis diag(eig) basis^H, and den holds the eigenvalues
     load eig + sigma2 of the pilot covariance psi of each (AP, pilot in
-    use) on that basis. UE k of AP l sees the pilot in use
-    pilots.slot[k]: its core psi^-1 r is beta_lk gain_lk and its estimate
-    covariance omega beta_lk^2 eig gain_lk on the basis, gain = eig / den.
+    use) on that basis. UE k of AP l sees the pilot in use that
+    pilots.members[k] picks: its core psi^-1 r is beta_lk gain_lk and its
+    estimate covariance omega beta_lk^2 eig gain_lk on the basis,
+    gain = eig / den.
     The error covariance is r - p_hat_k tau_p omega. The state of a batch
     of drops has a leading drop axis on every array, and its pilots are the
     batch's PilotMap; the first axis of a block build runs over probes, not
@@ -124,10 +127,8 @@ class EstimationState:
     @cached_property
     def gain(self):
         """(L, K, U) eig / den of each link's pilot."""
-        slot = self.pilots.slot
-        den = (np.take(self.den, slot, axis=-2) if slot.ndim == 1
-               else np.take_along_axis(self.den, slot[..., None, :, None], -2))
-        return self.eig[..., None, :] / den
+        return self.eig[..., None, :] / (self.pilots.members[..., None, :, :]
+                                         @ self.den)
 
     @cached_property
     def core(self):

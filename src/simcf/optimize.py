@@ -335,7 +335,7 @@ class PowerSolution:
     meeting SINR >= t_star under the cap (full power if none), iterations
     the midpoints tested. Each field is that of a bisection solving the
     feasibility system at every midpoint (maxmin_power says when not).
-    maxmin_power returns one per setting of a batch."""
+    maxmin_power returns a list of them, one per setting."""
     p: np.ndarray          # (K,) transmit powers, W
     t_star: float          # certified min-SINR lower bound
     iterations: int
@@ -367,7 +367,9 @@ def _feasible_powers(coeffs, t, p_max, tol=1e-9):
     (A fixed-point sweep finds the same point but its contraction ratio
     degenerates to 1 at the feasibility boundary; the direct solve is exact.)
     Leading axes of the coefficients and of t (...) are settings, solved in
-    one stacked solve; the result is (..., K), one row per setting.
+    one stacked solve; the result is (..., K), one row per setting. A row
+    the solve leaves non-finite counts as infeasible (maxmin_power rejects
+    non-finite coefficients before any solve).
     """
     t = np.asarray(t, dtype=float)
     n_ue = coeffs.signal.shape[-1]
@@ -437,17 +439,21 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
     bracket until it is narrower than eps, guard-band midpoints are solved
     setting by setting, and one stacked solve gives the powers of every
     setting with a feasible midpoint (full power for the others, as for a
-    setting whose bracket is empty). Returns a PowerSolution for the
-    coefficients of one setting, signal (K,), and a list of them, one per
-    setting in C order of the leading axes, otherwise; each equals the
-    solution of that setting alone.
+    setting whose bracket is empty). Returns a list of PowerSolutions, one
+    per setting in C order of the leading axes (a list of one for the
+    coefficients of one setting, signal (K,)); each equals the solution of
+    that setting alone.
 
     Raises ValueError for eps not > 0, and SinrComputationError for a
-    nonpositive signal coefficient or full-power SINR denominator, or when
-    the solve rejects the last midpoint the closed form accepted.
+    non-finite coefficient, a nonpositive signal coefficient or full-power
+    SINR denominator, or when the solve rejects the last midpoint the
+    closed form accepted.
     """
     if not eps > 0:
         raise ValueError(f"bisection tolerance eps must be > 0, got {eps}")
+    if not all(np.isfinite(x).all()
+               for x in (coeffs.signal, coeffs.d, coeffs.noise)):
+        raise se.SinrComputationError("non-finite coefficient in power control")
     if np.any(coeffs.signal <= 0):
         raise se.SinrComputationError("zero signal coefficient in power control")
     n_ue = coeffs.signal.shape[-1]
@@ -488,4 +494,4 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
                                iterations=int(iterations[s]),
                                bracket=(float(t_lo[s]), float(t_hi[s])))
                  for s in range(t_hi.size)]
-    return solutions if coeffs.signal.ndim > 1 else solutions[0]
+    return solutions

@@ -155,16 +155,9 @@ def _factors(terms: SinrTerms, p):
           + (terms.spec * weighted.sum(axis=-3)[..., None, :, :]).sum(axis=-2)
           + (p[:, None] * terms.cross).sum(axis=-2)
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
-    order = terms.pilots.order
-    if order.ndim == 2:   # one map for all candidates (or a block's probes)
-        rows = np.arange(terms.n_ues)[:, None]
-        scale = np.sqrt((terms.pilots.coherent * p)[rows, order])
-        copilots = terms.delta[..., rows, order, :]
-    else:                 # a map per drop of a batch
-        scale = np.sqrt(np.take_along_axis(terms.pilots.coherent * p, order,
-                                           -1))
-        copilots = np.take_along_axis(terms.delta, order[..., None], -2)
-    return dg, scale[..., None] * copilots
+    pick = terms.pilots.pick
+    scale = np.sqrt(pick @ (terms.pilots.coherent * p)[..., None])
+    return dg, scale * (pick @ terms.delta)
 
 
 def _lsfd_factors(terms: SinrTerms, p):

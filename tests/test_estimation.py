@@ -238,7 +238,7 @@ def test_drop_batch_states_equal_each_drop_alone():
     state, est = model.states(phases, pilots.pilot_of)
     terms = sinr_terms(state, est)
     assert len({pilot_map(pilots.pilot_of[d], cfg.pilot_powers(),
-                          cfg.tau_p).order.shape[-1] for d in range(3)}) == 3
+                          cfg.tau_p).pick.shape[-2] for d in range(3)}) == 3
     for d, seed in enumerate(seeds):
         alone = NetworkModel.from_drop(generate_drop(cfg, seed))
         pilot_of = allocate_pilots(alone.drop).pilot_of
@@ -276,16 +276,17 @@ def test_batch_pilot_map_needs_one_pilot_count():
     batch = pilot_map(assignments, p_hat, 3)
     for d, pilot_of in enumerate(assignments):
         alone = pilot_map(pilot_of, p_hat, 3)
-        for name in ("onehot", "members", "slot", "sharing", "coherent"):
+        for name in ("onehot", "members", "sharing", "coherent"):
             assert np.array_equal(getattr(batch, name)[d],
                                   getattr(alone, name))
         assert batch.at(d) is alone
     # drop 1 has one co-pilot per UE at most, drop 0 two: its lists are
     # padded with a UE of zero coherent scale
-    assert batch.order.shape == (2, 5, 2)
-    assert np.array_equal(batch.order[0], pilot_map(assignments[0], p_hat,
-                                                    3).order)
-    assert np.array_equal(batch.order[1, :, 0],
-                          pilot_map(assignments[1], p_hat, 3).order[:, 0])
-    padded = np.take_along_axis(batch.coherent[1], batch.order[1], -1)
+    assert batch.pick.shape == (2, 5, 2, 5)
+    assert np.array_equal(batch.pick[0], pilot_map(assignments[0], p_hat,
+                                                   3).pick)
+    assert np.array_equal(batch.pick[1, :, 0],
+                          pilot_map(assignments[1], p_hat, 3).pick[:, 0])
+    assert (batch.pick.sum(axis=-1) == 1).all()
+    padded = (batch.pick[1] @ batch.coherent[1][..., None])[..., 0]
     assert not padded[:, 1].any() and padded[:, 0].any()

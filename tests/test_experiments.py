@@ -445,7 +445,7 @@ def test_batch_with_different_copilot_counts_equals_single_cells():
     for v in spec.values:
         cfg = spec.config_for(v)
         counts = [pilot_map(allocate_pilots(generate_drop(cfg, [3, d, 0]))
-                            .pilot_of, cfg.pilot_powers(), 4).order.shape[-1]
+                            .pilot_of, cfg.pilot_powers(), 4).pick.shape[-2]
                   for d in range(3)]
         assert len(set(counts)) == 3
     batched = run_experiment(spec)

@@ -34,7 +34,7 @@ def _settings(small_model, small_terms, cfg):
     with LSFD and EGCD weights."""
     full = small_model.drop.p
     lsfd = lsfd_weights(small_terms, full)
-    maxmin = maxmin_power(sinr_coefficients(small_terms, lsfd), cfg.p_max).p
+    maxmin = maxmin_power(sinr_coefficients(small_terms, lsfd), cfg.p_max)[0].p
     assert not np.array_equal(maxmin, full)
     egcd = egcd_weights(small_terms)
     return (np.stack([full, full, maxmin, maxmin]),

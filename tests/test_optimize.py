@@ -279,7 +279,7 @@ def test_maxmin_single_ue():
     w = lsfd_weights(terms, drop.p)
     full = sinr_from_weights(terms, w, drop.p)
     eps = 1e-4
-    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)
+    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)[0]
     # single-UE SINR is monotone in power: the optimum is full power
     assert sol.p[0] == pytest.approx(cfg.p_max, rel=1e-3)
     assert abs(sol.t_star - full[0]) <= eps
@@ -302,7 +302,7 @@ def test_maxmin_improves_minimum():
         cfg, drop, terms, _, w = _maxmin_setup(30 + seed)
         full = sinr_from_weights(terms, w, drop.p)
         eps = 1e-4
-        sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)
+        sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max, eps=eps)[0]
         after = sinr_from_weights(terms, w, sol.p)
         assert after.min() >= full.min() - eps
         assert np.all(sol.p >= 0) and np.all(sol.p <= cfg.p_max * (1 + 1e-9))
@@ -317,7 +317,7 @@ def test_maxmin_iteration_bound():
     coeffs = sinr_coefficients(terms, w)
     full_max = coeffs.sinr(drop.p).max()
     eps = 1e-3
-    sol = maxmin_power(coeffs, cfg.p_max, eps=eps)
+    sol = maxmin_power(coeffs, cfg.p_max, eps=eps)[0]
     assert sol.iterations <= int(np.ceil(np.log2(2 * full_max / eps)))
 
 
@@ -351,7 +351,7 @@ def test_maxmin_solves_only_the_guard_band_and_the_result(monkeypatch):
     coeffs = sinr_coefficients(terms, w)
     real = optimize._feasible_powers
     calls = _spy_solves(monkeypatch)
-    sol = maxmin_power(coeffs, cfg.p_max)
+    sol = maxmin_power(coeffs, cfg.p_max)[0]
     assert sol.t_star > 0 and sol.iterations > 1
     # at most 1 + (guard-band midpoints) solves: every solve but the last,
     # the one for the powers, is of a midpoint near the optimum
@@ -362,7 +362,7 @@ def test_maxmin_solves_only_the_guard_band_and_the_result(monkeypatch):
 
 
 def _assert_same_solution(coeffs, p_max, eps=1e-3):
-    new = maxmin_power(coeffs, p_max, eps=eps)
+    new = maxmin_power(coeffs, p_max, eps=eps)[0]
     old = maxmin_power_bisection(coeffs, p_max, eps=eps)
     assert np.array_equal(new.p, old.p)
     assert new.t_star == old.t_star
@@ -414,6 +414,20 @@ def test_maxmin_infinite_bracket_top_raises():
         maxmin_power(coeffs, 1.0)
 
 
+@pytest.mark.parametrize("name", ["signal", "d", "noise"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_maxmin_rejects_non_finite_coefficients(name, bad):
+    # a non-finite entry of any coefficient is a broken input, raised before
+    # any eigvals or solve
+    good = dict(signal=[1.0, 1.0], d=[[0.5, 0.1], [0.1, 0.5]],
+                noise=[0.1, 0.1])
+    for setting in (good, {k: [v, v] for k, v in good.items()}):
+        broken = {k: np.array(v, dtype=float) for k, v in setting.items()}
+        broken[name].reshape(-1)[-1] = bad
+        with pytest.raises(SinrComputationError, match="non-finite"):
+            maxmin_power(_coeffs(**broken), 1.0)
+
+
 def test_maxmin_no_feasible_midpoint_keeps_full_power(monkeypatch):
     # no interference: the optimum is the weaker UE's full-power SINR, 1e-5,
     # below every midpoint of the bracket [0, 2000]
@@ -458,7 +472,7 @@ def test_maxmin_certified_at_low_noise():
     coeffs = _coeffs(np.ones(4), d, np.full(4, 1e-12 * p_max))
     t_opt = 1.0 / optimize._perron_root(coeffs, p_max)
     eps = 1e-3
-    sol = maxmin_power(coeffs, p_max, eps=eps)
+    sol = maxmin_power(coeffs, p_max, eps=eps)[0]
     assert sol.t_star <= t_opt * (1.0 + optimize._GUARD_BAND)
     assert coeffs.sinr(sol.p).min() >= sol.t_star - eps
     assert np.all(sol.p > 0) and np.all(sol.p <= p_max)
@@ -497,7 +511,7 @@ def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
     assert calls[:-1] == [2.5] and calls[-1].shape == (3,)
     assert len(batch) == len(settings)
     for got, coeffs in zip(batch, settings):
-        for want in (maxmin_power(coeffs, p_max),
+        for want in (maxmin_power(coeffs, p_max)[0],
                      maxmin_power_bisection(coeffs, p_max)):
             assert np.array_equal(got.p, want.p)
             assert got.t_star == want.t_star
@@ -556,7 +570,7 @@ def test_sinr_coefficients_match_per_ue_loop(decoder):
 def test_maxmin_with_egcd_weights():
     cfg, drop, terms, _, _ = _maxmin_setup(70)
     w = egcd_weights(terms)
-    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max)
+    sol = maxmin_power(sinr_coefficients(terms, w), cfg.p_max)[0]
     after = sinr_from_weights(terms, w, sol.p)
     full = sinr_from_weights(terms, w, drop.p)
     assert after.min() >= full.min() - 1e-3
