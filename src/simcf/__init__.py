@@ -8,11 +8,11 @@ from .experiments import (AggregateResult, ExperimentResult, ExperimentSpec,
                           fig3_spec, run_experiment, table1_spec,
                           write_result_csv)
 from .montecarlo import UatfEstimate, uatf_monte_carlo
-from .optimize import (BeamformingConfig, PilotAssignment, PowerSolution,
-                       allocate_pilots, maxmin_power, optimize_beamforming)
+from .optimize import (BeamformingConfig, PowerSolution, allocate_pilots,
+                       maxmin_power, optimize_beamforming)
 from .pipeline import NetworkModel
-from .scenario import (Drop, correlated_shadowing, generate_drop, pathloss_db,
-                       rician_kappa, rician_split)
+from .scenario import (Drop, generate_drop, pathloss_db, rician_kappa,
+                       rician_split)
 from .se import (SinrTerms, egcd_weights, lsfd_weights, se_from_sinr,
                  sinr_from_weights, sinr_terms)
 from .sim_physics import (DiffractionSet, SimGeometry, build_diffraction_set,

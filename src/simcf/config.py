@@ -2,7 +2,6 @@
 # System-level parameters for one SIM-enhanced cell-free network.
 # All powers are linear Watts, all lengths are meters, shadowing is in dB.
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -119,15 +118,3 @@ class SystemConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out

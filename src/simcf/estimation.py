@@ -8,13 +8,14 @@
 # beta_lk V diag(eig / den) V^H and the estimate covariance
 # omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
 # keeps the spectra and forms only the core from them, on demand, for the
-# Monte-Carlo estimates. The pilot map, pilot powers, tau_p and sigma2
-# enter here once and travel with the EstimationState, and what follows
-# from the pilot map alone (PilotMap) is built once per map.
+# Monte-Carlo estimates. The pilot map (PilotMap: an assignment at its pilot
+# powers and tau_p) is built once per network by optimize.allocate_pilots and
+# carried by the NetworkModel; it and sigma2 enter here once and travel with
+# the EstimationState.
 
 import logging
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,7 @@ class PilotMap:
     per drop, on a leading drop axis: T and the padding of pick run to the
     largest of the batch (the padded co-pilots have zero coherent scales),
     and every drop has the same number P of pilots in use.
-    pilot_map builds one per distinct assignment; its arrays are
-    read-only."""
+    pilot_map builds it; its arrays are read-only."""
     pilot_of: np.ndarray   # (K,) pilot index per UE
     p_hat: np.ndarray      # (K,) pilot powers
     tau_p: int
@@ -63,18 +63,11 @@ def pilot_map(pilot_of, p_hat, tau_p) -> PilotMap:
     pilot powers (K,) and tau_p. Raises EstimationError for an unassigned
     UE (a negative pilot), and ValueError for a batch whose drops use
     different numbers of pilots."""
-    pilot_of = np.asarray(pilot_of)
-    return _pilot_map(pilot_of.shape, tuple(pilot_of.ravel().tolist()),
-                      tuple(np.asarray(p_hat, dtype=float).tolist()), tau_p)
-
-
-@lru_cache(maxsize=64)
-def _pilot_map(shape, pilot_of, p_hat, tau_p):
-    pilot_of = np.array(pilot_of, dtype=int).reshape(shape)
+    pilot_of = np.array(pilot_of, dtype=int)
     if np.any(pilot_of < 0):
         raise EstimationError("pilot assignment incomplete (unassigned UEs)")
-    p_hat = np.array(p_hat)
-    n_ue = shape[-1]
+    p_hat = np.array(p_hat, dtype=float)
+    n_ue = pilot_of.shape[-1]
     onehot = (pilot_of[..., None]
               == np.arange(int(pilot_of.max()) + 1)).astype(float)
     used = onehot.any(axis=-2)                              # (..., T)
@@ -151,11 +144,11 @@ class EstimationState:
                        pilots=self.pilots.at(i))
 
 
-def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
+def build_estimation_state(state: ChannelState, pilots: PilotMap,
                            sigma2) -> EstimationState:
-    """Estimation statistics for all links given a pilot assignment, or for
-    a batch of drops: a state with a leading drop axis and assignments
-    (D, K).
+    """Estimation statistics for all links under a pilot map, or for a
+    batch of drops: a state with a leading drop axis and the map of their
+    assignments (D, K).
 
     One stacked eigendecomposition of the per-AP correlations s gives the
     pilot covariance of every (AP, pilot) on the eigenbasis of its AP: the
@@ -164,9 +157,9 @@ def build_estimation_state(state: ChannelState, pilot_of, p_hat, tau_p,
     covariance in use is not > 0 (psi singular or indefinite). Its
     condition is logged once per build when DEBUG logging is on.
     """
-    pilots = pilot_map(pilot_of, p_hat, tau_p)
     eig, basis = np.linalg.eigh(state.s)
-    load = tau_p * (state.beta_nlos * pilots.p_hat) @ pilots.members  # (L, P)
+    load = (pilots.tau_p * (state.beta_nlos * pilots.p_hat)
+            @ pilots.members)                                        # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
     if not den.min() > 0:
         *at, t = np.argwhere(~(den.min(axis=-1) > 0))[0]

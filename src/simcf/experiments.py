@@ -205,14 +205,14 @@ def _drop_seed(spec, drop_index, purpose):
 
 
 def _setup(spec, cfg, drops):
-    """(drop, pilots, model, random phases) of the drops (indices) under
-    cfg, as one batch on a leading drop axis."""
+    """(model, random phases) of the drops (indices) under cfg, as one
+    batch on a leading drop axis; the model carries the drops and their
+    pilot map."""
     drop = generate_drop(cfg, [_drop_seed(spec, d, 0) for d in drops])
     rand_phases = np.stack([random_phase_tensor(cfg.L, cfg.M, cfg.N,
                                                 _drop_seed(spec, d, 1))
                             for d in drops])
-    return (drop, allocate_pilots(drop), NetworkModel.from_drop(drop),
-            rand_phases)
+    return NetworkModel.from_drop(drop, allocate_pilots(drop)), rand_phases
 
 
 def _run_cells(spec, configs, cells):
@@ -232,11 +232,9 @@ def _run_cells(spec, configs, cells):
                 searches.setdefault(d, []).append((v, i))
     opt_phases = {}
     for d, members in searches.items():
-        first, i = members[0]
         found = optimize_beamforming(
-            [setups[v][2].at(i) for v, i in members],
-            setups[first][1].pilot_of[i],
-            np.stack([setups[v][3][i] for v, i in members]),
+            [setups[v][0].at(i) for v, i in members],
+            np.stack([setups[v][1][i] for v, i in members]),
             BeamformingConfig(**spec.beamforming),
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         for (v, i), (phases, _) in zip(members, found):
@@ -251,18 +249,17 @@ def _run_cells(spec, configs, cells):
     return rows
 
 
-def _batch_rows(spec, cfg, value_index, drops, drop, pilots, model,
-                rand_phases, opt_phases):
+def _batch_rows(spec, cfg, value_index, drops, model, rand_phases,
+                opt_phases):
     """{(value index, d): rows} of the cells of one sweep value whose
     drops d (drops) form a batch; cfg is spec.config_for(value), and the
-    drop, pilots, model and phases (D, L, M, N) carry the batch's leading
-    drop axis (opt_phases is None when no scheme of the value needs
-    them)."""
+    model and phases (D, L, M, N) carry the batch's leading drop axis
+    (opt_phases is None when no scheme of the value needs them)."""
     value = spec.values[value_index]
     schemes = spec.schemes_for(value)
     decoders = spec.decoders_for(value)
     phase_sets = {"rand": rand_phases, "opt": opt_phases}
-    full = np.broadcast_to(drop.p, (len(drops), cfg.K))
+    full = np.broadcast_to(model.drop.p, (len(drops), cfg.K))
 
     # Closed form of every (scheme, decoder) setting in row order, each
     # array with the drop axis first. The states, their terms and each
@@ -273,11 +270,11 @@ def _batch_rows(spec, cfg, value_index, drops, drop, pilots, model,
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
         if phase_kind not in kinds:
-            states = model.states(phase_sets[phase_kind], pilots.pilot_of)
+            states = model.states(phase_sets[phase_kind])
             terms = se.sinr_terms(*states)
             decoded = {}
             for decoder in decoders:
-                weights = se.decoder_weights(terms, decoder, drop.p)
+                weights = se.decoder_weights(terms, decoder, model.drop.p)
                 decoded[decoder] = (weights,
                                     se.sinr_coefficients(terms, weights))
             kinds[phase_kind] = (states, decoded)

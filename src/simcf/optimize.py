@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se
-from .estimation import EstimationError
+from .estimation import EstimationError, PilotMap, pilot_map
 from .pipeline import NetworkGroup
 from .scenario import Drop
 from .sim_physics import wrap_phases
@@ -29,14 +29,6 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # Pilot allocation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PilotAssignment:
-    pilot_of: np.ndarray   # (K,) pilot index per UE, (D, K) for a batch
-
-    def __post_init__(self):
-        self.pilot_of.setflags(write=False)
-
 
 def pilot_interference(drop: Drop, k, assigned, pilot_of):
     """Contamination cost of giving each pilot to UE k, shape (tau_p,), or
@@ -58,9 +50,10 @@ def pilot_interference(drop: Drop, k, assigned, pilot_of):
     return out
 
 
-def allocate_pilots(drop: Drop) -> PilotAssignment:
-    """Greedy contamination-minimizing pilot assignment, (K,) for one drop
-    and (D, K) for a batch of drops, each drop's greedy step run at once.
+def allocate_pilots(drop: Drop) -> PilotMap:
+    """Greedy contamination-minimizing pilot assignment, as the pilot map
+    at the config's pilot powers and tau_p: (K,) for one drop and (D, K)
+    for a batch of drops, each drop's greedy step run at once.
 
     The first tau_p UEs take pilots 0..tau_p-1; every further UE (in index
     order) takes the pilot with the least accumulated interference toward
@@ -73,7 +66,7 @@ def allocate_pilots(drop: Drop) -> PilotAssignment:
     for k in range(head, cfg.K):
         ui = pilot_interference(drop, k, np.arange(k), pilot_of)
         pilot_of[..., k] = np.argmin(ui, axis=-1)   # the lowest index on ties
-    return PilotAssignment(pilot_of=pilot_of)
+    return pilot_map(pilot_of, cfg.pilot_powers(), cfg.tau_p)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +137,8 @@ class Trace(Sequence):
 class SumSeObjective:
     """Closed-form sum SE of each network of a group (pipeline.NetworkGroup:
     the networks of one drop whose stacks differ), with batched probing of
-    one AP in all of them.
+    one AP in all of them. The pilot map and the data powers are those the
+    models carry.
 
     Only the per-AP SINR parts of the networks (se.sinr_parts) are kept,
     stacked as (S, ..., L), with the phases (S, L, M, N) and each network's
@@ -166,20 +160,18 @@ class SumSeObjective:
     on that network alone, bit for bit.
     """
 
-    def __init__(self, models, pilot_of, p=None, decoder="lsfd"):
+    def __init__(self, models, decoder="lsfd"):
         self.group = NetworkGroup.of(models)
         self.models = self.group.models
         self.cfg = self.models[0].cfg
-        self.pilot_of = np.asarray(pilot_of)
-        self.p = (self.models[0].drop.p if p is None
-                  else np.asarray(p, dtype=float))
+        self.p = self.models[0].drop.p
         self.decoder = decoder
         self.phases = self.parts = self.best = self._others = None
 
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
-        parts = [self._parts(model.terms(phases_s, self.pilot_of))
+        parts = [self._parts(model.terms(phases_s))
                  for model, phases_s in zip(self.models, self.phases)]
         self.parts = [np.stack(part) for part in zip(*parts)]
         self._others = None
@@ -212,7 +204,7 @@ class SumSeObjective:
         group = (self.group if net is None or len(self.models) == 1
                  else NetworkGroup.of([self.models[net]]))
         parts = self._parts(group.block_terms(
-            l, self.phases[nets, l], rows, cols, steps, self.pilot_of))
+            l, self.phases[nets, l], rows, cols, steps))
         n_nets = len(group.models)
         sums = [other[..., nets, None]
                 + new.reshape(*new.shape[:-1], n_nets, np.size(steps))
@@ -267,16 +259,16 @@ class SumSeObjective:
         return hits
 
 
-def optimize_beamforming(models, pilot_of, init_phases,
+def optimize_beamforming(models, init_phases,
                          cfg: BeamformingConfig = BeamformingConfig(),
-                         rng=None, p=None):
+                         rng=None):
     """Blockwise phase search maximizing the closed-form sum SE, run for
     every network of a group at once.
 
     models are the networks of one drop whose stacks differ (a pitch
     sweep); a single network is a group of one. They must share the drop's
-    gains and powers, the pilot map and the dimensions (else ValueError),
-    and init_phases, (L, M, N) or one per network (S, L, M, N).
+    gains and powers, the pilot map they carry and the dimensions (else
+    ValueError); init_phases is (L, M, N) or one per network (S, L, M, N).
 
     For each AP in turn, meta-atom indices are visited in a seeded random
     permutation in blocks of block_size; the networks share the
@@ -301,7 +293,7 @@ def optimize_beamforming(models, pilot_of, init_phases,
     per probe.
     """
     rng = np.random.default_rng(rng)
-    objective = SumSeObjective(models, pilot_of, p=p, decoder=cfg.decoder)
+    objective = SumSeObjective(models, decoder=cfg.decoder)
     n_aps, n_layers, n_atoms = (objective.cfg.L, objective.cfg.M,
                                 objective.cfg.N)
     objective.set_phases(wrap_phases(np.broadcast_to(

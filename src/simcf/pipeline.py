@@ -1,7 +1,7 @@
 # simcf/pipeline.py
 # Convenience wiring of the full statistics chain for one drop: geometry and
 # diffraction matrices, effective channel statistics for a phase tensor,
-# estimation statistics for a pilot assignment, and closed-form terms.
+# estimation statistics under the network's pilot map, and closed-form terms.
 # Heavy fixed pieces are computed once and reused across phase updates: the
 # base correlation once per stack, the steering vectors once per drop (or
 # per batch of drops, on a leading drop axis). The networks of one drop whose
@@ -16,7 +16,7 @@ from . import se
 from .channel import (ChannelState, block_channel_state, build_channel_state,
                       steering_units)
 from .config import SystemConfig
-from .estimation import EstimationState, build_estimation_state
+from .estimation import EstimationState, PilotMap, build_estimation_state
 from .scenario import Drop
 from .sim_physics import (DiffractionSet, SimGeometry, base_correlation,
                           random_phase_tensor, stack_for)
@@ -25,27 +25,30 @@ from .sim_physics import (DiffractionSet, SimGeometry, base_correlation,
 @dataclass
 class NetworkModel:
     """All fixed, phase-independent state of one network drop, or of a
-    batch of drops (a Drop with a leading drop axis): steering then has the
-    drop axis, (D, L, K, N), and phases, pilot assignments and every state
-    built from them carry it too. base_corr (N, N) is the stack's."""
+    batch of drops (a Drop with a leading drop axis): steering (D, L, K, N),
+    the pilot map (optimize.allocate_pilots, under which every estimation
+    state of the model is built), phases and every state built from them
+    then carry the drop axis. base_corr (N, N) is the stack's."""
     cfg: SystemConfig
     drop: Drop
+    pilots: PilotMap
     geom: SimGeometry
     dset: DiffractionSet
     base_corr: np.ndarray = field(repr=False)
     steering: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_drop(cls, drop: Drop) -> "NetworkModel":
+    def from_drop(cls, drop: Drop, pilots: PilotMap) -> "NetworkModel":
         cfg = drop.cfg
         geom, dset = stack_for(cfg)
-        return cls(cfg=cfg, drop=drop, geom=geom, dset=dset,
+        return cls(cfg=cfg, drop=drop, pilots=pilots, geom=geom, dset=dset,
                    base_corr=base_correlation(cfg),
                    steering=steering_units(geom, drop))
 
     def at(self, i):
         """The model of drop i of a batch."""
-        return replace(self, drop=self.drop.at(i), steering=self.steering[i])
+        return replace(self, drop=self.drop.at(i), pilots=self.pilots.at(i),
+                       steering=self.steering[i])
 
     def random_phases(self, rng):
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
@@ -56,21 +59,18 @@ class NetworkModel:
         return build_channel_state(self.drop, self.dset, phases,
                                    self.base_corr, self.steering)
 
-    def estimation_state(self, state: ChannelState, pilot_of) -> EstimationState:
-        return build_estimation_state(state, pilot_of, self.cfg.pilot_powers(),
-                                      self.cfg.tau_p, self.cfg.sigma2)
+    def estimation_state(self, state: ChannelState) -> EstimationState:
+        return build_estimation_state(state, self.pilots, self.cfg.sigma2)
 
-    def terms(self, phases, pilot_of) -> se.SinrTerms:
-        return self._terms(self.channel_state(phases), pilot_of)
+    def terms(self, phases) -> se.SinrTerms:
+        state = self.channel_state(phases)
+        return se.sinr_terms(state, self.estimation_state(state))
 
-    def _terms(self, state, pilot_of):
-        return se.sinr_terms(state, self.estimation_state(state, pilot_of))
-
-    def states(self, phases, pilot_of):
+    def states(self, phases):
         """(channel state, estimation state) of a phase tensor, for
         se.sinr_terms and the Monte-Carlo oracle."""
         state = self.channel_state(phases)
-        return state, self.estimation_state(state, pilot_of)
+        return state, self.estimation_state(state)
 
 
 _SHARED = ("L", "K", "U", "M", "N", "tau_c", "tau_p", "sigma2")
@@ -90,8 +90,8 @@ class NetworkGroup:
     @classmethod
     def of(cls, models) -> "NetworkGroup":
         """The group of models. Raises ValueError unless they share the
-        drop's gains and powers, the pilot powers and every dimension,
-        tau_c, tau_p and sigma2."""
+        drop's gains and powers, the pilot map (assignment, pilot powers and
+        tau_p) and every dimension, tau_c, tau_p and sigma2."""
         models = tuple(models)
         first = models[0]
         for model in models[1:]:
@@ -100,8 +100,9 @@ class NetworkGroup:
                         for name in _SHARED)
                     and all(np.array_equal(getattr(a, name), getattr(b, name))
                             for name in ("beta_los", "beta_nlos", "p"))
-                    and np.array_equal(first.cfg.pilot_powers(),
-                                       model.cfg.pilot_powers())):
+                    and all(np.array_equal(getattr(first.pilots, name),
+                                           getattr(model.pilots, name))
+                            for name in ("pilot_of", "p_hat", "tau_p"))):
                 raise ValueError("a network group needs models of one drop "
                                  "that differ only in their stacks")
         dset = DiffractionSet(
@@ -111,8 +112,7 @@ class NetworkGroup:
                    base_corr=np.stack([model.base_corr for model in models]),
                    steering=np.stack([model.steering for model in models]))
 
-    def block_terms(self, l, bases, rows, cols, steps,
-                    pilot_of) -> se.SinrTerms:
+    def block_terms(self, l, bases, rows, cols, steps) -> se.SinrTerms:
         """Terms of AP l alone under each probe of one block in every
         network: network s has the phases bases[s] (M, N) with the atoms
         (rows, cols) turned by each of steps (B,). The AP axis of the
@@ -120,4 +120,4 @@ class NetworkGroup:
         model = self.models[0]
         state = block_channel_state(model.drop, self.dset, l, bases, rows,
                                     cols, steps, self.base_corr, self.steering)
-        return model._terms(state, pilot_of)
+        return se.sinr_terms(state, model.estimation_state(state))

@@ -96,30 +96,16 @@ def _corr_sqrt(positions, side, delta_sf, d_dc):
 
 
 def _shadowing(cfg, ap_pos, ue_pos, a, b):
-    """Shadow fading (..., n, L, K) in dB from white normals a (..., n, L)
-    and b (..., n, K), with positions (..., L, 2) and (..., K, 2)."""
+    """Shadow fading (..., n, L, K) in dB, sqrt(delta_f) a[l] +
+    sqrt(1 - delta_f) b[k], of white normals a (..., n, L), b (..., n, K)
+    colored to the covariance delta_sf^2 2^(-d / d_dc) over the torus
+    distances of the positions (..., L, 2), (..., K, 2)."""
     a = a @ _corr_sqrt(ap_pos, cfg.area_side, cfg.delta_sf,
                        cfg.d_dc).swapaxes(-1, -2)
     b = b @ _corr_sqrt(ue_pos, cfg.area_side, cfg.delta_sf,
                        cfg.d_dc).swapaxes(-1, -2)
     return (np.sqrt(cfg.delta_f) * a[..., :, None]
             + np.sqrt(1.0 - cfg.delta_f) * b[..., None, :])
-
-
-def correlated_shadowing(cfg: SystemConfig, ap_pos, ue_pos, rng, n_draws=None):
-    """Draw spatially correlated shadow fading F (L, K) in dB.
-
-    F[l, k] = sqrt(delta_f) a[l] + sqrt(1 - delta_f) b[k], where a and b are
-    zero-mean Gaussian with covariance delta_sf^2 * 2^(-d / d_dc) over the
-    AP-AP and UE-UE torus distances respectively. n_draws returns a batch of
-    independent realizations, shape (n_draws, L, K).
-    """
-    rng = np.random.default_rng(rng)
-    n = 1 if n_draws is None else int(n_draws)
-    a = rng.standard_normal((n, len(ap_pos)))
-    b = rng.standard_normal((n, len(ue_pos)))
-    f = _shadowing(cfg, ap_pos, ue_pos, a, b)
-    return f[0] if n_draws is None else f
 
 
 _PER_DROP = ("ap_pos", "ue_pos", "dist", "beta", "kappa", "beta_los",

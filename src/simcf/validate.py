@@ -9,7 +9,7 @@ import numpy as np
 from . import se
 from .channel import ChannelState
 from .config import SystemConfig
-from .estimation import build_estimation_state
+from .estimation import build_estimation_state, pilot_map
 from .montecarlo import uatf_monte_carlo
 from .optimize import allocate_pilots
 from .pipeline import NetworkModel
@@ -42,7 +42,8 @@ def check_pilot_systems(seed=0, n_instances=100, u=3):
                              beta_nlos=rng.uniform(0.1, 1.0, (n_ap, n_ue)))
         p_hat = rng.uniform(0.05, 0.3, n_ue)
         sigma2 = float(rng.uniform(1e-3, 1e-1))
-        est = build_estimation_state(state, pilot_of, p_hat, tau_p, sigma2)
+        est = build_estimation_state(state, pilot_map(pilot_of, p_hat, tau_p),
+                                     sigma2)
         r = state.beta_nlos[:, :, None, None] * state.s[:, None]
         for k in range(n_ue):
             psi = sigma2 * np.eye(u)
@@ -59,16 +60,15 @@ def check_pilot_systems(seed=0, n_instances=100, u=3):
 def _small_model(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2):
     cfg = SystemConfig(L=l, K=k, U=u, M=m, N=n, tau_p=tau_p)
     drop = generate_drop(cfg, seed)
-    pilots = allocate_pilots(drop)
-    model = NetworkModel.from_drop(drop)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
     phases = model.random_phases(np.random.default_rng([seed, 11]))
-    return drop, pilots, model, phases
+    return drop, model, phases
 
 
 def check_closed_form_vs_mc(seed=0, n_trials=20000, z_limit=4.0):
     """Closed-form SINR must sit within z_limit MC standard errors."""
-    drop, pilots, model, phases = _small_model(seed)
-    state, est = model.states(phases, pilots.pilot_of)
+    drop, model, phases = _small_model(seed)
+    state, est = model.states(phases)
     terms = se.sinr_terms(state, est)
     weights = np.stack([se.decoder_weights(terms, decoder, drop.p)
                         for decoder in se.DECODERS])
@@ -87,8 +87,8 @@ def check_decoder_dominance(seed=0, n_drops=25):
     rng = np.random.default_rng(seed)
     worst = np.inf
     for i in range(n_drops):
-        drop, pilots, model, phases = _small_model(int(rng.integers(1 << 31)))
-        terms = model.terms(phases, pilots.pilot_of)
+        drop, model, phases = _small_model(int(rng.integers(1 << 31)))
+        terms = model.terms(phases)
         weights = np.stack([se.decoder_weights(terms, decoder, drop.p)
                             for decoder in ("lsfd", "egcd")])
         g_lsfd, g_egcd = se.sinr_from_weights(terms, weights, drop.p)

@@ -17,13 +17,13 @@ def small_drop(small_cfg):
 
 
 @pytest.fixture(scope="session")
-def small_model(small_drop):
-    return NetworkModel.from_drop(small_drop)
+def small_pilots(small_drop):
+    return allocate_pilots(small_drop)
 
 
 @pytest.fixture(scope="session")
-def small_pilots(small_drop):
-    return allocate_pilots(small_drop)
+def small_model(small_drop, small_pilots):
+    return NetworkModel.from_drop(small_drop, small_pilots)
 
 
 @pytest.fixture(scope="session")
@@ -32,5 +32,5 @@ def small_phases(small_model):
 
 
 @pytest.fixture(scope="session")
-def small_terms(small_model, small_pilots, small_phases):
-    return small_model.terms(small_phases, small_pilots.pilot_of)
+def small_terms(small_model, small_phases):
+    return small_model.terms(small_phases)

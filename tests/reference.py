@@ -772,9 +772,9 @@ def build_channel_state_slices(model, slices, ap_indices):
                         beta_nlos=model.drop.beta_nlos[aps, :])
 
 
-def terms_loop(model, phases, pilot_of, ap_indices=None):
+def terms_loop(model, phases, ap_indices=None):
     state = build_channel_state_loop(model, phases, ap_indices)
-    return se.sinr_terms(state, model.estimation_state(state, pilot_of))
+    return se.sinr_terms(state, model.estimation_state(state))
 
 
 def replace_ap(terms, l, other):
@@ -789,16 +789,15 @@ def replace_ap(terms, l, other):
 class SerialObjective:
     """Closed-form sum SE, rebuilding one AP's terms per probe."""
 
-    def __init__(self, model, pilot_of, p=None, decoder="lsfd"):
+    def __init__(self, model, decoder="lsfd"):
         self.model = model
         self.cfg = model.cfg
-        self.pilot_of = np.asarray(pilot_of)
-        self.p = model.drop.p if p is None else np.asarray(p, dtype=float)
+        self.p = model.drop.p
         self.decoder = decoder
 
     def set_phases(self, phases):
         self.phases = np.array(phases, dtype=float)
-        self.terms = terms_loop(self.model, self.phases, self.pilot_of)
+        self.terms = terms_loop(self.model, self.phases)
         return self.value(self.terms)
 
     def value(self, terms):
@@ -810,7 +809,7 @@ class SerialObjective:
     def ap_terms(self, l, ap_phases):
         patched = self.phases.copy()
         patched[l] = ap_phases
-        slice_terms = terms_loop(self.model, patched, self.pilot_of, [l])
+        slice_terms = terms_loop(self.model, patched, [l])
         return replace_ap(self.terms, l, slice_terms), patched
 
     def try_ap(self, l, ap_phases):
@@ -820,18 +819,17 @@ class SerialObjective:
         self.terms, self.phases = self.ap_terms(l, ap_phases)
 
 
-def block_terms(model, l, base, rows, cols, steps, pilot_of):
+def block_terms(model, l, base, rows, cols, steps):
     """Terms of AP l of one network under each probe of one block (base
     (M, N)), from the group of that network alone."""
     return NetworkGroup.of([model]).block_terms(l, base[None], rows, cols,
-                                                steps, pilot_of)
+                                                steps)
 
 
-def optimize_beamforming_serial(model, pilot_of, init_phases, cfg, rng=None,
-                                p=None):
+def optimize_beamforming_serial(model, init_phases, cfg, rng=None):
     """Blockwise phase search evaluating one probe at a time."""
     rng = np.random.default_rng(rng)
-    objective = SerialObjective(model, pilot_of, p=p, decoder=cfg.decoder)
+    objective = SerialObjective(model, decoder=cfg.decoder)
     phases = wrap_phases(np.array(init_phases, dtype=float))
     best = objective.set_phases(phases)
     n_layers, n_atoms = phases.shape[1], phases.shape[2]
@@ -863,21 +861,20 @@ def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
                          need_opt, bf_cfg):
     """Rows of one drop with one Monte-Carlo run per (scheme, decoder)."""
     drop = generate_drop(cfg, _drop_seed(spec, d, 0))
-    pilots = allocate_pilots(drop)
-    model = NetworkModel.from_drop(drop)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
     rand_phases = random_phase_tensor(cfg.L, cfg.M, cfg.N,
                                       _drop_seed(spec, d, 1))
     phase_sets = {"rand": rand_phases}
     if need_opt:
         [(opt_phases, _)] = optimize_beamforming(
-            [model], pilots.pilot_of, rand_phases, bf_cfg,
+            [model], rand_phases, bf_cfg,
             rng=np.random.default_rng(_drop_seed(spec, d, 2)))
         phase_sets["opt"] = opt_phases
 
     rows = []
     for scheme in schemes:
         phase_kind, power_kind = scheme.split("-")
-        terms = model.terms(phase_sets[phase_kind], pilots.pilot_of)
+        terms = model.terms(phase_sets[phase_kind])
         for decoder in decoders:
             weights = se.decoder_weights(terms, decoder, drop.p)
             if power_kind == "maxmin":
@@ -889,8 +886,7 @@ def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,
             se_vals = se.se_from_sinr(gamma, cfg.tau_c, cfg.tau_p)
             mc_cols = [(MISSING, MISSING)] * cfg.K
             if spec.n_mc_trials > 0:
-                state, est = model.states(phase_sets[phase_kind],
-                                          pilots.pilot_of)
+                state, est = model.states(phase_sets[phase_kind])
                 mc = uatf_monte_carlo(
                     state, est, p, weights, spec.n_mc_trials,
                     rng=np.random.default_rng([spec.seed, value_index, d, 3]))

@@ -1,16 +1,18 @@
-# The pilot map, pilot powers, tau_p and sigma2 enter the engine once, in
+# The pilot map (an assignment with its pilot powers and tau_p) is built
+# once per network, by optimize.allocate_pilots, and the pipeline's
+# NetworkModel carries it. It and sigma2 enter the statistics once, in
 # estimation.build_estimation_state, and travel with the EstimationState and
-# the SinrTerms built from it. A function that took one of those objects and
-# one of the values again could be handed a value the object was not built
-# for, and would give a wrong SINR without an error. This check fails when
-# such a parameter comes back.
+# the SinrTerms built from it. A function that took one of those objects (or
+# the models) and one of the values again could be handed a value the object
+# was not built for, and would give a wrong SINR without an error. This
+# check fails when such a parameter comes back.
 
 import inspect
 
-from simcf import estimation, montecarlo, optimize, se
+from simcf import estimation, montecarlo, optimize, pipeline, se
 
 CARRIED = {"pilot_of", "p_hat", "tau_p", "sigma2"}
-HOLDERS = {"terms", "est"}
+HOLDERS = {"terms", "est", "models"}
 
 
 def functions_of(module):
@@ -29,7 +31,7 @@ def functions_of(module):
 
 def test_holders_of_the_state_take_no_pilot_values():
     checked, found = set(), []
-    for module in (se, estimation, montecarlo, optimize):
+    for module in (se, estimation, montecarlo, optimize, pipeline):
         for name, func in functions_of(module):
             params = set(inspect.signature(func).parameters)
             if params & HOLDERS:
@@ -42,4 +44,6 @@ def test_holders_of_the_state_take_no_pilot_values():
             "simcf.se._factors", "simcf.estimation.mmse_estimate",
             "simcf.montecarlo.uatf_monte_carlo",
             "simcf.montecarlo._TrialSampler.__init__",
-            "simcf.se.sinr_coefficients"} <= checked
+            "simcf.se.sinr_coefficients",
+            "simcf.optimize.optimize_beamforming",
+            "simcf.optimize.SumSeObjective.__init__"} <= checked

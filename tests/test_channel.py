@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, generate_drop
+from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import block_channel_state
 from simcf.pipeline import NetworkModel
 from simcf.scenario import psd_sqrt
@@ -189,7 +189,7 @@ def test_psd_sqrt_stack_equals_per_matrix_calls():
 
 
 def test_build_channel_state_matches_single_link(small_cfg, small_drop):
-    model = NetworkModel.from_drop(small_drop)
+    model = NetworkModel.from_drop(small_drop, allocate_pilots(small_drop))
     phases = random_phase_tensor(small_cfg.L, small_cfg.M, small_cfg.N, rng=9)
     state = model.channel_state(phases)
     directions = small_drop.link_directions()
@@ -217,7 +217,8 @@ def test_build_channel_state_equals_per_ap_loop(small_model, small_phases,
                                                 paper_scale):
     model, phases = small_model, small_phases
     if paper_scale:
-        model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
+        drop = generate_drop(SystemConfig(), 3)
+        model = NetworkModel.from_drop(drop, allocate_pilots(drop))
         phases = model.random_phases(4)
     state = model.channel_state(phases)
     ref = build_channel_state_loop(model, phases)
@@ -237,7 +238,8 @@ def test_block_channel_state_matches_turned_slices(small_model, small_phases,
                                                    paper_scale):
     model, phases = small_model, small_phases
     if paper_scale:
-        model = NetworkModel.from_drop(generate_drop(SystemConfig(), 3))
+        drop = generate_drop(SystemConfig(), 3)
+        model = NetworkModel.from_drop(drop, allocate_pilots(drop))
         phases = model.random_phases(4)
     _, n_layers, n_atoms = phases.shape
     rng = np.random.default_rng(6)

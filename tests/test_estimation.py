@@ -15,6 +15,14 @@ from simcf.sim_physics import random_phase_tensor
 from reference import estimation_stats, mmse_estimate_loop, omega_of, r_all
 
 
+def same_map(a, b):
+    """Two PilotMaps agree in every array and in tau_p."""
+    return a.tau_p == b.tau_p and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("pilot_of", "p_hat", "onehot", "members", "sharing",
+                     "pick", "coherent"))
+
+
 def random_psd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (a @ a.conj().T) / n
@@ -69,7 +77,7 @@ def test_copilot_order_invariance():
 def test_batched_matches_single_link(small_model, small_pilots, small_phases,
                                      small_cfg):
     state = small_model.channel_state(small_phases)
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
+    est = small_model.estimation_state(state)
     p_hat = small_cfg.pilot_powers()
     r, omega = r_all(state), omega_of(est)
     for l in range(small_cfg.L):
@@ -85,10 +93,10 @@ def test_batched_matches_single_link(small_model, small_pilots, small_phases,
                 single.err_cov)
 
 
-def test_unassigned_pilots_rejected(small_model, small_phases):
-    state = small_model.channel_state(small_phases)
+def test_unassigned_pilots_rejected(small_cfg):
     with pytest.raises(EstimationError):
-        small_model.estimation_state(state, np.array([-1, 0, 1]))
+        pilot_map(np.array([-1, 0, 1]), small_cfg.pilot_powers(),
+                  small_cfg.tau_p)
 
 
 def test_badly_conditioned_pilot_covariance_logged_at_debug(caplog):
@@ -97,7 +105,7 @@ def test_badly_conditioned_pilot_covariance_logged_at_debug(caplog):
     state = ChannelState(h_bar=np.zeros((1, 2, 2), dtype=complex),
                          s=np.diag([1.0, 0.0]).astype(complex)[None],
                          beta_nlos=np.full((1, 2), 1e-9))
-    args = (state, np.array([0, 1]), np.full(2, 0.2), 2)
+    args = (state, pilot_map([0, 1], np.full(2, 0.2), 2))
     with caplog.at_level(logging.INFO, logger="simcf.estimation"):
         build_estimation_state(*args, sigma2=1e-30)
     assert caplog.records == []
@@ -126,7 +134,8 @@ def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
     pilot_of = np.array(pilot_of)
     state = small_model.channel_state(small_phases)
     p_hat = np.array([0.1, 0.2, 0.15])
-    est = build_estimation_state(state, pilot_of, p_hat, tau_p, cfg.sigma2)
+    est = build_estimation_state(state, pilot_map(pilot_of, p_hat, tau_p),
+                                 cfg.sigma2)
     rng = np.random.default_rng(int(tau_p * 100 + pilot_of @ [9, 3, 1]))
     lead = (5, cfg.L)
     phase = rng.uniform(-np.pi, np.pi, (*lead, cfg.K))
@@ -147,15 +156,14 @@ def _error_cov(state, est, cfg):
             * omega_of(est))
 
 
-def _sampler_for(model, pilot_of, phases, seed):
-    state, est = model.states(phases, pilot_of)
+def _sampler_for(model, phases, seed):
+    state, est = model.states(phases)
     sampler = _TrialSampler(state, est, np.random.default_rng(seed))
     return state, est, sampler
 
 
-def test_error_moments(small_model, small_pilots, small_phases, small_cfg):
-    state, est, sampler = _sampler_for(small_model, small_pilots.pilot_of,
-                                       small_phases, seed=3)
+def test_error_moments(small_model, small_phases, small_cfg):
+    state, est, sampler = _sampler_for(small_model, small_phases, seed=3)
     err_cov = _error_cov(state, est, small_cfg)
     n = 100_000
     h, h_hat = sampler.draw(n)
@@ -174,7 +182,6 @@ def test_error_moments(small_model, small_pilots, small_phases, small_cfg):
 
 
 def test_estimate_conditional_covariance_and_orthogonality(small_model,
-                                                           small_pilots,
                                                            small_cfg):
     # with the LoS zeroed, the conditional estimate covariance is exactly
     # pilot_power * tau_p * omega and the error is uncorrelated with the
@@ -184,7 +191,7 @@ def test_estimate_conditional_covariance_and_orthogonality(small_model,
     state = small_model.channel_state(phases)
     state = type(state)(h_bar=np.zeros_like(state.h_bar), s=state.s,
                         beta_nlos=state.beta_nlos)
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
+    est = small_model.estimation_state(state)
     err_cov = _error_cov(state, est, cfg)
     sampler = _TrialSampler(state, est, np.random.default_rng(12))
     n = 100_000
@@ -209,11 +216,10 @@ def test_noiseless_estimate_recovers_channel():
     # converges to the true channel
     cfg = SystemConfig(L=2, K=3, U=2, M=2, N=9, tau_p=3, sigma2=1e-24)
     drop = generate_drop(cfg, 21)
-    model = NetworkModel.from_drop(drop)
-    pilots = allocate_pilots(drop)
-    assert len(set(pilots.pilot_of.tolist())) == cfg.K   # no sharing
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    assert len(set(model.pilots.pilot_of.tolist())) == cfg.K   # no sharing
     phases = model.random_phases(np.random.default_rng(13))
-    _, _, sampler = _sampler_for(model, pilots.pilot_of, phases, seed=14)
+    _, _, sampler = _sampler_for(model, phases, seed=14)
     h, h_hat = sampler.draw(200)
     assert np.abs(h - h_hat).max() <= 1e-3 * np.abs(h).max()
 
@@ -231,19 +237,19 @@ def test_drop_batch_states_equal_each_drop_alone():
     # of drop i alone, with co-pilot counts that differ across the batch
     cfg = SystemConfig(L=3, K=10, U=2, M=2, N=9, tau_p=4)
     seeds = [[3, d, 0] for d in range(3)]
-    model = NetworkModel.from_drop(generate_drop(cfg, seeds))
-    pilots = allocate_pilots(model.drop)
+    drop = generate_drop(cfg, seeds)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    pilots = model.pilots
     phases = np.stack([random_phase_tensor(cfg.L, cfg.M, cfg.N, [3, d, 1])
                        for d in range(3)])
-    state, est = model.states(phases, pilots.pilot_of)
+    state, est = model.states(phases)
     terms = sinr_terms(state, est)
-    assert len({pilot_map(pilots.pilot_of[d], cfg.pilot_powers(),
-                          cfg.tau_p).pick.shape[-2] for d in range(3)}) == 3
+    assert len({pilots.at(d).pick.shape[-2] for d in range(3)}) == 3
     for d, seed in enumerate(seeds):
-        alone = NetworkModel.from_drop(generate_drop(cfg, seed))
-        pilot_of = allocate_pilots(alone.drop).pilot_of
-        assert np.array_equal(pilots.pilot_of[d], pilot_of)
-        state_d, est_d = alone.states(phases[d], pilot_of)
+        drop_d = generate_drop(cfg, seed)
+        alone = NetworkModel.from_drop(drop_d, allocate_pilots(drop_d))
+        assert np.array_equal(pilots.pilot_of[d], alone.pilots.pilot_of)
+        state_d, est_d = alone.states(phases[d])
         for name in ("h_bar", "s", "beta_nlos"):
             assert np.array_equal(getattr(state.at(d), name),
                                   getattr(state_d, name))
@@ -251,7 +257,7 @@ def test_drop_batch_states_equal_each_drop_alone():
             assert np.array_equal(getattr(est.at(d), name),
                                   getattr(est_d, name))
             assert np.array_equal(getattr(est, name)[d], getattr(est_d, name))
-        assert est.at(d).pilots is est_d.pilots
+        assert same_map(est.at(d).pilots, est_d.pilots)
         terms_d = sinr_terms(state_d, est_d)
         for name in ("z", "lam", "delta", "beta", "nu", "spec", "power",
                      "cross"):
@@ -279,7 +285,7 @@ def test_batch_pilot_map_needs_one_pilot_count():
         for name in ("onehot", "members", "sharing", "coherent"):
             assert np.array_equal(getattr(batch, name)[d],
                                   getattr(alone, name))
-        assert batch.at(d) is alone
+        assert same_map(batch.at(d), alone)
     # drop 1 has one co-pilot per UE at most, drop 0 two: its lists are
     # padded with a UE of zero coherent scale
     assert batch.pick.shape == (2, 5, 2, 5)

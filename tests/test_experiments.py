@@ -6,7 +6,7 @@ import pytest
 
 from reference import run_experiment_rows_per_setting
 from simcf import allocate_pilots, experiments, generate_drop, pipeline, se
-from simcf.estimation import EstimationError, pilot_map
+from simcf.estimation import EstimationError
 from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                ExperimentError, ExperimentSpec,
                                aggregate_rows, fig3_spec, run_experiment,
@@ -444,8 +444,7 @@ def test_batch_with_different_copilot_counts_equals_single_cells():
                      base=dict(K=10, U=2, M=2, N=9, tau_p=4))
     for v in spec.values:
         cfg = spec.config_for(v)
-        counts = [pilot_map(allocate_pilots(generate_drop(cfg, [3, d, 0]))
-                            .pilot_of, cfg.pilot_powers(), 4).pick.shape[-2]
+        counts = [allocate_pilots(generate_drop(cfg, [3, d, 0])).pick.shape[-2]
                   for d in range(3)]
         assert len(set(counts)) == 3
     batched = run_experiment(spec)

@@ -7,7 +7,7 @@ from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
                    maxmin_power, sinr_from_weights, uatf_monte_carlo)
 from simcf.channel import ChannelState
 from simcf.estimation import (build_estimation_state, despread_pilot_noise,
-                              mmse_estimate)
+                              mmse_estimate, pilot_map)
 from simcf.montecarlo import _delta_method, _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights, sinr_coefficients
@@ -16,9 +16,8 @@ from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
                        r_all, sample_channel, uatf_monte_carlo_einsum)
 
 
-def test_mc_matches_closed_form(small_model, small_pilots, small_phases,
-                                small_terms):
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+def test_mc_matches_closed_form(small_model, small_phases, small_terms):
+    state, est = small_model.states(small_phases)
     drop = small_model.drop
     for weights in (lsfd_weights(small_terms, drop.p),
                     egcd_weights(small_terms)):
@@ -58,11 +57,10 @@ def _assert_stacked_equals_separate(state, est, p, weights, cfg, n_trials,
         assert np.array_equal(stacked.stderr[i], alone.stderr)
 
 
-def test_stacked_settings_equal_separate_calls(small_model, small_pilots,
-                                               small_phases, small_cfg,
-                                               small_terms):
+def test_stacked_settings_equal_separate_calls(small_model, small_phases,
+                                               small_cfg, small_terms):
     cfg = small_cfg
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+    state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
     _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8,
                                     batch=512)
@@ -74,28 +72,26 @@ def test_stacked_settings_equal_separate_calls(small_model, small_pilots,
                                     2_000, 9)
 
 
-def test_one_element_settings_axis(small_model, small_pilots, small_phases,
-                                   small_cfg, small_terms):
+def test_one_element_settings_axis(small_model, small_phases, small_cfg,
+                                   small_terms):
     cfg = small_cfg
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+    state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
     _assert_stacked_equals_separate(state, est, p[2:3], weights[2:3], cfg,
                                     1_000, 10)
 
 
-def test_stacked_settings_with_partial_last_batch(small_model, small_pilots,
-                                                  small_phases, small_cfg,
-                                                  small_terms):
+def test_stacked_settings_with_partial_last_batch(small_model, small_phases,
+                                                  small_cfg, small_terms):
     cfg = small_cfg
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+    state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
     _assert_stacked_equals_separate(state, est, p, weights, cfg, 150, 11,
                                     batch=64)
 
 
-def test_stderr_scales_with_trials(small_model, small_pilots, small_phases,
-                                   small_terms):
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+def test_stderr_scales_with_trials(small_model, small_phases, small_terms):
+    state, est = small_model.states(small_phases)
     drop = small_model.drop
     w = egcd_weights(small_terms)
     reps = 6
@@ -111,14 +107,13 @@ def test_stderr_scales_with_trials(small_model, small_pilots, small_phases,
 
 
 def test_zero_interferer_power_leaves_noise_denominator(small_model,
-                                                        small_pilots,
                                                         small_phases,
                                                         small_cfg,
                                                         small_terms):
     # only UE 0 transmits: its MC SINR equals signal over (self-excess +
     # noise) and still matches the closed form
     cfg = small_cfg
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+    state, est = small_model.states(small_phases)
     p = np.zeros(cfg.K)
     p[0] = cfg.p_max
     w = lsfd_weights(small_terms, p)
@@ -131,7 +126,6 @@ def test_zero_interferer_power_leaves_noise_denominator(small_model,
 
 
 def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
-                                                        small_pilots,
                                                         small_phases,
                                                         small_cfg):
     # projecting stack-side draws through the stack matches direct draws
@@ -169,9 +163,8 @@ def test_nlos_factor_squares_to_each_link_covariance(u):
     # sqrt(beta_nlos) times one square root of s per AP: F F^H = beta_nlos s
     cfg = SystemConfig(L=3, K=4, U=u, M=2, N=9, tau_p=2)
     drop = generate_drop(cfg, 31)
-    model = NetworkModel.from_drop(drop)
-    state, est = model.states(model.random_phases([31, 1]),
-                              allocate_pilots(drop).pilot_of)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    state, est = model.states(model.random_phases([31, 1]))
     f = _TrialSampler(state, est, 0).nlos_factor
     r = r_all(state)
     assert f.shape == r.shape == (cfg.L, cfg.K, u, u)
@@ -187,7 +180,7 @@ def test_non_psd_correlation_raises_linalg_error():
     state = ChannelState(h_bar=np.zeros((1, 2, 2), dtype=complex),
                          s=np.diag([1.0, -1e-6]).astype(complex)[None],
                          beta_nlos=np.full((1, 2), 1e-9))
-    est = build_estimation_state(state, np.array([0, 1]), np.full(2, 0.2), 2,
+    est = build_estimation_state(state, pilot_map([0, 1], np.full(2, 0.2), 2),
                                  1e-12)
     with pytest.raises(np.linalg.LinAlgError, match="not PSD"):
         uatf_monte_carlo(state, est, np.full(2, 0.2), np.ones((2, 1)), 2,
@@ -207,7 +200,8 @@ def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,
     lead = (16, cfg.L, cfg.K)
     for pilot_of in ([0, 1, 0], [1, 0, 1], [1, 1, 0], [0, 0, 0]):
         pilot_of = np.array(pilot_of)
-        est = small_model.estimation_state(state, pilot_of)
+        est = build_estimation_state(
+            state, pilot_map(pilot_of, p_hat, cfg.tau_p), cfg.sigma2)
         noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead[:2],
                                      cfg.U, cfg.tau_p, cfg.sigma2)
         h_hat = mmse_estimate(est, np.zeros((*lead, cfg.U)),
@@ -246,9 +240,9 @@ def test_delta_method_matches_per_setting_loop():
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(n_trials=-5),
                                     dict(n_trials=100, batch=0),
                                     dict(n_trials=1)])
-def test_degenerate_trial_counts_rejected(small_model, small_pilots,
-                                          small_phases, small_terms, kwargs):
-    state, est = small_model.states(small_phases, small_pilots.pilot_of)
+def test_degenerate_trial_counts_rejected(small_model, small_phases,
+                                          small_terms, kwargs):
+    state, est = small_model.states(small_phases)
     with pytest.raises(ValueError, match="n_trials >= 2 and batch >= 1"):
         uatf_monte_carlo(state, est, small_model.drop.p,
                          egcd_weights(small_terms),
@@ -258,11 +252,11 @@ def test_degenerate_trial_counts_rejected(small_model, small_pilots,
 def _network(cfg, seed):
     """(model, pilot_of, state, est, terms) of one drop of cfg."""
     drop = generate_drop(cfg, seed)
-    model = NetworkModel.from_drop(drop)
-    pilot_of = allocate_pilots(drop).pilot_of
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    pilot_of = model.pilots.pilot_of
     phases = model.random_phases(np.random.default_rng(seed))
-    state, est = model.states(phases, pilot_of)
-    return model, pilot_of, state, est, model.terms(phases, pilot_of)
+    state, est = model.states(phases)
+    return model, pilot_of, state, est, model.terms(phases)
 
 
 @pytest.mark.parametrize("u", [1, 2, 3])

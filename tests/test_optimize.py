@@ -5,7 +5,7 @@ import pytest
 
 from simcf import (SystemConfig, channel, fig3_spec, generate_drop, optimize,
                    random_phase_tensor, se, table1_spec)
-from simcf.estimation import EstimationError
+from simcf.estimation import EstimationError, pilot_map
 from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
                             TraceRow, allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
@@ -107,23 +107,18 @@ def test_pilot_allocation_deterministic(small_drop):
     assert np.array_equal(a, b)
 
 
-def test_beamforming_infinite_threshold_is_identity(small_model,
-                                                    small_pilots,
-                                                    small_phases):
+def test_beamforming_infinite_threshold_is_identity(small_model, small_phases):
     cfg = BeamformingConfig(min_gain=np.inf, max_probes=2)
-    [(out, trace)] = optimize_beamforming([small_model],
-                                          small_pilots.pilot_of, small_phases,
+    [(out, trace)] = optimize_beamforming([small_model], small_phases,
                                           cfg, rng=0)
     assert np.array_equal(out, np.mod(small_phases, 2 * np.pi))
     assert all(not row.accepted for row in trace)
     assert trace[0].objective == trace[-1].objective
 
 
-def test_beamforming_monotone_and_improving(small_model, small_pilots,
-                                            small_phases):
+def test_beamforming_monotone_and_improving(small_model, small_phases):
     cfg = BeamformingConfig(block_size=3, max_probes=8)
-    [(out, trace)] = optimize_beamforming([small_model],
-                                          small_pilots.pilot_of, small_phases,
+    [(out, trace)] = optimize_beamforming([small_model], small_phases,
                                           cfg, rng=1)
     objs = [row.objective for row in trace]
     assert all(b - a >= 0 for a, b in zip(objs, objs[1:]))
@@ -157,19 +152,17 @@ def test_trace_rows_from_its_accepts():
         trace[10]
 
 
-def test_beamforming_deterministic(small_model, small_pilots, small_phases):
+def test_beamforming_deterministic(small_model, small_phases):
     cfg = BeamformingConfig(max_probes=4)
-    [(out1, _)] = optimize_beamforming([small_model], small_pilots.pilot_of,
-                                       small_phases, cfg, rng=11)
-    [(out2, _)] = optimize_beamforming([small_model], small_pilots.pilot_of,
-                                       small_phases, cfg, rng=11)
+    [(out1, _)] = optimize_beamforming([small_model], small_phases, cfg,
+                                       rng=11)
+    [(out2, _)] = optimize_beamforming([small_model], small_phases, cfg,
+                                       rng=11)
     assert np.array_equal(out1, out2)
 
 
-def test_incremental_objective_matches_full_rebuild(small_model,
-                                                    small_pilots,
-                                                    small_phases):
-    obj = SumSeObjective([small_model], small_pilots.pilot_of)
+def test_incremental_objective_matches_full_rebuild(small_model, small_phases):
+    obj = SumSeObjective([small_model])
     obj.set_phases(small_phases[None])
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     for step in (0.7, -2.5):
@@ -182,14 +175,14 @@ def test_incremental_objective_matches_full_rebuild(small_model,
 
 
 def _paper_scale_cases():
-    """(model, pilots, phases): 5 drops at every Table I pitch and at the
+    """(model, phases): 5 drops at every Table I pitch and at the
     Fig. 3 cell L = 40 (N = 6). Their denominator matrices reach condition
     numbers of 2.6e5 (pitch lambda/8) to 3.3e8 (L = 40)."""
     cfgs = [table1_spec().config_for(v) for v in table1_spec().values]
     for cfg in cfgs + [fig3_spec().config_for(40)]:
         for d in range(5):
             drop = generate_drop(cfg, [17, d, 0])
-            yield (NetworkModel.from_drop(drop), allocate_pilots(drop),
+            yield (NetworkModel.from_drop(drop, allocate_pilots(drop)),
                    random_phase_tensor(cfg.L, cfg.M, cfg.N, [17, d, 1]))
 
 
@@ -202,12 +195,12 @@ def _dense_lsfd(terms, args):
 
 def test_woodbury_lsfd_and_probes_match_dense_solves():
     rng = np.random.default_rng(23)
-    for model, pilots, phases in _paper_scale_cases():
+    for model, phases in _paper_scale_cases():
         cfg = model.cfg
         args = (model.drop.p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
-        obj = SumSeObjective([model], pilots.pilot_of)
+        obj = SumSeObjective([model])
         [value] = obj.set_phases(phases[None])
-        terms = model.terms(phases, pilots.pilot_of)
+        terms = model.terms(phases)
         w_ref, gamma_ref = _dense_lsfd(terms, args)
         w = lsfd_weights(terms, model.drop.p)
         assert np.all(np.linalg.norm(w - w_ref, axis=-1)
@@ -224,27 +217,25 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             steps = np.array([1, 6, 11]) * np.pi / 8
             [values], _ = obj.probe(l, rows, cols, steps)
             stack = splice_ap(terms, l, block_terms(
-                model, l, phases[l], rows, cols, steps, pilots.pilot_of))
+                model, l, phases[l], rows, cols, steps))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
                 rtol=1e-12, atol=0)
             for i, turned in enumerate(turned_slices(phases[l], rows, cols,
                                                      steps)):
-                rebuilt = SumSeObjective([model], pilots.pilot_of)
+                rebuilt = SumSeObjective([model])
                 patched = phases.copy()
                 patched[l] = turned
                 assert values[i] == pytest.approx(
                     rebuilt.set_phases(patched[None])[0], rel=1e-12)
 
 
-def test_final_phases_reproduce_reported_objective(small_model, small_pilots,
-                                                   small_phases):
+def test_final_phases_reproduce_reported_objective(small_model, small_phases):
     cfg = BeamformingConfig(max_probes=6)
-    [(out, trace)] = optimize_beamforming([small_model],
-                                          small_pilots.pilot_of, small_phases,
+    [(out, trace)] = optimize_beamforming([small_model], small_phases,
                                           cfg, rng=5)
-    obj = SumSeObjective([small_model], small_pilots.pilot_of)
+    obj = SumSeObjective([small_model])
     assert obj.set_phases(out[None])[0] == pytest.approx(trace[-1].objective,
                                                          rel=1e-12)
 
@@ -272,10 +263,9 @@ def test_default_probes_skip_the_identity_turn():
 def test_maxmin_single_ue():
     cfg = SystemConfig(L=2, K=1, U=2, M=1, N=4, tau_p=1)
     drop = generate_drop(cfg, 7)
-    model = NetworkModel.from_drop(drop)
-    pilots = allocate_pilots(drop)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
     phases = model.random_phases(8)
-    terms = model.terms(phases, pilots.pilot_of)
+    terms = model.terms(phases)
     w = lsfd_weights(terms, drop.p)
     full = sinr_from_weights(terms, w, drop.p)
     eps = 1e-4
@@ -289,10 +279,9 @@ def test_maxmin_single_ue():
 def _maxmin_setup(seed):
     cfg = SystemConfig(L=4, K=4, U=2, M=2, N=9, tau_p=2)
     drop = generate_drop(cfg, seed)
-    model = NetworkModel.from_drop(drop)
-    pilots = allocate_pilots(drop)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
     phases = model.random_phases([seed, 5])
-    terms = model.terms(phases, pilots.pilot_of)
+    terms = model.terms(phases)
     w = lsfd_weights(terms, drop.p)
     return cfg, drop, terms, cfg.pilot_powers(), w
 
@@ -379,9 +368,8 @@ def test_maxmin_equals_bisection_oracle(k_ues, n_ant):
         cfg = SystemConfig(L=3, K=k_ues, U=n_ant, M=2, N=4,
                            tau_p=min(k_ues, 2))
         drop = generate_drop(cfg, [seed, k_ues, n_ant])
-        model = NetworkModel.from_drop(drop)
-        terms = model.terms(model.random_phases([seed, 1]),
-                            allocate_pilots(drop).pilot_of)
+        model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+        terms = model.terms(model.random_phases([seed, 1]))
         for w in (lsfd_weights(terms, drop.p), egcd_weights(terms)):
             _assert_same_solution(sinr_coefficients(terms, w), cfg.p_max)
 
@@ -495,8 +483,8 @@ def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
     p_max = 0.2
     cfg = SystemConfig(L=3, K=2, U=2, M=2, N=4, tau_p=1)
     drop = generate_drop(cfg, 3)
-    model = NetworkModel.from_drop(drop)
-    terms = model.terms(model.random_phases(4), allocate_pilots(drop).pilot_of)
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    terms = model.terms(model.random_phases(4))
     band = _coeffs([2.0, 2.0], np.diag([0.3, 0.3]), [0.1, 0.1])
     settings = [_coeffs([1e-200, 1e-200], np.zeros((2, 2)), [1e200, 1e200]),
                 _coeffs([1.0, 1e-5], np.zeros((2, 2)), [1e-3, 1.0]),
@@ -585,14 +573,13 @@ def test_maxmin_with_egcd_weights():
     {"min_gain": np.inf},
     {"decoder": "egcd"},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
-def test_batched_search_equals_serial_search(small_model, small_pilots,
-                                             small_phases, overrides):
+def test_batched_search_equals_serial_search(small_model, small_phases,
+                                             overrides):
     cfg = BeamformingConfig(**overrides)
-    [(out, trace)] = optimize_beamforming([small_model],
-                                          small_pilots.pilot_of, small_phases,
+    [(out, trace)] = optimize_beamforming([small_model], small_phases,
                                           cfg, rng=1)
     ref_out, ref_trace = optimize_beamforming_serial(
-        small_model, small_pilots.pilot_of, small_phases, cfg, rng=1)
+        small_model, small_phases, cfg, rng=1)
     assert np.array_equal(out, ref_out)
     assert [(r.iteration, r.accepted) for r in trace] == \
         [(r.iteration, r.accepted) for r in ref_trace]
@@ -603,14 +590,15 @@ def test_batched_search_equals_serial_search(small_model, small_pilots,
 def _pitch_group(drop):
     """Models of the drop at its pitch and at half of it (a pitch sweep)."""
     half = replace(drop, cfg=drop.cfg.replace(d_meta=drop.cfg.d_meta / 2))
-    return [NetworkModel.from_drop(drop), NetworkModel.from_drop(half)]
+    pilots = allocate_pilots(drop)
+    return [NetworkModel.from_drop(drop, pilots),
+            NetworkModel.from_drop(half, pilots)]
 
 
-def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_pilots,
-                                            small_phases):
+def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
     models = _pitch_group(small_drop)
     start = np.stack([small_phases] * 2)
-    obj = SumSeObjective(models, small_pilots.pilot_of)
+    obj = SumSeObjective(models)
     obj.set_phases(start)
     l = 2
     rows, cols = np.array([1, 0, 1]), np.array([2, 6, 7])
@@ -619,14 +607,13 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_pilots,
     assert values.shape == (2, steps.size)
     slices = turned_slices(small_phases[l], rows, cols, steps)
     for s, model in enumerate(models):
-        base = model.terms(small_phases, small_pilots.pilot_of)
+        base = model.terms(small_phases)
         terms = splice_ap(base, l, block_terms(
-            model, l, small_phases[l], rows, cols, steps,
-            small_pilots.pilot_of))
+            model, l, small_phases[l], rows, cols, steps))
         for i in range(steps.size):
             patched = small_phases.copy()
             patched[l] = slices[i]
-            one_ap = terms_loop(model, patched, small_pilots.pilot_of, [l])
+            one_ap = terms_loop(model, patched, [l])
             expected = replace_ap(base, l, one_ap)
             got = candidate(terms, i)
             for name in ("z", "xi", "delta", "lam"):
@@ -637,7 +624,7 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_pilots,
             assert values[s, i] == obj.probe(l, rows, cols, one)[0][s, 0]
             assert values[s, i] == obj.probe(l, rows, cols, one, s)[0][0, 0]
         # the network searched alone sees the same values, bit for bit
-        alone = SumSeObjective([model], small_pilots.pilot_of)
+        alone = SumSeObjective([model])
         alone.set_phases(small_phases[None])
         assert np.array_equal(alone.probe(l, rows, cols, steps)[0][0],
                               values[s])
@@ -670,38 +657,43 @@ def test_group_search_equals_searches_alone(small_cfg, small_phases, tau_p):
     # each network's phases and trace are those of its search alone, with
     # and without UEs that share a pilot
     drop = generate_drop(small_cfg.replace(tau_p=tau_p), 42)
-    pilot_of = allocate_pilots(drop).pilot_of
     quarter = replace(drop, cfg=drop.cfg.replace(d_meta=drop.cfg.d_meta / 4))
-    models = _pitch_group(drop) + [NetworkModel.from_drop(quarter)]
+    models = _pitch_group(drop) + [NetworkModel.from_drop(
+        quarter, allocate_pilots(quarter))]
     for decoder in se.DECODERS:
         cfg = BeamformingConfig(decoder=decoder, sweeps=2)
-        found = optimize_beamforming(models, pilot_of, small_phases, cfg,
-                                     rng=4)
+        found = optimize_beamforming(models, small_phases, cfg, rng=4)
         assert len(found) == 3
         for model, (out, trace) in zip(models, found):
             [(ref_out, ref_trace)] = optimize_beamforming(
-                [model], pilot_of, small_phases, cfg, rng=4)
+                [model], small_phases, cfg, rng=4)
             assert np.array_equal(out, ref_out)
             assert trace == ref_trace
         assert sum(row.accepted for _, trace in found for row in trace) > 0
 
 
 def test_group_of_different_drops_is_rejected(small_cfg, small_drop,
-                                              small_pilots, small_phases):
-    other = NetworkModel.from_drop(generate_drop(small_cfg, 43))
+                                              small_model, small_pilots,
+                                              small_phases):
+    other_drop = generate_drop(small_cfg, 43)
+    other = NetworkModel.from_drop(other_drop, allocate_pilots(other_drop))
     with pytest.raises(ValueError, match="one drop"):
-        optimize_beamforming([NetworkModel.from_drop(small_drop), other],
-                             small_pilots.pilot_of, small_phases)
+        optimize_beamforming([small_model, other], small_phases)
     # the same drop with another noise power is another network
     noisy = replace(small_drop, cfg=small_cfg.replace(sigma2=1e-9))
     with pytest.raises(ValueError, match="one drop"):
         SumSeObjective(_pitch_group(small_drop)
-                       + [NetworkModel.from_drop(noisy)],
-                       small_pilots.pilot_of)
+                       + [NetworkModel.from_drop(noisy, small_pilots)])
+    # and so is the same drop under another pilot map (UEs 0 and 1 swap)
+    swapped = pilot_map(small_pilots.pilot_of[[1, 0, 2]],
+                        small_cfg.pilot_powers(), small_cfg.tau_p)
+    assert not np.array_equal(swapped.pilot_of, small_pilots.pilot_of)
+    with pytest.raises(ValueError, match="one drop"):
+        SumSeObjective([small_model, replace(small_model, pilots=swapped)])
 
 
-def test_probes_never_run_the_full_cascade(small_model, small_pilots,
-                                           small_phases, monkeypatch):
+def test_probes_never_run_the_full_cascade(small_model, small_phases,
+                                           monkeypatch):
     # only a full build (set_phases) may run cascade_through_antennas, once
     # per build; a probe batch works from the block's polynomial
     calls, builds, open_builds = [], [], []
@@ -723,8 +715,8 @@ def test_probes_never_run_the_full_cascade(small_model, small_pilots,
     monkeypatch.setattr(channel, "cascade_through_antennas", cascade_spy)
     monkeypatch.setattr(SumSeObjective, "set_phases", set_spy)
     cfg = BeamformingConfig(sweeps=2)
-    [(_, trace)] = optimize_beamforming([small_model], small_pilots.pilot_of,
-                                        small_phases, cfg, rng=2)
+    [(_, trace)] = optimize_beamforming([small_model], small_phases, cfg,
+                                        rng=2)
     assert len(trace) > 1 and len(builds) == 1
     assert calls == [(True, small_phases.shape)]
 
@@ -739,7 +731,7 @@ def _corrupt_probe(monkeypatch, index, failure="sinr", d_meta=None):
     real = NetworkGroup.block_terms
     target = []
 
-    def block_terms(self, l, bases, rows, cols, steps, pilot_of):
+    def block_terms(self, l, bases, rows, cols, steps):
         pitches = [model.cfg.d_meta for model in self.models]
         pitch = pitches[0] if d_meta is None else d_meta
         hit = []
@@ -752,7 +744,7 @@ def _corrupt_probe(monkeypatch, index, failure="sinr", d_meta=None):
                    if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
-        terms = real(self, l, bases, rows, cols, steps, pilot_of)
+        terms = real(self, l, bases, rows, cols, steps)
         cross = terms.cross.copy()
         cross[..., hit] = -1e6 * np.abs(xi_of(terms)).max()
         return replace(terms, cross=cross)
@@ -770,18 +762,16 @@ def test_failing_probe_past_the_accepted_one_is_never_raised(
         decoder):
     # in a network alone and in the first network of a pitch group
     cfg = BeamformingConfig(decoder=decoder)
-    for models in ([NetworkModel.from_drop(small_drop)],
+    for models in ([NetworkModel.from_drop(small_drop, small_pilots)],
                    _pitch_group(small_drop)):
-        clean = optimize_beamforming(models, small_pilots.pilot_of,
-                                     small_phases, cfg, rng=3)
+        clean = optimize_beamforming(models, small_phases, cfg, rng=3)
         first = next(row for row in clean[0][1] if row.accepted)
         assert first.iteration < cfg.max_probes   # accepted in block 1, early
         # probe first.iteration + 1 (index first.iteration) is never
         # evaluated
         with monkeypatch.context() as patch:
             _corrupt_probe(patch, first.iteration, failure)
-            found = optimize_beamforming(models, small_pilots.pilot_of,
-                                         small_phases, cfg, rng=3)
+            found = optimize_beamforming(models, small_phases, cfg, rng=3)
         for (out, trace), (clean_out, clean_trace) in zip(found, clean):
             assert np.array_equal(out, clean_out)
             assert trace == clean_trace
@@ -799,14 +789,12 @@ def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
                                                     failure, error, decoder):
     # in a network alone and in the second network of a pitch group
     cfg = BeamformingConfig(decoder=decoder)
-    for models in ([NetworkModel.from_drop(small_drop)],
+    for models in ([NetworkModel.from_drop(small_drop, small_pilots)],
                    _pitch_group(small_drop)):
-        found = optimize_beamforming(models, small_pilots.pilot_of,
-                                     small_phases, cfg, rng=3)
+        found = optimize_beamforming(models, small_phases, cfg, rng=3)
         first = next(row for row in found[-1][1] if row.accepted)
         with monkeypatch.context() as patch:
             _corrupt_probe(patch, first.iteration - 1, failure,
                            models[-1].cfg.d_meta)
             with pytest.raises(error):
-                optimize_beamforming(models, small_pilots.pilot_of,
-                                     small_phases, cfg, rng=3)
+                optimize_beamforming(models, small_phases, cfg, rng=3)

@@ -19,14 +19,14 @@ def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
     cfg = SystemConfig(L=l, K=k, U=u, M=m, N=n, tau_p=tau_p, **extra)
     drop = generate_drop(cfg, seed)
     pilots = allocate_pilots(drop)
-    model = NetworkModel.from_drop(drop)
+    model = NetworkModel.from_drop(drop, pilots)
     phases = model.random_phases(np.random.default_rng([seed, 1]))
     return cfg, drop, pilots, model, phases
 
 
 def terms_at(seed, **kw):
     cfg, drop, pilots, model, phases = model_at(seed, **kw)
-    return cfg, drop, pilots, model.terms(phases, pilots.pilot_of)
+    return cfg, drop, pilots, model.terms(phases)
 
 
 def test_term_shapes_and_signs(small_terms, small_pilots, small_cfg):
@@ -45,12 +45,11 @@ def test_term_shapes_and_signs(small_terms, small_pilots, small_cfg):
         assert np.all(xi[k, k] >= t.lam[k] ** 2 - 1e-18)
 
 
-def test_zero_los_collapses_terms(small_model, small_pilots, small_phases,
-                                  small_cfg):
+def test_zero_los_collapses_terms(small_model, small_phases, small_cfg):
     state = small_model.channel_state(small_phases)
     state = type(state)(h_bar=np.zeros_like(state.h_bar), s=state.s,
                         beta_nlos=state.beta_nlos)
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
+    est = small_model.estimation_state(state)
     p_hat = small_cfg.pilot_powers()
     t = sinr_terms(state, est)
     assert np.all(t.lam == 0)
@@ -64,7 +63,7 @@ def test_single_link_scalar_value():
     state = model.channel_state(phases)
     state = type(state)(h_bar=np.zeros_like(state.h_bar), s=state.s,
                         beta_nlos=state.beta_nlos)
-    est = model.estimation_state(state, pilots.pilot_of)
+    est = model.estimation_state(state)
     p_hat = cfg.pilot_powers()
     t = sinr_terms(state, est)
     r = r_all(state)[0, 0]
@@ -79,9 +78,9 @@ def test_six_case_audit_small():
     # shared pilot and an exclusive one
     cfg, drop, pilots, model, phases = model_at(7, l=2, k=3, u=2, n=9, m=2,
                                                 tau_p=2)
-    terms = model.terms(phases, pilots.pilot_of)
+    terms = model.terms(phases)
     pred = predicted_cross_moments(terms, cfg.pilot_powers(), cfg.tau_p)
-    state, est = model.states(phases, pilots.pilot_of)
+    state, est = model.states(phases)
     mc = cross_moment_estimates(state, est, 150_000,
                                 rng=np.random.default_rng(8))
     z_re = np.abs(mc.moment.real - pred.real) / np.maximum(mc.stderr_re, 1e-300)
@@ -244,7 +243,7 @@ def _oracle_cases():
     # max-min power control's use: weights fixed at full power, evaluated
     # at other powers
     cfg, drop, pilots, model, _ = model_at(60, l=4, k=4)
-    terms = model.terms(model.random_phases([60, 5]), pilots.pilot_of)
+    terms = model.terms(model.random_phases([60, 5]))
     rng = np.random.default_rng(9)
     for _ in range(5):
         yield cfg, terms, drop.p, rng.uniform(0, cfg.p_max, cfg.K)
@@ -264,21 +263,21 @@ def test_sinr_from_weights_matches_breakdown_oracle(decoder):
         assert np.array_equal(c.signal * p / (c.d @ p + c.noise), gamma)
 
 
-def candidate_stack(model, pilots, phases, l=1, n=5):
+def candidate_stack(model, phases, l=1, n=5):
     """Terms of n probes of one random block of AP l, stacked."""
     rng = np.random.default_rng(3)
     block = rng.permutation(phases[l].size)[:4]
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
-    base = model.terms(phases, pilots.pilot_of)
+    base = model.terms(phases)
     return splice_ap(base, l, block_terms(model, l, phases[l], rows, cols,
-                                                steps, pilots.pilot_of))
+                                          steps))
 
 
-def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
+def test_batched_decoding_equals_per_candidate_calls(small_model,
                                                      small_phases, small_cfg):
     cfg = small_cfg
-    stack = candidate_stack(small_model, small_pilots, small_phases)
+    stack = candidate_stack(small_model, small_phases)
     p = small_model.drop.p
     args = (p, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     b = denominator_matrices(stack, *args)
@@ -302,10 +301,10 @@ def test_batched_decoding_equals_per_candidate_calls(small_model, small_pilots,
                               sinr_from_weights(one, ones[i], p))
 
 
-def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
-                                                  small_phases, small_cfg):
+def test_lsfd_singular_candidate_falls_back_alone(small_model, small_phases,
+                                                  small_cfg):
     cfg = small_cfg
-    stack = candidate_stack(small_model, small_pilots, small_phases, n=3)
+    stack = candidate_stack(small_model, small_phases, n=3)
     zeroed = {name: getattr(stack, name).copy()
               for name in ("z", "lam", "delta", "beta", "nu", "spec", "power",
                            "cross")}
@@ -327,11 +326,10 @@ def test_lsfd_singular_candidate_falls_back_alone(small_model, small_pilots,
 
 
 def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
-                                                       small_pilots,
                                                        small_phases):
     # a negative interference term makes dg < 0 at an AP where z > 0: the
     # LoS cross term |h_k^H h_j|^2 that dg sums, so xi carries it as well
-    stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
+    stack = candidate_stack(small_model, small_phases, n=4)
     cross = stack.cross.copy()
     cross[2, 1, :, 0] = -1e6 * np.abs(xi_of(stack)).max()
     stack = replace(stack, cross=cross)
@@ -341,9 +339,8 @@ def test_lsfd_nonpositive_diagonal_names_the_candidate(small_model,
         lsfd_weights(stack, small_model.drop.p)
 
 
-def test_batched_sinr_error_names_the_candidate(small_model, small_pilots,
-                                                small_phases):
-    stack = candidate_stack(small_model, small_pilots, small_phases, n=4)
+def test_batched_sinr_error_names_the_candidate(small_model, small_phases):
+    stack = candidate_stack(small_model, small_phases, n=4)
     xi = xi_of(stack)
     # xi is linear in its parts nu, spec and cross: negating them negates it
     negated = {name: getattr(stack, name).copy()

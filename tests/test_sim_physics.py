@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simcf import SystemConfig, generate_drop
+from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.pipeline import NetworkModel
 from simcf.sim_physics import (DiffractionSet, base_correlation,
                                block_cascade_coeffs, build_diffraction_set,
@@ -64,7 +64,8 @@ def test_base_correlation_is_cached_with_the_stack():
     assert np.array_equal(corr, sinc_correlation(geom.output_grid,
                                                  cfg.wavelength))
     drop = generate_drop(cfg, 1)
-    assert NetworkModel.from_drop(drop).base_corr is corr
+    model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+    assert model.base_corr is corr
 
 
 def test_congruent_layers_give_symmetric_matrix():

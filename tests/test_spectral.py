@@ -12,7 +12,8 @@ import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop, se
 from simcf.channel import ChannelState, block_channel_state
-from simcf.estimation import EstimationError, build_estimation_state
+from simcf.estimation import (EstimationError, build_estimation_state,
+                              pilot_map)
 from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
 
@@ -25,18 +26,17 @@ RTOL = 1e-12
 
 
 def _drops(k_ues, n_ant, shared):
-    """(model, pilots, phases) of 6 random drops; shared gives the UEs
-    tau_p = 2 pilots (co-pilots from K = 3 on), else one pilot each."""
+    """(model, phases) of 6 random drops; shared gives the UEs tau_p = 2
+    pilots (co-pilots from K = 3 on), else one pilot each."""
     tau_p = min(k_ues, 2) if shared else k_ues
     cfg = SystemConfig(L=3, K=k_ues, U=n_ant, M=2, N=9, tau_p=tau_p)
     for seed in range(6):
         drop = generate_drop(cfg, [seed, k_ues, n_ant, shared])
-        model = NetworkModel.from_drop(drop)
-        yield (model, allocate_pilots(drop).pilot_of,
-               model.random_phases([seed, 1]))
+        model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+        yield model, model.random_phases([seed, 1])
 
 
-def _states(model, pilot_of, phases, rng):
+def _states(model, phases, rng):
     """(label, channel state) of the full network and of 3 probes of one
     random block of a random AP (the probes on the AP axis)."""
     cfg = model.cfg
@@ -60,13 +60,13 @@ def _close(got, want, what):
 def test_spectral_terms_match_solve_and_einsum_oracles(k_ues, n_ant, shared):
     # 18 settings x 6 drops = 108 drops, each as a full and a block build
     rng = np.random.default_rng([k_ues, n_ant, shared])
-    for model, pilot_of, phases in _drops(k_ues, n_ant, shared):
+    for model, phases in _drops(k_ues, n_ant, shared):
         cfg = model.cfg
         args = (cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
-        for label, state in _states(model, pilot_of, phases, rng):
-            est = build_estimation_state(state, pilot_of, *args)
-            ref = sinr_terms_einsum(
-                state, build_estimation_state_solve(state, pilot_of, *args))
+        for label, state in _states(model, phases, rng):
+            est = model.estimation_state(state)
+            ref = sinr_terms_einsum(state, build_estimation_state_solve(
+                state, model.pilots.pilot_of, *args))
             terms = se.sinr_terms(state, est)
             assert copilot_of(terms).any() == (shared and k_ues > 2)
             assert terms.delta.dtype == float
@@ -102,7 +102,7 @@ def test_spectral_terms_match_solve_and_einsum_oracles(k_ues, n_ant, shared):
 def test_estimation_matrices_match_the_solve(small_model, small_pilots,
                                              small_phases, small_cfg):
     state = small_model.channel_state(small_phases)
-    est = small_model.estimation_state(state, small_pilots.pilot_of)
+    est = small_model.estimation_state(state)
     ref = build_estimation_state_solve(
         state, small_pilots.pilot_of, small_cfg.pilot_powers(),
         small_cfg.tau_p, small_cfg.sigma2)
@@ -134,12 +134,11 @@ def test_singular_pilot_covariance_raises_estimation_error(s):
     state = ChannelState(h_bar=np.ones((2, 3, u), dtype=complex),
                          s=np.repeat(s.astype(complex)[None], 2, axis=0),
                          beta_nlos=np.full((2, 3), 1e-9))
+    pilots = pilot_map([0, 1, 0], np.full(3, 0.2), 2)
     with pytest.raises(EstimationError, match="singular"):
-        build_estimation_state(state, np.array([0, 1, 0]), np.full(3, 0.2), 2,
-                               sigma2=0.0)
+        build_estimation_state(state, pilots, sigma2=0.0)
     # any noise makes it regular again: no error, finite terms
-    est = build_estimation_state(state, np.array([0, 1, 0]), np.full(3, 0.2),
-                                 2, sigma2=1e-12)
+    est = build_estimation_state(state, pilots, sigma2=1e-12)
     terms = se.sinr_terms(state, est)
     assert all(np.all(np.isfinite(getattr(terms, f.name)))
                for f in fields(terms)
@@ -152,7 +151,7 @@ def test_idle_pilot_is_not_checked():
     state = ChannelState(h_bar=np.zeros((1, 2, 1), dtype=complex),
                          s=np.ones((1, 1, 1), dtype=complex),
                          beta_nlos=np.full((1, 2), 1e-9))
-    est = build_estimation_state(state, np.array([1, 1]), np.full(2, 0.2), 2,
+    est = build_estimation_state(state, pilot_map([1, 1], np.full(2, 0.2), 2),
                                  sigma2=0.0)
     assert est.condition == 1.0
     np.testing.assert_allclose(est.core[0, :, 0, 0], 1e-9 / (2 * 0.4e-9),
@@ -167,10 +166,9 @@ def _indefinite_probe_model(decoder):
     the first step of AP l's block, and not under a later step."""
     cfg = SystemConfig(L=2, K=2, U=1, M=2, N=4, tau_p=1, sigma2=0.0)
     drop = generate_drop(cfg, 3)
-    model = replace(NetworkModel.from_drop(drop),
+    model = replace(NetworkModel.from_drop(drop, allocate_pilots(drop)),
                     base_corr=np.diag([1.0, -1.0, 0.0, 0.0]))
-    objective = SumSeObjective([model], allocate_pilots(drop).pilot_of,
-                               decoder=decoder)
+    objective = SumSeObjective([model], decoder=decoder)
     steps = np.arange(1, 16) * np.pi / 8
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -185,8 +183,7 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                block_terms(model, l, phases[l], rows, cols, [step],
-                            objective.pilot_of)
+                block_terms(model, l, phases[l], rows, cols, [step])
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -218,8 +215,8 @@ def test_condition_number_matches_numpy_on_rank_one_case():
     # the rank-1 case of test_badly_conditioned_pilot_covariance_logged_at_
     # debug: psi = diag(0.4e-9 + sigma2, sigma2)
     for sigma2 in (1e-9, 1e-30):
-        est = build_estimation_state(_rank_one_state(), np.array([0, 1]),
-                                     np.full(2, 0.2), 2, sigma2=sigma2)
+        est = build_estimation_state(
+            _rank_one_state(), pilot_map([0, 1], np.full(2, 0.2), 2), sigma2)
         psi = 2 * 0.2 * 1e-9 * np.diag([1.0, 0.0]) + sigma2 * np.eye(2)
         assert est.condition == pytest.approx(np.linalg.cond(psi), rel=1e-12)
 
@@ -237,7 +234,8 @@ def test_condition_number_matches_numpy_on_random_covariances():
                              beta_nlos=rng.uniform(0.1, 1.0, (n_ap, n_ue)))
         p_hat = rng.uniform(0.05, 0.3, n_ue)
         sigma2 = float(rng.uniform(1e-3, 1e-1))
-        est = build_estimation_state(state, pilot_of, p_hat, tau_p, sigma2)
+        est = build_estimation_state(state, pilot_map(pilot_of, p_hat, tau_p),
+                                     sigma2)
         worst = 0.0
         for l in range(n_ap):
             for t in np.unique(pilot_of):
@@ -250,9 +248,9 @@ def test_condition_number_matches_numpy_on_random_covariances():
 
 def test_conditioning_log_reads_the_condition_number(caplog):
     state = _rank_one_state()
-    args = (state, np.array([0, 1]), np.full(2, 0.2), 2)
+    pilots = pilot_map([0, 1], np.full(2, 0.2), 2)
     with caplog.at_level(logging.DEBUG, logger="simcf.estimation"):
-        est = build_estimation_state(*args, sigma2=1e-30)
+        est = build_estimation_state(state, pilots, sigma2=1e-30)
     assert f"{est.condition:.3e}" in caplog.text
 
 
@@ -261,14 +259,13 @@ def _array_fields(terms):
             if isinstance(getattr(terms, f.name), np.ndarray)}
 
 
-def test_terms_are_c_contiguous_and_layout_free(small_model, small_pilots,
-                                                small_phases, small_cfg):
+def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases,
+                                                small_cfg):
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     builds = {
-        "full": small_model.terms(small_phases, small_pilots.pilot_of),
+        "full": small_model.terms(small_phases),
         "block": block_terms(small_model, 1, small_phases[1], rows, cols,
-                                         np.arange(1, 6) * np.pi / 8,
-                                         small_pilots.pilot_of),
+                             np.arange(1, 6) * np.pi / 8),
     }
     for label, terms in builds.items():
         arrays = _array_fields(terms)
