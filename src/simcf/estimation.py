@@ -184,24 +184,38 @@ def _monitor_conditioning(est):
         log.warning("pilot covariance badly conditioned (cond %.3e)", worst)
 
 
-def despread_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
-    """Noise of the despread pilot observation, CN(0, tau_p sigma2 I_U).
+def scaled_complex(re, im, scale):
+    """scale (re + 1j im) of real arrays re and im, written part by part:
+    equal bit for bit to that expression, without its complex
+    temporaries."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)),
+                   dtype=complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
 
-    One independent draw per pilot sequence (UEs sharing a pilot see the
-    same despread noise); shape (*shape_prefix, n_pilots, u).
-    """
-    scale = np.sqrt(tau_p * sigma2 / 2.0)
-    shape = (*shape_prefix, n_pilots, u)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+def despread_pilot_noise(re, im, tau_p, sigma2):
+    """Noise of the despread pilot observation, CN(0, tau_p sigma2 I_U),
+    from standard normal real and imaginary parts (..., T, U): one draw per
+    pilot sequence, so UEs sharing a pilot see the same despread noise."""
+    return scaled_complex(re, im, np.sqrt(tau_p * sigma2 / 2.0))
 
 
 def link_matvec(f, v):
     """Per-link matrix-vector products f[l, k] @ v[..., l, k, :] for
     matrices f (L, K, U, U) and vectors v (..., L, K, U), as explicit sums
-    over the U axis (one broadcast product per column of f)."""
-    out = f[..., 0] * v[..., 0, None]
-    for j in range(1, f.shape[-1]):
-        out += f[..., j] * v[..., j, None]
+    over the U axis, one output entry at a time: each product then runs
+    over all links at once, where one broadcast along the U axis would run
+    in loops of U elements."""
+    u = f.shape[-1]
+    out = np.empty(np.broadcast_shapes(f.shape[:-1], v.shape),
+                   dtype=np.result_type(f, v))
+    for i in range(u):
+        entry = out[..., i]
+        np.multiply(f[..., i, 0], v[..., 0], out=entry)
+        for j in range(1, u):
+            entry += f[..., i, j] * v[..., j]
     return out
 
 
@@ -218,11 +232,13 @@ def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
     """
     pilots = est.pilots
     p_root = np.sqrt(pilots.p_hat)
-    # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T)
-    observed = (pilots.tau_p * np.tensordot(p_root[:, None] * nlos,
-                                            pilots.onehot,
-                                            axes=(-2, 0)).swapaxes(-1, -2)
-                + pilot_noise)[..., pilots.pilot_of, :]
+    # one matmul sums each pilot's weighted NLoS: (..., L, U, K) @ (K, T);
+    # the weights are repeated over U so that their product runs over all
+    # links at once, not in loops of U elements
+    weighted = np.repeat(p_root[:, None], nlos.shape[-1], axis=-1) * nlos
+    pooled = np.tensordot(weighted, pilots.onehot, axes=(-2, 0))
+    observed = np.take(pilots.tau_p * pooled.swapaxes(-1, -2) + pilot_noise,
+                       pilots.pilot_of, axis=-2)
     gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
     estimate = link_matvec(gain, observed)
     estimate += los

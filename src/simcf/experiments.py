@@ -289,19 +289,24 @@ def _batch_rows(spec, cfg, value_index, drops, model, rand_phases,
                              coeffs.sinr(p)))
 
     # One Monte-Carlo sampling pass per drop and phase kind serves all its
-    # settings, on the drop's slice of the states.
+    # settings, on the drop's slice of the states: weights (decoders, K, L)
+    # and powers (power kinds, decoders, K), so each decoder's features are
+    # formed once for all its power vectors.
     mc_cols = {}
-    for phase_kind, (states, _) in kinds.items():
+    for phase_kind, (states, decoded) in kinds.items():
         if spec.n_mc_trials == 0:
             break
         mine = [j for j, s in enumerate(settings) if s[0] == phase_kind]
         for i, d in enumerate(drops):
             mc = uatf_monte_carlo(
                 *(state.at(i) for state in states),
-                np.stack([settings[j][4][i] for j in mine]),
-                np.stack([settings[j][3][i] for j in mine]), spec.n_mc_trials,
+                np.stack([settings[j][4][i] for j in mine]).reshape(
+                    -1, len(decoders), cfg.K),
+                np.stack([decoded[decoder][0][i] for decoder in decoders]),
+                spec.n_mc_trials,
                 rng=np.random.default_rng([spec.seed, value_index, d, 3]))
-            for j, g, e in zip(mine, mc.gamma, mc.stderr):
+            for j, g, e in zip(mine, mc.gamma.reshape(-1, cfg.K),
+                               mc.stderr.reshape(-1, cfg.K)):
                 mc_cols[j, i] = list(zip(g.tolist(), e.tolist()))
 
     missing = [(MISSING, MISSING)] * cfg.K

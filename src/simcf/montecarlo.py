@@ -2,11 +2,13 @@
 # Monte-Carlo estimation of the uplink SINR lower bound directly from its
 # defining expectations: sampled channels, pilot observations, MMSE
 # estimates, matched-filter combining and CPU-side weighting. Serves as the
-# independent oracle for the closed-form engine. The per-link U x U
-# applies run as explicit sums over the U axis, and each setting's combined
-# products come from one batched matmul over the (AP, antenna) axis, so no
-# (batch, L, K, K) product tensor is formed. The pilot map, pilot powers,
-# tau_p and sigma2 are read from the estimation state.
+# independent oracle for the closed-form engine. A batch of trials draws
+# all its random numbers at once, which fixes the random streams; a chunk
+# of trials small enough to stay in cache is the unit of arithmetic, and
+# only the nv feature and the feature sums are formed per batch (see
+# uatf_monte_carlo). No (batch, L, K, K) product tensor is formed, and each
+# weight set's features serve all its power vectors. The pilot map, pilot
+# powers, tau_p and sigma2 are read from the estimation state.
 
 from dataclasses import dataclass
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelState
 from .estimation import (EstimationState, despread_pilot_noise, link_matvec,
-                         mmse_estimate)
+                         mmse_estimate, scaled_complex)
 from .scenario import psd_sqrt
 
 
@@ -26,9 +28,17 @@ class UatfEstimate:
     n_trials: int         # sampled realizations, shared by every setting
 
 
+# Entries of one (chunk, L, K, U) array, which sets the trials per chunk of
+# arithmetic: 128 trials at the paper defaults (L K U = 100), whose ~200 kB
+# arrays stay near a 2 MiB L2 cache. There 64 to 128 trials were fastest,
+# 32 slower, and a whole 4096-trial batch ~20 % slower.
+_CHUNK_ELEMENTS = 12_800
+
+
 class _TrialSampler:
-    """Draws batches of (channel, estimate) realizations for all links. The
-    NLoS factor of link (l, k) is sqrt(beta_nlos_lk) psd_sqrt(s_l)."""
+    """Draws the random numbers of batches of trials and realizes them as
+    (channel, estimate) pairs of all links. The NLoS factor of link (l, k)
+    is sqrt(beta_nlos_lk) psd_sqrt(s_l)."""
 
     def __init__(self, state: ChannelState, est: EstimationState, rng):
         self.state = state
@@ -39,18 +49,32 @@ class _TrialSampler:
         self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
 
-    def draw(self, batch):
-        """(channels, estimates), each (batch, L, K, U)."""
+    def numbers(self, batch):
+        """The random numbers of batch trials, in stream order: phases
+        (batch, L, K), the white draws' real and imaginary parts
+        (batch, L, K, U) and the pilot noise's (batch, L, T, U)."""
         n_ap, n_ue, u = self.shape
-        phase = self.rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
-        white = (self.rng.standard_normal((batch, n_ap, n_ue, u))
-                 + 1j * self.rng.standard_normal((batch, n_ap, n_ue, u))) / np.sqrt(2.0)
-        nlos = link_matvec(self.nlos_factor, white)
-        del white
-        los = self.state.h_bar * np.exp(1j * phase)[..., None]
-        del phase
-        noise = despread_pilot_noise(self.rng, self.n_pilots, (batch, n_ap), u,
-                                     self.est.pilots.tau_p, self.est.sigma2)
+        normal = self.rng.standard_normal
+        return (self.rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue)),
+                normal((batch, n_ap, n_ue, u)), normal((batch, n_ap, n_ue, u)),
+                normal((batch, n_ap, self.n_pilots, u)),
+                normal((batch, n_ap, self.n_pilots, u)))
+
+    def realize(self, numbers):
+        """(channels, estimates), each (b, L, K, U), of the random numbers
+        of b trials (any run of trials of a batch)."""
+        phase, white_re, white_im, noise_re, noise_im = numbers
+        # white CN(0, I) draws: (re + 1j im) / sqrt(2)
+        nlos = link_matvec(self.nlos_factor, scaled_complex(
+            white_re, white_im, 1.0 / np.sqrt(2.0)))
+        # h_bar e^{j phase}, one antenna at a time so that each product runs
+        # over all links at once
+        turn = np.exp(1j * phase)
+        los = np.empty(nlos.shape, dtype=complex)
+        for i in range(los.shape[-1]):
+            np.multiply(self.state.h_bar[..., i], turn, out=los[..., i])
+        noise = despread_pilot_noise(noise_re, noise_im, self.est.pilots.tau_p,
+                                     self.est.sigma2)
         h_hat = mmse_estimate(self.est, los, nlos, noise)
         los += nlos                                     # the channel
         return los, h_hat
@@ -71,16 +95,28 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     delta method on the (K + 3)-dimensional vector of sample means.
 
     x is never formed: the combined products y[k, j] = sum_l conj(a_kl)
-    x[l, k, j] of a setting are one matmul per trial of the weighted
+    x[l, k, j] of a weight set are one matmul per trial of the weighted
     estimates (K, L*U) with the channels (L*U, K), batched over trials, so
     no (batch, L, K, K) tensor exists. The feature outer products are summed
     over trials by one matmul per UE.
 
+    batch fixes the random streams: each batch of trials draws all its
+    random numbers at once (phases, white real and imaginary parts, pilot
+    noise real and imaginary parts), so the results depend on batch but
+    not on how the arithmetic is split. A chunk of trials, sized to stay in
+    cache (_CHUNK_ELEMENTS), is the unit of arithmetic from the white draws
+    to the features. The nv features and the feature sums stay per batch:
+    the OpenBLAS gemv behind nv = |a|^2 @ norms rounds the edge columns of
+    the norms (column count mod 8) apart from the others, and sums per
+    chunk would add in another order, so either would make the results
+    depend on the chunk size.
+
     Leading axes of p and weights (broadcast together, as the candidate
     axes in se) list settings; gamma and stderr are (..., K). All settings
-    share one sampling pass: each batch of channels and estimates, with its
-    estimate norms, is drawn once and feeds every setting, so the settings
-    see common random numbers. Each setting's result equals a call for that
+    share one sampling pass and so see common random numbers. The features
+    do not depend on p, so they are formed once per weight set over the
+    weights' own leading axes, and every power vector broadcast against a
+    weight set reuses them. Each setting's result equals a call for that
     setting alone with the same rng, bit for bit.
     """
     if n_trials < 2 or batch < 1:
@@ -92,42 +128,69 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     p = np.asarray(p, dtype=float)
     weights = np.asarray(weights, dtype=complex)
     lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
-    p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
-    weights = np.broadcast_to(weights, (*lead, n_ue, n_ap)).reshape(-1, n_ue,
-                                                                    n_ap)
-    # per-setting weights on the estimate rows (K, L, 1) and their squares
-    w_rows = weights.conj()[..., None]
-    w_sq = np.abs(weights) ** 2
+    own = weights.shape[:-2]
+    weights = weights.reshape(-1, n_ue, n_ap)
     dim = n_ue + 3
-    acc1 = np.zeros((len(p), n_ue, dim))
-    acc2 = np.zeros((len(p), n_ue, dim, dim))
-    idx = np.arange(n_ue)
+    acc1 = np.zeros((len(weights), n_ue, dim))
+    acc2 = np.zeros((len(weights), n_ue, dim, dim))
     done = 0
     while done < n_trials:
         b = min(batch, n_trials - done)
-        h, h_hat = sampler.draw(b)
-        # channels as (b, L*U, K) columns, conjugate estimates as (b, K, L, U)
-        cols = h.transpose(0, 1, 3, 2).reshape(b, n_ap * u, n_ue)
-        del h
-        rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
-        del h_hat
-        # squared estimate norms summed over U, as (K, L, b)
-        sq = rows.real ** 2 + rows.imag ** 2
-        vnorm = sum((sq[..., j] for j in range(1, u)), sq[..., 0])
-        vnorm = np.ascontiguousarray(vnorm.transpose(1, 2, 0))
-        for s in range(len(p)):
-            y = (w_rows[s] * rows).reshape(b, n_ue, n_ap * u) @ cols
-            feats = np.zeros((b, n_ue, dim))
-            feats[:, :, 0] = y[:, idx, idx].real
-            feats[:, :, 1] = y[:, idx, idx].imag
-            feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
-            feats[:, :, -1] = (w_sq[s, :, None] @ vnorm)[:, 0].T
-            acc1[s] += feats.sum(axis=0)
-            acc2[s] += feats.transpose(1, 2, 0) @ feats.transpose(1, 0, 2)
+        sum1, sum2 = _batch_sums(sampler, b, weights)
+        acc1 += sum1
+        acc2 += sum2
         done += b
-    gamma, stderr = _delta_method(acc1, acc2, p, est.sigma2, n_trials)
+    # the sums of a weight set serve every power vector broadcast against it
+    which = np.broadcast_to(np.arange(len(weights)).reshape(own), lead).ravel()
+    p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
+    gamma, stderr = _delta_method(acc1[which], acc2[which], p, est.sigma2,
+                                  n_trials)
     return UatfEstimate(gamma=gamma.reshape(*lead, n_ue),
                         stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
+
+
+def _batch_sums(sampler, b, weights):
+    """Sums over the next b trials of the features (W, K, dim) and of their
+    outer products (W, K, dim, dim) under each of the weight sets (W, K, L).
+    The trials' random numbers are drawn at once and realized chunk by
+    chunk; the batch's arrays are freed on return, before the next draw."""
+    n_ap, n_ue, u = sampler.shape
+    numbers = sampler.numbers(b)
+    # weights on the estimate rows, repeated over U so that their product
+    # with the rows runs over all links at once
+    w_rows = np.repeat(weights.conj()[..., None], u, axis=-1)
+    feats = np.empty((len(weights), b, n_ue, n_ue + 3))
+    vnorm = np.empty((n_ue, n_ap, b))       # squared estimate norms
+    chunk = max(1, _CHUNK_ELEMENTS // (n_ap * n_ue * u))
+    for start in range(0, b, chunk):
+        part = slice(start, start + chunk)
+        h, h_hat = sampler.realize([x[part] for x in numbers])
+        # channels as (c, L*U, K) columns, conjugate estimates as (c, K, L, U)
+        cols = h.transpose(0, 1, 3, 2).reshape(len(h), n_ap * u, n_ue)
+        rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
+        sq = rows.real ** 2 + rows.imag ** 2
+        vnorm[..., part] = sum((sq[..., j] for j in range(1, u)),
+                               sq[..., 0]).transpose(1, 2, 0)
+        for w, f in zip(w_rows, feats):
+            _features(rows, cols, w, f[part])
+    for w, f in zip(np.abs(weights) ** 2, feats):
+        f[:, :, -1] = (w[:, None] @ vnorm)[:, 0].T
+    return (np.stack([f.sum(axis=0) for f in feats]),
+            np.stack([f.transpose(1, 2, 0) @ f.transpose(1, 0, 2)
+                      for f in feats]))
+
+
+def _features(rows, cols, w_rows, out):
+    """Writes the features (Re u, Im u, w_1 .. w_K) of c trials under one
+    weight set into out (c, K, dim), from the conjugate estimates rows
+    (c, K, L, U), the channels cols (c, L*U, K) and the weights on the rows
+    w_rows (K, L, U)."""
+    c, n_ue = rows.shape[:2]
+    y = (w_rows * rows).reshape(c, n_ue, -1) @ cols
+    useful = np.diagonal(y, axis1=1, axis2=2)
+    out[:, :, 0] = useful.real
+    out[:, :, 1] = useful.imag
+    out[:, :, 2:-1] = np.abs(y) ** 2
 
 
 def _delta_method(acc1, acc2, p, sigma2, n_trials):

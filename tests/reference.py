@@ -34,10 +34,16 @@
 #   build, phase search and Monte-Carlo pass replace
 # - mmse_estimate_loop: realization-level estimates built one UE and its
 #   co-pilots at a time, which the per-pilot sum of mmse_estimate replaces
+# - link_matvec_broadcast: the per-link U x U apply as products broadcast
+#   along the U axis, which estimation.link_matvec forms one entry at a time
 # - uatf_monte_carlo_einsum, with draw_einsum and combined_products: the
 #   Monte-Carlo pass through einsum contractions and the (b, L, K, K)
 #   product tensor, which the explicit U sums and batched matmuls of
 #   montecarlo replace
+# - uatf_monte_carlo_batch, with draw_batch: the Monte-Carlo pass realizing
+#   each batch at once and forming the features once per setting, which the
+#   cache-sized chunks and per-weight-set features of montecarlo replace
+#   with the same arithmetic
 # - delta_method_loop: the Monte-Carlo SINR and standard error one setting
 #   and one UE at a time, which the stacked montecarlo._delta_method
 #   replaces
@@ -55,8 +61,7 @@ import scipy.linalg
 
 from simcf import se
 from simcf.channel import ChannelState
-from simcf.estimation import (EstimationError, despread_pilot_noise,
-                              link_matvec)
+from simcf.estimation import EstimationError, despread_pilot_noise
 from simcf.experiments import MISSING, _drop_seed
 from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
 from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
@@ -397,6 +402,15 @@ def copilot_observations_loop(nlos, pilot_of, p_hat, tau_p, pilot_noise):
     return observed
 
 
+def link_matvec_broadcast(f, v):
+    """estimation.link_matvec as one product per column of f, broadcast
+    along the U axis."""
+    out = f[..., 0] * v[..., 0, None]
+    for j in range(1, f.shape[-1]):
+        out += f[..., j] * v[..., j, None]
+    return out
+
+
 def _estimator_gain(est, p_hat):
     """sqrt(p_hat_k) core^H of every link, (L, K, U, U)."""
     return np.sqrt(p_hat)[None, :, None, None] \
@@ -409,7 +423,21 @@ def mmse_estimate_loop(est, los, nlos, pilot_of, p_hat, tau_p, pilot_noise):
     p_hat = np.asarray(p_hat, dtype=float)
     observed = copilot_observations_loop(nlos, pilot_of, p_hat, tau_p,
                                          pilot_noise)
-    return los + link_matvec(_estimator_gain(est, p_hat), observed)
+    return los + link_matvec_broadcast(_estimator_gain(est, p_hat), observed)
+
+
+def draw_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
+    """estimation.despread_pilot_noise of fresh standard normal parts of
+    shape (*shape_prefix, n_pilots, u), the real part drawn first."""
+    shape = (*shape_prefix, n_pilots, u)
+    return despread_pilot_noise(rng.standard_normal(shape),
+                                rng.standard_normal(shape), tau_p, sigma2)
+
+
+def draw(sampler, batch):
+    """(channels, estimates) of batch trials of a montecarlo._TrialSampler,
+    realized at once."""
+    return sampler.realize(sampler.numbers(batch))
 
 
 def draw_einsum(sampler, batch, pilot_of, p_hat, tau_p, sigma2):
@@ -424,8 +452,8 @@ def draw_einsum(sampler, batch, pilot_of, p_hat, tau_p, sigma2):
     nlos = np.einsum("lkuv,blkv->blku", sampler.nlos_factor, white)
     h_bar = sampler.state.h_bar
     h = h_bar[None] * np.exp(1j * phase)[..., None] + nlos
-    noise = despread_pilot_noise(rng, int(np.max(pilot_of)) + 1,
-                                 (batch, n_ap), u, tau_p, sigma2)
+    noise = draw_pilot_noise(rng, int(np.max(pilot_of)) + 1, (batch, n_ap),
+                             u, tau_p, sigma2)
     observed = copilot_observations_loop(nlos, pilot_of, p_hat, tau_p, noise)
     h_hat = h_bar * np.exp(1j * phase)[..., None] + np.einsum(
         "lkuv,...lkv->...lku", _estimator_gain(sampler.est, p_hat), observed)
@@ -472,6 +500,80 @@ def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
             acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
         done += b
     return _delta_method(acc1, acc2, p, sigma2, n_trials)
+
+
+def draw_batch(sampler, batch):
+    """(channels, estimates), each (batch, L, K, U), of one batch drawn
+    straight from the sampler's generator and realized at once, with every
+    U x U apply as link_matvec_broadcast and the complex draws formed by
+    complex arithmetic."""
+    n_ap, n_ue, u = sampler.shape
+    rng, est = sampler.rng, sampler.est
+    pilots = est.pilots
+    phase = rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
+    white = (rng.standard_normal((batch, n_ap, n_ue, u))
+             + 1j * rng.standard_normal((batch, n_ap, n_ue, u))) / np.sqrt(2.0)
+    nlos = link_matvec_broadcast(sampler.nlos_factor, white)
+    del white
+    los = sampler.state.h_bar * np.exp(1j * phase)[..., None]
+    del phase
+    shape = (batch, n_ap, sampler.n_pilots, u)
+    noise = np.sqrt(pilots.tau_p * est.sigma2 / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    p_root = np.sqrt(pilots.p_hat)
+    observed = (pilots.tau_p * np.tensordot(p_root[:, None] * nlos,
+                                            pilots.onehot,
+                                            axes=(-2, 0)).swapaxes(-1, -2)
+                + noise)[..., pilots.pilot_of, :]
+    h_hat = link_matvec_broadcast(_estimator_gain(est, pilots.p_hat),
+                                  observed)
+    h_hat += los
+    los += nlos                                     # the channel
+    return los, h_hat
+
+
+def uatf_monte_carlo_batch(state, est, p, weights, n_trials, rng,
+                           batch=4096):
+    """montecarlo.uatf_monte_carlo with every batch realized at once by
+    draw_batch and the features formed once per setting; returns
+    (gamma, stderr), each (..., K)."""
+    sampler = _TrialSampler(state, est, rng)
+    n_ap, n_ue, u = sampler.shape
+    p = np.asarray(p, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
+    p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
+    weights = np.broadcast_to(weights, (*lead, n_ue, n_ap)).reshape(-1, n_ue,
+                                                                    n_ap)
+    w_rows = weights.conj()[..., None]
+    w_sq = np.abs(weights) ** 2
+    dim = n_ue + 3
+    acc1 = np.zeros((len(p), n_ue, dim))
+    acc2 = np.zeros((len(p), n_ue, dim, dim))
+    idx = np.arange(n_ue)
+    done = 0
+    while done < n_trials:
+        b = min(batch, n_trials - done)
+        h, h_hat = draw_batch(sampler, b)
+        cols = h.transpose(0, 1, 3, 2).reshape(b, n_ap * u, n_ue)
+        del h
+        rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
+        del h_hat
+        sq = rows.real ** 2 + rows.imag ** 2
+        vnorm = sum((sq[..., j] for j in range(1, u)), sq[..., 0])
+        vnorm = np.ascontiguousarray(vnorm.transpose(1, 2, 0))
+        for s in range(len(p)):
+            y = (w_rows[s] * rows).reshape(b, n_ue, n_ap * u) @ cols
+            feats = np.zeros((b, n_ue, dim))
+            feats[:, :, 0] = y[:, idx, idx].real
+            feats[:, :, 1] = y[:, idx, idx].imag
+            feats[:, :, 2:2 + n_ue] = np.abs(y) ** 2
+            feats[:, :, -1] = (w_sq[s, :, None] @ vnorm)[:, 0].T
+            acc1[s] += feats.sum(axis=0)
+            acc2[s] += feats.transpose(1, 2, 0) @ feats.transpose(1, 0, 2)
+        done += b
+    gamma, stderr = _delta_method(acc1, acc2, p, est.sigma2, n_trials)
+    return gamma.reshape(*lead, n_ue), stderr.reshape(*lead, n_ue)
 
 
 def delta_method_loop(acc1, acc2, p, sigma2, n_trials):
@@ -710,7 +812,7 @@ def cross_moment_estimates(state, est, n_trials, rng,
     idx = np.arange(n_ue)
     while done < n_trials:
         b = min(batch, n_trials - done)
-        h, h_hat = sampler.draw(b)
+        h, h_hat = draw(sampler, b)
         x = combined_products(h, h_hat)
         prod = np.einsum("blkj,bmkj->bkjlm", x, x.conj())
         acc += prod.sum(axis=0)

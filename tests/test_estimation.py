@@ -6,13 +6,16 @@ import pytest
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import ChannelState
 from simcf.estimation import (EstimationError, build_estimation_state,
-                              despread_pilot_noise, mmse_estimate, pilot_map)
+                              link_matvec, mmse_estimate, pilot_map,
+                              scaled_complex)
 from simcf.montecarlo import _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import decoder_weights, sinr_coefficients, sinr_terms
 from simcf.sim_physics import random_phase_tensor
 
-from reference import estimation_stats, mmse_estimate_loop, omega_of, r_all
+from reference import (draw, draw_pilot_noise, estimation_stats,
+                       link_matvec_broadcast, mmse_estimate_loop, omega_of,
+                       r_all)
 
 
 def same_map(a, b):
@@ -141,8 +144,8 @@ def test_mmse_estimate_matches_copilot_loop(small_model, small_phases,
     phase = rng.uniform(-np.pi, np.pi, (*lead, cfg.K))
     nlos = (rng.normal(size=(*lead, cfg.K, cfg.U))
             + 1j * rng.normal(size=(*lead, cfg.K, cfg.U)))
-    noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead, cfg.U, tau_p,
-                                 cfg.sigma2)
+    noise = draw_pilot_noise(rng, pilot_of.max() + 1, lead, cfg.U, tau_p,
+                             cfg.sigma2)
     los = state.h_bar * np.exp(1j * phase)[..., None]
     assert np.array_equal(
         mmse_estimate(est, los, nlos, noise),
@@ -166,7 +169,7 @@ def test_error_moments(small_model, small_phases, small_cfg):
     state, est, sampler = _sampler_for(small_model, small_phases, seed=3)
     err_cov = _error_cov(state, est, small_cfg)
     n = 100_000
-    h, h_hat = sampler.draw(n)
+    h, h_hat = draw(sampler, n)
     err = h - h_hat
     # estimation error has zero mean ...
     err_std = err.std(axis=0)
@@ -195,7 +198,7 @@ def test_estimate_conditional_covariance_and_orthogonality(small_model,
     err_cov = _error_cov(state, est, cfg)
     sampler = _TrialSampler(state, est, np.random.default_rng(12))
     n = 100_000
-    h, h_hat = sampler.draw(n)
+    h, h_hat = draw(sampler, n)
     p_hat, omega = cfg.pilot_powers(), omega_of(est)
     for l in range(cfg.L):
         for k in range(cfg.K):
@@ -220,14 +223,39 @@ def test_noiseless_estimate_recovers_channel():
     assert len(set(model.pilots.pilot_of.tolist())) == cfg.K   # no sharing
     phases = model.random_phases(np.random.default_rng(13))
     _, _, sampler = _sampler_for(model, phases, seed=14)
-    h, h_hat = sampler.draw(200)
+    h, h_hat = draw(sampler, 200)
     assert np.abs(h - h_hat).max() <= 1e-3 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_link_matvec_equals_broadcast_products(u):
+    # one output entry at a time runs the same products and sums as the
+    # products broadcast along the U axis: equal bit for bit
+    rng = np.random.default_rng(u)
+    f = rng.normal(size=(4, 3, u, u)) + 1j * rng.normal(size=(4, 3, u, u))
+    v = rng.normal(size=(7, 4, 3, u)) + 1j * rng.normal(size=(7, 4, 3, u))
+    got = link_matvec(f, v)
+    assert got.shape == v.shape
+    assert np.array_equal(got, link_matvec_broadcast(f, v))
+    np.testing.assert_allclose(got, (f @ v[..., None])[..., 0], rtol=1e-12)
+
+
+def test_scaled_complex_equals_complex_arithmetic():
+    # written part by part, bit for bit what complex arithmetic gives, for
+    # a product with a real scale and for the division of the white draws
+    rng = np.random.default_rng(16)
+    re, im = rng.normal(size=(2, 64, 5, 3))
+    scale = np.sqrt(4 * 0.3 / 2.0)
+    assert np.array_equal(scaled_complex(re, im, scale),
+                          scale * (re + 1j * im))
+    assert np.array_equal(scaled_complex(re, im, 1.0 / np.sqrt(2.0)),
+                          (re + 1j * im) / np.sqrt(2.0))
 
 
 def test_despread_noise_variance():
     rng = np.random.default_rng(15)
     tau_p, sigma2 = 4, 0.3
-    noise = despread_pilot_noise(rng, 2, (50_000,), 3, tau_p, sigma2)
+    noise = draw_pilot_noise(rng, 2, (50_000,), 3, tau_p, sigma2)
     var = np.mean(np.abs(noise) ** 2)
     assert var == pytest.approx(tau_p * sigma2, rel=0.02)
 

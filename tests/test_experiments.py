@@ -319,18 +319,19 @@ def test_one_monte_carlo_pass_per_phase_kind(monkeypatch):
     spec = tiny_spec(n_mc_trials=200, schemes=SCHEMES)
     settings = []
 
-    def spy(*args, **kwargs):
-        out = uatf_monte_carlo(*args, **kwargs)
-        settings.append(out.gamma.shape)
+    def spy(state, est, p, weights, *args, **kwargs):
+        out = uatf_monte_carlo(state, est, p, weights, *args, **kwargs)
+        settings.append((p.shape, weights.shape, out.gamma.shape))
         return out
 
     monkeypatch.setattr(experiments, "uatf_monte_carlo", spy)
     result = run_experiment(spec)
     assert result.failures == 0
     # per (value, drop): one call per phase kind, each over its 2 schemes
-    # x 2 decoders
-    n_cells = len(spec.values) * spec.n_drops
-    assert settings == [(4, 3)] * 2 * n_cells
+    # x 2 decoders, with one weight set per decoder
+    k = spec.base["K"]
+    assert settings == [((2, 2, k), (2, k, l), (2, 2, k))
+                        for l in spec.values for _ in range(2 * spec.n_drops)]
     assert result.rows == run_experiment_rows_per_setting(spec)
 
 

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
-                   maxmin_power, sinr_from_weights, uatf_monte_carlo)
+                   maxmin_power, montecarlo, sinr_from_weights,
+                   uatf_monte_carlo)
 from simcf.channel import ChannelState
-from simcf.estimation import (build_estimation_state, despread_pilot_noise,
-                              mmse_estimate, pilot_map)
+from simcf.estimation import build_estimation_state, mmse_estimate, pilot_map
 from simcf.montecarlo import _delta_method, _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights, sinr_coefficients
 
-from reference import (SimUeChannelStats, delta_method_loop, draw_einsum,
-                       r_all, sample_channel, uatf_monte_carlo_einsum)
+from reference import (SimUeChannelStats, delta_method_loop, draw, draw_einsum,
+                       draw_pilot_noise, r_all, sample_channel,
+                       uatf_monte_carlo_batch, uatf_monte_carlo_einsum)
 
 
 def test_mc_matches_closed_form(small_model, small_phases, small_terms):
@@ -202,8 +203,8 @@ def test_sampler_pilot_noise_shared_within_pilot(small_model, small_phases,
         pilot_of = np.array(pilot_of)
         est = build_estimation_state(
             state, pilot_map(pilot_of, p_hat, cfg.tau_p), cfg.sigma2)
-        noise = despread_pilot_noise(rng, pilot_of.max() + 1, lead[:2],
-                                     cfg.U, cfg.tau_p, cfg.sigma2)
+        noise = draw_pilot_noise(rng, pilot_of.max() + 1, lead[:2], cfg.U,
+                                 cfg.tau_p, cfg.sigma2)
         h_hat = mmse_estimate(est, np.zeros((*lead, cfg.U)),
                               np.zeros((*lead, cfg.U)), noise)
         gain = (np.sqrt(p_hat)[:, None, None]
@@ -259,6 +260,18 @@ def _network(cfg, seed):
     return model, pilot_of, state, est, model.terms(phases)
 
 
+def _complex_settings(model, terms):
+    """Powers (2, K) and weights (2, K, L): full and half powers, LSFD and
+    turned EGCD weights. LSFD and EGCD weights are real; complex ones
+    exercise the conjugate."""
+    cfg = model.cfg
+    turn = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi,
+                                                        (cfg.K, cfg.L)))
+    return (np.stack([model.drop.p, 0.5 * model.drop.p]),
+            np.stack([lsfd_weights(terms, model.drop.p),
+                      turn * egcd_weights(terms)]))
+
+
 @pytest.mark.parametrize("u", [1, 2, 3])
 def test_sampler_matches_einsum_oracle(u):
     # the explicit U sums and batched matmuls round differently from the
@@ -270,16 +283,11 @@ def test_sampler_matches_einsum_oracle(u):
     sampler = _TrialSampler(state, est, np.random.default_rng(u))
     oracle = _TrialSampler(state, est, np.random.default_rng(u))
     for b in (64, 22):
-        for got, want in zip(sampler.draw(b),
+        for got, want in zip(draw(sampler, b),
                              draw_einsum(oracle, b, *pilots)):
             assert got.shape == (b, cfg.L, cfg.K, u)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # LSFD and EGCD weights are real; complex ones exercise the conjugate
-    p = np.stack([model.drop.p, 0.5 * model.drop.p])
-    turn = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi,
-                                                        (cfg.K, cfg.L)))
-    weights = np.stack([lsfd_weights(terms, model.drop.p),
-                        turn * egcd_weights(terms)])
+    p, weights = _complex_settings(model, terms)
     mc = uatf_monte_carlo(state, est, p, weights, 150,
                           rng=np.random.default_rng(u), batch=64)
     gamma, stderr = uatf_monte_carlo_einsum(state, est, pilots[0], p,
@@ -290,21 +298,73 @@ def test_sampler_matches_einsum_oracle(u):
     np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("u", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_chunks_equal_batch_at_once_oracle(u, chunk, monkeypatch):
+    # the chunked pass runs the oracle's arithmetic on runs of trials of a
+    # batch drawn in the oracle's stream order: equal bit for bit at chunks
+    # of 1, 7 and more than a batch of trials; 150 trials in batches of 64
+    # end on a partial batch
+    cfg = SystemConfig(L=3, K=3, U=u, M=2, N=9, tau_p=2)
+    model, _, state, est, terms = _network(cfg, 20 + u)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS",
+                        chunk * cfg.L * cfg.K * u)
+    p, weights = _complex_settings(model, terms)
+    mc = uatf_monte_carlo(state, est, p, weights, 150,
+                          rng=np.random.default_rng(u), batch=64)
+    gamma, stderr = uatf_monte_carlo_batch(state, est, p, weights, 150,
+                                           rng=np.random.default_rng(u),
+                                           batch=64)
+    assert np.array_equal(mc.gamma, gamma)
+    assert np.array_equal(mc.stderr, stderr)
+
+
+def test_one_feature_pass_per_weight_set(small_model, small_phases,
+                                         small_cfg, small_terms,
+                                         monkeypatch):
+    # the Monte-Carlo settings of an experiment cell: weights (decoders, K,
+    # L) and powers (power kinds, decoders, K). Each batch forms features
+    # once per decoder, not once per setting, and every setting equals its
+    # call alone.
+    cfg = small_cfg
+    state, est = small_model.states(small_phases)
+    p, weights = _settings(small_model, small_terms, cfg)
+    p, weights = p.reshape(2, 2, cfg.K), weights[:2]
+    calls = []
+    features = montecarlo._features
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return features(rows, *args)
+
+    monkeypatch.setattr(montecarlo, "_features", counted)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 10 ** 9)
+    uatf_monte_carlo(state, est, p, weights, 2_000,
+                     rng=np.random.default_rng(8), batch=512)
+    # one chunk per batch: 2 passes for each of 3 full batches and the last
+    assert calls == [512] * 6 + [464] * 2
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8,
+                                    batch=512)
+
+
 def test_sampler_batch_memory_bounded():
-    # One batch of a paper-default drop, traced: the peak allocation is a
-    # fixed multiple of one (b, L, K, U) complex array. The sampler without
-    # the (b, L, K, K) product tensor peaks at 5.8 of them, the einsum
-    # sampler that formed it at 7.85, and one that formed it by a matmul
-    # with a contiguous transpose at 8.85.
+    # Two full batches and a partial one of a paper-default drop, traced:
+    # the peak allocation is a fixed multiple of one (b, L, K, U) complex
+    # array. A batch holds its random numbers (2.05 of them at tau_p = 4),
+    # its features and estimate norms (0.45) and the temporaries of one
+    # chunk, and frees them all before the next batch is drawn: 2.87. The
+    # bound adds about ten more chunk-sized temporaries. Realizing a whole
+    # batch at once peaked at 5.84 for one batch and 9.04 for these three,
+    # since a batch's arrays lived on while the next one was drawn.
     cfg = SystemConfig()
     model, pilot_of, state, est, terms = _network(cfg, 1)
     b = 4096
     unit = b * cfg.L * cfg.K * cfg.U * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        uatf_monte_carlo(state, est, model.drop.p, egcd_weights(terms), b,
-                         rng=np.random.default_rng(3), batch=b)
+        uatf_monte_carlo(state, est, model.drop.p, egcd_weights(terms),
+                         2 * b + 1000, rng=np.random.default_rng(3), batch=b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8.0 * unit
+    assert peak <= 3.2 * unit
