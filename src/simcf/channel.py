@@ -3,7 +3,11 @@
 # steering toward every UE, and the effective antenna-domain statistics of
 # every (AP, UE) link for a given phase tensor (of one drop or of a batch of
 # drops), or of one AP under every probe of a block of its atoms, in one
-# network or in every network of a pitch sweep.
+# network or in every network of a pitch sweep. A block state takes the
+# AP's unit phasors, which the phase search keeps (optimize.SumSeObjective),
+# and the step powers the search forms once, so a probe batch runs no exp
+# over the AP's phases or its steps; its NLoS gains are the AP's one row,
+# shared by every probe.
 
 from dataclasses import dataclass
 
@@ -22,7 +26,9 @@ class ChannelState:
     the scattering correlation on the output layer is common to all UEs; s
     is the per-AP antenna-domain projection of that common correlation. The
     state keeps the factors only; no per-link covariance is formed. The
-    state of a batch of drops has a leading drop axis on every field.
+    state of a batch of drops has a leading drop axis on every field. A
+    block state (block_channel_state) has probes on the AP axis and one row
+    of beta_nlos, (1, K), that broadcasts against them.
     """
     h_bar: np.ndarray       # (L, K, U) complex
     s: np.ndarray           # (L, U, U) complex Hermitian PSD
@@ -62,17 +68,22 @@ def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
     return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos)
 
 
-def block_channel_state(drop: Drop, dset: DiffractionSet, l, base, rows, cols,
-                        steps, base_corr, steering) -> ChannelState:
+def block_channel_state(drop: Drop, dset: DiffractionSet, l, shifts, rows, cols,
+                        powers, base_corr, steering) -> ChannelState:
     """Statistics of AP l under each probe of one block, in every network
     of a group.
 
-    Probe b turns the atoms (rows, cols) of AP l's phases base (..., M, N)
-    by steps[b]. Leading axes of base, of the matrices of dset, of
-    base_corr (..., N, N) and of steering (..., L, K, N) are network axes:
-    the networks of one drop whose stacks differ (a pitch sweep), sharing
-    the drop, the block and the steps. Row s B + b of the result belongs to
-    probe b of network s, with every other AP left out. With the cascade
+    Probe b turns the atoms (rows, cols) of AP l by step_b; shifts
+    (..., M, N) are the unit phasors e^{j phi} of AP l's phases and powers
+    (B, >= D + 1) the step powers e^{j d step_b} (sim_physics.step_powers,
+    formed once per search; only the first D + 1 columns are read, D the
+    number of distinct layers in rows). Leading axes of shifts, of the
+    matrices of dset, of base_corr (..., N, N) and of steering
+    (..., L, K, N) are network axes: the networks of one drop whose stacks
+    differ (a pitch sweep), sharing the drop, the block and the steps. Row
+    s B + b of h_bar and s belongs to probe b of network s, with every
+    other AP left out; beta_nlos is AP l's one row (1, K), which every
+    probe shares and which broadcasts against them. With the cascade
     t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
     s(z) = t^H base_corr t is the Laurent polynomial
     sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
@@ -81,7 +92,7 @@ def block_channel_state(drop: Drop, dset: DiffractionSet, l, base, rows, cols,
     Each (network, probe) pair's sums run on their own, so a row equals a
     one-network, one-probe call bit for bit.
     """
-    c = block_cascade_coeffs(dset, base, rows, cols)      # (..., D+1, N, U)
+    c = block_cascade_coeffs(dset, shifts, rows, cols)    # (..., D+1, N, U)
     *lead, n_coef, n_atoms, u = c.shape
     n_ue = steering.shape[-2]
     flat = c.swapaxes(-3, -2).reshape(*lead, n_atoms, n_coef * u)
@@ -91,11 +102,9 @@ def block_channel_state(drop: Drop, dset: DiffractionSet, l, base, rows, cols,
     amp = np.sqrt(drop.beta_los[l])[:, None] * steering[..., l, :, :]
     mean = (amp @ flat.conj()).reshape(*lead, n_ue, n_coef, u)
     mean = mean.swapaxes(-3, -2).reshape(*lead, 1, n_coef, n_ue * u)
-    steps = np.asarray(steps, dtype=float)
-    z = np.exp(1j * np.multiply.outer(steps, np.arange(n_coef)))  # (B, D+1)
+    z = np.asarray(powers)[:, :n_coef]                        # (B, D+1)
     pairs = (z.conj()[:, :, None] * z[:, None, :]).reshape(-1, 1, n_coef ** 2)
     proj = (pairs @ gram).reshape(-1, u, u)
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
     h_bar = (z.conj()[:, None, :] @ mean).reshape(-1, n_ue, u)
-    beta_nlos = np.repeat(drop.beta_nlos[l][None], len(s), axis=0)
-    return ChannelState(h_bar=h_bar, s=s, beta_nlos=beta_nlos)
+    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos[l, None])

@@ -3,7 +3,10 @@
 # covariance is r_lk = beta_lk s_l, so the pilot-domain covariance of each
 # (AP, pilot), psi_lt = load_lt s_l + sigma2 I, shares the eigenvectors of
 # s_l: one eigendecomposition s_l = V diag(eig) V^H per AP diagonalises
-# every link's pilot system at once. psi_lt has the eigenvalues
+# every link's pilot system at once. With U = 2 antennas it is taken in
+# closed form (hermitian_eigh), since a phase search diagonalises a stack of
+# one 2 x 2 matrix per probe and LAPACK's cost is then its per-matrix
+# overhead; every other U goes to np.linalg.eigh. psi_lt has the eigenvalues
 # den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
 # beta_lk V diag(eig / den) V^H and the estimate covariance
 # omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
@@ -112,7 +115,7 @@ class EstimationState:
     """
     eig: np.ndarray       # (L, U) eigenvalues of s, ascending
     basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column
-    beta: np.ndarray      # (L, K) NLoS gains, r = beta s
+    beta: np.ndarray      # (L, K) NLoS gains, r = beta s ((1, K): a block)
     den: np.ndarray       # (L, P, U) eigenvalues of psi, all > 0
     pilots: PilotMap
     sigma2: float
@@ -144,20 +147,62 @@ class EstimationState:
                        pilots=self.pilots.at(i))
 
 
+def hermitian_eigh(s):
+    """(eig, basis) of a stack of Hermitian matrices s (..., U, U), as
+    np.linalg.eigh gives them: eigenvalues ascending, s = basis diag(eig)
+    basis^H, read from the diagonal's real part and the lower triangle.
+
+    U = 2 is diagonalised in closed form, which spares LAPACK's per-matrix
+    call cost on stacks of tiny matrices: with s = [[a, b*], [b, d]],
+    h = (a - d) / 2 and r = hypot(h, |b|), eig = (a + d) / 2 -+ r. The
+    larger eigenvalue's eigenvector is (|h| + r, b) when a > d and
+    (b*, |h| + r) otherwise, so its first term adds two nonnegative numbers
+    and neither formula cancels; the other column is its orthogonal
+    complement. A multiple of the identity (h = b = 0, the zero matrix
+    included) gets the identity basis. A column may differ from LAPACK's
+    by a unit phase, which the estimation state never sees: it uses the
+    basis only through basis diag(.) basis^H and |basis^H x|. Every other
+    U goes to np.linalg.eigh.
+    """
+    if s.shape[-1] != 2:
+        return np.linalg.eigh(s)
+    a, d = s[..., 0, 0].real, s[..., 1, 1].real
+    b = s[..., 1, 0]
+    half = 0.5 * (a - d)
+    radius = np.hypot(half, np.abs(b))
+    mid = 0.5 * (a + d)
+    eig = np.stack([mid - radius, mid + radius], axis=-1)
+    lead = np.abs(half) + radius
+    norm = np.hypot(lead, np.abs(b))
+    scalar = norm == 0.0                     # h = b = 0: identity basis
+    u = np.where(scalar, 1.0, lead) / np.where(scalar, 1.0, norm)
+    w = b / np.where(scalar, 1.0, norm)
+    first = half > 0.0                       # a > d
+    basis = np.empty(s.shape, dtype=np.result_type(s.dtype, float))
+    basis[..., 0, 0] = np.where(first, -w.conj(), u)
+    basis[..., 1, 0] = np.where(first, u, -w)
+    basis[..., 0, 1] = np.where(first, u, w.conj())
+    basis[..., 1, 1] = np.where(first, w, u)
+    return eig, basis
+
+
 def build_estimation_state(state: ChannelState, pilots: PilotMap,
                            sigma2) -> EstimationState:
     """Estimation statistics for all links under a pilot map, or for a
     batch of drops: a state with a leading drop axis and the map of their
     assignments (D, K).
 
-    One stacked eigendecomposition of the per-AP correlations s gives the
+    One stacked eigendecomposition of the per-AP correlations s
+    (hermitian_eigh: closed form for U = 2, LAPACK otherwise) gives the
     pilot covariance of every (AP, pilot) on the eigenbasis of its AP: the
     pilot-domain load tau_p sum_j p_hat_j beta_lj over the pilot's UEs times
-    eig, plus sigma2. Raises EstimationError when an eigenvalue of a pilot
-    covariance in use is not > 0 (psi singular or indefinite). Its
-    condition is logged once per build when DEBUG logging is on.
+    eig, plus sigma2. A block state's one row of NLoS gains (1, K) gives one
+    load, which broadcasts over its probes. Raises EstimationError when an
+    eigenvalue of a pilot covariance in use is not > 0 (psi singular or
+    indefinite). Its condition is logged once per build when DEBUG logging
+    is on.
     """
-    eig, basis = np.linalg.eigh(state.s)
+    eig, basis = hermitian_eigh(state.s)
     load = (pilots.tau_p * (state.beta_nlos * pilots.p_hat)
             @ pilots.members)                                        # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)

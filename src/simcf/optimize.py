@@ -1,7 +1,11 @@
 # simcf/optimize.py
 # The three system-design routines: greedy interference-aware pilot
 # allocation, blockwise phase-probing wave-domain beamforming driven by the
-# closed-form sum SE, and max-min power control for fixed CPU weights. The
+# closed-form sum SE, and max-min power control for fixed CPU weights. A
+# probe block does only what its probes change: the search keeps the unit
+# phasors of its phases and rewrites only the turned atoms on an accept,
+# forms the step powers e^{j d step} once, and builds the turned AP alone
+# from the block's cascade polynomial (channel.block_channel_state). The
 # power control is a bisection over the linear feasibility system of the
 # SINR coefficients whose midpoints are decided by the closed-form
 # Perron-Frobenius optimum, a linear solve deciding only those within a
@@ -21,7 +25,7 @@ from . import se
 from .estimation import EstimationError, PilotMap, pilot_map
 from .pipeline import NetworkGroup
 from .scenario import Drop
-from .sim_physics import wrap_phases
+from .sim_physics import step_powers, wrap_phases
 
 log = logging.getLogger(__name__)
 
@@ -141,13 +145,18 @@ class SumSeObjective:
     models carry.
 
     Only the per-AP SINR parts of the networks (se.sinr_parts) are kept,
-    stacked as (S, ..., L), with the phases (S, L, M, N) and each network's
-    best value so far, best (S,). probe(l, rows, cols, steps) turns a block
-    of AP l's atoms by each of the B steps in every network and evaluates
-    the S B probes as one batch: AP l's channel statistics under every
-    probe (from the polynomial in e^{j step} that the block's cascade is,
-    the probes on the AP axis), one stacked eigendecomposition of their
-    antenna correlations for the estimation state, the spectral terms
+    stacked as (S, ..., L), with the phases (S, L, M, N), their unit
+    phasors shifts = e^{j phases} and each network's best value so far,
+    best (S,). Invariant: shifts equals np.exp(1j * phases) bit for bit;
+    set_phases forms it, and a commit rewrites only the atoms it turns, so
+    no probe batch runs an exp over an AP's phases. probe(l, rows, cols,
+    steps) turns a block of AP l's atoms by each of the B steps in every
+    network and evaluates the S B probes as one batch: AP l's channel
+    statistics under every probe (from the polynomial in e^{j step} that
+    the block's cascade is, evaluated at the step powers e^{j d step},
+    which are formed once for each distinct steps array, so once per
+    search; the probes on the AP axis), one stacked eigendecomposition of
+    their antenna correlations for the estimation state, the spectral terms
     (NetworkGroup.block_terms), and their parts, whose denominator
     diagonals are summed from the spectral terms without forming the
     (K, K) interference couplings xi. For each probe its part is added to
@@ -166,11 +175,13 @@ class SumSeObjective:
         self.cfg = self.models[0].cfg
         self.p = self.models[0].drop.p
         self.decoder = decoder
-        self.phases = self.parts = self.best = self._others = None
+        self.phases = self.shifts = self.parts = self.best = None
+        self._others = self._powers = None
 
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
+        self.shifts = np.exp(1j * self.phases)
         parts = [self._parts(model.terms(phases_s))
                  for model, phases_s in zip(self.models, self.phases)]
         self.parts = [np.stack(part) for part in zip(*parts)]
@@ -195,19 +206,31 @@ class SumSeObjective:
                 part @ others, 0, -1)) for part in self.parts])
         return self._others[1]
 
+    def _step_powers(self, steps):
+        """sim_physics.step_powers of steps up to degree M, formed again
+        only when steps differ from the last ones."""
+        if self._powers is None or not np.array_equal(self._powers[0], steps):
+            self._powers = (steps.copy(), step_powers(steps, self.cfg.M))
+        return self._powers[1]
+
     def probe(self, l, rows, cols, steps, net=None):
         """(values (S, B), parts) with the atoms (rows, cols) of AP l turned
         by each of steps (B,) in every network, or in network net alone
         (S = 1): parts are the SINR parts of AP l under the probes, the S B
         probes on the AP axis."""
+        steps = np.asarray(steps, dtype=float)
+        return self._probe(l, rows, cols, self._step_powers(steps), net)
+
+    def _probe(self, l, rows, cols, powers, net):
+        """probe at the step powers (B, M + 1) of its steps."""
         nets = slice(None) if net is None else [net]
         group = (self.group if net is None or len(self.models) == 1
                  else NetworkGroup.of([self.models[net]]))
         parts = self._parts(group.block_terms(
-            l, self.phases[nets, l], rows, cols, steps))
+            l, self.shifts[nets, l], rows, cols, powers))
         n_nets = len(group.models)
         sums = [other[..., nets, None]
-                + new.reshape(*new.shape[:-1], n_nets, np.size(steps))
+                + new.reshape(*new.shape[:-1], n_nets, len(powers))
                 for other, new in zip(self._other_sums(l), parts)]
         # the networks and probes first, as candidates of sinr_from_parts
         # (transpose, since np.moveaxis would double the cost of this step)
@@ -226,17 +249,19 @@ class SumSeObjective:
         network reaches can raise, as in a search of that network alone.
         """
         steps = np.asarray(steps, dtype=float)
+        powers = self._step_powers(steps)
         try:
-            values, parts = self.probe(l, rows, cols, steps)
+            values, parts = self._probe(l, rows, cols, powers, None)
         except (EstimationError, se.SinrComputationError):
             if steps.size == 1 and len(self.models) == 1:
                 raise
             hits = np.full(len(self.models), -1)
             for net in range(len(self.models)):
                 for i in range(steps.size):
-                    one = steps[i:i + 1]
-                    won = self._commit([net], l, rows, cols, one, min_gain,
-                                       *self.probe(l, rows, cols, one, net))
+                    one = slice(i, i + 1)
+                    won = self._commit(
+                        [net], l, rows, cols, steps[one], min_gain,
+                        *self._probe(l, rows, cols, powers[one], net))
                     if won[0] >= 0:
                         hits[net] = i
                         break
@@ -247,15 +272,20 @@ class SumSeObjective:
     def _commit(self, nets, l, rows, cols, steps, min_gain, values, parts):
         """Commit the first probe of each of the networks nets whose value
         (values[j] for nets[j]) clears its best; returns their indices."""
-        better = values - self.best[list(nets), None] > min_gain
+        nets = np.asarray(nets)
+        better = values - self.best[nets, None] > min_gain
         hits = np.where(better.any(axis=1), better.argmax(axis=1), -1)
-        for j in np.flatnonzero(hits >= 0):
-            s, i = nets[j], hits[j]
+        won = np.flatnonzero(hits >= 0)
+        if won.size:      # every winning network at once, elementwise
+            s, i = nets[won], hits[won]
             for part, new in zip(self.parts, parts):
-                part[s, ..., l] = new[..., j * steps.size + i]
-            self.phases[s, l, rows, cols] = wrap_phases(
-                self.phases[s, l, rows, cols] + steps[i])
-            self.best[s] += values[j, i] - self.best[s]
+                picked = new[..., won * steps.size + i]
+                part[s, ..., l] = picked.transpose(-1, *range(picked.ndim - 1))
+            at = (s[:, None], l, rows, cols)
+            turned = wrap_phases(self.phases[at] + steps[i, None])
+            self.phases[at] = turned
+            self.shifts[at] = np.exp(1j * turned)
+            self.best[s] += values[won, i] - self.best[s]
         return hits
 
 
@@ -281,10 +311,11 @@ def optimize_beamforming(models, init_phases,
 
     All probes of a block, in all networks, are evaluated as one batch
     (SumSeObjective.improve): AP l's terms from the polynomial in
-    e^{j step} that the block's cascade is, and each probe's SINRs from its
-    per-AP parts plus those of the other APs of its network, summed once
-    per AP pass (under LSFD a Woodbury Rayleigh quotient; no L x L matrix
-    is formed). Between blocks only the networks' per-AP parts are kept;
+    e^{j step} that the block's cascade is, built from the cached phasors
+    of the networks' phases at step powers formed once for the search, and
+    each probe's SINRs from its per-AP parts plus those of the other APs of
+    its network, summed once per AP pass (under LSFD a Woodbury Rayleigh
+    quotient; no L x L matrix is formed). Between blocks only the networks' per-AP parts are kept;
     an accept overwrites AP l's. The first improving probe is accepted, so
     each network's phases and trace are those of evaluating probe after
     probe on that network alone.

@@ -81,7 +81,9 @@ class NetworkGroup:
     """Networks of one drop that differ only in their stacks (the pitches
     of a sweep): the models, and their stack matrices on a leading network
     axis, w_first (S, N, U), w_layer (S, M-1, N, N), base_corr (S, N, N)
-    and steering (S, L, K, N)."""
+    and steering (S, L, K, N). base_corr is stored complex, as the block
+    builds multiply it with complex coefficients, so they do not convert it
+    per block."""
     models: tuple
     dset: DiffractionSet = field(repr=False)
     base_corr: np.ndarray = field(repr=False)
@@ -109,15 +111,19 @@ class NetworkGroup:
             w_first=np.stack([model.dset.w_first for model in models]),
             w_layer=np.stack([model.dset.w_layer for model in models]))
         return cls(models=models, dset=dset,
-                   base_corr=np.stack([model.base_corr for model in models]),
+                   base_corr=np.stack([model.base_corr for model in models]
+                                      ).astype(complex),
                    steering=np.stack([model.steering for model in models]))
 
-    def block_terms(self, l, bases, rows, cols, steps) -> se.SinrTerms:
+    def block_terms(self, l, shifts, rows, cols, powers) -> se.SinrTerms:
         """Terms of AP l alone under each probe of one block in every
-        network: network s has the phases bases[s] (M, N) with the atoms
-        (rows, cols) turned by each of steps (B,). The AP axis of the
-        result runs over the S B (network, probe) pairs, network-major."""
+        network: network s has AP l's phasors shifts[s] (M, N), e^{j phi},
+        with the atoms (rows, cols) turned by each of the B steps whose
+        powers e^{j d step} are powers (B, >= D + 1) (channel.
+        block_channel_state). The AP axis of the result runs over the S B
+        (network, probe) pairs, network-major."""
         model = self.models[0]
-        state = block_channel_state(model.drop, self.dset, l, bases, rows,
-                                    cols, steps, self.base_corr, self.steering)
+        state = block_channel_state(model.drop, self.dset, l, shifts, rows,
+                                    cols, powers, self.base_corr,
+                                    self.steering)
         return se.sinr_terms(state, model.estimation_state(state))

@@ -115,6 +115,9 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
     eig = _ap_last(est.eig[..., None, :], -3)        # (1, U, L)
     spread = _ap_last(est.eig[..., None, :] * est.gain, -3)   # eig^2 / den
     beta = _ap_last(est.beta, -2)
+    n_aps = est.eig.shape[-2]
+    if beta.shape[-1] != n_aps:     # a block state's one row of gains
+        beta = np.repeat(beta, n_aps, axis=-1)
     power = g.real ** 2 + g.imag ** 2
     spec = ((pilots.p_hat[:, None] * pilots.tau_p * beta ** 2)[..., None, :]
             * spread)
@@ -131,9 +134,8 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
 def _require_positive(value, what):
     """Raise SinrComputationError naming the first UE (and candidate) whose
     entry of value (..., K) is not positive."""
-    bad = ~(value > 0)
-    if bad.any():
-        at = tuple(int(i) for i in np.argwhere(bad)[0])
+    if not value.min(initial=np.inf) > 0:   # NaN fails too
+        at = tuple(int(i) for i in np.argwhere(~(value > 0))[0])
         where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
                                    else "")
         raise SinrComputationError(f"nonpositive {what} for {where}: "
@@ -164,10 +166,13 @@ def _lsfd_factors(terms: SinrTerms, p):
     """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
     (an AP that sees nothing of the UE); any other nonpositive dg raises."""
     dg, dp = _factors(terms, p)
-    dropped = (dg == 0) & (terms.z == 0)
-    _require_positive(np.where(dropped, np.inf, dg).min(axis=-1),
-                      "LSFD denominator diagonal")
-    dinv = np.divide(1.0, dg, out=np.zeros_like(dg), where=~dropped)
+    if dg.min(initial=np.inf) > 0:          # one pass when nothing is dropped
+        dinv = 1.0 / dg
+    else:
+        dropped = (dg == 0) & (terms.z == 0)
+        _require_positive(np.where(dropped, np.inf, dg).min(axis=-1),
+                          "LSFD denominator diagonal")
+        dinv = np.divide(1.0, dg, out=np.zeros_like(dg), where=~dropped)
     return dinv * terms.z, dinv[..., None, :] * dp, dp
 
 

@@ -167,40 +167,54 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
     return t
 
 
-def block_cascade_coeffs(dset: DiffractionSet, phases, rows, cols):
+def block_cascade_coeffs(dset: DiffractionSet, shifts, rows, cols):
     """Cascade of a stack with a block of atoms turned, as a polynomial.
 
-    Turning the atoms (rows, cols) of the phases (..., M, N) by theta gives
-    the cascade sum_d c[d] e^{j d theta}, d = 0..D, with D the number of
-    distinct layers in rows: each touched layer's phase diagonal splits into
-    keep + e^{j theta} move. Leading axes of phases and of the matrices of
-    dset are network axes (the stacks of a pitch sweep): the block, and so
-    D, is shared, and each network's layers propagate all its coefficients
-    with one matmul of the same shape as a call on that network alone, so
-    its slice equals that call bit for bit. Returns c, shape
-    (..., D+1, N, U).
+    shifts are the unit phasors e^{j phi} of the phases (..., M, N).
+    Turning the atoms (rows, cols) by theta gives the cascade
+    sum_d c[d] e^{j d theta}, d = 0..D, with D the number of distinct
+    layers in rows: each touched layer's phase diagonal splits into
+    keep + e^{j theta} move, move holding the block's phasors and keep the
+    others. Only the block's rows differ from the untouched product
+    phasor * c (keep c equals it on every other row), so a touched layer
+    writes its block atoms as rows of the next coefficient and zeros in
+    their place, with no full-size keep or move. Leading axes of shifts and
+    of the matrices of dset are network axes (the stacks of a pitch
+    sweep): the block, and so D, is shared, and each network's layers
+    propagate all its coefficients with one matmul of the same shape as a
+    call on that network alone, so its slice equals that call bit for bit.
+    Returns c, shape (..., D+1, N, U).
     """
-    shifts = np.exp(1j * np.asarray(phases))
+    shifts = np.asarray(shifts)
     if shifts.shape[-2:] != (dset.n_layers, dset.w_first.shape[-2]):
-        raise ValueError(f"phase array must be (..., M, N), got "
+        raise ValueError(f"phasor array must be (..., M, N), got "
                          f"{shifts.shape}")
-    move = np.zeros_like(shifts)
-    move[..., rows, cols] = shifts[..., rows, cols]
-    keep = shifts - move
-    touched = set(np.asarray(rows).tolist())
+    rows, cols = np.asarray(rows), np.asarray(cols)
     u = dset.w_first.shape[-1]
     c = dset.w_first          # (..., N, (d+1) U): column d*U + i is c[d][:, i]
     for m in range(dset.n_layers):
         if m:
             c = dset.w_layer[..., m - 1, :, :] @ c
-        if m in touched:
-            out = np.zeros((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
-            out[..., :-u] = keep[..., m, :, None] * c
-            out[..., u:] += move[..., m, :, None] * c
+        c = shifts[..., m, :, None] * c
+        atoms = cols[rows == m]
+        if atoms.size:
+            out = np.empty((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
+            out[..., :-u] = c
+            out[..., -u:] = 0.0
+            out[..., atoms, :u] = 0.0
+            out[..., atoms, u:] = c[..., atoms, :]
             c = out
-        else:
-            c = shifts[..., m, :, None] * c
     return c.reshape(*c.shape[:-1], -1, u).swapaxes(-3, -2)
+
+
+def step_powers(steps, degree):
+    """e^{j d step} for each of steps (B,) and d = 0..degree, shape
+    (B, degree + 1): the powers of z = e^{j step} at which
+    block_channel_state evaluates a block's cascade polynomial. A phase
+    search forms them once for its steps, with degree the layer count M,
+    the largest a block can reach."""
+    return np.exp(1j * np.multiply.outer(np.asarray(steps, dtype=float),
+                                         np.arange(degree + 1)))
 
 
 def wrap_phases(phases):

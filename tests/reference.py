@@ -50,6 +50,9 @@
 # - turned_slices and build_channel_state_slices: every probe of a block as
 #   its own phase slice through the full cascade, which the block
 #   polynomial of channel.block_channel_state replaces
+# - block_cascade_coeffs_dense: a block's cascade polynomial from full-size
+#   keep and move phase diagonals, which the block-row writes of
+#   sim_physics.block_cascade_coeffs replace with the same arithmetic
 # - block_terms: one network's block terms, as a group of one
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
@@ -921,11 +924,36 @@ class SerialObjective:
         self.terms, self.phases = self.ap_terms(l, ap_phases)
 
 
-def block_terms(model, l, base, rows, cols, steps):
-    """Terms of AP l of one network under each probe of one block (base
-    (M, N)), from the group of that network alone."""
-    return NetworkGroup.of([model]).block_terms(l, base[None], rows, cols,
-                                                steps)
+def block_terms(model, l, shifts, rows, cols, powers):
+    """Terms of AP l of one network under each probe of one block (AP l's
+    phasors shifts (M, N) and the steps' powers, as NetworkGroup.
+    block_terms takes them), from the group of that network alone."""
+    return NetworkGroup.of([model]).block_terms(l, shifts[None], rows, cols,
+                                                powers)
+
+
+def block_cascade_coeffs_dense(dset, phases, rows, cols):
+    """sim_physics.block_cascade_coeffs from the phases (..., M, N): every
+    touched layer's phase diagonal split into full-size keep and move, both
+    applied to the whole coefficient stack."""
+    shifts = np.exp(1j * np.asarray(phases))
+    move = np.zeros_like(shifts)
+    move[..., rows, cols] = shifts[..., rows, cols]
+    keep = shifts - move
+    touched = set(np.asarray(rows).tolist())
+    u = dset.w_first.shape[-1]
+    c = dset.w_first
+    for m in range(dset.n_layers):
+        if m:
+            c = dset.w_layer[..., m - 1, :, :] @ c
+        if m in touched:
+            out = np.zeros((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
+            out[..., :-u] = keep[..., m, :, None] * c
+            out[..., u:] += move[..., m, :, None] * c
+            c = out
+        else:
+            c = shifts[..., m, :, None] * c
+    return c.reshape(*c.shape[:-1], -1, u).swapaxes(-3, -2)
 
 
 def optimize_beamforming_serial(model, init_phases, cfg, rng=None):

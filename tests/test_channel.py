@@ -5,7 +5,8 @@ from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import block_channel_state
 from simcf.pipeline import NetworkModel
 from simcf.scenario import psd_sqrt
-from simcf.sim_physics import random_phase_tensor, sinc_correlation, stack_for
+from simcf.sim_physics import (random_phase_tensor, sinc_correlation,
+                               stack_for, step_powers)
 
 from reference import (SimUeChannelStats, build_channel_state_loop,
                        build_channel_state_slices, cascade, effective_stats,
@@ -205,8 +206,9 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
             assert np.allclose(r_all(state)[l, k], eff.r_eff)
     # a block state at a zero turn agrees with the full build's AP
-    part = block_channel_state(small_drop, model.dset, 1, phases[1],
-                               np.array([0]), np.array([4]), [0.0],
+    part = block_channel_state(small_drop, model.dset, 1,
+                               np.exp(1j * phases[1]), np.array([0]),
+                               np.array([4]), step_powers([0.0], 1),
                                model.base_corr, model.steering)
     assert np.allclose(part.h_bar[0], state.h_bar[1])
     assert np.allclose(part.s[0], state.s[1])
@@ -245,11 +247,12 @@ def test_block_channel_state_matches_turned_slices(small_model, small_phases,
     rng = np.random.default_rng(6)
     steps = np.concatenate([np.arange(1, 17), -np.arange(1, 17)]) * np.pi / 8
     l = 1
+    shifts, powers = np.exp(1j * phases[l]), step_powers(steps, n_layers)
     for block_size in (1, 3, 4, 5):
         block = rng.permutation(n_layers * n_atoms)[:block_size]
         rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-        state = block_channel_state(model.drop, model.dset, l, phases[l],
-                                    rows, cols, steps, model.base_corr,
+        state = block_channel_state(model.drop, model.dset, l, shifts,
+                                    rows, cols, powers, model.base_corr,
                                     model.steering)
         ref = build_channel_state_slices(
             model, turned_slices(phases[l], rows, cols, steps),
@@ -259,12 +262,16 @@ def test_block_channel_state_matches_turned_slices(small_model, small_phases,
             np.testing.assert_allclose(getattr(state, name), want,
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
-        assert np.array_equal(state.beta_nlos, ref.beta_nlos)
+        # one row of gains, shared by every probe
+        assert state.beta_nlos.shape == (1, model.cfg.K)
+        assert np.array_equal(
+            np.broadcast_to(state.beta_nlos, ref.beta_nlos.shape),
+            ref.beta_nlos)
         assert np.array_equal(state.s, state.s.conj().swapaxes(-1, -2))
         # each probe's row is what a one-probe call gives
         for i in (0, 7, steps.size - 1):
-            one = block_channel_state(model.drop, model.dset, l, phases[l],
-                                      rows, cols, steps[i:i + 1],
+            one = block_channel_state(model.drop, model.dset, l, shifts,
+                                      rows, cols, powers[i:i + 1],
                                       model.base_corr, model.steering)
             assert np.array_equal(one.h_bar[0], state.h_bar[i])
             assert np.array_equal(one.s[0], state.s[i])

@@ -13,6 +13,7 @@ from simcf.pipeline import NetworkGroup, NetworkModel
 from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
                       lsfd_weights, se_from_sinr, sinr_coefficients,
                       sinr_from_parts, sinr_from_weights)
+from simcf.sim_physics import step_powers
 
 from reference import (block_terms, candidate, denominator_matrices,
                        maxmin_power_bisection, optimize_beamforming_serial,
@@ -217,7 +218,8 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             steps = np.array([1, 6, 11]) * np.pi / 8
             [values], _ = obj.probe(l, rows, cols, steps)
             stack = splice_ap(terms, l, block_terms(
-                model, l, phases[l], rows, cols, steps))
+                model, l, np.exp(1j * phases[l]), rows, cols,
+                step_powers(steps, cfg.M)))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
@@ -609,7 +611,8 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
     for s, model in enumerate(models):
         base = model.terms(small_phases)
         terms = splice_ap(base, l, block_terms(
-            model, l, small_phases[l], rows, cols, steps))
+            model, l, np.exp(1j * small_phases[l]), rows, cols,
+            step_powers(steps, model.cfg.M)))
         for i in range(steps.size):
             patched = small_phases.copy()
             patched[l] = slices[i]
@@ -731,25 +734,69 @@ def _corrupt_probe(monkeypatch, index, failure="sinr", d_meta=None):
     real = NetworkGroup.block_terms
     target = []
 
-    def block_terms(self, l, bases, rows, cols, steps):
+    def block_terms(self, l, shifts, rows, cols, powers):
         pitches = [model.cfg.d_meta for model in self.models]
         pitch = pitches[0] if d_meta is None else d_meta
         hit = []
         if pitch in pitches:
             net = pitches.index(pitch)
-            slices = turned_slices(bases[net], rows, cols, steps)
+            # each probe's phasor slice: the block's phasors times z
+            slices = np.repeat(shifts[net][None], len(powers), axis=0)
+            slices[:, rows, cols] *= powers[:, 1, None]
             if not target:
                 target.append(slices[index].copy())
             hit = [net * len(slices) + i for i, s in enumerate(slices)
                    if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
-        terms = real(self, l, bases, rows, cols, steps)
+        terms = real(self, l, shifts, rows, cols, powers)
         cross = terms.cross.copy()
         cross[..., hit] = -1e6 * np.abs(xi_of(terms)).max()
         return replace(terms, cross=cross)
 
     monkeypatch.setattr(NetworkGroup, "block_terms", block_terms)
+
+
+def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
+                                            small_phases, monkeypatch):
+    # after a group search, and after one whose first batch fails so that
+    # each network commits single probes, the objective's phasors are
+    # np.exp(1j * phases) bit for bit
+    objectives, single = [], []
+    real_init, real_probe = SumSeObjective.__init__, SumSeObjective._probe
+
+    def init_spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        objectives.append(self)
+
+    def probe_spy(self, l, rows, cols, powers, net):
+        single.append(net is not None)
+        return real_probe(self, l, rows, cols, powers, net)
+
+    monkeypatch.setattr(SumSeObjective, "__init__", init_spy)
+    monkeypatch.setattr(SumSeObjective, "_probe", probe_spy)
+
+    def check(found):
+        obj = objectives[-1]
+        assert sum(row.accepted for _, trace in found for row in trace) > 1
+        assert np.array_equal(obj.phases, [out for out, _ in found])
+        assert np.array_equal(obj.shifts, np.exp(1j * obj.phases))
+
+    models = _pitch_group(small_drop)
+    cfg = BeamformingConfig(sweeps=2)
+    clean = optimize_beamforming(models, small_phases, cfg, rng=3)
+    assert not any(single)
+    check(clean)
+    first = next(row for row in clean[0][1] if row.accepted)
+    for failure in ("estimation", "sinr"):
+        single.clear()
+        with monkeypatch.context() as patch:
+            _corrupt_probe(patch, first.iteration, failure)
+            found = optimize_beamforming(models, small_phases, cfg, rng=3)
+        assert any(single)
+        check(found)
+        for (out, trace), (clean_out, clean_trace) in zip(found, clean):
+            assert np.array_equal(out, clean_out) and trace == clean_trace
 
 
 # each failure under both decoders; the EGCD cases keep their original ids

@@ -8,6 +8,7 @@ from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       se_from_sinr, sinr_coefficients, sinr_from_weights,
                       sinr_terms)
+from simcf.sim_physics import step_powers
 
 from reference import (block_terms, candidate, cross_moment_estimates,
                        denominator_matrices, omega_of, predicted_cross_moments,
@@ -270,8 +271,9 @@ def candidate_stack(model, phases, l=1, n=5):
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases)
-    return splice_ap(base, l, block_terms(model, l, phases[l], rows, cols,
-                                          steps))
+    return splice_ap(base, l, block_terms(model, l, np.exp(1j * phases[l]),
+                                          rows, cols,
+                                          step_powers(steps, model.cfg.M)))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model,

@@ -7,10 +7,10 @@ from simcf.sim_physics import (DiffractionSet, base_correlation,
                                block_cascade_coeffs, build_diffraction_set,
                                build_geometry, cascade_through_antennas,
                                planar_grid, random_phase_tensor,
-                               sinc_correlation, stack_for, transfer_matrix,
-                               wrap_phases)
+                               sinc_correlation, stack_for, step_powers,
+                               transfer_matrix, wrap_phases)
 
-from reference import cascade, turned_slices
+from reference import block_cascade_coeffs_dense, cascade, turned_slices
 
 
 def scalar_coefficient(src, dst, wavelength, area):
@@ -201,10 +201,13 @@ STEPS = np.arange(-16, 17) * np.pi / 8     # mirrors, theta = 0 and 2 pi
 
 
 def _check_block_polynomial(dset, phases, rows, cols):
-    coeffs = block_cascade_coeffs(dset, phases, rows, cols)
+    coeffs = block_cascade_coeffs(dset, np.exp(1j * phases), rows, cols)
     assert coeffs.shape == (len(set(rows.tolist())) + 1,
                             *dset.w_first.shape)
-    powers = np.exp(1j * np.multiply.outer(STEPS, np.arange(len(coeffs))))
+    # the block rows write the dense keep/move products' floats
+    assert np.array_equal(coeffs, block_cascade_coeffs_dense(dset, phases,
+                                                             rows, cols))
+    powers = step_powers(STEPS, dset.n_layers)[:, :len(coeffs)]
     got = np.einsum("bd,dnu->bnu", powers, coeffs)
     want = cascade_through_antennas(dset,
                                     turned_slices(phases, rows, cols, STEPS))
@@ -238,5 +241,6 @@ def test_block_cascade_polynomial_degree_counts_layers():
     one_layer = (np.full(4, 3), np.array([0, 5, 9, 15]))
     every_layer = (np.array([4, 0, 2, 1, 3]), np.array([7, 7, 1, 12, 0]))
     for (rows, cols), degree in ((one_layer, 1), (every_layer, 5)):
-        assert len(block_cascade_coeffs(dset, phases, rows, cols)) == degree + 1
+        assert len(block_cascade_coeffs(dset, np.exp(1j * phases), rows,
+                                        cols)) == degree + 1
         _check_block_polynomial(dset, phases, rows, cols)

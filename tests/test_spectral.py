@@ -16,6 +16,7 @@ from simcf.estimation import (EstimationError, build_estimation_state,
                               pilot_map)
 from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
+from simcf.sim_physics import step_powers
 
 from reference import (block_terms, build_estimation_state_solve, copilot_of,
                        factors_loop, lsfd_weights_loop, omega_of,
@@ -45,8 +46,9 @@ def _states(model, phases, rng):
     rows, cols = np.unravel_index(rng.permutation(cfg.M * cfg.N)[:4],
                                   (cfg.M, cfg.N))
     yield "block", block_channel_state(
-        model.drop, model.dset, l, phases[l], rows, cols,
-        rng.uniform(-np.pi, np.pi, 3), model.base_corr, model.steering)
+        model.drop, model.dset, l, np.exp(1j * phases[l]), rows, cols,
+        step_powers(rng.uniform(-np.pi, np.pi, 3), cfg.M), model.base_corr,
+        model.steering)
 
 
 def _close(got, want, what):
@@ -183,7 +185,8 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                block_terms(model, l, phases[l], rows, cols, [step])
+                block_terms(model, l, np.exp(1j * phases[l]), rows, cols,
+                            step_powers([step], cfg.M))
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -264,8 +267,9 @@ def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases,
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     builds = {
         "full": small_model.terms(small_phases),
-        "block": block_terms(small_model, 1, small_phases[1], rows, cols,
-                             np.arange(1, 6) * np.pi / 8),
+        "block": block_terms(small_model, 1, np.exp(1j * small_phases[1]),
+                             rows, cols, step_powers(
+                                 np.arange(1, 6) * np.pi / 8, small_cfg.M)),
     }
     for label, terms in builds.items():
         arrays = _array_fields(terms)

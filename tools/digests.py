@@ -15,11 +15,9 @@ import argparse
 import re
 import subprocess
 import sys
-import tarfile
-import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from checkout import ROOT, commit_src
+
 WORKLOADS = ("table1-opt", "fig3-closed-form", "mc-check")
 
 
@@ -43,19 +41,13 @@ def main(argv=None):
                         default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", args.commit, "src"],
-                                 cwd=ROOT, capture_output=True, check=True)
-        tar_path = Path(tmp) / "src.tar"
-        tar_path.write_bytes(archive.stdout)
-        with tarfile.open(tar_path) as tar:
-            tar.extractall(tmp, filter="data")
+    with commit_src(args.commit) as old_src:
         mismatches = 0
         print(f"{'workload':<18}{'seed':>5}  {args.commit[:12]:<14}"
               f"{'working tree':<14}same")
         for workload in WORKLOADS:
             for seed in args.seeds:
-                old = digest(Path(tmp) / "src", workload, seed)
+                old = digest(old_src, workload, seed)
                 new = digest(ROOT / "src", workload, seed)
                 same = old == new and not old.startswith("failed")
                 mismatches += not same
