@@ -1,13 +1,11 @@
 # simcf/channel.py
 # Statistical channel objects seen through the stack: planar-wavefront
 # steering toward every UE, and the effective antenna-domain statistics of
-# every (AP, UE) link for a given phase tensor (of one drop or of a batch of
-# drops), or of one AP under every probe of a block of its atoms, in one
-# network or in every network of a pitch sweep. A block state takes the
-# AP's unit phasors, which the phase search keeps (optimize.SumSeObjective),
-# and the step powers the search forms once, so a probe batch runs no exp
-# over the AP's phases or its steps; its NLoS gains are the AP's one row,
-# shared by every probe.
+# every (AP, UE) link for a phase tensor, or of one AP under every probe of
+# a block of its atoms, for one network or a batch of networks on a leading
+# axis, each with its own drop and stack. A block state takes the AP's
+# unit phasors, which the phase search keeps, and the step powers it forms
+# once, so a probe batch runs no exp over the AP's phases or its steps.
 
 from dataclasses import dataclass
 
@@ -26,23 +24,23 @@ class ChannelState:
     the scattering correlation on the output layer is common to all UEs; s
     is the per-AP antenna-domain projection of that common correlation. The
     state keeps the factors only; no per-link covariance is formed. The
-    state of a batch of drops has a leading drop axis on every field. A
-    block state (block_channel_state) has probes on the AP axis and one row
-    of beta_nlos, (1, K), that broadcasts against them.
+    state of a batch of networks has a leading network axis on every field.
+    A block state (block_channel_state) has probes on the AP axis and one
+    row of beta_nlos, (1, K), that broadcasts against them.
     """
     h_bar: np.ndarray       # (L, K, U) complex
     s: np.ndarray           # (L, U, U) complex Hermitian PSD
     beta_nlos: np.ndarray   # (L, K)
 
     def at(self, i):
-        """Drop i of the state of a batch of drops."""
+        """Network i of the state of a batch of networks."""
         return ChannelState(h_bar=self.h_bar[i], s=self.s[i],
                             beta_nlos=self.beta_nlos[i])
 
 
 def steering_units(geom: SimGeometry, drop: Drop):
     """Unit steering vectors of the output grid toward every UE,
-    (..., L, K, N) with the drop axis of a batch of drops."""
+    (..., L, K, N) with the leading axis of a batch of drops."""
     directions = drop.link_directions()
     grid = geom.output_grid
     centered = grid - grid.mean(axis=0)
@@ -53,14 +51,17 @@ def steering_units(geom: SimGeometry, drop: Drop):
 def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
                         steering) -> ChannelState:
     """Effective statistics for a phase tensor (L, M, N), or for phases
-    (D, L, M, N) of a batch of D drops (every field of the state then has
-    the leading drop axis).
+    (S, L, M, N) of a batch of S networks, whose drop's arrays, matrices of
+    dset, base_corr (S, N, N) and steering carry the network axis (every
+    field of the state then has it too).
 
     base_corr is the output-grid correlation (sinc_correlation) and
     steering the unit steering vectors (steering_units) of the drop. All
-    APs (of all drops) go through one batched cascade.
+    APs (of all networks) go through one batched cascade.
     """
     t = cascade_through_antennas(dset, phases)            # (L, N, U)
+    if base_corr.ndim > 2:
+        base_corr = base_corr[..., None, :, :]
     proj = t.conj().swapaxes(-1, -2) @ base_corr @ t
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
     amp = np.sqrt(drop.beta_los)[..., None] * steering     # (L, K, N)
@@ -71,26 +72,24 @@ def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
 def block_channel_state(drop: Drop, dset: DiffractionSet, l, shifts, rows, cols,
                         powers, base_corr, steering) -> ChannelState:
     """Statistics of AP l under each probe of one block, in every network
-    of a group.
+    of a batch.
 
     Probe b turns the atoms (rows, cols) of AP l by step_b; shifts
     (..., M, N) are the unit phasors e^{j phi} of AP l's phases and powers
-    (B, >= D + 1) the step powers e^{j d step_b} (sim_physics.step_powers,
-    formed once per search; only the first D + 1 columns are read, D the
-    number of distinct layers in rows). Leading axes of shifts, of the
-    matrices of dset, of base_corr (..., N, N) and of steering
-    (..., L, K, N) are network axes: the networks of one drop whose stacks
-    differ (a pitch sweep), sharing the drop, the block and the steps. Row
-    s B + b of h_bar and s belongs to probe b of network s, with every
-    other AP left out; beta_nlos is AP l's one row (1, K), which every
-    probe shares and which broadcasts against them. With the cascade
-    t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
+    (B, >= D + 1) the step powers e^{j d step_b} (sim_physics.step_powers;
+    the first D + 1 columns are read, D the number of distinct layers in
+    rows). Leading axes of shifts, of the drop's arrays, of the matrices of
+    dset, of base_corr and of steering are network axes, which share the
+    block and the steps. The state keeps them leading, with the probes on
+    the AP axis: h_bar (..., B, K, U) and s (..., B, U, U); beta_nlos is AP
+    l's one row (..., 1, K), which broadcasts against the probes. With the
+    cascade t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
     s(z) = t^H base_corr t is the Laurent polynomial
     sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
     sum_d conj(z^d) amp conj(c_d): the coefficient products are formed once
-    per block and network and each probe costs only their weighted sums.
-    Each (network, probe) pair's sums run on their own, so a row equals a
-    one-network, one-probe call bit for bit.
+    per block and network and each probe costs only their weighted sums,
+    which run on their own, so a row equals a one-network, one-probe call
+    bit for bit.
     """
     c = block_cascade_coeffs(dset, shifts, rows, cols)    # (..., D+1, N, U)
     *lead, n_coef, n_atoms, u = c.shape
@@ -99,12 +98,13 @@ def block_channel_state(drop: Drop, dset: DiffractionSet, l, shifts, rows, cols,
     gram = flat.conj().swapaxes(-1, -2) @ (base_corr @ flat)
     gram = gram.reshape(*lead, n_coef, u, n_coef, u).swapaxes(-3, -2)
     gram = gram.reshape(*lead, 1, n_coef * n_coef, u * u)
-    amp = np.sqrt(drop.beta_los[l])[:, None] * steering[..., l, :, :]
+    amp = np.sqrt(drop.beta_los[..., l, :, None]) * steering[..., l, :, :]
     mean = (amp @ flat.conj()).reshape(*lead, n_ue, n_coef, u)
     mean = mean.swapaxes(-3, -2).reshape(*lead, 1, n_coef, n_ue * u)
     z = np.asarray(powers)[:, :n_coef]                        # (B, D+1)
     pairs = (z.conj()[:, :, None] * z[:, None, :]).reshape(-1, 1, n_coef ** 2)
-    proj = (pairs @ gram).reshape(-1, u, u)
+    proj = (pairs @ gram).reshape(*lead, -1, u, u)
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-    h_bar = (z.conj()[:, None, :] @ mean).reshape(-1, n_ue, u)
-    return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos[l, None])
+    h_bar = (z.conj()[:, None, :] @ mean).reshape(*lead, -1, n_ue, u)
+    return ChannelState(h_bar=h_bar, s=s,
+                        beta_nlos=drop.beta_nlos[..., l, None, :])

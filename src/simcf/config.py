@@ -20,6 +20,12 @@ def most_square_factors(n):
     return nx, n // nx
 
 
+def is_count(x):
+    """x is an integer and not a bool (which is an int, but True is no
+    count)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static deployment and hardware parameters.
@@ -62,9 +68,7 @@ class SystemConfig:
     def validate(self):
         for name in ("L", "K", "U", "M", "N", "tau_p", "tau_c"):
             v = getattr(self, name)
-            # bool is an int, but True is no count
-            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                    or v < 1):
+            if not is_count(v) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.tau_p > self.tau_c:
             raise ConfigError(

@@ -57,7 +57,7 @@ class PilotMap:
     coherent: np.ndarray   # (K, K)
 
     def at(self, i):
-        """The map of drop i of a batch."""
+        """The map of network i of a batch (a slice i keeps the axis)."""
         return pilot_map(self.pilot_of[i], self.p_hat, self.tau_p)
 
 
@@ -109,9 +109,9 @@ class EstimationState:
     estimate covariance omega beta_lk^2 eig gain_lk on the basis,
     gain = eig / den.
     The error covariance is r - p_hat_k tau_p omega. The state of a batch
-    of drops has a leading drop axis on every array, and its pilots are the
-    batch's PilotMap; the first axis of a block build runs over probes, not
-    APs, under one shared map.
+    of networks has a leading network axis on every array, and its pilots
+    are the batch's PilotMap; the AP axis of a block build runs over
+    probes, which share their network's map.
     """
     eig: np.ndarray       # (L, U) eigenvalues of s, ascending
     basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column

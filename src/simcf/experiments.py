@@ -10,10 +10,10 @@
 # every pitch. Inside a unit, the cells of one config form one batch: the
 # whole closed-form chain (drops, pilots, model, states, terms, weights,
 # SINR coefficients, max-min power) runs once with the drops on a leading
-# axis, a single cell being a batch of one. Phase searches run per drop
-# (the pitches of a drop as one group) and Monte-Carlo per cell, on the
-# drop's slice of the batch's states. Units run serially in a fixed order
-# and the rows stay in (value, drop) order. A cell that hits a typed
+# axis, a single cell being a batch of one. Phase searches run per drop (a
+# drop's pitches as one stacked NetworkModel) and Monte-Carlo per cell, on
+# the drop's slice of the batch's states. Units run serially in a fixed
+# order and the rows stay in (value, drop) order. A cell that hits a typed
 # numerical failure is logged and counted (a failing unit of several cells
 # first runs each of its cells alone); any other exception aborts the run.
 # Every sweep value is checked when the spec is built. Output is plain
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import se
-from .config import ConfigError, SystemConfig
+from .config import ConfigError, SystemConfig, is_count
 from .estimation import EstimationError
 from .montecarlo import uatf_monte_carlo
 from .optimize import (BeamformingConfig, allocate_pilots, maxmin_power,
@@ -57,11 +57,6 @@ class ExperimentError(RuntimeError):
     pass
 
 
-def _is_count(x):
-    """x is an integer and not a bool (which is an int)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: variable, values, drops, schemes and seeding."""
@@ -83,17 +78,20 @@ class ExperimentSpec:
             raise ExperimentError(f"sweep must be one of {SWEEPABLE}")
         if not self.values:
             raise ExperimentError("value list must be non-empty")
-        if not _is_count(self.n_drops) or self.n_drops < 1:
+        if not is_count(self.n_drops) or self.n_drops < 1:
             raise ExperimentError("n_drops must be an integer >= 1")
-        if not _is_count(self.seed) or self.seed < 0:
+        if not is_count(self.seed) or self.seed < 0:
             raise ExperimentError(f"seed must be an integer >= 0, got "
                                   f"{self.seed!r}")
-        if (not _is_count(self.n_mc_trials) or self.n_mc_trials < 0
+        if (not is_count(self.n_mc_trials) or self.n_mc_trials < 0
                 or self.n_mc_trials == 1):
             raise ExperimentError("n_mc_trials must be 0 (off) or an "
                                   "integer >= 2")
         if not 0 < self.maxmin_eps < np.inf:
             raise ExperimentError("need finite maxmin_eps > 0")
+        # the atom budget sets N, so the N the rows print would not run
+        if self.sweep == "N" and self.fixed_total_atoms is not None:
+            raise ExperimentError("a sweep over N takes no fixed_total_atoms")
         try:
             BeamformingConfig(**self.beamforming)
         except (TypeError, ValueError) as exc:
@@ -219,7 +217,7 @@ def _run_cells(spec, configs, cells):
     """{cell: rows} of the cells (value index, drop) of one unit of work
     (_groups): the cells of each config form one batch on a leading drop
     axis, the cells of each drop with an opt scheme are searched as one
-    group, and each batch evaluates the rows of its cells."""
+    batch, and each batch evaluates the rows of its cells."""
     batches = {}
     for v, d in cells:
         batches.setdefault(v, []).append(d)

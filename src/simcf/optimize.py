@@ -1,17 +1,17 @@
 # simcf/optimize.py
 # The three system-design routines: greedy interference-aware pilot
 # allocation, blockwise phase-probing wave-domain beamforming driven by the
-# closed-form sum SE, and max-min power control for fixed CPU weights. A
-# probe block does only what its probes change: the search keeps the unit
-# phasors of its phases and rewrites only the turned atoms on an accept,
-# forms the step powers e^{j d step} once, and builds the turned AP alone
-# from the block's cascade polynomial (channel.block_channel_state). The
-# power control is a bisection over the linear feasibility system of the
-# SINR coefficients whose midpoints are decided by the closed-form
-# Perron-Frobenius optimum, a linear solve deciding only those within a
-# guard band of it, so it returns what solving every midpoint returns. Pilot
-# allocation and power control run on the leading drop (or setting) axis of
-# a batch in one pass.
+# closed-form sum SE, and max-min power control for fixed CPU weights. The
+# phase search runs the networks of one stacked NetworkModel at once, each
+# with its own drop, pilot map and stack. A probe block does only what its
+# probes change: the search keeps the unit phasors of its phases, rewrites
+# only the turned atoms on an accept, forms the step powers e^{j d step}
+# once and builds the turned AP alone from the block's cascade polynomial
+# (channel.block_channel_state). The power control is a bisection whose
+# midpoints are decided by the closed-form Perron-Frobenius optimum, a
+# linear solve deciding only those within a guard band of it, so it
+# returns what solving every midpoint returns. Pilot allocation and power
+# control run on the leading drop (or setting) axis of a batch in one pass.
 
 import bisect
 import contextlib
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se
+from .config import is_count
 from .estimation import EstimationError, PilotMap, pilot_map
-from .pipeline import NetworkGroup
+from .pipeline import NetworkModel
 from .scenario import Drop
 from .sim_physics import step_powers, wrap_phases
 
@@ -90,10 +91,14 @@ class BeamformingConfig:
     def __post_init__(self):
         if not 0.0 < self.step_size < 2.0 * np.pi:
             raise ValueError("step_size must lie in (0, 2 pi)")
-        if self.max_probes < 1 or self.block_size < 1 or self.sweeps < 1:
-            raise ValueError("max_probes, block_size and sweeps must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be nonnegative")
+        for name in ("max_probes", "block_size", "sweeps"):
+            v = getattr(self, name)
+            if not is_count(v) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got "
+                                 f"{v!r}")
+        if not self.min_gain >= 0:      # NaN fails too; inf accepts nothing
+            raise ValueError(f"min_gain must be nonnegative, got "
+                             f"{self.min_gain!r}")
         if self.decoder not in se.DECODERS:
             raise ValueError(f"decoder must be one of {se.DECODERS}")
 
@@ -139,41 +144,32 @@ class Trace(Sequence):
 
 
 class SumSeObjective:
-    """Closed-form sum SE of each network of a group (pipeline.NetworkGroup:
-    the networks of one drop whose stacks differ), with batched probing of
-    one AP in all of them. The pilot map and the data powers are those the
-    models carry.
+    """Closed-form sum SE of each network of one stacked model
+    (pipeline.NetworkModel.stack), with batched probing of one AP in all of
+    them, under the pilot maps and data powers the models carry.
 
-    Only the per-AP SINR parts of the networks (se.sinr_parts) are kept,
-    stacked as (S, ..., L), with the phases (S, L, M, N), their unit
-    phasors shifts = e^{j phases} and each network's best value so far,
-    best (S,). Invariant: shifts equals np.exp(1j * phases) bit for bit;
-    set_phases forms it, and a commit rewrites only the atoms it turns, so
-    no probe batch runs an exp over an AP's phases. probe(l, rows, cols,
-    steps) turns a block of AP l's atoms by each of the B steps in every
-    network and evaluates the S B probes as one batch: AP l's channel
-    statistics under every probe (from the polynomial in e^{j step} that
-    the block's cascade is, evaluated at the step powers e^{j d step},
-    which are formed once for each distinct steps array, so once per
-    search; the probes on the AP axis), one stacked eigendecomposition of
-    their antenna correlations for the estimation state, the spectral terms
-    (NetworkGroup.block_terms), and their parts, whose denominator
-    diagonals are summed from the spectral terms without forming the
-    (K, K) interference couplings xi. For each probe its part is added to
-    its network's sums of the parts over the other APs, which are formed
-    once per AP pass: an accept rewrites only AP l's column. The SINR
-    follows from those sums (se.sinr_from_parts): under LSFD the Woodbury
-    Rayleigh quotient, under EGCD the all-ones weighting. improve commits
-    in each network the first probe that beats its best by writing its
-    column into AP l's parts. Every network's values are those of a search
-    on that network alone, bit for bit.
+    Only the networks' per-AP SINR parts (se.sinr_parts) are kept,
+    (S, ..., L), with the phases (S, L, M, N), their unit phasors shifts
+    and each network's best value so far, best (S,). Invariant: shifts
+    equals np.exp(1j * phases) bit for bit; set_phases forms it and a
+    commit rewrites only the atoms it turns. probe turns a block of AP l's
+    atoms by each of B steps in every network and evaluates the S B probes
+    as one batch: AP l's terms under every probe (NetworkModel.block_terms,
+    at step powers formed once per distinct steps array, so once per
+    search) and their parts, each added to its network's sums of the parts
+    over the other APs (formed once per AP pass), from which the SINR
+    follows (se.sinr_from_parts: the Woodbury Rayleigh quotient under
+    LSFD, the all-ones weighting under EGCD). improve commits in each
+    network the first probe that beats its best by writing its column into
+    AP l's parts. Every network's values are those of a search on that
+    network alone, bit for bit.
     """
 
     def __init__(self, models, decoder="lsfd"):
-        self.group = NetworkGroup.of(models)
-        self.models = self.group.models
-        self.cfg = self.models[0].cfg
-        self.p = self.models[0].drop.p
+        self.model = NetworkModel.stack(models)
+        self.n_nets = len(self.model.steering)
+        self.cfg = self.model.cfg
+        self.p = self.model.drop.p
         self.decoder = decoder
         self.phases = self.shifts = self.parts = self.best = None
         self._others = self._powers = None
@@ -181,10 +177,9 @@ class SumSeObjective:
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
+        self.parts = list(self._parts(self.model.terms(self.phases)))
+        # after the build, which holds every network's temporaries at once
         self.shifts = np.exp(1j * self.phases)
-        parts = [self._parts(model.terms(phases_s))
-                 for model, phases_s in zip(self.models, self.phases)]
-        self.parts = [np.stack(part) for part in zip(*parts)]
         self._others = None
         self.best = self._sum_se([part.sum(axis=-1) for part in self.parts])
         return self.best.copy()
@@ -198,12 +193,12 @@ class SumSeObjective:
                                self.cfg.tau_p).sum(axis=-1)
 
     def _other_sums(self, l):
-        """Sums of each part over the APs other than l, (..., S): the
-        network axis last, where probe puts the probes."""
+        """Sums of each part over the APs other than l, (S, ..., 1): the
+        AP axis kept, where probe puts the probes."""
         if self._others is None or self._others[0] != l:
             others = np.arange(self.cfg.L) != l
-            self._others = (l, [np.ascontiguousarray(np.moveaxis(
-                part @ others, 0, -1)) for part in self.parts])
+            self._others = (l, [(part @ others)[..., None]
+                                for part in self.parts])
         return self._others[1]
 
     def _step_powers(self, steps):
@@ -216,25 +211,24 @@ class SumSeObjective:
     def probe(self, l, rows, cols, steps, net=None):
         """(values (S, B), parts) with the atoms (rows, cols) of AP l turned
         by each of steps (B,) in every network, or in network net alone
-        (S = 1): parts are the SINR parts of AP l under the probes, the S B
-        probes on the AP axis."""
+        (S = 1): parts are the SINR parts of AP l under the probes, the
+        networks leading and the B probes on the AP axis."""
         steps = np.asarray(steps, dtype=float)
-        return self._probe(l, rows, cols, self._step_powers(steps), net)
+        nets = slice(None) if net is None else slice(net, net + 1)
+        model = self.model if net is None else self.model.at(nets)
+        return self._probe(l, rows, cols, self._step_powers(steps), model,
+                           nets)
 
-    def _probe(self, l, rows, cols, powers, net):
-        """probe at the step powers (B, M + 1) of its steps."""
-        nets = slice(None) if net is None else [net]
-        group = (self.group if net is None or len(self.models) == 1
-                 else NetworkGroup.of([self.models[net]]))
-        parts = self._parts(group.block_terms(
+    def _probe(self, l, rows, cols, powers, model, nets):
+        """probe at the step powers (B, M + 1) of its steps, of the networks
+        nets (a slice) whose model is model."""
+        parts = self._parts(model.block_terms(
             l, self.shifts[nets, l], rows, cols, powers))
-        n_nets = len(group.models)
-        sums = [other[..., nets, None]
-                + new.reshape(*new.shape[:-1], n_nets, len(powers))
+        sums = [other[nets] + new
                 for other, new in zip(self._other_sums(l), parts)]
         # the networks and probes first, as candidates of sinr_from_parts
         # (transpose, since np.moveaxis would double the cost of this step)
-        return self._sum_se([s.transpose(-2, -1, *range(s.ndim - 2))
+        return self._sum_se([s.transpose(0, -1, *range(1, s.ndim - 1))
                              for s in sums]), parts
 
     def improve(self, l, rows, cols, steps, min_gain):
@@ -245,42 +239,45 @@ class SumSeObjective:
 
         A typed failure (EstimationError, SinrComputationError) of a batch
         of several probes is not raised: each network then tries the probes
-        alone, one at a time in order, so only a probe the search of some
-        network reaches can raise, as in a search of that network alone.
+        alone, one at a time in order, on its slice of the batch, so only a
+        probe the search of some network reaches can raise, as in a search
+        of that network alone.
         """
         steps = np.asarray(steps, dtype=float)
         powers = self._step_powers(steps)
         try:
-            values, parts = self._probe(l, rows, cols, powers, None)
+            values, parts = self._probe(l, rows, cols, powers, self.model,
+                                        slice(None))
         except (EstimationError, se.SinrComputationError):
-            if steps.size == 1 and len(self.models) == 1:
+            if steps.size == 1 and self.n_nets == 1:
                 raise
-            hits = np.full(len(self.models), -1)
-            for net in range(len(self.models)):
+            hits = np.full(self.n_nets, -1)
+            for net in range(self.n_nets):
+                nets = slice(net, net + 1)
+                model = self.model.at(nets)
                 for i in range(steps.size):
                     one = slice(i, i + 1)
                     won = self._commit(
-                        [net], l, rows, cols, steps[one], min_gain,
-                        *self._probe(l, rows, cols, powers[one], net))
+                        nets, l, rows, cols, steps[one], min_gain,
+                        *self._probe(l, rows, cols, powers[one], model, nets))
                     if won[0] >= 0:
                         hits[net] = i
                         break
             return hits
-        return self._commit(range(len(self.models)), l, rows, cols, steps,
-                            min_gain, values, parts)
+        return self._commit(slice(None), l, rows, cols, steps, min_gain,
+                            values, parts)
 
     def _commit(self, nets, l, rows, cols, steps, min_gain, values, parts):
-        """Commit the first probe of each of the networks nets whose value
-        (values[j] for nets[j]) clears its best; returns their indices."""
-        nets = np.asarray(nets)
+        """Commit the first probe of each of the networks nets (a slice)
+        whose value (values[j] for its j-th network) clears its best;
+        returns their indices."""
         better = values - self.best[nets, None] > min_gain
         hits = np.where(better.any(axis=1), better.argmax(axis=1), -1)
         won = np.flatnonzero(hits >= 0)
         if won.size:      # every winning network at once, elementwise
-            s, i = nets[won], hits[won]
+            s, i = np.arange(self.n_nets)[nets][won], hits[won]
             for part, new in zip(self.parts, parts):
-                picked = new[..., won * steps.size + i]
-                part[s, ..., l] = picked.transpose(-1, *range(picked.ndim - 1))
+                part[s, ..., l] = new[won, ..., i]
             at = (s[:, None], l, rows, cols)
             turned = wrap_phases(self.phases[at] + steps[i, None])
             self.phases[at] = turned
@@ -293,12 +290,14 @@ def optimize_beamforming(models, init_phases,
                          cfg: BeamformingConfig = BeamformingConfig(),
                          rng=None):
     """Blockwise phase search maximizing the closed-form sum SE, run for
-    every network of a group at once.
+    every network of a batch at once.
 
-    models are the networks of one drop whose stacks differ (a pitch
-    sweep); a single network is a group of one. They must share the drop's
-    gains and powers, the pilot map they carry and the dimensions (else
-    ValueError); init_phases is (L, M, N) or one per network (S, L, M, N).
+    models are networks of one network each, searched together (the
+    pitches of a drop in a pitch sweep); a single network is a batch of
+    one. Each keeps its own drop, pilot map and stack; they must share the
+    dimensions, tau_c, tau_p, sigma2 and the powers (else ValueError;
+    NetworkModel.stack). init_phases is (L, M, N) or one per network
+    (S, L, M, N).
 
     For each AP in turn, meta-atom indices are visited in a seeded random
     permutation in blocks of block_size; the networks share the
@@ -307,18 +306,9 @@ def optimize_beamforming(models, init_phases,
     network the first probe improving its objective by more than min_gain
     is committed and the search moves to the next block. Each objective
     trace is non-decreasing; with no improving probe a network's input
-    phases survive.
-
-    All probes of a block, in all networks, are evaluated as one batch
-    (SumSeObjective.improve): AP l's terms from the polynomial in
-    e^{j step} that the block's cascade is, built from the cached phasors
-    of the networks' phases at step powers formed once for the search, and
-    each probe's SINRs from its per-AP parts plus those of the other APs of
-    its network, summed once per AP pass (under LSFD a Woodbury Rayleigh
-    quotient; no L x L matrix is formed). Between blocks only the networks' per-AP parts are kept;
-    an accept overwrites AP l's. The first improving probe is accepted, so
-    each network's phases and trace are those of evaluating probe after
-    probe on that network alone.
+    phases survive. All probes of a block, in all networks, are evaluated
+    as one batch (SumSeObjective.improve), so each network's phases and
+    trace are those of evaluating probe after probe on that network alone.
 
     Returns one (phases, trace) per model, trace a Trace: one TraceRow
     per probe.
@@ -329,7 +319,7 @@ def optimize_beamforming(models, init_phases,
                                 objective.cfg.N)
     objective.set_phases(wrap_phases(np.broadcast_to(
         np.asarray(init_phases, dtype=float),
-        (len(objective.models), n_aps, n_layers, n_atoms))))
+        (objective.n_nets, n_aps, n_layers, n_atoms))))
     steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
     traces = [Trace(float(best)) for best in objective.best]
     for _ in range(cfg.sweeps):

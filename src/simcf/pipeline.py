@@ -1,12 +1,11 @@
 # simcf/pipeline.py
-# Convenience wiring of the full statistics chain for one drop: geometry and
-# diffraction matrices, effective channel statistics for a phase tensor,
-# estimation statistics under the network's pilot map, and closed-form terms.
-# Heavy fixed pieces are computed once and reused across phase updates: the
-# base correlation once per stack, the steering vectors once per drop (or
-# per batch of drops, on a leading drop axis). The networks of one drop whose
-# stacks differ (the pitches of a sweep) form a NetworkGroup, whose stack
-# matrices carry a leading network axis so one block build serves them all.
+# Convenience wiring of the full statistics chain: diffraction matrices,
+# effective channel statistics for a phase tensor, estimation statistics
+# under the network's pilot map, and closed-form terms, for one network or
+# a batch of networks on a leading axis, each with its own drop, pilot map
+# and stack. The drops of a sweep value share their stack as a zero-copy
+# view; the networks of a phase search are stacked. Heavy fixed pieces are
+# computed once: the base correlation per stack, the steering per drop.
 
 from dataclasses import dataclass, field, replace
 
@@ -16,46 +15,84 @@ from . import se
 from .channel import (ChannelState, block_channel_state, build_channel_state,
                       steering_units)
 from .config import SystemConfig
-from .estimation import EstimationState, PilotMap, build_estimation_state
+from .estimation import (EstimationState, PilotMap, build_estimation_state,
+                         pilot_map)
 from .scenario import Drop
-from .sim_physics import (DiffractionSet, SimGeometry, base_correlation,
+from .sim_physics import (DiffractionSet, base_correlation,
                           random_phase_tensor, stack_for)
 
 
 @dataclass
 class NetworkModel:
-    """All fixed, phase-independent state of one network drop, or of a
-    batch of drops (a Drop with a leading drop axis): steering (D, L, K, N),
-    the pilot map (optimize.allocate_pilots, under which every estimation
-    state of the model is built), phases and every state built from them
-    then carry the drop axis. base_corr (N, N) is the stack's."""
+    """All fixed, phase-independent state of one network, or of a batch of
+    networks on a leading axis on which every per-network field may vary:
+    the drop's arrays, the pilot map (optimize.allocate_pilots; a batch's
+    PilotMap), the matrices of dset, base_corr (..., N, N) and steering
+    (..., L, K, N). Phases and every state built from them then carry the
+    axis. cfg is the first network's: the batch shares its dimensions,
+    tau_c, tau_p, sigma2 and powers, and each stack is its matrices."""
     cfg: SystemConfig
     drop: Drop
     pilots: PilotMap
-    geom: SimGeometry
     dset: DiffractionSet
     base_corr: np.ndarray = field(repr=False)
     steering: np.ndarray = field(repr=False)
 
     @classmethod
     def from_drop(cls, drop: Drop, pilots: PilotMap) -> "NetworkModel":
+        """The model of a drop, or of a batch of drops of one config, whose
+        stack is then a zero-copy broadcast view on the network axis."""
         cfg = drop.cfg
         geom, dset = stack_for(cfg)
-        return cls(cfg=cfg, drop=drop, pilots=pilots, geom=geom, dset=dset,
-                   base_corr=base_correlation(cfg),
-                   steering=steering_units(geom, drop))
+        base_corr = base_correlation(cfg)
+        lead = drop.beta.shape[:-2]
+        if lead:
+            dset = DiffractionSet(*(np.broadcast_to(w, lead + w.shape)
+                                    for w in (dset.w_first, dset.w_layer)))
+            base_corr = np.broadcast_to(base_corr, lead + base_corr.shape)
+        return cls(cfg=cfg, drop=drop, pilots=pilots, dset=dset,
+                   base_corr=base_corr, steering=steering_units(geom, drop))
+
+    @classmethod
+    def stack(cls, models) -> "NetworkModel":
+        """The batch of models, each of one network, on a new leading axis.
+        Raises ValueError unless they share every dimension, tau_c, tau_p,
+        sigma2, the data and the pilot powers. base_corr is stored complex,
+        so the block builds do not convert it per block."""
+        models = tuple(models)
+        if len({(m.cfg.L, m.cfg.K, m.cfg.U, m.cfg.M, m.cfg.N, m.cfg.tau_c,
+                 m.cfg.tau_p, m.cfg.sigma2, tuple(m.drop.p),
+                 tuple(m.pilots.p_hat)) for m in models}) > 1:
+            raise ValueError("the networks of a batch must share their "
+                             "dimensions, tau_c, tau_p, sigma2 and powers")
+        first = models[0]
+
+        def stacked(get):
+            return np.stack([get(model) for model in models])
+
+        dset = DiffractionSet(w_first=stacked(lambda m: m.dset.w_first),
+                              w_layer=stacked(lambda m: m.dset.w_layer))
+        return cls(cfg=first.cfg,
+                   drop=Drop.stack([model.drop for model in models]),
+                   pilots=pilot_map(stacked(lambda m: m.pilots.pilot_of),
+                                    first.pilots.p_hat, first.pilots.tau_p),
+                   dset=dset,
+                   base_corr=stacked(lambda m: m.base_corr).astype(complex),
+                   steering=stacked(lambda m: m.steering))
 
     def at(self, i):
-        """The model of drop i of a batch."""
+        """Network i of a batch; a slice i keeps the network axis."""
         return replace(self, drop=self.drop.at(i), pilots=self.pilots.at(i),
-                       steering=self.steering[i])
+                       dset=DiffractionSet(w_first=self.dset.w_first[i],
+                                           w_layer=self.dset.w_layer[i]),
+                       base_corr=self.base_corr[i], steering=self.steering[i])
 
     def random_phases(self, rng):
         return random_phase_tensor(self.cfg.L, self.cfg.M, self.cfg.N, rng)
 
     def channel_state(self, phases) -> ChannelState:
-        """Statistics of every AP for a phase tensor (L, M, N), or (D, L, M,
-        N) for a batch of drops."""
+        """Statistics of every AP for a phase tensor (L, M, N), or (S, L, M,
+        N) for a batch of networks."""
         return build_channel_state(self.drop, self.dset, phases,
                                    self.base_corr, self.steering)
 
@@ -72,58 +109,14 @@ class NetworkModel:
         state = self.channel_state(phases)
         return state, self.estimation_state(state)
 
-
-_SHARED = ("L", "K", "U", "M", "N", "tau_c", "tau_p", "sigma2")
-
-
-@dataclass
-class NetworkGroup:
-    """Networks of one drop that differ only in their stacks (the pitches
-    of a sweep): the models, and their stack matrices on a leading network
-    axis, w_first (S, N, U), w_layer (S, M-1, N, N), base_corr (S, N, N)
-    and steering (S, L, K, N). base_corr is stored complex, as the block
-    builds multiply it with complex coefficients, so they do not convert it
-    per block."""
-    models: tuple
-    dset: DiffractionSet = field(repr=False)
-    base_corr: np.ndarray = field(repr=False)
-    steering: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of(cls, models) -> "NetworkGroup":
-        """The group of models. Raises ValueError unless they share the
-        drop's gains and powers, the pilot map (assignment, pilot powers and
-        tau_p) and every dimension, tau_c, tau_p and sigma2."""
-        models = tuple(models)
-        first = models[0]
-        for model in models[1:]:
-            a, b = first.drop, model.drop
-            if not (all(getattr(first.cfg, name) == getattr(model.cfg, name)
-                        for name in _SHARED)
-                    and all(np.array_equal(getattr(a, name), getattr(b, name))
-                            for name in ("beta_los", "beta_nlos", "p"))
-                    and all(np.array_equal(getattr(first.pilots, name),
-                                           getattr(model.pilots, name))
-                            for name in ("pilot_of", "p_hat", "tau_p"))):
-                raise ValueError("a network group needs models of one drop "
-                                 "that differ only in their stacks")
-        dset = DiffractionSet(
-            w_first=np.stack([model.dset.w_first for model in models]),
-            w_layer=np.stack([model.dset.w_layer for model in models]))
-        return cls(models=models, dset=dset,
-                   base_corr=np.stack([model.base_corr for model in models]
-                                      ).astype(complex),
-                   steering=np.stack([model.steering for model in models]))
-
     def block_terms(self, l, shifts, rows, cols, powers) -> se.SinrTerms:
         """Terms of AP l alone under each probe of one block in every
         network: network s has AP l's phasors shifts[s] (M, N), e^{j phi},
         with the atoms (rows, cols) turned by each of the B steps whose
         powers e^{j d step} are powers (B, >= D + 1) (channel.
-        block_channel_state). The AP axis of the result runs over the S B
-        (network, probe) pairs, network-major."""
-        model = self.models[0]
-        state = block_channel_state(model.drop, self.dset, l, shifts, rows,
+        block_channel_state). The networks lead and the B probes run on the
+        AP axis."""
+        state = block_channel_state(self.drop, self.dset, l, shifts, rows,
                                     cols, powers, self.base_corr,
                                     self.steering)
-        return se.sinr_terms(state, model.estimation_state(state))
+        return se.sinr_terms(state, self.estimation_state(state))

@@ -138,6 +138,14 @@ class Drop:
         return replace(self, **{name: getattr(self, name)[i]
                                 for name in _PER_DROP})
 
+    @classmethod
+    def stack(cls, drops):
+        """The batch of single drops (of equal powers p) on a new leading
+        axis, with the first drop's config."""
+        return replace(drops[0], **{
+            name: np.stack([getattr(drop, name) for drop in drops])
+            for name in _PER_DROP})
+
     def link_directions(self):
         """Unit 3-D direction vectors AP -> UE, shape (..., L, K, 3).
 

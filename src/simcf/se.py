@@ -63,7 +63,7 @@ class SinrTerms:
     z and is not stored separately. pilots is the estimation state's
     PilotMap and sigma2 its noise power. Arrays may carry leading candidate
     axes (one network per candidate, pilots and sigma2 shared), or the
-    leading drop axis of a batch of drops, with the batch's PilotMap; every
+    leading axis of a batch of networks, with the batch's PilotMap; every
     function of this module carries them through.
     """
     z: np.ndarray        # (K, L) real >= 0

@@ -86,7 +86,7 @@ def transfer_matrix(src_pos, dst_pos, wavelength, atom_area):
 @dataclass(frozen=True)
 class DiffractionSet:
     """Fixed propagation matrices of one stack (identical for every AP), or
-    of several stacks on a leading network axis (block_cascade_coeffs)."""
+    of a stack per network on a leading network axis."""
     w_first: np.ndarray    # (..., N, U): antennas -> layer 1
     w_layer: np.ndarray    # (..., M-1, N, N): layer m-1 -> layer m, m = 2..M
 
@@ -156,14 +156,20 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
     needed: right-multiplies layer by layer. Leading axes of phases are
     batch axes (the APs of a phase tensor); each slice goes through its own
     broadcast matmul, so it equals a call on that slice alone bit for bit.
+    The matrices of a stacked dset (leading network axes) gain an AP axis,
+    so phases (..., L, M, N) of each network go through its own stack.
     """
     phases = np.asarray(phases)
-    if phases.shape[-2:] != (dset.n_layers, dset.w_first.shape[0]):
+    if phases.shape[-2:] != (dset.n_layers, dset.w_first.shape[-2]):
         raise ValueError(f"phase array must be (..., M, N), got {phases.shape}")
-    shifts = np.exp(1j * phases)[..., None]
-    t = shifts[..., 0, :, :] * dset.w_first
-    for m in range(1, dset.n_layers):
-        t = shifts[..., m, :, :] * (dset.w_layer[m - 1] @ t)
+    w_first, w_layer = dset.w_first, dset.w_layer
+    if w_first.ndim > 2:
+        w_first, w_layer = w_first[..., None, :, :], w_layer[..., None, :, :, :]
+    t = w_first     # phasors formed layer by layer: a batch's are large
+    for m in range(dset.n_layers):
+        if m:
+            t = w_layer[..., m - 1, :, :] @ t
+        t = np.exp(1j * phases[..., m, :])[..., None] * t
     return t
 
 

@@ -53,7 +53,6 @@
 # - block_cascade_coeffs_dense: a block's cascade polynomial from full-size
 #   keep and move phase diagonals, which the block-row writes of
 #   sim_physics.block_cascade_coeffs replace with the same arithmetic
-# - block_terms: one network's block terms, as a group of one
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
@@ -70,7 +69,7 @@ from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
 from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
                             _feasible_powers, allocate_pilots,
                             optimize_beamforming)
-from simcf.pipeline import NetworkGroup, NetworkModel
+from simcf.pipeline import NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
 from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
                                wrap_phases)
@@ -922,14 +921,6 @@ class SerialObjective:
 
     def commit_ap(self, l, ap_phases):
         self.terms, self.phases = self.ap_terms(l, ap_phases)
-
-
-def block_terms(model, l, shifts, rows, cols, powers):
-    """Terms of AP l of one network under each probe of one block (AP l's
-    phasors shifts (M, N) and the steps' powers, as NetworkGroup.
-    block_terms takes them), from the group of that network alone."""
-    return NetworkGroup.of([model]).block_terms(l, shifts[None], rows, cols,
-                                                powers)
 
 
 def block_cascade_coeffs_dense(dset, phases, rows, cols):

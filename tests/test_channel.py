@@ -194,11 +194,12 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
     phases = random_phase_tensor(small_cfg.L, small_cfg.M, small_cfg.N, rng=9)
     state = model.channel_state(phases)
     directions = small_drop.link_directions()
-    r_base = sinc_correlation(model.geom.output_grid, small_cfg.wavelength)
+    geom, _ = stack_for(small_cfg)
+    r_base = sinc_correlation(geom.output_grid, small_cfg.wavelength)
     for l in (0, small_cfg.L - 1):
         g = cascade(model.dset, phases[l])
         for k in range(small_cfg.K):
-            stats = sim_ue_stats(model.geom.output_grid, directions[l, k],
+            stats = sim_ue_stats(geom.output_grid, directions[l, k],
                                  small_drop.beta_los[l, k],
                                  small_drop.beta_nlos[l, k], r_base,
                                  small_cfg.wavelength)

@@ -13,7 +13,8 @@ from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
                                table1_spec, write_result_csv)
 from simcf.montecarlo import uatf_monte_carlo
 from simcf.optimize import optimize_beamforming
-from simcf.pipeline import NetworkGroup, NetworkModel
+from simcf.pipeline import NetworkModel
+from simcf.sim_physics import stack_for
 
 
 def tiny_spec(**overrides):
@@ -49,8 +50,11 @@ def test_spec_validation():
             tiny_spec(n_mc_trials=trials)
     tiny_spec(n_mc_trials=np.int64(2))
     # beamforming settings are checked at spec time, not by the first drop
+    # (block_size=2.5 raised a bare TypeError mid-sweep)
     for bad in (dict(symmetric_probe=True), dict(max_probe=8),
-                dict(step_size=0.0), dict(decoder="lsdf")):
+                dict(step_size=0.0), dict(decoder="lsdf"),
+                dict(block_size=2.5), dict(sweeps=True),
+                dict(max_probes=4.0), dict(min_gain=float("nan"))):
         with pytest.raises(ExperimentError, match="beamforming"):
             tiny_spec(beamforming=bad)
     with pytest.raises(ExperimentError, match="beamforming"):
@@ -236,6 +240,12 @@ def test_fixed_total_atoms_links_n():
     with pytest.raises(ExperimentError):
         tiny_spec(sweep="L", values=(5,), fixed_total_atoms=144,
                   base=dict(K=2, U=1, M=2, tau_p=2)).config_for(5)
+    # the budget set N = 24 for both values while the rows printed 16, 64
+    with pytest.raises(ExperimentError, match="fixed_total_atoms"):
+        ExperimentSpec(sweep="N", values=(16, 64), fixed_total_atoms=1200,
+                       base=dict(L=10, M=5))
+    assert ExperimentSpec(sweep="N", values=(16, 64),
+                          base=dict(L=10, M=5)).config_for(64).N == 64
 
 
 def test_canned_specs():
@@ -395,14 +405,16 @@ def test_failing_network_fails_only_its_cells(monkeypatch):
     # fails that cell alone; the other cells run as they do on their own
     spec = pitch_spec()
     bad = spec.values[1]
-    real = NetworkGroup.block_terms
+    _, bad_stack = stack_for(spec.config_for(bad))
+    real = NetworkModel.block_terms
 
     def block_terms(self, l, *args):
-        if l == 0 and bad in [model.cfg.d_meta for model in self.models]:
+        if l == 0 and any(np.array_equal(w_layer, bad_stack.w_layer)
+                          for w_layer in self.dset.w_layer):
             raise EstimationError("pilot covariance is singular")
         return real(self, l, *args)
 
-    monkeypatch.setattr(NetworkGroup, "block_terms", block_terms)
+    monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
     result = run_experiment(spec)
     rows, failures = _rows_one_value_at_a_time(spec)
     assert result.failures == failures == spec.n_drops

@@ -135,13 +135,14 @@ def test_stack_domain_and_antenna_domain_sampling_agree(small_model,
     state = small_model.channel_state(small_phases)
     from simcf.sim_physics import cascade_through_antennas
     from simcf.channel import steering_units
-    from simcf.sim_physics import sinc_correlation
+    from simcf.sim_physics import sinc_correlation, stack_for
 
     l, k = 1, 2
     r = r_all(state)[l, k]
     t = cascade_through_antennas(small_model.dset, small_phases[l])
-    base = sinc_correlation(small_model.geom.output_grid, cfg.wavelength)
-    steer = steering_units(small_model.geom, small_model.drop)[l, k]
+    geom, _ = stack_for(cfg)
+    base = sinc_correlation(geom.output_grid, cfg.wavelength)
+    steer = steering_units(geom, small_model.drop)[l, k]
     h_bar_sim = np.sqrt(small_model.drop.beta_los[l, k]) * steer
     r_sim = small_model.drop.beta_nlos[l, k] * base
     draws = 60_000

@@ -9,13 +9,13 @@ from simcf.estimation import EstimationError, pilot_map
 from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
                             TraceRow, allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
-from simcf.pipeline import NetworkGroup, NetworkModel
+from simcf.pipeline import NetworkModel
 from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
                       lsfd_weights, se_from_sinr, sinr_coefficients,
                       sinr_from_parts, sinr_from_weights)
 from simcf.sim_physics import step_powers
 
-from reference import (block_terms, candidate, denominator_matrices,
+from reference import (candidate, denominator_matrices,
                        maxmin_power_bisection, optimize_beamforming_serial,
                        replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
@@ -217,8 +217,8 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             rows, cols = np.unravel_index(block, (cfg.M, cfg.N))
             steps = np.array([1, 6, 11]) * np.pi / 8
             [values], _ = obj.probe(l, rows, cols, steps)
-            stack = splice_ap(terms, l, block_terms(
-                model, l, np.exp(1j * phases[l]), rows, cols,
+            stack = splice_ap(terms, l, model.block_terms(
+                l, np.exp(1j * phases[l]), rows, cols,
                 step_powers(steps, cfg.M)))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
@@ -251,6 +251,17 @@ def test_beamforming_config_validation():
         BeamformingConfig(min_gain=-1.0)
     with pytest.raises(ValueError, match="decoder"):
         BeamformingConfig(decoder="lsdf")
+    # these constructed, and then failed mid-sweep (block_size=2.5) or made
+    # every probe fail its acceptance test (min_gain=nan)
+    for name in ("max_probes", "block_size", "sweeps"):
+        for bad in (2.5, 1.0, True, "2"):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a positive integer"):
+                BeamformingConfig(**{name: bad})
+    with pytest.raises(ValueError, match="min_gain"):
+        BeamformingConfig(min_gain=float("nan"))
+    BeamformingConfig(max_probes=np.int64(3), block_size=2, sweeps=1,
+                      min_gain=np.inf)
 
 
 def test_default_probes_skip_the_identity_turn():
@@ -610,8 +621,8 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
     slices = turned_slices(small_phases[l], rows, cols, steps)
     for s, model in enumerate(models):
         base = model.terms(small_phases)
-        terms = splice_ap(base, l, block_terms(
-            model, l, np.exp(1j * small_phases[l]), rows, cols,
+        terms = splice_ap(base, l, model.block_terms(
+            l, np.exp(1j * small_phases[l]), rows, cols,
             step_powers(steps, model.cfg.M)))
         for i in range(steps.size):
             patched = small_phases.copy()
@@ -645,8 +656,7 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
         assert obj.best[s] == worst[s] + (values[s, i] - worst[s])
         assert np.array_equal(obj.phases[s, l], slices[i])
         for part, new in zip(obj.parts, parts):
-            assert np.array_equal(part[s, ..., l],
-                                  new[..., s * steps.size + i])
+            assert np.array_equal(part[s, ..., l], new[s, ..., i])
     committed = [part.copy() for part in obj.parts]
     np.testing.assert_allclose(obj.set_phases(obj.phases),
                                values[[0, 1], first], rtol=1e-12, atol=0)
@@ -675,24 +685,92 @@ def test_group_search_equals_searches_alone(small_cfg, small_phases, tau_p):
         assert sum(row.accepted for _, trace in found for row in trace) > 0
 
 
-def test_group_of_different_drops_is_rejected(small_cfg, small_drop,
-                                              small_model, small_pilots,
-                                              small_phases):
+def test_batch_of_different_drops_equals_searches_alone(small_cfg,
+                                                       small_model,
+                                                       small_pilots,
+                                                       small_phases):
+    # each network reads its own drop and pilot map: two different drops,
+    # one drop under two pilot maps (UEs 0 and 1 swap), and drops whose UEs
+    # have one and two co-pilots (a padded batch map) are searched together
+    # as each is alone
     other_drop = generate_drop(small_cfg, 43)
     other = NetworkModel.from_drop(other_drop, allocate_pilots(other_drop))
-    with pytest.raises(ValueError, match="one drop"):
-        optimize_beamforming([small_model, other], small_phases)
-    # the same drop with another noise power is another network
-    noisy = replace(small_drop, cfg=small_cfg.replace(sigma2=1e-9))
-    with pytest.raises(ValueError, match="one drop"):
-        SumSeObjective(_pitch_group(small_drop)
-                       + [NetworkModel.from_drop(noisy, small_pilots)])
-    # and so is the same drop under another pilot map (UEs 0 and 1 swap)
     swapped = pilot_map(small_pilots.pilot_of[[1, 0, 2]],
                         small_cfg.pilot_powers(), small_cfg.tau_p)
     assert not np.array_equal(swapped.pilot_of, small_pilots.pilot_of)
-    with pytest.raises(ValueError, match="one drop"):
-        SumSeObjective([small_model, replace(small_model, pilots=swapped)])
+    assert not np.array_equal(other_drop.beta, small_model.drop.beta)
+    five = [generate_drop(small_cfg.replace(K=5, tau_p=3), seed)
+            for seed in (6, 7)]
+    copilots = [NetworkModel.from_drop(drop, allocate_pilots(drop))
+                for drop in five]
+    assert [model.pilots.pick.shape[-2] for model in copilots] == [1, 2]
+    for models in ([small_model, other],
+                   [small_model, replace(small_model, pilots=swapped)],
+                   copilots):
+        for decoder in se.DECODERS:
+            cfg = BeamformingConfig(decoder=decoder, sweeps=2)
+            found = optimize_beamforming(models, small_phases, cfg, rng=4)
+            assert len(found) == 2
+            for model, (out, trace) in zip(models, found):
+                [(ref_out, ref_trace)] = optimize_beamforming(
+                    [model], small_phases, cfg, rng=4)
+                assert np.array_equal(out, ref_out)
+                assert trace == ref_trace
+            assert found[0][1] != found[1][1]
+
+
+def test_batch_needs_equal_dimensions_and_noise(small_cfg, small_drop,
+                                                small_model, small_pilots,
+                                                small_phases):
+    # the same drop with another noise power is another network
+    noisy = replace(small_drop, cfg=small_cfg.replace(sigma2=1e-9))
+    with pytest.raises(ValueError, match="must share"):
+        SumSeObjective(_pitch_group(small_drop)
+                       + [NetworkModel.from_drop(noisy, small_pilots)])
+    # and a network of another UE count has no common batch
+    more_cfg = small_cfg.replace(K=4)
+    more = generate_drop(more_cfg, 42)
+    with pytest.raises(ValueError, match="must share"):
+        optimize_beamforming(
+            [small_model, NetworkModel.from_drop(more, allocate_pilots(more))],
+            small_phases)
+
+
+@pytest.mark.parametrize("failure", ["sinr", "estimation"])
+def test_failing_first_batch_slices_the_stacked_model(small_drop,
+                                                      small_phases,
+                                                      monkeypatch, failure):
+    # a failing batch makes each network try its probes alone on its slice
+    # of the search's one stacked model, and commit what its search alone
+    # commits
+    models = _pitch_group(small_drop)
+    cfg = BeamformingConfig(sweeps=2)
+    clean = optimize_beamforming(models, small_phases, cfg, rng=3)
+    first = next(row for row in clean[0][1] if row.accepted)
+    stacked, single = [], []
+    real_stack = NetworkModel.stack.__func__
+    real_probe = SumSeObjective._probe
+
+    def stack_spy(cls, members):
+        stacked.append(len(members))
+        return real_stack(cls, members)
+
+    def probe_spy(self, l, rows, cols, powers, model, nets):
+        single.append(nets != slice(None))
+        return real_probe(self, l, rows, cols, powers, model, nets)
+
+    monkeypatch.setattr(NetworkModel, "stack", classmethod(stack_spy))
+    monkeypatch.setattr(SumSeObjective, "_probe", probe_spy)
+    _corrupt_probe(monkeypatch, first.iteration, failure, models[0])
+    found = optimize_beamforming(models, small_phases, cfg, rng=3)
+    assert stacked == [2] and any(single)
+    for model, (out, trace) in zip(models, found):
+        [(alone, alone_trace)] = optimize_beamforming([model], small_phases,
+                                                      cfg, rng=3)
+        assert np.array_equal(out, alone) and trace == alone_trace
+    assert stacked == [2, 1, 1]
+    for (out, trace), (clean_out, clean_trace) in zip(found, clean):
+        assert np.array_equal(out, clean_out) and trace == clean_trace
 
 
 def test_probes_never_run_the_full_cascade(small_model, small_phases,
@@ -721,40 +799,43 @@ def test_probes_never_run_the_full_cascade(small_model, small_phases,
     [(_, trace)] = optimize_beamforming([small_model], small_phases, cfg,
                                         rng=2)
     assert len(trace) > 1 and len(builds) == 1
-    assert calls == [(True, small_phases.shape)]
+    assert calls == [(True, (1, *small_phases.shape))]
 
 
-def _corrupt_probe(monkeypatch, index, failure="sinr", d_meta=None):
-    """Make probe `index` of the first probe batch of the network at pitch
-    d_meta (the first network when None), and that phase slice wherever it
+def _corrupt_probe(monkeypatch, index, failure, network):
+    """Make probe `index` of the first probe batch of the network whose
+    stack is that of the model network, and that phasor slice wherever it
     is evaluated again in that network, fail: "sinr" gives it a negative
     interference term (its LoS cross terms |h_k^H h_j|^2, which dg sums),
     so its EGCD SINR denominator and its LSFD diagonal are nonpositive;
     "estimation" raises EstimationError while it is in the batch."""
-    real = NetworkGroup.block_terms
+    real = NetworkModel.block_terms
     target = []
 
     def block_terms(self, l, shifts, rows, cols, powers):
-        pitches = [model.cfg.d_meta for model in self.models]
-        pitch = pitches[0] if d_meta is None else d_meta
+        mine = [s for s in range(len(shifts))
+                if np.array_equal(self.dset.w_first[s], network.dset.w_first)
+                and np.array_equal(self.dset.w_layer[s],
+                                   network.dset.w_layer)]
         hit = []
-        if pitch in pitches:
-            net = pitches.index(pitch)
+        if mine:
+            net = mine[0]
             # each probe's phasor slice: the block's phasors times z
             slices = np.repeat(shifts[net][None], len(powers), axis=0)
             slices[:, rows, cols] *= powers[:, 1, None]
             if not target:
                 target.append(slices[index].copy())
-            hit = [net * len(slices) + i for i, s in enumerate(slices)
+            hit = [(net, i) for i, s in enumerate(slices)
                    if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
         terms = real(self, l, shifts, rows, cols, powers)
         cross = terms.cross.copy()
-        cross[..., hit] = -1e6 * np.abs(xi_of(terms)).max()
+        for net, i in hit:
+            cross[net, ..., i] = -1e6 * np.abs(xi_of(terms)).max()
         return replace(terms, cross=cross)
 
-    monkeypatch.setattr(NetworkGroup, "block_terms", block_terms)
+    monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
 
 
 def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
@@ -769,9 +850,9 @@ def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
         real_init(self, *args, **kwargs)
         objectives.append(self)
 
-    def probe_spy(self, l, rows, cols, powers, net):
-        single.append(net is not None)
-        return real_probe(self, l, rows, cols, powers, net)
+    def probe_spy(self, l, rows, cols, powers, model, nets):
+        single.append(nets != slice(None))
+        return real_probe(self, l, rows, cols, powers, model, nets)
 
     monkeypatch.setattr(SumSeObjective, "__init__", init_spy)
     monkeypatch.setattr(SumSeObjective, "_probe", probe_spy)
@@ -791,7 +872,7 @@ def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
     for failure in ("estimation", "sinr"):
         single.clear()
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration, failure)
+            _corrupt_probe(patch, first.iteration, failure, models[0])
             found = optimize_beamforming(models, small_phases, cfg, rng=3)
         assert any(single)
         check(found)
@@ -817,7 +898,7 @@ def test_failing_probe_past_the_accepted_one_is_never_raised(
         # probe first.iteration + 1 (index first.iteration) is never
         # evaluated
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration, failure)
+            _corrupt_probe(patch, first.iteration, failure, models[0])
             found = optimize_beamforming(models, small_phases, cfg, rng=3)
         for (out, trace), (clean_out, clean_trace) in zip(found, clean):
             assert np.array_equal(out, clean_out)
@@ -841,7 +922,6 @@ def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
         found = optimize_beamforming(models, small_phases, cfg, rng=3)
         first = next(row for row in found[-1][1] if row.accepted)
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration - 1, failure,
-                           models[-1].cfg.d_meta)
+            _corrupt_probe(patch, first.iteration - 1, failure, models[-1])
             with pytest.raises(error):
                 optimize_beamforming(models, small_phases, cfg, rng=3)

@@ -10,7 +10,7 @@ from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       sinr_terms)
 from simcf.sim_physics import step_powers
 
-from reference import (block_terms, candidate, cross_moment_estimates,
+from reference import (candidate, cross_moment_estimates,
                        denominator_matrices, omega_of, predicted_cross_moments,
                        r_all, sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
                        splice_ap, xi_of)
@@ -271,9 +271,8 @@ def candidate_stack(model, phases, l=1, n=5):
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases)
-    return splice_ap(base, l, block_terms(model, l, np.exp(1j * phases[l]),
-                                          rows, cols,
-                                          step_powers(steps, model.cfg.M)))
+    return splice_ap(base, l, model.block_terms(
+        l, np.exp(1j * phases[l]), rows, cols, step_powers(steps, model.cfg.M)))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model,

@@ -18,8 +18,8 @@ from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
 from simcf.sim_physics import step_powers
 
-from reference import (block_terms, build_estimation_state_solve, copilot_of,
-                       factors_loop, lsfd_weights_loop, omega_of,
+from reference import (build_estimation_state_solve, copilot_of, factors_loop,
+                       lsfd_weights_loop, omega_of,
                        sinr_coefficients_loop, sinr_parts_loop,
                        sinr_terms_einsum, term)
 
@@ -185,8 +185,8 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                block_terms(model, l, np.exp(1j * phases[l]), rows, cols,
-                            step_powers([step], cfg.M))
+                model.block_terms(l, np.exp(1j * phases[l]), rows, cols,
+                                  step_powers([step], cfg.M))
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -267,9 +267,9 @@ def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases,
     rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
     builds = {
         "full": small_model.terms(small_phases),
-        "block": block_terms(small_model, 1, np.exp(1j * small_phases[1]),
-                             rows, cols, step_powers(
-                                 np.arange(1, 6) * np.pi / 8, small_cfg.M)),
+        "block": small_model.block_terms(
+            1, np.exp(1j * small_phases[1]), rows, cols,
+            step_powers(np.arange(1, 6) * np.pi / 8, small_cfg.M)),
     }
     for label, terms in builds.items():
         arrays = _array_fields(terms)

@@ -1,24 +1,40 @@
 #!/usr/bin/env python3
-"""Digest gate: rows.csv of the working tree against those of a commit.
+"""Digest gate: the CSVs of the working tree against those of a commit.
 
 Runs `perfbench/run.py --digest` on every benchmark workload and seed, once
 with --src pointing at this tree's src/ and once at the src/ of a
-`git archive` of the commit, prints one table and exits 1 on any mismatch:
+`git archive` of the commit, and compares the SHA-256 of each round's
+rows.csv. No benchmark workload runs a one-network phase search or an opt
+scheme over several drops, so the gate also runs the CLI's
+`simcf table1 --drops 2` and `simcf fig3 --drops 3` at seeds 1-3 on each
+src and compares the SHA-256 of their rows.csv and aggregates.csv. It
+prints one table and exits 1 on any mismatch:
 
-    python3 tools/digests.py HEAD~1            # seeds 1-10
+    python3 tools/digests.py HEAD~1            # workload seeds 1-10
     python3 tools/digests.py 045ec7f --seeds 1 2 3
 
-Each run takes one untimed round, so the gate lasts about a minute.
+Each workload run takes one untimed round and each CLI run a few seconds,
+so the gate lasts a minute or two.
 """
 
 import argparse
+import hashlib
+import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 from checkout import ROOT, commit_src
 
 WORKLOADS = ("table1-opt", "fig3-closed-form", "mc-check")
+# (label, CLI arguments): multi-drop runs of the opt-full scheme
+CLI_RUNS = (("table1 --drops 2", ["table1", "--drops", "2"]),
+            ("fig3 --drops 3", ["fig3", "--drops", "3"]))
+CLI_SEEDS = (1, 2, 3)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def digest(src, workload, seed):
@@ -34,6 +50,22 @@ def digest(src, workload, seed):
     return found.group(1)
 
 
+def cli_digests(src, args, seed):
+    """{file name: SHA-256} of the rows.csv and aggregates.csv of one
+    `simcf` CLI run on src at seed, each the failure message on failure."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{var: "1" for var in BLAS_THREAD_VARS})
+    with tempfile.TemporaryDirectory() as out:
+        run = subprocess.run(
+            [sys.executable, "-m", "simcf.cli", *args, "--seed", str(seed),
+             "--out-dir", out], cwd=out, env=env, capture_output=True,
+            text=True)
+        return {name: (hashlib.sha256((Path(out) / name).read_bytes())
+                       .hexdigest() if run.returncode == 0
+                       else f"failed (exit {run.returncode})")
+                for name in ("rows.csv", "aggregates.csv")}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("commit", help="commit to compare against")
@@ -41,21 +73,32 @@ def main(argv=None):
                         default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
+    results = {"workload": [], "CLI": []}
+
+    def report(kind, label, seed, old, new):
+        same = old == new and not old.startswith("failed")
+        results[kind].append(same)
+        print(f"{label:<40}{seed:>5}  {old[:12]:<14}{new[:12]:<14}"
+              f"{'yes' if same else 'NO'}")
+
     with commit_src(args.commit) as old_src:
-        mismatches = 0
-        print(f"{'workload':<18}{'seed':>5}  {args.commit[:12]:<14}"
+        print(f"{'run':<40}{'seed':>5}  {args.commit[:12]:<14}"
               f"{'working tree':<14}same")
         for workload in WORKLOADS:
             for seed in args.seeds:
-                old = digest(old_src, workload, seed)
-                new = digest(ROOT / "src", workload, seed)
-                same = old == new and not old.startswith("failed")
-                mismatches += not same
-                print(f"{workload:<18}{seed:>5}  {old[:12]:<14}{new[:12]:<14}"
-                      f"{'yes' if same else 'NO'}")
-    total = len(WORKLOADS) * len(args.seeds)
-    print(f"{total - mismatches} of {total} digests equal")
-    return 1 if mismatches else 0
+                report("workload", workload, seed,
+                       digest(old_src, workload, seed),
+                       digest(ROOT / "src", workload, seed))
+        for label, cli_args in CLI_RUNS:
+            for seed in CLI_SEEDS:
+                old = cli_digests(old_src, cli_args, seed)
+                new = cli_digests(ROOT / "src", cli_args, seed)
+                for name in old:
+                    report("CLI", f"simcf {label} {name}", seed, old[name],
+                           new[name])
+    for kind, same in results.items():
+        print(f"{sum(same)} of {len(same)} {kind} digests equal")
+    return 0 if all(map(all, results.values())) else 1
 
 
 if __name__ == "__main__":
