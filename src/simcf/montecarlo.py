@@ -9,12 +9,21 @@
 # uatf_monte_carlo). No (batch, L, K, K) product tensor is formed, and each
 # weight set's features serve all its power vectors. The pilot map, pilot
 # powers, tau_p and sigma2 are read from the estimation state.
+#
+# A call makes one workspace (_Workspace): buffers for a full batch's
+# random numbers, features and estimate norms. Every batch draws and writes
+# into them, so no batch allocates (or faults in) arrays of its own size. A
+# partial last batch uses the buffers' fronts, each laid out as a fresh
+# array of its shape, so its arithmetic is that of a fresh array. Nothing
+# outlives the call.
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
+from .config import is_count
 from .estimation import (EstimationState, despread_pilot_noise, link_matvec,
                          mmse_estimate, scaled_complex)
 from .scenario import psd_sqrt
@@ -49,16 +58,21 @@ class _TrialSampler:
         self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
 
-    def numbers(self, batch):
-        """The random numbers of batch trials, in stream order: phases
-        (batch, L, K), the white draws' real and imaginary parts
-        (batch, L, K, U) and the pilot noise's (batch, L, T, U)."""
-        n_ap, n_ue, u = self.shape
-        normal = self.rng.standard_normal
-        return (self.rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue)),
-                normal((batch, n_ap, n_ue, u)), normal((batch, n_ap, n_ue, u)),
-                normal((batch, n_ap, self.n_pilots, u)),
-                normal((batch, n_ap, self.n_pilots, u)))
+    def numbers(self, out):
+        """Draws the random numbers of a batch of b trials into out, the
+        arrays of a workspace's numbers, in stream order: phases (b, L, K),
+        the white draws' real and imaginary parts (b, L, K, U) and the
+        pilot noise's (b, L, T, U); returns out. A draw into an array gives
+        the numbers a fresh draw of its shape would (the generator's fills
+        carry no state between calls), and the phases are uniform(-pi, pi)
+        as numpy forms it, -pi + 2 pi x of a standard uniform x."""
+        phase, *normals = out
+        self.rng.random(out=phase)
+        phase *= 2.0 * np.pi
+        phase -= np.pi
+        for x in normals:
+            self.rng.standard_normal(out=x)
+        return out
 
     def realize(self, numbers):
         """(channels, estimates), each (b, L, K, U), of the random numbers
@@ -68,8 +82,11 @@ class _TrialSampler:
         nlos = link_matvec(self.nlos_factor, scaled_complex(
             white_re, white_im, 1.0 / np.sqrt(2.0)))
         # h_bar e^{j phase}, one antenna at a time so that each product runs
-        # over all links at once
-        turn = np.exp(1j * phase)
+        # over all links at once; cos and sin written part by part equal
+        # exp(1j phase) without its complex temporary
+        turn = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=turn.real)
+        np.sin(phase, out=turn.imag)
         los = np.empty(nlos.shape, dtype=complex)
         for i in range(los.shape[-1]):
             np.multiply(self.state.h_bar[..., i], turn, out=los[..., i])
@@ -78,6 +95,34 @@ class _TrialSampler:
         h_hat = mmse_estimate(self.est, los, nlos, noise)
         los += nlos                                     # the channel
         return los, h_hat
+
+
+class _Workspace:
+    """Buffers for the arrays a batch of up to size trials under n_sets
+    weight sets fills: its random numbers (see _TrialSampler.numbers), its
+    features (n_sets, b, K, K + 3) and its squared estimate norms
+    (K, L, b). Every batch of a uatf_monte_carlo call refills the same
+    buffers."""
+
+    def __init__(self, sampler, size, n_sets):
+        self.dims = (*sampler.shape, sampler.n_pilots, n_sets)
+        self.buffers = [np.empty(math.prod(shape))
+                        for shape in self._shapes(size)]
+
+    def _shapes(self, b):
+        n_ap, n_ue, u, n_pilots, n_sets = self.dims
+        links, pilots = (b, n_ap, n_ue, u), (b, n_ap, n_pilots, u)
+        return ((b, n_ap, n_ue), links, links, pilots, pilots,
+                (n_sets, b, n_ue, n_ue + 3), (n_ue, n_ap, b))
+
+    def arrays(self, b):
+        """(numbers, features, norms) of b trials: the fronts of the
+        buffers, each laid out as a fresh C-contiguous array of its shape,
+        so a partial batch reuses the memory with unchanged arithmetic."""
+        *numbers, feats, vnorm = (
+            x[:math.prod(shape)].reshape(shape)
+            for x, shape in zip(self.buffers, self._shapes(b)))
+        return tuple(numbers), feats, vnorm
 
 
 def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
@@ -103,9 +148,11 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     batch fixes the random streams: each batch of trials draws all its
     random numbers at once (phases, white real and imaginary parts, pilot
     noise real and imaginary parts), so the results depend on batch but
-    not on how the arithmetic is split. A chunk of trials, sized to stay in
-    cache (_CHUNK_ELEMENTS), is the unit of arithmetic from the white draws
-    to the features. The nv features and the feature sums stay per batch:
+    not on how the arithmetic is split. The batches draw into the buffers
+    of one workspace of the call (_Workspace) and refill them; a partial
+    last batch takes their fronts. A chunk of trials, sized to stay in cache
+    (_CHUNK_ELEMENTS), is the unit of arithmetic from the white draws to
+    the features. The nv features and the feature sums stay per batch:
     the OpenBLAS gemv behind nv = |a|^2 @ norms rounds the edge columns of
     the norms (column count mod 8) apart from the others, and sums per
     chunk would add in another order, so either would make the results
@@ -119,7 +166,8 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     weight set reuses them. Each setting's result equals a call for that
     setting alone with the same rng, bit for bit.
     """
-    if n_trials < 2 or batch < 1:
+    if not (is_count(n_trials) and is_count(batch)) or n_trials < 2 \
+            or batch < 1:
         # one trial has a zero sample covariance, so no standard error
         raise ValueError(f"need n_trials >= 2 and batch >= 1, got "
                          f"n_trials={n_trials}, batch={batch}")
@@ -133,10 +181,11 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     dim = n_ue + 3
     acc1 = np.zeros((len(weights), n_ue, dim))
     acc2 = np.zeros((len(weights), n_ue, dim, dim))
+    work = _Workspace(sampler, min(batch, n_trials), len(weights))
     done = 0
     while done < n_trials:
         b = min(batch, n_trials - done)
-        sum1, sum2 = _batch_sums(sampler, b, weights)
+        sum1, sum2 = _batch_sums(sampler, *work.arrays(b), weights)
         acc1 += sum1
         acc2 += sum2
         done += b
@@ -149,18 +198,20 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
                         stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
 
 
-def _batch_sums(sampler, b, weights):
+def _batch_sums(sampler, numbers, feats, vnorm, weights):
     """Sums over the next b trials of the features (W, K, dim) and of their
-    outer products (W, K, dim, dim) under each of the weight sets (W, K, L).
-    The trials' random numbers are drawn at once and realized chunk by
-    chunk; the batch's arrays are freed on return, before the next draw."""
+    outer products (W, K, dim, dim) under each of the weight sets (W, K, L),
+    given a workspace's arrays of b trials: numbers, feats (W, b, K, dim)
+    and vnorm (K, L, b). The trials' random numbers are drawn at once into
+    numbers and realized chunk by chunk, each chunk writing its features
+    into feats and its squared estimate norms into vnorm, so no array of
+    the batch's size is allocated for them."""
     n_ap, n_ue, u = sampler.shape
-    numbers = sampler.numbers(b)
+    sampler.numbers(numbers)
+    b = vnorm.shape[-1]
     # weights on the estimate rows, repeated over U so that their product
     # with the rows runs over all links at once
     w_rows = np.repeat(weights.conj()[..., None], u, axis=-1)
-    feats = np.empty((len(weights), b, n_ue, n_ue + 3))
-    vnorm = np.empty((n_ue, n_ap, b))       # squared estimate norms
     chunk = max(1, _CHUNK_ELEMENTS // (n_ap * n_ue * u))
     for start in range(0, b, chunk):
         part = slice(start, start + chunk)

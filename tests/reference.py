@@ -65,7 +65,8 @@ from simcf import se
 from simcf.channel import ChannelState
 from simcf.estimation import EstimationError, despread_pilot_noise
 from simcf.experiments import MISSING, _drop_seed
-from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
+from simcf.montecarlo import (_delta_method, _TrialSampler, _Workspace,
+                              uatf_monte_carlo)
 from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
                             _feasible_powers, allocate_pilots,
                             optimize_beamforming)
@@ -438,8 +439,9 @@ def draw_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
 
 def draw(sampler, batch):
     """(channels, estimates) of batch trials of a montecarlo._TrialSampler,
-    realized at once."""
-    return sampler.realize(sampler.numbers(batch))
+    drawn into a fresh workspace and realized at once."""
+    numbers, _, _ = _Workspace(sampler, batch, 1).arrays(batch)
+    return sampler.realize(sampler.numbers(numbers))
 
 
 def draw_einsum(sampler, batch, pilot_of, p_hat, tau_p, sigma2):

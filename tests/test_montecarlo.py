@@ -8,7 +8,7 @@ from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
                    uatf_monte_carlo)
 from simcf.channel import ChannelState
 from simcf.estimation import build_estimation_state, mmse_estimate, pilot_map
-from simcf.montecarlo import _delta_method, _TrialSampler
+from simcf.montecarlo import _delta_method, _TrialSampler, _Workspace
 from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights, sinr_coefficients
 
@@ -241,7 +241,11 @@ def test_delta_method_matches_per_setting_loop():
 
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(n_trials=-5),
                                     dict(n_trials=100, batch=0),
-                                    dict(n_trials=1)])
+                                    dict(n_trials=1),
+                                    dict(n_trials=float("inf")),
+                                    dict(n_trials=2.5),
+                                    dict(n_trials=100, batch=2.5),
+                                    dict(n_trials=100, batch=True)])
 def test_degenerate_trial_counts_rejected(small_model, small_phases,
                                           small_terms, kwargs):
     state, est = small_model.states(small_phases)
@@ -320,6 +324,72 @@ def test_chunks_equal_batch_at_once_oracle(u, chunk, monkeypatch):
     assert np.array_equal(mc.stderr, stderr)
 
 
+@pytest.mark.parametrize("n_trials", [40, 128])
+def test_workspace_batches_equal_batch_at_once_oracle(n_trials):
+    # fewer trials than one batch of 64 (the call's only workspace holds
+    # 40 trials) and an exact multiple of it (two batches refill one
+    # workspace); a second call on a fresh generator inherits nothing
+    cfg = SystemConfig(L=3, K=3, U=2, M=2, N=9, tau_p=2)
+    model, _, state, est, terms = _network(cfg, 22)
+    p, weights = _complex_settings(model, terms)
+    gamma, stderr = uatf_monte_carlo_batch(state, est, p, weights, n_trials,
+                                           rng=np.random.default_rng(5),
+                                           batch=64)
+    for _ in range(2):
+        mc = uatf_monte_carlo(state, est, p, weights, n_trials,
+                              rng=np.random.default_rng(5), batch=64)
+        assert np.array_equal(mc.gamma, gamma)
+        assert np.array_equal(mc.stderr, stderr)
+
+
+def test_numbers_drawn_into_workspace_continue_the_stream(small_model,
+                                                          small_phases):
+    # batches of 64, 64 (refilling the workspace) and 22 (the fronts of its
+    # buffers, C-contiguous like fresh arrays) take the numbers fresh draws
+    # of a twin generator give, in the documented order: phases, white real
+    # and imaginary parts, pilot noise real and imaginary parts
+    state, est = small_model.states(small_phases)
+    sampler = _TrialSampler(state, est, np.random.default_rng(12))
+    twin = np.random.default_rng(12)
+    n_ap, n_ue, u = sampler.shape
+    links, pilots = (n_ap, n_ue, u), (n_ap, sampler.n_pilots, u)
+    work = _Workspace(sampler, 64, 1)
+    for b in (64, 64, 22):
+        got = sampler.numbers(work.arrays(b)[0])
+        want = (twin.uniform(-np.pi, np.pi, size=(b, n_ap, n_ue)),
+                twin.standard_normal((b, *links)),
+                twin.standard_normal((b, *links)),
+                twin.standard_normal((b, *pilots)),
+                twin.standard_normal((b, *pilots)))
+        assert len(got) == len(want)
+        for x, y, buffer in zip(got, want, work.buffers):
+            assert x.shape == y.shape
+            assert x.flags.c_contiguous and np.shares_memory(x, buffer)
+            assert np.array_equal(x, y)
+
+
+def test_los_phasors_equal_exp_of_phases():
+    # the sampler writes e^{j phase} as cos and sin into the real and
+    # imaginary parts; the digests and the batch oracle rely on that
+    # being np.exp(1j * phase) bit for bit. With h_bar = 1 and zero
+    # white and noise draws each channel is its phasor.
+    n_ap, n_ue, b = 4, 5, 2000
+    state = ChannelState(h_bar=np.ones((n_ap, n_ue, 1), dtype=complex),
+                         s=np.ones((n_ap, 1, 1), dtype=complex),
+                         beta_nlos=np.full((n_ap, n_ue), 1e-9))
+    est = build_estimation_state(
+        state, pilot_map(np.arange(n_ue) % 2, np.full(n_ue, 0.2), 2), 1e-12)
+    sampler = _TrialSampler(state, est, 0)
+    drawn = sampler.numbers(_Workspace(sampler, b, 1).arrays(b)[0])[0]
+    wide = np.random.default_rng(1).uniform(-50.0, 50.0, drawn.shape)
+    for phase in (drawn, wide):
+        white = np.zeros((b, n_ap, n_ue, 1))
+        noise = np.zeros((b, n_ap, sampler.n_pilots, 1))
+        h, _ = sampler.realize((phase, white, white, noise, noise))
+        assert np.array_equal(h[..., 0], np.exp(1j * phase)), (
+            "cos/sin phasors differ from np.exp(1j * phase) on this platform")
+
+
 def test_one_feature_pass_per_weight_set(small_model, small_phases,
                                          small_cfg, small_terms,
                                          monkeypatch):
@@ -351,12 +421,15 @@ def test_one_feature_pass_per_weight_set(small_model, small_phases,
 def test_sampler_batch_memory_bounded():
     # Two full batches and a partial one of a paper-default drop, traced:
     # the peak allocation is a fixed multiple of one (b, L, K, U) complex
-    # array. A batch holds its random numbers (2.05 of them at tau_p = 4),
-    # its features and estimate norms (0.45) and the temporaries of one
-    # chunk, and frees them all before the next batch is drawn: 2.87. The
-    # bound adds about ten more chunk-sized temporaries. Realizing a whole
-    # batch at once peaked at 5.84 for one batch and 9.04 for these three,
-    # since a batch's arrays lived on while the next one was drawn.
+    # array. The call's workspace holds one batch's random numbers (2.05 of
+    # them at tau_p = 4), features and estimate norms (0.45); the full
+    # batches refill it, and the partial one takes the fronts of its
+    # buffers. With the temporaries of one chunk the peak is 2.90, as it
+    # was when each batch allocated its own arrays and freed them before
+    # the next draw. The bound adds about ten more chunk-sized
+    # temporaries. Realizing a whole batch at once peaked at 5.84 for one
+    # batch and 9.04 for these three, since a batch's arrays lived on while
+    # the next one was drawn.
     cfg = SystemConfig()
     model, pilot_of, state, est, terms = _network(cfg, 1)
     b = 4096

@@ -8,7 +8,11 @@ rows.csv. No benchmark workload runs a one-network phase search or an opt
 scheme over several drops, so the gate also runs the CLI's
 `simcf table1 --drops 2` and `simcf fig3 --drops 3` at seeds 1-3 on each
 src and compares the SHA-256 of their rows.csv and aggregates.csv. It
-prints one table and exits 1 on any mismatch:
+always runs `simcf validate` (seed 0) on each src as well and compares its
+three printed lines, so the closed-form-vs-Monte-Carlo check must report
+the same worst |z| (and the other two checks the same figures); the table
+shows each line's status and leading figure. It prints one table and exits
+1 on any mismatch:
 
     python3 tools/digests.py HEAD~1            # workload seeds 1-10
     python3 tools/digests.py 045ec7f --seeds 1 2 3
@@ -33,6 +37,9 @@ WORKLOADS = ("table1-opt", "fig3-closed-form", "mc-check")
 CLI_RUNS = (("table1 --drops 2", ["table1", "--drops", "2"]),
             ("fig3 --drops 3", ["fig3", "--drops", "3"]))
 CLI_SEEDS = (1, 2, 3)
+# the checks `simcf validate` prints, one line each
+VALIDATE_CHECKS = ("pilot-system-residual", "closed-form-vs-monte-carlo",
+                   "decoder-dominance")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -66,6 +73,25 @@ def cli_digests(src, args, seed):
                 for name in ("rows.csv", "aggregates.csv")}
 
 
+def validate_lines(src):
+    """{check name: printed line} of `simcf validate` (seed 0) on src; a
+    check that printed no line maps to the failure message."""
+    env = dict(os.environ, PYTHONPATH=str(src),
+               **{var: "1" for var in BLAS_THREAD_VARS})
+    run = subprocess.run([sys.executable, "-m", "simcf.cli", "validate"],
+                         env=env, capture_output=True, text=True)
+    lines = {m.group(1): m.group(0) for m in re.finditer(
+        r"^(?:PASS|FAIL) ([\w-]+): .*$", run.stdout, re.M)}
+    return {name: lines.get(name, f"failed (exit {run.returncode})")
+            for name in VALIDATE_CHECKS}
+
+
+def _status_and_figure(line):
+    """'PASS 2.09' of a validate line: its status and first figure."""
+    figure = re.search(r": [^\d-]*(-?\d\S*)", line)
+    return f"{line[:4]} {figure.group(1)}" if figure else line[:12]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("commit", help="commit to compare against")
@@ -73,17 +99,17 @@ def main(argv=None):
                         default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
-    results = {"workload": [], "CLI": []}
+    results = {"workload": [], "CLI": [], "validate": []}
 
-    def report(kind, label, seed, old, new):
+    def report(kind, label, seed, old, new, shown=lambda x: x[:12]):
         same = old == new and not old.startswith("failed")
         results[kind].append(same)
-        print(f"{label:<40}{seed:>5}  {old[:12]:<14}{new[:12]:<14}"
+        print(f"{label:<40}{seed:>5}  {shown(old):<16}{shown(new):<16}"
               f"{'yes' if same else 'NO'}")
 
     with commit_src(args.commit) as old_src:
-        print(f"{'run':<40}{'seed':>5}  {args.commit[:12]:<14}"
-              f"{'working tree':<14}same")
+        print(f"{'run':<40}{'seed':>5}  {args.commit[:12]:<16}"
+              f"{'working tree':<16}same")
         for workload in WORKLOADS:
             for seed in args.seeds:
                 report("workload", workload, seed,
@@ -96,8 +122,13 @@ def main(argv=None):
                 for name in old:
                     report("CLI", f"simcf {label} {name}", seed, old[name],
                            new[name])
+        old, new = validate_lines(old_src), validate_lines(ROOT / "src")
+        for name in VALIDATE_CHECKS:
+            report("validate", f"validate {name}", 0, old[name],
+                   new[name], shown=_status_and_figure)
     for kind, same in results.items():
-        print(f"{sum(same)} of {len(same)} {kind} digests equal")
+        what = "lines" if kind == "validate" else "digests"
+        print(f"{sum(same)} of {len(same)} {kind} {what} equal")
     return 0 if all(map(all, results.values())) else 1
 
 
