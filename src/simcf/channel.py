@@ -4,8 +4,12 @@
 # every (AP, UE) link for a phase tensor, or of one AP under every probe of
 # a block of its atoms, for one network or a batch of networks on a leading
 # axis, each with its own drop and stack. A block state takes the AP's
-# unit phasors, which the phase search keeps, and the step powers it forms
-# once, so a probe batch runs no exp over the AP's phases or its steps.
+# unit phasors, which the phase search keeps, the step powers and their
+# pair products (ProbePowers), which it forms once, and the AP's LoS
+# amplitudes and NLoS gains, which it forms once per AP visit, so a probe
+# batch runs no exp over the AP's phases or its steps and forms nothing
+# its probes do not change. The block's Gram takes the real output-grid
+# correlation as one real product on the float view of the coefficients.
 
 from dataclasses import dataclass
 
@@ -13,7 +17,7 @@ import numpy as np
 
 from .scenario import Drop
 from .sim_physics import (DiffractionSet, SimGeometry, block_cascade_coeffs,
-                          cascade_through_antennas)
+                          cascade_through_antennas, step_powers)
 
 
 @dataclass(frozen=True)
@@ -69,42 +73,72 @@ def build_channel_state(drop: Drop, dset: DiffractionSet, phases, base_corr,
     return ChannelState(h_bar=h_bar, s=s, beta_nlos=drop.beta_nlos)
 
 
-def block_channel_state(drop: Drop, dset: DiffractionSet, l, shifts, rows, cols,
-                        powers, base_corr, steering) -> ChannelState:
-    """Statistics of AP l under each probe of one block, in every network
+@dataclass(frozen=True)
+class ProbePowers:
+    """The probes of a block as block_channel_state reads them: the step
+    powers z (B, degree + 1), z[b, d] = e^{j d step_b} (sim_physics.
+    step_powers), and for each block degree D = 0..degree the products
+    pairs[D] (B, 1, (D + 1)^2), conj(z^d') z^d in the order of d' then d,
+    that weigh the Gram of the cascade polynomial. A phase search forms
+    them once for its steps (probe_powers); a slice selects probes."""
+    z: np.ndarray
+    pairs: tuple
+
+    def __len__(self):
+        return len(self.z)
+
+    def __getitem__(self, probes):
+        return ProbePowers(z=self.z[probes],
+                           pairs=tuple(p[probes] for p in self.pairs))
+
+
+def probe_powers(steps, degree) -> ProbePowers:
+    """The ProbePowers of steps (B,) up to degree, the layer count M being
+    the largest degree a block can reach."""
+    z = step_powers(steps, degree)
+    return ProbePowers(z=z, pairs=tuple(
+        (z.conj()[:, :n, None] * z[:, None, :n]).reshape(-1, 1, n * n)
+        for n in range(1, degree + 2)))
+
+
+def block_channel_state(dset: DiffractionSet, shifts, rows, cols,
+                        powers: ProbePowers, base_corr, amp,
+                        beta_nlos) -> ChannelState:
+    """Statistics of one AP under each probe of one block, in every network
     of a batch.
 
-    Probe b turns the atoms (rows, cols) of AP l by step_b; shifts
-    (..., M, N) are the unit phasors e^{j phi} of AP l's phases and powers
-    (B, >= D + 1) the step powers e^{j d step_b} (sim_physics.step_powers;
-    the first D + 1 columns are read, D the number of distinct layers in
-    rows). Leading axes of shifts, of the drop's arrays, of the matrices of
-    dset, of base_corr and of steering are network axes, which share the
-    block and the steps. The state keeps them leading, with the probes on
-    the AP axis: h_bar (..., B, K, U) and s (..., B, U, U); beta_nlos is AP
-    l's one row (..., 1, K), which broadcasts against the probes. With the
-    cascade t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
-    s(z) = t^H base_corr t is the Laurent polynomial
+    Probe b turns the atoms (rows, cols) of the AP by step_b; shifts
+    (..., M, N) are the unit phasors e^{j phi} of the AP's phases, powers
+    the ProbePowers of the steps (up to at least the number D of distinct
+    layers in rows), amp (..., K, N) the AP's LoS amplitudes
+    sqrt(beta_los_k) times the unit steering toward UE k and beta_nlos
+    (..., 1, K) its one row of NLoS gains. Leading axes of shifts, of the
+    matrices of dset, of base_corr (real), of amp and of beta_nlos are
+    network axes, which share the block and the steps. The state keeps
+    them leading, with the probes on the AP axis: h_bar (..., B, K, U) and
+    s (..., B, U, U); beta_nlos, (..., 1, K), broadcasts against the
+    probes. With the cascade t(z) = sum_d c_d z^d (block_cascade_coeffs)
+    at z = e^{j step}, s(z) = t^H base_corr t is the Laurent polynomial
     sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
     sum_d conj(z^d) amp conj(c_d): the coefficient products are formed once
-    per block and network and each probe costs only their weighted sums,
-    which run on their own, so a row equals a one-network, one-probe call
-    bit for bit.
+    per block and network (base_corr times the coefficients as one real
+    product on their float view) and each probe costs only their weighted
+    sums, which run on their own, so a row equals a one-network, one-probe
+    call bit for bit.
     """
     c = block_cascade_coeffs(dset, shifts, rows, cols)    # (..., D+1, N, U)
     *lead, n_coef, n_atoms, u = c.shape
-    n_ue = steering.shape[-2]
+    n_ue = amp.shape[-2]
     flat = c.swapaxes(-3, -2).reshape(*lead, n_atoms, n_coef * u)
-    gram = flat.conj().swapaxes(-1, -2) @ (base_corr @ flat)
+    flat_conj = flat.conj()
+    corr_flat = (base_corr @ flat.view(float)).view(complex)
+    gram = flat_conj.swapaxes(-1, -2) @ corr_flat
     gram = gram.reshape(*lead, n_coef, u, n_coef, u).swapaxes(-3, -2)
     gram = gram.reshape(*lead, 1, n_coef * n_coef, u * u)
-    amp = np.sqrt(drop.beta_los[..., l, :, None]) * steering[..., l, :, :]
-    mean = (amp @ flat.conj()).reshape(*lead, n_ue, n_coef, u)
+    mean = (amp @ flat_conj).reshape(*lead, n_ue, n_coef, u)
     mean = mean.swapaxes(-3, -2).reshape(*lead, 1, n_coef, n_ue * u)
-    z = np.asarray(powers)[:, :n_coef]                        # (B, D+1)
-    pairs = (z.conj()[:, :, None] * z[:, None, :]).reshape(-1, 1, n_coef ** 2)
-    proj = (pairs @ gram).reshape(*lead, -1, u, u)
+    proj = (powers.pairs[n_coef - 1] @ gram).reshape(*lead, -1, u, u)
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-    h_bar = (z.conj()[:, None, :] @ mean).reshape(*lead, -1, n_ue, u)
-    return ChannelState(h_bar=h_bar, s=s,
-                        beta_nlos=drop.beta_nlos[..., l, None, :])
+    h_bar = (powers.z[:, :n_coef].conj()[:, None, :] @ mean).reshape(
+        *lead, -1, n_ue, u)
+    return ChannelState(h_bar=h_bar, s=s, beta_nlos=beta_nlos)

@@ -3,9 +3,9 @@
 # covariance is r_lk = beta_lk s_l, so the pilot-domain covariance of each
 # (AP, pilot), psi_lt = load_lt s_l + sigma2 I, shares the eigenvectors of
 # s_l: one eigendecomposition s_l = V diag(eig) V^H per AP diagonalises
-# every link's pilot system at once. With U = 2 antennas it is taken in
+# every link's pilot system at once. With U = 1 or 2 antennas it is taken in
 # closed form (hermitian_eigh), since a phase search diagonalises a stack of
-# one 2 x 2 matrix per probe and LAPACK's cost is then its per-matrix
+# one tiny matrix per probe and LAPACK's cost is then its per-matrix
 # overhead; every other U goes to np.linalg.eigh. psi_lt has the eigenvalues
 # den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
 # beta_lk V diag(eig / den) V^H and the estimate covariance
@@ -161,50 +161,68 @@ def hermitian_eigh(s):
     complement. A multiple of the identity (h = b = 0, the zero matrix
     included) gets the identity basis. A column may differ from LAPACK's
     by a unit phase, which the estimation state never sees: it uses the
-    basis only through basis diag(.) basis^H and |basis^H x|. Every other
-    U goes to np.linalg.eigh.
+    basis only through basis diag(.) basis^H and |basis^H x|. U = 1 is
+    the real part of the one entry with the basis 1, LAPACK's one-by-one
+    result. Every other U goes to np.linalg.eigh.
     """
+    if s.shape[-1] == 1:
+        return (s[..., 0].real.copy(),
+                np.ones(s.shape, dtype=np.result_type(s.dtype, float)))
     if s.shape[-1] != 2:
         return np.linalg.eigh(s)
     a, d = s[..., 0, 0].real, s[..., 1, 1].real
     b = s[..., 1, 0]
     half = 0.5 * (a - d)
-    radius = np.hypot(half, np.abs(b))
+    size = np.abs(b)
+    radius = np.hypot(half, size)
     mid = 0.5 * (a + d)
-    eig = np.stack([mid - radius, mid + radius], axis=-1)
+    eig = np.empty((*mid.shape, 2))
+    np.subtract(mid, radius, out=eig[..., 0])
+    np.add(mid, radius, out=eig[..., 1])
     lead = np.abs(half) + radius
-    norm = np.hypot(lead, np.abs(b))
-    scalar = norm == 0.0                     # h = b = 0: identity basis
-    u = np.where(scalar, 1.0, lead) / np.where(scalar, 1.0, norm)
-    w = b / np.where(scalar, 1.0, norm)
+    norm = np.hypot(lead, size)
+    if not norm.all():                       # h = b = 0: identity basis
+        scalar = norm == 0.0
+        lead = np.where(scalar, 1.0, lead)
+        norm = np.where(scalar, 1.0, norm)
+    u = lead / norm
+    w = b / norm
+    wc = w.conj()
     first = half > 0.0                       # a > d
     basis = np.empty(s.shape, dtype=np.result_type(s.dtype, float))
-    basis[..., 0, 0] = np.where(first, -w.conj(), u)
+    basis[..., 0, 0] = np.where(first, -wc, u)
     basis[..., 1, 0] = np.where(first, u, -w)
-    basis[..., 0, 1] = np.where(first, u, w.conj())
+    basis[..., 0, 1] = np.where(first, u, wc)
     basis[..., 1, 1] = np.where(first, w, u)
     return eig, basis
 
 
+def pilot_load(beta_nlos, pilots: PilotMap):
+    """The pilot-domain load tau_p sum_j p_hat_j beta_lj over each pilot's
+    UEs, (..., L, P), of the NLoS gains (..., L, K)."""
+    return pilots.tau_p * (beta_nlos * pilots.p_hat) @ pilots.members
+
+
 def build_estimation_state(state: ChannelState, pilots: PilotMap,
-                           sigma2) -> EstimationState:
+                           sigma2, load=None) -> EstimationState:
     """Estimation statistics for all links under a pilot map, or for a
     batch of drops: a state with a leading drop axis and the map of their
     assignments (D, K).
 
     One stacked eigendecomposition of the per-AP correlations s
-    (hermitian_eigh: closed form for U = 2, LAPACK otherwise) gives the
-    pilot covariance of every (AP, pilot) on the eigenbasis of its AP: the
-    pilot-domain load tau_p sum_j p_hat_j beta_lj over the pilot's UEs times
-    eig, plus sigma2. A block state's one row of NLoS gains (1, K) gives one
-    load, which broadcasts over its probes. Raises EstimationError when an
+    (hermitian_eigh: closed form for U = 1 and 2, LAPACK otherwise) gives
+    the pilot covariance of every (AP, pilot) on the eigenbasis of its AP:
+    the pilot load of the state's NLoS gains (pilot_load, formed here
+    unless given) times eig, plus sigma2. A block state's one row of NLoS
+    gains (1, K) gives one load, which broadcasts over its probes; a phase
+    search forms it once per AP visit. Raises EstimationError when an
     eigenvalue of a pilot covariance in use is not > 0 (psi singular or
     indefinite). Its condition is logged once per build when DEBUG logging
     is on.
     """
     eig, basis = hermitian_eigh(state.s)
-    load = (pilots.tau_p * (state.beta_nlos * pilots.p_hat)
-            @ pilots.members)                                        # (L, P)
+    if load is None:
+        load = pilot_load(state.beta_nlos, pilots)                   # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
     if not den.min() > 0:
         *at, t = np.argwhere(~(den.min(axis=-1) > 0))[0]

@@ -6,12 +6,15 @@
 # with its own drop, pilot map and stack. A probe block does only what its
 # probes change: the search keeps the unit phasors of its phases, rewrites
 # only the turned atoms on an accept, forms the step powers e^{j d step}
-# once and builds the turned AP alone from the block's cascade polynomial
-# (channel.block_channel_state). The power control is a bisection whose
-# midpoints are decided by the closed-form Perron-Frobenius optimum, a
-# linear solve deciding only those within a guard band of it, so it
-# returns what solving every midpoint returns. Pilot allocation and power
-# control run on the leading drop (or setting) axis of a batch in one pass.
+# and their pair products once, forms what every block of an AP reads
+# (the AP's LoS amplitudes, pilot load and gain products: pipeline.
+# BlockContext) once per AP visit, and builds the turned AP alone from the
+# block's cascade polynomial (channel.block_channel_state). The power
+# control is a bisection whose midpoints are decided by the closed-form
+# Perron-Frobenius optimum, a linear solve deciding only those within a
+# guard band of it, so it returns what solving every midpoint returns.
+# Pilot allocation and power control run on the leading drop (or setting)
+# axis of a batch in one pass.
 
 import bisect
 import contextlib
@@ -22,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se
+from .channel import probe_powers
 from .config import is_count
 from .estimation import EstimationError, PilotMap, pilot_map
 from .pipeline import NetworkModel
 from .scenario import Drop
-from .sim_physics import step_powers, wrap_phases
+from .sim_physics import wrap_phases
 
 log = logging.getLogger(__name__)
 
@@ -154,15 +158,19 @@ class SumSeObjective:
     equals np.exp(1j * phases) bit for bit; set_phases forms it and a
     commit rewrites only the atoms it turns. probe turns a block of AP l's
     atoms by each of B steps in every network and evaluates the S B probes
-    as one batch: AP l's terms under every probe (NetworkModel.block_terms,
-    at step powers formed once per distinct steps array, so once per
-    search) and their parts, each added to its network's sums of the parts
-    over the other APs (formed once per AP pass), from which the SINR
-    follows (se.sinr_from_parts: the Woodbury Rayleigh quotient under
-    LSFD, the all-ones weighting under EGCD). improve commits in each
-    network the first probe that beats its best by writing its column into
-    AP l's parts. Every network's values are those of a search on that
-    network alone, bit for bit.
+    as one batch: AP l's terms under every probe (NetworkModel.block_terms)
+    and their parts, each added to its network's sums of the parts over
+    the other APs, from which the SINR follows (se.sinr_from_parts: the
+    Woodbury Rayleigh quotient under LSFD, the all-ones weighting under
+    EGCD). What a block reads that no probe changes is formed apart from
+    the blocks: the step powers and their pair products (channel.
+    probe_powers) once per distinct steps array, so once per search; the
+    coherent scales of the parts (se.coherent_scale) once; and AP l's
+    block context (NetworkModel.block_context) and its other-AP sums once
+    per AP visit, again after set_phases. improve commits in each network
+    the first probe that beats its best by writing its column into AP l's
+    parts. Every network's values are those of a search on that network
+    alone, bit for bit.
     """
 
     def __init__(self, models, decoder="lsfd"):
@@ -172,20 +180,23 @@ class SumSeObjective:
         self.p = self.model.drop.p
         self.decoder = decoder
         self.phases = self.shifts = self.parts = self.best = None
-        self._others = self._powers = None
+        self._scale = se.coherent_scale(self.model.pilots,
+                                        np.asarray(self.p, dtype=float))
+        self._others = self._context = self._powers = None
 
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
-        self.parts = list(self._parts(self.model.terms(self.phases)))
+        self.parts = list(self._parts(self.model.terms(self.phases),
+                                      self._scale))
         # after the build, which holds every network's temporaries at once
         self.shifts = np.exp(1j * self.phases)
-        self._others = None
+        self._others = self._context = None
         self.best = self._sum_se([part.sum(axis=-1) for part in self.parts])
         return self.best.copy()
 
-    def _parts(self, terms):
-        return se.sinr_parts(terms, self.decoder, self.p)
+    def _parts(self, terms, scale):
+        return se.sinr_parts(terms, self.decoder, self.p, scale)
 
     def _sum_se(self, sums):
         gamma = se.sinr_from_parts(sums, self.decoder, self.p)
@@ -201,11 +212,20 @@ class SumSeObjective:
                                 for part in self.parts])
         return self._others[1]
 
+    def _block_context(self, l, n_probes):
+        """AP l's block context for n_probes probes in every network,
+        formed again only for another AP or probe count."""
+        if self._context is None or self._context[:2] != (l, n_probes):
+            self._context = (l, n_probes,
+                             self.model.block_context(l, n_probes))
+        return self._context[2]
+
     def _step_powers(self, steps):
-        """sim_physics.step_powers of steps up to degree M, formed again
-        only when steps differ from the last ones."""
-        if self._powers is None or not np.array_equal(self._powers[0], steps):
-            self._powers = (steps.copy(), step_powers(steps, self.cfg.M))
+        """channel.probe_powers of steps up to degree M, formed again only
+        when steps differ from the last ones."""
+        key = steps.tobytes()
+        if self._powers is None or self._powers[0] != key:
+            self._powers = (key, probe_powers(steps, self.cfg.M))
         return self._powers[1]
 
     def probe(self, l, rows, cols, steps, net=None):
@@ -220,10 +240,15 @@ class SumSeObjective:
                            nets)
 
     def _probe(self, l, rows, cols, powers, model, nets):
-        """probe at the step powers (B, M + 1) of its steps, of the networks
-        nets (a slice) whose model is model."""
-        parts = self._parts(model.block_terms(
-            l, self.shifts[nets, l], rows, cols, powers))
+        """probe at the ProbePowers of its steps, of the networks nets (a
+        slice) whose model is model. A slice of the networks reads its
+        slice of the context, and its parts take the coherent scales of its
+        own pilot map, as a search of those networks alone does."""
+        context = self._block_context(l, len(powers))
+        whole = nets == slice(None)
+        terms = model.block_terms(context if whole else context.at(nets),
+                                  self.shifts[nets, l], rows, cols, powers)
+        parts = self._parts(terms, self._scale if whole else None)
         sums = [other[nets] + new
                 for other, new in zip(self._other_sums(l), parts)]
         # the networks and probes first, as candidates of sinr_from_parts
@@ -270,19 +295,25 @@ class SumSeObjective:
     def _commit(self, nets, l, rows, cols, steps, min_gain, values, parts):
         """Commit the first probe of each of the networks nets (a slice)
         whose value (values[j] for its j-th network) clears its best;
-        returns their indices."""
+        returns their indices. Each winning network writes its probe's
+        column of the parts, its turned phases and phasors (on its AP's
+        (M, N) slice) and its best through basic indexing, with no fancy
+        index over the network axis."""
         better = values - self.best[nets, None] > min_gain
         hits = np.where(better.any(axis=1), better.argmax(axis=1), -1)
-        won = np.flatnonzero(hits >= 0)
-        if won.size:      # every winning network at once, elementwise
-            s, i = np.arange(self.n_nets)[nets][won], hits[won]
+        first = nets.indices(self.n_nets)[0]
+        for j, i in enumerate(hits.tolist()):
+            if i < 0:
+                continue
+            s = first + j
             for part, new in zip(self.parts, parts):
-                part[s, ..., l] = new[won, ..., i]
-            at = (s[:, None], l, rows, cols)
-            turned = wrap_phases(self.phases[at] + steps[i, None])
-            self.phases[at] = turned
-            self.shifts[at] = np.exp(1j * turned)
-            self.best[s] += values[won, i] - self.best[s]
+                part[s, ..., l] = new[j, ..., i]
+            phases = self.phases[s, l]
+            turned = wrap_phases(phases[rows, cols] + steps[i])
+            phases[rows, cols] = turned
+            self.shifts[s, l][rows, cols] = np.exp(1j * turned)
+            best = self.best[s]
+            self.best[s] = best + (values[j, i] - best)
         return hits
 
 

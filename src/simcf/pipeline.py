@@ -5,21 +5,46 @@
 # a batch of networks on a leading axis, each with its own drop, pilot map
 # and stack. The drops of a sweep value share their stack as a zero-copy
 # view; the networks of a phase search are stacked. Heavy fixed pieces are
-# computed once: the base correlation per stack, the steering per drop.
+# computed once: the base correlation per stack (real), the steering per
+# drop. A probe block of one AP runs the same chain on the AP's block
+# state, with what no probe changes (the AP's LoS amplitudes, pilot load
+# and gain products: BlockContext) formed once per AP visit and passed in.
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import se
-from .channel import (ChannelState, block_channel_state, build_channel_state,
-                      steering_units)
+from .channel import (ChannelState, ProbePowers, block_channel_state,
+                      build_channel_state, steering_units)
 from .config import SystemConfig
 from .estimation import (EstimationState, PilotMap, build_estimation_state,
-                         pilot_map)
+                         pilot_load, pilot_map)
 from .scenario import Drop
 from .sim_physics import (DiffractionSet, base_correlation,
                           random_phase_tensor, stack_for)
+
+
+@dataclass(frozen=True)
+class BlockContext:
+    """What every probe block of AP ap reads that its probes do not change,
+    for B probes in every network of a model (NetworkModel.block_context):
+    the AP's LoS amplitudes amp = sqrt(beta_los) times the unit steering
+    (..., K, N), its row of NLoS gains beta_nlos (..., 1, K), its pilot
+    load (..., 1, P) (estimation.pilot_load) and the gain products of its
+    terms over the B probes (se.nlos_gains). A phase search forms it once
+    per AP visit."""
+    ap: int
+    amp: np.ndarray
+    beta_nlos: np.ndarray
+    load: np.ndarray
+    gains: se.NlosGains
+
+    def at(self, i):
+        """The context of network i of a batch (a slice keeps the axis)."""
+        return BlockContext(
+            ap=self.ap, amp=self.amp[i], beta_nlos=self.beta_nlos[i],
+            load=self.load[i], gains=self.gains.at(i))
 
 
 @dataclass
@@ -57,8 +82,9 @@ class NetworkModel:
     def stack(cls, models) -> "NetworkModel":
         """The batch of models, each of one network, on a new leading axis.
         Raises ValueError unless they share every dimension, tau_c, tau_p,
-        sigma2, the data and the pilot powers. base_corr is stored complex,
-        so the block builds do not convert it per block."""
+        sigma2, the data and the pilot powers. base_corr stays real, as
+        from_drop keeps it: a block build multiplies it into the float view
+        of its coefficients, and the full build's matmul converts it."""
         models = tuple(models)
         if len({(m.cfg.L, m.cfg.K, m.cfg.U, m.cfg.M, m.cfg.N, m.cfg.tau_c,
                  m.cfg.tau_p, m.cfg.sigma2, tuple(m.drop.p),
@@ -77,7 +103,7 @@ class NetworkModel:
                    pilots=pilot_map(stacked(lambda m: m.pilots.pilot_of),
                                     first.pilots.p_hat, first.pilots.tau_p),
                    dset=dset,
-                   base_corr=stacked(lambda m: m.base_corr).astype(complex),
+                   base_corr=stacked(lambda m: m.base_corr),
                    steering=stacked(lambda m: m.steering))
 
     def at(self, i):
@@ -109,14 +135,28 @@ class NetworkModel:
         state = self.channel_state(phases)
         return state, self.estimation_state(state)
 
-    def block_terms(self, l, shifts, rows, cols, powers) -> se.SinrTerms:
-        """Terms of AP l alone under each probe of one block in every
-        network: network s has AP l's phasors shifts[s] (M, N), e^{j phi},
-        with the atoms (rows, cols) turned by each of the B steps whose
-        powers e^{j d step} are powers (B, >= D + 1) (channel.
-        block_channel_state). The networks lead and the B probes run on the
-        AP axis."""
-        state = block_channel_state(self.drop, self.dset, l, shifts, rows,
-                                    cols, powers, self.base_corr,
-                                    self.steering)
-        return se.sinr_terms(state, self.estimation_state(state))
+    def block_context(self, l, n_probes) -> BlockContext:
+        """The BlockContext of AP l for n_probes probes in every network."""
+        drop, pilots = self.drop, self.pilots
+        beta_nlos = drop.beta_nlos[..., l, None, :]
+        return BlockContext(
+            ap=l,
+            amp=np.sqrt(drop.beta_los[..., l, :, None])
+            * self.steering[..., l, :, :],
+            beta_nlos=beta_nlos, load=pilot_load(beta_nlos, pilots),
+            gains=se.nlos_gains(beta_nlos, pilots, n_probes))
+
+    def block_terms(self, context: BlockContext, shifts, rows, cols,
+                    powers: ProbePowers) -> se.SinrTerms:
+        """Terms of AP context.ap alone under each probe of one block in
+        every network: network s has the AP's phasors shifts[s] (M, N),
+        e^{j phi}, with the atoms (rows, cols) turned by each of the B steps
+        whose ProbePowers are powers (channel.block_channel_state), and
+        context is the AP's block_context for B probes. The networks lead
+        and the B probes run on the AP axis."""
+        state = block_channel_state(self.dset, shifts, rows, cols, powers,
+                                    self.base_corr, context.amp,
+                                    context.beta_nlos)
+        est = build_estimation_state(state, self.pilots, self.cfg.sigma2,
+                                     context.load)
+        return se.sinr_terms(state, est, context.gains)

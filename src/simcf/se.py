@@ -30,7 +30,12 @@
 # carry the estimation state's pilot map, pilot powers, tau_p and sigma2 to
 # every later function, which takes them from the terms alone; the pilot
 # covariance and the pilot map are checked where they enter
-# (estimation.build_estimation_state).
+# (estimation.build_estimation_state). The means g = V^H h_bar and their
+# inner products are explicit sums over the U antennas, each running over
+# every link at once. What a phase search's blocks share is taken as data
+# where it is formed once: the NLoS-gain products of an AP's terms
+# (nlos_gains, once per AP visit) and the coherent scales of the parts
+# (coherent_scale, once per search).
 
 from dataclasses import dataclass
 
@@ -82,15 +87,82 @@ class SinrTerms:
         return self.z.shape[-2]
 
 
+def _ap_view(x, axis):
+    """x with its AP axis (axis, counted from the end) moved last, a view."""
+    axes = list(range(x.ndim))
+    axes.append(axes.pop(axis))
+    return x.transpose(axes)
+
+
 def _ap_last(x, axis):
     """x with its AP axis (axis, counted from the end) moved last, as a
     C-contiguous array."""
-    axes = list(range(x.ndim))
-    axes.append(axes.pop(axis))
-    return np.ascontiguousarray(x.transpose(axes))
+    return np.ascontiguousarray(_ap_view(x, axis))
 
 
-def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
+@dataclass(frozen=True)
+class NlosGains:
+    """The NLoS-gain products sinr_terms reads, AP axis last: beta
+    (..., K, L), spec_scale = p_hat_k tau_p beta_kl^2 (..., K, 1, L), the
+    factor of spec, and pair_scale = beta_jl sharing_kj (..., K, K, L), the
+    factor of delta. A block state's AP axis holds its probes, which repeat
+    the AP's one row of gains; a phase search forms them once per AP visit
+    (pipeline.BlockContext)."""
+    beta: np.ndarray
+    spec_scale: np.ndarray
+    pair_scale: np.ndarray
+
+    def at(self, i):
+        """The gains of network i of a batch (a slice keeps the axis)."""
+        return NlosGains(beta=self.beta[i], spec_scale=self.spec_scale[i],
+                         pair_scale=self.pair_scale[i])
+
+
+def nlos_gains(beta_nlos, pilots: PilotMap, n_aps) -> NlosGains:
+    """The NlosGains of NLoS gains (..., L, K) under a pilot map, or of a
+    block's one row (..., 1, K) repeated over its n_aps probes."""
+    beta = _ap_last(beta_nlos, -2)
+    if beta.shape[-1] != n_aps:     # a block state's one row of gains
+        beta = np.repeat(beta, n_aps, axis=-1)
+    return NlosGains(
+        beta=beta,
+        spec_scale=(pilots.p_hat[:, None] * pilots.tau_p
+                    * beta ** 2)[..., None, :],
+        pair_scale=beta[..., None, :, :] * pilots.sharing[..., None])
+
+
+def _spectral_means(h_bar, basis):
+    """g = V^H h_bar of every link (..., K, U, L), the AP axis last, from
+    h_bar (..., L, K, U) and the eigenbases V (..., L, U, U): explicit sums
+    over the U antennas, one entry at a time (estimation.link_matvec's
+    idiom), so each product runs over every link at once where a matmul
+    runs one tiny product per AP (or probe)."""
+    h = _ap_view(h_bar, -3)                          # (..., K, U, L)
+    v = _ap_view(basis.conj(), -3)[..., None, :, :, :]   # (..., 1, U, U, L)
+    u = h.shape[-2]
+    g = np.empty(h.shape, dtype=complex)
+    for j in range(u):
+        entry = g[..., j, :]
+        np.multiply(h[..., 0, :], v[..., 0, j, :], out=entry)
+        for i in range(1, u):
+            entry += h[..., i, :] * v[..., i, j, :]
+    return g
+
+
+def _cross_gains(g):
+    """|g_k^H g_j|^2 of every UE pair (..., K, K, L) from the spectral
+    means g (..., K, U, L), the inner products summed over U explicitly."""
+    gc = g.conj()
+    inner = gc[..., :, None, 0, :] * g[..., None, :, 0, :]
+    for i in range(1, g.shape[-2]):
+        inner += gc[..., :, None, i, :] * g[..., None, :, i, :]
+    cross = inner.real ** 2
+    cross += inner.imag ** 2
+    return cross
+
+
+def sinr_terms(state: ChannelState, est: EstimationState,
+               gains: NlosGains = None) -> SinrTerms:
     """Evaluate all closed-form term families from link statistics.
 
     For each AP l, on the eigenbasis V of s_l (est.basis) with eigenvalues
@@ -106,28 +178,25 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
       delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)
                    = beta_lj beta_lk sum_i eig_li^2 / den_lki
                      (pilot-sharing UEs only)
-    The states of a batch of drops give terms with a leading drop axis.
+    g and the inner products of cross are explicit sums over U. gains are
+    the state's nlos_gains, formed here unless given (a phase search forms
+    a block's once per AP visit). The states of a batch of drops give terms
+    with a leading drop axis.
     """
     pilots = est.pilots
-    g = state.h_bar @ est.basis.conj()               # (L, K, U)
-    gram = g.conj() @ g.swapaxes(-1, -2)             # (L, K, K)
-    g = _ap_last(g, -3)                              # from here (..., L)
+    g = _spectral_means(state.h_bar, est.basis)      # (..., K, U, L)
+    cross = _cross_gains(g)     # first: its temporaries are the largest
+    if gains is None:
+        gains = nlos_gains(est.beta, pilots, est.eig.shape[-2])
     eig = _ap_last(est.eig[..., None, :], -3)        # (1, U, L)
     spread = _ap_last(est.eig[..., None, :] * est.gain, -3)   # eig^2 / den
-    beta = _ap_last(est.beta, -2)
-    n_aps = est.eig.shape[-2]
-    if beta.shape[-1] != n_aps:     # a block state's one row of gains
-        beta = np.repeat(beta, n_aps, axis=-1)
     power = g.real ** 2 + g.imag ** 2
-    spec = ((pilots.p_hat[:, None] * pilots.tau_p * beta ** 2)[..., None, :]
-            * spread)
+    spec = gains.spec_scale * spread
     lam = power.sum(axis=-2)
-    delta = ((beta * spread.sum(axis=-2))[..., None, :] * beta[..., None, :, :]
-             * pilots.sharing[..., None])
+    delta = (gains.beta * spread.sum(axis=-2))[..., None, :] * gains.pair_scale
     return SinrTerms(z=spec.sum(axis=-2) + lam, lam=lam, delta=delta,
-                     beta=beta, nu=((spec + power) * eig).sum(axis=-2),
-                     spec=spec, power=power,
-                     cross=_ap_last(gram.real ** 2 + gram.imag ** 2, -3),
+                     beta=gains.beta, nu=((spec + power) * eig).sum(axis=-2),
+                     spec=spec, power=power, cross=cross,
                      pilots=pilots, sigma2=est.sigma2)
 
 
@@ -142,14 +211,21 @@ def _require_positive(value, what):
                                    f"{value[at]:.6e}")
 
 
-def _factors(terms: SinrTerms, p):
+def coherent_scale(pilots: PilotMap, p):
+    """sqrt(c_kj) (..., K, J, 1) of the j-th co-pilot of each UE k at the
+    powers p (K,), c_kj = p_j p_hat_k p_hat_j tau_p^2 (0 past k's co-pilot
+    count): the scale of Delta' (_factors)."""
+    return np.sqrt(pilots.pick @ (pilots.coherent * p)[..., None])
+
+
+def _factors(terms: SinrTerms, p, scale=None):
     """(dg, Delta') with b_k = diag(dg_k) + Delta'_k Delta'_k^H for every UE.
 
     dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, with the sum over
     j taken in parts: (sum_j p_j beta_jl) nu_kl + sum_i spec_kil
     (sum_j p_j power_jil) + sum_j p_j cross_kjl. Column j of Delta'_k
-    (..., K, J, L) is sqrt(c_kj) delta_kj for the j-th co-pilot of k,
-    c_kj = p_j p_hat_k p_hat_j tau_p^2, and 0 past k's co-pilot count.
+    (..., K, J, L) is sqrt(c_kj) delta_kj for the j-th co-pilot of k, its
+    scale the coherent_scale of the terms' pilot map at p unless given.
     """
     p = np.asarray(p, dtype=float)
     weighted = p[:, None, None] * terms.power
@@ -157,15 +233,15 @@ def _factors(terms: SinrTerms, p):
           + (terms.spec * weighted.sum(axis=-3)[..., None, :, :]).sum(axis=-2)
           + (p[:, None] * terms.cross).sum(axis=-2)
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
-    pick = terms.pilots.pick
-    scale = np.sqrt(pick @ (terms.pilots.coherent * p)[..., None])
-    return dg, scale * (pick @ terms.delta)
+    if scale is None:
+        scale = coherent_scale(terms.pilots, p)
+    return dg, scale * (terms.pilots.pick @ terms.delta)
 
 
-def _lsfd_factors(terms: SinrTerms, p):
+def _lsfd_factors(terms: SinrTerms, p, scale=None):
     """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
     (an AP that sees nothing of the UE); any other nonpositive dg raises."""
-    dg, dp = _factors(terms, p)
+    dg, dp = _factors(terms, p, scale)
     if dg.min(initial=np.inf) > 0:          # one pass when nothing is dropped
         dinv = 1.0 / dg
     else:
@@ -266,20 +342,21 @@ def sinr_from_weights(terms: SinrTerms, weights, p):
     return sinr_coefficients(terms, weights).sinr(p)
 
 
-def sinr_parts(terms: SinrTerms, decoder, p):
+def sinr_parts(terms: SinrTerms, decoder, p, scale=None):
     """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
     sinr_from_parts to sum over all APs or over any subset of them.
 
     lsfd: z D^-1 z, Delta'^H D^-1 z and Delta'^H D^-1 Delta' per AP, shapes
     (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
-    Every part is real.
+    Every part is real. scale is the coherent_scale of the terms' map at p,
+    formed here unless given (a phase search forms it once).
     """
     if decoder == "egcd":
-        return (terms.z, *_factors(terms, p))
+        return (terms.z, *_factors(terms, p, scale))
     if decoder != "lsfd":
         raise ValueError(f"unknown decoder {decoder!r}; expected one of "
                          f"{DECODERS}")
-    dz, dd, dp = _lsfd_factors(terms, p)
+    dz, dd, dp = _lsfd_factors(terms, p, scale)
     return (terms.z * dz, dp * dz[..., None, :],
             dp[..., None, :] * dd[..., None, :, :])
 

@@ -182,43 +182,52 @@ def block_cascade_coeffs(dset: DiffractionSet, shifts, rows, cols):
     layers in rows: each touched layer's phase diagonal splits into
     keep + e^{j theta} move, move holding the block's phasors and keep the
     others. Only the block's rows differ from the untouched product
-    phasor * c (keep c equals it on every other row), so a touched layer
-    writes its block atoms as rows of the next coefficient and zeros in
-    their place, with no full-size keep or move. Leading axes of shifts and
-    of the matrices of dset are network axes (the stacks of a pitch
-    sweep): the block, and so D, is shared, and each network's layers
-    propagate all its coefficients with one matmul of the same shape as a
-    call on that network alone, so its slice equals that call bit for bit.
-    Returns c, shape (..., D+1, N, U).
+    phasor * c (keep c equals it on every other row), so the block's atoms
+    are grouped by layer once, and a touched layer writes its phasor
+    product straight into a coefficient array one degree wider, then moves
+    each of its atoms' rows up one degree (zeros in their place), with no
+    full-size keep or move. Leading axes of shifts and of the matrices of
+    dset are network axes (the stacks of a pitch sweep): the block, and so
+    D, is shared, and each network's layers propagate all its coefficients
+    with one matmul of the same shape as a call on that network alone, so
+    its slice equals that call bit for bit. Returns c, shape
+    (..., D+1, N, U).
     """
     shifts = np.asarray(shifts)
     if shifts.shape[-2:] != (dset.n_layers, dset.w_first.shape[-2]):
         raise ValueError(f"phasor array must be (..., M, N), got "
                          f"{shifts.shape}")
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    atoms_of = {}
+    for row, col in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+        atoms_of.setdefault(row, []).append(col)
     u = dset.w_first.shape[-1]
     c = dset.w_first          # (..., N, (d+1) U): column d*U + i is c[d][:, i]
     for m in range(dset.n_layers):
+        phasors = shifts[..., m, :, None]
         if m:
             c = dset.w_layer[..., m - 1, :, :] @ c
-        c = shifts[..., m, :, None] * c
-        atoms = cols[rows == m]
-        if atoms.size:
-            out = np.empty((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
-            out[..., :-u] = c
-            out[..., -u:] = 0.0
-            out[..., atoms, :u] = 0.0
-            out[..., atoms, u:] = c[..., atoms, :]
-            c = out
+        if m not in atoms_of:
+            c = np.multiply(phasors, c, out=c if m else None)
+            continue
+        *lead, width = np.broadcast(phasors, c).shape
+        out = np.empty((*lead, width + u), dtype=complex)
+        np.multiply(phasors, c, out=out[..., :-u])
+        out[..., -u:] = 0.0
+        for atom in atoms_of[m]:
+            row = out[..., atom, :]
+            row[..., u:] = row[..., :-u]
+            row[..., :u] = 0.0
+        c = out
     return c.reshape(*c.shape[:-1], -1, u).swapaxes(-3, -2)
 
 
 def step_powers(steps, degree):
     """e^{j d step} for each of steps (B,) and d = 0..degree, shape
     (B, degree + 1): the powers of z = e^{j step} at which
-    block_channel_state evaluates a block's cascade polynomial. A phase
-    search forms them once for its steps, with degree the layer count M,
-    the largest a block can reach."""
+    block_channel_state evaluates a block's cascade polynomial
+    (channel.probe_powers adds their pair products). A phase search forms
+    them once for its steps, with degree the layer count M, the largest a
+    block can reach."""
     return np.exp(1j * np.multiply.outer(np.asarray(steps, dtype=float),
                                          np.arange(degree + 1)))
 

@@ -31,7 +31,10 @@
 #   optimize.maxmin_power replaces
 # - the term audit: predicted_cross_moments against cross_moment_estimates
 # - the per-AP, per-probe and per-setting loops that the batched channel
-#   build, phase search and Monte-Carlo pass replace
+#   build, phase search and Monte-Carlo pass replace; among them
+#   optimize_beamforming_per_probe, one network's search trying each probe
+#   alone through SumSeObjective.improve, whose values the probe batches
+#   of optimize_beamforming must equal bit for bit
 # - mmse_estimate_loop: realization-level estimates built one UE and its
 #   co-pilots at a time, which the per-pilot sum of mmse_estimate replaces
 # - link_matvec_broadcast: the per-link U x U apply as products broadcast
@@ -67,9 +70,9 @@ from simcf.estimation import EstimationError, despread_pilot_noise
 from simcf.experiments import MISSING, _drop_seed
 from simcf.montecarlo import (_delta_method, _TrialSampler, _Workspace,
                               uatf_monte_carlo)
-from simcf.optimize import (BeamformingConfig, PowerSolution, TraceRow,
-                            _feasible_powers, allocate_pilots,
-                            optimize_beamforming)
+from simcf.optimize import (BeamformingConfig, PowerSolution, SumSeObjective,
+                            Trace, TraceRow, _feasible_powers,
+                            allocate_pilots, optimize_beamforming)
 from simcf.pipeline import NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
 from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
@@ -978,6 +981,33 @@ def optimize_beamforming_serial(model, init_phases, cfg, rng=None):
                         break
                     trace.append(TraceRow(it, best, False))
     return phases, trace
+
+
+def optimize_beamforming_per_probe(model, init_phases, cfg, rng=None):
+    """Blockwise phase search of one network whose probes each go through
+    SumSeObjective.improve alone, one step at a time, in the search's
+    order; returns (phases, Trace)."""
+    rng = np.random.default_rng(rng)
+    objective = SumSeObjective([model], decoder=cfg.decoder)
+    phases = wrap_phases(np.array(init_phases, dtype=float))
+    objective.set_phases(phases[None])
+    n_aps, n_layers, n_atoms = phases.shape
+    steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
+    trace = Trace(float(objective.best[0]))
+    for _ in range(cfg.sweeps):
+        for l in range(n_aps):
+            order = rng.permutation(n_layers * n_atoms)
+            for start in range(0, order.size, cfg.block_size):
+                rows, cols = np.unravel_index(
+                    order[start:start + cfg.block_size], (n_layers, n_atoms))
+                for i in range(steps.size):
+                    if objective.improve(l, rows, cols, steps[i:i + 1],
+                                         cfg.min_gain)[0] >= 0:
+                        trace.record(i, float(objective.best[0]))
+                        break
+                else:
+                    trace.record(steps.size)
+    return objective.phases[0], trace
 
 
 def run_drop_per_setting(spec, cfg, value, value_index, d, schemes, decoders,

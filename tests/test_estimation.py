@@ -392,3 +392,13 @@ def test_eigh_of_other_sizes_is_lapack_bit_for_bit():
         ref_eig, ref_basis = np.linalg.eigh(s)
         assert np.array_equal(eig, ref_eig)
         assert np.array_equal(basis, ref_basis)
+    # U = 1 in closed form: zeros of either sign, negative and tiny values
+    for s in (np.array([0.0, -0.0, -2.5, 1e-300]).reshape(2, 2, 1, 1),
+              np.array([0.0, complex(-0.0, 0.0), -2.5 - 0j,
+                        3.0]).reshape(4, 1, 1)):
+        eig, basis = hermitian_eigh(s)
+        ref_eig, ref_basis = np.linalg.eigh(s)
+        assert np.array_equal(eig, ref_eig)
+        assert np.array_equal(np.signbit(eig), np.signbit(ref_eig))
+        assert np.array_equal(basis, ref_basis)
+        assert basis.dtype == ref_basis.dtype

@@ -408,11 +408,11 @@ def test_failing_network_fails_only_its_cells(monkeypatch):
     _, bad_stack = stack_for(spec.config_for(bad))
     real = NetworkModel.block_terms
 
-    def block_terms(self, l, *args):
-        if l == 0 and any(np.array_equal(w_layer, bad_stack.w_layer)
+    def block_terms(self, context, *args):
+        if context.ap == 0 and any(np.array_equal(w_layer, bad_stack.w_layer)
                           for w_layer in self.dset.w_layer):
             raise EstimationError("pilot covariance is singular")
-        return real(self, l, *args)
+        return real(self, context, *args)
 
     monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
     result = run_experiment(spec)

@@ -5,6 +5,7 @@ import pytest
 
 from simcf import (SystemConfig, channel, fig3_spec, generate_drop, optimize,
                    random_phase_tensor, se, table1_spec)
+from simcf.channel import probe_powers
 from simcf.estimation import EstimationError, pilot_map
 from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
                             TraceRow, allocate_pilots, maxmin_power,
@@ -13,11 +14,11 @@ from simcf.pipeline import NetworkModel
 from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
                       lsfd_weights, se_from_sinr, sinr_coefficients,
                       sinr_from_parts, sinr_from_weights)
-from simcf.sim_physics import step_powers
 
 from reference import (candidate, denominator_matrices,
-                       maxmin_power_bisection, optimize_beamforming_serial,
-                       replace_ap,
+                       maxmin_power_bisection,
+                       optimize_beamforming_per_probe,
+                       optimize_beamforming_serial, replace_ap,
                        sinr_breakdown, sinr_coefficients_loop,
                        sinr_of_breakdown, splice_ap, term, terms_loop,
                        turned_slices, xi_of)
@@ -218,8 +219,8 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             steps = np.array([1, 6, 11]) * np.pi / 8
             [values], _ = obj.probe(l, rows, cols, steps)
             stack = splice_ap(terms, l, model.block_terms(
-                l, np.exp(1j * phases[l]), rows, cols,
-                step_powers(steps, cfg.M)))
+                model.block_context(l, steps.size), np.exp(1j * phases[l]),
+                rows, cols, probe_powers(steps, cfg.M)))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
@@ -622,8 +623,8 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
     for s, model in enumerate(models):
         base = model.terms(small_phases)
         terms = splice_ap(base, l, model.block_terms(
-            l, np.exp(1j * small_phases[l]), rows, cols,
-            step_powers(steps, model.cfg.M)))
+            model.block_context(l, steps.size), np.exp(1j * small_phases[l]),
+            rows, cols, probe_powers(steps, model.cfg.M)))
         for i in range(steps.size):
             patched = small_phases.copy()
             patched[l] = slices[i]
@@ -812,7 +813,7 @@ def _corrupt_probe(monkeypatch, index, failure, network):
     real = NetworkModel.block_terms
     target = []
 
-    def block_terms(self, l, shifts, rows, cols, powers):
+    def block_terms(self, context, shifts, rows, cols, powers):
         mine = [s for s in range(len(shifts))
                 if np.array_equal(self.dset.w_first[s], network.dset.w_first)
                 and np.array_equal(self.dset.w_layer[s],
@@ -822,14 +823,14 @@ def _corrupt_probe(monkeypatch, index, failure, network):
             net = mine[0]
             # each probe's phasor slice: the block's phasors times z
             slices = np.repeat(shifts[net][None], len(powers), axis=0)
-            slices[:, rows, cols] *= powers[:, 1, None]
+            slices[:, rows, cols] *= powers.z[:, 1, None]
             if not target:
                 target.append(slices[index].copy())
             hit = [(net, i) for i, s in enumerate(slices)
                    if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
             raise EstimationError("pilot covariance is singular")
-        terms = real(self, l, shifts, rows, cols, powers)
+        terms = real(self, context, shifts, rows, cols, powers)
         cross = terms.cross.copy()
         for net, i in hit:
             cross[net, ..., i] = -1e6 * np.abs(xi_of(terms)).max()
@@ -925,3 +926,56 @@ def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
             _corrupt_probe(patch, first.iteration - 1, failure, models[-1])
             with pytest.raises(error):
                 optimize_beamforming(models, small_phases, cfg, rng=3)
+
+
+def test_block_context_formed_once_per_ap_visit(monkeypatch):
+    # AP l's block context is formed on the first block of each visit of
+    # l, not per block, and again after set_phases; the probe batches give
+    # each network of a two-pitch search the phases and trace of its own
+    # per-probe search (block_size 3 over 32 atoms: the last block is
+    # short), also when a failing first batch takes the one-probe fallback
+    cfg = SystemConfig(L=3, K=3, U=2, M=2, N=16, tau_p=2)
+    models = _pitch_group(generate_drop(cfg, 5))
+    phases = models[0].random_phases(np.random.default_rng(8))
+    formed = []
+    real = NetworkModel.block_context
+
+    def context_spy(self, l, n_probes):
+        formed.append((l, n_probes))
+        return real(self, l, n_probes)
+
+    monkeypatch.setattr(NetworkModel, "block_context", context_spy)
+    for decoder in se.DECODERS:
+        search = BeamformingConfig(decoder=decoder, sweeps=2, block_size=3)
+        formed.clear()
+        found = optimize_beamforming(models, phases, search, rng=6)
+        assert formed == [(l, search.max_probes)
+                          for _ in range(search.sweeps)
+                          for l in range(cfg.L)]
+        assert sum(row.accepted for _, trace in found for row in trace) > 0
+        for model, (out, trace) in zip(models, found):
+            ref_out, ref_trace = optimize_beamforming_per_probe(
+                model, phases, search, rng=6)
+            assert np.array_equal(out, ref_out)
+            assert trace == ref_trace
+        first = next(row for row in found[0][1] if row.accepted)
+        with monkeypatch.context() as patch:
+            _corrupt_probe(patch, first.iteration, "estimation", models[0])
+            formed.clear()
+            failing = optimize_beamforming(models, phases, search, rng=6)
+            assert (0, 1) in formed     # the fallback's one-probe context
+            for model, (out, trace) in zip(models, failing):
+                [(alone, alone_trace)] = optimize_beamforming(
+                    [model], phases, search, rng=6)
+                assert np.array_equal(out, alone) and trace == alone_trace
+    # probes of one AP share its context until set_phases
+    obj = SumSeObjective(models)
+    obj.set_phases(np.stack([phases] * 2))
+    rows, cols = np.array([0, 1]), np.array([3, 3])
+    steps = np.arange(1, 4) * np.pi / 8
+    formed.clear()
+    for l in (1, 1, 2, 2):
+        obj.probe(l, rows, cols, steps)
+    obj.set_phases(obj.phases)
+    obj.probe(2, rows, cols, steps)
+    assert formed == [(1, 3), (2, 3), (2, 3)]

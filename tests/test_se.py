@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop, se
+from simcf.channel import probe_powers
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       se_from_sinr, sinr_coefficients, sinr_from_weights,
                       sinr_terms)
-from simcf.sim_physics import step_powers
 
 from reference import (candidate, cross_moment_estimates,
                        denominator_matrices, omega_of, predicted_cross_moments,
@@ -272,7 +272,8 @@ def candidate_stack(model, phases, l=1, n=5):
     steps = rng.uniform(-np.pi, np.pi, n)
     base = model.terms(phases)
     return splice_ap(base, l, model.block_terms(
-        l, np.exp(1j * phases[l]), rows, cols, step_powers(steps, model.cfg.M)))
+        model.block_context(l, n), np.exp(1j * phases[l]), rows, cols,
+        probe_powers(steps, model.cfg.M)))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model,

@@ -244,3 +244,29 @@ def test_block_cascade_polynomial_degree_counts_layers():
         assert len(block_cascade_coeffs(dset, np.exp(1j * phases), rows,
                                         cols)) == degree + 1
         _check_block_polynomial(dset, phases, rows, cols)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_stacked_block_cascade_equals_dense_oracle_per_network(u):
+    # the stacks of three pitches on a network axis: each network's slice
+    # of the coefficients is the dense keep/move oracle's on that network
+    # alone, for blocks that touch one layer, put two atoms in one layer
+    # and touch every layer
+    cfg = SystemConfig(L=1, K=1, U=u, M=4, N=16)
+    stacks = [stack_for(cfg.replace(d_meta=cfg.d_meta / f))[1]
+              for f in (1, 2, 4)]
+    dset = DiffractionSet(np.stack([s.w_first for s in stacks]),
+                          np.stack([s.w_layer for s in stacks]))
+    phases = np.random.default_rng(u).uniform(0, 2 * np.pi, (3, 4, 16))
+    blocks = {"one layer": ([2], [5]),
+              "two atoms in a layer": ([1, 3, 1], [0, 9, 15]),
+              "every layer": ([3, 0, 2, 1, 0], [4, 4, 11, 6, 13])}
+    for label, (rows, cols) in blocks.items():
+        rows, cols = np.array(rows), np.array(cols)
+        coeffs = block_cascade_coeffs(dset, np.exp(1j * phases), rows, cols)
+        assert coeffs.shape == (3, len(set(rows.tolist())) + 1, 16, u), label
+        for s, stack in enumerate(stacks):
+            assert np.array_equal(
+                coeffs[s],
+                block_cascade_coeffs_dense(stack, phases[s], rows, cols)), \
+                (label, s)

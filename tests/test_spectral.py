@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop, se
-from simcf.channel import ChannelState, block_channel_state
+from simcf.channel import ChannelState, block_channel_state, probe_powers
 from simcf.estimation import (EstimationError, build_estimation_state,
                               pilot_map)
 from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
-from simcf.sim_physics import step_powers
 
 from reference import (build_estimation_state_solve, copilot_of, factors_loop,
                        lsfd_weights_loop, omega_of,
@@ -45,10 +44,11 @@ def _states(model, phases, rng):
     l = int(rng.integers(cfg.L))
     rows, cols = np.unravel_index(rng.permutation(cfg.M * cfg.N)[:4],
                                   (cfg.M, cfg.N))
+    context = model.block_context(l, 3)
     yield "block", block_channel_state(
-        model.drop, model.dset, l, np.exp(1j * phases[l]), rows, cols,
-        step_powers(rng.uniform(-np.pi, np.pi, 3), cfg.M), model.base_corr,
-        model.steering)
+        model.dset, np.exp(1j * phases[l]), rows, cols,
+        probe_powers(rng.uniform(-np.pi, np.pi, 3), cfg.M), model.base_corr,
+        context.amp, context.beta_nlos)
 
 
 def _close(got, want, what):
@@ -185,8 +185,9 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                model.block_terms(l, np.exp(1j * phases[l]), rows, cols,
-                                  step_powers([step], cfg.M))
+                model.block_terms(model.block_context(l, 1),
+                                  np.exp(1j * phases[l]), rows, cols,
+                                  probe_powers([step], cfg.M))
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -268,8 +269,9 @@ def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases,
     builds = {
         "full": small_model.terms(small_phases),
         "block": small_model.block_terms(
-            1, np.exp(1j * small_phases[1]), rows, cols,
-            step_powers(np.arange(1, 6) * np.pi / 8, small_cfg.M)),
+            small_model.block_context(1, 5), np.exp(1j * small_phases[1]),
+            rows, cols, probe_powers(np.arange(1, 6) * np.pi / 8,
+                                     small_cfg.M)),
     }
     for label, terms in builds.items():
         arrays = _array_fields(terms)
