@@ -204,7 +204,7 @@ def pilot_load(beta_nlos, pilots: PilotMap):
 
 
 def build_estimation_state(state: ChannelState, pilots: PilotMap,
-                           sigma2, load=None) -> EstimationState:
+                           sigma2, load=None, *, ok=None) -> EstimationState:
     """Estimation statistics for all links under a pilot map, or for a
     batch of drops: a state with a leading drop axis and the map of their
     assignments (D, K).
@@ -217,21 +217,26 @@ def build_estimation_state(state: ChannelState, pilots: PilotMap,
     gains (1, K) gives one load, which broadcasts over its probes; a phase
     search forms it once per AP visit. Raises EstimationError when an
     eigenvalue of a pilot covariance in use is not > 0 (psi singular or
-    indefinite). Its condition is logged once per build when DEBUG logging
-    is on.
+    indefinite), or, given ok (..., L), sets that AP (or probe) False in ok
+    and its nonpositive eigenvalues to 1, so that the state stays finite.
+    Its condition is logged once per build when DEBUG logging is on.
     """
     eig, basis = hermitian_eigh(state.s)
     if load is None:
         load = pilot_load(state.beta_nlos, pilots)                   # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
-    if not den.min() > 0:
-        *at, t = np.argwhere(~(den.min(axis=-1) > 0))[0]
-        drop = tuple(at[:-1])
-        raise EstimationError(
-            f"pilot covariance is singular or indefinite for pilot "
-            f"{np.unique(pilots.pilot_of[drop])[t]} at AP (or probe) "
-            f"{at[-1]}{f' of drop {drop[0]}' if drop else ''}: "
-            f"eigenvalue {den[(*at, t)].min():.6e}")
+    if not den.min() > 0:                           # NaN fails too
+        positive = den > 0
+        if ok is None:
+            *at, t = np.argwhere(~positive.all(axis=-1))[0]
+            drop = tuple(at[:-1])
+            raise EstimationError(
+                f"pilot covariance is singular or indefinite for pilot "
+                f"{np.unique(pilots.pilot_of[drop])[t]} at AP (or probe) "
+                f"{at[-1]}{f' of drop {drop[0]}' if drop else ''}: "
+                f"eigenvalue {den[(*at, t)].min():.6e}")
+        ok &= positive.all(axis=(-2, -1))
+        den[~positive] = 1.0
     est = EstimationState(eig=eig, basis=basis, beta=state.beta_nlos, den=den,
                           pilots=pilots, sigma2=sigma2)
     _monitor_conditioning(est)

@@ -3,18 +3,20 @@
 # allocation, blockwise phase-probing wave-domain beamforming driven by the
 # closed-form sum SE, and max-min power control for fixed CPU weights. The
 # phase search runs the networks of one stacked NetworkModel at once, each
-# with its own drop, pilot map and stack. A probe block does only what its
-# probes change: the search keeps the unit phasors of its phases, rewrites
-# only the turned atoms on an accept, forms the step powers e^{j d step}
-# and their pair products once, forms what every block of an AP reads
-# (the AP's LoS amplitudes, pilot load and gain products: pipeline.
-# BlockContext) once per AP visit, and builds the turned AP alone from the
-# block's cascade polynomial (channel.block_channel_state). The power
-# control is a bisection whose midpoints are decided by the closed-form
-# Perron-Frobenius optimum, a linear solve deciding only those within a
-# guard band of it, so it returns what solving every midpoint returns.
-# Pilot allocation and power control run on the leading drop (or setting)
-# axis of a batch in one pass.
+# with its own drop, pilot map and stack, and keeps that one model for its
+# life: a probe batch marks its failing probes instead of raising, and a
+# network raises only for a failing probe its search reaches. A probe block
+# does only what its probes change: the search keeps the unit phasors of
+# its phases, rewrites only the turned atoms on an accept, forms the step
+# powers e^{j d step} and their pair products once, forms what every block
+# of an AP reads (the AP's LoS amplitudes, pilot load and gain products:
+# pipeline.BlockContext) once per AP visit, and builds the turned AP alone
+# from the block's cascade polynomial (channel.block_channel_state). The
+# power control is a bisection whose midpoints are decided by the
+# closed-form Perron-Frobenius optimum, a linear solve deciding only those
+# within a guard band of it, so it returns what solving every midpoint
+# returns. Pilot allocation and power control run on the leading drop (or
+# setting) axis of a batch in one pass.
 
 import bisect
 import contextlib
@@ -149,8 +151,9 @@ class Trace(Sequence):
 
 class SumSeObjective:
     """Closed-form sum SE of each network of one stacked model
-    (pipeline.NetworkModel.stack), with batched probing of one AP in all of
-    them, under the pilot maps and data powers the models carry.
+    (pipeline.NetworkModel.stack, once, in __init__), with batched probing
+    of one AP in all of them, under the pilot maps and data powers the
+    models carry.
 
     Only the networks' per-AP SINR parts (se.sinr_parts) are kept,
     (S, ..., L), with the phases (S, L, M, N), their unit phasors shifts
@@ -162,15 +165,16 @@ class SumSeObjective:
     and their parts, each added to its network's sums of the parts over
     the other APs, from which the SINR follows (se.sinr_from_parts: the
     Woodbury Rayleigh quotient under LSFD, the all-ones weighting under
-    EGCD). What a block reads that no probe changes is formed apart from
-    the blocks: the step powers and their pair products (channel.
-    probe_powers) once per distinct steps array, so once per search; the
-    coherent scales of the parts (se.coherent_scale) once; and AP l's
-    block context (NetworkModel.block_context) and its other-AP sums once
-    per AP visit, again after set_phases. improve commits in each network
-    the first probe that beats its best by writing its column into AP l's
-    parts. Every network's values are those of a search on that network
-    alone, bit for bit.
+    EGCD); each check on the way marks the probes it fails (_probe). What
+    a block reads that no probe changes is formed apart from the blocks:
+    the step powers and their pair products (channel.probe_powers) once
+    per distinct steps array, so once per search; the coherent scales of
+    the parts (se.coherent_scale) once; and AP l's block context
+    (NetworkModel.block_context) and its other-AP sums once per AP visit,
+    again after set_phases. improve commits in each network the first
+    probe that beats its best by writing its column into AP l's parts, or
+    raises for a failing probe before it. Every network's values and
+    errors are those of a search on that network alone, bit for bit.
     """
 
     def __init__(self, models, decoder="lsfd"):
@@ -187,19 +191,18 @@ class SumSeObjective:
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
-        self.parts = list(self._parts(self.model.terms(self.phases),
-                                      self._scale))
+        self.parts = list(self._parts(self.model.terms(self.phases)))
         # after the build, which holds every network's temporaries at once
         self.shifts = np.exp(1j * self.phases)
         self._others = self._context = None
         self.best = self._sum_se([part.sum(axis=-1) for part in self.parts])
         return self.best.copy()
 
-    def _parts(self, terms, scale):
-        return se.sinr_parts(terms, self.decoder, self.p, scale)
+    def _parts(self, terms, ok=None):
+        return se.sinr_parts(terms, self.decoder, self.p, self._scale, ok=ok)
 
-    def _sum_se(self, sums):
-        gamma = se.sinr_from_parts(sums, self.decoder, self.p)
+    def _sum_se(self, sums, ok=None):
+        gamma = se.sinr_from_parts(sums, self.decoder, self.p, ok=ok)
         return se.se_from_sinr(gamma, self.cfg.tau_c,
                                self.cfg.tau_p).sum(axis=-1)
 
@@ -228,92 +231,83 @@ class SumSeObjective:
             self._powers = (key, probe_powers(steps, self.cfg.M))
         return self._powers[1]
 
-    def probe(self, l, rows, cols, steps, net=None):
+    def probe(self, l, rows, cols, steps):
         """(values (S, B), parts) with the atoms (rows, cols) of AP l turned
-        by each of steps (B,) in every network, or in network net alone
-        (S = 1): parts are the SINR parts of AP l under the probes, the
-        networks leading and the B probes on the AP axis."""
+        by each of steps (B,) in every network: parts are the SINR parts of
+        AP l under the probes, the networks leading and the B probes on the
+        AP axis. A failing probe raises its typed error (_fail; the first
+        in network-major order), as a full build at its phases does."""
         steps = np.asarray(steps, dtype=float)
-        nets = slice(None) if net is None else slice(net, net + 1)
-        model = self.model if net is None else self.model.at(nets)
-        return self._probe(l, rows, cols, self._step_powers(steps), model,
-                           nets)
+        values, parts, estimated, valid = self._probe(
+            l, rows, cols, self._step_powers(steps))
+        if not valid.all():
+            self._fail(l, *np.argwhere(~valid)[0], estimated)
+        return values, parts
 
-    def _probe(self, l, rows, cols, powers, model, nets):
-        """probe at the ProbePowers of its steps, of the networks nets (a
-        slice) whose model is model. A slice of the networks reads its
-        slice of the context, and its parts take the coherent scales of its
-        own pilot map, as a search of those networks alone does."""
+    def _probe(self, l, rows, cols, powers):
+        """probe at the ProbePowers of its steps, marking failing probes
+        instead of raising: (values, parts, estimated, valid), estimated
+        (S, B) True where the probe's pilot covariances are positive
+        definite, valid where its SINR checks pass as well. A failing
+        probe's values and parts are finite and meaningless."""
         context = self._block_context(l, len(powers))
-        whole = nets == slice(None)
-        terms = model.block_terms(context if whole else context.at(nets),
-                                  self.shifts[nets, l], rows, cols, powers)
-        parts = self._parts(terms, self._scale if whole else None)
-        sums = [other[nets] + new
-                for other, new in zip(self._other_sums(l), parts)]
+        valid = np.ones((self.n_nets, len(powers)), dtype=bool)
+        terms = self.model.block_terms(context, self.shifts[:, l], rows, cols,
+                                       powers, valid)
+        estimated = valid.copy()
+        parts = self._parts(terms, valid)
+        sums = [other + new for other, new in zip(self._other_sums(l), parts)]
         # the networks and probes first, as candidates of sinr_from_parts
         # (transpose, since np.moveaxis would double the cost of this step)
-        return self._sum_se([s.transpose(0, -1, *range(1, s.ndim - 1))
-                             for s in sums]), parts
+        values = self._sum_se([s.transpose(0, -1, *range(1, s.ndim - 1))
+                               for s in sums], valid)
+        return values, parts, estimated, valid
+
+    def _fail(self, l, s, i, estimated):
+        """Raise for probe i of network s at AP l: EstimationError if its
+        pilot covariance failed, else SinrComputationError."""
+        where = f"at AP {l}, probe {i + 1} of {estimated.shape[1]}, network {s}"
+        if not estimated[s, i]:
+            raise EstimationError(
+                f"pilot covariance is singular or indefinite {where}")
+        raise se.SinrComputationError(
+            f"nonpositive {self.decoder.upper()} SINR denominator {where}")
 
     def improve(self, l, rows, cols, steps, min_gain):
         """Commit in each network the first probe whose value exceeds its
         best by more than min_gain, its best becoming best + (value - best)
         as a probe-by-probe search forms it; returns the index of that probe
-        per network, -1 where no probe does.
-
-        A typed failure (EstimationError, SinrComputationError) of a batch
-        of several probes is not raised: each network then tries the probes
-        alone, one at a time in order, on its slice of the batch, so only a
-        probe the search of some network reaches can raise, as in a search
-        of that network alone.
-        """
+        per network, -1 where no probe does. The probes of all networks run
+        as one batch (_probe), and a failing probe raises only where a
+        network reaches it (_commit)."""
         steps = np.asarray(steps, dtype=float)
-        powers = self._step_powers(steps)
-        try:
-            values, parts = self._probe(l, rows, cols, powers, self.model,
-                                        slice(None))
-        except (EstimationError, se.SinrComputationError):
-            if steps.size == 1 and self.n_nets == 1:
-                raise
-            hits = np.full(self.n_nets, -1)
-            for net in range(self.n_nets):
-                nets = slice(net, net + 1)
-                model = self.model.at(nets)
-                for i in range(steps.size):
-                    one = slice(i, i + 1)
-                    won = self._commit(
-                        nets, l, rows, cols, steps[one], min_gain,
-                        *self._probe(l, rows, cols, powers[one], model, nets))
-                    if won[0] >= 0:
-                        hits[net] = i
-                        break
-            return hits
-        return self._commit(slice(None), l, rows, cols, steps, min_gain,
-                            values, parts)
+        probed = self._probe(l, rows, cols, self._step_powers(steps))
+        return self._commit(l, rows, cols, steps, min_gain, *probed)
 
-    def _commit(self, nets, l, rows, cols, steps, min_gain, values, parts):
-        """Commit the first probe of each of the networks nets (a slice)
-        whose value (values[j] for its j-th network) clears its best;
-        returns their indices. Each winning network writes its probe's
-        column of the parts, its turned phases and phasors (on its AP's
-        (M, N) slice) and its best through basic indexing, with no fancy
-        index over the network axis."""
-        better = values - self.best[nets, None] > min_gain
-        hits = np.where(better.any(axis=1), better.argmax(axis=1), -1)
-        first = nets.indices(self.n_nets)[0]
-        for j, i in enumerate(hits.tolist()):
-            if i < 0:
-                continue
-            s = first + j
+    def _commit(self, l, rows, cols, steps, min_gain, values, parts,
+                estimated, valid):
+        """Walk each network's probes in order: the first that fails or
+        clears its best decides. A failing one raises (_fail, the first
+        such network) before anything is committed, as that network's
+        search alone does. Otherwise each deciding network writes its
+        probe's column of the parts, its turned phases and phasors (on its
+        AP's (M, N) slice) and its best through basic indexing; returns the
+        deciding probes, -1 where none."""
+        decides = (values - self.best[:, None] > min_gain) | ~valid
+        hits = np.where(decides.any(axis=1), decides.argmax(axis=1), -1)
+        won = [(s, i) for s, i in enumerate(hits.tolist()) if i >= 0]
+        for s, i in won:
+            if not valid[s, i]:
+                self._fail(l, s, i, estimated)
+        for s, i in won:
             for part, new in zip(self.parts, parts):
-                part[s, ..., l] = new[j, ..., i]
+                part[s, ..., l] = new[s, ..., i]
             phases = self.phases[s, l]
             turned = wrap_phases(phases[rows, cols] + steps[i])
             phases[rows, cols] = turned
             self.shifts[s, l][rows, cols] = np.exp(1j * turned)
             best = self.best[s]
-            self.best[s] = best + (values[j, i] - best)
+            self.best[s] = best + (values[s, i] - best)
         return hits
 
 
@@ -352,7 +346,7 @@ def optimize_beamforming(models, init_phases,
         np.asarray(init_phases, dtype=float),
         (objective.n_nets, n_aps, n_layers, n_atoms))))
     steps = np.arange(1, cfg.max_probes + 1) * cfg.step_size
-    traces = [Trace(float(best)) for best in objective.best]
+    traces = [Trace(best) for best in objective.best.tolist()]
     for _ in range(cfg.sweeps):
         for l in range(n_aps):
             order = rng.permutation(n_layers * n_atoms)
@@ -360,11 +354,12 @@ def optimize_beamforming(models, init_phases,
                 block = order[start:start + cfg.block_size]
                 rows, cols = np.unravel_index(block, (n_layers, n_atoms))
                 hits = objective.improve(l, rows, cols, steps, cfg.min_gain)
-                for trace, hit, best in zip(traces, hits, objective.best):
+                for trace, hit, best in zip(traces, hits.tolist(),
+                                            objective.best.tolist()):
                     if hit < 0:
                         trace.record(steps.size)
                     else:
-                        trace.record(hit, float(best))
+                        trace.record(hit, best)
     return list(zip(objective.phases, traces))
 
 

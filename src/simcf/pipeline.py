@@ -33,18 +33,12 @@ class BlockContext:
     (..., K, N), its row of NLoS gains beta_nlos (..., 1, K), its pilot
     load (..., 1, P) (estimation.pilot_load) and the gain products of its
     terms over the B probes (se.nlos_gains). A phase search forms it once
-    per AP visit."""
+    per AP visit, for all of its networks at once."""
     ap: int
     amp: np.ndarray
     beta_nlos: np.ndarray
     load: np.ndarray
     gains: se.NlosGains
-
-    def at(self, i):
-        """The context of network i of a batch (a slice keeps the axis)."""
-        return BlockContext(
-            ap=self.ap, amp=self.amp[i], beta_nlos=self.beta_nlos[i],
-            load=self.load[i], gains=self.gains.at(i))
 
 
 @dataclass
@@ -147,16 +141,18 @@ class NetworkModel:
             gains=se.nlos_gains(beta_nlos, pilots, n_probes))
 
     def block_terms(self, context: BlockContext, shifts, rows, cols,
-                    powers: ProbePowers) -> se.SinrTerms:
+                    powers: ProbePowers, ok=None) -> se.SinrTerms:
         """Terms of AP context.ap alone under each probe of one block in
         every network: network s has the AP's phasors shifts[s] (M, N),
         e^{j phi}, with the atoms (rows, cols) turned by each of the B steps
         whose ProbePowers are powers (channel.block_channel_state), and
         context is the AP's block_context for B probes. The networks lead
-        and the B probes run on the AP axis."""
+        and the B probes run on the AP axis. A probe whose pilot covariance
+        is not positive definite raises EstimationError, or, given ok
+        (S, B), turns False in ok (build_estimation_state)."""
         state = block_channel_state(self.dset, shifts, rows, cols, powers,
                                     self.base_corr, context.amp,
                                     context.beta_nlos)
         est = build_estimation_state(state, self.pilots, self.cfg.sigma2,
-                                     context.load)
+                                     context.load, ok=ok)
         return se.sinr_terms(state, est, context.gains)

@@ -106,16 +106,11 @@ class NlosGains:
     (..., K, L), spec_scale = p_hat_k tau_p beta_kl^2 (..., K, 1, L), the
     factor of spec, and pair_scale = beta_jl sharing_kj (..., K, K, L), the
     factor of delta. A block state's AP axis holds its probes, which repeat
-    the AP's one row of gains; a phase search forms them once per AP visit
-    (pipeline.BlockContext)."""
+    the AP's one row of gains; a phase search forms them once per AP visit,
+    for all of its networks (pipeline.BlockContext)."""
     beta: np.ndarray
     spec_scale: np.ndarray
     pair_scale: np.ndarray
-
-    def at(self, i):
-        """The gains of network i of a batch (a slice keeps the axis)."""
-        return NlosGains(beta=self.beta[i], spec_scale=self.spec_scale[i],
-                         pair_scale=self.pair_scale[i])
 
 
 def nlos_gains(beta_nlos, pilots: PilotMap, n_aps) -> NlosGains:
@@ -200,15 +195,21 @@ def sinr_terms(state: ChannelState, est: EstimationState,
                      pilots=pilots, sigma2=est.sigma2)
 
 
-def _require_positive(value, what):
+def _require_positive(value, what, ok=None):
     """Raise SinrComputationError naming the first UE (and candidate) whose
-    entry of value (..., K) is not positive."""
+    entry of value (..., K) is not positive (NaN is not), or, given ok
+    (...), set that candidate False in ok and its entries that are not
+    positive 1 in value (writable), so that what follows stays finite."""
     if not value.min(initial=np.inf) > 0:   # NaN fails too
-        at = tuple(int(i) for i in np.argwhere(~(value > 0))[0])
-        where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}" if len(at) > 1
-                                   else "")
-        raise SinrComputationError(f"nonpositive {what} for {where}: "
-                                   f"{value[at]:.6e}")
+        positive = value > 0
+        if ok is None:
+            at = tuple(int(i) for i in np.argwhere(~positive)[0])
+            where = f"UE {at[-1]}" + (f" of candidate {at[:-1]}"
+                                      if len(at) > 1 else "")
+            raise SinrComputationError(f"nonpositive {what} for {where}: "
+                                       f"{value[at]:.6e}")
+        ok &= positive.all(axis=-1)
+        value[~positive] = 1.0
 
 
 def coherent_scale(pilots: PilotMap, p):
@@ -238,17 +239,17 @@ def _factors(terms: SinrTerms, p, scale=None):
     return dg, scale * (terms.pilots.pick @ terms.delta)
 
 
-def _lsfd_factors(terms: SinrTerms, p, scale=None):
+def _lsfd_factors(terms: SinrTerms, p, scale=None, ok=None):
     """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
-    (an AP that sees nothing of the UE); any other nonpositive dg raises."""
+    (an AP that sees nothing of the UE); any other nonpositive dg raises,
+    or, given ok (..., L), sets its AP (or probe) False in ok."""
     dg, dp = _factors(terms, p, scale)
-    if dg.min(initial=np.inf) > 0:          # one pass when nothing is dropped
-        dinv = 1.0 / dg
-    else:
-        dropped = (dg == 0) & (terms.z == 0)
-        _require_positive(np.where(dropped, np.inf, dg).min(axis=-1),
-                          "LSFD denominator diagonal")
-        dinv = np.divide(1.0, dg, out=np.zeros_like(dg), where=~dropped)
+    if not dg.min(initial=np.inf) > 0:      # one pass when nothing is dropped
+        dg = np.where((dg == 0) & (terms.z == 0), np.inf, dg)    # D^-1 = 0
+        # per UE to name it in the error, per AP (or probe) to mark it
+        per = dg.min(axis=-1) if ok is None else dg.swapaxes(-1, -2)
+        _require_positive(per, "LSFD denominator diagonal", ok)
+    dinv = 1.0 / dg
     return dinv * terms.z, dinv[..., None, :] * dp, dp
 
 
@@ -342,26 +343,27 @@ def sinr_from_weights(terms: SinrTerms, weights, p):
     return sinr_coefficients(terms, weights).sinr(p)
 
 
-def sinr_parts(terms: SinrTerms, decoder, p, scale=None):
+def sinr_parts(terms: SinrTerms, decoder, p, scale=None, *, ok=None):
     """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
     sinr_from_parts to sum over all APs or over any subset of them.
 
     lsfd: z D^-1 z, Delta'^H D^-1 z and Delta'^H D^-1 Delta' per AP, shapes
     (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
     Every part is real. scale is the coherent_scale of the terms' map at p,
-    formed here unless given (a phase search forms it once).
+    formed here unless given (a phase search forms it once). ok is that of
+    _lsfd_factors.
     """
     if decoder == "egcd":
         return (terms.z, *_factors(terms, p, scale))
     if decoder != "lsfd":
         raise ValueError(f"unknown decoder {decoder!r}; expected one of "
                          f"{DECODERS}")
-    dz, dd, dp = _lsfd_factors(terms, p, scale)
+    dz, dd, dp = _lsfd_factors(terms, p, scale, ok)
     return (terms.z * dz, dp * dz[..., None, :],
             dp[..., None, :] * dd[..., None, :, :])
 
 
-def sinr_from_parts(sums, decoder, p):
+def sinr_from_parts(sums, decoder, p, *, ok=None):
     """Per-UE SINR (..., K) at the powers p (K,) from the AP sums of the
     sinr_parts of decoder.
 
@@ -369,17 +371,18 @@ def sinr_from_parts(sums, decoder, p):
     - v^H (I + G)^-1 v), v = Delta'^H D^-1 z, G = Delta'^H D^-1 Delta'.
     egcd: p_k (sum z)^2 / (sum dg + ||sum Delta'||^2), the all-ones weights.
     Raises SinrComputationError naming the first UE (and candidate) with a
-    nonpositive quotient or denominator.
+    nonpositive quotient or denominator, or, given ok (...), sets its
+    candidate False in ok.
     """
     p = np.asarray(p, dtype=float)
     if decoder == "egcd":
         z, dg, dp = sums
         den = dg + (dp ** 2).sum(axis=-1)
-        _require_positive(den, "SINR denominator")
+        _require_positive(den, "SINR denominator", ok)
         return z ** 2 * p / den
     base, v, g = sums
     quotient = base - (v * _inner_solve(g, v)).sum(axis=-1)
-    _require_positive(quotient, "LSFD Rayleigh quotient")
+    _require_positive(quotient, "LSFD Rayleigh quotient", ok)
     return p * quotient
 
 

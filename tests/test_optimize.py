@@ -1,12 +1,14 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from simcf import (SystemConfig, channel, fig3_spec, generate_drop, optimize,
-                   random_phase_tensor, se, table1_spec)
+from simcf import (SystemConfig, channel, estimation, fig3_spec,
+                   generate_drop, optimize, pipeline, random_phase_tensor, se,
+                   table1_spec)
 from simcf.channel import probe_powers
-from simcf.estimation import EstimationError, pilot_map
+from simcf.estimation import EstimationError, PilotMap, pilot_map
 from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
                             TraceRow, allocate_pilots, maxmin_power,
                             optimize_beamforming, pilot_interference)
@@ -152,6 +154,20 @@ def test_trace_rows_from_its_accepts():
     assert trace != rows[:-1] and trace != None   # noqa: E711
     with pytest.raises(IndexError):
         trace[10]
+
+
+def test_trace_rows_hold_python_types(small_model, small_phases):
+    # every field of every row has the type its annotation names, from the
+    # first accept on as well, so that a trace serializes as it is
+    [(_, trace)] = optimize_beamforming([small_model], small_phases,
+                                        BeamformingConfig(sweeps=2), rng=1)
+    assert type(trace.__len__()) is int
+    assert sum(row.accepted for row in trace) > 0
+    for row in trace:
+        for field in fields(TraceRow):
+            assert type(getattr(row, field.name)) is field.type
+    json.dumps([(row.iteration, row.objective, row.accepted)
+                for row in trace])
 
 
 def test_beamforming_deterministic(small_model, small_phases):
@@ -637,7 +653,6 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
                                            atol=1e-12 * np.abs(want).max())
             one = steps[i:i + 1]
             assert values[s, i] == obj.probe(l, rows, cols, one)[0][s, 0]
-            assert values[s, i] == obj.probe(l, rows, cols, one, s)[0][0, 0]
         # the network searched alone sees the same values, bit for bit
         alone = SumSeObjective([model])
         alone.set_phases(small_phases[None])
@@ -720,6 +735,35 @@ def test_batch_of_different_drops_equals_searches_alone(small_cfg,
             assert found[0][1] != found[1][1]
 
 
+@pytest.mark.parametrize("failure", ["sinr", "estimation"])
+def test_failing_probe_in_a_padded_batch_equals_searches_alone(
+        small_cfg, small_phases, monkeypatch, failure):
+    # drops whose UEs have one and two co-pilots (a padded batch map), with
+    # a probe of the first batch failing past network 0's first accept:
+    # each network's phases and trace are those of its search alone (the
+    # permutation seed 3 puts that accept inside the first batch under both
+    # decoders)
+    five = [generate_drop(small_cfg.replace(K=5, tau_p=3), seed)
+            for seed in (6, 7)]
+    models = [NetworkModel.from_drop(drop, allocate_pilots(drop))
+              for drop in five]
+    assert [model.pilots.pick.shape[-2] for model in models] == [1, 2]
+    for decoder in se.DECODERS:
+        cfg = BeamformingConfig(decoder=decoder, sweeps=2)
+        clean = optimize_beamforming(models, small_phases, cfg, rng=3)
+        first = next(row for row in clean[0][1] if row.accepted)
+        assert first.iteration < cfg.max_probes    # in the first batch
+        failing = (first.iteration, failure, 0)
+        with monkeypatch.context() as patch:
+            _corrupt_probe(patch, *failing)
+            found = optimize_beamforming(models, small_phases, cfg, rng=3)
+        alone = _searches_alone(monkeypatch, models, small_phases, cfg, 3,
+                                failing)
+        for (out, trace), (ref, ref_trace) in zip(found, alone):
+            assert np.array_equal(out, ref)
+            assert trace == ref_trace
+
+
 def test_batch_needs_equal_dimensions_and_noise(small_cfg, small_drop,
                                                 small_model, small_pilots,
                                                 small_phases):
@@ -738,39 +782,58 @@ def test_batch_needs_equal_dimensions_and_noise(small_cfg, small_drop,
 
 
 @pytest.mark.parametrize("failure", ["sinr", "estimation"])
-def test_failing_first_batch_slices_the_stacked_model(small_drop,
-                                                      small_phases,
-                                                      monkeypatch, failure):
-    # a failing batch makes each network try its probes alone on its slice
-    # of the search's one stacked model, and commit what its search alone
-    # commits
+def test_search_keeps_one_model_for_its_life(small_drop, small_phases,
+                                             monkeypatch, failure):
+    # the search stacks its networks once and builds no model or pilot map
+    # after SumSeObjective.__init__, in a clean search and in one whose
+    # first batch fails; each network of the failing search equals its
+    # search alone and the clean search
     models = _pitch_group(small_drop)
     cfg = BeamformingConfig(sweeps=2)
-    clean = optimize_beamforming(models, small_phases, cfg, rng=3)
-    first = next(row for row in clean[0][1] if row.accepted)
-    stacked, single = [], []
+    events = []
+    real_init = SumSeObjective.__init__
     real_stack = NetworkModel.stack.__func__
-    real_probe = SumSeObjective._probe
+
+    def init_spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        events.append("init")
 
     def stack_spy(cls, members):
-        stacked.append(len(members))
+        events.append("stack")
         return real_stack(cls, members)
 
-    def probe_spy(self, l, rows, cols, powers, model, nets):
-        single.append(nets != slice(None))
-        return real_probe(self, l, rows, cols, powers, model, nets)
+    def spy(name, real):
+        def called(*args, **kwargs):
+            events.append(name)
+            return real(*args, **kwargs)
+        return called
 
+    monkeypatch.setattr(SumSeObjective, "__init__", init_spy)
     monkeypatch.setattr(NetworkModel, "stack", classmethod(stack_spy))
-    monkeypatch.setattr(SumSeObjective, "_probe", probe_spy)
-    _corrupt_probe(monkeypatch, first.iteration, failure, models[0])
-    found = optimize_beamforming(models, small_phases, cfg, rng=3)
-    assert stacked == [2] and any(single)
-    for model, (out, trace) in zip(models, found):
-        [(alone, alone_trace)] = optimize_beamforming([model], small_phases,
-                                                      cfg, rng=3)
-        assert np.array_equal(out, alone) and trace == alone_trace
-    assert stacked == [2, 1, 1]
-    for (out, trace), (clean_out, clean_trace) in zip(found, clean):
+    monkeypatch.setattr(NetworkModel, "at", spy("NetworkModel.at",
+                                                NetworkModel.at))
+    monkeypatch.setattr(PilotMap, "at", spy("PilotMap.at", PilotMap.at))
+    for module in (estimation, pipeline, optimize):
+        monkeypatch.setattr(module, "pilot_map",
+                            spy("pilot_map", estimation.pilot_map))
+
+    def search():
+        events.clear()
+        found = optimize_beamforming(models, small_phases, cfg, rng=3)
+        init = events.index("init")
+        assert events[:init].count("stack") == 1 and events[init + 1:] == []
+        return found
+
+    clean = search()
+    first = next(row for row in clean[0][1] if row.accepted)
+    with monkeypatch.context() as patch:
+        _corrupt_probe(patch, first.iteration, failure, 0)
+        found = search()
+    alone = _searches_alone(monkeypatch, models, small_phases, cfg, 3,
+                            (first.iteration, failure, 0))
+    for (out, trace), (ref, ref_trace), (clean_out, clean_trace) in zip(
+            found, alone, clean):
+        assert np.array_equal(out, ref) and trace == ref_trace
         assert np.array_equal(out, clean_out) and trace == clean_trace
 
 
@@ -803,60 +866,77 @@ def test_probes_never_run_the_full_cascade(small_model, small_phases,
     assert calls == [(True, (1, *small_phases.shape))]
 
 
-def _corrupt_probe(monkeypatch, index, failure, network):
-    """Make probe `index` of the first probe batch of the network whose
-    stack is that of the model network, and that phasor slice wherever it
-    is evaluated again in that network, fail: "sinr" gives it a negative
-    interference term (its LoS cross terms |h_k^H h_j|^2, which dg sums),
-    so its EGCD SINR denominator and its LSFD diagonal are nonpositive;
-    "estimation" raises EstimationError while it is in the batch."""
-    real = NetworkModel.block_terms
-    target = []
+def _corrupt_probe(monkeypatch, index, failure, net):
+    """Make probe `index` of the first probe batch of network net (an index
+    into each search's batch), and that phasor slice wherever network net
+    evaluates it again, fail: "sinr" gives it a negative interference term
+    (its LoS cross terms |h_k^H h_j|^2, which dg sums), so its EGCD SINR
+    denominator and its LSFD diagonal are nonpositive; "estimation" gives
+    it a negative definite antenna correlation s, -c I with c load >
+    sigma2, so that every pilot covariance of it is indefinite."""
+    real_terms = NetworkModel.block_terms
+    real_state = pipeline.block_channel_state
+    target, negated = [], []
 
-    def block_terms(self, context, shifts, rows, cols, powers):
-        mine = [s for s in range(len(shifts))
-                if np.array_equal(self.dset.w_first[s], network.dset.w_first)
-                and np.array_equal(self.dset.w_layer[s],
-                                   network.dset.w_layer)]
-        hit = []
-        if mine:
-            net = mine[0]
-            # each probe's phasor slice: the block's phasors times z
-            slices = np.repeat(shifts[net][None], len(powers), axis=0)
-            slices[:, rows, cols] *= powers.z[:, 1, None]
-            if not target:
-                target.append(slices[index].copy())
-            hit = [(net, i) for i, s in enumerate(slices)
-                   if np.array_equal(s, target[0])]
+    def block_terms(self, context, shifts, rows, cols, powers, *ok):
+        # each probe's phasor slice: the block's phasors times z
+        slices = np.repeat(shifts[net][None], len(powers), axis=0)
+        slices[:, rows, cols] *= powers.z[:, 1, None]
+        if not target:
+            target.append(slices[index].copy())
+        hit = [i for i, s in enumerate(slices)
+               if np.array_equal(s, target[0])]
         if hit and failure == "estimation":
-            raise EstimationError("pilot covariance is singular")
-        terms = real(self, context, shifts, rows, cols, powers)
-        cross = terms.cross.copy()
-        for net, i in hit:
-            cross[net, ..., i] = -1e6 * np.abs(xi_of(terms)).max()
-        return replace(terms, cross=cross)
+            negated.append((hit, 1.0 + 2.0 * self.cfg.sigma2
+                            / context.load[net].min()))
+        try:
+            terms = real_terms(self, context, shifts, rows, cols, powers, *ok)
+        finally:
+            negated.clear()
+        if hit and failure == "sinr":
+            cross = terms.cross.copy()
+            for i in hit:
+                cross[net, ..., i] = -1e6 * np.abs(xi_of(terms)).max()
+            terms = replace(terms, cross=cross)
+        return terms
+
+    def block_channel_state(*args):
+        state = real_state(*args)
+        for hit, c in negated:
+            s = state.s.copy()
+            s[net, hit] = -c * np.eye(s.shape[-1])
+            state = replace(state, s=s)
+        return state
 
     monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
+    monkeypatch.setattr(pipeline, "block_channel_state", block_channel_state)
+
+
+def _searches_alone(monkeypatch, models, phases, cfg, rng, failing=None):
+    """(phases, trace) of each model's search alone; failing = (index,
+    failure, net) runs network net's with that probe failing
+    (_corrupt_probe) and the others clean."""
+    found = []
+    for s, model in enumerate(models):
+        with monkeypatch.context() as patch:
+            if failing is not None and s == failing[2]:
+                _corrupt_probe(patch, *failing[:2], 0)
+            found += optimize_beamforming([model], phases, cfg, rng=rng)
+    return found
 
 
 def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
                                             small_phases, monkeypatch):
-    # after a group search, and after one whose first batch fails so that
-    # each network commits single probes, the objective's phasors are
-    # np.exp(1j * phases) bit for bit
-    objectives, single = [], []
-    real_init, real_probe = SumSeObjective.__init__, SumSeObjective._probe
+    # after a group search, and after one whose first batch fails, the
+    # objective's phasors are np.exp(1j * phases) bit for bit
+    objectives = []
+    real_init = SumSeObjective.__init__
 
     def init_spy(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         objectives.append(self)
 
-    def probe_spy(self, l, rows, cols, powers, model, nets):
-        single.append(nets != slice(None))
-        return real_probe(self, l, rows, cols, powers, model, nets)
-
     monkeypatch.setattr(SumSeObjective, "__init__", init_spy)
-    monkeypatch.setattr(SumSeObjective, "_probe", probe_spy)
 
     def check(found):
         obj = objectives[-1]
@@ -867,15 +947,12 @@ def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
     models = _pitch_group(small_drop)
     cfg = BeamformingConfig(sweeps=2)
     clean = optimize_beamforming(models, small_phases, cfg, rng=3)
-    assert not any(single)
     check(clean)
     first = next(row for row in clean[0][1] if row.accepted)
     for failure in ("estimation", "sinr"):
-        single.clear()
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration, failure, models[0])
+            _corrupt_probe(patch, first.iteration, failure, 0)
             found = optimize_beamforming(models, small_phases, cfg, rng=3)
-        assert any(single)
         check(found)
         for (out, trace), (clean_out, clean_trace) in zip(found, clean):
             assert np.array_equal(out, clean_out) and trace == clean_trace
@@ -899,7 +976,7 @@ def test_failing_probe_past_the_accepted_one_is_never_raised(
         # probe first.iteration + 1 (index first.iteration) is never
         # evaluated
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration, failure, models[0])
+            _corrupt_probe(patch, first.iteration, failure, 0)
             found = optimize_beamforming(models, small_phases, cfg, rng=3)
         for (out, trace), (clean_out, clean_trace) in zip(found, clean):
             assert np.array_equal(out, clean_out)
@@ -923,7 +1000,8 @@ def test_failing_probe_reached_by_the_search_raises(small_drop, small_pilots,
         found = optimize_beamforming(models, small_phases, cfg, rng=3)
         first = next(row for row in found[-1][1] if row.accepted)
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration - 1, failure, models[-1])
+            _corrupt_probe(patch, first.iteration - 1, failure,
+                           len(models) - 1)
             with pytest.raises(error):
                 optimize_beamforming(models, small_phases, cfg, rng=3)
 
@@ -933,7 +1011,7 @@ def test_block_context_formed_once_per_ap_visit(monkeypatch):
     # l, not per block, and again after set_phases; the probe batches give
     # each network of a two-pitch search the phases and trace of its own
     # per-probe search (block_size 3 over 32 atoms: the last block is
-    # short), also when a failing first batch takes the one-probe fallback
+    # short), also when a probe of the first batch fails
     cfg = SystemConfig(L=3, K=3, U=2, M=2, N=16, tau_p=2)
     models = _pitch_group(generate_drop(cfg, 5))
     phases = models[0].random_phases(np.random.default_rng(8))
@@ -959,15 +1037,14 @@ def test_block_context_formed_once_per_ap_visit(monkeypatch):
             assert np.array_equal(out, ref_out)
             assert trace == ref_trace
         first = next(row for row in found[0][1] if row.accepted)
+        failure = (first.iteration, "estimation", 0)
         with monkeypatch.context() as patch:
-            _corrupt_probe(patch, first.iteration, "estimation", models[0])
-            formed.clear()
+            _corrupt_probe(patch, *failure)
             failing = optimize_beamforming(models, phases, search, rng=6)
-            assert (0, 1) in formed     # the fallback's one-probe context
-            for model, (out, trace) in zip(models, failing):
-                [(alone, alone_trace)] = optimize_beamforming(
-                    [model], phases, search, rng=6)
-                assert np.array_equal(out, alone) and trace == alone_trace
+        alone = _searches_alone(monkeypatch, models, phases, search, 6,
+                                failure)
+        for (out, trace), (ref, ref_trace) in zip(failing, alone):
+            assert np.array_equal(out, ref) and trace == ref_trace
     # probes of one AP share its context until set_phases
     obj = SumSeObjective(models)
     obj.set_phases(np.stack([phases] * 2))

@@ -12,7 +12,8 @@ always runs `simcf validate` (seed 0) on each src as well and compares its
 three printed lines, so the closed-form-vs-Monte-Carlo check must report
 the same worst |z| (and the other two checks the same figures); the table
 shows each line's status and leading figure. It prints one table and exits
-1 on any mismatch:
+1 on any mismatch. Its summary also gives `wc -l src/simcf/*.py` of both
+trees, for information only (no gate):
 
     python3 tools/digests.py HEAD~1            # workload seeds 1-10
     python3 tools/digests.py 045ec7f --seeds 1 2 3
@@ -86,6 +87,12 @@ def validate_lines(src):
             for name in VALIDATE_CHECKS}
 
 
+def line_count(src):
+    """Total lines of src/simcf/*.py, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(src) / "simcf").glob("*.py"))
+
+
 def _status_and_figure(line):
     """'PASS 2.09' of a validate line: its status and first figure."""
     figure = re.search(r": [^\d-]*(-?\d\S*)", line)
@@ -126,9 +133,13 @@ def main(argv=None):
         for name in VALIDATE_CHECKS:
             report("validate", f"validate {name}", 0, old[name],
                    new[name], shown=_status_and_figure)
+        lines = line_count(old_src), line_count(ROOT / "src")
     for kind, same in results.items():
         what = "lines" if kind == "validate" else "digests"
         print(f"{sum(same)} of {len(same)} {kind} {what} equal")
+    print(f"wc -l src/simcf/*.py: {lines[0]} at {args.commit[:12]}, "
+          f"{lines[1]} in the working tree ({lines[1] - lines[0]:+d}; "
+          f"information only)")
     return 0 if all(map(all, results.values())) else 1
 
 
