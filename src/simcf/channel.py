@@ -4,20 +4,22 @@
 # every (AP, UE) link for a phase tensor, or of one AP under every probe of
 # a block of its atoms, for one network or a batch of networks on a leading
 # axis, each with its own drop and stack. A block state takes the AP's
-# unit phasors, which the phase search keeps, the step powers and their
-# pair products (ProbePowers), which it forms once, and the AP's LoS
-# amplitudes and NLoS gains, which it forms once per AP visit, so a probe
-# batch runs no exp over the AP's phases or its steps and forms nothing
-# its probes do not change. The block's Gram takes the real output-grid
-# correlation as one real product on the float view of the coefficients.
+# stack with its phasors folded in (sim_physics.FoldedStack), which the
+# phase search keeps, the step powers and their pair products
+# (ProbePowers), which it forms once, and the AP's LoS amplitudes, which it
+# forms once per AP visit, so a probe batch runs no exp and no phasor
+# product and forms nothing its probes do not change. The block's Gram
+# takes the real output-grid correlation as one real product on the float
+# view of the coefficients.
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import Drop
-from .sim_physics import (DiffractionSet, SimGeometry, block_cascade_coeffs,
-                          cascade_through_antennas, step_powers)
+from .sim_physics import (DiffractionSet, FoldedStack, SimGeometry,
+                          block_cascade_coeffs, cascade_through_antennas,
+                          step_powers)
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,6 @@ class ChannelState:
     is the per-AP antenna-domain projection of that common correlation. The
     state keeps the factors only; no per-link covariance is formed. The
     state of a batch of networks has a leading network axis on every field.
-    A block state (block_channel_state) has probes on the AP axis and one
-    row of beta_nlos, (1, K), that broadcasts against them.
     """
     h_bar: np.ndarray       # (L, K, U) complex
     s: np.ndarray           # (L, U, U) complex Hermitian PSD
@@ -101,32 +101,38 @@ def probe_powers(steps, degree) -> ProbePowers:
         for n in range(1, degree + 2)))
 
 
-def block_channel_state(dset: DiffractionSet, shifts, rows, cols,
-                        powers: ProbePowers, base_corr, amp,
-                        beta_nlos) -> ChannelState:
+@dataclass(frozen=True)
+class BlockState:
+    """Statistics of one AP under each of B probes (block_channel_state):
+    h_bar (..., K, U, B), the probes last as in the SINR parts
+    (se.block_factors), and s (..., B, U, U), one Hermitian matrix per
+    probe."""
+    h_bar: np.ndarray
+    s: np.ndarray
+
+
+def block_channel_state(folded: FoldedStack, rows, cols, powers: ProbePowers,
+                        base_corr, amp) -> BlockState:
     """Statistics of one AP under each probe of one block, in every network
     of a batch.
 
-    Probe b turns the atoms (rows, cols) of the AP by step_b; shifts
-    (..., M, N) are the unit phasors e^{j phi} of the AP's phases, powers
-    the ProbePowers of the steps (up to at least the number D of distinct
-    layers in rows), amp (..., K, N) the AP's LoS amplitudes
-    sqrt(beta_los_k) times the unit steering toward UE k and beta_nlos
-    (..., 1, K) its one row of NLoS gains. Leading axes of shifts, of the
-    matrices of dset, of base_corr (real), of amp and of beta_nlos are
-    network axes, which share the block and the steps. The state keeps
-    them leading, with the probes on the AP axis: h_bar (..., B, K, U) and
-    s (..., B, U, U); beta_nlos, (..., 1, K), broadcasts against the
-    probes. With the cascade t(z) = sum_d c_d z^d (block_cascade_coeffs)
-    at z = e^{j step}, s(z) = t^H base_corr t is the Laurent polynomial
-    sum_{d', d} conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) =
-    sum_d conj(z^d) amp conj(c_d): the coefficient products are formed once
-    per block and network (base_corr times the coefficients as one real
-    product on their float view) and each probe costs only their weighted
-    sums, which run on their own, so a row equals a one-network, one-probe
-    call bit for bit.
+    Probe b turns the atoms (rows, cols) of the AP by step_b; folded is
+    the AP's stack with its phasors folded in (sim_physics.fold_phasors),
+    powers the ProbePowers of the steps (up to at least the number D of
+    distinct layers in rows) and amp (..., K, N) the AP's LoS amplitudes
+    sqrt(beta_los_k) times the unit steering toward UE k. Leading axes of
+    folded, of base_corr (real) and of amp are network axes, which share
+    the block and the steps; the BlockState keeps them leading. With the
+    cascade t(z) = sum_d c_d z^d (block_cascade_coeffs) at z = e^{j step},
+    s(z) = t^H base_corr t is the Laurent polynomial sum_{d', d}
+    conj(z^d') z^d c_d'^H base_corr c_d and h_bar(z) = sum_d conj(z^d) amp
+    conj(c_d): the coefficient products are formed once per block and
+    network (base_corr times the coefficients as one real product on their
+    float view) and each probe costs only their weighted sums, which run on
+    their own, so a probe's statistics equal a one-network, one-probe call
+    bit for bit.
     """
-    c = block_cascade_coeffs(dset, shifts, rows, cols)    # (..., D+1, N, U)
+    c = block_cascade_coeffs(folded, rows, cols)          # (..., D+1, N, U)
     *lead, n_coef, n_atoms, u = c.shape
     n_ue = amp.shape[-2]
     flat = c.swapaxes(-3, -2).reshape(*lead, n_atoms, n_coef * u)
@@ -139,6 +145,6 @@ def block_channel_state(dset: DiffractionSet, shifts, rows, cols,
     mean = mean.swapaxes(-3, -2).reshape(*lead, 1, n_coef, n_ue * u)
     proj = (powers.pairs[n_coef - 1] @ gram).reshape(*lead, -1, u, u)
     s = 0.5 * (proj + proj.conj().swapaxes(-1, -2))
-    h_bar = (powers.z[:, :n_coef].conj()[:, None, :] @ mean).reshape(
-        *lead, -1, n_ue, u)
-    return ChannelState(h_bar=h_bar, s=s, beta_nlos=beta_nlos)
+    h_bar = powers.z[:, :n_coef].conj()[:, None, :] @ mean   # (..., B, 1, K U)
+    h_bar = np.ascontiguousarray(h_bar[..., 0, :].swapaxes(-1, -2))
+    return BlockState(h_bar=h_bar.reshape(*lead, n_ue, u, -1), s=s)

@@ -52,7 +52,8 @@ def build_parser():
             "--log-level", default="WARNING",
             choices=("WARNING", "INFO", "DEBUG"),
             help="simcf logging level; DEBUG also turns on the pilot "
-                 "covariance conditioning check")
+                 "covariance conditioning check of full builds (a phase "
+                 "search's probe blocks are not checked)")
     return parser
 
 

@@ -4,9 +4,11 @@
 # (AP, pilot), psi_lt = load_lt s_l + sigma2 I, shares the eigenvectors of
 # s_l: one eigendecomposition s_l = V diag(eig) V^H per AP diagonalises
 # every link's pilot system at once. With U = 1 or 2 antennas it is taken in
-# closed form (hermitian_eigh), since a phase search diagonalises a stack of
-# one tiny matrix per probe and LAPACK's cost is then its per-matrix
-# overhead; every other U goes to np.linalg.eigh. psi_lt has the eigenvalues
+# closed form (hermitian_eigh), since a build diagonalises a stack of one
+# tiny matrix per AP and LAPACK's cost is then its per-matrix overhead;
+# every other U goes to np.linalg.eigh. (A phase search's probe blocks
+# build no estimation state: se.block_factors reads each probe's pilot
+# systems from its s in closed form.) psi_lt has the eigenvalues
 # den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
 # beta_lk V diag(eig / den) V^H and the estimate covariance
 # omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
@@ -110,12 +112,11 @@ class EstimationState:
     gain = eig / den.
     The error covariance is r - p_hat_k tau_p omega. The state of a batch
     of networks has a leading network axis on every array, and its pilots
-    are the batch's PilotMap; the AP axis of a block build runs over
-    probes, which share their network's map.
+    are the batch's PilotMap.
     """
     eig: np.ndarray       # (L, U) eigenvalues of s, ascending
     basis: np.ndarray     # (L, U, U) eigenvectors of s, one per column
-    beta: np.ndarray      # (L, K) NLoS gains, r = beta s ((1, K): a block)
+    beta: np.ndarray      # (L, K) NLoS gains, r = beta s
     den: np.ndarray       # (L, P, U) eigenvalues of psi, all > 0
     pilots: PilotMap
     sigma2: float
@@ -204,7 +205,7 @@ def pilot_load(beta_nlos, pilots: PilotMap):
 
 
 def build_estimation_state(state: ChannelState, pilots: PilotMap,
-                           sigma2, load=None, *, ok=None) -> EstimationState:
+                           sigma2) -> EstimationState:
     """Estimation statistics for all links under a pilot map, or for a
     batch of drops: a state with a leading drop axis and the map of their
     assignments (D, K).
@@ -212,31 +213,22 @@ def build_estimation_state(state: ChannelState, pilots: PilotMap,
     One stacked eigendecomposition of the per-AP correlations s
     (hermitian_eigh: closed form for U = 1 and 2, LAPACK otherwise) gives
     the pilot covariance of every (AP, pilot) on the eigenbasis of its AP:
-    the pilot load of the state's NLoS gains (pilot_load, formed here
-    unless given) times eig, plus sigma2. A block state's one row of NLoS
-    gains (1, K) gives one load, which broadcasts over its probes; a phase
-    search forms it once per AP visit. Raises EstimationError when an
-    eigenvalue of a pilot covariance in use is not > 0 (psi singular or
-    indefinite), or, given ok (..., L), sets that AP (or probe) False in ok
-    and its nonpositive eigenvalues to 1, so that the state stays finite.
-    Its condition is logged once per build when DEBUG logging is on.
+    the pilot load of the state's NLoS gains (pilot_load) times eig, plus
+    sigma2. Raises EstimationError when an eigenvalue of a pilot covariance
+    in use is not > 0 (psi singular or indefinite). Its condition is
+    logged once per build when DEBUG logging is on.
     """
     eig, basis = hermitian_eigh(state.s)
-    if load is None:
-        load = pilot_load(state.beta_nlos, pilots)                   # (L, P)
+    load = pilot_load(state.beta_nlos, pilots)                       # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
     if not den.min() > 0:                           # NaN fails too
-        positive = den > 0
-        if ok is None:
-            *at, t = np.argwhere(~positive.all(axis=-1))[0]
-            drop = tuple(at[:-1])
-            raise EstimationError(
-                f"pilot covariance is singular or indefinite for pilot "
-                f"{np.unique(pilots.pilot_of[drop])[t]} at AP (or probe) "
-                f"{at[-1]}{f' of drop {drop[0]}' if drop else ''}: "
-                f"eigenvalue {den[(*at, t)].min():.6e}")
-        ok &= positive.all(axis=(-2, -1))
-        den[~positive] = 1.0
+        *at, t = np.argwhere(~(den > 0).all(axis=-1))[0]
+        drop = tuple(at[:-1])
+        raise EstimationError(
+            f"pilot covariance is singular or indefinite for pilot "
+            f"{np.unique(pilots.pilot_of[drop])[t]} at AP {at[-1]}"
+            f"{f' of drop {drop[0]}' if drop else ''}: "
+            f"eigenvalue {den[(*at, t)].min():.6e}")
     est = EstimationState(eig=eig, basis=basis, beta=state.beta_nlos, den=den,
                           pilots=pilots, sigma2=sigma2)
     _monitor_conditioning(est)

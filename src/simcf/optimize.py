@@ -7,16 +7,18 @@
 # life: a probe batch marks its failing probes instead of raising, and a
 # network raises only for a failing probe its search reaches. A probe block
 # does only what its probes change: the search keeps the unit phasors of
-# its phases, rewrites only the turned atoms on an accept, forms the step
-# powers e^{j d step} and their pair products once, forms what every block
-# of an AP reads (the AP's LoS amplitudes, pilot load and gain products:
-# pipeline.BlockContext) once per AP visit, and builds the turned AP alone
-# from the block's cascade polynomial (channel.block_channel_state). The
-# power control is a bisection whose midpoints are decided by the
-# closed-form Perron-Frobenius optimum, a linear solve deciding only those
-# within a guard band of it, so it returns what solving every midpoint
-# returns. Pilot allocation and power control run on the leading drop (or
-# setting) axis of a batch in one pass.
+# its phases and the visited AP's layer matrices with those phasors folded
+# in, rewrites only the turned atoms' entries and rows on an accept, forms
+# the step powers e^{j d step} and their pair products once, forms what
+# every block of an AP reads (the AP's LoS amplitudes and the NLoS-gain
+# constants of its parts: pipeline.BlockContext) once per AP visit, and
+# writes each probe's SINR parts from the turned AP's block statistics in
+# closed form (NetworkModel.block_factors). The power control is a
+# bisection whose midpoints are decided by the closed-form
+# Perron-Frobenius optimum, a linear solve deciding only those within a
+# guard band of it, so it returns what solving every midpoint returns.
+# Pilot allocation and power control run on the leading drop (or setting)
+# axis of a batch in one pass.
 
 import bisect
 import contextlib
@@ -32,7 +34,7 @@ from .config import is_count
 from .estimation import EstimationError, PilotMap, pilot_map
 from .pipeline import NetworkModel
 from .scenario import Drop
-from .sim_physics import wrap_phases
+from .sim_physics import fold_phasors, wrap_phases
 
 log = logging.getLogger(__name__)
 
@@ -161,16 +163,18 @@ class SumSeObjective:
     equals np.exp(1j * phases) bit for bit; set_phases forms it and a
     commit rewrites only the atoms it turns. probe turns a block of AP l's
     atoms by each of B steps in every network and evaluates the S B probes
-    as one batch: AP l's terms under every probe (NetworkModel.block_terms)
-    and their parts, each added to its network's sums of the parts over
-    the other APs, from which the SINR follows (se.sinr_from_parts: the
-    Woodbury Rayleigh quotient under LSFD, the all-ones weighting under
-    EGCD); each check on the way marks the probes it fails (_probe). What
-    a block reads that no probe changes is formed apart from the blocks:
-    the step powers and their pair products (channel.probe_powers) once
-    per distinct steps array, so once per search; the coherent scales of
-    the parts (se.coherent_scale) once; and AP l's block context
-    (NetworkModel.block_context) and its other-AP sums once per AP visit,
+    as one batch: the factors of AP l's parts under every probe
+    (NetworkModel.block_factors) and the parts (se.factor_parts), each
+    added to its network's sums of the parts over the other APs, from which
+    the SINR follows (se.sinr_from_parts: the Woodbury Rayleigh quotient
+    under LSFD, the all-ones weighting under EGCD); each check on the way
+    marks the probes it fails (_probe). What a block reads that no probe
+    changes is formed apart from the blocks: the step powers and their pair
+    products (channel.probe_powers) once per distinct steps array, so once
+    per search; the coherent scales of the full build's parts
+    (se.coherent_scale) once; and AP l's block context
+    (NetworkModel.block_context), its other-AP sums and its stack with its
+    phasors folded in (sim_physics.FoldedStack, _folded) once per AP visit,
     again after set_phases. improve commits in each network the first
     probe that beats its best by writing its column into AP l's parts, or
     raises for a failing probe before it. Every network's values and
@@ -186,20 +190,18 @@ class SumSeObjective:
         self.phases = self.shifts = self.parts = self.best = None
         self._scale = se.coherent_scale(self.model.pilots,
                                         np.asarray(self.p, dtype=float))
-        self._others = self._context = self._powers = None
+        self._others = self._context = self._fold = self._powers = None
 
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
-        self.parts = list(self._parts(self.model.terms(self.phases)))
+        self.parts = list(se.sinr_parts(self.model.terms(self.phases),
+                                        self.decoder, self.p, self._scale))
         # after the build, which holds every network's temporaries at once
         self.shifts = np.exp(1j * self.phases)
-        self._others = self._context = None
+        self._others = self._context = self._fold = None
         self.best = self._sum_se([part.sum(axis=-1) for part in self.parts])
         return self.best.copy()
-
-    def _parts(self, terms, ok=None):
-        return se.sinr_parts(terms, self.decoder, self.p, self._scale, ok=ok)
 
     def _sum_se(self, sums, ok=None):
         gamma = se.sinr_from_parts(sums, self.decoder, self.p, ok=ok)
@@ -215,13 +217,25 @@ class SumSeObjective:
                                 for part in self.parts])
         return self._others[1]
 
-    def _block_context(self, l, n_probes):
-        """AP l's block context for n_probes probes in every network,
-        formed again only for another AP or probe count."""
-        if self._context is None or self._context[:2] != (l, n_probes):
-            self._context = (l, n_probes,
-                             self.model.block_context(l, n_probes))
-        return self._context[2]
+    def _block_context(self, l):
+        """AP l's block context in every network, formed again only for
+        another AP."""
+        if self._context is None or self._context[0] != l:
+            self._context = (l, self.model.block_context(l))
+        return self._context[1]
+
+    def _folded(self, l):
+        """AP l's stack in every network with its phasors folded in
+        (sim_physics.fold_phasors), formed again only for another AP; a
+        commit rewrites its turned rows. Only the visited AP's is held:
+        S (M-1) N^2 complex entries, ~1 MiB for the four pitches of a
+        table1 drop (M = 5, N = 64), so it grows with the networks
+        searched at once."""
+        if self._fold is None or self._fold[0] != l:
+            self._fold = None       # the last AP's, before forming this one's
+            self._fold = (l, fold_phasors(self.model.dset,
+                                          self.shifts[:, l]))
+        return self._fold[1]
 
     def _step_powers(self, steps):
         """channel.probe_powers of steps up to degree M, formed again only
@@ -250,12 +264,12 @@ class SumSeObjective:
         (S, B) True where the probe's pilot covariances are positive
         definite, valid where its SINR checks pass as well. A failing
         probe's values and parts are finite and meaningless."""
-        context = self._block_context(l, len(powers))
-        valid = np.ones((self.n_nets, len(powers)), dtype=bool)
-        terms = self.model.block_terms(context, self.shifts[:, l], rows, cols,
-                                       powers, valid)
-        estimated = valid.copy()
-        parts = self._parts(terms, valid)
+        estimated = np.ones((self.n_nets, len(powers)), dtype=bool)
+        factors = self.model.block_factors(self._block_context(l),
+                                           self._folded(l), rows, cols,
+                                           powers, estimated)
+        valid = estimated.copy()
+        parts = se.factor_parts(*factors, self.decoder, valid)
         sums = [other + new for other, new in zip(self._other_sums(l), parts)]
         # the networks and probes first, as candidates of sinr_from_parts
         # (transpose, since np.moveaxis would double the cost of this step)
@@ -291,8 +305,9 @@ class SumSeObjective:
         such network) before anything is committed, as that network's
         search alone does. Otherwise each deciding network writes its
         probe's column of the parts, its turned phases and phasors (on its
-        AP's (M, N) slice) and its best through basic indexing; returns the
-        deciding probes, -1 where none."""
+        AP's (M, N) slice) and its best through basic indexing, and the
+        turned rows of AP l's folded stack are rewritten for all of them at
+        once; returns the deciding probes, -1 where none."""
         decides = (values - self.best[:, None] > min_gain) | ~valid
         hits = np.where(decides.any(axis=1), decides.argmax(axis=1), -1)
         won = [(s, i) for s, i in enumerate(hits.tolist()) if i >= 0]
@@ -308,6 +323,9 @@ class SumSeObjective:
             self.shifts[s, l][rows, cols] = np.exp(1j * turned)
             best = self.best[s]
             self.best[s] = best + (values[s, i] - best)
+        if won:
+            self._folded(l).refold(self.model.dset, self.shifts[:, l], rows,
+                                   cols)
         return hits
 
 

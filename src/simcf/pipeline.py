@@ -6,9 +6,11 @@
 # and stack. The drops of a sweep value share their stack as a zero-copy
 # view; the networks of a phase search are stacked. Heavy fixed pieces are
 # computed once: the base correlation per stack (real), the steering per
-# drop. A probe block of one AP runs the same chain on the AP's block
-# state, with what no probe changes (the AP's LoS amplitudes, pilot load
-# and gain products: BlockContext) formed once per AP visit and passed in.
+# drop. A probe block of one AP takes a shorter chain: the AP's block
+# statistics and, from them, the factors of its SINR parts
+# (NetworkModel.block_factors), with what no probe changes (the AP's LoS
+# amplitudes and its BlockConstants: BlockContext) formed once per AP visit
+# and passed in.
 
 from dataclasses import dataclass, field, replace
 
@@ -19,26 +21,22 @@ from .channel import (ChannelState, ProbePowers, block_channel_state,
                       build_channel_state, steering_units)
 from .config import SystemConfig
 from .estimation import (EstimationState, PilotMap, build_estimation_state,
-                         pilot_load, pilot_map)
+                         pilot_map)
 from .scenario import Drop
-from .sim_physics import (DiffractionSet, base_correlation,
+from .sim_physics import (DiffractionSet, FoldedStack, base_correlation,
                           random_phase_tensor, stack_for)
 
 
 @dataclass(frozen=True)
 class BlockContext:
     """What every probe block of AP ap reads that its probes do not change,
-    for B probes in every network of a model (NetworkModel.block_context):
-    the AP's LoS amplitudes amp = sqrt(beta_los) times the unit steering
-    (..., K, N), its row of NLoS gains beta_nlos (..., 1, K), its pilot
-    load (..., 1, P) (estimation.pilot_load) and the gain products of its
-    terms over the B probes (se.nlos_gains). A phase search forms it once
-    per AP visit, for all of its networks at once."""
+    in every network of a model (NetworkModel.block_context): the AP's LoS
+    amplitudes amp = sqrt(beta_los) times the unit steering (..., K, N)
+    and its se.BlockConstants at the drop's powers. A phase search forms it
+    once per AP visit, for all of its networks at once."""
     ap: int
     amp: np.ndarray
-    beta_nlos: np.ndarray
-    load: np.ndarray
-    gains: se.NlosGains
+    constants: se.BlockConstants
 
 
 @dataclass
@@ -129,30 +127,26 @@ class NetworkModel:
         state = self.channel_state(phases)
         return state, self.estimation_state(state)
 
-    def block_context(self, l, n_probes) -> BlockContext:
-        """The BlockContext of AP l for n_probes probes in every network."""
-        drop, pilots = self.drop, self.pilots
-        beta_nlos = drop.beta_nlos[..., l, None, :]
+    def block_context(self, l) -> BlockContext:
+        """The BlockContext of AP l in every network."""
+        drop = self.drop
         return BlockContext(
             ap=l,
             amp=np.sqrt(drop.beta_los[..., l, :, None])
             * self.steering[..., l, :, :],
-            beta_nlos=beta_nlos, load=pilot_load(beta_nlos, pilots),
-            gains=se.nlos_gains(beta_nlos, pilots, n_probes))
+            constants=se.block_constants(drop.beta_nlos[..., l, :],
+                                         self.pilots, drop.p,
+                                         self.cfg.sigma2))
 
-    def block_terms(self, context: BlockContext, shifts, rows, cols,
-                    powers: ProbePowers, ok=None) -> se.SinrTerms:
-        """Terms of AP context.ap alone under each probe of one block in
-        every network: network s has the AP's phasors shifts[s] (M, N),
-        e^{j phi}, with the atoms (rows, cols) turned by each of the B steps
-        whose ProbePowers are powers (channel.block_channel_state), and
-        context is the AP's block_context for B probes. The networks lead
-        and the B probes run on the AP axis. A probe whose pilot covariance
-        is not positive definite raises EstimationError, or, given ok
-        (S, B), turns False in ok (build_estimation_state)."""
-        state = block_channel_state(self.dset, shifts, rows, cols, powers,
-                                    self.base_corr, context.amp,
-                                    context.beta_nlos)
-        est = build_estimation_state(state, self.pilots, self.cfg.sigma2,
-                                     context.load, ok=ok)
-        return se.sinr_terms(state, est, context.gains)
+    def block_factors(self, context: BlockContext, folded: FoldedStack, rows,
+                      cols, powers: ProbePowers, ok):
+        """The se.block_factors (z, dg, Delta') of AP context.ap alone under
+        each probe of one block in every network: network s has the AP's
+        stack with its phasors folded in, folded (sim_physics.fold_phasors),
+        with the atoms (rows, cols) turned by each of the B steps whose
+        ProbePowers are powers (channel.block_channel_state). The networks
+        lead and the B probes run last. A probe whose pilot covariance is
+        not positive definite turns False in ok (S, B)."""
+        state = block_channel_state(folded, rows, cols, powers,
+                                    self.base_corr, context.amp)
+        return se.block_factors(state, context.constants, ok)

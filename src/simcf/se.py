@@ -32,17 +32,21 @@
 # covariance and the pilot map are checked where they enter
 # (estimation.build_estimation_state). The means g = V^H h_bar and their
 # inner products are explicit sums over the U antennas, each running over
-# every link at once. What a phase search's blocks share is taken as data
-# where it is formed once: the NLoS-gain products of an AP's terms
-# (nlos_gains, once per AP visit) and the coherent scales of the parts
-# (coherent_scale, once per search).
+# every link at once.
+# A phase search's probe blocks skip the terms: block_factors writes the
+# parts' factors z, dg and Delta' of each probe straight from its s and
+# h_bar and from what no probe of an AP changes (BlockConstants, once per
+# AP visit). For U <= 2 every matrix function of s is a I + c s, so each
+# UE's pilot system needs only tr s and det s, and its sums over the UEs
+# only the probe's H_p = sum_j p_j h_bar_j h_bar_j^H; no eigenbasis, no
+# K x K array. factor_parts turns the factors of either build into parts.
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState
-from .estimation import EstimationState, PilotMap
+from .channel import BlockState, ChannelState
+from .estimation import EstimationState, PilotMap, pilot_load
 
 DECODERS = ("lsfd", "egcd")
 
@@ -100,32 +104,6 @@ def _ap_last(x, axis):
     return np.ascontiguousarray(_ap_view(x, axis))
 
 
-@dataclass(frozen=True)
-class NlosGains:
-    """The NLoS-gain products sinr_terms reads, AP axis last: beta
-    (..., K, L), spec_scale = p_hat_k tau_p beta_kl^2 (..., K, 1, L), the
-    factor of spec, and pair_scale = beta_jl sharing_kj (..., K, K, L), the
-    factor of delta. A block state's AP axis holds its probes, which repeat
-    the AP's one row of gains; a phase search forms them once per AP visit,
-    for all of its networks (pipeline.BlockContext)."""
-    beta: np.ndarray
-    spec_scale: np.ndarray
-    pair_scale: np.ndarray
-
-
-def nlos_gains(beta_nlos, pilots: PilotMap, n_aps) -> NlosGains:
-    """The NlosGains of NLoS gains (..., L, K) under a pilot map, or of a
-    block's one row (..., 1, K) repeated over its n_aps probes."""
-    beta = _ap_last(beta_nlos, -2)
-    if beta.shape[-1] != n_aps:     # a block state's one row of gains
-        beta = np.repeat(beta, n_aps, axis=-1)
-    return NlosGains(
-        beta=beta,
-        spec_scale=(pilots.p_hat[:, None] * pilots.tau_p
-                    * beta ** 2)[..., None, :],
-        pair_scale=beta[..., None, :, :] * pilots.sharing[..., None])
-
-
 def _spectral_means(h_bar, basis):
     """g = V^H h_bar of every link (..., K, U, L), the AP axis last, from
     h_bar (..., L, K, U) and the eigenbases V (..., L, U, U): explicit sums
@@ -156,8 +134,7 @@ def _cross_gains(g):
     return cross
 
 
-def sinr_terms(state: ChannelState, est: EstimationState,
-               gains: NlosGains = None) -> SinrTerms:
+def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
     """Evaluate all closed-form term families from link statistics.
 
     For each AP l, on the eigenbasis V of s_l (est.basis) with eigenvalues
@@ -173,26 +150,163 @@ def sinr_terms(state: ChannelState, est: EstimationState,
       delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)
                    = beta_lj beta_lk sum_i eig_li^2 / den_lki
                      (pilot-sharing UEs only)
-    g and the inner products of cross are explicit sums over U. gains are
-    the state's nlos_gains, formed here unless given (a phase search forms
-    a block's once per AP visit). The states of a batch of drops give terms
-    with a leading drop axis.
+    g and the inner products of cross are explicit sums over U. The states
+    of a batch of drops give terms with a leading drop axis.
     """
     pilots = est.pilots
     g = _spectral_means(state.h_bar, est.basis)      # (..., K, U, L)
     cross = _cross_gains(g)     # first: its temporaries are the largest
-    if gains is None:
-        gains = nlos_gains(est.beta, pilots, est.eig.shape[-2])
+    beta = _ap_last(est.beta, -2)                    # (..., K, L)
     eig = _ap_last(est.eig[..., None, :], -3)        # (1, U, L)
     spread = _ap_last(est.eig[..., None, :] * est.gain, -3)   # eig^2 / den
     power = g.real ** 2 + g.imag ** 2
-    spec = gains.spec_scale * spread
+    spec = (pilots.p_hat[:, None] * pilots.tau_p
+            * beta ** 2)[..., None, :] * spread
     lam = power.sum(axis=-2)
-    delta = (gains.beta * spread.sum(axis=-2))[..., None, :] * gains.pair_scale
+    delta = ((beta * spread.sum(axis=-2))[..., None, :]
+             * (beta[..., None, :, :] * pilots.sharing[..., None]))
     return SinrTerms(z=spec.sum(axis=-2) + lam, lam=lam, delta=delta,
-                     beta=gains.beta, nu=((spec + power) * eig).sum(axis=-2),
+                     beta=beta, nu=((spec + power) * eig).sum(axis=-2),
                      spec=spec, power=power, cross=cross,
                      pilots=pilots, sigma2=est.sigma2)
+
+
+@dataclass(frozen=True)
+class BlockConstants:
+    """What block_factors reads of one AP that no probe of it changes,
+    shaped to broadcast against probes on the last axis: the pilot load of
+    each UE's pilot, load (..., K, 1) (estimation.pilot_load); spec
+    (..., K, 1), p_hat_k tau_p beta_k^2; weight (..., K, J, 1),
+    sqrt(c_kj) beta_k beta_j of the j-th co-pilot j of k (coherent_scale;
+    0 past k's co-pilot count); nlos (..., 1, 1), sum_j p_j beta_j; the
+    powers p (K, 1) and sigma2. A phase search forms them once per AP
+    visit, for all of its networks (pipeline.BlockContext)."""
+    load: np.ndarray
+    spec: np.ndarray
+    weight: np.ndarray
+    nlos: np.ndarray
+    p: np.ndarray
+    sigma2: float
+
+
+def block_constants(beta_nlos, pilots: PilotMap, p, sigma2) -> BlockConstants:
+    """The BlockConstants of an AP's NLoS gains (..., K) under a pilot map
+    (a batch's, for a leading network axis) at the powers p (K,)."""
+    p = np.asarray(p, dtype=float)
+    load = pilot_load(beta_nlos[..., None, :], pilots)       # (..., 1, P)
+    pair = beta_nlos[..., None, :] * pilots.sharing         # beta_j sharing_kj
+    return BlockConstants(
+        load=pilots.members @ load.swapaxes(-1, -2),
+        spec=(pilots.p_hat * pilots.tau_p * beta_nlos ** 2)[..., None],
+        weight=(coherent_scale(pilots, p) * beta_nlos[..., None, None]
+                * (pilots.pick @ pair[..., None])),
+        nlos=(p * beta_nlos).sum(axis=-1)[..., None, None],
+        p=p[:, None], sigma2=sigma2)
+
+
+def block_factors(state: BlockState, constants: BlockConstants, ok):
+    """(z, dg, Delta') of one AP under each probe of a block, those of
+    _factors on the AP's terms, shapes (..., K, B), (..., K, B) and
+    (..., K, J, B), from the probes' statistics (channel.block_channel_state)
+    and the AP's BlockConstants. A probe whose pilot covariance is not
+    positive definite for some UE turns False in ok (..., B), and its
+    factors stay finite and meaningless.
+
+    Summed over the UEs j, the parts of sinr_terms give, with F_k =
+    s^2 psi_k^-1 for the pilot covariance psi_k = load_k s + sigma2 I of
+    UE k's pilot, H_p = sum_j p_j h_bar_j h_bar_j^H and E = nlos s + H_p +
+    sigma2 I (one U x U matrix per probe):
+      z_k  = spec_k tr F_k + ||h_bar_k||^2
+      dg_k = h_bar_k^H E h_bar_k + spec_k tr(F_k E) - p_k ||h_bar_k||^4
+      Delta'_kj = weight_kj tr F_k
+    For U <= 2 every matrix function of s is c_s s + c_i I
+    (Cayley-Hamilton): F = s^2 adj(psi) / det psi gives c_s = (sigma2 tr s
+    + load det s) / det psi and c_i = -sigma2 det s / det psi, with
+    det psi = load^2 det s + load sigma2 tr s + sigma2^2, so that tr F =
+    (sigma2 tr(s^2) + load det s tr s) / det psi and tr(F E) = (sigma2
+    (tr s tr(s E) - det s tr E) + load det s tr(s E)) / det psi; psi is
+    positive definite iff det psi > 0 and tr psi > 0. For U = 1, tr F =
+    s^2 / psi and tr(F E) = s tr(s E) / psi. Each UE then costs a few
+    products with the probe's scalars, and no probe needs an
+    eigendecomposition or a K x K array. U >= 3 goes through each probe's
+    eigendecomposition (_spectral_factors).
+    """
+    h_bar, s, c = state.h_bar, state.s, constants
+    u = h_bar.shape[-2]
+    if u > 2:
+        return _spectral_factors(h_bar, s, c, ok)
+    sigma2 = c.sigma2
+    power = h_bar.real ** 2
+    power += h_bar.imag ** 2                          # (..., K, U, B)
+    diag = np.diagonal(s, axis1=-2, axis2=-1).real    # (..., B, U)
+    diag = diag.swapaxes(-1, -2)[..., None, :, :]      # (..., 1, U, B)
+    e_diag = (c.nlos[..., None] * diag + sigma2       # diag E, (..., 1, U, B)
+              + (c.p[..., None] * power).sum(axis=-3, keepdims=True))
+    lam = _antenna_sum(power)
+    quad = _antenna_sum(e_diag * power)               # h_bar^H E h_bar ...
+    trace = _antenna_sum(diag)                        # (..., 1, B)
+    tr_se = _antenna_sum(diag * e_diag)               # tr(s E) ...
+    if u == 2:
+        b = s[..., 1, 0][..., None, :]               # s_10, (..., 1, B)
+        mixed = h_bar[..., 0, :] * h_bar[..., 1, :].conj()
+        # 2 E_10: E_10 = nlos s_10 + (H_p)_10, (H_p)_10 = conj(sum_j p_j
+        # mixed_j)
+        e_off = 2.0 * (c.nlos * b + (c.p * mixed).sum(axis=-2,
+                                                     keepdims=True).conj())
+        quad += (e_off * mixed).real                  # ... + 2 Re(E_10 mixed)
+        tr_se += (b.conj() * e_off).real              # ... + 2 Re(s_01 E_10)
+        det = diag[..., 0, :] * diag[..., 1, :] - (b.real ** 2 + b.imag ** 2)
+        tr_sq = trace * trace - 2.0 * det             # tr(s^2)
+        load = c.load
+        det_psi = load * (load * det + sigma2 * trace) + sigma2 * sigma2
+        check = np.minimum(det_psi, load * trace + 2.0 * sigma2)  # tr psi
+        num_f = load * (det * trace) + sigma2 * tr_sq
+        num_fe = (load * (det * tr_se)
+                  + sigma2 * (trace * tr_se - det * _antenna_sum(e_diag)))
+    else:                                             # psi = load s + sigma2
+        det_psi = check = c.load * trace + sigma2
+        num_f, num_fe = trace * trace, trace * tr_se
+    if not check.min() > 0:                           # NaN fails too
+        positive = check > 0
+        ok &= positive.all(axis=-2)
+        det_psi = np.where(positive, det_psi, 1.0)
+    tr_f = num_f / det_psi
+    tr_fe = num_fe / det_psi
+    z = c.spec * tr_f + lam
+    dg = quad + c.spec * tr_fe - c.p * lam * lam
+    return z, dg, c.weight * tr_f[..., None, :]
+
+
+def _antenna_sum(x):
+    """x (..., U, B) summed over its U <= 2 antennas by one add, where a
+    sum over an axis of two costs a reduction's setup."""
+    return x[..., 0, :] + x[..., 1, :] if x.shape[-2] == 2 else x[..., 0, :]
+
+
+def _spectral_factors(h_bar, s, c: BlockConstants, ok):
+    """block_factors for U >= 3: on the eigenbasis V of each probe's s
+    (np.linalg.eigh), F_k is diagonal with eig^2 / den_k, den_k = load_k
+    eig + sigma2 the eigenvalues of psi_k, and V^H E V has the diagonal
+    nlos eig + sum_j p_j |V^H h_bar_j|^2 + sigma2."""
+    eig, basis = np.linalg.eigh(s)          # (..., B, U), (..., B, U, U)
+    eig = eig.swapaxes(-1, -2)[..., None, :, :]      # (..., 1, U, B)
+    den = c.load[..., None] * eig + c.sigma2         # (..., K, U, B)
+    if not den.min() > 0:                            # NaN fails too
+        ok &= (den > 0).all(axis=(-3, -2))
+        den = np.where(den > 0, den, 1.0)
+    f = eig ** 2 / den
+    g = np.einsum("...bai,...kab->...kib", basis.conj(), h_bar)   # V^H h_bar
+    power = g.real ** 2 + g.imag ** 2
+    lam = power.sum(axis=-2)
+    e_diag = (c.nlos[..., None] * eig + c.sigma2
+              + (c.p[..., None] * power).sum(axis=-3, keepdims=True))
+    inner = np.einsum("...kab,...jab->...kjb", h_bar.conj(), h_bar)
+    quad = (c.nlos * (eig * power).sum(axis=-2) + c.sigma2 * lam
+            + ((inner.real ** 2 + inner.imag ** 2) * c.p).sum(axis=-2))
+    tr_f = f.sum(axis=-2)
+    z = c.spec * tr_f + lam
+    dg = quad + c.spec * (f * e_diag).sum(axis=-2) - c.p * lam * lam
+    return z, dg, c.weight * tr_f[..., None, :]
 
 
 def _require_positive(value, what, ok=None):
@@ -239,18 +353,23 @@ def _factors(terms: SinrTerms, p, scale=None):
     return dg, scale * (terms.pilots.pick @ terms.delta)
 
 
-def _lsfd_factors(terms: SinrTerms, p, scale=None, ok=None):
-    """(D^-1 z, D^-1 Delta', Delta'). D^-1 is 0 where dg and z are both 0
-    (an AP that sees nothing of the UE); any other nonpositive dg raises,
-    or, given ok (..., L), sets its AP (or probe) False in ok."""
+def _lsfd_factors(terms: SinrTerms, p, scale=None):
+    """(D^-1 z, D^-1 Delta', Delta') of the terms (_inverse_diagonal)."""
     dg, dp = _factors(terms, p, scale)
+    return (*_inverse_diagonal(terms.z, dg, dp), dp)
+
+
+def _inverse_diagonal(z, dg, dp, ok=None):
+    """(D^-1 z, D^-1 Delta') with D = diag(dg). D^-1 is 0 where dg and z
+    are both 0 (an AP that sees nothing of the UE); any other nonpositive
+    dg raises, or, given ok (..., L), sets its AP (or probe) False in ok."""
     if not dg.min(initial=np.inf) > 0:      # one pass when nothing is dropped
-        dg = np.where((dg == 0) & (terms.z == 0), np.inf, dg)    # D^-1 = 0
+        dg = np.where((dg == 0) & (z == 0), np.inf, dg)    # D^-1 = 0
         # per UE to name it in the error, per AP (or probe) to mark it
         per = dg.min(axis=-1) if ok is None else dg.swapaxes(-1, -2)
         _require_positive(per, "LSFD denominator diagonal", ok)
     dinv = 1.0 / dg
-    return dinv * terms.z, dinv[..., None, :] * dp, dp
+    return dinv * z, dinv[..., None, :] * dp
 
 
 def _inner_solve(g, v):
@@ -343,23 +462,31 @@ def sinr_from_weights(terms: SinrTerms, weights, p):
     return sinr_coefficients(terms, weights).sinr(p)
 
 
-def sinr_parts(terms: SinrTerms, decoder, p, scale=None, *, ok=None):
+def sinr_parts(terms: SinrTerms, decoder, p, scale=None):
     """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
-    sinr_from_parts to sum over all APs or over any subset of them.
+    sinr_from_parts to sum over all APs or over any subset of them: the
+    factor_parts of the terms' z and _factors. scale is the coherent_scale
+    of the terms' map at p, formed here unless given (a phase search forms
+    it once).
+    """
+    return factor_parts(terms.z, *_factors(terms, p, scale), decoder)
+
+
+def factor_parts(z, dg, dp, decoder, ok=None):
+    """Per-AP SINR parts of decoder from the factors z, dg and Delta'
+    (_factors, block_factors), the AP (or probe) axis last.
 
     lsfd: z D^-1 z, Delta'^H D^-1 z and Delta'^H D^-1 Delta' per AP, shapes
     (..., K, L), (..., K, J, L), (..., K, J, J, L). egcd: z, dg, Delta'.
-    Every part is real. scale is the coherent_scale of the terms' map at p,
-    formed here unless given (a phase search forms it once). ok is that of
-    _lsfd_factors.
+    Every part is real. ok is that of _inverse_diagonal.
     """
     if decoder == "egcd":
-        return (terms.z, *_factors(terms, p, scale))
+        return z, dg, dp
     if decoder != "lsfd":
         raise ValueError(f"unknown decoder {decoder!r}; expected one of "
                          f"{DECODERS}")
-    dz, dd, dp = _lsfd_factors(terms, p, scale, ok)
-    return (terms.z * dz, dp * dz[..., None, :],
+    dz, dd = _inverse_diagonal(z, dg, dp, ok)
+    return (z * dz, dp * dz[..., None, :],
             dp[..., None, :] * dd[..., None, :, :])
 
 

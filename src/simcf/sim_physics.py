@@ -173,45 +173,79 @@ def cascade_through_antennas(dset: DiffractionSet, phases):
     return t
 
 
-def block_cascade_coeffs(dset: DiffractionSet, shifts, rows, cols):
-    """Cascade of a stack with a block of atoms turned, as a polynomial.
+@dataclass(frozen=True)
+class FoldedStack:
+    """The matrices of a stack with the phasors of one AP's phases folded
+    in, the cascade's factors: first = Phi_0 w_first (..., N, U) and
+    layers[m - 1] = Phi_m w_layer[m - 1] (..., M-1, N, N), Phi_m =
+    diag(e^{j phi_m}), so that the cascade is layers[M-2] ... layers[0]
+    first (fold_phasors). Row n of a layer's factor depends on atom n's
+    phasor alone; refold rewrites the rows of turned atoms in place."""
+    first: np.ndarray
+    layers: np.ndarray
 
-    shifts are the unit phasors e^{j phi} of the phases (..., M, N).
-    Turning the atoms (rows, cols) by theta gives the cascade
-    sum_d c[d] e^{j d theta}, d = 0..D, with D the number of distinct
-    layers in rows: each touched layer's phase diagonal splits into
-    keep + e^{j theta} move, move holding the block's phasors and keep the
-    others. Only the block's rows differ from the untouched product
-    phasor * c (keep c equals it on every other row), so the block's atoms
-    are grouped by layer once, and a touched layer writes its phasor
-    product straight into a coefficient array one degree wider, then moves
-    each of its atoms' rows up one degree (zeros in their place), with no
-    full-size keep or move. Leading axes of shifts and of the matrices of
-    dset are network axes (the stacks of a pitch sweep): the block, and so
-    D, is shared, and each network's layers propagate all its coefficients
-    with one matmul of the same shape as a call on that network alone, so
-    its slice equals that call bit for bit. Returns c, shape
-    (..., D+1, N, U).
-    """
-    shifts = np.asarray(shifts)
+    @property
+    def n_layers(self):
+        return self.layers.shape[-3] + 1
+
+    def refold(self, dset: DiffractionSet, shifts, rows, cols):
+        """Rewrite the rows of the atoms (rows, cols) in every network from
+        the phasors shifts (..., M, N): equal bit for bit to fold_phasors
+        of them, and to the rows they replace where an atom's phasor did
+        not change."""
+        for m, n in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
+            if m:
+                np.multiply(shifts[..., m, n, None],
+                            dset.w_layer[..., m - 1, n, :],
+                            out=self.layers[..., m - 1, n, :])
+            else:
+                np.multiply(shifts[..., 0, n, None], dset.w_first[..., n, :],
+                            out=self.first[..., n, :])
+
+
+def fold_phasors(dset: DiffractionSet, shifts) -> FoldedStack:
+    """The FoldedStack of the unit phasors shifts (..., M, N) e^{j phi} of
+    one AP, its leading axes those of the matrices of dset."""
     if shifts.shape[-2:] != (dset.n_layers, dset.w_first.shape[-2]):
         raise ValueError(f"phasor array must be (..., M, N), got "
                          f"{shifts.shape}")
+    return FoldedStack(first=shifts[..., 0, :, None] * dset.w_first,
+                       layers=shifts[..., 1:, :, None] * dset.w_layer)
+
+
+def block_cascade_coeffs(folded: FoldedStack, rows, cols):
+    """Cascade of a stack with a block of atoms turned, as a polynomial.
+
+    folded holds the stack's layer factors with the AP's phasors in them
+    (fold_phasors). Turning the atoms (rows, cols) by theta gives the
+    cascade sum_d c[d] e^{j d theta}, d = 0..D, with D the number of
+    distinct layers in rows: each touched layer's factor splits into its
+    other rows (keep) plus e^{j theta} times the block's rows (move). So
+    the block's atoms are grouped by layer once; an untouched layer is one
+    matmul of its factor, and a touched layer writes that product straight
+    into a coefficient array one degree wider, then moves each of its
+    atoms' rows up one degree (zeros in their place), with no full-size
+    keep or move and no phasor product. Leading axes of folded are network
+    axes (the stacks of a pitch sweep): the block, and so D, is shared, and
+    each network's layers propagate all its coefficients with one matmul of
+    the same shape as a call on that network alone, so its slice equals
+    that call bit for bit. Returns c, shape (..., D+1, N, U).
+    """
     atoms_of = {}
     for row, col in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
         atoms_of.setdefault(row, []).append(col)
-    u = dset.w_first.shape[-1]
-    c = dset.w_first          # (..., N, (d+1) U): column d*U + i is c[d][:, i]
-    for m in range(dset.n_layers):
-        phasors = shifts[..., m, :, None]
-        if m:
-            c = dset.w_layer[..., m - 1, :, :] @ c
+    u = folded.first.shape[-1]
+    c = folded.first          # (..., N, (d+1) U): column d*U + i is c[d][:, i]
+    for m in range(folded.n_layers):
         if m not in atoms_of:
-            c = np.multiply(phasors, c, out=c if m else None)
+            if m:
+                c = folded.layers[..., m - 1, :, :] @ c
             continue
-        *lead, width = np.broadcast(phasors, c).shape
-        out = np.empty((*lead, width + u), dtype=complex)
-        np.multiply(phasors, c, out=out[..., :-u])
+        out = np.empty((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
+        if m:
+            np.matmul(folded.layers[..., m - 1, :, :], c, out=out[..., :-u])
+        else:
+            out[..., :-u] = c
         out[..., -u:] = 0.0
         for atom in atoms_of[m]:
             row = out[..., atom, :]

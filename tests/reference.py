@@ -50,12 +50,15 @@
 # - delta_method_loop: the Monte-Carlo SINR and standard error one setting
 #   and one UE at a time, which the stacked montecarlo._delta_method
 #   replaces
-# - turned_slices and build_channel_state_slices: every probe of a block as
-#   its own phase slice through the full cascade, which the block
-#   polynomial of channel.block_channel_state replaces
+# - turned_slices, build_channel_state_slices and probe_terms_slices: every
+#   probe of a block as its own phase slice through the full cascade, and
+#   the terms of those slices, which the block polynomial of
+#   channel.block_channel_state and the closed-form block factors of
+#   se.block_factors replace
 # - block_cascade_coeffs_dense: a block's cascade polynomial from full-size
-#   keep and move phase diagonals, which the block-row writes of
-#   sim_physics.block_cascade_coeffs replace with the same arithmetic
+#   keep and move products of each touched layer's folded factor, which
+#   the block-row writes of sim_physics.block_cascade_coeffs replace with
+#   the same arithmetic
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
@@ -75,8 +78,8 @@ from simcf.optimize import (BeamformingConfig, PowerSolution, SumSeObjective,
                             allocate_pilots, optimize_beamforming)
 from simcf.pipeline import NetworkModel
 from simcf.scenario import generate_drop, psd_sqrt
-from simcf.sim_physics import (cascade_through_antennas, random_phase_tensor,
-                               wrap_phases)
+from simcf.sim_physics import (cascade_through_antennas, fold_phasors,
+                               random_phase_tensor, wrap_phases)
 
 
 def steering_vector(points, direction, wavelength):
@@ -881,6 +884,15 @@ def build_channel_state_slices(model, slices, ap_indices):
                         beta_nlos=model.drop.beta_nlos[aps, :])
 
 
+def probe_terms_slices(model, phases, l, rows, cols, steps):
+    """se.sinr_terms of AP l alone under each probe of a block, the probes
+    on the AP axis: every probe's phase slice (turned_slices) through its
+    own full cascade (build_channel_state_slices)."""
+    state = build_channel_state_slices(
+        model, turned_slices(phases[l], rows, cols, steps), [l] * len(steps))
+    return se.sinr_terms(state, model.estimation_state(state))
+
+
 def terms_loop(model, phases, ap_indices=None):
     state = build_channel_state_loop(model, phases, ap_indices)
     return se.sinr_terms(state, model.estimation_state(state))
@@ -930,25 +942,23 @@ class SerialObjective:
 
 def block_cascade_coeffs_dense(dset, phases, rows, cols):
     """sim_physics.block_cascade_coeffs from the phases (..., M, N): every
-    touched layer's phase diagonal split into full-size keep and move, both
-    applied to the whole coefficient stack."""
-    shifts = np.exp(1j * np.asarray(phases))
-    move = np.zeros_like(shifts)
-    move[..., rows, cols] = shifts[..., rows, cols]
-    keep = shifts - move
+    touched layer's product with its folded factor split by full-size
+    keep and move row masks, both applied to the whole coefficient
+    stack."""
+    folded = fold_phasors(dset, np.exp(1j * np.asarray(phases)))
+    move = np.zeros(np.shape(phases))
+    move[..., rows, cols] = 1.0
     touched = set(np.asarray(rows).tolist())
     u = dset.w_first.shape[-1]
-    c = dset.w_first
+    c = folded.first
     for m in range(dset.n_layers):
         if m:
-            c = dset.w_layer[..., m - 1, :, :] @ c
+            c = folded.layers[..., m - 1, :, :] @ c
         if m in touched:
             out = np.zeros((*c.shape[:-1], c.shape[-1] + u), dtype=complex)
-            out[..., :-u] = keep[..., m, :, None] * c
+            out[..., :-u] = (1.0 - move[..., m, :, None]) * c
             out[..., u:] += move[..., m, :, None] * c
             c = out
-        else:
-            c = shifts[..., m, :, None] * c
     return c.reshape(*c.shape[:-1], -1, u).swapaxes(-3, -2)
 
 

@@ -5,7 +5,8 @@ from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import block_channel_state, probe_powers
 from simcf.pipeline import NetworkModel
 from simcf.scenario import psd_sqrt
-from simcf.sim_physics import random_phase_tensor, sinc_correlation, stack_for
+from simcf.sim_physics import (fold_phasors, random_phase_tensor,
+                               sinc_correlation, stack_for)
 
 from reference import (SimUeChannelStats, build_channel_state_loop,
                        build_channel_state_slices, cascade, effective_stats,
@@ -206,12 +207,12 @@ def test_build_channel_state_matches_single_link(small_cfg, small_drop):
             assert np.allclose(state.h_bar[l, k], eff.h_bar)
             assert np.allclose(r_all(state)[l, k], eff.r_eff)
     # a block state at a zero turn agrees with the full build's AP
-    context = model.block_context(1, 1)
-    part = block_channel_state(model.dset, np.exp(1j * phases[1]),
+    part = block_channel_state(fold_phasors(model.dset,
+                                            np.exp(1j * phases[1])),
                                np.array([0]), np.array([4]),
                                probe_powers([0.0], 1), model.base_corr,
-                               context.amp, context.beta_nlos)
-    assert np.allclose(part.h_bar[0], state.h_bar[1])
+                               model.block_context(1).amp)
+    assert np.allclose(part.h_bar[..., 0], state.h_bar[1])
     assert np.allclose(part.s[0], state.s[1])
 
 
@@ -248,32 +249,27 @@ def test_block_channel_state_matches_turned_slices(small_model, small_phases,
     rng = np.random.default_rng(6)
     steps = np.concatenate([np.arange(1, 17), -np.arange(1, 17)]) * np.pi / 8
     l = 1
-    shifts, powers = np.exp(1j * phases[l]), probe_powers(steps, n_layers)
-    context = model.block_context(l, steps.size)
+    folded = fold_phasors(model.dset, np.exp(1j * phases[l]))
+    powers, amp = probe_powers(steps, n_layers), model.block_context(l).amp
     for block_size in (1, 3, 4, 5):
         block = rng.permutation(n_layers * n_atoms)[:block_size]
         rows, cols = np.unravel_index(block, (n_layers, n_atoms))
-        state = block_channel_state(model.dset, shifts, rows, cols, powers,
-                                    model.base_corr, context.amp,
-                                    context.beta_nlos)
+        state = block_channel_state(folded, rows, cols, powers,
+                                    model.base_corr, amp)
         ref = build_channel_state_slices(
             model, turned_slices(phases[l], rows, cols, steps),
             [l] * steps.size)
-        for name in ("h_bar", "s"):
+        # h_bar in the parts' layout, the probes last
+        assert state.h_bar.flags.c_contiguous
+        for name, got in (("h_bar", np.moveaxis(state.h_bar, -1, 0)),
+                          ("s", state.s)):
             want = getattr(ref, name)
-            np.testing.assert_allclose(getattr(state, name), want,
-                                       rtol=1e-12,
+            np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
-        # one row of gains, shared by every probe
-        assert state.beta_nlos.shape == (1, model.cfg.K)
-        assert np.array_equal(
-            np.broadcast_to(state.beta_nlos, ref.beta_nlos.shape),
-            ref.beta_nlos)
         assert np.array_equal(state.s, state.s.conj().swapaxes(-1, -2))
-        # each probe's row is what a one-probe call gives
+        # each probe's statistics are what a one-probe call gives
         for i in (0, 7, steps.size - 1):
-            one = block_channel_state(model.dset, shifts, rows, cols,
-                                      powers[i:i + 1], model.base_corr,
-                                      context.amp, context.beta_nlos)
-            assert np.array_equal(one.h_bar[0], state.h_bar[i])
+            one = block_channel_state(folded, rows, cols, powers[i:i + 1],
+                                      model.base_corr, amp)
+            assert np.array_equal(one.h_bar[..., 0], state.h_bar[..., i])
             assert np.array_equal(one.s[0], state.s[i])

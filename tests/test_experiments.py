@@ -406,15 +406,15 @@ def test_failing_network_fails_only_its_cells(monkeypatch):
     spec = pitch_spec()
     bad = spec.values[1]
     _, bad_stack = stack_for(spec.config_for(bad))
-    real = NetworkModel.block_terms
+    real = NetworkModel.block_factors
 
-    def block_terms(self, context, *args):
+    def block_factors(self, context, *args):
         if context.ap == 0 and any(np.array_equal(w_layer, bad_stack.w_layer)
                           for w_layer in self.dset.w_layer):
             raise EstimationError("pilot covariance is singular")
         return real(self, context, *args)
 
-    monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
+    monkeypatch.setattr(NetworkModel, "block_factors", block_factors)
     result = run_experiment(spec)
     rows, failures = _rows_one_value_at_a_time(spec)
     assert result.failures == failures == spec.n_drops

@@ -7,7 +7,6 @@ import pytest
 from simcf import (SystemConfig, channel, estimation, fig3_spec,
                    generate_drop, optimize, pipeline, random_phase_tensor, se,
                    table1_spec)
-from simcf.channel import probe_powers
 from simcf.estimation import EstimationError, PilotMap, pilot_map
 from simcf.optimize import (BeamformingConfig, SumSeObjective, Trace,
                             TraceRow, allocate_pilots, maxmin_power,
@@ -20,10 +19,10 @@ from simcf.se import (SinrCoefficients, SinrComputationError, egcd_weights,
 from reference import (candidate, denominator_matrices,
                        maxmin_power_bisection,
                        optimize_beamforming_per_probe,
-                       optimize_beamforming_serial, replace_ap,
-                       sinr_breakdown, sinr_coefficients_loop,
+                       optimize_beamforming_serial, probe_terms_slices,
+                       replace_ap, sinr_breakdown, sinr_coefficients_loop,
                        sinr_of_breakdown, splice_ap, term, terms_loop,
-                       turned_slices, xi_of)
+                       turned_slices)
 
 
 def test_pilots_identity_when_enough():
@@ -234,9 +233,8 @@ def test_woodbury_lsfd_and_probes_match_dense_solves():
             rows, cols = np.unravel_index(block, (cfg.M, cfg.N))
             steps = np.array([1, 6, 11]) * np.pi / 8
             [values], _ = obj.probe(l, rows, cols, steps)
-            stack = splice_ap(terms, l, model.block_terms(
-                model.block_context(l, steps.size), np.exp(1j * phases[l]),
-                rows, cols, probe_powers(steps, cfg.M)))
+            stack = splice_ap(terms, l, probe_terms_slices(
+                model, phases, l, rows, cols, steps))
             _, gamma_ref = _dense_lsfd(stack, args)
             np.testing.assert_allclose(
                 values, se_from_sinr(gamma_ref, cfg.tau_c, cfg.tau_p).sum(-1),
@@ -638,9 +636,8 @@ def test_probe_batch_equals_one_ap_rebuilds(small_drop, small_phases):
     slices = turned_slices(small_phases[l], rows, cols, steps)
     for s, model in enumerate(models):
         base = model.terms(small_phases)
-        terms = splice_ap(base, l, model.block_terms(
-            model.block_context(l, steps.size), np.exp(1j * small_phases[l]),
-            rows, cols, probe_powers(steps, model.cfg.M)))
+        terms = splice_ap(base, l, probe_terms_slices(
+            model, small_phases, l, rows, cols, steps))
         for i in range(steps.size):
             patched = small_phases.copy()
             patched[l] = slices[i]
@@ -868,37 +865,36 @@ def test_probes_never_run_the_full_cascade(small_model, small_phases,
 
 def _corrupt_probe(monkeypatch, index, failure, net):
     """Make probe `index` of the first probe batch of network net (an index
-    into each search's batch), and that phasor slice wherever network net
-    evaluates it again, fail: "sinr" gives it a negative interference term
-    (its LoS cross terms |h_k^H h_j|^2, which dg sums), so its EGCD SINR
-    denominator and its LSFD diagonal are nonpositive; "estimation" gives
-    it a negative definite antenna correlation s, -c I with c load >
-    sigma2, so that every pilot covariance of it is indefinite."""
-    real_terms = NetworkModel.block_terms
+    into each search's batch), and that probe wherever network net
+    evaluates it again, fail: "sinr" makes its denominator diagonals dg
+    (which the block factors hold) negative, so its EGCD SINR denominator
+    and its LSFD diagonal are nonpositive; "estimation" gives it a
+    negative definite antenna correlation s, -c I with c load > sigma2, so
+    that every pilot covariance of it is indefinite. A probe is known by
+    its network's folded stack, its block and its step power."""
+    real_factors = NetworkModel.block_factors
     real_state = pipeline.block_channel_state
     target, negated = [], []
 
-    def block_terms(self, context, shifts, rows, cols, powers, *ok):
-        # each probe's phasor slice: the block's phasors times z
-        slices = np.repeat(shifts[net][None], len(powers), axis=0)
-        slices[:, rows, cols] *= powers.z[:, 1, None]
+    def block_factors(self, context, folded, rows, cols, powers, ok):
+        base = (folded.first[net].tobytes(), folded.layers[net].tobytes(),
+                np.asarray(rows).tobytes(), np.asarray(cols).tobytes())
+        keys = [base + (z.tobytes(),) for z in powers.z[:, 1]]
         if not target:
-            target.append(slices[index].copy())
-        hit = [i for i, s in enumerate(slices)
-               if np.array_equal(s, target[0])]
+            target.append(keys[index])
+        hit = [i for i, key in enumerate(keys) if key == target[0]]
         if hit and failure == "estimation":
             negated.append((hit, 1.0 + 2.0 * self.cfg.sigma2
-                            / context.load[net].min()))
+                            / context.constants.load[net].min()))
         try:
-            terms = real_terms(self, context, shifts, rows, cols, powers, *ok)
+            z, dg, dp = real_factors(self, context, folded, rows, cols,
+                                     powers, ok)
         finally:
             negated.clear()
         if hit and failure == "sinr":
-            cross = terms.cross.copy()
-            for i in hit:
-                cross[net, ..., i] = -1e6 * np.abs(xi_of(terms)).max()
-            terms = replace(terms, cross=cross)
-        return terms
+            dg = dg.copy()
+            dg[net, ..., hit] = -1e6 * np.abs(dg).max()
+        return z, dg, dp
 
     def block_channel_state(*args):
         state = real_state(*args)
@@ -908,7 +904,7 @@ def _corrupt_probe(monkeypatch, index, failure, net):
             state = replace(state, s=s)
         return state
 
-    monkeypatch.setattr(NetworkModel, "block_terms", block_terms)
+    monkeypatch.setattr(NetworkModel, "block_factors", block_factors)
     monkeypatch.setattr(pipeline, "block_channel_state", block_channel_state)
 
 
@@ -956,6 +952,33 @@ def test_cached_phasors_equal_exp_of_phases(small_drop, small_pilots,
         check(found)
         for (out, trace), (clean_out, clean_trace) in zip(found, clean):
             assert np.array_equal(out, clean_out) and trace == clean_trace
+
+
+def test_folded_stack_equals_phasors_times_matrices(small_drop, small_phases,
+                                                   monkeypatch):
+    # after every commit of a group search, the visited AP's folded stack
+    # is its phasors times the stack's matrices, bit for bit: the rows a
+    # commit rewrites and the rows it keeps
+    checked = []
+    real_commit = SumSeObjective._commit
+
+    def commit_spy(self, l, *args):
+        hits = real_commit(self, l, *args)
+        folded, dset = self._folded(l), self.model.dset
+        assert np.array_equal(folded.first,
+                              self.shifts[:, l, 0, :, None] * dset.w_first)
+        assert np.array_equal(folded.layers,
+                              self.shifts[:, l, 1:, :, None] * dset.w_layer)
+        checked.append(int((hits >= 0).sum()))
+        return hits
+
+    monkeypatch.setattr(SumSeObjective, "_commit", commit_spy)
+    for decoder in se.DECODERS:
+        checked.clear()
+        optimize_beamforming(_pitch_group(small_drop), small_phases,
+                             BeamformingConfig(decoder=decoder, sweeps=2),
+                             rng=3)
+        assert len(checked) > 1 and sum(checked) > 1
 
 
 # each failure under both decoders; the EGCD cases keep their original ids
@@ -1018,17 +1041,16 @@ def test_block_context_formed_once_per_ap_visit(monkeypatch):
     formed = []
     real = NetworkModel.block_context
 
-    def context_spy(self, l, n_probes):
-        formed.append((l, n_probes))
-        return real(self, l, n_probes)
+    def context_spy(self, l):
+        formed.append(l)
+        return real(self, l)
 
     monkeypatch.setattr(NetworkModel, "block_context", context_spy)
     for decoder in se.DECODERS:
         search = BeamformingConfig(decoder=decoder, sweeps=2, block_size=3)
         formed.clear()
         found = optimize_beamforming(models, phases, search, rng=6)
-        assert formed == [(l, search.max_probes)
-                          for _ in range(search.sweeps)
+        assert formed == [l for _ in range(search.sweeps)
                           for l in range(cfg.L)]
         assert sum(row.accepted for _, trace in found for row in trace) > 0
         for model, (out, trace) in zip(models, found):
@@ -1055,4 +1077,4 @@ def test_block_context_formed_once_per_ap_visit(monkeypatch):
         obj.probe(l, rows, cols, steps)
     obj.set_phases(obj.phases)
     obj.probe(2, rows, cols, steps)
-    assert formed == [(1, 3), (2, 3), (2, 3)]
+    assert formed == [1, 2, 2]

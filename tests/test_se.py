@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop, se
-from simcf.channel import probe_powers
 from simcf.pipeline import NetworkModel
 from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
                       se_from_sinr, sinr_coefficients, sinr_from_weights,
@@ -12,8 +11,8 @@ from simcf.se import (SinrComputationError, egcd_weights, lsfd_weights,
 
 from reference import (candidate, cross_moment_estimates,
                        denominator_matrices, omega_of, predicted_cross_moments,
-                       r_all, sinr_breakdown, sinr_lsfd, sinr_of_breakdown,
-                       splice_ap, xi_of)
+                       probe_terms_slices, r_all, sinr_breakdown, sinr_lsfd,
+                       sinr_of_breakdown, splice_ap, xi_of)
 
 
 def model_at(seed, l=3, k=3, u=2, n=9, m=2, tau_p=2, **extra):
@@ -270,10 +269,8 @@ def candidate_stack(model, phases, l=1, n=5):
     block = rng.permutation(phases[l].size)[:4]
     rows, cols = np.unravel_index(block, phases[l].shape)
     steps = rng.uniform(-np.pi, np.pi, n)
-    base = model.terms(phases)
-    return splice_ap(base, l, model.block_terms(
-        model.block_context(l, n), np.exp(1j * phases[l]), rows, cols,
-        probe_powers(steps, model.cfg.M)))
+    return splice_ap(model.terms(phases), l, probe_terms_slices(
+        model, phases, l, rows, cols, steps))
 
 
 def test_batched_decoding_equals_per_candidate_calls(small_model,

@@ -6,7 +6,7 @@ from simcf.pipeline import NetworkModel
 from simcf.sim_physics import (DiffractionSet, base_correlation,
                                block_cascade_coeffs, build_diffraction_set,
                                build_geometry, cascade_through_antennas,
-                               planar_grid, random_phase_tensor,
+                               fold_phasors, planar_grid, random_phase_tensor,
                                sinc_correlation, stack_for, step_powers,
                                transfer_matrix, wrap_phases)
 
@@ -201,7 +201,8 @@ STEPS = np.arange(-16, 17) * np.pi / 8     # mirrors, theta = 0 and 2 pi
 
 
 def _check_block_polynomial(dset, phases, rows, cols):
-    coeffs = block_cascade_coeffs(dset, np.exp(1j * phases), rows, cols)
+    coeffs = block_cascade_coeffs(fold_phasors(dset, np.exp(1j * phases)),
+                                  rows, cols)
     assert coeffs.shape == (len(set(rows.tolist())) + 1,
                             *dset.w_first.shape)
     # the block rows write the dense keep/move products' floats
@@ -241,8 +242,8 @@ def test_block_cascade_polynomial_degree_counts_layers():
     one_layer = (np.full(4, 3), np.array([0, 5, 9, 15]))
     every_layer = (np.array([4, 0, 2, 1, 3]), np.array([7, 7, 1, 12, 0]))
     for (rows, cols), degree in ((one_layer, 1), (every_layer, 5)):
-        assert len(block_cascade_coeffs(dset, np.exp(1j * phases), rows,
-                                        cols)) == degree + 1
+        assert len(block_cascade_coeffs(
+            fold_phasors(dset, np.exp(1j * phases)), rows, cols)) == degree + 1
         _check_block_polynomial(dset, phases, rows, cols)
 
 
@@ -263,10 +264,29 @@ def test_stacked_block_cascade_equals_dense_oracle_per_network(u):
               "every layer": ([3, 0, 2, 1, 0], [4, 4, 11, 6, 13])}
     for label, (rows, cols) in blocks.items():
         rows, cols = np.array(rows), np.array(cols)
-        coeffs = block_cascade_coeffs(dset, np.exp(1j * phases), rows, cols)
+        coeffs = block_cascade_coeffs(
+            fold_phasors(dset, np.exp(1j * phases)), rows, cols)
         assert coeffs.shape == (3, len(set(rows.tolist())) + 1, 16, u), label
         for s, stack in enumerate(stacks):
             assert np.array_equal(
                 coeffs[s],
                 block_cascade_coeffs_dense(stack, phases[s], rows, cols)), \
                 (label, s)
+
+
+def test_refold_equals_fold_of_turned_phasors():
+    # rows of turned atoms rewritten in every network of a stack equal the
+    # fold of the turned phasors bit for bit, in the first layer and deeper
+    cfg = SystemConfig(L=1, K=1, U=2, M=3, N=16)
+    stacks = [stack_for(cfg.replace(d_meta=cfg.d_meta / f))[1] for f in (1, 2)]
+    dset = DiffractionSet(np.stack([s.w_first for s in stacks]),
+                          np.stack([s.w_layer for s in stacks]))
+    phases = np.random.default_rng(9).uniform(0, 2 * np.pi, (2, 3, 16))
+    shifts = np.exp(1j * phases)
+    folded = fold_phasors(dset, shifts)
+    rows, cols = np.array([0, 2, 2, 1]), np.array([5, 0, 15, 5])
+    shifts[0, rows, cols] = np.exp(1j * (phases[0, rows, cols] + 0.3))
+    folded.refold(dset, shifts, rows, cols)
+    want = fold_phasors(dset, shifts)
+    assert np.array_equal(folded.first, want.first)
+    assert np.array_equal(folded.layers, want.layers)

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from simcf import SystemConfig, allocate_pilots, generate_drop, se
-from simcf.channel import ChannelState, block_channel_state, probe_powers
+from simcf.channel import ChannelState
 from simcf.estimation import (EstimationError, build_estimation_state,
                               pilot_map)
 from simcf.optimize import SumSeObjective
 from simcf.pipeline import NetworkModel
 
-from reference import (build_estimation_state_solve, copilot_of, factors_loop,
+from reference import (build_channel_state_slices,
+                       build_estimation_state_solve, copilot_of, factors_loop,
                        lsfd_weights_loop, omega_of,
                        sinr_coefficients_loop, sinr_parts_loop,
-                       sinr_terms_einsum, term)
+                       sinr_terms_einsum, term, turned_slices)
 
 RTOL = 1e-12
 
@@ -36,21 +37,6 @@ def _drops(k_ues, n_ant, shared):
         yield model, model.random_phases([seed, 1])
 
 
-def _states(model, phases, rng):
-    """(label, channel state) of the full network and of 3 probes of one
-    random block of a random AP (the probes on the AP axis)."""
-    cfg = model.cfg
-    yield "full", model.channel_state(phases)
-    l = int(rng.integers(cfg.L))
-    rows, cols = np.unravel_index(rng.permutation(cfg.M * cfg.N)[:4],
-                                  (cfg.M, cfg.N))
-    context = model.block_context(l, 3)
-    yield "block", block_channel_state(
-        model.dset, np.exp(1j * phases[l]), rows, cols,
-        probe_powers(rng.uniform(-np.pi, np.pi, 3), cfg.M), model.base_corr,
-        context.amp, context.beta_nlos)
-
-
 def _close(got, want, what):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0, err_msg=what)
 
@@ -60,45 +46,44 @@ def _close(got, want, what):
 @pytest.mark.parametrize("n_ant", [1, 2, 3])
 @pytest.mark.parametrize("k_ues", [1, 4, 5])
 def test_spectral_terms_match_solve_and_einsum_oracles(k_ues, n_ant, shared):
-    # 18 settings x 6 drops = 108 drops, each as a full and a block build
+    # 18 settings x 6 drops = 108 drops
     rng = np.random.default_rng([k_ues, n_ant, shared])
     for model, phases in _drops(k_ues, n_ant, shared):
         cfg = model.cfg
         args = (cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
-        for label, state in _states(model, phases, rng):
-            est = model.estimation_state(state)
-            ref = sinr_terms_einsum(state, build_estimation_state_solve(
-                state, model.pilots.pilot_of, *args))
-            terms = se.sinr_terms(state, est)
-            assert copilot_of(terms).any() == (shared and k_ues > 2)
-            assert terms.delta.dtype == float
-            for name in ("z", "xi", "delta", "lam"):
-                _close(term(terms, name), term(ref, name),
-                       f"{label} {name}")
-            one_zero = rng.uniform(0, cfg.p_max, cfg.K)
-            one_zero[rng.integers(cfg.K)] = 0.0
-            for p in (model.drop.p, one_zero):
-                # the compact dg against the materialised xi of both
-                dg, dp = se._factors(terms, p)
-                dg_xi, _ = factors_loop(terms, p, *args)
-                dg_ref, dp_ref = factors_loop(ref, p, *args)
-                _close(dg, dg_xi, f"{label} dg from xi")
-                _close(dg, dg_ref, f"{label} dg")
-                _close(dp, dp_ref, f"{label} Delta'")
-                for decoder in se.DECODERS:
-                    for i, (got, want) in enumerate(zip(
-                            se.sinr_parts(terms, decoder, p),
-                            sinr_parts_loop(ref, decoder, p, *args))):
-                        _close(got, want, f"{label} {decoder} part {i}")
-                weights = (se.lsfd_weights(terms, p), se.egcd_weights(terms))
-                _close(weights[0], lsfd_weights_loop(ref, p, *args),
-                       f"{label} lsfd weights")
-                for w in weights:
-                    got = se.sinr_coefficients(terms, w)
-                    want = sinr_coefficients_loop(ref, w, *args)
-                    for name in ("signal", "d", "noise"):
-                        _close(getattr(got, name), getattr(want, name),
-                               f"{label} coefficients {name}")
+        state = model.channel_state(phases)
+        est = model.estimation_state(state)
+        ref = sinr_terms_einsum(state, build_estimation_state_solve(
+            state, model.pilots.pilot_of, *args))
+        terms = se.sinr_terms(state, est)
+        assert copilot_of(terms).any() == (shared and k_ues > 2)
+        assert terms.delta.dtype == float
+        for name in ("z", "xi", "delta", "lam"):
+            _close(term(terms, name), term(ref, name), name)
+        one_zero = rng.uniform(0, cfg.p_max, cfg.K)
+        one_zero[rng.integers(cfg.K)] = 0.0
+        for p in (model.drop.p, one_zero):
+            # the compact dg against the materialised xi of both
+            dg, dp = se._factors(terms, p)
+            dg_xi, _ = factors_loop(terms, p, *args)
+            dg_ref, dp_ref = factors_loop(ref, p, *args)
+            _close(dg, dg_xi, "dg from xi")
+            _close(dg, dg_ref, "dg")
+            _close(dp, dp_ref, "Delta'")
+            for decoder in se.DECODERS:
+                for i, (got, want) in enumerate(zip(
+                        se.sinr_parts(terms, decoder, p),
+                        sinr_parts_loop(ref, decoder, p, *args))):
+                    _close(got, want, f"{decoder} part {i}")
+            weights = (se.lsfd_weights(terms, p), se.egcd_weights(terms))
+            _close(weights[0], lsfd_weights_loop(ref, p, *args),
+                   "lsfd weights")
+            for w in weights:
+                got = se.sinr_coefficients(terms, w)
+                want = sinr_coefficients_loop(ref, w, *args)
+                for name in ("signal", "d", "noise"):
+                    _close(getattr(got, name), getattr(want, name),
+                           f"coefficients {name}")
 
 
 def test_estimation_matrices_match_the_solve(small_model, small_pilots,
@@ -185,9 +170,8 @@ def _indefinite_probe_model(decoder):
         fails = []
         for step in steps:
             try:
-                model.block_terms(model.block_context(l, 1),
-                                  np.exp(1j * phases[l]), rows, cols,
-                                  probe_powers([step], cfg.M))
+                model.estimation_state(build_channel_state_slices(
+                    model, turned_slices(phases[l], rows, cols, [step]), [l]))
                 fails.append(False)
             except EstimationError:
                 fails.append(True)
@@ -263,29 +247,20 @@ def _array_fields(terms):
             if isinstance(getattr(terms, f.name), np.ndarray)}
 
 
-def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases,
-                                                small_cfg):
-    rows, cols = np.array([0, 1, 1]), np.array([3, 3, 8])
-    builds = {
-        "full": small_model.terms(small_phases),
-        "block": small_model.block_terms(
-            small_model.block_context(1, 5), np.exp(1j * small_phases[1]),
-            rows, cols, probe_powers(np.arange(1, 6) * np.pi / 8,
-                                     small_cfg.M)),
-    }
-    for label, terms in builds.items():
-        arrays = _array_fields(terms)
-        assert set(arrays) == {"z", "lam", "delta", "beta", "nu", "spec",
-                               "power", "cross"}
-        for name, arr in arrays.items():
-            assert arr.flags.c_contiguous, f"{label} {name}"
-            assert arr.shape[-1] == terms.z.shape[-1]
-        copied = replace(terms, **{name: np.ascontiguousarray(arr.copy())
-                                   for name, arr in arrays.items()})
-        for w in (se.lsfd_weights(terms, small_model.drop.p),
-                  se.egcd_weights(terms)):
-            got = se.sinr_coefficients(terms, w)
-            again = se.sinr_coefficients(copied, w)
-            for name in ("signal", "d", "noise"):
-                assert np.array_equal(getattr(got, name),
-                                      getattr(again, name)), (label, name)
+def test_terms_are_c_contiguous_and_layout_free(small_model, small_phases):
+    terms = small_model.terms(small_phases)
+    arrays = _array_fields(terms)
+    assert set(arrays) == {"z", "lam", "delta", "beta", "nu", "spec",
+                           "power", "cross"}
+    for name, arr in arrays.items():
+        assert arr.flags.c_contiguous, name
+        assert arr.shape[-1] == terms.z.shape[-1]
+    copied = replace(terms, **{name: np.ascontiguousarray(arr.copy())
+                               for name, arr in arrays.items()})
+    for w in (se.lsfd_weights(terms, small_model.drop.p),
+              se.egcd_weights(terms)):
+        got = se.sinr_coefficients(terms, w)
+        again = se.sinr_coefficients(copied, w)
+        for name in ("signal", "d", "noise"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(again, name)), name

@@ -7,10 +7,8 @@ together from the drop's random phases) and prints, per probe block, the
 microseconds of each stage of the probe chain:
 
     cascade               channel.block_cascade_coeffs
-    rest of block state   the rest of pipeline.block_channel_state
-    estimation            pipeline.build_estimation_state
-    terms                 se.sinr_terms
-    parts                 SumSeObjective._parts
+    block statistics      the rest of pipeline.block_channel_state
+    block parts           se.block_factors and se.factor_parts
     sinr + se             SumSeObjective._sum_se
     commit                SumSeObjective._commit
     improve               SumSeObjective.improve, the whole block
@@ -21,12 +19,13 @@ with no other wrapper, so its figure carries one wrapper's overhead only.
 It also prints the "one probe block" figure: SumSeObjective.probe of 15
 probes in each of the four networks, the min of 7 x 300 calls. Every
 repetition runs in its own process with BLAS on one thread; each figure is
-the min over the repetitions. With a commit, the commit's src/ (a
+the min over the repetitions, printed beside the max, so that a stage's
+spread between repetitions shows. With a commit, the commit's src/ (a
 `git archive`, tools/checkout.py) runs too, the two sides alternating
-which goes first:
+which goes first, and a last column gives the ratio of the two mins:
 
     python3 tools/probe_profile.py --seed 1
-    python3 tools/probe_profile.py 0e4f7bb --seed 1 --reps 5
+    python3 tools/probe_profile.py 0e4f7bb --seed 1 --reps 10
 """
 
 import argparse
@@ -40,13 +39,20 @@ from checkout import ROOT, commit_src
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
-# (label, module, attribute) of each timed stage, in chain order
+# (label, module, attribute) of each timed stage, in chain order. A label
+# listed more than once adds the times of its functions; "block parts"
+# lists those of the chain before the closed-form block kernel as well
+# (estimation state, terms, parts), so that a commit of that chain is split
+# into the same stages. A function missing from a tree adds nothing, and a
+# stage with none of its functions prints n/a.
 STAGES = (
     ("cascade", "simcf.channel", "block_cascade_coeffs"),
-    ("rest of block state", "simcf.pipeline", "block_channel_state"),
-    ("estimation", "simcf.pipeline", "build_estimation_state"),
-    ("terms", "simcf.se", "sinr_terms"),
-    ("parts", "simcf.optimize", "SumSeObjective._parts"),
+    ("block statistics", "simcf.pipeline", "block_channel_state"),
+    ("block parts", "simcf.se", "block_factors"),
+    ("block parts", "simcf.se", "factor_parts"),
+    ("block parts", "simcf.pipeline", "build_estimation_state"),
+    ("block parts", "simcf.se", "sinr_terms"),
+    ("block parts", "simcf.optimize", "SumSeObjective._parts"),
     ("sinr + se", "simcf.optimize", "SumSeObjective._sum_se"),
     ("commit", "simcf.optimize", "SumSeObjective._commit"),
 )
@@ -88,12 +94,16 @@ class _Timers:
     """Wrappers that add each stage's time, inside improve, to totals."""
 
     def __init__(self, stages):
-        self.totals = {label: 0.0 for label, _, _ in stages}
+        self.totals = {}
         self.inside = False
         self._installed = []
         for label, module, attribute in stages:
-            owner, name = _owner(module, attribute)
-            real = getattr(owner, name)
+            try:
+                owner, name = _owner(module, attribute)
+                real = getattr(owner, name)
+            except AttributeError:
+                continue
+            self.totals[label] = 0.0
             self._installed.append((owner, name, real))
             setattr(owner, name, self._wrap(label, real))
 
@@ -168,7 +178,7 @@ def measure(seed):
     improve, _ = _search(inputs, ())
     per_block = {label: 1e6 * total / blocks for label, total in
                  stages.items() if label != "improve"}
-    per_block["rest of block state"] -= per_block["cascade"]
+    per_block["block statistics"] -= per_block["cascade"]
     per_block["improve"] = 1e6 * improve["improve"] / blocks
     return {"per_block": per_block, "probe_ms": probe_ms, "blocks": blocks}
 
@@ -186,27 +196,33 @@ def run_child(src, seed):
 
 
 def report(sides, reps):
-    """Print the min over reps of each stage per side, and the ratio of the
-    last side to the first when there are two."""
+    """Print the min and the max over reps of each stage per side, and the
+    ratio of the last side's min to the first's when there are two."""
     names = list(sides)
-    best = {}
+    labels = list(dict.fromkeys(label for label, _, _ in STAGES))
+    labels += ["improve", "probe block"]
+    spread = {}
     for name, runs in sides.items():
-        best[name] = {label: min(r["per_block"][label] for r in runs)
-                      for label in runs[0]["per_block"]}
-        best[name]["probe block"] = min(r["probe_ms"] for r in runs)
+        figures = [dict(r["per_block"], **{"probe block": r["probe_ms"]})
+                   for r in runs]
+        spread[name] = {label: (min(f[label] for f in figures),
+                                max(f[label] for f in figures))
+                        for label in figures[0]}
     blocks = sides[names[0]][0]["blocks"]
-    print(f"table1-opt search, {blocks} probe blocks per network, min of "
-          f"{reps} repetition(s), BLAS on one thread")
+    print(f"table1-opt search, {blocks} probe blocks per network, min and "
+          f"max of {reps} repetition(s), BLAS on one thread")
     print(f"{'stage (us per block)':<24}"
-          + "".join(f"{name:>16}" for name in names)
+          + "".join(f"{name:>16}{'max':>10}" for name in names)
           + ("   ratio" if len(names) == 2 else ""))
-    for label in best[names[0]]:
+    for label in labels:
         unit = " (ms)" if label == "probe block" else ""
-        values = [best[name][label] for name in names]
-        ratio = (f"   {values[1] / values[0]:.3f}" if len(values) == 2
-                 and values[0] else "")
+        values = [spread[name].get(label) for name in names]
+        ratio = (f"   {values[1][0] / values[0][0]:.3f}"
+                 if len(values) == 2 and all(values) and values[0][0] else "")
         print(f"{label + unit:<24}"
-              + "".join(f"{v:>16.4g}" for v in values) + ratio)
+              + "".join(f"{'n/a':>16}{'':>10}" if v is None
+                        else f"{v[0]:>16.4g}{v[1]:>10.4g}" for v in values)
+              + ratio)
 
 
 def main(argv=None):
@@ -214,8 +230,8 @@ def main(argv=None):
     parser.add_argument("commit", nargs="?",
                         help="commit whose src/ is timed beside this tree")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--reps", type=int, default=5,
-                        help="repetitions per side (default 5)")
+    parser.add_argument("--reps", type=int, default=10,
+                        help="repetitions per side (default 10)")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
