@@ -80,16 +80,12 @@ class ProbePowers:
     step_powers), and for each block degree D = 0..degree the products
     pairs[D] (B, 1, (D + 1)^2), conj(z^d') z^d in the order of d' then d,
     that weigh the Gram of the cascade polynomial. A phase search forms
-    them once for its steps (probe_powers); a slice selects probes."""
+    them once for its steps (probe_powers)."""
     z: np.ndarray
     pairs: tuple
 
     def __len__(self):
         return len(self.z)
-
-    def __getitem__(self, probes):
-        return ProbePowers(z=self.z[probes],
-                           pairs=tuple(p[probes] for p in self.pairs))
 
 
 def probe_powers(steps, degree) -> ProbePowers:

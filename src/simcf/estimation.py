@@ -2,13 +2,10 @@
 # Phase-aware MMSE channel estimation in spectral form. Every link's NLoS
 # covariance is r_lk = beta_lk s_l, so the pilot-domain covariance of each
 # (AP, pilot), psi_lt = load_lt s_l + sigma2 I, shares the eigenvectors of
-# s_l: one eigendecomposition s_l = V diag(eig) V^H per AP diagonalises
-# every link's pilot system at once. With U = 1 or 2 antennas it is taken in
-# closed form (hermitian_eigh), since a build diagonalises a stack of one
-# tiny matrix per AP and LAPACK's cost is then its per-matrix overhead;
-# every other U goes to np.linalg.eigh. (A phase search's probe blocks
-# build no estimation state: se.block_factors reads each probe's pilot
-# systems from its s in closed form.) psi_lt has the eigenvalues
+# s_l: one eigendecomposition s_l = V diag(eig) V^H per AP (np.linalg.eigh)
+# diagonalises every link's pilot system at once. (A phase search's probe
+# blocks build no estimation state: se.block_factors reads each probe's
+# pilot systems from its s in closed form.) psi_lt has the eigenvalues
 # den = load_lt eig + sigma2, the estimator core psi^-1 r_lk is
 # beta_lk V diag(eig / den) V^H and the estimate covariance
 # omega_lk = r psi^-1 r is beta_lk^2 V diag(eig^2 / den) V^H. The state
@@ -148,56 +145,6 @@ class EstimationState:
                        pilots=self.pilots.at(i))
 
 
-def hermitian_eigh(s):
-    """(eig, basis) of a stack of Hermitian matrices s (..., U, U), as
-    np.linalg.eigh gives them: eigenvalues ascending, s = basis diag(eig)
-    basis^H, read from the diagonal's real part and the lower triangle.
-
-    U = 2 is diagonalised in closed form, which spares LAPACK's per-matrix
-    call cost on stacks of tiny matrices: with s = [[a, b*], [b, d]],
-    h = (a - d) / 2 and r = hypot(h, |b|), eig = (a + d) / 2 -+ r. The
-    larger eigenvalue's eigenvector is (|h| + r, b) when a > d and
-    (b*, |h| + r) otherwise, so its first term adds two nonnegative numbers
-    and neither formula cancels; the other column is its orthogonal
-    complement. A multiple of the identity (h = b = 0, the zero matrix
-    included) gets the identity basis. A column may differ from LAPACK's
-    by a unit phase, which the estimation state never sees: it uses the
-    basis only through basis diag(.) basis^H and |basis^H x|. U = 1 is
-    the real part of the one entry with the basis 1, LAPACK's one-by-one
-    result. Every other U goes to np.linalg.eigh.
-    """
-    if s.shape[-1] == 1:
-        return (s[..., 0].real.copy(),
-                np.ones(s.shape, dtype=np.result_type(s.dtype, float)))
-    if s.shape[-1] != 2:
-        return np.linalg.eigh(s)
-    a, d = s[..., 0, 0].real, s[..., 1, 1].real
-    b = s[..., 1, 0]
-    half = 0.5 * (a - d)
-    size = np.abs(b)
-    radius = np.hypot(half, size)
-    mid = 0.5 * (a + d)
-    eig = np.empty((*mid.shape, 2))
-    np.subtract(mid, radius, out=eig[..., 0])
-    np.add(mid, radius, out=eig[..., 1])
-    lead = np.abs(half) + radius
-    norm = np.hypot(lead, size)
-    if not norm.all():                       # h = b = 0: identity basis
-        scalar = norm == 0.0
-        lead = np.where(scalar, 1.0, lead)
-        norm = np.where(scalar, 1.0, norm)
-    u = lead / norm
-    w = b / norm
-    wc = w.conj()
-    first = half > 0.0                       # a > d
-    basis = np.empty(s.shape, dtype=np.result_type(s.dtype, float))
-    basis[..., 0, 0] = np.where(first, -wc, u)
-    basis[..., 1, 0] = np.where(first, u, -w)
-    basis[..., 0, 1] = np.where(first, u, wc)
-    basis[..., 1, 1] = np.where(first, w, u)
-    return eig, basis
-
-
 def pilot_load(beta_nlos, pilots: PilotMap):
     """The pilot-domain load tau_p sum_j p_hat_j beta_lj over each pilot's
     UEs, (..., L, P), of the NLoS gains (..., L, K)."""
@@ -211,14 +158,14 @@ def build_estimation_state(state: ChannelState, pilots: PilotMap,
     assignments (D, K).
 
     One stacked eigendecomposition of the per-AP correlations s
-    (hermitian_eigh: closed form for U = 1 and 2, LAPACK otherwise) gives
-    the pilot covariance of every (AP, pilot) on the eigenbasis of its AP:
-    the pilot load of the state's NLoS gains (pilot_load) times eig, plus
-    sigma2. Raises EstimationError when an eigenvalue of a pilot covariance
-    in use is not > 0 (psi singular or indefinite). Its condition is
-    logged once per build when DEBUG logging is on.
+    (np.linalg.eigh) gives the pilot covariance of every (AP, pilot) on
+    the eigenbasis of its AP: the pilot load of the state's NLoS gains
+    (pilot_load) times eig, plus sigma2. Raises EstimationError when an
+    eigenvalue of a pilot covariance in use is not > 0 (psi singular or
+    indefinite). Its condition is logged once per build when DEBUG logging
+    is on.
     """
-    eig, basis = hermitian_eigh(state.s)
+    eig, basis = np.linalg.eigh(state.s)
     load = pilot_load(state.beta_nlos, pilots)                       # (L, P)
     den = load[..., None] * eig[..., None, :] + sigma2               # (L, P, U)
     if not den.min() > 0:                           # NaN fails too

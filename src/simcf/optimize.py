@@ -171,14 +171,14 @@ class SumSeObjective:
     marks the probes it fails (_probe). What a block reads that no probe
     changes is formed apart from the blocks: the step powers and their pair
     products (channel.probe_powers) once per distinct steps array, so once
-    per search; the coherent scales of the full build's parts
-    (se.coherent_scale) once; and AP l's block context
-    (NetworkModel.block_context), its other-AP sums and its stack with its
-    phasors folded in (sim_physics.FoldedStack, _folded) once per AP visit,
-    again after set_phases. improve commits in each network the first
-    probe that beats its best by writing its column into AP l's parts, or
-    raises for a failing probe before it. Every network's values and
-    errors are those of a search on that network alone, bit for bit.
+    per search; and AP l's block context (NetworkModel.block_context), its
+    other-AP sums and its stack with its phasors folded in
+    (sim_physics.FoldedStack, _folded) once per AP visit, again after
+    set_phases. improve commits in each network the first probe that beats
+    its best by writing its column into AP l's parts, or raises for a
+    failing probe before it. Every network's values and errors are those
+    of a search on that network alone, and every probe's those of a
+    one-probe call, bit for bit.
     """
 
     def __init__(self, models, decoder="lsfd"):
@@ -188,15 +188,13 @@ class SumSeObjective:
         self.p = self.model.drop.p
         self.decoder = decoder
         self.phases = self.shifts = self.parts = self.best = None
-        self._scale = se.coherent_scale(self.model.pilots,
-                                        np.asarray(self.p, dtype=float))
         self._others = self._context = self._fold = self._powers = None
 
     def set_phases(self, phases):
         """Rebuild every network at the phases (S, L, M, N); returns best."""
         self.phases = np.array(phases, dtype=float)
         self.parts = list(se.sinr_parts(self.model.terms(self.phases),
-                                        self.decoder, self.p, self._scale))
+                                        self.decoder, self.p))
         # after the build, which holds every network's temporaries at once
         self.shifts = np.exp(1j * self.phases)
         self._others = self._context = self._fold = None
@@ -205,8 +203,10 @@ class SumSeObjective:
 
     def _sum_se(self, sums, ok=None):
         gamma = se.sinr_from_parts(sums, self.decoder, self.p, ok=ok)
-        return se.se_from_sinr(gamma, self.cfg.tau_c,
-                               self.cfg.tau_p).sum(axis=-1)
+        # summed on a C-contiguous array, so that every probe adds its UEs
+        # in one order, whatever the layout of the sums
+        return np.ascontiguousarray(se.se_from_sinr(
+            gamma, self.cfg.tau_c, self.cfg.tau_p)).sum(axis=-1)
 
     def _other_sums(self, l):
         """Sums of each part over the APs other than l, (S, ..., 1): the

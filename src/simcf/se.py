@@ -31,8 +31,7 @@
 # every later function, which takes them from the terms alone; the pilot
 # covariance and the pilot map are checked where they enter
 # (estimation.build_estimation_state). The means g = V^H h_bar and their
-# inner products are explicit sums over the U antennas, each running over
-# every link at once.
+# inner products are one stacked matmul each.
 # A phase search's probe blocks skip the terms: block_factors writes the
 # parts' factors z, dg and Delta' of each probe straight from its s and
 # h_bar and from what no probe of an AP changes (BlockConstants, once per
@@ -86,52 +85,11 @@ class SinrTerms:
     pilots: PilotMap
     sigma2: float
 
-    @property
-    def n_ues(self):
-        return self.z.shape[-2]
-
-
-def _ap_view(x, axis):
-    """x with its AP axis (axis, counted from the end) moved last, a view."""
-    axes = list(range(x.ndim))
-    axes.append(axes.pop(axis))
-    return x.transpose(axes)
-
 
 def _ap_last(x, axis):
     """x with its AP axis (axis, counted from the end) moved last, as a
     C-contiguous array."""
-    return np.ascontiguousarray(_ap_view(x, axis))
-
-
-def _spectral_means(h_bar, basis):
-    """g = V^H h_bar of every link (..., K, U, L), the AP axis last, from
-    h_bar (..., L, K, U) and the eigenbases V (..., L, U, U): explicit sums
-    over the U antennas, one entry at a time (estimation.link_matvec's
-    idiom), so each product runs over every link at once where a matmul
-    runs one tiny product per AP (or probe)."""
-    h = _ap_view(h_bar, -3)                          # (..., K, U, L)
-    v = _ap_view(basis.conj(), -3)[..., None, :, :, :]   # (..., 1, U, U, L)
-    u = h.shape[-2]
-    g = np.empty(h.shape, dtype=complex)
-    for j in range(u):
-        entry = g[..., j, :]
-        np.multiply(h[..., 0, :], v[..., 0, j, :], out=entry)
-        for i in range(1, u):
-            entry += h[..., i, :] * v[..., i, j, :]
-    return g
-
-
-def _cross_gains(g):
-    """|g_k^H g_j|^2 of every UE pair (..., K, K, L) from the spectral
-    means g (..., K, U, L), the inner products summed over U explicitly."""
-    gc = g.conj()
-    inner = gc[..., :, None, 0, :] * g[..., None, :, 0, :]
-    for i in range(1, g.shape[-2]):
-        inner += gc[..., :, None, i, :] * g[..., None, :, i, :]
-    cross = inner.real ** 2
-    cross += inner.imag ** 2
-    return cross
+    return np.ascontiguousarray(np.moveaxis(x, axis, -1))
 
 
 def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
@@ -150,12 +108,15 @@ def sinr_terms(state: ChannelState, est: EstimationState) -> SinrTerms:
       delta[k,j,l] = tr(r_lj psi_lk^-1 r_lk)
                    = beta_lj beta_lk sum_i eig_li^2 / den_lki
                      (pilot-sharing UEs only)
-    g and the inner products of cross are explicit sums over U. The states
-    of a batch of drops give terms with a leading drop axis.
+    g and the inner products of cross are one stacked matmul each. The
+    states of a batch of drops give terms with a leading drop axis.
     """
     pilots = est.pilots
-    g = _spectral_means(state.h_bar, est.basis)      # (..., K, U, L)
-    cross = _cross_gains(g)     # first: its temporaries are the largest
+    g = state.h_bar @ est.basis.conj()               # (..., L, K, U)
+    # first: its temporaries are the largest
+    cross = g.conj() @ g.swapaxes(-1, -2)            # g_k^H g_j (..., L, K, K)
+    cross = _ap_last(cross.real ** 2 + cross.imag ** 2, -3)
+    g = _ap_last(g, -3)                              # (..., K, U, L)
     beta = _ap_last(est.beta, -2)                    # (..., K, L)
     eig = _ap_last(est.eig[..., None, :], -3)        # (1, U, L)
     spread = _ap_last(est.eig[..., None, :] * est.gain, -3)   # eig^2 / den
@@ -241,7 +202,7 @@ def block_factors(state: BlockState, constants: BlockConstants, ok):
     diag = np.diagonal(s, axis1=-2, axis2=-1).real    # (..., B, U)
     diag = diag.swapaxes(-1, -2)[..., None, :, :]      # (..., 1, U, B)
     e_diag = (c.nlos[..., None] * diag + sigma2       # diag E, (..., 1, U, B)
-              + (c.p[..., None] * power).sum(axis=-3, keepdims=True))
+              + _ue_sum(c.p[..., None] * power, -3))
     lam = _antenna_sum(power)
     quad = _antenna_sum(e_diag * power)               # h_bar^H E h_bar ...
     trace = _antenna_sum(diag)                        # (..., 1, B)
@@ -251,8 +212,7 @@ def block_factors(state: BlockState, constants: BlockConstants, ok):
         mixed = h_bar[..., 0, :] * h_bar[..., 1, :].conj()
         # 2 E_10: E_10 = nlos s_10 + (H_p)_10, (H_p)_10 = conj(sum_j p_j
         # mixed_j)
-        e_off = 2.0 * (c.nlos * b + (c.p * mixed).sum(axis=-2,
-                                                     keepdims=True).conj())
+        e_off = 2.0 * (c.nlos * b + _ue_sum(c.p * mixed, -2).conj())
         quad += (e_off * mixed).real                  # ... + 2 Re(E_10 mixed)
         tr_se += (b.conj() * e_off).real              # ... + 2 Re(s_01 E_10)
         det = diag[..., 0, :] * diag[..., 1, :] - (b.real ** 2 + b.imag ** 2)
@@ -283,6 +243,15 @@ def _antenna_sum(x):
     return x[..., 0, :] + x[..., 1, :] if x.shape[-2] == 2 else x[..., 0, :]
 
 
+def _ue_sum(x, axis):
+    """x summed over its UE axis (axis, counted from the end, kept with
+    length 1) in UE order, as the last of its running sums. numpy's sum
+    fixes no order: it adds the UEs pairwise when they lie contiguous, as
+    with one probe, and in turn when strided, as with several, so a
+    probe's factors would depend on its batch."""
+    return np.add.accumulate(x, axis=axis).take([-1], axis=axis)
+
+
 def _spectral_factors(h_bar, s, c: BlockConstants, ok):
     """block_factors for U >= 3: on the eigenbasis V of each probe's s
     (np.linalg.eigh), F_k is diagonal with eig^2 / den_k, den_k = load_k
@@ -299,10 +268,11 @@ def _spectral_factors(h_bar, s, c: BlockConstants, ok):
     power = g.real ** 2 + g.imag ** 2
     lam = power.sum(axis=-2)
     e_diag = (c.nlos[..., None] * eig + c.sigma2
-              + (c.p[..., None] * power).sum(axis=-3, keepdims=True))
+              + _ue_sum(c.p[..., None] * power, -3))
     inner = np.einsum("...kab,...jab->...kjb", h_bar.conj(), h_bar)
+    cross = _ue_sum((inner.real ** 2 + inner.imag ** 2) * c.p, -2)
     quad = (c.nlos * (eig * power).sum(axis=-2) + c.sigma2 * lam
-            + ((inner.real ** 2 + inner.imag ** 2) * c.p).sum(axis=-2))
+            + cross[..., 0, :])
     tr_f = f.sum(axis=-2)
     z = c.spec * tr_f + lam
     dg = quad + c.spec * (f * e_diag).sum(axis=-2) - c.p * lam * lam
@@ -333,14 +303,14 @@ def coherent_scale(pilots: PilotMap, p):
     return np.sqrt(pilots.pick @ (pilots.coherent * p)[..., None])
 
 
-def _factors(terms: SinrTerms, p, scale=None):
+def _factors(terms: SinrTerms, p):
     """(dg, Delta') with b_k = diag(dg_k) + Delta'_k Delta'_k^H for every UE.
 
     dg_kl = sum_j p_j xi_kjl - p_k lam_kl^2 + sigma2 z_kl, with the sum over
     j taken in parts: (sum_j p_j beta_jl) nu_kl + sum_i spec_kil
     (sum_j p_j power_jil) + sum_j p_j cross_kjl. Column j of Delta'_k
     (..., K, J, L) is sqrt(c_kj) delta_kj for the j-th co-pilot of k, its
-    scale the coherent_scale of the terms' pilot map at p unless given.
+    scale the coherent_scale of the terms' pilot map at p.
     """
     p = np.asarray(p, dtype=float)
     weighted = p[:, None, None] * terms.power
@@ -348,14 +318,13 @@ def _factors(terms: SinrTerms, p, scale=None):
           + (terms.spec * weighted.sum(axis=-3)[..., None, :, :]).sum(axis=-2)
           + (p[:, None] * terms.cross).sum(axis=-2)
           - p[:, None] * terms.lam ** 2 + terms.sigma2 * terms.z)
-    if scale is None:
-        scale = coherent_scale(terms.pilots, p)
-    return dg, scale * (terms.pilots.pick @ terms.delta)
+    return dg, (coherent_scale(terms.pilots, p)
+                * (terms.pilots.pick @ terms.delta))
 
 
-def _lsfd_factors(terms: SinrTerms, p, scale=None):
+def _lsfd_factors(terms: SinrTerms, p):
     """(D^-1 z, D^-1 Delta', Delta') of the terms (_inverse_diagonal)."""
-    dg, dp = _factors(terms, p, scale)
+    dg, dp = _factors(terms, p)
     return (*_inverse_diagonal(terms.z, dg, dp), dp)
 
 
@@ -462,14 +431,12 @@ def sinr_from_weights(terms: SinrTerms, weights, p):
     return sinr_coefficients(terms, weights).sinr(p)
 
 
-def sinr_parts(terms: SinrTerms, decoder, p, scale=None):
+def sinr_parts(terms: SinrTerms, decoder, p):
     """Per-AP parts of every UE's SINR under decoder, the AP axis last, for
     sinr_from_parts to sum over all APs or over any subset of them: the
-    factor_parts of the terms' z and _factors. scale is the coherent_scale
-    of the terms' map at p, formed here unless given (a phase search forms
-    it once).
+    factor_parts of the terms' z and _factors.
     """
-    return factor_parts(terms.z, *_factors(terms, p, scale), decoder)
+    return factor_parts(terms.z, *_factors(terms, p), decoder)
 
 
 def factor_parts(z, dg, dp, decoder, ok=None):

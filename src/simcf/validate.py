@@ -30,8 +30,7 @@ def check_pilot_systems(seed=0, n_instances=100, antennas=(3, 2)):
     Each instance is a random factored network (PSD s per AP, NLoS gains,
     pilot reuse) run through build_estimation_state, whose core is formed
     from one eigendecomposition of s per AP. n_instances run at each
-    antenna count of antennas, in turn: U = 2 takes the closed-form 2 x 2
-    eigendecomposition, any other U LAPACK's.
+    antenna count of antennas, in turn.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

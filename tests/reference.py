@@ -273,10 +273,6 @@ class EinsumSinrTerms:
     tau_p: int
     sigma2: float
 
-    @property
-    def n_ues(self):
-        return self.z.shape[-2]
-
 
 def sinr_terms_einsum(state, est):
     """Evaluate all closed-form term families from link statistics, with
@@ -390,7 +386,7 @@ def lsfd_weights_loop(terms, p, p_hat, tau_p, sigma2):
     one UE at a time."""
     dz, dd, dp = _lsfd_factors_loop(terms, p, p_hat, tau_p, sigma2)
     weights = np.zeros(terms.z.shape, dtype=complex)
-    for k in range(terms.n_ues):
+    for k in range(terms.z.shape[-2]):
         g = dp[k].conj() @ dd[k].T
         v = dp[k].conj() @ dz[k]
         weights[k] = dz[k] - dd[k].T @ np.linalg.solve(
@@ -663,7 +659,7 @@ def sinr_lsfd(terms, p):
     p = np.asarray(p, dtype=float)
     gamma = np.array([
         p[k] * float(np.real(terms.z[k] @ weights[k]))
-        for k in range(terms.n_ues)
+        for k in range(terms.z.shape[-2])
     ])
     if np.any(gamma < -1e-12):
         raise se.SinrComputationError(f"negative quadratic-form SINR: {gamma}")
@@ -708,7 +704,7 @@ def sinr_of_breakdown(parts):
 def sinr_coefficients_loop(terms, weights, p_hat, tau_p, sigma2):
     """Power-control coefficients built one UE and one co-pilot at a time."""
     p_hat = np.asarray(p_hat, dtype=float)
-    k_ues = terms.n_ues
+    k_ues = terms.z.shape[-2]
     signal = np.zeros(k_ues)
     d = np.zeros((k_ues, k_ues))
     noise = np.zeros(k_ues)

@@ -114,6 +114,28 @@ def test_stacked_batch_equals_batches_of_one(decoder):
                 assert not padding.any()
 
 
+@pytest.mark.parametrize("decoder", se.DECODERS)
+@pytest.mark.parametrize("k", [5, 8, 9, 12])
+def test_probe_batch_equals_one_probe_calls(k, decoder):
+    # every probe of a batch sums its UEs in the order of a one-probe call:
+    # numpy's sum over a contiguous axis turns pairwise from 8 terms, and a
+    # complex one counts its real and imaginary parts
+    rows, cols = np.array([0, 1, 1]), np.array([2, 4, 8])
+    steps = np.arange(1, 16) * np.pi / 8
+    for u in (1, 2, 3):
+        cfg = SystemConfig(L=3, K=k, U=u, M=2, N=9, tau_p=3)
+        model = _model(cfg, 11)
+        obj = SumSeObjective([model], decoder)
+        obj.set_phases(model.random_phases(np.random.default_rng(k))[None])
+        values, parts = obj.probe(1, rows, cols, steps)
+        for i in range(steps.size):
+            one_values, one_parts = obj.probe(1, rows, cols, steps[i:i + 1])
+            where = f"U = {u}, probe {i}"
+            assert np.array_equal(one_values[:, 0], values[:, i]), where
+            for part, one in zip(parts, one_parts):
+                assert np.array_equal(one[..., 0], part[..., i]), where
+
+
 def _block_state(rng, s, n_ue):
     """A BlockState of random means and the given per-probe matrices s
     (S, B, U, U)."""

@@ -269,7 +269,8 @@ def test_block_channel_state_matches_turned_slices(small_model, small_phases,
         assert np.array_equal(state.s, state.s.conj().swapaxes(-1, -2))
         # each probe's statistics are what a one-probe call gives
         for i in (0, 7, steps.size - 1):
-            one = block_channel_state(folded, rows, cols, powers[i:i + 1],
+            one = block_channel_state(folded, rows, cols,
+                                      probe_powers(steps[i:i + 1], n_layers),
                                       model.base_corr, amp)
             assert np.array_equal(one.h_bar[..., 0], state.h_bar[..., i])
             assert np.array_equal(one.s[0], state.s[i])

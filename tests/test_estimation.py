@@ -7,8 +7,8 @@ import pytest
 from simcf import SystemConfig, allocate_pilots, generate_drop
 from simcf.channel import ChannelState
 from simcf.estimation import (EstimationError, build_estimation_state,
-                              hermitian_eigh, link_matvec, mmse_estimate,
-                              pilot_map, scaled_complex)
+                              link_matvec, mmse_estimate, pilot_map,
+                              scaled_complex)
 from simcf.montecarlo import _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import decoder_weights, sinr_coefficients, sinr_terms
@@ -338,67 +338,49 @@ def _hermitian_2x2(a, d, b):
     return s
 
 
-def _eigh_2x2_cases():
+def _degenerate_2x2_cases():
     rng = np.random.default_rng(31)
     g = rng.normal(size=(4, 3, 2, 2)) + 1j * rng.normal(size=(4, 3, 2, 2))
     v = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     near = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
     q, _ = np.linalg.qr(near)
-    yield "random stack", g @ g.conj().swapaxes(-1, -2)
-    yield "indefinite", g + g.conj().swapaxes(-1, -2)
-    yield "diagonal a > d", _hermitian_2x2(3.0, 0.5, 0.0)
-    yield "diagonal a < d", _hermitian_2x2(0.5, 3.0, 0.0)
-    yield "diagonal a = d", _hermitian_2x2(2.0, 2.0, 0.0)
     yield "zero", np.zeros((2, 2), dtype=complex)
-    yield "a = d, b != 0", _hermitian_2x2(1.0, 1.0, [0.3 - 0.4j, -1e-9j])
-    # a formula that cancels, (a - d) / 2 + r with a < d or the mirror one
-    # with a > d, loses b here entirely
     yield "tiny b", _hermitian_2x2([1.0, 2.0], [2.0, 1.0], 1e-9 + 2e-9j)
     yield "rank one", v[:, :, None] * v[:, None, :].conj()
     for ratio in (1e-14, 1e-16):     # eigenvalues (ratio, 1), random basis
         yield (f"near singular {ratio:g}",
                (q * [ratio, 1.0]) @ q.conj().swapaxes(-1, -2))
     yield "scaled 1e-20", 1e-20 * (g @ g.conj().swapaxes(-1, -2))
+    # real dtype; the second matrix is indefinite, with eigenvalues 1, -5
     yield "real symmetric", _hermitian_2x2([1.0, -2.0], [4.0, -2.0],
                                            [0.5, 3.0]).real
 
 
-@pytest.mark.parametrize("label, s", list(_eigh_2x2_cases()),
-                         ids=[label for label, _ in _eigh_2x2_cases()])
-def test_closed_form_2x2_eigh_matches_lapack(label, s):
+@pytest.mark.parametrize("label, s", list(_degenerate_2x2_cases()),
+                         ids=[label for label, _ in _degenerate_2x2_cases()])
+def test_degenerate_correlations_solve_their_pilot_systems(label, s):
+    # one AP per matrix, UEs 0 and 2 on one pilot; sigma2 keeps every psi
+    # positive definite, the indefinite matrix's too
+    s = s.reshape(-1, 2, 2)
+    rng = np.random.default_rng(33)
+    beta = rng.uniform(0.5, 1.0, (len(s), 3))
+    pilot_of, p_hat = [0, 1, 0], np.array([0.2, 0.3, 0.25])
+    tau_p, sigma2 = 2, 5.0
+    state = ChannelState(h_bar=np.zeros((len(s), 3, 2), dtype=complex), s=s,
+                         beta_nlos=beta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no 0 / 0 on a zero matrix
-        eig, basis = hermitian_eigh(s)
-    ref_eig, _ = np.linalg.eigh(s)
-    assert eig.shape == ref_eig.shape and basis.shape == s.shape
-    assert basis.dtype == np.linalg.eigh(s)[1].dtype
-    scale = np.abs(ref_eig).max(axis=-1, keepdims=True)
-    assert np.all(np.diff(eig, axis=-1) >= 0), label
-    assert np.all(np.abs(eig - ref_eig) <= 1e-12 * scale), label
-    gram = basis.conj().swapaxes(-1, -2) @ basis
-    assert np.abs(gram - np.eye(2)).max() <= 1e-12, label
-    rebuilt = (basis * eig[..., None, :]) @ basis.conj().swapaxes(-1, -2)
-    assert np.all(np.abs(rebuilt - s) <= 1e-12 * scale[..., None]), label
+        est = build_estimation_state(state, pilot_map(pilot_of, p_hat, tau_p),
+                                     sigma2)
+    assert np.all(np.diff(est.eig, axis=-1) >= 0), label
     if not s.any():
-        assert np.array_equal(basis, np.eye(2)) and not eig.any()
-
-
-def test_eigh_of_other_sizes_is_lapack_bit_for_bit():
-    rng = np.random.default_rng(32)
-    for u in (1, 3):
-        g = rng.normal(size=(5, 2, u, u)) + 1j * rng.normal(size=(5, 2, u, u))
-        s = g @ g.conj().swapaxes(-1, -2)
-        eig, basis = hermitian_eigh(s)
-        ref_eig, ref_basis = np.linalg.eigh(s)
-        assert np.array_equal(eig, ref_eig)
-        assert np.array_equal(basis, ref_basis)
-    # U = 1 in closed form: zeros of either sign, negative and tiny values
-    for s in (np.array([0.0, -0.0, -2.5, 1e-300]).reshape(2, 2, 1, 1),
-              np.array([0.0, complex(-0.0, 0.0), -2.5 - 0j,
-                        3.0]).reshape(4, 1, 1)):
-        eig, basis = hermitian_eigh(s)
-        ref_eig, ref_basis = np.linalg.eigh(s)
-        assert np.array_equal(eig, ref_eig)
-        assert np.array_equal(np.signbit(eig), np.signbit(ref_eig))
-        assert np.array_equal(basis, ref_basis)
-        assert basis.dtype == ref_basis.dtype
+        assert not est.core.any()
+        return
+    r = beta[:, :, None, None] * s[:, None]
+    for k in range(3):
+        psi = sigma2 * np.eye(2)
+        for j in np.flatnonzero(np.equal(pilot_of, pilot_of[k])):
+            psi = psi + tau_p * p_hat[j] * r[:, j]
+        rel = (np.abs(psi @ est.core[:, k] - r[:, k]).max(axis=(-2, -1))
+               / np.abs(r[:, k]).max(axis=(-2, -1)))
+        assert rel.max() <= 1e-10, (label, k)

@@ -5,14 +5,16 @@ Runs `perfbench/run.py --digest` on every benchmark workload and seed, once
 with --src pointing at this tree's src/ and once at the src/ of a
 `git archive` of the commit, and compares the SHA-256 of each round's
 rows.csv. No benchmark workload runs a one-network phase search or an opt
-scheme over several drops, so the gate also runs the CLI's
-`simcf table1 --drops 2` and `simcf fig3 --drops 3` at seeds 1-3 on each
-src and compares the SHA-256 of their rows.csv and aggregates.csv. It
-always runs `simcf validate` (seed 0) on each src as well and compares its
-three printed lines, so the closed-form-vs-Monte-Carlo check must report
-the same worst |z| (and the other two checks the same figures); the table
-shows each line's status and leading figure. It prints one table and exits
-1 on any mismatch. Its summary also gives `wc -l src/simcf/*.py` of both
+scheme over several drops, and none runs U >= 3 antennas or a max-min
+scheme beside an opt search, so the gate also runs the CLI's
+`simcf table1 --drops 2`, `simcf fig3 --drops 3` and `simcf run --spec`
+of a U sweep (U_SWEEP: U = 1-4, written to a temporary directory) at
+seeds 1-3 on each src and compares the SHA-256 of their rows.csv and
+aggregates.csv. It always runs `simcf validate` (seed 0) on each src as
+well and compares its three printed lines, so the closed-form-vs-Monte-Carlo
+check must report the same worst |z| (and the other two checks the same
+figures); the table shows each line's status and leading figure. It
+prints one table and exits 1 on any mismatch. Its summary also gives `wc -l src/simcf/*.py` of both
 trees, for information only (no gate):
 
     python3 tools/digests.py HEAD~1            # workload seeds 1-10
@@ -24,6 +26,7 @@ so the gate lasts a minute or two.
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -38,6 +41,11 @@ WORKLOADS = ("table1-opt", "fig3-closed-form", "mc-check")
 CLI_RUNS = (("table1 --drops 2", ["table1", "--drops", "2"]),
             ("fig3 --drops 3", ["fig3", "--drops", "3"]))
 CLI_SEEDS = (1, 2, 3)
+# the spec of `simcf run --spec`: the U >= 3 path of the probe kernel and
+# a max-min scheme beside an opt search, ~0.3 s per run
+U_SWEEP = dict(sweep="U", values=[1, 2, 3, 4], n_drops=2,
+               schemes=["rand-full", "opt-full", "rand-maxmin"],
+               base=dict(L=6, K=5, M=3, N=16))
 # the checks `simcf validate` prints, one line each
 VALIDATE_CHECKS = ("pilot-system-residual", "closed-form-vs-monte-carlo",
                    "decoder-dominance")
@@ -114,7 +122,12 @@ def main(argv=None):
         print(f"{label:<40}{seed:>5}  {shown(old):<16}{shown(new):<16}"
               f"{'yes' if same else 'NO'}")
 
-    with commit_src(args.commit) as old_src:
+    with commit_src(args.commit) as old_src, \
+            tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "u-sweep.json"
+        spec.write_text(json.dumps(U_SWEEP))
+        cli_runs = (*CLI_RUNS,
+                    ("run --spec u-sweep", ["run", "--spec", str(spec)]))
         print(f"{'run':<40}{'seed':>5}  {args.commit[:12]:<16}"
               f"{'working tree':<16}same")
         for workload in WORKLOADS:
@@ -122,7 +135,7 @@ def main(argv=None):
                 report("workload", workload, seed,
                        digest(old_src, workload, seed),
                        digest(ROOT / "src", workload, seed))
-        for label, cli_args in CLI_RUNS:
+        for label, cli_args in cli_runs:
             for seed in CLI_SEEDS:
                 old = cli_digests(old_src, cli_args, seed)
                 new = cli_digests(ROOT / "src", cli_args, seed)
