@@ -20,7 +20,6 @@
 # data; plotting is external.
 
 import collections
-import csv
 import itertools
 import json
 import logging
@@ -103,10 +102,10 @@ class ExperimentSpec:
             self.config_for(value)
             self.schemes_for(value)
             self.decoders_for(value)
-        # equal values pool in one aggregate, and values printed alike
-        # (2 and "2") write rows the CSVs cannot tell apart
+        # equal values pool in one aggregate, and values _fmt prints alike
+        # (2.0 and "2") write rows the CSVs cannot tell apart
         n = len(self.values)
-        if len(set(self.values)) < n or len(set(map(str, self.values))) < n:
+        if len(set(self.values)) < n or len(set(map(_fmt, self.values))) < n:
             raise ExperimentError(f"duplicate sweep values in {self.values!r}")
 
     @classmethod
@@ -400,8 +399,20 @@ def _fmt(x):
     return str(x)
 
 
+def _cell(x):
+    """_fmt(x) as a cell of the excel csv dialect: quoted when it holds a
+    comma, a quote or a line break (an L value of " 3\\n" passes the spec)."""
+    s = _fmt(x)
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def write_result_csv(result: ExperimentResult, out_dir):
-    """Write rows.csv and aggregates.csv; byte-stable for a fixed spec+seed."""
+    """Write rows.csv and aggregates.csv; byte-stable for a fixed spec+seed.
+    Each line is the one csv.writer writes for _fmt of the row's fields, in
+    one format: names, schemes and decoders need no quotes (the spec checks
+    them), the value goes through _cell and floats print %.10g."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -409,19 +420,16 @@ def write_result_csv(result: ExperimentResult, out_dir):
     agg_path = os.path.join(out_dir, "aggregates.csv")
     ordered = sorted(result.rows,
                      key=lambda r: (str(r[1]), r[2], r[5], r[4], r[3]))
-    with open(rows_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROWS_HEADER)
-        for row in ordered:
-            writer.writerow([_fmt(x) for x in row])
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_HEADER)
-        for agg in result.aggregates:
-            writer.writerow([_fmt(x) for x in
-                             (result.spec.sweep, agg.value, agg.decoder,
-                              agg.scheme, agg.se_samples.size, agg.mean_se,
-                              agg.stderr, agg.likely95)])
+    rows = [f"{sweep},{_cell(v)},{d},{k},{decoder},{scheme},{g:.10g},"
+            f"{e:.10g},{mc:.10g},{mc_e:.10g}"
+            for sweep, v, d, k, decoder, scheme, g, e, mc, mc_e in ordered]
+    aggs = [f"{result.spec.sweep},{_cell(a.value)},{a.decoder},{a.scheme},"
+            f"{a.se_samples.size},{a.mean_se:.10g},{a.stderr:.10g},"
+            f"{a.likely95:.10g}" for a in result.aggregates]
+    for path, header, lines in ((rows_path, ROWS_HEADER, rows),
+                                (agg_path, AGG_HEADER, aggs)):
+        with open(path, "w", newline="") as fh:
+            fh.write("\r\n".join((",".join(header), *lines, "")))
     return rows_path, agg_path
 
 

@@ -491,7 +491,7 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
     targets above 1 / rho(D~), whose least solutions clip to zero power;
     the closed form rejects them, so t_star stays below t* (1 + band).)
 
-    Leading axes of the coefficients (...) are settings, bisected together:
+    Leading axes of the coefficients (...) are settings, solved together:
     one stacked eigvals gives every rho, each setting halves its own
     bracket until it is narrower than eps, guard-band midpoints are solved
     setting by setting, and one stacked solve gives the powers of every
@@ -519,23 +519,25 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
     flat = se.SinrCoefficients(signal=coeffs.signal.reshape(-1, n_ue),
                                d=coeffs.d.reshape(-1, n_ue, n_ue),
                                noise=coeffs.noise.reshape(-1, n_ue))
-    t_lo = np.zeros_like(t_hi)
     empty = t_hi <= 0
     t_hi[empty] = 0.0
     rho = np.zeros_like(t_hi)
     rho[~empty] = _perron_root(_settings(flat, ~empty), p_max)
-    iterations = np.zeros(t_hi.shape, dtype=int)
-    going = ~empty & (t_hi - t_lo >= eps)
-    while going.any():
-        t = 0.5 * (t_lo + t_hi)
-        iterations += going
-        feasible = t * rho < 1.0
-        for s in np.flatnonzero(going & (abs(t * rho - 1.0) <= _GUARD_BAND)):
-            feasible[s] = not np.isnan(
-                _feasible_powers(_settings(flat, s), t[s], p_max)).any()
-        t_lo = np.where(going & feasible, t, t_lo)
-        t_hi = np.where(going & ~feasible, t, t_hi)
-        going &= t_hi - t_lo >= eps
+    # each setting's bisection on Python floats, rounded as float64 arrays
+    solved = []                     # (t_lo, t_hi, iterations) per setting
+    for s, (hi, r) in enumerate(zip(t_hi.tolist(), rho.tolist())):
+        lo, n = 0.0, 0
+        while hi - lo >= eps:
+            t = 0.5 * (lo + hi)
+            n += 1
+            if abs(t * r - 1.0) <= _GUARD_BAND:
+                feasible = not np.isnan(
+                    _feasible_powers(_settings(flat, s), t, p_max)).any()
+            else:
+                feasible = t * r < 1.0
+            lo, hi = (t, hi) if feasible else (lo, t)
+        solved.append((lo, hi, n))
+    t_lo = np.array([lo for lo, _, _ in solved])
     p = np.tile(full, (t_hi.size, 1))
     found = t_lo > 0
     if found.any():
@@ -547,8 +549,5 @@ def maxmin_power(coeffs: se.SinrCoefficients, p_max, eps=1e-3):
             f"power control: no feasible powers at t = {float(t_lo[s])!r}, "
             f"which the closed form accepts (t rho < 1, rho = "
             f"{float(rho[s])!r})")
-    solutions = [PowerSolution(p=p[s], t_star=float(t_lo[s]),
-                               iterations=int(iterations[s]),
-                               bracket=(float(t_lo[s]), float(t_hi[s])))
-                 for s in range(t_hi.size)]
-    return solutions
+    return [PowerSolution(p=p[s], t_star=lo, iterations=n, bracket=(lo, hi))
+            for s, (lo, hi, n) in enumerate(solved)]

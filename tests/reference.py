@@ -59,9 +59,14 @@
 #   keep and move products of each touched layer's folded factor, which
 #   the block-row writes of sim_physics.block_cascade_coeffs replace with
 #   the same arithmetic
+# - write_result_csv_writer: rows.csv and aggregates.csv through csv.writer
+#   with _fmt on every field, which the one-format lines of
+#   experiments.write_result_csv replace byte for byte
 # Tests compare the batched code against these, exactly where both run the
 # same arithmetic and within a tolerance where they do not.
 
+import csv
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -70,7 +75,8 @@ import scipy.linalg
 from simcf import se
 from simcf.channel import ChannelState
 from simcf.estimation import EstimationError, despread_pilot_noise
-from simcf.experiments import MISSING, _drop_seed
+from simcf.experiments import (AGG_HEADER, MISSING, ROWS_HEADER, _drop_seed,
+                               _fmt)
 from simcf.montecarlo import (_delta_method, _TrialSampler, _Workspace,
                               uatf_monte_carlo)
 from simcf.optimize import (BeamformingConfig, PowerSolution, SumSeObjective,
@@ -1071,3 +1077,27 @@ def run_experiment_rows_per_setting(spec):
                 any(s.startswith("opt") for s in schemes),
                 BeamformingConfig(**spec.beamforming)))
     return rows
+
+
+def write_result_csv_writer(result, out_dir):
+    """rows.csv and aggregates.csv of result in out_dir, each row through
+    csv.writer with _fmt on every field; returns both paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    rows_path = os.path.join(out_dir, "rows.csv")
+    agg_path = os.path.join(out_dir, "aggregates.csv")
+    ordered = sorted(result.rows,
+                     key=lambda r: (str(r[1]), r[2], r[5], r[4], r[3]))
+    with open(rows_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ROWS_HEADER)
+        for row in ordered:
+            writer.writerow([_fmt(x) for x in row])
+    with open(agg_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(AGG_HEADER)
+        for agg in result.aggregates:
+            writer.writerow([_fmt(x) for x in
+                             (result.spec.sweep, agg.value, agg.decoder,
+                              agg.scheme, agg.se_samples.size, agg.mean_se,
+                              agg.stderr, agg.likely95)])
+    return rows_path, agg_path

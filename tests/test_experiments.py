@@ -1,14 +1,16 @@
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reference import run_experiment_rows_per_setting
+from reference import run_experiment_rows_per_setting, write_result_csv_writer
 from simcf import allocate_pilots, experiments, generate_drop, pipeline, se
 from simcf.estimation import EstimationError
-from simcf.experiments import (AGG_HEADER, ROWS_HEADER, SCHEMES,
-                               ExperimentError, ExperimentSpec,
+from simcf.experiments import (AGG_HEADER, MISSING, ROWS_HEADER, SCHEMES,
+                               AggregateResult, ExperimentError,
+                               ExperimentResult, ExperimentSpec,
                                aggregate_rows, fig3_spec, run_experiment,
                                table1_spec, write_result_csv)
 from simcf.montecarlo import uatf_monte_carlo
@@ -61,9 +63,12 @@ def test_spec_validation():
         ExperimentSpec.from_dict({"sweep": "L", "values": [2],
                                   "beamforming": {"symmetric_probe": True}})
     # every sweep value is checked at spec time, not by its first drop
-    for values in ((2, 2), (2, 2.0), (2, "2")):
+    for values in ((2, 2), (2, 2.0), (2, "2"), (2.0, "2")):
         with pytest.raises(ExperimentError, match="duplicate"):
             tiny_spec(values=values)
+    # the CSVs print pitches %.10g: these two wrote identical value cells
+    with pytest.raises(ExperimentError, match="duplicate"):
+        tiny_spec(sweep="d_meta", values=(0.075, 0.07500000000001))
     with pytest.raises(ExperimentError, match="'x'"):
         tiny_spec(values=(2, "x"))
     with pytest.raises(ExperimentError, match="'x'"):
@@ -165,6 +170,50 @@ def test_run_experiment_shapes_and_determinism(tmp_path):
     assert tuple(header) == ROWS_HEADER
     header = p1[1].read_text().splitlines()[0].split(",")
     assert tuple(header) == AGG_HEADER
+
+
+def _made_up_result(spec, floats):
+    """An ExperimentResult of spec whose rows (2 drops, 2 UEs) and
+    aggregates take their float fields in turn from the iterator floats;
+    the first UE's Monte-Carlo columns are MISSING."""
+    rows, aggregates = [], []
+    for v in spec.values:
+        for decoder in spec.decoders_for(v):
+            for scheme in spec.schemes_for(v):
+                for d, k in itertools.product(range(2), range(2)):
+                    mc = ((MISSING, MISSING) if k == 0
+                          else (next(floats), next(floats)))
+                    rows.append((spec.sweep, v, d, k, decoder, scheme,
+                                 next(floats), next(floats), *mc))
+                aggregates.append(AggregateResult(
+                    value=v, decoder=decoder, scheme=scheme,
+                    se_samples=np.zeros(4), mean_se=next(floats),
+                    stderr=next(floats), likely95=next(floats)))
+    return ExperimentResult(spec=spec, rows=rows, aggregates=aggregates,
+                            failures=0)
+
+
+def test_csv_bytes_equal_csv_writer_of_every_field(tmp_path):
+    # write_result_csv formats each line at once; csv.writer with _fmt on
+    # every field is the reference, for every kind of value and float
+    floats = itertools.cycle((1.5, -2.25, -0.0, 0.0, 1e-300, -1e-300,
+                              np.inf, -np.inf, float("nan"), -float("nan"),
+                              123456789.123456, 1 / 3, 2e22, 7.0))
+    specs = [tiny_spec(values=(2, np.int64(3), 10.0, " 4\n")),
+             tiny_spec(sweep="d_meta",
+                       values=(0.15, 0.075, 0.0375, 0.01875, 1e-3 / 3)),
+             tiny_spec(sweep="scheme", values=SCHEMES),
+             tiny_spec(sweep="decoder", values=se.DECODERS)]
+    results = [_made_up_result(spec, floats) for spec in specs]
+    results.append(run_experiment(tiny_spec(
+        n_mc_trials=20, schemes=("rand-full", "rand-maxmin"))))
+    for i, result in enumerate(results):
+        got = write_result_csv(result, tmp_path / f"got{i}")
+        want = write_result_csv_writer(result, tmp_path / f"want{i}")
+        for a, b in zip(got, want):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+    # the value " 4\n" is the one cell that needs quotes
+    assert b'," 4\n",' in (tmp_path / "got0" / "rows.csv").read_bytes()
 
 
 def test_numerical_failures_are_counted_and_bugs_propagate(monkeypatch):

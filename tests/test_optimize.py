@@ -506,8 +506,9 @@ def _stack_coeffs(settings):
 def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
     # one batch of settings of every kind, at one power cap: an empty
     # bracket (the full-power SINRs underflow to 0), no feasible midpoint
-    # (full power), a midpoint on the optimum (solved in the guard band)
-    # and the LSFD and EGCD coefficients of a drop
+    # (full power), a bracket narrower than eps from the start (no
+    # midpoint, as at lambda/8), a midpoint on the optimum (solved in the
+    # guard band) and the LSFD and EGCD coefficients of a drop
     p_max = 0.2
     cfg = SystemConfig(L=3, K=2, U=2, M=2, N=4, tau_p=1)
     drop = generate_drop(cfg, 3)
@@ -516,6 +517,7 @@ def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
     band = _coeffs([2.0, 2.0], np.diag([0.3, 0.3]), [0.1, 0.1])
     settings = [_coeffs([1e-200, 1e-200], np.zeros((2, 2)), [1e200, 1e200]),
                 _coeffs([1.0, 1e-5], np.zeros((2, 2)), [1e-3, 1.0]),
+                _coeffs([1e-5, 2e-5], np.zeros((2, 2)), [1.0, 1.0]),
                 band,
                 sinr_coefficients(terms, lsfd_weights(terms, drop.p)),
                 sinr_coefficients(terms, egcd_weights(terms))]
@@ -533,16 +535,21 @@ def test_maxmin_batch_equals_each_setting_alone(monkeypatch):
             assert got.t_star == want.t_star
             assert got.iterations == want.iterations
             assert got.bracket == want.bracket
-    empty, full = batch[:2]
+    empty, full, narrow = batch[:3]
     assert empty.iterations == 0 and empty.bracket == (0.0, 0.0)
     assert full.t_star == 0.0 and full.iterations > 1
-    assert np.array_equal(empty.p, [p_max, p_max])
-    assert np.array_equal(full.p, [p_max, p_max])
-    assert all(sol.t_star > 0 for sol in batch[2:])
+    t_hi = 2.0 * float(settings[2].sinr(np.full(2, p_max)).max())
+    assert 0 < t_hi < 1e-3
+    assert narrow.iterations == 0 and narrow.t_star == 0.0
+    assert narrow.bracket == (0.0, t_hi)
+    for sol in batch[:3]:
+        assert np.array_equal(sol.p, [p_max, p_max])
+    assert all(sol.t_star > 0 for sol in batch[3:])
     # two leading axes give the same solutions, in C order
-    grid = maxmin_power(_stack_coeffs([_stack_coeffs(settings[1:3]),
-                                       _stack_coeffs(settings[3:])]), p_max)
-    assert [sol.t_star for sol in grid] == [sol.t_star for sol in batch[1:]]
+    grid = maxmin_power(_stack_coeffs([_stack_coeffs(settings[i:i + 2])
+                                       for i in (0, 2, 4)]), p_max)
+    assert [(sol.t_star, sol.bracket) for sol in grid] == \
+        [(sol.t_star, sol.bracket) for sol in batch]
 
 
 def test_feasible_powers_stack_with_a_singular_system():

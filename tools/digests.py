@@ -6,11 +6,12 @@ with --src pointing at this tree's src/ and once at the src/ of a
 `git archive` of the commit, and compares the SHA-256 of each round's
 rows.csv. No benchmark workload runs a one-network phase search or an opt
 scheme over several drops, and none runs U >= 3 antennas or a max-min
-scheme beside an opt search, so the gate also runs the CLI's
-`simcf table1 --drops 2`, `simcf fig3 --drops 3` and `simcf run --spec`
-of a U sweep (U_SWEEP: U = 1-4, written to a temporary directory) at
-seeds 1-3 on each src and compares the SHA-256 of their rows.csv and
-aggregates.csv. It always runs `simcf validate` (seed 0) on each src as
+scheme beside an opt search, and none sweeps a string value, so the gate
+also runs the CLI's `simcf table1 --drops 2`, `simcf fig3 --drops 3` and
+`simcf run --spec` of a U sweep (U_SWEEP: U = 1-4) and of a scheme sweep
+with Monte-Carlo columns (SCHEME_SWEEP; both specs written to a temporary
+directory) at seeds 1-3 on each src and compares the SHA-256 of their
+rows.csv and aggregates.csv. It always runs `simcf validate` (seed 0) on each src as
 well and compares its three printed lines, so the closed-form-vs-Monte-Carlo
 check must report the same worst |z| (and the other two checks the same
 figures); the table shows each line's status and leading figure. It
@@ -46,6 +47,10 @@ CLI_SEEDS = (1, 2, 3)
 U_SWEEP = dict(sweep="U", values=[1, 2, 3, 4], n_drops=2,
                schemes=["rand-full", "opt-full", "rand-maxmin"],
                base=dict(L=6, K=5, M=3, N=16))
+# a string-valued sweep whose rows carry Monte-Carlo columns, ~0.3 s per run
+SCHEME_SWEEP = dict(sweep="scheme", values=["rand-full", "rand-maxmin"],
+                    n_drops=2, n_mc_trials=200,
+                    base=dict(L=4, K=3, U=2, M=2, N=4, tau_p=2))
 # the checks `simcf validate` prints, one line each
 VALIDATE_CHECKS = ("pilot-system-residual", "closed-form-vs-monte-carlo",
                    "decoder-dominance")
@@ -119,16 +124,19 @@ def main(argv=None):
     def report(kind, label, seed, old, new, shown=lambda x: x[:12]):
         same = old == new and not old.startswith("failed")
         results[kind].append(same)
-        print(f"{label:<40}{seed:>5}  {shown(old):<16}{shown(new):<16}"
+        print(f"{label:<46}{seed:>5}  {shown(old):<16}{shown(new):<16}"
               f"{'yes' if same else 'NO'}")
 
     with commit_src(args.commit) as old_src, \
             tempfile.TemporaryDirectory() as tmp:
-        spec = Path(tmp) / "u-sweep.json"
-        spec.write_text(json.dumps(U_SWEEP))
-        cli_runs = (*CLI_RUNS,
-                    ("run --spec u-sweep", ["run", "--spec", str(spec)]))
-        print(f"{'run':<40}{'seed':>5}  {args.commit[:12]:<16}"
+        cli_runs = list(CLI_RUNS)
+        for name, sweep in (("u-sweep", U_SWEEP),
+                            ("scheme-sweep", SCHEME_SWEEP)):
+            spec = Path(tmp) / f"{name}.json"
+            spec.write_text(json.dumps(sweep))
+            cli_runs.append((f"run --spec {name}",
+                             ["run", "--spec", str(spec)]))
+        print(f"{'run':<46}{'seed':>5}  {args.commit[:12]:<16}"
               f"{'working tree':<16}same")
         for workload in WORKLOADS:
             for seed in args.seeds:
