@@ -226,7 +226,14 @@ def link_matvec(f, v):
     return out
 
 
-def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
+def estimator_gain(est: EstimationState):
+    """(L, K, U, U) sqrt(p_hat_k) core^H of every link: what UE k's estimate
+    at AP l applies to its pilot's observation."""
+    p_root = np.sqrt(est.pilots.p_hat)
+    return p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
+
+
+def mmse_estimate(est: EstimationState, los, nlos, pilot_noise, gain=None):
     """Realization-level estimates from sampled channels.
 
     los: (..., L, K, U) sampled LoS parts h_bar e^{j phase}; nlos:
@@ -235,7 +242,8 @@ def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
     shape (..., L, K, U); the error is (true channel) - (estimate) with
     true = los + nlos. Each pilot's observation (tau_p times its UEs'
     weighted NLoS sum, plus its noise) is formed once and read by every UE
-    on it through sqrt(p_hat_k) core^H.
+    on it through gain, estimator_gain(est) unless a caller that estimates
+    many runs of trials formed it once.
     """
     pilots = est.pilots
     p_root = np.sqrt(pilots.p_hat)
@@ -246,7 +254,8 @@ def mmse_estimate(est: EstimationState, los, nlos, pilot_noise):
     pooled = np.tensordot(weighted, pilots.onehot, axes=(-2, 0))
     observed = np.take(pilots.tau_p * pooled.swapaxes(-1, -2) + pilot_noise,
                        pilots.pilot_of, axis=-2)
-    gain = p_root[None, :, None, None] * est.core.conj().swapaxes(-1, -2)
+    if gain is None:
+        gain = estimator_gain(est)
     estimate = link_matvec(gain, observed)
     estimate += los
     return estimate

@@ -40,6 +40,7 @@ from .sim_physics import random_phase_tensor
 log = logging.getLogger(__name__)
 
 SWEEPABLE = ("L", "K", "U", "M", "N", "d_meta", "decoder", "scheme")
+NUMERIC = ("L", "K", "U", "M", "N", "d_meta")   # sweeps of config fields
 SCHEMES = ("rand-full", "opt-full", "rand-maxmin", "opt-maxmin")
 
 ROWS_HEADER = ("sweep", "value", "drop", "ue", "decoder", "scheme",
@@ -98,15 +99,21 @@ class ExperimentSpec:
         bad = set(self.schemes) - set(SCHEMES)
         if self.sweep != "scheme" and bad:
             raise ExperimentError(f"unknown schemes: {sorted(bad)}")
+        # a numeric sweep keeps each value as the count or pitch that runs
+        # (" 3\n" runs L=3, "1_0e-2" d_meta=0.1), so the rows print it
+        ran = []
         for value in self.values:
-            self.config_for(value)
+            cfg = self.config_for(value)
             self.schemes_for(value)
             self.decoders_for(value)
+            ran.append(getattr(cfg, self.sweep) if self.sweep in NUMERIC
+                       else value)
         # equal values pool in one aggregate, and values _fmt prints alike
-        # (2.0 and "2") write rows the CSVs cannot tell apart
-        n = len(self.values)
-        if len(set(self.values)) < n or len(set(map(_fmt, self.values))) < n:
+        # (0.075 and 0.07500000000001) write rows the CSVs cannot tell apart
+        n = len(ran)
+        if len(set(ran)) < n or len(set(map(_fmt, ran))) < n:
             raise ExperimentError(f"duplicate sweep values in {self.values!r}")
+        object.__setattr__(self, "values", tuple(ran))
 
     @classmethod
     def from_dict(cls, data):
@@ -127,8 +134,7 @@ class ExperimentSpec:
         try:
             # int() and float() take True as 1; the rows would print the
             # value, not the count or pitch that ran
-            if (self.sweep in ("L", "K", "U", "M", "N", "d_meta")
-                    and isinstance(value, (bool, np.bool_))):
+            if self.sweep in NUMERIC and isinstance(value, (bool, np.bool_)):
                 raise ValueError("a bool is not a number")
             if self.sweep in ("L", "K", "U", "M", "N"):
                 params[self.sweep] = count = int(value)
@@ -399,20 +405,12 @@ def _fmt(x):
     return str(x)
 
 
-def _cell(x):
-    """_fmt(x) as a cell of the excel csv dialect: quoted when it holds a
-    comma, a quote or a line break (an L value of " 3\\n" passes the spec)."""
-    s = _fmt(x)
-    if "," in s or '"' in s or "\n" in s or "\r" in s:
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def write_result_csv(result: ExperimentResult, out_dir):
     """Write rows.csv and aggregates.csv; byte-stable for a fixed spec+seed.
     Each line is the one csv.writer writes for _fmt of the row's fields, in
-    one format: names, schemes and decoders need no quotes (the spec checks
-    them), the value goes through _cell and floats print %.10g."""
+    one format: no field needs quotes (names, schemes and decoders are
+    checked by the spec, and a numeric sweep's values are numbers), the
+    value goes through _fmt and floats print %.10g."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -420,10 +418,10 @@ def write_result_csv(result: ExperimentResult, out_dir):
     agg_path = os.path.join(out_dir, "aggregates.csv")
     ordered = sorted(result.rows,
                      key=lambda r: (str(r[1]), r[2], r[5], r[4], r[3]))
-    rows = [f"{sweep},{_cell(v)},{d},{k},{decoder},{scheme},{g:.10g},"
+    rows = [f"{sweep},{_fmt(v)},{d},{k},{decoder},{scheme},{g:.10g},"
             f"{e:.10g},{mc:.10g},{mc_e:.10g}"
             for sweep, v, d, k, decoder, scheme, g, e, mc, mc_e in ordered]
-    aggs = [f"{result.spec.sweep},{_cell(a.value)},{a.decoder},{a.scheme},"
+    aggs = [f"{result.spec.sweep},{_fmt(a.value)},{a.decoder},{a.scheme},"
             f"{a.se_samples.size},{a.mean_se:.10g},{a.stderr:.10g},"
             f"{a.likely95:.10g}" for a in result.aggregates]
     for path, header, lines in ((rows_path, ROWS_HEADER, rows),

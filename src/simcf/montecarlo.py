@@ -16,16 +16,28 @@
 # partial last batch uses the buffers' fronts, each laid out as a fresh
 # array of its shape, so its arithmetic is that of a fresh array. Nothing
 # outlives the call.
+#
+# A batch's draw is serial (one generator, one stream); its chunks are then
+# realized on lanes, the calling thread and one thread per further CPU the
+# process may run on, started and joined inside the batch (_on_lanes). The
+# chunks' arithmetic does not depend on which lane runs it, so the sums are
+# the same bit for bit at any lane count. The next batch is not drawn while
+# the chunks run: that would need a second set of number buffers, and the
+# buffers are most of a call's memory.
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelState
 from .config import is_count
-from .estimation import (EstimationState, despread_pilot_noise, link_matvec,
-                         mmse_estimate, scaled_complex)
+from .estimation import (EstimationState, despread_pilot_noise,
+                         estimator_gain, link_matvec, mmse_estimate,
+                         scaled_complex)
 from .scenario import psd_sqrt
 
 
@@ -47,7 +59,8 @@ _CHUNK_ELEMENTS = 12_800
 class _TrialSampler:
     """Draws the random numbers of batches of trials and realizes them as
     (channel, estimate) pairs of all links. The NLoS factor of link (l, k)
-    is sqrt(beta_nlos_lk) psd_sqrt(s_l)."""
+    is sqrt(beta_nlos_lk) psd_sqrt(s_l). Everything realize reads is formed
+    here, so lanes may realize chunks at once."""
 
     def __init__(self, state: ChannelState, est: EstimationState, rng):
         self.state = state
@@ -55,6 +68,7 @@ class _TrialSampler:
         self.rng = np.random.default_rng(rng)
         self.nlos_factor = (np.sqrt(state.beta_nlos)[..., None, None]
                             * psd_sqrt(state.s)[:, None])   # (L, K, U, U)
+        self.gain = estimator_gain(est)                    # (L, K, U, U)
         self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
 
@@ -92,7 +106,7 @@ class _TrialSampler:
             np.multiply(self.state.h_bar[..., i], turn, out=los[..., i])
         noise = despread_pilot_noise(noise_re, noise_im, self.est.pilots.tau_p,
                                      self.est.sigma2)
-        h_hat = mmse_estimate(self.est, los, nlos, noise)
+        h_hat = mmse_estimate(self.est, los, nlos, noise, self.gain)
         los += nlos                                     # the channel
         return los, h_hat
 
@@ -152,11 +166,15 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     of one workspace of the call (_Workspace) and refill them; a partial
     last batch takes their fronts. A chunk of trials, sized to stay in cache
     (_CHUNK_ELEMENTS), is the unit of arithmetic from the white draws to
-    the features. The nv features and the feature sums stay per batch:
-    the OpenBLAS gemv behind nv = |a|^2 @ norms rounds the edge columns of
-    the norms (column count mod 8) apart from the others, and sums per
-    chunk would add in another order, so either would make the results
-    depend on the chunk size.
+    the features. After a batch's serial draw its chunks run on as many
+    lanes (threads) as the process has CPUs; the next batch is drawn only
+    when they are done, since drawing it beside them would need a second
+    set of number buffers. The nv features and the feature sums stay per
+    batch: the OpenBLAS gemv behind nv = |a|^2 @ norms rounds the edge
+    columns of the norms (column count mod 8) apart from the others, and
+    sums per chunk would add in another order, so either would make the
+    results depend on the chunk size. Nor do they depend on the lane count:
+    each chunk writes only its own slices, and the sums wait for every lane.
 
     Leading axes of p and weights (broadcast together, as the candidate
     axes in se) list settings; gamma and stderr are (..., K). All settings
@@ -203,9 +221,13 @@ def _batch_sums(sampler, numbers, feats, vnorm, weights):
     outer products (W, K, dim, dim) under each of the weight sets (W, K, L),
     given a workspace's arrays of b trials: numbers, feats (W, b, K, dim)
     and vnorm (K, L, b). The trials' random numbers are drawn at once into
-    numbers and realized chunk by chunk, each chunk writing its features
-    into feats and its squared estimate norms into vnorm, so no array of
-    the batch's size is allocated for them."""
+    numbers, serially, and then realized chunk by chunk on lanes
+    (_on_lanes), each lane taking the next chunk start from one shared
+    iterator. Each chunk writes its features into feats and its squared
+    estimate norms into vnorm, so no array of the batch's size is allocated
+    for them, and a chunk's arithmetic is the same on any lane. The sums run
+    once every lane is done, so they are the same bit for bit at any lane
+    count."""
     n_ap, n_ue, u = sampler.shape
     sampler.numbers(numbers)
     b = vnorm.shape[-1]
@@ -213,22 +235,65 @@ def _batch_sums(sampler, numbers, feats, vnorm, weights):
     # with the rows runs over all links at once
     w_rows = np.repeat(weights.conj()[..., None], u, axis=-1)
     chunk = max(1, _CHUNK_ELEMENTS // (n_ap * n_ue * u))
-    for start in range(0, b, chunk):
-        part = slice(start, start + chunk)
-        h, h_hat = sampler.realize([x[part] for x in numbers])
-        # channels as (c, L*U, K) columns, conjugate estimates as (c, K, L, U)
-        cols = h.transpose(0, 1, 3, 2).reshape(len(h), n_ap * u, n_ue)
-        rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
-        sq = rows.real ** 2 + rows.imag ** 2
-        vnorm[..., part] = sum((sq[..., j] for j in range(1, u)),
-                               sq[..., 0]).transpose(1, 2, 0)
-        for w, f in zip(w_rows, feats):
-            _features(rows, cols, w, f[part])
+    starts = range(0, b, chunk)
+    next_starts = iter(starts)
+
+    def realize_chunks():
+        for start in next_starts:
+            part = slice(start, start + chunk)
+            h, h_hat = sampler.realize([x[part] for x in numbers])
+            # channels as (c, L*U, K) columns, conjugate estimates as
+            # (c, K, L, U)
+            cols = h.transpose(0, 1, 3, 2).reshape(len(h), n_ap * u, n_ue)
+            rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
+            sq = rows.real ** 2 + rows.imag ** 2
+            vnorm[..., part] = sum((sq[..., j] for j in range(1, u)),
+                                   sq[..., 0]).transpose(1, 2, 0)
+            for w, f in zip(w_rows, feats):
+                _features(rows, cols, w, f[part])
+
+    _on_lanes(realize_chunks, min(_cpus(), len(starts)))
     for w, f in zip(np.abs(weights) ** 2, feats):
         f[:, :, -1] = (w[:, None] @ vnorm)[:, 0].T
     return (np.stack([f.sum(axis=0) for f in feats]),
             np.stack([f.transpose(1, 2, 0) @ f.transpose(1, 0, 2)
                       for f in feats]))
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _on_lanes(work, n):
+    """Runs work() on n lanes, the calling thread and n - 1 threads, each
+    thread in a copy of the caller's context (so np.errstate holds on every
+    lane). Every thread is joined before this returns, also when a lane
+    raises; the first lane error is then raised here."""
+    errors = []
+
+    def lane():
+        try:
+            work()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(n - 1):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(lane,))
+            thread.start()
+            threads.append(thread)
+        lane()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _features(rows, cols, w_rows, out):

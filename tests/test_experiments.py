@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from reference import run_experiment_rows_per_setting, write_result_csv_writer
-from simcf import allocate_pilots, experiments, generate_drop, pipeline, se
+from simcf import (allocate_pilots, experiments, generate_drop, montecarlo,
+                   pipeline, se)
 from simcf.estimation import EstimationError
 from simcf.experiments import (AGG_HEADER, MISSING, ROWS_HEADER, SCHEMES,
                                AggregateResult, ExperimentError,
@@ -199,7 +200,7 @@ def test_csv_bytes_equal_csv_writer_of_every_field(tmp_path):
     floats = itertools.cycle((1.5, -2.25, -0.0, 0.0, 1e-300, -1e-300,
                               np.inf, -np.inf, float("nan"), -float("nan"),
                               123456789.123456, 1 / 3, 2e22, 7.0))
-    specs = [tiny_spec(values=(2, np.int64(3), 10.0, " 4\n")),
+    specs = [tiny_spec(values=(2, np.int64(3), 10.0)),
              tiny_spec(sweep="d_meta",
                        values=(0.15, 0.075, 0.0375, 0.01875, 1e-3 / 3)),
              tiny_spec(sweep="scheme", values=SCHEMES),
@@ -212,8 +213,55 @@ def test_csv_bytes_equal_csv_writer_of_every_field(tmp_path):
         want = write_result_csv_writer(result, tmp_path / f"want{i}")
         for a, b in zip(got, want):
             assert Path(a).read_bytes() == Path(b).read_bytes()
-    # the value " 4\n" is the one cell that needs quotes
-    assert b'," 4\n",' in (tmp_path / "got0" / "rows.csv").read_bytes()
+
+
+def test_numeric_sweep_values_are_stored_as_they_run(tmp_path):
+    # int() and float() take loose strings; the spec keeps the count or
+    # pitch that runs, so the rows print it and the duplicate guard
+    # compares what ran
+    spec = tiny_spec(values=(2, " 3\n", "+4", "1_0", np.int64(5), 6.0))
+    assert spec.values == (2, 3, 4, 10, 5, 6)
+    assert all(type(v) is int for v in spec.values)
+    assert [spec.config_for(v).L for v in spec.values] == list(spec.values)
+    pitches = tiny_spec(sweep="d_meta", values=(" 0.1 ", "2_0e-3", 0.05,
+                                                np.float64(0.03), 1))
+    assert pitches.values == (0.1, 0.02, 0.05, 0.03, 1.0)
+    assert all(type(v) is float for v in pitches.values)
+    for spec_of, values in ((tiny_spec, ("10", 10)),
+                            (tiny_spec, (" 3\n", 3.0)),
+                            (lambda **kw: tiny_spec(sweep="d_meta", **kw),
+                             (" 0.1 ", "1_0e-2"))):
+        with pytest.raises(ExperimentError, match="duplicate"):
+            spec_of(values=values)
+    # the value cells are the numbers, with no quoting
+    result = _made_up_result(spec, iter(itertools.count(0.5)))
+    write_result_csv(result, tmp_path)
+    cells = [line.split(b",")[1] for line in
+             (tmp_path / "rows.csv").read_bytes().split(b"\r\n")[1:-1]]
+    assert set(cells) == {b"2", b"3", b"4", b"5", b"6", b"10"}
+    # a spec rebuilt from its own values is the same spec
+    assert ExperimentSpec(**{f: getattr(spec, f) for f in (
+        "sweep", "values", "n_drops", "seed", "schemes", "base")}) == spec
+
+
+def test_rows_equal_at_any_lane_count(tmp_path, monkeypatch):
+    # a Monte-Carlo sweep whose batches have many chunks writes the same
+    # rows.csv when the chunks run on one lane and on two
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 100)
+    spec = tiny_spec(n_mc_trials=300, schemes=("rand-full", "rand-maxmin"))
+    on_lanes, used = montecarlo._on_lanes, set()
+
+    def counted(work, n):
+        used.add(n)
+        return on_lanes(work, n)
+
+    monkeypatch.setattr(montecarlo, "_on_lanes", counted)
+    for lanes in (1, 2):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda n=lanes: n)
+        write_result_csv(run_experiment(spec), tmp_path / str(lanes))
+    assert used == {1, 2}
+    assert ((tmp_path / "1" / "rows.csv").read_bytes()
+            == (tmp_path / "2" / "rows.csv").read_bytes())
 
 
 def test_numerical_failures_are_counted_and_bugs_propagate(monkeypatch):

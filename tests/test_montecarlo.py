@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -418,7 +420,8 @@ def test_one_feature_pass_per_weight_set(small_model, small_phases,
                                     batch=512)
 
 
-def test_sampler_batch_memory_bounded():
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_sampler_batch_memory_bounded(lanes, monkeypatch):
     # Two full batches and a partial one of a paper-default drop, traced:
     # the peak allocation is a fixed multiple of one (b, L, K, U) complex
     # array. The call's workspace holds one batch's random numbers (2.05 of
@@ -426,10 +429,12 @@ def test_sampler_batch_memory_bounded():
     # batches refill it, and the partial one takes the fronts of its
     # buffers. With the temporaries of one chunk the peak is 2.90, as it
     # was when each batch allocated its own arrays and freed them before
-    # the next draw. The bound adds about ten more chunk-sized
+    # the next draw. The one-lane bound adds about ten more chunk-sized
     # temporaries. Realizing a whole batch at once peaked at 5.84 for one
     # batch and 9.04 for these three, since a batch's arrays lived on while
-    # the next one was drawn.
+    # the next one was drawn. Each further lane holds one more chunk's
+    # temporaries: 0.40, the one-lane peak less the workspace.
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: lanes)
     cfg = SystemConfig()
     model, pilot_of, state, est, terms = _network(cfg, 1)
     b = 4096
@@ -441,4 +446,101 @@ def test_sampler_batch_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * unit
+    assert peak <= (3.2 + 0.40 * (lanes - 1)) * unit
+
+
+def _on_counted_lanes(monkeypatch, lanes):
+    """Sets the CPUs the sampler sees to lanes; returns the list that
+    records the lane count of every batch."""
+    counts = []
+    on_lanes = montecarlo._on_lanes
+
+    def counted(work, n):
+        counts.append(n)
+        return on_lanes(work, n)
+
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: lanes)
+    monkeypatch.setattr(montecarlo, "_on_lanes", counted)
+    return counts
+
+
+def test_lane_count_changes_nothing(small_model, small_phases, small_cfg,
+                                    small_terms, monkeypatch):
+    # chunks of 7 trials: each batch of 45 has 7 chunks, which neither 2
+    # nor 3 lanes divide, and 110 trials end on a partial batch of 20 (3
+    # chunks); four settings over two weight sets. Every chunk is realized
+    # once, on whichever lane takes it, also with the interpreter switching
+    # threads every few microseconds and more lanes than cores.
+    cfg = small_cfg
+    state, est = small_model.states(small_phases)
+    p, weights = _settings(small_model, small_terms, cfg)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS",
+                        7 * cfg.L * cfg.K * cfg.U)
+    realize, sizes = _TrialSampler.realize, []
+
+    def counted(self, numbers):
+        sizes.append(len(numbers[0]))
+        return realize(self, numbers)
+
+    monkeypatch.setattr(_TrialSampler, "realize", counted)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lanes in (1, 2, 3, 5):
+            counts = _on_counted_lanes(monkeypatch, lanes)
+            sizes.clear()
+            results[lanes] = uatf_monte_carlo(
+                state, est, p.reshape(2, 2, cfg.K), weights[:2], 110,
+                rng=np.random.default_rng(4), batch=45)
+            assert counts == [lanes, lanes, min(lanes, 3)]
+            assert sorted(sizes) == [3, 3, 6] + [7] * 14
+    finally:
+        sys.setswitchinterval(interval)
+    for lanes in (2, 3, 5):
+        assert np.array_equal(results[lanes].gamma, results[1].gamma)
+        assert np.array_equal(results[lanes].stderr, results[1].stderr)
+    # lanes never outnumber a batch's chunks
+    counts = _on_counted_lanes(monkeypatch, 8)
+    uatf_monte_carlo(state, est, p, weights, 110,
+                     rng=np.random.default_rng(4), batch=45)
+    assert counts == [7, 7, 3]
+
+
+def test_lanes_keep_the_callers_numpy_error_state():
+    seen = []
+    with np.errstate(divide="raise"):
+        montecarlo._on_lanes(lambda: seen.append(np.geterr()["divide"]), 3)
+    assert seen == ["raise"] * 3
+
+
+@pytest.mark.parametrize("failing", ["caller", "thread"])
+def test_lane_error_raises_in_caller_after_every_lane_ends(
+        small_model, small_phases, small_terms, failing, monkeypatch):
+    # both lanes take a chunk before either goes on (the barrier), then the
+    # failing lane raises; the call raises its error once the other lane
+    # has realized the rest of the batch, and no thread outlives the call
+    state, est = small_model.states(small_phases)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    realize = _TrialSampler.realize
+    both_in = threading.Barrier(2, timeout=10)
+    caller, seen = threading.current_thread(), set()
+
+    def failing_realize(self, numbers):
+        thread = threading.current_thread()
+        if thread not in seen:
+            seen.add(thread)
+            both_in.wait()
+        if (thread is caller) == (failing == "caller"):
+            raise FloatingPointError(f"lane on the {failing} failed")
+        return realize(self, numbers)
+
+    monkeypatch.setattr(_TrialSampler, "realize", failing_realize)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=failing):
+        uatf_monte_carlo(state, est, small_model.drop.p,
+                         egcd_weights(small_terms), 200,
+                         rng=np.random.default_rng(2), batch=100)
+    assert threading.active_count() == before
+    assert len(seen) == 2

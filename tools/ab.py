@@ -7,7 +7,10 @@ the side that runs first flipping from one pair to the next, and prints for
 each end-to-end metric of BENCHMARK.json each side's median and quartiles,
 the pairs the working tree won (ties count for neither) and whether the
 medians differ, in the working tree's favour, by more than the commit's
-interquartile range:
+interquartile range. It prints the same for run.py's unscaled (raw)
+`sweep_s` and `setup_s` medians beside them: the host-speed kernel shares
+the interpreter with the code it scales, so a gain must also hold in wall
+time:
 
     python3 tools/ab.py 4df8c6e --workload table1-opt --seed 1
     python3 tools/ab.py HEAD~1 --workload mc-check --pairs 12 --seconds 15
@@ -17,6 +20,7 @@ Exits 1 when a run fails or reports "correct": false.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -24,8 +28,22 @@ import sys
 from checkout import ROOT, commit_src
 
 
+RAW_LINE = re.compile(r"perfbench: raw sweep_s=(\S+) setup_s=(\S+)")
+
+
+def raw_times(stdout):
+    """{"sweep_s": ..., "setup_s": ...} of the `raw sweep_s=… setup_s=…`
+    line in run.py's stdout, or None when there is none."""
+    for line in stdout.splitlines():
+        found = RAW_LINE.fullmatch(line.strip())
+        if found:
+            return {"sweep_s": float(found[1]), "setup_s": float(found[2])}
+    return None
+
+
 def run_once(src, workload, seed, seconds):
-    """The JSON report of one benchmark run on src, or None on a failure."""
+    """The JSON report of one benchmark run on src, with its raw times
+    under "raw", or None on a failure."""
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--trace", "0",
          "--workload", workload, "--seed", str(seed),
@@ -33,11 +51,16 @@ def run_once(src, workload, seed, seconds):
         capture_output=True, text=True)
     lines = run.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        report = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        print(f"ab: run on {src} exited {run.returncode} without a report:\n"
-              f"{run.stderr[-2000:]}", file=sys.stderr)
+        report = None
+    raw = raw_times(run.stdout)
+    if report is None or raw is None:
+        print(f"ab: run on {src} exited {run.returncode} without a report "
+              f"and raw times:\n{run.stderr[-2000:]}", file=sys.stderr)
         return None
+    report["raw"] = raw
+    return report
 
 
 def quartiles(values):
@@ -89,6 +112,7 @@ def main(argv=None):
             print(f"ab: pair {pair + 1}/{args.pairs} ({order[0]} first): "
                   + ", ".join(f"{side} sweep_s="
                               f"{reports[side][-1]['metrics']['sweep_s']['value']:.4f}"
+                              f" (raw {reports[side][-1]['raw']['sweep_s']:.4f})"
                               for side in ("parent", "change")), flush=True)
     if failed:
         print("ab: a run failed or reported incorrect rows", file=sys.stderr)
@@ -103,6 +127,12 @@ def main(argv=None):
         values = {side: [r["metrics"][metric["name"]]["value"]
                          for r in reports[side]] for side in reports}
         print(summary(metric, values["parent"], values["change"]))
+    print("raw, unscaled by host speed:")
+    for name in ("sweep_s", "setup_s"):
+        values = {side: [r["raw"][name] for r in reports[side]]
+                  for side in reports}
+        print(summary({"name": name, "better": "lower"}, values["parent"],
+                      values["change"]))
     return 0
 
 
