@@ -2,28 +2,22 @@
 # Monte-Carlo estimation of the uplink SINR lower bound directly from its
 # defining expectations: sampled channels, pilot observations, MMSE
 # estimates, matched-filter combining and CPU-side weighting. Serves as the
-# independent oracle for the closed-form engine. A batch of trials draws
-# all its random numbers at once, which fixes the random streams; a chunk
-# of trials small enough to stay in cache is the unit of arithmetic, and
-# only the nv feature and the feature sums are formed per batch (see
-# uatf_monte_carlo). No (batch, L, K, K) product tensor is formed, and each
-# weight set's features serve all its power vectors. The pilot map, pilot
-# powers, tau_p and sigma2 are read from the estimation state.
+# independent oracle for the closed-form engine. A chunk of trials small
+# enough to stay in cache is the unit of the whole pass: it draws its own
+# random numbers from its own keyed stream, realizes them, forms its
+# features and sums them (see uatf_monte_carlo). No (trials, L, K, K)
+# product tensor is formed, and each weight set's features serve all its
+# power vectors. The pilot map, pilot powers, tau_p and sigma2 are read
+# from the estimation state.
 #
-# A call makes one workspace (_Workspace): buffers for a full batch's
-# random numbers, features and estimate norms. Every batch draws and writes
-# into them, so no batch allocates (or faults in) arrays of its own size. A
-# partial last batch uses the buffers' fronts, each laid out as a fresh
-# array of its shape, so its arithmetic is that of a fresh array. Nothing
-# outlives the call.
-#
-# A batch's draw is serial (one generator, one stream); its chunks are then
-# realized on lanes, the calling thread and one thread per further CPU the
-# process may run on, started and joined inside the batch (_on_lanes). The
-# chunks' arithmetic does not depend on which lane runs it, so the sums are
-# the same bit for bit at any lane count. The next batch is not drawn while
-# the chunks run: that would need a second set of number buffers, and the
-# buffers are most of a call's memory.
+# Chunks run on lanes, the calling thread and one thread per further CPU
+# the process may run on, started and joined inside each window of chunks
+# (_on_lanes); NumPy releases the GIL while it fills a chunk's numbers, so
+# the draw runs in parallel too. Each chunk writes its sums into its own
+# slot, and the caller adds the slots in chunk order once the window's
+# lanes are done. The results therefore depend on rng, n_trials and the
+# chunk size only, not on the lane count or the window, and memory does
+# not grow with n_trials.
 
 import contextvars
 import math
@@ -49,48 +43,57 @@ class UatfEstimate:
     n_trials: int         # sampled realizations, shared by every setting
 
 
-# Entries of one (chunk, L, K, U) array, which sets the trials per chunk of
-# arithmetic: 128 trials at the paper defaults (L K U = 100), whose ~200 kB
-# arrays stay near a 2 MiB L2 cache. There 64 to 128 trials were fastest,
-# 32 slower, and a whole 4096-trial batch ~20 % slower.
+# Entries of one (chunk, L, K, U) array, which sets the trials per chunk:
+# 128 trials at the paper defaults (L K U = 100), whose ~200 kB arrays stay
+# near a 2 MiB L2 cache. With a generator per chunk, 64 trials were ~20 %
+# slower and 256 no faster. The chunk size is part of the stream
+# definition: changing it changes every Monte-Carlo output.
 _CHUNK_ELEMENTS = 12_800
+# Chunks of one _on_lanes call; bounds the chunk sums held at once.
+_WINDOW_CHUNKS = 32
 
 
 class _TrialSampler:
-    """Draws the random numbers of batches of trials and realizes them as
+    """Draws the random numbers of chunks of trials and realizes them as
     (channel, estimate) pairs of all links. The NLoS factor of link (l, k)
-    is sqrt(beta_nlos_lk) psd_sqrt(s_l). Everything realize reads is formed
-    here, so lanes may realize chunks at once."""
+    is sqrt(beta_nlos_lk) psd_sqrt(s_l). Everything numbers and realize
+    read is formed here, so lanes may run chunks at once. root is one
+    spawned child of rng's SeedSequence: rng's own numbers are not drawn,
+    and each sampler of one Generator takes the next child."""
 
     def __init__(self, state: ChannelState, est: EstimationState, rng):
         self.state = state
         self.est = est
-        self.rng = np.random.default_rng(rng)
+        self.root = np.random.default_rng(rng).bit_generator.seed_seq \
+            .spawn(1)[0]
         self.nlos_factor = (np.sqrt(state.beta_nlos)[..., None, None]
                             * psd_sqrt(state.s)[:, None])   # (L, K, U, U)
         self.gain = estimator_gain(est)                    # (L, K, U, U)
         self.n_pilots = est.pilots.onehot.shape[1]
         self.shape = state.h_bar.shape
+        self.chunk = max(1, _CHUNK_ELEMENTS // math.prod(self.shape))
 
-    def numbers(self, out):
-        """Draws the random numbers of a batch of b trials into out, the
-        arrays of a workspace's numbers, in stream order: phases (b, L, K),
-        the white draws' real and imaginary parts (b, L, K, U) and the
-        pilot noise's (b, L, T, U); returns out. A draw into an array gives
-        the numbers a fresh draw of its shape would (the generator's fills
-        carry no state between calls), and the phases are uniform(-pi, pi)
+    def numbers(self, i, c):
+        """The random numbers of c trials of chunk i, drawn fresh from its
+        stream, the i-th child root.spawn would give, in the order: phases
+        (c, L, K), the white draws' real and imaginary parts (c, L, K, U)
+        and the pilot noise's (c, L, T, U). The phases are uniform(-pi, pi)
         as numpy forms it, -pi + 2 pi x of a standard uniform x."""
-        phase, *normals = out
-        self.rng.random(out=phase)
+        root = self.root
+        rng = np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, i),
+            pool_size=root.pool_size))
+        n_ap, n_ue, u = self.shape
+        links, pilots = (c, n_ap, n_ue, u), (c, n_ap, self.n_pilots, u)
+        phase = rng.random((c, n_ap, n_ue))
         phase *= 2.0 * np.pi
         phase -= np.pi
-        for x in normals:
-            self.rng.standard_normal(out=x)
-        return out
+        return (phase, *(rng.standard_normal(shape)
+                         for shape in (links, links, pilots, pilots)))
 
     def realize(self, numbers):
-        """(channels, estimates), each (b, L, K, U), of the random numbers
-        of b trials (any run of trials of a batch)."""
+        """(channels, estimates), each (c, L, K, U), of the random numbers
+        of c trials."""
         phase, white_re, white_im, noise_re, noise_im = numbers
         # white CN(0, I) draws: (re + 1j im) / sqrt(2)
         nlos = link_matvec(self.nlos_factor, scaled_complex(
@@ -111,36 +114,7 @@ class _TrialSampler:
         return los, h_hat
 
 
-class _Workspace:
-    """Buffers for the arrays a batch of up to size trials under n_sets
-    weight sets fills: its random numbers (see _TrialSampler.numbers), its
-    features (n_sets, b, K, K + 3) and its squared estimate norms
-    (K, L, b). Every batch of a uatf_monte_carlo call refills the same
-    buffers."""
-
-    def __init__(self, sampler, size, n_sets):
-        self.dims = (*sampler.shape, sampler.n_pilots, n_sets)
-        self.buffers = [np.empty(math.prod(shape))
-                        for shape in self._shapes(size)]
-
-    def _shapes(self, b):
-        n_ap, n_ue, u, n_pilots, n_sets = self.dims
-        links, pilots = (b, n_ap, n_ue, u), (b, n_ap, n_pilots, u)
-        return ((b, n_ap, n_ue), links, links, pilots, pilots,
-                (n_sets, b, n_ue, n_ue + 3), (n_ue, n_ap, b))
-
-    def arrays(self, b):
-        """(numbers, features, norms) of b trials: the fronts of the
-        buffers, each laid out as a fresh C-contiguous array of its shape,
-        so a partial batch reuses the memory with unchanged arithmetic."""
-        *numbers, feats, vnorm = (
-            x[:math.prod(shape)].reshape(shape)
-            for x, shape in zip(self.buffers, self._shapes(b)))
-        return tuple(numbers), feats, vnorm
-
-
-def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
-                     batch=4096) -> UatfEstimate:
+def uatf_monte_carlo(state, est, p, weights, n_trials, rng) -> UatfEstimate:
     """Plug-in Monte-Carlo SINR for fixed powers p (..., K) and CPU weights
     (..., K, L), with the pilots and noise of the estimation state est.
 
@@ -156,25 +130,21 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     x is never formed: the combined products y[k, j] = sum_l conj(a_kl)
     x[l, k, j] of a weight set are one matmul per trial of the weighted
     estimates (K, L*U) with the channels (L*U, K), batched over trials, so
-    no (batch, L, K, K) tensor exists. The feature outer products are summed
-    over trials by one matmul per UE.
+    no (trials, L, K, K) tensor exists. The feature outer products are
+    summed over trials by one matmul per UE.
 
-    batch fixes the random streams: each batch of trials draws all its
-    random numbers at once (phases, white real and imaginary parts, pilot
-    noise real and imaginary parts), so the results depend on batch but
-    not on how the arithmetic is split. The batches draw into the buffers
-    of one workspace of the call (_Workspace) and refill them; a partial
-    last batch takes their fronts. A chunk of trials, sized to stay in cache
-    (_CHUNK_ELEMENTS), is the unit of arithmetic from the white draws to
-    the features. After a batch's serial draw its chunks run on as many
-    lanes (threads) as the process has CPUs; the next batch is drawn only
-    when they are done, since drawing it beside them would need a second
-    set of number buffers. The nv features and the feature sums stay per
-    batch: the OpenBLAS gemv behind nv = |a|^2 @ norms rounds the edge
-    columns of the norms (column count mod 8) apart from the others, and
-    sums per chunk would add in another order, so either would make the
-    results depend on the chunk size. Nor do they depend on the lane count:
-    each chunk writes only its own slices, and the sums wait for every lane.
+    rng, n_trials and the chunk size fix the results. rng is anything
+    np.random.default_rng accepts; the call takes one spawned child of its
+    SeedSequence as root, so rng's own numbers are not drawn, equal fresh
+    seeds give equal results and each call on one Generator takes fresh
+    streams. Chunk i holds trials [i c, (i + 1) c) (the last may be
+    shorter), with c = _CHUNK_ELEMENTS // (L K U) trials, at least one;
+    it draws from SeedSequence(root.entropy, spawn_key=(*root.spawn_key,
+    i)) and forms its own feature sums, nv included. The chunks of a window
+    (_WINDOW_CHUNKS) run on as many lanes (threads) as the process has
+    CPUs, each lane taking the next chunk; after the lanes join, the
+    window's sums are added in chunk order. So the results do not depend
+    on the lane count or the window, and no array grows with n_trials.
 
     Leading axes of p and weights (broadcast together, as the candidate
     axes in se) list settings; gamma and stderr are (..., K). All settings
@@ -182,13 +152,11 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     do not depend on p, so they are formed once per weight set over the
     weights' own leading axes, and every power vector broadcast against a
     weight set reuses them. Each setting's result equals a call for that
-    setting alone with the same rng, bit for bit.
+    setting alone with an equal rng, bit for bit.
     """
-    if not (is_count(n_trials) and is_count(batch)) or n_trials < 2 \
-            or batch < 1:
+    if not is_count(n_trials) or n_trials < 2:
         # one trial has a zero sample covariance, so no standard error
-        raise ValueError(f"need n_trials >= 2 and batch >= 1, got "
-                         f"n_trials={n_trials}, batch={batch}")
+        raise ValueError(f"need n_trials >= 2, got n_trials={n_trials}")
     sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, u = sampler.shape
     p = np.asarray(p, dtype=float)
@@ -199,14 +167,19 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
     dim = n_ue + 3
     acc1 = np.zeros((len(weights), n_ue, dim))
     acc2 = np.zeros((len(weights), n_ue, dim, dim))
-    work = _Workspace(sampler, min(batch, n_trials), len(weights))
-    done = 0
-    while done < n_trials:
-        b = min(batch, n_trials - done)
-        sum1, sum2 = _batch_sums(sampler, *work.arrays(b), weights)
-        acc1 += sum1
-        acc2 += sum2
-        done += b
+    # glibc gives the free top of a heap back to the system once it exceeds
+    # twice the largest block it has unmapped (mallopt(3)), and a lane's
+    # arena holds little but its chunk's arrays, some ten chunk-sized ones:
+    # the lanes would fault their pages back in chunk after chunk (~20 000
+    # page faults in a 20 000-trial call). Eight chunk-sized arrays, mapped
+    # and unmapped untouched, lift that threshold above them.
+    np.empty((8, sampler.chunk, *sampler.shape), dtype=complex)
+    n_chunks = -(-n_trials // sampler.chunk)
+    for first in range(0, n_chunks, _WINDOW_CHUNKS):
+        window = range(first, min(first + _WINDOW_CHUNKS, n_chunks))
+        for sum1, sum2 in _window_sums(sampler, window, n_trials, weights):
+            acc1 += sum1
+            acc2 += sum2
     # the sums of a weight set serve every power vector broadcast against it
     which = np.broadcast_to(np.arange(len(weights)).reshape(own), lead).ravel()
     p = np.broadcast_to(p, (*lead, n_ue)).reshape(-1, n_ue)
@@ -216,48 +189,53 @@ def uatf_monte_carlo(state, est, p, weights, n_trials, rng,
                         stderr=stderr.reshape(*lead, n_ue), n_trials=n_trials)
 
 
-def _batch_sums(sampler, numbers, feats, vnorm, weights):
-    """Sums over the next b trials of the features (W, K, dim) and of their
-    outer products (W, K, dim, dim) under each of the weight sets (W, K, L),
-    given a workspace's arrays of b trials: numbers, feats (W, b, K, dim)
-    and vnorm (K, L, b). The trials' random numbers are drawn at once into
-    numbers, serially, and then realized chunk by chunk on lanes
-    (_on_lanes), each lane taking the next chunk start from one shared
-    iterator. Each chunk writes its features into feats and its squared
-    estimate norms into vnorm, so no array of the batch's size is allocated
-    for them, and a chunk's arithmetic is the same on any lane. The sums run
-    once every lane is done, so they are the same bit for bit at any lane
-    count."""
-    n_ap, n_ue, u = sampler.shape
-    sampler.numbers(numbers)
-    b = vnorm.shape[-1]
+def _window_sums(sampler, window, n_trials, weights):
+    """[(sum1, sum2)] of the chunks of window, in chunk order: the sums
+    over each chunk's trials of the features (W, K, dim) and of their outer
+    products (W, K, dim, dim) under each of the weight sets (W, K, L). The
+    chunks run on lanes (_on_lanes), each lane taking the next chunk from
+    one shared iterator and writing only its chunk's slot, so a chunk's
+    arithmetic is the same on any lane."""
+    u = sampler.shape[-1]
     # weights on the estimate rows, repeated over U so that their product
     # with the rows runs over all links at once
     w_rows = np.repeat(weights.conj()[..., None], u, axis=-1)
-    chunk = max(1, _CHUNK_ELEMENTS // (n_ap * n_ue * u))
-    starts = range(0, b, chunk)
-    next_starts = iter(starts)
+    w_sq = np.abs(weights) ** 2
+    slots = [None] * len(window)
+    chunks = iter(window)
 
-    def realize_chunks():
-        for start in next_starts:
-            part = slice(start, start + chunk)
-            h, h_hat = sampler.realize([x[part] for x in numbers])
-            # channels as (c, L*U, K) columns, conjugate estimates as
-            # (c, K, L, U)
-            cols = h.transpose(0, 1, 3, 2).reshape(len(h), n_ap * u, n_ue)
-            rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
-            sq = rows.real ** 2 + rows.imag ** 2
-            vnorm[..., part] = sum((sq[..., j] for j in range(1, u)),
-                                   sq[..., 0]).transpose(1, 2, 0)
-            for w, f in zip(w_rows, feats):
-                _features(rows, cols, w, f[part])
+    def run_chunks():
+        for i in chunks:
+            c = min(sampler.chunk, n_trials - i * sampler.chunk)
+            slots[i - window.start] = _chunk_sums(sampler, i, c, w_rows,
+                                                  w_sq)
 
-    _on_lanes(realize_chunks, min(_cpus(), len(starts)))
-    for w, f in zip(np.abs(weights) ** 2, feats):
-        f[:, :, -1] = (w[:, None] @ vnorm)[:, 0].T
-    return (np.stack([f.sum(axis=0) for f in feats]),
-            np.stack([f.transpose(1, 2, 0) @ f.transpose(1, 0, 2)
-                      for f in feats]))
+    _on_lanes(run_chunks, min(_cpus(), len(window)))
+    return slots
+
+
+def _chunk_sums(sampler, i, c, w_rows, w_sq):
+    """(sum1, sum2) of the c trials of chunk i (see _window_sums), given
+    the weights on the estimate rows w_rows (W, K, L, U) and the squared
+    weight magnitudes w_sq (W, K, L)."""
+    n_ap, n_ue, u = sampler.shape
+    h, h_hat = sampler.realize(sampler.numbers(i, c))
+    # channels as (c, L*U, K) columns, conjugate estimates as (c, K, L, U)
+    cols = h.transpose(0, 1, 3, 2).reshape(c, n_ap * u, n_ue)
+    rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
+    sq = rows.real ** 2 + rows.imag ** 2
+    vnorm = np.ascontiguousarray(sum(
+        (sq[..., j] for j in range(1, u)), sq[..., 0]).transpose(1, 2, 0))
+    dim = n_ue + 3
+    sum1 = np.empty((len(w_rows), n_ue, dim))
+    sum2 = np.empty((len(w_rows), n_ue, dim, dim))
+    f = np.empty((c, n_ue, dim))
+    for s, (w, a) in enumerate(zip(w_rows, w_sq)):
+        _features(rows, cols, w, f)
+        f[:, :, -1] = (a[:, None] @ vnorm)[:, 0].T
+        sum1[s] = f.sum(axis=0)
+        sum2[s] = f.transpose(1, 2, 0) @ f.transpose(1, 0, 2)
+    return sum1, sum2
 
 
 def _cpus():

@@ -39,14 +39,17 @@
 #   co-pilots at a time, which the per-pilot sum of mmse_estimate replaces
 # - link_matvec_broadcast: the per-link U x U apply as products broadcast
 #   along the U axis, which estimation.link_matvec forms one entry at a time
+# - chunk_streams: the generators of a Monte-Carlo call's chunks as
+#   numpy's SeedSequence.spawn gives them, which montecarlo keys one at a
+#   time inside its lanes
 # - uatf_monte_carlo_einsum, with draw_einsum and combined_products: the
 #   Monte-Carlo pass through einsum contractions and the (b, L, K, K)
 #   product tensor, which the explicit U sums and batched matmuls of
 #   montecarlo replace
 # - uatf_monte_carlo_batch, with draw_batch: the Monte-Carlo pass realizing
-#   each batch at once and forming the features once per setting, which the
-#   cache-sized chunks and per-weight-set features of montecarlo replace
-#   with the same arithmetic
+#   each chunk at once, serially, and forming the features once per
+#   setting, which the lanes and per-weight-set features of montecarlo
+#   replace with the same arithmetic
 # - delta_method_loop: the Monte-Carlo SINR and standard error one setting
 #   and one UE at a time, which the stacked montecarlo._delta_method
 #   replaces
@@ -77,8 +80,7 @@ from simcf.channel import ChannelState
 from simcf.estimation import EstimationError, despread_pilot_noise
 from simcf.experiments import (AGG_HEADER, MISSING, ROWS_HEADER, _drop_seed,
                                _fmt)
-from simcf.montecarlo import (_delta_method, _TrialSampler, _Workspace,
-                              uatf_monte_carlo)
+from simcf.montecarlo import _delta_method, _TrialSampler, uatf_monte_carlo
 from simcf.optimize import (BeamformingConfig, PowerSolution, SumSeObjective,
                             Trace, TraceRow, _feasible_powers,
                             allocate_pilots, optimize_beamforming)
@@ -445,19 +447,35 @@ def draw_pilot_noise(rng, n_pilots, shape_prefix, u, tau_p, sigma2):
                                 rng.standard_normal(shape), tau_p, sigma2)
 
 
-def draw(sampler, batch):
-    """(channels, estimates) of batch trials of a montecarlo._TrialSampler,
-    drawn into a fresh workspace and realized at once."""
-    numbers, _, _ = _Workspace(sampler, batch, 1).arrays(batch)
-    return sampler.realize(sampler.numbers(numbers))
+def chunk_streams(sampler, n_trials):
+    """[(generator, trials)] of the chunks of n_trials trials of a
+    montecarlo._TrialSampler, each generator on its chunk's child of
+    sampler.root.spawn."""
+    starts = range(0, n_trials, sampler.chunk)
+    return [(np.random.default_rng(seq), min(sampler.chunk, n_trials - start))
+            for seq, start in zip(sampler.root.spawn(len(starts)), starts)]
 
 
-def draw_einsum(sampler, batch, pilot_of, p_hat, tau_p, sigma2):
-    """_TrialSampler.draw with the U x U applies as einsum contractions, the
-    LoS part formed for the channel and the estimate separately, and the
-    pilots and noise given explicitly."""
+def realized_chunks(sampler, n_trials):
+    """(channels, estimates) of each chunk of n_trials trials of a
+    montecarlo._TrialSampler, in chunk order."""
+    for i, start in enumerate(range(0, n_trials, sampler.chunk)):
+        c = min(sampler.chunk, n_trials - start)
+        yield sampler.realize(sampler.numbers(i, c))
+
+
+def draw(sampler, n_trials):
+    """(channels, estimates), each (n_trials, L, K, U), of the chunks of
+    n_trials trials of a montecarlo._TrialSampler."""
+    h, h_hat = zip(*realized_chunks(sampler, n_trials))
+    return np.concatenate(h), np.concatenate(h_hat)
+
+
+def draw_einsum(sampler, rng, batch, pilot_of, p_hat, tau_p, sigma2):
+    """batch trials drawn from rng and realized with the U x U applies as
+    einsum contractions, the LoS part formed for the channel and the
+    estimate separately, and the pilots and noise given explicitly."""
     n_ap, n_ue, u = sampler.shape
-    rng = sampler.rng
     phase = rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
     white = (rng.standard_normal((batch, n_ap, n_ue, u))
              + 1j * rng.standard_normal((batch, n_ap, n_ue, u))) / np.sqrt(2.0)
@@ -478,11 +496,11 @@ def combined_products(h, h_hat):
 
 
 def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
-                            weights, n_trials, rng, batch=4096):
+                            weights, n_trials, rng):
     """montecarlo.uatf_monte_carlo through the (b, L, K, K) product tensor x
     of combined_products, with einsum contractions over U, L and the
-    trials; returns (gamma, stderr), each (S, K) over the flattened
-    settings."""
+    trials of each chunk; returns (gamma, stderr), each (S, K) over the
+    flattened settings."""
     sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, _ = sampler.shape
     p = np.asarray(p, dtype=float)
@@ -495,10 +513,9 @@ def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
     acc1 = np.zeros((len(p), n_ue, dim))
     acc2 = np.zeros((len(p), n_ue, dim, dim))
     idx = np.arange(n_ue)
-    done = 0
-    while done < n_trials:
-        b = min(batch, n_trials - done)
-        h, h_hat = draw_einsum(sampler, b, pilot_of, p_hat, tau_p, sigma2)
+    for stream, b in chunk_streams(sampler, n_trials):
+        h, h_hat = draw_einsum(sampler, stream, b, pilot_of, p_hat, tau_p,
+                               sigma2)
         x = combined_products(h, h_hat)
         vnorm = np.einsum("blku,blku->blk", h_hat.conj(), h_hat).real
         for s, w in enumerate(weights):
@@ -510,17 +527,16 @@ def uatf_monte_carlo_einsum(state, est, pilot_of, p, p_hat, tau_p, sigma2,
             feats[:, :, -1] = np.einsum("kl,blk->bk", np.abs(w) ** 2, vnorm)
             acc1[s] += feats.sum(axis=0)
             acc2[s] += np.einsum("bki,bkj->kij", feats, feats)
-        done += b
     return _delta_method(acc1, acc2, p, sigma2, n_trials)
 
 
-def draw_batch(sampler, batch):
-    """(channels, estimates), each (batch, L, K, U), of one batch drawn
-    straight from the sampler's generator and realized at once, with every
-    U x U apply as link_matvec_broadcast and the complex draws formed by
-    complex arithmetic."""
+def draw_batch(sampler, rng, batch):
+    """(channels, estimates), each (batch, L, K, U), of batch trials drawn
+    straight from rng and realized at once, with every U x U apply as
+    link_matvec_broadcast and the complex draws formed by complex
+    arithmetic."""
     n_ap, n_ue, u = sampler.shape
-    rng, est = sampler.rng, sampler.est
+    est = sampler.est
     pilots = est.pilots
     phase = rng.uniform(-np.pi, np.pi, size=(batch, n_ap, n_ue))
     white = (rng.standard_normal((batch, n_ap, n_ue, u))
@@ -544,10 +560,10 @@ def draw_batch(sampler, batch):
     return los, h_hat
 
 
-def uatf_monte_carlo_batch(state, est, p, weights, n_trials, rng,
-                           batch=4096):
-    """montecarlo.uatf_monte_carlo with every batch realized at once by
-    draw_batch and the features formed once per setting; returns
+def uatf_monte_carlo_batch(state, est, p, weights, n_trials, rng):
+    """montecarlo.uatf_monte_carlo with the chunks run serially, each
+    realized at once by draw_batch from its chunk_streams generator, and
+    the features formed and summed once per setting and chunk; returns
     (gamma, stderr), each (..., K)."""
     sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, u = sampler.shape
@@ -563,10 +579,8 @@ def uatf_monte_carlo_batch(state, est, p, weights, n_trials, rng,
     acc1 = np.zeros((len(p), n_ue, dim))
     acc2 = np.zeros((len(p), n_ue, dim, dim))
     idx = np.arange(n_ue)
-    done = 0
-    while done < n_trials:
-        b = min(batch, n_trials - done)
-        h, h_hat = draw_batch(sampler, b)
+    for stream, b in chunk_streams(sampler, n_trials):
+        h, h_hat = draw_batch(sampler, stream, b)
         cols = h.transpose(0, 1, 3, 2).reshape(b, n_ap * u, n_ue)
         del h
         rows = np.conjugate(h_hat.transpose(0, 2, 1, 3), order="C")
@@ -583,7 +597,6 @@ def uatf_monte_carlo_batch(state, est, p, weights, n_trials, rng,
             feats[:, :, -1] = (w_sq[s, :, None] @ vnorm)[:, 0].T
             acc1[s] += feats.sum(axis=0)
             acc2[s] += feats.transpose(1, 2, 0) @ feats.transpose(1, 0, 2)
-        done += b
     gamma, stderr = _delta_method(acc1, acc2, p, est.sigma2, n_trials)
     return gamma.reshape(*lead, n_ue), stderr.reshape(*lead, n_ue)
 
@@ -810,8 +823,7 @@ class CrossMomentEstimate:
     n_trials: int
 
 
-def cross_moment_estimates(state, est, n_trials, rng,
-                           batch=4096) -> CrossMomentEstimate:
+def cross_moment_estimates(state, est, n_trials, rng) -> CrossMomentEstimate:
     """Sample every pairwise interference moment for the term audit."""
     sampler = _TrialSampler(state, est, rng)
     n_ap, n_ue, _ = sampler.shape
@@ -820,11 +832,8 @@ def cross_moment_estimates(state, est, n_trials, rng,
     acc2_im = np.zeros((n_ue, n_ue, n_ap, n_ap))
     acc_mean = np.zeros((n_ue, n_ap), dtype=complex)
     acc2_mean = np.zeros((n_ue, n_ap))
-    done = 0
     idx = np.arange(n_ue)
-    while done < n_trials:
-        b = min(batch, n_trials - done)
-        h, h_hat = draw(sampler, b)
+    for h, h_hat in realized_chunks(sampler, n_trials):
         x = combined_products(h, h_hat)
         prod = np.einsum("blkj,bmkj->bkjlm", x, x.conj())
         acc += prod.sum(axis=0)
@@ -833,7 +842,6 @@ def cross_moment_estimates(state, est, n_trials, rng,
         own = np.transpose(x[:, :, idx, idx], (0, 2, 1))     # (b, K, L)
         acc_mean += own.sum(axis=0)
         acc2_mean += (np.abs(own) ** 2).sum(axis=0)
-        done += b
     moment = acc / n_trials
     var_re = np.maximum(acc2_re / n_trials - moment.real ** 2, 0.0)
     var_im = np.maximum(acc2_im / n_trials - moment.imag ** 2, 0.0)

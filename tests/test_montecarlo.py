@@ -1,6 +1,9 @@
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +13,12 @@ from simcf import (SystemConfig, allocate_pilots, generate_drop, lsfd_weights,
                    uatf_monte_carlo)
 from simcf.channel import ChannelState
 from simcf.estimation import build_estimation_state, mmse_estimate, pilot_map
-from simcf.montecarlo import _delta_method, _TrialSampler, _Workspace
+from simcf.montecarlo import _delta_method, _TrialSampler
 from simcf.pipeline import NetworkModel
 from simcf.se import egcd_weights, sinr_coefficients
 
-from reference import (SimUeChannelStats, delta_method_loop, draw, draw_einsum,
-                       draw_pilot_noise, r_all, sample_channel,
+from reference import (SimUeChannelStats, chunk_streams, delta_method_loop,
+                       draw_einsum, draw_pilot_noise, r_all, sample_channel,
                        uatf_monte_carlo_batch, uatf_monte_carlo_einsum)
 
 
@@ -31,6 +34,12 @@ def test_mc_matches_closed_form(small_model, small_phases, small_terms):
         assert z.max() <= 4.0
 
 
+def _set_chunk(monkeypatch, cfg, trials):
+    """Sets the chunk size of cfg's networks to trials."""
+    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS",
+                        trials * cfg.L * cfg.K * cfg.U)
+
+
 def _settings(small_model, small_terms, cfg):
     """Powers (4, K) and weights (4, K, L): full and max-min powers, each
     with LSFD and EGCD weights."""
@@ -44,9 +53,9 @@ def _settings(small_model, small_terms, cfg):
 
 
 def _assert_stacked_equals_separate(state, est, p, weights, cfg, n_trials,
-                                    seed, **kwargs):
+                                    seed):
     stacked = uatf_monte_carlo(state, est, p, weights, n_trials,
-                               rng=np.random.default_rng(seed), **kwargs)
+                               rng=np.random.default_rng(seed))
     lead = np.broadcast_shapes(p.shape[:-1], weights.shape[:-2])
     assert stacked.gamma.shape == stacked.stderr.shape == (*lead, cfg.K)
     assert stacked.n_trials == n_trials
@@ -54,7 +63,7 @@ def _assert_stacked_equals_separate(state, est, p, weights, cfg, n_trials,
     weights = np.broadcast_to(weights, (*lead, *weights.shape[-2:]))
     for i in np.ndindex(lead):
         alone = uatf_monte_carlo(state, est, p[i], weights[i], n_trials,
-                                 rng=np.random.default_rng(seed), **kwargs)
+                                 rng=np.random.default_rng(seed))
         assert alone.gamma.shape == (cfg.K,)
         assert np.array_equal(stacked.gamma[i], alone.gamma)
         assert np.array_equal(stacked.stderr[i], alone.stderr)
@@ -65,12 +74,11 @@ def test_stacked_settings_equal_separate_calls(small_model, small_phases,
     cfg = small_cfg
     state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
-    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8,
-                                    batch=512)
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8)
     # two leading axes, and one power vector broadcast over stacked weights
     _assert_stacked_equals_separate(state, est, p.reshape(2, 2, cfg.K),
                                     weights.reshape(2, 2, cfg.K, cfg.L),
-                                    cfg, 2_000, 8, batch=512)
+                                    cfg, 2_000, 8)
     _assert_stacked_equals_separate(state, est, p[0], weights[:2], cfg,
                                     2_000, 9)
 
@@ -85,12 +93,16 @@ def test_one_element_settings_axis(small_model, small_phases, small_cfg,
 
 
 def test_stacked_settings_with_partial_last_batch(small_model, small_phases,
-                                                  small_cfg, small_terms):
+                                                  small_cfg, small_terms,
+                                                  monkeypatch):
+    # 150 trials in chunks of 7 end on a partial chunk of 3, and the 22
+    # chunks in windows of 4 on a partial window of 2
     cfg = small_cfg
+    _set_chunk(monkeypatch, cfg, 7)
+    monkeypatch.setattr(montecarlo, "_WINDOW_CHUNKS", 4)
     state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
-    _assert_stacked_equals_separate(state, est, p, weights, cfg, 150, 11,
-                                    batch=64)
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 150, 11)
 
 
 def test_stderr_scales_with_trials(small_model, small_phases, small_terms):
@@ -242,16 +254,16 @@ def test_delta_method_matches_per_setting_loop():
 
 
 @pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(n_trials=-5),
-                                    dict(n_trials=100, batch=0),
+                                    dict(n_trials=True),
                                     dict(n_trials=1),
                                     dict(n_trials=float("inf")),
                                     dict(n_trials=2.5),
-                                    dict(n_trials=100, batch=2.5),
-                                    dict(n_trials=100, batch=True)])
+                                    dict(n_trials=100.0),
+                                    dict(n_trials="100")])
 def test_degenerate_trial_counts_rejected(small_model, small_phases,
                                           small_terms, kwargs):
     state, est = small_model.states(small_phases)
-    with pytest.raises(ValueError, match="n_trials >= 2 and batch >= 1"):
+    with pytest.raises(ValueError, match="n_trials >= 2"):
         uatf_monte_carlo(state, est, small_model.drop.p,
                          egcd_weights(small_terms),
                          rng=np.random.default_rng(0), **kwargs)
@@ -280,27 +292,29 @@ def _complex_settings(model, terms):
 
 
 @pytest.mark.parametrize("u", [1, 2, 3])
-def test_sampler_matches_einsum_oracle(u):
+def test_sampler_matches_einsum_oracle(u, monkeypatch):
     # the explicit U sums and batched matmuls round differently from the
     # einsum contractions through the (b, L, K, K) tensor, by far less
-    # than rtol; 150 trials in batches of 64 end on a partial batch
+    # than rtol; 150 trials in chunks of 64 end on a partial chunk
     cfg = SystemConfig(L=3, K=3, U=u, M=2, N=9, tau_p=2)
+    _set_chunk(monkeypatch, cfg, 64)
     model, pilot_of, state, est, terms = _network(cfg, 20 + u)
     pilots = (pilot_of, cfg.pilot_powers(), cfg.tau_p, cfg.sigma2)
     sampler = _TrialSampler(state, est, np.random.default_rng(u))
     oracle = _TrialSampler(state, est, np.random.default_rng(u))
-    for b in (64, 22):
-        for got, want in zip(draw(sampler, b),
-                             draw_einsum(oracle, b, *pilots)):
+    streams = chunk_streams(oracle, 150)
+    assert [b for _, b in streams] == [64, 64, 22]
+    for i, (stream, b) in enumerate(streams):
+        for got, want in zip(sampler.realize(sampler.numbers(i, b)),
+                             draw_einsum(oracle, stream, b, *pilots)):
             assert got.shape == (b, cfg.L, cfg.K, u)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     p, weights = _complex_settings(model, terms)
     mc = uatf_monte_carlo(state, est, p, weights, 150,
-                          rng=np.random.default_rng(u), batch=64)
+                          rng=np.random.default_rng(u))
     gamma, stderr = uatf_monte_carlo_einsum(state, est, pilots[0], p,
                                             *pilots[1:], weights, 150,
-                                            rng=np.random.default_rng(u),
-                                            batch=64)
+                                            rng=np.random.default_rng(u))
     np.testing.assert_allclose(mc.gamma, gamma, rtol=1e-12, atol=0)
     np.testing.assert_allclose(mc.stderr, stderr, rtol=1e-12, atol=0)
 
@@ -308,66 +322,67 @@ def test_sampler_matches_einsum_oracle(u):
 @pytest.mark.parametrize("u", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_chunks_equal_batch_at_once_oracle(u, chunk, monkeypatch):
-    # the chunked pass runs the oracle's arithmetic on runs of trials of a
-    # batch drawn in the oracle's stream order: equal bit for bit at chunks
-    # of 1, 7 and more than a batch of trials; 150 trials in batches of 64
-    # end on a partial batch
+    # the lanes run the oracle's arithmetic on each chunk, drawn from the
+    # chunk's spawned stream in the oracle's order, and the sums add in
+    # chunk order: equal bit for bit at chunks of 1, 7 and more than all
+    # 150 trials
     cfg = SystemConfig(L=3, K=3, U=u, M=2, N=9, tau_p=2)
     model, _, state, est, terms = _network(cfg, 20 + u)
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS",
-                        chunk * cfg.L * cfg.K * u)
+    _set_chunk(monkeypatch, cfg, chunk)
     p, weights = _complex_settings(model, terms)
     mc = uatf_monte_carlo(state, est, p, weights, 150,
-                          rng=np.random.default_rng(u), batch=64)
+                          rng=np.random.default_rng(u))
     gamma, stderr = uatf_monte_carlo_batch(state, est, p, weights, 150,
-                                           rng=np.random.default_rng(u),
-                                           batch=64)
+                                           rng=np.random.default_rng(u))
     assert np.array_equal(mc.gamma, gamma)
     assert np.array_equal(mc.stderr, stderr)
 
 
 @pytest.mark.parametrize("n_trials", [40, 128])
-def test_workspace_batches_equal_batch_at_once_oracle(n_trials):
-    # fewer trials than one batch of 64 (the call's only workspace holds
-    # 40 trials) and an exact multiple of it (two batches refill one
-    # workspace); a second call on a fresh generator inherits nothing
+def test_partial_and_whole_chunks_equal_batch_at_once_oracle(n_trials,
+                                                             monkeypatch):
+    # fewer trials than one chunk of 64 and an exact multiple of it; a
+    # second call on a fresh generator inherits nothing
     cfg = SystemConfig(L=3, K=3, U=2, M=2, N=9, tau_p=2)
+    _set_chunk(monkeypatch, cfg, 64)
     model, _, state, est, terms = _network(cfg, 22)
     p, weights = _complex_settings(model, terms)
     gamma, stderr = uatf_monte_carlo_batch(state, est, p, weights, n_trials,
-                                           rng=np.random.default_rng(5),
-                                           batch=64)
+                                           rng=np.random.default_rng(5))
     for _ in range(2):
         mc = uatf_monte_carlo(state, est, p, weights, n_trials,
-                              rng=np.random.default_rng(5), batch=64)
+                              rng=np.random.default_rng(5))
         assert np.array_equal(mc.gamma, gamma)
         assert np.array_equal(mc.stderr, stderr)
 
 
-def test_numbers_drawn_into_workspace_continue_the_stream(small_model,
-                                                          small_phases):
-    # batches of 64, 64 (refilling the workspace) and 22 (the fronts of its
-    # buffers, C-contiguous like fresh arrays) take the numbers fresh draws
-    # of a twin generator give, in the documented order: phases, white real
-    # and imaginary parts, pilot noise real and imaginary parts
+def test_chunk_numbers_come_from_their_spawned_streams(small_model,
+                                                       small_phases):
+    # chunks 0, 1 and 2 of 64, 64 and 22 trials take fresh C-contiguous
+    # arrays of the numbers that a twin of their stream gives, the i-th
+    # child of one spawn of the seed's SeedSequence, in the documented
+    # order: phases, white real and imaginary parts, pilot noise real and
+    # imaginary parts
     state, est = small_model.states(small_phases)
-    sampler = _TrialSampler(state, est, np.random.default_rng(12))
-    twin = np.random.default_rng(12)
+    sampler = _TrialSampler(state, est, 12)
+    twins = np.random.SeedSequence(12).spawn(1)[0].spawn(3)
     n_ap, n_ue, u = sampler.shape
     links, pilots = (n_ap, n_ue, u), (n_ap, sampler.n_pilots, u)
-    work = _Workspace(sampler, 64, 1)
-    for b in (64, 64, 22):
-        got = sampler.numbers(work.arrays(b)[0])
+    for i, b in enumerate((64, 64, 22)):
+        got = sampler.numbers(i, b)
+        twin = np.random.default_rng(twins[i])
         want = (twin.uniform(-np.pi, np.pi, size=(b, n_ap, n_ue)),
                 twin.standard_normal((b, *links)),
                 twin.standard_normal((b, *links)),
                 twin.standard_normal((b, *pilots)),
                 twin.standard_normal((b, *pilots)))
         assert len(got) == len(want)
-        for x, y, buffer in zip(got, want, work.buffers):
-            assert x.shape == y.shape
-            assert x.flags.c_contiguous and np.shares_memory(x, buffer)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.flags.c_contiguous
             assert np.array_equal(x, y)
+    # a partial chunk starts its stream as a whole one does
+    assert np.array_equal(sampler.numbers(1, 22)[0],
+                          sampler.numbers(1, 64)[0][:22])
 
 
 def test_los_phasors_equal_exp_of_phases():
@@ -382,7 +397,7 @@ def test_los_phasors_equal_exp_of_phases():
     est = build_estimation_state(
         state, pilot_map(np.arange(n_ue) % 2, np.full(n_ue, 0.2), 2), 1e-12)
     sampler = _TrialSampler(state, est, 0)
-    drawn = sampler.numbers(_Workspace(sampler, b, 1).arrays(b)[0])[0]
+    drawn = sampler.numbers(0, b)[0]
     wide = np.random.default_rng(1).uniform(-50.0, 50.0, drawn.shape)
     for phase in (drawn, wide):
         white = np.zeros((b, n_ap, n_ue, 1))
@@ -396,7 +411,7 @@ def test_one_feature_pass_per_weight_set(small_model, small_phases,
                                          small_cfg, small_terms,
                                          monkeypatch):
     # the Monte-Carlo settings of an experiment cell: weights (decoders, K,
-    # L) and powers (power kinds, decoders, K). Each batch forms features
+    # L) and powers (power kinds, decoders, K). Each chunk forms features
     # once per decoder, not once per setting, and every setting equals its
     # call alone.
     cfg = small_cfg
@@ -411,47 +426,91 @@ def test_one_feature_pass_per_weight_set(small_model, small_phases,
         return features(rows, *args)
 
     monkeypatch.setattr(montecarlo, "_features", counted)
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 10 ** 9)
+    _set_chunk(monkeypatch, cfg, 512)
     uatf_monte_carlo(state, est, p, weights, 2_000,
-                     rng=np.random.default_rng(8), batch=512)
-    # one chunk per batch: 2 passes for each of 3 full batches and the last
-    assert calls == [512] * 6 + [464] * 2
-    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8,
-                                    batch=512)
+                     rng=np.random.default_rng(8))
+    # 2 passes for each of 3 whole chunks and the last
+    assert sorted(calls) == [464] * 2 + [512] * 6
+    _assert_stacked_equals_separate(state, est, p, weights, cfg, 2_000, 8)
+
+
+def _traced_peak(monkeypatch, lanes, n_trials):
+    """The traced peak allocation of a call of n_trials trials on a
+    paper-default drop at lanes lanes, in units of one chunk's (c, L, K, U)
+    complex array."""
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: lanes)
+    cfg = SystemConfig()
+    model, _, state, est, terms = _network(cfg, 1)
+    sampler = _TrialSampler(state, est, 0)
+    unit = sampler.chunk * cfg.L * cfg.K * cfg.U * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        uatf_monte_carlo(state, est, model.drop.p, egcd_weights(terms),
+                         n_trials, rng=np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / unit
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_sampler_batch_memory_bounded(lanes, monkeypatch):
-    # Two full batches and a partial one of a paper-default drop, traced:
-    # the peak allocation is a fixed multiple of one (b, L, K, U) complex
-    # array. The call's workspace holds one batch's random numbers (2.05 of
-    # them at tau_p = 4), features and estimate norms (0.45); the full
-    # batches refill it, and the partial one takes the fronts of its
-    # buffers. With the temporaries of one chunk the peak is 2.90, as it
-    # was when each batch allocated its own arrays and freed them before
-    # the next draw. The one-lane bound adds about ten more chunk-sized
-    # temporaries. Realizing a whole batch at once peaked at 5.84 for one
-    # batch and 9.04 for these three, since a batch's arrays lived on while
-    # the next one was drawn. Each further lane holds one more chunk's
-    # temporaries: 0.40, the one-lane peak less the workspace.
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: lanes)
-    cfg = SystemConfig()
-    model, pilot_of, state, est, terms = _network(cfg, 1)
-    b = 4096
-    unit = b * cfg.L * cfg.K * cfg.U * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        uatf_monte_carlo(state, est, model.drop.p, egcd_weights(terms),
-                         2 * b + 1000, rng=np.random.default_rng(3), batch=b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= (3.2 + 0.40 * (lanes - 1)) * unit
+    # Two windows and a partial one of a paper-default drop (128-trial
+    # chunks), traced: the peak allocation is a fixed multiple of one
+    # chunk's (c, L, K, U) complex array. Each lane holds one chunk's
+    # random numbers (2.05 of these units at tau_p = 4), its realization,
+    # features and sums: one lane peaked at 10.80, two at 20.45 to 20.84
+    # and three at 28.7 to 29.9. A window's 32 slots hold 0.45.
+    peak = _traced_peak(monkeypatch, lanes, 2 * 32 * 128 + 1000)
+    assert peak <= 10.5 * lanes + 0.5
+
+
+def test_sampler_memory_does_not_grow_with_windows(monkeypatch):
+    # one lane, windows of 4 chunks: 8 windows of trials peak where 2 do
+    # (10.31 units each); the chunk sums of all 32 chunks of the longer
+    # call, were they held at once, would add 0.34
+    monkeypatch.setattr(montecarlo, "_WINDOW_CHUNKS", 4)
+    short, long = (_traced_peak(monkeypatch, 1, n * 4 * 128) for n in (2, 8))
+    assert long <= short + 0.05
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc trim threshold")
+def test_lanes_do_not_fault_their_chunks_back_in():
+    # a fresh process, so that no earlier allocation has lifted glibc's
+    # trim threshold: two 20 000-trial calls on two lanes after a warm-up
+    # call took 50 to 75 minor page faults in 24 runs and once 660; with
+    # each lane's heap top handed back to the system after every chunk
+    # they took 14 000 to 64 000
+    code = """if True:
+        import resource, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from simcf import (SystemConfig, allocate_pilots, generate_drop,
+                           montecarlo)
+        from simcf.pipeline import NetworkModel
+        from simcf.se import egcd_weights
+        montecarlo._cpus = lambda: 2
+        drop = generate_drop(SystemConfig(), 1)
+        model = NetworkModel.from_drop(drop, allocate_pilots(drop))
+        phases = model.random_phases(np.random.default_rng(1))
+        args = (*model.states(phases), drop.p,
+                egcd_weights(model.terms(phases)), 20_000)
+        montecarlo.uatf_monte_carlo(*args, rng=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in (1, 2):
+            montecarlo.uatf_monte_carlo(*args, rng=seed)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 2000
 
 
 def _on_counted_lanes(monkeypatch, lanes):
     """Sets the CPUs the sampler sees to lanes; returns the list that
-    records the lane count of every batch."""
+    records the lane count of every window."""
     counts = []
     on_lanes = montecarlo._on_lanes
 
@@ -466,16 +525,16 @@ def _on_counted_lanes(monkeypatch, lanes):
 
 def test_lane_count_changes_nothing(small_model, small_phases, small_cfg,
                                     small_terms, monkeypatch):
-    # chunks of 7 trials: each batch of 45 has 7 chunks, which neither 2
-    # nor 3 lanes divide, and 110 trials end on a partial batch of 20 (3
-    # chunks); four settings over two weight sets. Every chunk is realized
-    # once, on whichever lane takes it, also with the interpreter switching
-    # threads every few microseconds and more lanes than cores.
+    # chunks of 7 trials: 110 trials are 15 whole chunks and one of 5, in
+    # windows of 7, 7 and 2 chunks, which neither 2 nor 3 lanes divide;
+    # four settings over two weight sets. Every chunk is realized once, on
+    # whichever lane takes it, also with the interpreter switching threads
+    # every few microseconds and more lanes than cores.
     cfg = small_cfg
     state, est = small_model.states(small_phases)
     p, weights = _settings(small_model, small_terms, cfg)
-    monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS",
-                        7 * cfg.L * cfg.K * cfg.U)
+    _set_chunk(monkeypatch, cfg, 7)
+    monkeypatch.setattr(montecarlo, "_WINDOW_CHUNKS", 7)
     realize, sizes = _TrialSampler.realize, []
 
     def counted(self, numbers):
@@ -492,19 +551,95 @@ def test_lane_count_changes_nothing(small_model, small_phases, small_cfg,
             sizes.clear()
             results[lanes] = uatf_monte_carlo(
                 state, est, p.reshape(2, 2, cfg.K), weights[:2], 110,
-                rng=np.random.default_rng(4), batch=45)
-            assert counts == [lanes, lanes, min(lanes, 3)]
-            assert sorted(sizes) == [3, 3, 6] + [7] * 14
+                rng=np.random.default_rng(4))
+            assert counts == [lanes, lanes, min(lanes, 2)]
+            assert sorted(sizes) == [5] + [7] * 15
     finally:
         sys.setswitchinterval(interval)
     for lanes in (2, 3, 5):
         assert np.array_equal(results[lanes].gamma, results[1].gamma)
         assert np.array_equal(results[lanes].stderr, results[1].stderr)
-    # lanes never outnumber a batch's chunks
+    # lanes never outnumber a window's chunks
     counts = _on_counted_lanes(monkeypatch, 8)
     uatf_monte_carlo(state, est, p, weights, 110,
-                     rng=np.random.default_rng(4), batch=45)
-    assert counts == [7, 7, 3]
+                     rng=np.random.default_rng(4))
+    assert counts == [7, 7, 2]
+
+
+def test_window_changes_nothing(small_model, small_phases, small_cfg,
+                                small_terms, monkeypatch):
+    # windows of 1, 3 and all 16 chunks of 110 trials in chunks of 7, on
+    # two lanes: the same chunk sums, added in the same order
+    cfg = small_cfg
+    state, est = small_model.states(small_phases)
+    p, weights = _settings(small_model, small_terms, cfg)
+    _set_chunk(monkeypatch, cfg, 7)
+    results = []
+    for window in (1, 3, 16):
+        monkeypatch.setattr(montecarlo, "_WINDOW_CHUNKS", window)
+        counts = _on_counted_lanes(monkeypatch, 2)
+        results.append(uatf_monte_carlo(state, est, p, weights, 110,
+                                        rng=np.random.default_rng(4)))
+        assert len(counts) == -(-16 // window)
+    for mc in results[1:]:
+        assert np.array_equal(mc.gamma, results[0].gamma)
+        assert np.array_equal(mc.stderr, results[0].stderr)
+
+
+@pytest.mark.parametrize("n_trials, window", [(110, 1), (110, 3), (6, 1)])
+def test_no_two_chunks_share_a_stream(small_model, small_phases, small_cfg,
+                                      small_terms, n_trials, window,
+                                      monkeypatch):
+    # chunks of 7 trials, keyed by their index in the call: at windows of
+    # one chunk an index within the window would give every chunk chunk
+    # 0's stream. 110 trials end on a partial chunk; 6 trials are one
+    # partial chunk, so only a second call on the same generator can meet
+    # it. Each stream's first phases tell it apart.
+    cfg = small_cfg
+    state, est = small_model.states(small_phases)
+    _set_chunk(monkeypatch, cfg, 7)
+    monkeypatch.setattr(montecarlo, "_WINDOW_CHUNKS", window)
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    numbers, drawn = _TrialSampler.numbers, []
+
+    def recorded(self, i, c):
+        out = numbers(self, i, c)
+        drawn.append((i, tuple(out[0][0, 0])))
+        return out
+
+    monkeypatch.setattr(_TrialSampler, "numbers", recorded)
+    rng = np.random.default_rng(4)
+    n_chunks = -(-n_trials // 7)
+    for _ in range(2):
+        before = len(drawn)
+        uatf_monte_carlo(state, est, small_model.drop.p,
+                         egcd_weights(small_terms), n_trials, rng=rng)
+        assert sorted(i for i, _ in drawn[before:]) == list(range(n_chunks))
+    firsts = [first for _, first in drawn]
+    assert len(set(firsts)) == len(firsts) == 2 * n_chunks
+
+
+def test_equal_seeds_equal_results_and_reused_generator_fresh_streams(
+        small_model, small_phases, small_terms):
+    # any seed numpy's default_rng takes; a call spawns one child of the
+    # generator's SeedSequence and draws none of the generator's numbers,
+    # so the second call on one Generator samples from the next child
+    state, est = small_model.states(small_phases)
+    args = (state, est, small_model.drop.p, egcd_weights(small_terms), 500)
+    first = uatf_monte_carlo(*args, rng=5)
+    reused = np.random.default_rng(5)
+    same = [uatf_monte_carlo(*args, rng=rng) for rng in (
+        np.random.default_rng(5), np.random.SeedSequence(5), reused)]
+    second = uatf_monte_carlo(*args, rng=reused)
+    for mc in same:
+        assert np.array_equal(mc.gamma, first.gamma)
+        assert np.array_equal(mc.stderr, first.stderr)
+    assert not np.any(second.gamma == first.gamma)
+    child = uatf_monte_carlo(
+        *args, rng=np.random.SeedSequence(5, n_children_spawned=1))
+    assert np.array_equal(second.gamma, child.gamma)
+    assert np.array_equal(second.stderr, child.stderr)
+    assert reused.random() == np.random.default_rng(5).random()
 
 
 def test_lanes_keep_the_callers_numpy_error_state():
@@ -519,7 +654,7 @@ def test_lane_error_raises_in_caller_after_every_lane_ends(
         small_model, small_phases, small_terms, failing, monkeypatch):
     # both lanes take a chunk before either goes on (the barrier), then the
     # failing lane raises; the call raises its error once the other lane
-    # has realized the rest of the batch, and no thread outlives the call
+    # has realized the rest of the window, and no thread outlives the call
     state, est = small_model.states(small_phases)
     monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", 1)
     monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
@@ -541,6 +676,6 @@ def test_lane_error_raises_in_caller_after_every_lane_ends(
     with pytest.raises(FloatingPointError, match=failing):
         uatf_monte_carlo(state, est, small_model.drop.p,
                          egcd_weights(small_terms), 200,
-                         rng=np.random.default_rng(2), batch=100)
+                         rng=np.random.default_rng(2))
     assert threading.active_count() == before
     assert len(seen) == 2

@@ -14,7 +14,9 @@ directory) at seeds 1-3 on each src and compares the SHA-256 of their
 rows.csv and aggregates.csv. It always runs `simcf validate` (seed 0) on each src as
 well and compares its three printed lines, so the closed-form-vs-Monte-Carlo
 check must report the same worst |z| (and the other two checks the same
-figures); the table shows each line's status and leading figure. It
+figures); the table shows each line's status and leading figure. Under
+a CSV whose digest differs it names the columns whose cells differ
+(compared by header), as in "differs only in mc_sinr, mc_stderr". It
 prints one table and exits 1 on any mismatch. Its summary also gives `wc -l src/simcf/*.py` of both
 trees, for information only (no gate):
 
@@ -26,7 +28,9 @@ so the gate lasts a minute or two.
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -59,21 +63,23 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 def digest(src, workload, seed):
-    """SHA-256 of the rows.csv of one round of workload at seed, or the
-    failure message."""
+    """(SHA-256, text) of the rows.csv of one round of workload at seed,
+    or (the failure message, None)."""
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--digest",
          "--workload", workload, "--seed", str(seed), "--src", str(src)],
         capture_output=True, text=True)
     found = re.search(r"rows\.csv sha256=(\w+)", run.stdout)
     if run.returncode or not found:
-        return f"failed (exit {run.returncode})"
-    return found.group(1)
+        return f"failed (exit {run.returncode})", None
+    rows = ROOT / ".perfbench_out" / workload / "rows.csv"
+    return found.group(1), rows.read_text()
 
 
 def cli_digests(src, args, seed):
-    """{file name: SHA-256} of the rows.csv and aggregates.csv of one
-    `simcf` CLI run on src at seed, each the failure message on failure."""
+    """{file name: (SHA-256, text)} of the rows.csv and aggregates.csv of
+    one `simcf` CLI run on src at seed, each (the failure message, None)
+    on failure."""
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in BLAS_THREAD_VARS})
     with tempfile.TemporaryDirectory() as out:
@@ -81,10 +87,35 @@ def cli_digests(src, args, seed):
             [sys.executable, "-m", "simcf.cli", *args, "--seed", str(seed),
              "--out-dir", out], cwd=out, env=env, capture_output=True,
             text=True)
-        return {name: (hashlib.sha256((Path(out) / name).read_bytes())
-                       .hexdigest() if run.returncode == 0
-                       else f"failed (exit {run.returncode})")
-                for name in ("rows.csv", "aggregates.csv")}
+        files = {}
+        for name in ("rows.csv", "aggregates.csv"):
+            if run.returncode:
+                files[name] = (f"failed (exit {run.returncode})", None)
+            else:
+                data = (Path(out) / name).read_bytes()
+                files[name] = (hashlib.sha256(data).hexdigest(),
+                               data.decode())
+        return files
+
+
+def differing_columns(old, new):
+    """What tells two CSV texts apart, for a digest that differs: "differs
+    only in a, b" naming, in header order, the columns with a differing
+    cell, or the header or row count when those differ already."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if old[:1] != new[:1]:
+        return "differs in its header"
+    if len(old) != len(new):
+        return f"differs in row count, {len(old) - 1} against {len(new) - 1}"
+    header = old[0] if old else []
+    width = max(map(len, old + new), default=0)
+    names = header + [f"unnamed column {j + 1}"
+                      for j in range(len(header), width)]
+    columns = [name for j, name in enumerate(names)
+               if any(a[j:j + 1] != b[j:j + 1]
+                      for a, b in zip(old[1:], new[1:]))]
+    return ("differs only in " + ", ".join(columns) if columns
+            else "differs in bytes only, not in any cell")
 
 
 def validate_lines(src):
@@ -121,11 +152,14 @@ def main(argv=None):
 
     results = {"workload": [], "CLI": [], "validate": []}
 
-    def report(kind, label, seed, old, new, shown=lambda x: x[:12]):
+    def report(kind, label, seed, old, new, shown=lambda x: x[:12],
+               texts=(None, None)):
         same = old == new and not old.startswith("failed")
         results[kind].append(same)
         print(f"{label:<46}{seed:>5}  {shown(old):<16}{shown(new):<16}"
               f"{'yes' if same else 'NO'}")
+        if not same and None not in texts:
+            print(f"    {differing_columns(*texts)}")
 
     with commit_src(args.commit) as old_src, \
             tempfile.TemporaryDirectory() as tmp:
@@ -140,16 +174,18 @@ def main(argv=None):
               f"{'working tree':<16}same")
         for workload in WORKLOADS:
             for seed in args.seeds:
-                report("workload", workload, seed,
-                       digest(old_src, workload, seed),
-                       digest(ROOT / "src", workload, seed))
+                old, old_text = digest(old_src, workload, seed)
+                new, new_text = digest(ROOT / "src", workload, seed)
+                report("workload", workload, seed, old, new,
+                       texts=(old_text, new_text))
         for label, cli_args in cli_runs:
             for seed in CLI_SEEDS:
                 old = cli_digests(old_src, cli_args, seed)
                 new = cli_digests(ROOT / "src", cli_args, seed)
                 for name in old:
-                    report("CLI", f"simcf {label} {name}", seed, old[name],
-                           new[name])
+                    report("CLI", f"simcf {label} {name}", seed,
+                           old[name][0], new[name][0],
+                           texts=(old[name][1], new[name][1]))
         old, new = validate_lines(old_src), validate_lines(ROOT / "src")
         for name in VALIDATE_CHECKS:
             report("validate", f"validate {name}", 0, old[name],
